@@ -119,10 +119,13 @@ pub fn differential_policy(seed: u64, n_objects: usize) -> Result<(), HarnessFai
     Ok(())
 }
 
-/// The hot-path exactness oracle, three-way: the per-request reference
-/// path (`max_batch = 1`, decision cache off, interpreted scoring), the
-/// batched + memoized path with the interpreted tree walk, and the same
-/// batched path with compiled branchless inference (the service defaults)
+/// The hot-path exactness oracle: the per-request reference path
+/// (`max_batch = 1`, decision cache off, interpreted scoring), the batched
+/// and memoized path with the interpreted tree walk, the same batched path
+/// with compiled branchless inference (the service defaults), and those
+/// defaults at every corner of the request queue's shape (`queue_depth` ∈
+/// {1, 2, 1024} × `max_batch` ∈ {1, 64} — a queue that blocks on every push
+/// up to one that never fills, stolen one request or one batch at a time)
 /// must all produce bit-identical fingerprints for every admission mode —
 /// including under an injected swap-fault schedule that deterministically
 /// drops every other model install on the exact 1×1 inline topology.
@@ -158,7 +161,7 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
             reference.compiled_inference = false;
             let mut interpreted = ServeConfig::new(PolicyKind::Lru, mode, capacity);
             interpreted.compiled_inference = false;
-            let mut compiled = ServeConfig::new(PolicyKind::Lru, mode, capacity);
+            let compiled = ServeConfig::new(PolicyKind::Lru, mode, capacity);
             if compiled.max_batch <= 1 || !compiled.decision_cache || !compiled.compiled_inference {
                 return Err(fail(
                     seed,
@@ -167,11 +170,24 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
                         .into(),
                 ));
             }
+            let mut arms = vec![
+                ("batched".to_string(), interpreted),
+                ("compiled".to_string(), compiled.clone()),
+            ];
+            for queue_depth in [1usize, 2, 1024] {
+                for max_batch in [1usize, 64] {
+                    let mut shaped = compiled.clone();
+                    shaped.queue_depth = queue_depth;
+                    shaped.max_batch = max_batch;
+                    arms.push((format!("queue_depth={queue_depth} max_batch={max_batch}"), shaped));
+                }
+            }
             if faulted {
                 let plan: Arc<dyn FaultPlan> = Arc::new(DropOddSwaps);
                 reference.faults = Arc::clone(&plan);
-                interpreted.faults = Arc::clone(&plan);
-                compiled.faults = plan;
+                for (_, cfg) in &mut arms {
+                    cfg.faults = Arc::clone(&plan);
+                }
             }
             let a = serve_trace_with_index(&trace, &index, &reference, &LoadConfig::default());
             if faulted && (a.faults.dropped_installs == 0 || a.model_swaps == 0) {
@@ -185,7 +201,7 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
                     ),
                 ));
             }
-            for (arm, cfg) in [("batched", &interpreted), ("compiled", &compiled)] {
+            for (arm, cfg) in &arms {
                 let b = serve_trace_with_index(&trace, &index, cfg, &LoadConfig::default());
                 if faulted
                     && (b.faults.dropped_installs != a.faults.dropped_installs

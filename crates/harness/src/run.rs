@@ -26,6 +26,8 @@ pub struct CaseConfig {
     pub workers: usize,
     /// Client threads.
     pub clients: usize,
+    /// Bound of the client ⇒ worker request queue.
+    pub queue_depth: usize,
     /// Replacement policy.
     pub policy: PolicyKind,
     /// Admission mode.
@@ -48,6 +50,7 @@ impl CaseConfig {
             shards: 4,
             workers: 4,
             clients: 2,
+            queue_depth: 1024,
             policy: PolicyKind::Lru,
             mode: Mode::Proposal,
             capacity_frac: 0.02,
@@ -110,6 +113,7 @@ pub fn run_case(cfg: &CaseConfig) -> Result<ServeReport, HarnessFailure> {
     let mut serve_cfg = ServeConfig::new(cfg.policy, cfg.mode, capacity(&trace, cfg.capacity_frac));
     serve_cfg.shards = cfg.shards;
     serve_cfg.workers = cfg.workers;
+    serve_cfg.queue_depth = cfg.queue_depth;
     serve_cfg.trainer = TrainerMode::Background;
     serve_cfg.clock = ServiceClock::Virtual(VirtualClock::new());
     serve_cfg.faults = Arc::new(cfg.schedule.compile());
@@ -238,6 +242,23 @@ mod tests {
                 assert!(r.faults.failed_trainings > 0);
             }
         }
+    }
+
+    /// The tightest queue the service allows, on a topology where both
+    /// sides contend for it: every push blocks until a worker steals, and
+    /// every injected shard panic unwinds a worker that is mid-batch. The
+    /// run must still complete under the deadlock detector (`run_case`
+    /// checks `accesses == replayed - shard_panics`).
+    #[test]
+    fn shard_panics_at_queue_depth_one_complete_and_conserve() {
+        let plan = FaultSchedule::by_name("shard-chaos").expect("named plan");
+        let mut case = CaseConfig::new(17, plan);
+        case.shards = 2;
+        case.workers = 2;
+        case.queue_depth = 1;
+        let r = run_case(&case).unwrap_or_else(|e| panic!("{e}"));
+        assert!(r.faults.shard_panics > 0, "the schedule must actually panic shards");
+        assert_eq!(r.snapshot.stats.accesses, r.replayed - r.faults.shard_panics);
     }
 
     #[test]

@@ -1,0 +1,56 @@
+//! The real workspace, linted in strict mode: facts about this repository's
+//! own lock graph and request path that no fixture can pin.
+
+use otae_lint::{lint_workspace, walk, Options, Rule, SourceFile, WorkspaceReport};
+
+fn strict_report() -> WorkspaceReport {
+    let root = walk::workspace_root(None);
+    let files: Vec<SourceFile> = walk::collect(&root)
+        .iter()
+        .map(|rel| SourceFile {
+            path: walk::rule_path(rel),
+            src: std::fs::read_to_string(root.join(rel)).expect("workspace file readable"),
+        })
+        .collect();
+    lint_workspace(&files, Options { strict: true })
+}
+
+/// The serve request queue's mutex (`QueueState`, crates/serve/src/intake.rs)
+/// is a leaf of the acquisition graph: a known lock class with no ordered
+/// edge in or out, so it is never held together with a shard lock
+/// (`ShardState`) or the filter-policy lock (`AdmissionPolicy`).
+#[test]
+fn request_queue_mutex_is_a_leaf_of_the_lock_graph() {
+    let report = strict_report();
+    let graph = &report.lock_graph;
+    let isolated = graph
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("isolated (never nested):"))
+        .unwrap_or_else(|| panic!("no isolated classes in:\n{graph}"));
+    assert!(isolated.split(',').any(|c| c.trim() == "QueueState"), "not a leaf:\n{graph}");
+    assert!(
+        graph.lines().filter(|l| l.contains("->")).all(|l| !l.contains("QueueState")),
+        "queue mutex nests with another lock:\n{graph}"
+    );
+    // The shard and filter-policy locks it must stay clear of are real
+    // classes of the same graph, not renamed away.
+    assert!(graph.contains("ShardState -> AdmissionPolicy"), "{graph}");
+}
+
+/// Requests cross the client ⇒ worker queue by reference: the strict
+/// advisory run reports no per-request `.clone()` in the load generator or
+/// the queue itself.
+#[test]
+fn request_handoff_clones_nothing() {
+    let report = strict_report();
+    let clones: Vec<_> = report
+        .diags
+        .iter()
+        .filter(|d| d.rule == Rule::AdvisoryClonePerRequest)
+        .filter(|d| {
+            d.path.ends_with("serve/src/loadgen.rs") || d.path.ends_with("serve/src/intake.rs")
+        })
+        .map(|d| d.render())
+        .collect();
+    assert!(clones.is_empty(), "{}", clones.join("\n"));
+}

@@ -236,6 +236,12 @@ impl DecisionTree {
         let n_splits = u32::from_le_bytes(take(data, 10, 4)?.try_into().expect("4 bytes")) as usize;
         let n_features =
             u16::from_le_bytes(take(data, 14, 2)?.try_into().expect("2 bytes")) as usize;
+        // Nodes are a fixed 13 bytes after the 16-byte header: a node count
+        // the remaining bytes cannot pay for is a truncation, caught before
+        // it sizes an allocation (one header bit-flip claims 2^30 nodes).
+        if n_nodes > (data.len() - 16) / 13 {
+            return Err("truncated".into());
+        }
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut at = 16;
         for _ in 0..n_nodes {

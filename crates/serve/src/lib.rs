@@ -4,18 +4,21 @@
 //! hit and write rates; this crate answers whether the design *serves*: a
 //! shard-per-core cache service where N independent shards (each a mutex
 //! around an [`otae_cache::Cache`] policy, a slice of the §4.4.2 history
-//! table, and its own counters) process requests drained from a bounded
-//! queue by K worker threads, while a background retrainer hot-swaps the
-//! daily-trained admission tree through a shared [`AdmissionGate`] without
-//! stalling the request path.
+//! table, and its own counters) process requests stolen in batches from a
+//! bounded queue by K worker threads, while a background retrainer hot-swaps
+//! the daily-trained admission tree through a shared [`AdmissionGate`]
+//! without stalling the request path.
 //!
 //! ```text
 //!   trace ──prepare──▶ [PreparedRequest…]          AdmissionGate
-//!   (features, labels,       │                    (RwLock<Arc<tree>>)
+//!   (features, labels,       │ &request           (RwLock<Arc<tree>>)
 //!    model stamps)     M client threads                  ▲ install
 //!                            │ paced @ QPS         retrainer thread
-//!                      bounded channel             (samples ⇒ daily train)
-//!                            │
+//!                            │ push: blocks at     (samples ⇒ daily train)
+//!                            ▼ queue_depth
+//!                      intake queue (Mutex<VecDeque<&request>>)
+//!                            │ pop_batch: ≤ max_batch per lock
+//!                            ▼
 //!                      K worker threads ──hash(object)──▶ shard mutex
 //!                                                         ┌─────────┐
 //!                                                         │ cache   │ ×N
@@ -23,6 +26,15 @@
 //!                                                         │ stats   │
 //!                                                         └─────────┘
 //! ```
+//!
+//! The queue ([`intake`]) bounds the requests waiting between clients and
+//! workers at `queue_depth`; a batch a worker has stolen no longer counts.
+//! Each side signals the other only when it is parked — a `push` wakes a
+//! worker sleeping on an empty queue, a `pop_batch` wakes clients blocked on
+//! a full one — so a busy queue pays no wake-up syscall at all. It carries
+//! `&PreparedRequest` borrowed from the prepared trace, which outlives the
+//! thread scope every client and worker runs in, so a request is never
+//! copied and its model `Arc` never re-counted on the way to a shard.
 //!
 //! Two training deliveries are supported ([`TrainerMode`]): *Inline*
 //! stamps each request with the model current at its enqueue point, which
@@ -43,6 +55,7 @@ pub mod clock;
 pub mod decision_cache;
 pub mod fault;
 pub mod gate;
+pub mod intake;
 pub mod loadgen;
 pub mod policy;
 pub mod request;
@@ -79,8 +92,9 @@ mod thread_safety_assertions {
     const fn assert_send_sync<T: Send + Sync>() {}
 
     const _: () = {
-        // Work items crossing the client ⇒ worker channel.
-        assert_send::<PreparedRequest>();
+        // Requests cross the client ⇒ worker queue by reference; samples
+        // cross the retrainer channel by value.
+        assert_send::<&'static PreparedRequest>();
         assert_send::<TrainMsg>();
         assert_send::<TrainBatch>();
         // Shared service state read by every worker.

@@ -3,6 +3,7 @@
 
 use crate::clock::ClockHandle;
 use crate::fault::{FaultPlan, SampleFault};
+use crate::intake::Producer;
 use crate::request::PreparedRequest;
 use crate::retrainer::{TrainBatch, TrainMsg};
 use crossbeam::channel::Sender;
@@ -48,7 +49,9 @@ pub(crate) struct ClientReport {
 
 /// Replay `client`'s stride of the prepared trace (requests `client`,
 /// `client + n_clients`, …) into the request queue, pacing to its share of
-/// the aggregate QPS target.
+/// the aggregate QPS target. Requests are queued by reference: the prepared
+/// trace outlives every client and worker thread of the run, so nothing is
+/// copied per request.
 ///
 /// When `samples` is set (background-trainer Proposal runs), each submitted
 /// request is also forwarded to the retrainer, tying training progress to
@@ -61,13 +64,13 @@ pub(crate) struct ClientReport {
 /// the forwarding — replay itself continues, which is exactly the graceful
 /// degradation the harness asserts.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_client(
+pub(crate) fn replay_client<'a>(
     client: usize,
     n_clients: usize,
-    prepared: &[PreparedRequest],
+    prepared: &'a [PreparedRequest],
     load: &LoadConfig,
     clock: &ClockHandle,
-    requests: &Sender<PreparedRequest>,
+    requests: &Producer<&'a PreparedRequest>,
     samples: Option<&Sender<TrainBatch>>,
     plan: &dyn FaultPlan,
 ) -> ClientReport {
@@ -108,7 +111,7 @@ pub(crate) fn replay_client(
                 ));
             }
         }
-        if requests.send(req.clone()).is_err() {
+        if requests.push(req).is_err() {
             break; // all workers gone; nothing left to do
         }
         report.submitted += 1;
@@ -124,6 +127,7 @@ mod tests {
     use super::*;
     use crate::clock::ServiceClock;
     use crate::fault::NoFaults;
+    use crate::intake::{bounded, Consumer};
     use crate::request::ModelSource;
     use crossbeam::channel::unbounded;
     use otae_trace::ObjectId;
@@ -143,10 +147,25 @@ mod tests {
             .collect()
     }
 
+    /// A request queue deep enough to hold all of `reqs`, so a test can run
+    /// the client to completion before draining on the same thread.
+    fn queue(reqs: &[PreparedRequest]) -> (Producer<&PreparedRequest>, Consumer<&PreparedRequest>) {
+        bounded(reqs.len())
+    }
+
+    /// Everything queued, in order (call after the last producer dropped).
+    fn drain<'a>(rx: &Consumer<&'a PreparedRequest>) -> Vec<&'a PreparedRequest> {
+        let (mut all, mut batch) = (Vec::new(), Vec::new());
+        while rx.pop_batch(&mut batch, 64) {
+            all.append(&mut batch);
+        }
+        all
+    }
+
     #[test]
     fn strides_partition_the_trace() {
         let reqs = prepared(10);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let load = LoadConfig::default();
         let clock = ServiceClock::Wall.start();
         let mut total = 0;
@@ -155,7 +174,7 @@ mod tests {
         }
         drop(tx);
         assert_eq!(total, 10);
-        let mut seen: Vec<u64> = rx.iter().map(|r| r.idx).collect();
+        let mut seen: Vec<u64> = drain(&rx).iter().map(|r| r.idx).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
     }
@@ -163,7 +182,7 @@ mod tests {
     #[test]
     fn qps_pacing_slows_submission() {
         let reqs = prepared(8);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         // 100 QPS over 8 requests ≈ 70ms minimum (first slot fires at t=0).
         let load = LoadConfig { clients: 1, target_qps: 100.0, duration: None };
         let clock = ServiceClock::Wall.start();
@@ -173,13 +192,13 @@ mod tests {
         assert_eq!(sent, 8);
         assert!(took >= Duration::from_millis(60), "paced replay took {took:?}");
         drop(tx);
-        assert_eq!(rx.iter().count(), 8);
+        assert_eq!(drain(&rx).len(), 8);
     }
 
     #[test]
     fn virtual_clock_pacing_is_instant() {
         let reqs = prepared(1000);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         // 10 QPS over 1000 requests would take ~100 wall seconds.
         let load = LoadConfig { clients: 1, target_qps: 10.0, duration: None };
         let clock = ServiceClock::Virtual(crate::clock::VirtualClock::new()).start();
@@ -190,26 +209,26 @@ mod tests {
         // Virtual time advanced along the pacing schedule.
         assert!(clock.elapsed() >= Duration::from_secs(99));
         drop(tx);
-        assert_eq!(rx.iter().count(), 1000);
+        assert_eq!(drain(&rx).len(), 1000);
     }
 
     #[test]
     fn deadline_stops_replay_early() {
         let reqs = prepared(100_000);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let load =
             LoadConfig { clients: 1, target_qps: 50.0, duration: Some(Duration::from_millis(50)) };
         let clock = ServiceClock::Wall.start();
         let sent = replay_client(0, 1, &reqs, &load, &clock, &tx, None, &NoFaults).submitted;
         assert!(sent < 100_000, "deadline must cut the replay short");
         drop(tx);
-        assert_eq!(rx.iter().count() as u64, sent);
+        assert_eq!(drain(&rx).len() as u64, sent);
     }
 
     #[test]
     fn sample_forwarding_mirrors_submissions() {
         let reqs = prepared(20);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let (stx, srx) = unbounded();
         let clock = ServiceClock::Wall.start();
         let report =
@@ -217,7 +236,7 @@ mod tests {
         drop(tx);
         drop(stx);
         assert_eq!(report.submitted, 20);
-        assert_eq!(rx.iter().count(), 20);
+        assert_eq!(drain(&rx).len(), 20);
         assert_eq!(srx.iter().flatten().count(), 20);
     }
 
@@ -228,7 +247,7 @@ mod tests {
     fn sample_flushes_are_bounded_and_ordered() {
         let n = 2 * SAMPLE_FLUSH + 17;
         let reqs = prepared(n);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let (stx, srx) = unbounded();
         let clock = ServiceClock::Wall.start();
         let report =
@@ -236,7 +255,7 @@ mod tests {
         drop(tx);
         drop(stx);
         assert_eq!(report.submitted, n as u64);
-        assert_eq!(rx.iter().count(), n);
+        assert_eq!(drain(&rx).len(), n);
         let batches: Vec<TrainBatch> = srx.iter().collect();
         assert_eq!(batches.len(), 3, "two full flushes plus the tail");
         assert_eq!(batches[0].len(), SAMPLE_FLUSH);
@@ -252,7 +271,7 @@ mod tests {
     #[test]
     fn hung_up_retrainer_does_not_stop_replay() {
         let reqs = prepared(50);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let (stx, srx) = unbounded();
         drop(srx); // retrainer is gone before the replay starts
         let clock = ServiceClock::Wall.start();
@@ -260,7 +279,7 @@ mod tests {
             replay_client(0, 1, &reqs, &LoadConfig::default(), &clock, &tx, Some(&stx), &NoFaults);
         assert_eq!(report.submitted, 50);
         drop(tx);
-        assert_eq!(rx.iter().count(), 50);
+        assert_eq!(drain(&rx).len(), 50);
     }
 
     /// Scripted sample faults: drops and corruptions are tallied and only
@@ -279,7 +298,7 @@ mod tests {
             }
         }
         let reqs = prepared(30);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = queue(&reqs);
         let (stx, srx) = unbounded();
         let clock = ServiceClock::Wall.start();
         let report = replay_client(
@@ -297,7 +316,7 @@ mod tests {
         assert_eq!(report.submitted, 30, "request path is unaffected by sample faults");
         assert_eq!(report.dropped_samples, 10);
         assert_eq!(report.corrupted_samples, 10);
-        assert_eq!(rx.iter().count(), 30);
+        assert_eq!(drain(&rx).len(), 30);
         let delivered: Vec<TrainMsg> = srx.iter().flatten().collect();
         assert_eq!(delivered.len(), 20, "dropped samples never reach the channel");
         let corrupted = delivered.iter().filter(|m| m.features == [f32::MAX; N_FEATURES]).count();

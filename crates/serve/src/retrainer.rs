@@ -14,6 +14,7 @@
 
 use crate::fault::{FaultPlan, RetrainFault, SwapFault};
 use crate::gate::AdmissionGate;
+use crate::loadgen::SAMPLE_FLUSH;
 use crossbeam::channel::Receiver;
 use otae_core::daily::{DailyTrainer, MinuteSampler, TrainedModel};
 use otae_core::{TrainingConfig, N_FEATURES};
@@ -56,6 +57,16 @@ pub struct RetrainerReport {
     /// Models lost at the gate to an injected `SwapFault::Drop`, plus
     /// stalled models superseded by a fresher training before landing.
     pub dropped_installs: u32,
+    /// Install lag: the largest number of forwarded requests still queued
+    /// on the sample channel at the moment a model was installed — requests
+    /// the service had already accepted under the previous (or cold,
+    /// admit-all) model while this one was being fitted. Read as the
+    /// channel's length × [`SAMPLE_FLUSH`], so it is exact to within one
+    /// flush per client. Depends on how fast the replay runs against the
+    /// fit, never on the decisions themselves.
+    pub install_backlog_max: u64,
+    /// The same backlog summed over every install of the run.
+    pub install_backlog_total: u64,
 }
 
 /// Drain `rx` until every sender hangs up, sampling records and retraining
@@ -87,7 +98,7 @@ pub fn run_retrainer(
         seen += 1;
         if let Some((model, due)) = pending.take() {
             if seen >= due {
-                install(model, gate, plan, &mut swap_attempt, &mut report);
+                install(model, gate, plan, &rx, &mut swap_attempt, &mut report);
             } else {
                 pending = Some((model, due));
             }
@@ -103,7 +114,7 @@ pub fn run_retrainer(
                     if pending.take().is_some() {
                         report.dropped_installs += 1;
                     }
-                    install(model, gate, plan, &mut swap_attempt, &mut report)
+                    install(model, gate, plan, &rx, &mut swap_attempt, &mut report)
                 }
                 RetrainFault::Fail => report.failed += 1,
                 RetrainFault::Stall { messages } => {
@@ -119,7 +130,7 @@ pub fn run_retrainer(
     }
     // Stream over: a still-stalled install lands now (the job finished late).
     if let Some((model, _)) = pending.take() {
-        install(model, gate, plan, &mut swap_attempt, &mut report);
+        install(model, gate, plan, &rx, &mut swap_attempt, &mut report);
     }
     report.trainings = trainer.trainings;
     report
@@ -129,6 +140,7 @@ fn install(
     model: TrainedModel,
     gate: &AdmissionGate,
     plan: &dyn FaultPlan,
+    rx: &Receiver<TrainBatch>,
     swap_attempt: &mut u64,
     report: &mut RetrainerReport,
 ) {
@@ -138,6 +150,9 @@ fn install(
         SwapFault::Install => {
             gate.install_trained(model);
             report.installs += 1;
+            let backlog = (rx.len() * SAMPLE_FLUSH) as u64;
+            report.install_backlog_max = report.install_backlog_max.max(backlog);
+            report.install_backlog_total += backlog;
         }
         SwapFault::Drop => report.dropped_installs += 1,
     }
@@ -150,11 +165,11 @@ mod tests {
     use crossbeam::channel::unbounded;
     use otae_trace::diurnal::DAY;
 
-    /// Two days of separable samples (x > 0.5 means one-time), flushed in
-    /// uneven batches so the tests exercise the batched transport.
-    fn feed_two_days(tx: &crossbeam::channel::Sender<TrainBatch>) {
+    /// `days` days of separable samples (x > 0.5 means one-time), flushed
+    /// in uneven batches so the tests exercise the batched transport.
+    fn feed_days(tx: &crossbeam::channel::Sender<TrainBatch>, days: u64) {
         let mut batch = TrainBatch::new();
-        for day in 0..2u64 {
+        for day in 0..days {
             for i in 0..600u64 {
                 let ts = day * DAY + i * 120;
                 let mut features = [0.0f32; N_FEATURES];
@@ -175,12 +190,16 @@ mod tests {
         let (tx, rx) = unbounded();
         let gate = AdmissionGate::new();
         let cfg = TrainingConfig::default();
-        feed_two_days(&tx);
+        feed_days(&tx, 2);
         drop(tx);
         let report = run_retrainer(rx, &gate, &cfg, 2.0, &NoFaults);
         assert_eq!(report.trainings, 1, "day-1 boundary fires once within 2 days");
         assert_eq!(report.installs, 1);
         assert_eq!(gate.swaps(), 1);
+        // 1200 messages travel as 13 flushes; the fit fires at 05:00 on day
+        // two — message 750, inside the eighth — so five were still queued.
+        assert_eq!(report.install_backlog_max, 5 * SAMPLE_FLUSH as u64);
+        assert_eq!(report.install_backlog_total, report.install_backlog_max);
         let model = gate.current().expect("model installed");
         let mut hi = [0.0f32; N_FEATURES];
         hi[0] = 0.95;
@@ -211,7 +230,7 @@ mod tests {
         }
         let (tx, rx) = unbounded();
         let gate = AdmissionGate::new();
-        feed_two_days(&tx);
+        feed_days(&tx, 2);
         drop(tx);
         let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &FailAll);
         assert_eq!(report.trainings, 1, "the model was fitted…");
@@ -235,7 +254,7 @@ mod tests {
         }
         let (tx, rx) = unbounded();
         let gate = AdmissionGate::new();
-        feed_two_days(&tx);
+        feed_days(&tx, 2);
         drop(tx);
         let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &StallFirst);
         assert_eq!(report.trainings, 1);
@@ -255,12 +274,63 @@ mod tests {
         }
         let (tx, rx) = unbounded();
         let gate = AdmissionGate::new();
-        feed_two_days(&tx);
+        feed_days(&tx, 2);
         drop(tx);
         let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &DropAllSwaps);
         assert_eq!(report.trainings, 1);
         assert_eq!(report.dropped_installs, 1);
         assert_eq!(report.installs, 0);
         assert!(!gate.is_warm(), "the dropped model never reached the gate");
+    }
+
+    /// Every fitted model is accounted for exactly once under a mixed fault
+    /// script — `installs + failed + dropped_installs == trainings` — and
+    /// the install-lag counters only ever move with an install. The report
+    /// is destructured without `..`, so a new field has to be placed here.
+    #[test]
+    fn every_model_is_accounted_for_under_mixed_faults() {
+        #[derive(Debug)]
+        struct Mixed;
+        impl FaultPlan for Mixed {
+            fn retrain_fault(&self, attempt: u32) -> RetrainFault {
+                match attempt {
+                    // Never comes due: superseded by the next day's model.
+                    0 => RetrainFault::Stall { messages: u64::MAX / 2 },
+                    2 => RetrainFault::Fail,
+                    // Still stalled when the stream closes: lands then.
+                    4 => RetrainFault::Stall { messages: u64::MAX / 2 },
+                    _ => RetrainFault::Proceed,
+                }
+            }
+            fn swap_fault(&self, attempt: u64) -> SwapFault {
+                if attempt == 1 {
+                    SwapFault::Drop
+                } else {
+                    SwapFault::Install
+                }
+            }
+        }
+        let (tx, rx) = unbounded();
+        let gate = AdmissionGate::new();
+        feed_days(&tx, 6);
+        drop(tx);
+        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &Mixed);
+        let RetrainerReport {
+            trainings,
+            installs,
+            failed,
+            deferred,
+            dropped_installs,
+            install_backlog_max,
+            install_backlog_total,
+        } = report;
+        assert_eq!(trainings, 5, "one fit per boundary of a 6-day stream");
+        assert_eq!(installs + failed + dropped_installs, trainings);
+        assert_eq!((installs, failed, deferred, dropped_installs), (2, 1, 2, 2));
+        assert_eq!(gate.swaps(), u64::from(installs));
+        // The first install found flushes queued behind it; the second ran
+        // after the stream closed, with nothing left to wait for.
+        assert!(install_backlog_max > 0);
+        assert_eq!(install_backlog_total, install_backlog_max);
     }
 }

@@ -5,13 +5,14 @@
 use crate::clock::ServiceClock;
 use crate::fault::{FaultPlan, FaultReport, NoFaults};
 use crate::gate::{AdmissionGate, GateModel};
+use crate::intake::{self, Consumer};
 use crate::loadgen::{replay_client, ClientReport, LoadConfig};
 use crate::policy::filter_policy_for;
 use crate::request::{prepare, ModelSource, PreparedRequest};
 use crate::retrainer::{run_retrainer, RetrainerReport};
 use crate::shard::{BatchScratch, Params, ShardedCache, Snapshot};
 use crate::store_layer::{ShardStore, StoreMode};
-use crossbeam::channel::{bounded, unbounded, Receiver};
+use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
 use otae_core::{solve_criteria, CriteriaSolution, ReaccessIndex, TrainingConfig};
 use otae_device::{HddProfile, LatencyModel};
@@ -152,6 +153,13 @@ pub struct ServeReport {
     pub trainings: u32,
     /// Injected-fault and thread-failure tally (all-zero in clean runs).
     pub faults: FaultReport,
+    /// Install lag of the background retrainer: the most requests already
+    /// forwarded but not yet digested when a model was installed (see
+    /// [`RetrainerReport::install_backlog_max`]). Timing-dependent, so not
+    /// part of the fingerprint; zero without a background retrainer.
+    pub install_backlog_max: u64,
+    /// The install backlog summed over every install of the run.
+    pub install_backlog_total: u64,
     /// Mean modeled service latency (µs).
     pub mean_latency_us: f64,
     /// Median modeled service latency (µs).
@@ -253,7 +261,9 @@ pub fn serve_trace_with_index(
     // policy (and Original/Ideal) runs the whole replay without a trainer,
     // a sampler channel, or a single gate install.
     let background = cfg.mode.is_learned() && cfg.trainer == TrainerMode::Background;
-    let (req_tx, req_rx) = bounded::<PreparedRequest>(cfg.queue_depth.max(1));
+    // Requests cross the queue by reference: `prepared` is declared before
+    // the thread scope below, so it outlives every client and worker.
+    let (req_tx, req_rx) = intake::bounded::<&PreparedRequest>(cfg.queue_depth);
     let (sample_tx, sample_rx) = if background {
         let (tx, rx) = unbounded();
         (Some(tx), Some(rx))
@@ -274,9 +284,9 @@ pub fn serve_trace_with_index(
     let clock = cfg.clock.start();
     let mut serve_wall = Duration::ZERO;
     // Thread failures are recorded, never propagated: a dead client only
-    // loses its stride, a dead worker only its queue share (the channel
-    // disconnects rather than deadlocks), a dead retrainer only freezes the
-    // model — the service always reaches its snapshot.
+    // loses its stride, a dead worker only its queue share (the queue's
+    // handles hang up on unwind rather than deadlock), a dead retrainer only
+    // freezes the model — the service always reaches its snapshot.
     let scope_result = crossbeam::thread::scope(|s| {
         let retrainer = sample_rx.map(|rx| {
             let gate = &gate;
@@ -347,12 +357,24 @@ pub fn serve_trace_with_index(
     // snapshot's byte counters cover every acknowledged append.
     sharded.flush_stores();
     let snapshot = sharded.snapshot();
+    // Destructured without `..`: a new retrainer counter has to be placed
+    // in the report below before this compiles. `installs` is the one
+    // field not copied — the gate's own swap count reports it.
+    let RetrainerReport {
+        trainings: background_trainings,
+        installs: _,
+        failed,
+        deferred,
+        dropped_installs,
+        install_backlog_max,
+        install_backlog_total,
+    } = retrain_report;
     let faults = FaultReport {
         dropped_samples: client_reports.iter().map(|r| r.dropped_samples).sum(),
         corrupted_samples: client_reports.iter().map(|r| r.corrupted_samples).sum(),
-        failed_trainings: retrain_report.failed,
-        deferred_installs: retrain_report.deferred,
-        dropped_installs: retrain_report.dropped_installs + prepared.dropped_installs,
+        failed_trainings: failed,
+        deferred_installs: deferred,
+        dropped_installs: dropped_installs + prepared.dropped_installs,
         shard_panics: panics.load(Ordering::Acquire),
         client_failures,
         worker_failures,
@@ -368,8 +390,10 @@ pub fn serve_trace_with_index(
         wall,
         throughput_rps: replayed as f64 / wall.as_secs_f64().max(1e-9),
         model_swaps: gate.swaps(),
-        trainings: if background { retrain_report.trainings } else { prepared.trainings },
+        trainings: if background { background_trainings } else { prepared.trainings },
         faults,
+        install_backlog_max,
+        install_backlog_total,
         mean_latency_us: response.mean_us(),
         latency_p50_us: response.percentile_us(0.5),
         latency_p99_us: response.percentile_us(0.99),
@@ -378,18 +402,20 @@ pub fn serve_trace_with_index(
 }
 
 /// Drain the request queue into the sharded cache until every client hangs
-/// up: block for the first request, then opportunistically pull up to
-/// `max_batch - 1` more without blocking, group the batch by shard and
-/// process each shard's subsequence as one segment (one lock acquisition,
-/// batched classifier scoring). Gate-resolved requests share a cached
-/// model snapshot that is refreshed at most once per batch, and only when
-/// the gate's lock-free epoch hint says it moved — the read lock and `Arc`
-/// clone leave the per-request path entirely. Injected shard panics are
-/// caught here — the request is consumed, the panic counted, and the
-/// worker keeps draining; the requests before the faulted one in its shard
-/// group are flushed first, so shard-local order is preserved.
+/// up: steal up to `max_batch` requests under one queue lock (blocking only
+/// while the queue is empty), group the batch by shard and process each
+/// shard's subsequence as one segment (one lock acquisition, batched
+/// classifier scoring). The batch and the per-shard segments hold borrowed
+/// requests and are reused across batches, so the loop allocates nothing.
+/// Gate-resolved requests share a cached model snapshot that is refreshed
+/// at most once per batch, and only when the gate's lock-free epoch hint
+/// says it moved — the read lock and `Arc` clone leave the per-request path
+/// entirely. Injected shard panics are caught here — the request is
+/// consumed, the panic counted, and the worker keeps draining; the requests
+/// before the faulted one in its shard group are flushed first, so
+/// shard-local order is preserved.
 fn run_worker(
-    rx: Receiver<PreparedRequest>,
+    rx: Consumer<&PreparedRequest>,
     sharded: &ShardedCache,
     gate: &AdmissionGate,
     plan: &dyn FaultPlan,
@@ -397,25 +423,18 @@ fn run_worker(
     max_batch: usize,
 ) {
     let max_batch = max_batch.max(1);
-    let mut batch: Vec<PreparedRequest> = Vec::with_capacity(max_batch);
+    let mut batch: Vec<&PreparedRequest> = Vec::with_capacity(max_batch);
     let mut scratch = BatchScratch::new();
     // Cached gate snapshot. The sentinel hint (`u64::MAX`) marks "never
     // snapshotted"; real epochs count installs from 0.
     let mut gate_hint = u64::MAX;
     let mut gate_model: Option<Arc<GateModel>> = None;
     let mut gate_epoch = 0u64;
-    let mut groups: Vec<Vec<usize>> = (0..sharded.shard_count()).map(|_| Vec::new()).collect();
+    let mut segments: Vec<Vec<&PreparedRequest>> =
+        (0..sharded.shard_count()).map(|_| Vec::new()).collect();
     let mut touched: Vec<usize> = Vec::with_capacity(sharded.shard_count());
 
-    while let Ok(first) = rx.recv() {
-        batch.clear();
-        batch.push(first);
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
-            }
-        }
+    while rx.pop_batch(&mut batch, max_batch) {
         if batch.iter().any(|r| matches!(r.model, ModelSource::Gate)) {
             let hint = gate.swaps();
             if hint != gate_hint {
@@ -425,38 +444,30 @@ fn run_worker(
                 gate_hint = hint;
             }
         }
-        for s in touched.drain(..) {
-            groups[s].clear();
-        }
-        for (i, req) in batch.iter().enumerate() {
+        let snapshot = (gate_model.as_deref(), gate_epoch);
+        for &req in &batch {
             let s = sharded.shard_of(req.object);
-            if groups[s].is_empty() {
+            if segments[s].is_empty() {
                 touched.push(s);
             }
-            groups[s].push(i);
+            segments[s].push(req);
         }
-        for &s in &touched {
-            let mut segment: Vec<(&PreparedRequest, Option<&GateModel>, u64)> =
-                Vec::with_capacity(groups[s].len());
-            for &i in &groups[s] {
-                let req = &batch[i];
+        for s in touched.drain(..) {
+            let segment = &mut segments[s];
+            let mut start = 0;
+            for (i, &req) in segment.iter().enumerate() {
                 if plan.shard_panic(s, req.idx) {
-                    sharded.process_segment(s, &segment, &mut scratch);
-                    segment.clear();
+                    sharded.process_segment(s, &segment[start..i], snapshot, &mut scratch);
+                    start = i + 1;
                     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         sharded.process_with_injected_panic(req)
                     }));
                     debug_assert!(unwound.is_err());
                     panics.fetch_add(1, Ordering::AcqRel);
-                } else {
-                    let (model, epoch) = match &req.model {
-                        ModelSource::Stamped { model, epoch } => (model.as_deref(), *epoch),
-                        ModelSource::Gate => (gate_model.as_deref(), gate_epoch),
-                    };
-                    segment.push((req, model, epoch));
                 }
             }
-            sharded.process_segment(s, &segment, &mut scratch);
+            sharded.process_segment(s, &segment[start..], snapshot, &mut scratch);
+            segment.clear();
         }
     }
 }
@@ -488,6 +499,7 @@ mod tests {
         assert_eq!(r.snapshot.stats.bypasses, 0);
         assert!(r.throughput_rps > 0.0);
         assert_eq!(r.model_swaps, 0);
+        assert_eq!((r.install_backlog_max, r.install_backlog_total), (0, 0), "no retrainer ran");
         assert!(r.faults.is_clean());
         assert!(r.latency_p999_us >= r.latency_p99_us);
         assert!(r.latency_p99_us >= r.latency_p50_us);
@@ -519,6 +531,9 @@ mod tests {
         assert!(r.trainings >= 7, "9-day trace retrains daily: {}", r.trainings);
         assert_eq!(r.model_swaps, r.trainings as u64);
         assert!(r.faults.is_clean());
+        // Install lag is timing-dependent; only its shape is fixed.
+        assert!(r.install_backlog_max <= r.install_backlog_total);
+        assert!(r.install_backlog_total <= r.install_backlog_max * r.model_swaps);
     }
 
     #[test]
@@ -751,7 +766,7 @@ mod tests {
             })
             .collect();
 
-        let (tx, rx) = bounded::<PreparedRequest>(256);
+        let (tx, rx) = intake::bounded::<&PreparedRequest>(256);
         let swaps_target = 50u64;
         let panics = AtomicU64::new(0);
         crossbeam::thread::scope(|s| {
@@ -770,7 +785,7 @@ mod tests {
                 let tx = tx.clone();
                 s.spawn(move |_| {
                     for r in reqs {
-                        tx.send(r.clone()).unwrap();
+                        tx.push(r).unwrap();
                     }
                 })
             };

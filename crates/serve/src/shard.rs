@@ -11,7 +11,7 @@
 use crate::decision_cache::{feature_bits, DecisionCache};
 use crate::gate::GateModel;
 use crate::policy::AdmissionPolicy;
-use crate::request::PreparedRequest;
+use crate::request::{ModelSource, PreparedRequest};
 use crate::store_layer::{ShardStore, StoreSnapshot};
 use otae_cache::{Cache, CacheStats, Evicted};
 use otae_core::classifier_apply;
@@ -49,6 +49,18 @@ pub(crate) enum Verdict<'a> {
     Resolve(Option<&'a GateModel>, u64),
     /// Already resolved by the batched scoring pass.
     Ready(Option<bool>),
+}
+
+/// The model (and gate epoch) `req`'s verdict is resolved against: its own
+/// stamp, or — for [`ModelSource::Gate`] — the caller's `gate` snapshot.
+pub(crate) fn model_for<'m>(
+    req: &'m PreparedRequest,
+    gate: (Option<&'m GateModel>, u64),
+) -> (Option<&'m GateModel>, u64) {
+    match &req.model {
+        ModelSource::Stamped { model, epoch } => (model.as_deref(), *epoch),
+        ModelSource::Gate => gate,
+    }
 }
 
 /// Reusable buffers for the batched scoring pass — one per worker, so the
@@ -99,7 +111,7 @@ impl ShardState {
     #[allow(clippy::too_many_arguments)]
     fn resolve_run(
         &mut self,
-        run: &[(&PreparedRequest, Option<&GateModel>, u64)],
+        run: &[&PreparedRequest],
         model: &GateModel,
         epoch: u64,
         use_cache: bool,
@@ -111,7 +123,7 @@ impl ShardState {
         scratch.miss_idx.clear();
         if use_cache {
             self.decisions.ensure_epoch(epoch);
-            for (j, &(req, _, _)) in run.iter().enumerate() {
+            for (j, req) in run.iter().enumerate() {
                 let bits = feature_bits(&req.features);
                 match self.decisions.lookup(req.object, &bits) {
                     Some(v) => scratch.preds[offset + j] = Some(v),
@@ -122,7 +134,7 @@ impl ShardState {
                 }
             }
         } else {
-            for (j, &(req, _, _)) in run.iter().enumerate() {
+            for (j, req) in run.iter().enumerate() {
                 scratch.miss_idx.push(offset + j);
                 scratch.rows.push(req.features);
             }
@@ -136,7 +148,7 @@ impl ShardState {
             let v = score >= 0.5;
             scratch.preds[k] = Some(v);
             if use_cache {
-                let req = run[k - offset].0;
+                let req = run[k - offset];
                 self.decisions.insert(req.object, feature_bits(&req.features), v);
             }
         }
@@ -345,13 +357,16 @@ impl ShardedCache {
     /// lock: first a scoring pass that resolves every classifier verdict
     /// (memo lookups, then one `score_rows` call per same-(model, epoch)
     /// run), then the sequential per-request decision pass in arrival
-    /// order. Decisions are bit-identical to feeding the segment through
-    /// [`ShardedCache::process`] one request at a time — only the number of
-    /// lock acquisitions and tree walks changes.
+    /// order. `gate` is the caller's snapshot of the shared gate (model and
+    /// epoch), consulted by [`ModelSource::Gate`] requests; stamped requests
+    /// carry their own. Decisions are bit-identical to feeding the segment
+    /// through [`ShardedCache::process`] one request at a time — only the
+    /// number of lock acquisitions and tree walks changes.
     pub(crate) fn process_segment(
         &self,
         shard_idx: usize,
-        segment: &[(&PreparedRequest, Option<&GateModel>, u64)],
+        segment: &[&PreparedRequest],
+        gate: (Option<&GateModel>, u64),
         scratch: &mut BatchScratch,
     ) {
         if segment.is_empty() {
@@ -364,10 +379,10 @@ impl ShardedCache {
         if p.mode == Mode::Proposal {
             let mut start = 0;
             while start < segment.len() {
-                let (_, model, epoch) = segment[start];
+                let (model, epoch) = model_for(segment[start], gate);
                 let mut end = start + 1;
                 while end < segment.len() {
-                    let (_, m2, e2) = segment[end];
+                    let (m2, e2) = model_for(segment[end], gate);
                     let same = match (model, m2) {
                         (Some(a), Some(b)) => std::ptr::eq(a, b) && epoch == e2,
                         (None, None) => true,
@@ -397,7 +412,7 @@ impl ShardedCache {
         // seam, and moving store puts outside the lock would reorder them
         // against later requests on the same shard, breaking replay
         // determinism (DESIGN.md §15).
-        for (k, &(req, _, _)) in segment.iter().enumerate() {
+        for (k, req) in segment.iter().enumerate() {
             // otae-lint: allow(no-blocking-under-lock)
             shard.process(req, Verdict::Ready(scratch.preds[k]), p, self.policy.as_ref());
         }
@@ -463,8 +478,8 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ModelSource;
     use otae_trace::{generate, TraceConfig};
+    use std::sync::Arc;
 
     fn params(mode: Mode) -> Params {
         Params {
@@ -581,34 +596,31 @@ mod tests {
             t.fit(&d);
             GateModel::new(t)
         }
-        let model_a = tree(0.5);
+        let model_a = Arc::new(tree(0.5));
         let model_b = tree(0.2);
         assert!(model_a.compiled().is_some() && model_b.compiled().is_some());
-        // A stream with repeats (memo hits), a swap at the midpoint, and
-        // truths that exercise both confusion outcomes.
+        // A stream with repeats (memo hits), a swap at the midpoint — the
+        // first half stamped with model A, the second resolving model B
+        // from the gate snapshot — and truths that exercise both confusion
+        // outcomes.
+        let gate = (Some(&model_b), 2u64);
         let reqs: Vec<PreparedRequest> = (0..400u64)
             .map(|i| {
                 let mut r = prepared(i, (i % 23) as u32, 500 + (i % 7) * 100, i % 3 == 0);
                 r.features[0] = (i % 10) as f32 / 10.0;
+                r.model = if i < 200 {
+                    ModelSource::Stamped { model: Some(Arc::clone(&model_a)), epoch: 1 }
+                } else {
+                    ModelSource::Gate
+                };
                 r
             })
             .collect();
-        let resolved: Vec<(&PreparedRequest, Option<&GateModel>, u64)> = reqs
-            .iter()
-            .enumerate()
-            .map(
-                |(i, r)| {
-                    if i < 200 {
-                        (r, Some(&model_a), 1u64)
-                    } else {
-                        (r, Some(&model_b), 2u64)
-                    }
-                },
-            )
-            .collect();
+        let segment: Vec<&PreparedRequest> = reqs.iter().collect();
 
         let reference = sharded(1, Mode::Proposal);
-        for &(req, model, epoch) in &resolved {
+        for req in &reqs {
+            let (model, epoch) = model_for(req, gate);
             reference.process(req, model, epoch);
         }
         let want = reference.snapshot();
@@ -634,8 +646,8 @@ mod tests {
                         Vec::new(),
                     );
                     let mut scratch = BatchScratch::new();
-                    for seg in resolved.chunks(batch) {
-                        c.process_segment(0, seg, &mut scratch);
+                    for seg in segment.chunks(batch) {
+                        c.process_segment(0, seg, gate, &mut scratch);
                     }
                     let got = c.snapshot();
                     let tag = format!("batch={batch} cache={cache_on} compiled={compiled_on}");

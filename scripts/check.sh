@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> benchmark smoke (all five workloads, tiny inputs; its output checks gate the run)"
+# serve == pipeline fingerprint on every replay, conservation, clean FaultReport,
+# store reconciliation: any failed check makes run.sh exit non-zero.
+benchmark/run.sh --smoke > /dev/null
+
 echo "==> bench smoke (tiny binned-training run + 1x1 serve tick)"
 OTAE_BENCH_SMOKE=1 cargo run --release -q -p otae-bench --bin train_throughput
 OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=2000 cargo run --release -q -p otae-bench --bin serve_throughput
@@ -46,4 +51,4 @@ if [[ "${OTAE_BENCH_GUARD:-0}" == "1" ]]; then
   scripts/bench_guard.sh
 fi
 
-echo "OK: fmt, otae-lint, clippy, tests and bench smoke all clean"
+echo "OK: fmt, otae-lint, clippy, tests, benchmark smoke and bench smoke all clean"

@@ -422,6 +422,13 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(out, "latency p999      {:.1} us", r.latency_p999_us);
     let _ = writeln!(out, "model swaps       {}", r.model_swaps);
     let _ = writeln!(out, "trainings         {}", r.trainings);
+    // Requests accepted under the old model while a fit ran (background
+    // trainer only): how far installs lagged the replay, largest and summed.
+    let _ = writeln!(
+        out,
+        "install backlog   max {} / total {} requests",
+        r.install_backlog_max, r.install_backlog_total
+    );
     if let Some(store) = r.snapshot.store.as_ref() {
         let _ = writeln!(out, "store puts        {}", store.stats.acked_puts);
         let _ = writeln!(out, "store host bytes  {}", store.stats.host_bytes);
@@ -719,6 +726,7 @@ mod tests {
         assert!(out.contains("2 shards x 2 workers"));
         assert!(out.contains("throughput"));
         assert!(out.contains("latency p99"));
+        assert!(out.contains("install backlog   max 0 / total 0"), "no retrainer in ideal mode");
         assert!(out.contains("shard  0"), "per-shard breakdown expected:\n{out}");
         assert!(out.contains("shard  1"));
     }
