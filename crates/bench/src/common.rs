@@ -140,23 +140,6 @@ pub fn smoke_mode() -> bool {
     std::env::var("OTAE_BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
-/// Map `path` into `dir`, keeping only the file name. The pure core of
-/// the `OTAE_BENCH_OUT_DIR` redirect, split out for testability.
-fn redirect_into(dir: Option<&str>, path: &str) -> Option<String> {
-    let dir = dir.filter(|d| !d.is_empty())?;
-    let name = Path::new(path).file_name()?.to_str()?.to_string();
-    Some(Path::new(dir).join(name).to_string_lossy().into_owned())
-}
-
-/// When `OTAE_BENCH_OUT_DIR` is set, `BENCH_*.json` artifacts are written
-/// under that directory instead of their given path — **even in smoke
-/// mode**. `scripts/bench_guard.sh` uses this to capture a fresh run's
-/// numbers for regression comparison without clobbering the committed
-/// trajectory files.
-fn bench_out_redirect(path: &str) -> Option<String> {
-    redirect_into(std::env::var("OTAE_BENCH_OUT_DIR").ok().as_deref(), path)
-}
-
 /// Machine-readable perf-trajectory artifact (`BENCH_*.json` at the repo
 /// root): named stages with wall time and an ops/s rate, plus free scalar
 /// metrics. Hand-rolled writer — no JSON crate on the offline allowlist.
@@ -221,16 +204,12 @@ impl BenchJson {
         out
     }
 
-    /// Write to `path` (skipped with a notice in smoke mode, unless
-    /// redirected by `OTAE_BENCH_OUT_DIR` — a redirected artifact is
-    /// never the committed one, so it is safe to write).
+    /// Write to `path` (skipped with a notice in smoke mode).
     pub fn write(&self, path: &str) {
-        let redirected = bench_out_redirect(path);
-        if smoke_mode() && redirected.is_none() {
+        if smoke_mode() {
             println!("[smoke] skipping {path}");
             return;
         }
-        let path = redirected.as_deref().unwrap_or(path);
         if let Err(e) = std::fs::write(path, self.to_json()) {
             eprintln!("warning: failed to write {path}: {e}");
         } else {
@@ -304,16 +283,11 @@ impl BenchJson {
     /// write when the file is absent or unparseable; skipped in smoke
     /// mode like [`BenchJson::write`].
     pub fn merge_write(&self, path: &str) {
-        let redirected = bench_out_redirect(path);
-        if smoke_mode() && redirected.is_none() {
+        if smoke_mode() {
             println!("[smoke] skipping {path}");
             return;
         }
-        // Merge against the artifact at the *effective* location: when
-        // redirected, fresh stages accumulate in the out dir and the
-        // committed file is neither read nor written.
-        let effective = redirected.as_deref().unwrap_or(path);
-        let merged = match Self::load(effective) {
+        let merged = match Self::load(path) {
             Some(mut existing) => {
                 for (name, wall, ops) in &self.stages {
                     match existing.stages.iter_mut().find(|(n, _, _)| n == name) {
@@ -459,20 +433,6 @@ mod tests {
         std::fs::write(path, "not json at all").expect("write temp file");
         assert!(BenchJson::load(path).is_none());
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn bench_out_redirect_keeps_only_the_file_name() {
-        assert_eq!(
-            redirect_into(Some("/tmp/guard"), "BENCH_serve.json").as_deref(),
-            Some("/tmp/guard/BENCH_serve.json")
-        );
-        assert_eq!(
-            redirect_into(Some("/tmp/guard"), "deep/nested/BENCH_x.json").as_deref(),
-            Some("/tmp/guard/BENCH_x.json")
-        );
-        assert_eq!(redirect_into(Some(""), "BENCH_serve.json"), None, "empty dir = no redirect");
-        assert_eq!(redirect_into(None, "BENCH_serve.json"), None);
     }
 
     #[test]

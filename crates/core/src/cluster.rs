@@ -14,13 +14,12 @@
 //!   one-time-access exclusion (remapped objects are all cold misses — a
 //!   flood of effectively-one-time traffic into the surviving servers).
 
-use crate::admission::{AdmissionPolicy, ClassifierAdmission};
-use crate::criteria::solve_criteria;
-use crate::daily::{DailyTrainer, MinuteSampler, TrainingConfig};
+use crate::daily::TrainingConfig;
+use crate::engine::{Outcome, Server};
 use crate::features::{FeatureExtractor, N_FEATURES};
 use crate::pipeline::{Mode, PolicyKind};
 use crate::reaccess::ReaccessIndex;
-use otae_cache::{Cache, CacheStats, Evicted};
+use otae_cache::CacheStats;
 use otae_trace::{ObjectId, Trace};
 
 /// Consistent-hash ring over cache servers.
@@ -133,60 +132,33 @@ pub struct ClusterResult {
     pub post_failure_hit_rate: f64,
 }
 
-struct Node<'a> {
-    cache: Box<dyn Cache<ObjectId>>,
-    admission: AdmissionPolicy<'a>,
-    trainer: DailyTrainer,
-    sampler: MinuteSampler,
-    stats: CacheStats,
-    alive: bool,
-}
-
 /// Run a trace through the cluster.
 pub fn run_cluster(trace: &Trace, index: &ReaccessIndex, cfg: &ClusterConfig) -> ClusterResult {
     assert_eq!(index.len(), trace.len());
-    let avg = trace.avg_object_size().max(1.0);
+    let mut ring = HashRing::new(cfg.n_nodes, cfg.vnodes);
     // Per-server criteria: each server holds node_capacity and sees ~1/n of
     // the stream, so M is solved from per-server capacity (request distances
-    // remain global — a conservative, consistent choice).
-    let criteria = solve_criteria(index, cfg.node_capacity, avg, 3);
-    let m = criteria.m;
-    let v = cfg.training.cost.resolve(cfg.node_capacity, trace.unique_bytes());
-
-    let mut ring = HashRing::new(cfg.n_nodes, cfg.vnodes);
-    let mut nodes: Vec<Node> = (0..cfg.n_nodes)
-        .map(|_| Node {
-            cache: cfg.policy.build(cfg.node_capacity, trace),
-            admission: match cfg.mode {
-                Mode::Original => AdmissionPolicy::Always,
-                Mode::Ideal => AdmissionPolicy::Oracle { index, m },
-                Mode::Proposal => AdmissionPolicy::Classifier(Box::new(ClassifierAdmission::new(
-                    m,
-                    criteria.history_table_capacity(),
-                ))),
-                // Filters are per-node: each server sizes its sketch for its
-                // ~1/n share of the object population.
-                filter_mode => AdmissionPolicy::Filter(
-                    crate::zoo::MissFilter::for_run(
-                        filter_mode,
-                        trace.meta.len() / cfg.n_nodes as usize,
-                        m,
-                        cfg.training.max_splits,
-                        0.5,
-                    )
-                    .expect("non-Original/Ideal/Proposal modes are filter modes"),
-                ),
-            },
-            trainer: DailyTrainer::new(cfg.training.clone(), v),
-            sampler: MinuteSampler::new(cfg.training.records_per_minute),
-            stats: CacheStats::default(),
-            alive: true,
+    // remain global — a conservative, consistent choice). Filters are
+    // per-node too: each server sizes its sketch for its ~1/n share of the
+    // object population.
+    let mut nodes: Vec<Server> = (0..cfg.n_nodes)
+        .map(|_| {
+            Server::new(
+                trace,
+                index,
+                cfg.policy,
+                cfg.mode,
+                cfg.node_capacity,
+                &cfg.training,
+                trace.meta.len() / cfg.n_nodes as usize,
+            )
         })
         .collect();
+    // Every node has the same capacity, hence the same M.
+    let m = nodes[0].criteria.m;
 
-    let needs_features = cfg.mode == Mode::Proposal;
+    let needs_features = cfg.mode.is_learned();
     let mut extractor = FeatureExtractor::new(trace);
-    let mut evicted: Vec<Evicted<ObjectId>> = Vec::new();
     let (mut post_hits, mut post_total) = (0u64, 0u64);
     let failure_at = cfg.failure.map(|(_, at)| at).unwrap_or(u64::MAX);
 
@@ -195,7 +167,6 @@ pub fn run_cluster(trace: &Trace, index: &ReaccessIndex, cfg: &ClusterConfig) ->
         if let Some((node, at)) = cfg.failure {
             if now == at {
                 ring.remove_node(node);
-                nodes[node as usize].alive = false;
             }
         }
         let size = trace.photo(req.object).size as u64;
@@ -206,52 +177,29 @@ pub fn run_cluster(trace: &Trace, index: &ReaccessIndex, cfg: &ClusterConfig) ->
         }
 
         let node = &mut nodes[ring.node_of(req.object) as usize];
-        debug_assert!(node.alive, "ring must not route to dead servers");
-        if needs_features {
-            if let AdmissionPolicy::Classifier(c) = &mut node.admission {
-                if let Some(model) = node.trainer.maybe_retrain(req.ts, &mut node.sampler) {
-                    c.model = Some(model);
-                }
-            }
-            node.sampler.offer(req.ts, features, truth);
-        }
-
-        let hit = node.cache.contains(&req.object);
-        if hit {
-            node.cache.on_hit(&req.object, now);
-            node.stats.record_hit(size);
-        } else if node.admission.decide(req.object, &features, now, truth) {
-            evicted.clear();
-            node.cache.insert(req.object, size, now, &mut evicted);
-            node.stats.record_admitted_miss(size);
-            for e in &evicted {
-                node.stats.record_eviction(e.size);
-            }
-        } else {
-            node.cache.on_bypass(&req.object, size, now);
-            node.stats.record_bypassed_miss(size);
-        }
+        let outcome = node.access(req.object, size, now, req.ts, &features, truth);
         if now >= failure_at {
             post_total += 1;
-            post_hits += hit as u64;
+            post_hits += u64::from(outcome == Outcome::Hit);
         }
         if needs_features {
             extractor.update(trace, req);
         }
     }
 
+    let per_node: Vec<CacheStats> = nodes.iter().map(|n| *n.kernel.stats()).collect();
     let mut total = CacheStats::default();
-    for n in &nodes {
-        total.merge(&n.stats);
+    for s in &per_node {
+        total.merge(s);
     }
-    let surviving: Vec<&Node> = nodes.iter().filter(|n| n.alive).collect();
-    let mean = surviving.iter().map(|n| n.stats.accesses as f64).sum::<f64>()
-        / surviving.len().max(1) as f64;
-    let max = surviving.iter().map(|n| n.stats.accesses as f64).fold(0.0, f64::max);
+    let surviving = ring.nodes();
+    let accesses = |n: &u16| per_node[*n as usize].accesses as f64;
+    let mean = surviving.iter().map(accesses).sum::<f64>() / surviving.len().max(1) as f64;
+    let max = surviving.iter().map(accesses).fold(0.0, f64::max);
     let post_failure_hit_rate =
         if post_total > 0 { post_hits as f64 / post_total as f64 } else { total.file_hit_rate() };
     ClusterResult {
-        per_node: nodes.into_iter().map(|n| n.stats).collect(),
+        per_node,
         total,
         load_imbalance: if mean > 0.0 { max / mean } else { 1.0 },
         post_failure_hit_rate,
@@ -370,6 +318,23 @@ mod tests {
         // The dead node stops taking traffic.
         let dead = &failed.per_node[2];
         assert!(dead.accesses < healthy.per_node[2].accesses);
+    }
+
+    /// §5.2 by construction: a node resolves its criteria through the same
+    /// helper as a single-cache run, so a LIRS node gets the scaled `M`.
+    #[test]
+    fn lirs_node_resolves_the_same_m_as_a_pipeline_run_at_its_capacity() {
+        let (t, i) = setup();
+        let cap = t.unique_bytes() / 400;
+        for policy in [PolicyKind::Lirs, PolicyKind::Lru] {
+            let node = Server::new(&t, &i, policy, Mode::Ideal, cap, &TrainingConfig::default(), 1);
+            let single = run_with_index(&t, &i, &RunConfig::new(policy, Mode::Ideal, cap));
+            assert_eq!(node.criteria, single.criteria, "{policy:?}");
+        }
+        let m_of = |policy| {
+            Server::new(&t, &i, policy, Mode::Ideal, cap, &TrainingConfig::default(), 1).criteria.m
+        };
+        assert!(m_of(PolicyKind::Lirs) < m_of(PolicyKind::Lru), "LIRS scales M by its stack share");
     }
 
     #[test]

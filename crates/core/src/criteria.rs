@@ -11,7 +11,9 @@
 //! iterations to be 3". We implement exactly that fixed-point iteration,
 //! measuring `p(M)` and `h(M)` on the trace through [`ReaccessIndex`].
 
+use crate::pipeline::PolicyKind;
 use crate::reaccess::ReaccessIndex;
+use otae_trace::Trace;
 
 /// Result of the criteria fixed point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +29,7 @@ pub struct CriteriaSolution {
 impl CriteriaSolution {
     /// The LIRS variant (§5.2): `M_LIRS = M_LRU × R_s` where `R_s = C_s/C`
     /// is the LIR-stack share of the cache.
-    pub fn for_lirs(&self, stack_ratio: f64) -> CriteriaSolution {
+    fn for_lirs(&self, stack_ratio: f64) -> CriteriaSolution {
         assert!((0.0..=1.0).contains(&stack_ratio));
         CriteriaSolution { m: ((self.m as f64 * stack_ratio) as u64).max(1), ..*self }
     }
@@ -63,6 +65,27 @@ pub fn solve_criteria(
         m = c_over_s / ((1.0 - h).max(0.01) * (1.0 - p).max(0.01));
     }
     CriteriaSolution { m: m.min(u64::MAX as f64) as u64, p, h }
+}
+
+/// The criteria a cache of `capacity` bytes under `policy` runs with, and
+/// the threshold `M` in force. Every driver resolves through here, so the
+/// §5.2 LIRS scaling cannot be forgotten: the fixed point is solved on the
+/// trace's mean object size, scaled by the policy's stack share, and `M` is
+/// `m_override` when set (the returned solution keeps the solved value).
+pub fn resolve_criteria(
+    trace: &Trace,
+    index: &ReaccessIndex,
+    policy: PolicyKind,
+    capacity: u64,
+    iterations: usize,
+    m_override: Option<u64>,
+) -> (CriteriaSolution, u64) {
+    let avg_size = trace.avg_object_size().max(1.0);
+    let mut criteria = solve_criteria(index, capacity, avg_size, iterations);
+    if policy == PolicyKind::Lirs {
+        criteria = criteria.for_lirs(policy.stack_ratio());
+    }
+    (criteria, m_override.unwrap_or(criteria.m))
 }
 
 #[cfg(test)]

@@ -18,26 +18,38 @@
 //!   requests-in-last-minute, hour of day) with §3.2.3 discretisation;
 //! * [`history`] — the FIFO history table that rectifies one-time
 //!   misclassifications (§4.4.2), sized `M(1−h)p × 0.05`;
-//! * [`admission`] — admission policies: always-admit (Original), the
-//!   trained classifier with history table (Proposal), and the oracle
-//!   (Ideal, 100 % accuracy);
+//! * [`engine`] — the request kernel: the one copy of hit / decide /
+//!   admit-or-bypass / evict / account that every driver below (and a serve
+//!   shard) pushes requests through, with the one admission type —
+//!   always-admit (Original), the trained classifier rectified by the
+//!   history table (Proposal), the oracle (Ideal, 100 % accuracy) and the
+//!   zoo filters;
 //! * [`daily`] — per-minute training-data sampling (§3.1.1) and the daily
 //!   05:00 retraining cycle (§4.4.3) with the Table-4 cost matrix;
 //! * [`pipeline`] — the end-to-end trace-driven simulation producing every
-//!   statistic of Figures 5–10;
+//!   statistic of Figures 5–10: the kernel driven over a trace in blocks,
+//!   scored ahead in Proposal mode;
 //! * [`mod@sweep`] — parallel (policy × capacity × mode) grids via crossbeam;
-//! * [`tiered`] — the production OC → DC → backend topology of §2.1 with
-//!   per-tier admission;
+//! * [`cluster`] / [`tiered`] — a consistent-hash fleet and the production
+//!   OC → DC → backend topology of §2.1, both composed of
+//!   [`engine::Server`]s (kernel + admission + its own daily trainer);
 //! * [`online`] — the incremental-learning alternative §4.4.3 mentions but
 //!   does not pursue, with realistic delayed label feedback.
+//!
+//! ```text
+//!   pipeline ─┐                        ┌─ Admission::decide ─ Learned::apply
+//!   Server ───┼─▶ Kernel::access ─miss─┤   (Always | Oracle | Learned | Filter)
+//!   online ───┤     │ hit / admit+evict / bypass  → CacheStats, CacheEvent sink
+//!   serve shard     └─▶ Accounting::record(outcome) → ResponseTime, ServiceTimeModel
+//! ```
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod baseline;
 pub mod cluster;
 pub mod criteria;
 pub mod daily;
+pub mod engine;
 pub mod features;
 pub mod history;
 pub mod online;
@@ -47,19 +59,17 @@ pub mod sweep;
 pub mod tiered;
 pub mod zoo;
 
-pub use admission::{
-    classifier_apply, classifier_decide, AdmissionKind, AdmissionPolicy, ClassifierAdmission,
-};
 pub use baseline::{BloomFilter, SecondHitAdmission};
 pub use cluster::{run_cluster, ClusterConfig, ClusterResult, HashRing};
-pub use criteria::{solve_criteria, CriteriaSolution};
+pub use criteria::{resolve_criteria, solve_criteria, CriteriaSolution};
 pub use daily::{DailyTrainer, MinuteSampler, TrainedModel, TrainingConfig};
+pub use engine::{Accounting, Admission, CacheEvent, Kernel, Learned, Outcome};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use history::HistoryTable;
 pub use online::{run_online, run_online_with, OnlineModelKind};
 pub use otae_ml::SplitEngine;
 pub use pipeline::{
-    run, CacheEvent, Mode, ModelSchedule, PolicyKind, RunConfig, RunFingerprint, RunPlan, RunResult,
+    run, Mode, ModelSchedule, PolicyKind, RunConfig, RunFingerprint, RunPlan, RunResult,
 };
 pub use reaccess::ReaccessIndex;
 pub use sweep::{sweep, SweepPoint};

@@ -21,13 +21,12 @@
 //! compared against the paper's daily-batch training in the
 //! `ablation_online` experiment.
 
-use crate::criteria::solve_criteria;
+use crate::criteria::resolve_criteria;
+use crate::engine::{Accounting, Kernel, Learned};
 use crate::features::{FeatureExtractor, N_FEATURES};
-use crate::history::HistoryTable;
-use crate::pipeline::{PolicyKind, RunConfig};
+use crate::pipeline::RunConfig;
 use crate::reaccess::ReaccessIndex;
-use otae_cache::{CacheStats, Evicted};
-use otae_device::ResponseTime;
+use otae_cache::CacheStats;
 use otae_fxhash::FxHashMap;
 use otae_ml::ConfusionMatrix;
 use otae_trace::{ObjectId, Trace};
@@ -282,14 +281,19 @@ pub fn run_online_with(
     kind: OnlineModelKind,
 ) -> OnlineResult {
     assert_eq!(index.len(), trace.len());
-    let avg = trace.avg_object_size().max(1.0);
-    let base = solve_criteria(index, cfg.capacity, avg, cfg.criteria_iterations);
-    let criteria =
-        if cfg.policy == PolicyKind::Lirs { base.for_lirs(cfg.policy.stack_ratio()) } else { base };
-    let m = cfg.m_override.unwrap_or(criteria.m);
+    let (criteria, m) = resolve_criteria(
+        trace,
+        index,
+        cfg.policy,
+        cfg.capacity,
+        cfg.criteria_iterations,
+        cfg.m_override,
+    );
     let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
 
-    let mut cache = cfg.policy.build(cfg.capacity, trace);
+    let mut kernel = Kernel::new(cfg.policy.build(cfg.capacity, trace));
+    let mut accounting = Accounting::new(cfg.latency, cfg.hdd, true);
+    let mut learned = Learned::new(m, criteria.history_table_capacity(), true);
     let mut model: Box<dyn otae_ml::OnlineClassifier> = match kind {
         OnlineModelKind::Logistic => Box::new(OnlineLogistic::new(0.05, v)),
         OnlineModelKind::Hoeffding => {
@@ -299,12 +303,7 @@ pub fn run_online_with(
         }
     };
     let mut queue = DelayedLabelQueue::new(m);
-    let mut history = HistoryTable::new(criteria.history_table_capacity());
     let mut extractor = FeatureExtractor::new(trace);
-    let mut stats = CacheStats::default();
-    let mut response = ResponseTime::default();
-    let mut confusion = ConfusionMatrix::default();
-    let mut evicted: Vec<Evicted<ObjectId>> = Vec::new();
     let mut labels = 0u64;
 
     // Feature rows are extracted in blocks (extraction depends only on the
@@ -339,46 +338,27 @@ pub fn run_online_with(
             }
 
             let features = block_feats[i - block_start];
-            if cache.contains(&req.object) {
-                cache.on_hit(&req.object, now);
-                stats.record_hit(size);
-                response.record(cfg.latency.request_latency_us(true, size, true));
-            } else {
-                queue.record(req.object, now, features);
-                let truth = index.is_one_time(i, m);
-                let admit = if model.observations() < 500 {
-                    true // cold start: admit everything until warmed up
-                } else {
-                    let one_time = model.predict(&features);
-                    confusion.record(truth, one_time);
-                    if !one_time || history.check_and_rectify(req.object, now, m) {
-                        true
-                    } else {
-                        history.record_one_time(req.object, now);
-                        false
-                    }
-                };
-                if admit {
-                    evicted.clear();
-                    cache.insert(req.object, size, now, &mut evicted);
-                    stats.record_admitted_miss(size);
-                    for e in &evicted {
-                        stats.record_eviction(e.size);
-                    }
-                } else {
-                    cache.on_bypass(&req.object, size, now);
-                    stats.record_bypassed_miss(size);
-                }
-                response.record(cfg.latency.request_latency_us(false, size, true));
-            }
+            let outcome = kernel.access(
+                req.object,
+                size,
+                now,
+                || {
+                    queue.record(req.object, now, features);
+                    // Cold start: no verdict, so everything is admitted.
+                    let predicted = (model.observations() >= 500).then(|| model.predict(&features));
+                    learned.apply(predicted, req.object, now, index.is_one_time(i, m))
+                },
+                |_| {},
+            );
+            accounting.record(outcome, req.ts, size);
         }
         block_start = block_end;
     }
 
     OnlineResult {
-        stats,
-        mean_latency_us: response.mean_us(),
-        confusion,
+        stats: *kernel.stats(),
+        mean_latency_us: accounting.response.mean_us(),
+        confusion: learned.confusion,
         labels_consumed: labels,
         m,
     }
@@ -387,7 +367,7 @@ pub fn run_online_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_with_index, Mode};
+    use crate::pipeline::{run_with_index, Mode, PolicyKind};
     use otae_trace::{generate, TraceConfig};
 
     fn row(x: f32) -> [f32; N_FEATURES] {

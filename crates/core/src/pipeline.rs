@@ -6,16 +6,15 @@
 //! (Figures 6–9), mean response time via the Eqs. 3–6 model (Figure 10),
 //! and per-day classifier quality (Figure 5).
 
-use crate::admission::{classifier_apply, AdmissionPolicy, ClassifierAdmission};
-use crate::criteria::{solve_criteria, CriteriaSolution};
+use crate::criteria::{resolve_criteria, CriteriaSolution};
 use crate::daily::{DailyTrainer, MinuteSampler, TrainingConfig};
+pub use crate::engine::CacheEvent;
+use crate::engine::{Accounting, Admission, Kernel, Outcome};
 use crate::features::{FeatureExtractor, N_FEATURES};
 use crate::reaccess::ReaccessIndex;
 use crate::zoo::MissFilter;
-use otae_cache::{
-    ArcCache, Belady, Cache, CacheStats, Evicted, Fifo, Gdsf, Lfu, Lirs, Lru, S3Lru, TwoQ,
-};
-use otae_device::{HddProfile, LatencyModel, ResponseTime, ServiceTimeModel};
+use otae_cache::{ArcCache, Belady, Cache, CacheStats, Fifo, Gdsf, Lfu, Lirs, Lru, S3Lru, TwoQ};
+use otae_device::{HddProfile, LatencyModel, ServiceTimeModel};
 use otae_ml::{Classifier, CompiledTree, ConfusionMatrix, DecisionTree};
 use otae_trace::diurnal::DAY;
 use otae_trace::{ObjectId, Trace};
@@ -297,26 +296,6 @@ impl RunResult {
     }
 }
 
-/// SSD-level event emitted while driving the cache (for device-layer
-/// consumers such as the FTL simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// Object written into the SSD cache.
-    Insert {
-        /// Object id.
-        object: ObjectId,
-        /// Size in bytes.
-        size: u64,
-    },
-    /// Object evicted from the SSD cache (its flash pages are invalidated).
-    Evict {
-        /// Object id.
-        object: ObjectId,
-        /// Size in bytes.
-        size: u64,
-    },
-}
-
 fn confusion_delta(cur: &ConfusionMatrix, prev: &ConfusionMatrix) -> ConfusionMatrix {
     ConfusionMatrix {
         tp: cur.tp - prev.tp,
@@ -430,96 +409,93 @@ fn run_inner(
     observer: &mut dyn FnMut(CacheEvent),
 ) -> RunResult {
     assert_eq!(index.len(), trace.len(), "index must match the trace");
-    let avg_size = trace.avg_object_size().max(1.0);
-    let base = solve_criteria(index, cfg.capacity, avg_size, cfg.criteria_iterations);
-    let criteria =
-        if cfg.policy == PolicyKind::Lirs { base.for_lirs(cfg.policy.stack_ratio()) } else { base };
-    let m = cfg.m_override.unwrap_or(criteria.m);
+    let (criteria, m) = resolve_criteria(
+        trace,
+        index,
+        cfg.policy,
+        cfg.capacity,
+        cfg.criteria_iterations,
+        cfg.m_override,
+    );
+    let mut kernel = Kernel::new(cfg.policy.build(cfg.capacity, trace));
+    let mut accounting = Accounting::new(cfg.latency, cfg.hdd, cfg.mode != Mode::Original);
+    let mut admission = Admission::new(
+        cfg.mode,
+        MissFilter::for_run(cfg.mode, trace.meta.len(), m, cfg.training.max_splits, cfg.coin_p),
+        m,
+        criteria.history_table_capacity(),
+        cfg.training.use_history,
+    );
+    // Only the learned mode scores: every other mode runs the loop below as
+    // one block with no verdicts.
+    let mut scorer = cfg.mode.is_learned().then(|| BlockScorer::new(trace, index, cfg, plan, m));
 
-    let mut cache = cfg.policy.build(cfg.capacity, trace);
-    let classified = cfg.mode != Mode::Original;
-
-    let mut stats = CacheStats::default();
-    let mut response = ResponseTime::default();
-    let mut service_time = ServiceTimeModel::new(cfg.hdd);
-    let mut evicted: Vec<Evicted<ObjectId>> = Vec::new();
     let mut day_hits: Vec<(u64, u64)> = Vec::new(); // (hits, accesses) per day
+    let mut per_day: Vec<DayMetrics> = Vec::new();
+    let mut day_start_confusion = ConfusionMatrix::default();
+    let mut current_day = 0u64;
 
-    let classifier = if cfg.mode == Mode::Proposal {
-        Some(run_proposal_blocks(
-            trace,
-            index,
-            cfg,
-            plan,
-            &criteria,
-            m,
-            &mut *cache,
-            &mut stats,
-            &mut response,
-            &mut service_time,
-            &mut evicted,
-            &mut day_hits,
-            observer,
-        ))
-    } else {
-        let mut admission = match cfg.mode {
-            Mode::Original => AdmissionPolicy::Always,
-            Mode::Ideal => AdmissionPolicy::Oracle { index, m },
-            Mode::Proposal => unreachable!("handled above"),
-            filter_mode => AdmissionPolicy::Filter(
-                MissFilter::for_run(
-                    filter_mode,
-                    trace.meta.len(),
-                    m,
-                    cfg.training.max_splits,
-                    cfg.coin_p,
-                )
-                .expect("non-Original/Ideal/Proposal modes are filter modes"),
-            ),
-        };
-
-        for (i, req) in trace.requests.iter().enumerate() {
-            let now = i as u64;
+    let n = trace.len();
+    let mut i = 0usize;
+    while i < n {
+        let j = scorer.as_mut().map_or(n, |s| s.score_block(i));
+        // Exact per-request decision pass.
+        for k in i..j {
+            let req = &trace.requests[k];
+            let now = k as u64;
             let size = trace.photo(req.object).size as u64;
-            let truth = index.is_one_time(i, m);
+            let truth = index.is_one_time(k, m);
 
-            let day = (req.ts / DAY) as usize;
+            let day = req.ts / DAY;
+            if day != current_day {
+                // Day roll-over for Figure 5 accounting.
+                if let Some(l) = admission.learned() {
+                    per_day.push(DayMetrics {
+                        day: current_day,
+                        confusion: confusion_delta(&l.confusion, &day_start_confusion),
+                    });
+                    day_start_confusion = l.confusion;
+                }
+                current_day = day;
+            }
+            let day = day as usize;
             if day_hits.len() <= day {
                 day_hits.resize(day + 1, (0, 0));
             }
-            day_hits[day].1 += 1;
-            if cache.contains(&req.object) {
-                cache.on_hit(&req.object, now);
-                stats.record_hit(size);
-                day_hits[day].0 += 1;
-                response.record(cfg.latency.request_latency_us(true, size, classified));
-            } else {
-                let admit = admission.decide(req.object, &[], now, truth);
-                if admit {
-                    evicted.clear();
-                    cache.insert(req.object, size, now, &mut evicted);
-                    stats.record_admitted_miss(size);
-                    observer(CacheEvent::Insert { object: req.object, size });
-                    for e in &evicted {
-                        stats.record_eviction(e.size);
-                        observer(CacheEvent::Evict { object: e.key, size: e.size });
-                    }
-                } else {
-                    cache.on_bypass(&req.object, size, now);
-                    stats.record_bypassed_miss(size);
-                }
-                service_time.record_miss(req.ts, size);
-                response.record(cfg.latency.request_latency_us(false, size, classified));
-            }
-        }
-        None
-    };
 
+            let predicted = scorer.as_ref().and_then(|s| s.verdict(k - i));
+            let outcome = kernel.access(
+                req.object,
+                size,
+                now,
+                || admission.decide(predicted, req.object, now, truth),
+                &mut *observer,
+            );
+            day_hits[day].0 += u64::from(outcome == Outcome::Hit);
+            day_hits[day].1 += 1;
+            accounting.record(outcome, req.ts, size);
+        }
+        i = j;
+    }
+
+    let classifier = admission.learned().map(|l| {
+        per_day.push(DayMetrics {
+            day: current_day,
+            confusion: confusion_delta(&l.confusion, &day_start_confusion),
+        });
+        ClassifierReport {
+            overall: l.confusion,
+            per_day,
+            rectifications: l.history.rectifications(),
+            trainings: scorer.as_ref().map_or(0, BlockScorer::trainings),
+        }
+    });
+    let Accounting { response, service_time, .. } = accounting;
     RunResult {
         policy: cfg.policy,
         mode: cfg.mode,
         capacity: cfg.capacity,
-        stats,
+        stats: *kernel.stats(),
         service_time,
         mean_latency_us: response.mean_us(),
         latency_p25_us: response.percentile_us(0.25),
@@ -534,112 +510,116 @@ fn run_inner(
     }
 }
 
-/// The Proposal fast path: requests are processed in blocks that never span
-/// a retrain boundary, so each block's features can be scored in one
+/// The learned mode's scoring step. Requests are scored in blocks that never
+/// span a retrain boundary, so each block's features go through one
 /// [`Classifier::score_rows`] sweep over a flat reusable buffer instead of
-/// one tree walk per request. Decisions, confusion/history bookkeeping and
-/// Figure-5 day accounting still run in exact per-request order, which is
-/// why the results are bit-identical to the per-request loop (the harness
-/// differential oracle holds this to `RunFingerprint` equality).
-#[allow(clippy::too_many_arguments)]
-fn run_proposal_blocks(
-    trace: &Trace,
-    index: &ReaccessIndex,
-    cfg: &RunConfig,
-    plan: &RunPlan<'_>,
-    criteria: &CriteriaSolution,
+/// one tree walk per request. Only scoring is batched: the decision pass in
+/// [`run_inner`] consumes the verdicts in exact per-request order, which is
+/// why results are bit-identical to scoring request by request.
+struct BlockScorer<'a> {
+    trace: &'a Trace,
+    index: &'a ReaccessIndex,
     m: u64,
-    cache: &mut (dyn Cache<ObjectId> + Send),
-    stats: &mut CacheStats,
-    response: &mut ResponseTime,
-    service_time: &mut ServiceTimeModel,
-    evicted: &mut Vec<Evicted<ObjectId>>,
-    day_hits: &mut Vec<(u64, u64)>,
-    observer: &mut dyn FnMut(CacheEvent),
-) -> ClassifierReport {
-    let mut c = ClassifierAdmission::new(m, criteria.history_table_capacity());
-    c.use_history = cfg.training.use_history;
+    /// Prerecorded installs; replaces the trainer/sampler pair wholesale.
+    schedule: Option<&'a ModelSchedule>,
+    next_install: usize,
+    trainer: Option<DailyTrainer>,
+    sampler: MinuteSampler,
+    planned_features: Option<&'a [[f32; N_FEATURES]]>,
+    extractor: Option<FeatureExtractor>,
+    model: Option<DecisionTree>,
+    /// Branchless SoA twin of `model`, rebuilt at install boundaries only
+    /// (see [`otae_ml::compiled`]); scores are bit-identical, so decisions
+    /// cannot drift from the interpreted path.
+    compiled: Option<CompiledTree>,
+    block_feats: Vec<[f32; N_FEATURES]>,
+    flat: Vec<f32>,
+    scores: Vec<f32>,
+}
 
-    let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
-    let schedule = plan.schedule;
-    if let Some(s) = schedule {
-        assert_eq!(s.m, m, "model schedule was built for a different M");
-        assert_eq!(s.v.to_bits(), v.to_bits(), "model schedule was built for a different v");
+impl<'a> BlockScorer<'a> {
+    fn new(
+        trace: &'a Trace,
+        index: &'a ReaccessIndex,
+        cfg: &RunConfig,
+        plan: &RunPlan<'a>,
+        m: u64,
+    ) -> Self {
+        let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
+        if let Some(s) = plan.schedule {
+            assert_eq!(s.m, m, "model schedule was built for a different M");
+            assert_eq!(s.v.to_bits(), v.to_bits(), "model schedule was built for a different v");
+        }
+        if let Some(f) = plan.features {
+            assert_eq!(f.len(), trace.len(), "feature stream must match the trace");
+        }
+        Self {
+            trace,
+            index,
+            m,
+            schedule: plan.schedule,
+            next_install: 0,
+            trainer: plan.schedule.is_none().then(|| DailyTrainer::new(cfg.training.clone(), v)),
+            sampler: MinuteSampler::new(cfg.training.records_per_minute),
+            planned_features: plan.features,
+            extractor: plan.features.is_none().then(|| FeatureExtractor::new(trace)),
+            model: None,
+            compiled: None,
+            block_feats: Vec::with_capacity(SCORE_BLOCK),
+            flat: Vec::with_capacity(SCORE_BLOCK * N_FEATURES),
+            scores: Vec::with_capacity(SCORE_BLOCK),
+        }
     }
-    // The schedule replaces the trainer/sampler pair wholesale: installs
-    // replay at their recorded request indices.
-    let mut trainer = schedule.is_none().then(|| DailyTrainer::new(cfg.training.clone(), v));
-    let mut sampler = MinuteSampler::new(cfg.training.records_per_minute);
-    let mut next_install = 0usize;
 
-    let planned_features = plan.features;
-    if let Some(f) = planned_features {
-        assert_eq!(f.len(), trace.len(), "feature stream must match the trace");
-    }
-    let mut extractor = planned_features.is_none().then(|| FeatureExtractor::new(trace));
-
-    let mut per_day: Vec<DayMetrics> = Vec::new();
-    let mut day_start_confusion = ConfusionMatrix::default();
-    let mut current_day = 0u64;
-
-    let mut block_feats: Vec<[f32; N_FEATURES]> = Vec::with_capacity(SCORE_BLOCK);
-    let mut flat: Vec<f32> = Vec::with_capacity(SCORE_BLOCK * N_FEATURES);
-    let mut scores: Vec<f32> = Vec::with_capacity(SCORE_BLOCK);
-    // Branchless SoA twin of `c.model`, rebuilt at install boundaries only
-    // (see [`otae_ml::compiled`]); scores are bit-identical, so decisions
-    // cannot drift from the interpreted path.
-    let mut compiled: Option<CompiledTree> = None;
-
-    let n = trace.len();
-    let mut i = 0usize;
-    while i < n {
-        // Retrains/installs due at the block head (§4.4.3).
-        if let Some(tr) = trainer.as_mut() {
-            if let Some(model) = tr.maybe_retrain_compiled(trace.requests[i].ts, &mut sampler) {
-                compiled = model.compiled;
-                c.model = Some(model.tree);
+    /// Prepare the block starting at request `i`: install the models due at
+    /// its head (§4.4.3), cut it before the next retrain boundary, feed the
+    /// sampler and score every row. Returns the block's end.
+    fn score_block(&mut self, i: usize) -> usize {
+        let trace = self.trace;
+        if let Some(tr) = self.trainer.as_mut() {
+            if let Some(m) = tr.maybe_retrain_compiled(trace.requests[i].ts, &mut self.sampler) {
+                self.compiled = m.compiled;
+                self.model = Some(m.tree);
             }
-        } else if let Some(s) = schedule {
-            while next_install < s.installs.len() && s.installs[next_install].0 == i as u64 {
-                let tree = (*s.installs[next_install].1).clone();
-                compiled = tree.compile().and_then(otae_ml::CompiledModel::into_tree);
-                c.model = Some(tree);
-                next_install += 1;
+        } else if let Some(s) = self.schedule {
+            while self.next_install < s.installs.len()
+                && s.installs[self.next_install].0 == i as u64
+            {
+                let tree = (*s.installs[self.next_install].1).clone();
+                self.compiled = tree.compile().and_then(otae_ml::CompiledModel::into_tree);
+                self.model = Some(tree);
+                self.next_install += 1;
             }
         }
 
         // Cut the block before the next retrain boundary so the model is
         // constant across it.
-        let mut j = (i + SCORE_BLOCK).min(n);
-        if let Some(tr) = trainer.as_ref() {
-            for k in (i + 1)..j {
-                if tr.would_fire(trace.requests[k].ts) {
-                    j = k;
-                    break;
-                }
+        let mut j = (i + SCORE_BLOCK).min(trace.len());
+        if let Some(tr) = self.trainer.as_ref() {
+            if let Some(k) = ((i + 1)..j).find(|&k| tr.would_fire(trace.requests[k].ts)) {
+                j = k;
             }
-        } else if let Some(s) = schedule {
-            if next_install < s.installs.len() {
-                j = j.min(s.installs[next_install].0 as usize);
-            }
+        } else if let Some(&(at, _)) = self.schedule.and_then(|s| s.installs.get(self.next_install))
+        {
+            j = j.min(at as usize);
         }
 
         // Features for [i, j): from the shared stream or extracted now.
-        let feats: &[[f32; N_FEATURES]] = match planned_features {
-            Some(all) => &all[i..j],
-            None => {
-                let fx = extractor.as_mut().expect("extractor present without a feature plan");
-                block_feats.clear();
+        let feats: &[[f32; N_FEATURES]] = match (self.planned_features, self.extractor.as_mut()) {
+            (Some(all), _) => &all[i..j],
+            (None, fx) => {
+                let fx = fx.expect("extractor present without a feature plan");
+                self.block_feats.clear();
                 for req in &trace.requests[i..j] {
-                    block_feats.push(fx.extract(trace, req));
+                    self.block_feats.push(fx.extract(trace, req));
                     fx.update(trace, req);
                 }
-                &block_feats
+                &self.block_feats
             }
         };
-        if trainer.is_some() {
-            for (k, f) in (i..j).zip(feats.iter()) {
-                sampler.offer(trace.requests[k].ts, *f, index.is_one_time(k, m));
+        if self.trainer.is_some() {
+            for (k, f) in (i..j).zip(feats) {
+                self.sampler.offer(trace.requests[k].ts, *f, self.index.is_one_time(k, self.m));
             }
         }
 
@@ -647,93 +627,34 @@ fn run_proposal_blocks(
         // level-synchronous walk scores the fixed-width rows in place; the
         // interpreted fallback (a model that would not compile) still packs
         // the flat buffer.
-        let has_model = c.model.is_some();
-        if let Some(model) = &c.model {
-            scores.clear();
-            match &compiled {
-                Some(ct) => ct.score_rows_fixed(feats, &mut scores),
+        if let Some(model) = &self.model {
+            self.scores.clear();
+            match &self.compiled {
+                Some(ct) => ct.score_rows_fixed(feats, &mut self.scores),
                 None => {
-                    flat.clear();
+                    self.flat.clear();
                     for f in feats {
-                        flat.extend_from_slice(f);
+                        self.flat.extend_from_slice(f);
                     }
-                    model.score_rows(&flat, N_FEATURES, &mut scores);
+                    model.score_rows(&self.flat, N_FEATURES, &mut self.scores);
                 }
             }
         }
-
-        // Exact per-request decision pass.
-        for k in i..j {
-            let req = &trace.requests[k];
-            let now = k as u64;
-            let size = trace.photo(req.object).size as u64;
-            let truth = index.is_one_time(k, m);
-
-            // Day roll-over for Figure 5 accounting.
-            let day = req.ts / DAY;
-            if day != current_day {
-                per_day.push(DayMetrics {
-                    day: current_day,
-                    confusion: confusion_delta(&c.confusion, &day_start_confusion),
-                });
-                day_start_confusion = c.confusion;
-                current_day = day;
-            }
-
-            let day = day as usize;
-            if day_hits.len() <= day {
-                day_hits.resize(day + 1, (0, 0));
-            }
-            day_hits[day].1 += 1;
-            if cache.contains(&req.object) {
-                cache.on_hit(&req.object, now);
-                stats.record_hit(size);
-                day_hits[day].0 += 1;
-                response.record(cfg.latency.request_latency_us(true, size, true));
-            } else {
-                let predicted = has_model.then(|| scores[k - i] >= 0.5);
-                let admit = classifier_apply(
-                    predicted,
-                    &mut c.history,
-                    &mut c.confusion,
-                    c.use_history,
-                    c.m,
-                    req.object,
-                    now,
-                    truth,
-                );
-                if admit {
-                    evicted.clear();
-                    cache.insert(req.object, size, now, evicted);
-                    stats.record_admitted_miss(size);
-                    observer(CacheEvent::Insert { object: req.object, size });
-                    for e in evicted.iter() {
-                        stats.record_eviction(e.size);
-                        observer(CacheEvent::Evict { object: e.key, size: e.size });
-                    }
-                } else {
-                    cache.on_bypass(&req.object, size, now);
-                    stats.record_bypassed_miss(size);
-                }
-                service_time.record_miss(req.ts, size);
-                response.record(cfg.latency.request_latency_us(false, size, true));
-            }
-        }
-        i = j;
+        j
     }
 
-    per_day.push(DayMetrics {
-        day: current_day,
-        confusion: confusion_delta(&c.confusion, &day_start_confusion),
-    });
-    ClassifierReport {
-        overall: c.confusion,
-        per_day,
-        rectifications: c.history.rectifications(),
-        trainings: trainer
+    /// The model's verdict for the `offset`-th request of the current
+    /// block; `None` while no model is installed.
+    fn verdict(&self, offset: usize) -> Option<bool> {
+        self.model.is_some().then(|| self.scores[offset] >= 0.5)
+    }
+
+    fn trainings(&self) -> u32 {
+        self.trainer
+            .as_ref()
             .map(|t| t.trainings)
-            .or_else(|| schedule.map(|s| s.trainings))
-            .unwrap_or(0),
+            .or(self.schedule.map(|s| s.trainings))
+            .unwrap_or(0)
     }
 }
 
@@ -878,10 +799,9 @@ mod tests {
         let inline = run_with_index(&t, &index, &cfg);
 
         let features = FeatureExtractor::extract_all(&t);
-        let avg = t.avg_object_size().max(1.0);
-        let criteria = solve_criteria(&index, cfg.capacity, avg, cfg.criteria_iterations);
         let v = cfg.training.cost.resolve(cfg.capacity, t.unique_bytes());
-        let schedule = ModelSchedule::build(&t, &index, &features, criteria.m, v, &cfg.training);
+        let schedule =
+            ModelSchedule::build(&t, &index, &features, inline.criteria.m, v, &cfg.training);
         assert!(!schedule.installs.is_empty(), "9-day trace must install models");
 
         // Features alone, then features + prerecorded schedule: both must be

@@ -11,7 +11,7 @@
 //! only in capacity replay the same [`ModelSchedule`] instead of re-fitting
 //! identical trees.
 
-use crate::criteria::solve_criteria;
+use crate::criteria::resolve_criteria;
 use crate::features::FeatureExtractor;
 use crate::pipeline::{
     run_with_plan, Mode, ModelSchedule, PolicyKind, RunConfig, RunPlan, RunResult,
@@ -106,18 +106,18 @@ pub fn sweep(
         .iter()
         .any(|p| p.mode == Mode::Proposal)
         .then(|| FeatureExtractor::extract_all(trace));
-    let avg_size = trace.avg_object_size().max(1.0);
     let unique_bytes = trace.unique_bytes();
     // `(M, v)` fully determines training: labels come from `M`, tree costs
-    // from `v`. Mirror exactly how a run resolves both.
+    // from `v`; both resolve exactly as a run resolves them.
     let key_of = |p: &SweepPoint| -> (u64, u32) {
-        let solved = solve_criteria(index, p.capacity, avg_size, base.criteria_iterations);
-        let criteria = if p.policy == PolicyKind::Lirs {
-            solved.for_lirs(p.policy.stack_ratio())
-        } else {
-            solved
-        };
-        let m = base.m_override.unwrap_or(criteria.m);
+        let (_, m) = resolve_criteria(
+            trace,
+            index,
+            p.policy,
+            p.capacity,
+            base.criteria_iterations,
+            base.m_override,
+        );
         let v = base.training.cost.resolve(p.capacity, unique_bytes);
         (m, v.to_bits())
     };

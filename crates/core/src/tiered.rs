@@ -18,15 +18,15 @@
 //! (§4.3's criteria is capacity-dependent, so the OC's threshold is much
 //! smaller than the DC's).
 
-use crate::admission::{AdmissionPolicy, ClassifierAdmission};
-use crate::criteria::{solve_criteria, CriteriaSolution};
-use crate::daily::{DailyTrainer, MinuteSampler};
+use crate::criteria::CriteriaSolution;
+use crate::daily::TrainingConfig;
+use crate::engine::{Outcome, Server};
 use crate::features::{FeatureExtractor, N_FEATURES};
 use crate::pipeline::{Mode, PolicyKind};
 use crate::reaccess::ReaccessIndex;
-use otae_cache::{Cache, CacheStats, Evicted};
+use otae_cache::CacheStats;
 use otae_device::{LatencyModel, ResponseTime};
-use otae_trace::{ObjectId, Trace};
+use otae_trace::Trace;
 
 /// Configuration of one tier.
 #[derive(Debug, Clone)]
@@ -80,99 +80,6 @@ pub struct TieredResult {
     pub total_bytes_written: u64,
 }
 
-struct Tier<'a> {
-    cache: Box<dyn Cache<ObjectId>>,
-    admission: AdmissionPolicy<'a>,
-    trainer: DailyTrainer,
-    sampler: MinuteSampler,
-    stats: CacheStats,
-    criteria: CriteriaSolution,
-    m: u64,
-    is_proposal: bool,
-}
-
-impl<'a> Tier<'a> {
-    fn build(cfg: &TierConfig, trace: &Trace, index: &'a ReaccessIndex) -> Self {
-        let avg = trace.avg_object_size().max(1.0);
-        let base = solve_criteria(index, cfg.capacity, avg, 3);
-        let criteria = if cfg.policy == PolicyKind::Lirs {
-            base.for_lirs(cfg.policy.stack_ratio())
-        } else {
-            base
-        };
-        let m = criteria.m;
-        let admission = match cfg.mode {
-            Mode::Original => AdmissionPolicy::Always,
-            Mode::Ideal => AdmissionPolicy::Oracle { index, m },
-            Mode::Proposal => AdmissionPolicy::Classifier(Box::new(ClassifierAdmission::new(
-                m,
-                criteria.history_table_capacity(),
-            ))),
-            filter_mode => AdmissionPolicy::Filter(
-                crate::zoo::MissFilter::for_run(
-                    filter_mode,
-                    trace.meta.len(),
-                    m,
-                    crate::daily::TrainingConfig::default().max_splits,
-                    0.5,
-                )
-                .expect("non-Original/Ideal/Proposal modes are filter modes"),
-            ),
-        };
-        let training = crate::daily::TrainingConfig::default();
-        let v = training.cost.resolve(cfg.capacity, trace.unique_bytes());
-        Tier {
-            cache: cfg.policy.build(cfg.capacity, trace),
-            admission,
-            trainer: DailyTrainer::new(training, v),
-            sampler: MinuteSampler::new(100),
-            stats: CacheStats::default(),
-            criteria,
-            m,
-            is_proposal: cfg.mode == Mode::Proposal,
-        }
-    }
-
-    /// Handle a request that reached this tier. Returns `true` on hit.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        obj: ObjectId,
-        size: u64,
-        now: u64,
-        ts: u64,
-        features: &[f32; N_FEATURES],
-        truth: bool,
-        evicted: &mut Vec<Evicted<ObjectId>>,
-    ) -> bool {
-        if self.is_proposal {
-            if let AdmissionPolicy::Classifier(c) = &mut self.admission {
-                if let Some(model) = self.trainer.maybe_retrain(ts, &mut self.sampler) {
-                    c.model = Some(model);
-                }
-            }
-            self.sampler.offer(ts, *features, truth);
-        }
-        if self.cache.contains(&obj) {
-            self.cache.on_hit(&obj, now);
-            self.stats.record_hit(size);
-            return true;
-        }
-        if self.admission.decide(obj, features, now, truth) {
-            evicted.clear();
-            self.cache.insert(obj, size, now, evicted);
-            self.stats.record_admitted_miss(size);
-            for e in evicted.iter() {
-                self.stats.record_eviction(e.size);
-            }
-        } else {
-            self.cache.on_bypass(&obj, size, now);
-            self.stats.record_bypassed_miss(size);
-        }
-        false
-    }
-}
-
 /// Run the full OC → DC → backend simulation over a trace.
 pub fn run_tiered(trace: &Trace, cfg: &TieredConfig) -> TieredResult {
     let index = ReaccessIndex::build(trace);
@@ -186,14 +93,16 @@ pub fn run_tiered_with_index(
     cfg: &TieredConfig,
 ) -> TieredResult {
     assert_eq!(index.len(), trace.len(), "index must match the trace");
-    let mut oc = Tier::build(&cfg.oc, trace, index);
-    let mut dc = Tier::build(&cfg.dc, trace, index);
+    let training = TrainingConfig::default();
+    let tier = |t: &TierConfig| {
+        Server::new(trace, index, t.policy, t.mode, t.capacity, &training, trace.meta.len())
+    };
+    let (mut oc, mut dc) = (tier(&cfg.oc), tier(&cfg.dc));
     let mut extractor = FeatureExtractor::new(trace);
-    let needs_features = cfg.oc.mode == Mode::Proposal || cfg.dc.mode == Mode::Proposal;
+    let needs_features = cfg.oc.mode.is_learned() || cfg.dc.mode.is_learned();
     let classified = cfg.oc.mode != Mode::Original || cfg.dc.mode != Mode::Original;
 
     let mut response = ResponseTime::default();
-    let mut evicted: Vec<Evicted<ObjectId>> = Vec::new();
     let (mut oc_hits, mut dc_hits, mut backend) = (0u64, 0u64, 0u64);
 
     for (i, req) in trace.requests.iter().enumerate() {
@@ -204,14 +113,14 @@ pub fn run_tiered_with_index(
             features = extractor.extract(trace, req);
         }
         // Per-tier ground truth differs: each tier has its own M.
-        let oc_truth = index.is_one_time(i, oc.m);
-        let dc_truth = index.is_one_time(i, dc.m);
+        let oc_truth = index.is_one_time(i, oc.criteria.m);
+        let dc_truth = index.is_one_time(i, dc.criteria.m);
 
         let classify_us = if classified { cfg.latency.t_classify_us } else { 0.0 };
-        if oc.access(req.object, size, now, req.ts, &features, oc_truth, &mut evicted) {
+        if oc.access(req.object, size, now, req.ts, &features, oc_truth) == Outcome::Hit {
             oc_hits += 1;
             response.record(cfg.latency.t_query_us + cfg.latency.ssd_read_us(size));
-        } else if dc.access(req.object, size, now, req.ts, &features, dc_truth, &mut evicted) {
+        } else if dc.access(req.object, size, now, req.ts, &features, dc_truth) == Outcome::Hit {
             dc_hits += 1;
             response.record(
                 cfg.wan_hop_us
@@ -234,14 +143,15 @@ pub fn run_tiered_with_index(
     }
 
     let n = trace.len().max(1) as f64;
+    let (oc_stats, dc_stats) = (*oc.kernel.stats(), *dc.kernel.stats());
     TieredResult {
         oc_hit_rate: oc_hits as f64 / n,
         combined_hit_rate: (oc_hits + dc_hits) as f64 / n,
         backend_fetch_rate: backend as f64 / n,
         mean_latency_us: response.mean_us(),
-        total_bytes_written: oc.stats.bytes_written + dc.stats.bytes_written,
-        oc: TierResult { stats: oc.stats, criteria: oc.criteria },
-        dc: TierResult { stats: dc.stats, criteria: dc.criteria },
+        total_bytes_written: oc_stats.bytes_written + dc_stats.bytes_written,
+        oc: TierResult { stats: oc_stats, criteria: oc.criteria },
+        dc: TierResult { stats: dc_stats, criteria: dc.criteria },
     }
 }
 

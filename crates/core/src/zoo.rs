@@ -494,6 +494,14 @@ mod tests {
     }
 
     #[test]
+    fn second_hit_filter_admits_only_on_reappearance() {
+        let mut f = MissFilter::for_run(Mode::SecondHit, 1000, 100, 30, 0.5).expect("filter mode");
+        assert!(!f.decide(ObjectId(7)), "first sighting bypasses");
+        assert!(f.decide(ObjectId(7)), "second sighting admits");
+        assert_eq!((f.admitted(), f.bypassed()), (1, 1));
+    }
+
+    #[test]
     fn identical_inputs_build_identical_filters() {
         // The construction seam the differential oracle leans on: two
         // filters built from the same inputs produce the same decision

@@ -173,6 +173,36 @@ fn cluster_counters_match_the_parent() {
     check("CLUSTER", cluster_rows(PolicyKind::Lru), CLUSTER);
 }
 
+/// Recorded after `run_cluster` started scaling `M` for LIRS (§5.2) like
+/// every other driver; the parent solved these nodes with the LRU threshold.
+const CLUSTER_LIRS: &[(&str, &str)] = &[
+    ("Original/total", "18164 6290 600359901 198948891 11874 401411010 0 11792 398825554"),
+    ("Original/node0", "5345 1648 178794269 52034633 3697 126759636 0 3679 126114932"),
+    ("Original/node1", "4640 1440 152657444 46549598 3200 106107846 0 3178 105472076"),
+    ("Original/node2", "2362 912 71041682 24760818 1450 46280864 0 1426 45632107"),
+    ("Original/node3", "5817 2290 197866506 75603842 3527 122262664 0 3509 121606439"),
+    ("Ideal/total", "18164 8807 600359901 286537736 720 24421235 8637 641 21953340"),
+    ("Ideal/node0", "5345 2460 178794269 81472388 243 8584535 2642 224 7945038"),
+    ("Ideal/node1", "4640 2013 152657444 66932316 153 5257991 2474 134 4641241"),
+    ("Ideal/node2", "2362 1201 71041682 33017672 76 2250792 1085 52 1598256"),
+    ("Ideal/node3", "5817 3133 197866506 105115360 248 8327917 2436 231 7768805"),
+    ("Proposal/total", "18164 7939 600359901 254613541 2266 78790747 7959 2186 76206193"),
+    ("Proposal/node0", "5345 2142 178794269 68944069 750 26441004 2453 732 25799321"),
+    ("Proposal/node1", "4640 1850 152657444 61512369 504 17821565 2286 486 17180025"),
+    ("Proposal/node2", "2362 1109 71041682 30043358 327 10525456 926 300 9868894"),
+    ("Proposal/node3", "5817 2838 197866506 94113745 685 24002722 2294 668 23357953"),
+    ("TinyLFU/total", "18164 7783 600359901 249551382 5091 173353580 5290 5014 170854275"),
+    ("TinyLFU/node0", "5345 2080 178794269 67853903 1600 54417235 1665 1581 53787324"),
+    ("TinyLFU/node1", "4640 1824 152657444 59216208 1306 44073524 1510 1286 43470339"),
+    ("TinyLFU/node2", "2362 1113 71041682 30181511 566 17705563 683 545 17045929"),
+    ("TinyLFU/node3", "5817 2766 197866506 92299760 1619 57157258 1432 1602 56550683"),
+];
+
+#[test]
+fn lirs_cluster_counters_are_pinned() {
+    check("CLUSTER_LIRS", cluster_rows(PolicyKind::Lirs), CLUSTER_LIRS);
+}
+
 const TIERED: &[(&str, &str)] = &[
     (
         "Proposal-over-Original/oc",

@@ -8,8 +8,8 @@
 //! judgement; a swap that reset (or shadowed) the table would silently
 //! re-bypass hot objects every training day.
 
-use otae_core::{classifier_decide, HistoryTable};
-use otae_ml::{Classifier, ConfusionMatrix, Dataset, DecisionTree, TreeParams};
+use otae_core::Learned;
+use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
 use otae_trace::ObjectId;
 use proptest::prelude::*;
 
@@ -38,21 +38,9 @@ fn two_misses_across_swap(obj: ObjectId, gap: u64, m: u64, noise: u32) -> (bool,
     assert!(model_a.predict(&[0.95]));
     assert!(model_b.predict(&[0.95]));
 
-    let mut history = HistoryTable::new((noise as usize + 2).next_power_of_two().max(16));
-    let mut confusion = ConfusionMatrix::default();
-    let mut decide = |model: &DecisionTree, obj, now| {
-        classifier_decide(
-            Some(model),
-            &mut history,
-            &mut confusion,
-            true,
-            m,
-            obj,
-            &[0.95],
-            now,
-            true,
-        )
-    };
+    let mut gate = Learned::new(m, (noise as usize + 2).next_power_of_two().max(16), true);
+    let mut decide =
+        |model: &DecisionTree, obj, now| gate.apply(Some(model.predict(&[0.95])), obj, now, true);
 
     let first = decide(&model_a, obj, 0);
     // Other objects miss in between — under model A or B, mimicking traffic
@@ -64,7 +52,7 @@ fn two_misses_across_swap(obj: ObjectId, gap: u64, m: u64, noise: u32) -> (bool,
     }
     // The retrain race: model B is now installed when obj returns.
     let second = decide(&model_b, obj, gap);
-    (first, second, history.rectifications())
+    (first, second, gate.history.rectifications())
 }
 
 proptest! {

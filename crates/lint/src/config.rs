@@ -144,14 +144,15 @@ impl Rule {
             // (cache, core history, serve) the invariant requires.
             Rule::NoSiphash => &[],
             // Global scope deliberately covers the admission-policy zoo
-            // (core/src/zoo.rs, serve/src/policy.rs): every zoo filter must
-            // be seeded-deterministic (CoinFlip's RNG, the sketch hashes)
+            // (core/src/zoo.rs): every zoo filter must be
+            // seeded-deterministic (CoinFlip's RNG, the sketch hashes)
             // and clock-free, or differential fingerprint equality between
             // the pipeline and the service breaks.
             Rule::NoWallClock => &[],
             Rule::NoUnseededRng => &[],
-            // Widened when crates/device and the zoo grew real service-path
-            // code: FTL/wear models run inside the shard critical section
+            // Widened when crates/device, the zoo and the request kernel
+            // grew real service-path code: FTL/wear models and the kernel
+            // (core/src/engine.rs) run inside the shard critical section
             // and the zoo's filters run per request.
             Rule::NoPanicInServe => &[
                 "crates/serve/src/",
@@ -159,6 +160,7 @@ impl Rule {
                 "crates/store/src/",
                 "crates/device/src/",
                 "crates/core/src/zoo.rs",
+                "crates/core/src/engine.rs",
             ],
             Rule::NoFloatNondeterminism => &["crates/ml/src/", "crates/core/src/"],
             Rule::BoundedChannel => &[
@@ -167,6 +169,7 @@ impl Rule {
                 "crates/store/src/",
                 "crates/device/src/",
                 "crates/core/src/zoo.rs",
+                "crates/core/src/engine.rs",
             ],
             // Structural rules see the whole workspace; no-blocking-under-lock
             // is confined to the latency-critical serve/store/harness paths
@@ -183,7 +186,7 @@ impl Rule {
                 "crates/serve/src/shard.rs",
                 "crates/serve/src/request.rs",
                 "crates/serve/src/decision_cache.rs",
-                "crates/serve/src/policy.rs",
+                "crates/core/src/engine.rs",
             ],
         }
     }
@@ -249,13 +252,16 @@ mod tests {
         assert!(!Rule::NoWallClock.in_scope("crates/bench/src/experiments/train.rs"));
         assert!(Rule::NoSiphash.in_scope("src/cli.rs"));
         // The admission-policy zoo sits inside the global determinism
-        // rules' scope and the serve half in the clone advisory's.
+        // rules' scope.
         assert!(Rule::NoUnseededRng.in_scope("crates/core/src/zoo.rs"));
-        assert!(Rule::NoWallClock.in_scope("crates/serve/src/policy.rs"));
-        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/serve/src/policy.rs"));
-        // Widened scopes: device models and the zoo run on the request path.
+        // Widened scopes: device models, the zoo and the request kernel run
+        // on the request path, the kernel inside the shard critical section.
         assert!(Rule::NoPanicInServe.in_scope("crates/device/src/ftl.rs"));
-        assert!(Rule::NoPanicInServe.in_scope("crates/core/src/zoo.rs"));
+        for path in ["crates/core/src/zoo.rs", "crates/core/src/engine.rs"] {
+            assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");
+            assert!(Rule::BoundedChannel.in_scope(path), "{path} must be lint-covered");
+        }
+        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/core/src/engine.rs"));
         assert!(Rule::BoundedChannel.in_scope("crates/device/src/service_time.rs"));
         assert!(!Rule::NoPanicInServe.in_scope("crates/core/src/pipeline.rs"));
         // Structural rules: lock-order everywhere, blocking confined.

@@ -3,8 +3,9 @@
 //! The simulator crates answer *what* the paper's admission policy does to
 //! hit and write rates; this crate answers whether the design *serves*: a
 //! shard-per-core cache service where N independent shards (each a mutex
-//! around an [`otae_cache::Cache`] policy, a slice of the §4.4.2 history
-//! table, and its own counters) process requests stolen in batches from a
+//! around the simulator's own request kernel, [`otae_core::engine`] — a
+//! replacement policy and its counters — plus a slice of the §4.4.2 history
+//! table and its accounting) process requests stolen in batches from a
 //! bounded queue by K worker threads, while a background retrainer hot-swaps
 //! the daily-trained admission tree through a shared [`AdmissionGate`]
 //! without stalling the request path.
@@ -20,11 +21,11 @@
 //!                            │ pop_batch: ≤ max_batch per lock
 //!                            ▼
 //!                      K worker threads ──hash(object)──▶ shard mutex
-//!                                                         ┌─────────┐
-//!                                                         │ cache   │ ×N
-//!                                                         │ history │
-//!                                                         │ stats   │
-//!                                                         └─────────┘
+//!                                                         ┌────────────┐
+//!                                                         │ Kernel     │ ×N
+//!                                                         │ Admission  │
+//!                                                         │ Accounting │
+//!                                                         └────────────┘
 //! ```
 //!
 //! The queue ([`intake`]) bounds the requests waiting between clients and
@@ -35,6 +36,13 @@
 //! `&PreparedRequest` borrowed from the prepared trace, which outlives the
 //! thread scope every client and worker runs in, so a request is never
 //! copied and its model `Arc` never re-counted on the way to a shard.
+//!
+//! A worker resolves a segment's classifier verdicts up front (decision
+//! cache, then one batched sweep per model) and then drives the shard's
+//! kernel once per request in arrival order — the same
+//! `Kernel::access` / `Admission::decide` / `Accounting::record` sequence
+//! the simulator runs, so the service adds batching, threading and
+//! persistence around the decision logic, never a second copy of it.
 //!
 //! Two training deliveries are supported ([`TrainerMode`]): *Inline*
 //! stamps each request with the model current at its enqueue point, which
@@ -57,7 +65,6 @@ pub mod fault;
 pub mod gate;
 pub mod intake;
 pub mod loadgen;
-pub mod policy;
 pub mod request;
 pub mod retrainer;
 pub mod service;
@@ -72,7 +79,6 @@ pub use fault::{
 };
 pub use gate::{AdmissionGate, GateModel};
 pub use loadgen::{LoadConfig, SAMPLE_FLUSH};
-pub use policy::{filter_policy_for, AdmissionPolicy, FilterPolicy, MlGatePolicy};
 pub use request::{prepare, ModelSource, PreparedRequest, PreparedTrace};
 pub use retrainer::{run_retrainer, RetrainerReport, TrainBatch, TrainMsg};
 pub use service::{serve_trace, serve_trace_with_index, ServeConfig, ServeReport, TrainerMode};
@@ -88,7 +94,6 @@ mod thread_safety_assertions {
     use super::*;
 
     const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
 
     const _: () = {
@@ -114,21 +119,21 @@ mod thread_safety_assertions {
         // Classifier state moved into shards and the retrainer.
         assert_send_sync::<otae_ml::DecisionTree>();
         assert_send_sync::<otae_core::HistoryTable>();
-        assert_send_sync::<otae_core::ClassifierAdmission>();
+        assert_send_sync::<otae_core::Learned>();
         assert_send_sync::<otae_core::baseline::SecondHitAdmission>();
         assert_send_sync::<otae_cache::CacheStats>();
         assert_send_sync::<otae_device::ResponseTime>();
         // Disk-head-time accounting lives inside each shard's mutex.
         assert_send::<otae_device::ServiceTimeModel>();
-        // The policy zoo: the shared filter slot crosses worker threads,
-        // and every zoo filter must stay plain seeded data.
-        assert_send::<Box<dyn policy::AdmissionPolicy>>();
+        // The policy zoo: the shared filter crosses worker threads, and
+        // every zoo filter must stay plain seeded data.
         assert_send_sync::<otae_core::MissFilter>();
-        // Every replacement policy must build into a Send trait object.
+        // Every replacement policy must build into a Send trait object, and
+        // the request kernel wrapping it lives inside the shard mutex with
+        // its admission and accounting.
         assert_send::<Box<dyn otae_cache::Cache<otae_trace::ObjectId> + Send>>();
-        // The admission policy enum itself (its Oracle variant borrows the
-        // reaccess index, so Send requires the index to be Sync).
-        assert_send::<otae_core::AdmissionPolicy<'static>>();
-        assert_sync::<otae_core::ReaccessIndex>();
+        assert_send::<otae_core::Kernel>();
+        assert_send::<otae_core::Admission>();
+        assert_send::<otae_core::Accounting>();
     };
 }

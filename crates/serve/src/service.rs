@@ -7,14 +7,13 @@ use crate::fault::{FaultPlan, FaultReport, NoFaults};
 use crate::gate::{AdmissionGate, GateModel};
 use crate::intake::{self, Consumer};
 use crate::loadgen::{replay_client, ClientReport, LoadConfig};
-use crate::policy::filter_policy_for;
 use crate::request::{prepare, ModelSource, PreparedRequest};
 use crate::retrainer::{run_retrainer, RetrainerReport};
 use crate::shard::{BatchScratch, Params, ShardedCache, Snapshot};
 use crate::store_layer::{ShardStore, StoreMode};
 use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
-use otae_core::{solve_criteria, CriteriaSolution, ReaccessIndex, TrainingConfig};
+use otae_core::{resolve_criteria, CriteriaSolution, MissFilter, ReaccessIndex, TrainingConfig};
 use otae_device::{HddProfile, LatencyModel};
 use otae_trace::Trace;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,26 +208,27 @@ pub fn serve_trace_with_index(
     assert!(load.clients > 0, "need at least one client");
     assert_eq!(index.len(), trace.len(), "index must match the trace");
 
-    // Criteria resolution mirrors the single-threaded pipeline exactly.
-    let avg_size = trace.avg_object_size().max(1.0);
-    let base = solve_criteria(index, cfg.capacity, avg_size, cfg.criteria_iterations);
-    let criteria =
-        if cfg.policy == PolicyKind::Lirs { base.for_lirs(cfg.policy.stack_ratio()) } else { base };
-    let m = cfg.m_override.unwrap_or(criteria.m);
+    let (criteria, m) = resolve_criteria(
+        trace,
+        index,
+        cfg.policy,
+        cfg.capacity,
+        cfg.criteria_iterations,
+        cfg.m_override,
+    );
     let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
 
     let gate = AdmissionGate::new();
     let prepared = prepare(trace, index, cfg, &gate, m, v);
 
-    // Filter policies build through the same seam as the pipeline
-    // (`MissFilter::for_run`), so both sides construct byte-identical
-    // state; `None` for Original/Ideal/Proposal.
-    let policy =
-        filter_policy_for(cfg.mode, trace.meta.len(), m, cfg.training.max_splits, cfg.coin_p);
+    // The filter of a filter mode builds through the same seam as the
+    // pipeline's, so both sides construct byte-identical state; `None` for
+    // Original/Ideal/Proposal.
+    let filter =
+        MissFilter::for_run(cfg.mode, trace.meta.len(), m, cfg.training.max_splits, cfg.coin_p);
     let params = Params {
         latency: cfg.latency,
         mode: cfg.mode,
-        classified: cfg.mode != Mode::Original,
         use_history: cfg.training.use_history,
         m,
         decision_cache: cfg.decision_cache,
@@ -253,7 +253,7 @@ pub fn serve_trace_with_index(
         criteria.history_table_capacity(),
         trace,
         params,
-        policy,
+        filter,
         stores,
     );
 
@@ -736,7 +736,6 @@ mod tests {
         let params = Params {
             latency: LatencyModel::default(),
             mode: Mode::Proposal,
-            classified: true,
             use_history: true,
             m,
             decision_cache: true,

@@ -1,22 +1,21 @@
 //! The sharded cache: N independent single-threaded caches behind mutexes.
 //!
-//! Each shard owns a replacement policy, its slice of the history table,
-//! and its own counters, so the only cross-shard state on the request path
-//! is the admission model `Arc` (and, for the filter policies — SecondHit,
-//! TinyLFU, RejectX, CoinFlip — the shared [`AdmissionPolicy`] slot).
+//! Each shard wraps one request kernel ([`otae_core::engine`]) — a
+//! replacement policy with its counters — plus its slice of the history
+//! table and its accounting, so the only cross-shard state on the request
+//! path is the admission model `Arc` (and, for the filter policies —
+//! SecondHit, TinyLFU, RejectX, CoinFlip — the one shared [`MissFilter`]).
 //! Objects map to shards by id hash, so a shard's state evolves exactly
 //! like a small single-threaded simulator over the subsequence of requests
-//! routed to it.
+//! routed to it: it *is* the simulator's kernel, fed in segments.
 
 use crate::decision_cache::{feature_bits, DecisionCache};
 use crate::gate::GateModel;
-use crate::policy::AdmissionPolicy;
 use crate::request::{ModelSource, PreparedRequest};
 use crate::store_layer::{ShardStore, StoreSnapshot};
-use otae_cache::{Cache, CacheStats, Evicted};
-use otae_core::classifier_apply;
+use otae_cache::CacheStats;
 use otae_core::pipeline::{Mode, PolicyKind};
-use otae_core::{HistoryTable, N_FEATURES};
+use otae_core::{Accounting, Admission, CacheEvent, Kernel, MissFilter, N_FEATURES};
 use otae_device::{HddProfile, LatencyModel, ResponseTime, ServiceTimeModel};
 use otae_ml::ConfusionMatrix;
 use otae_trace::{ObjectId, Trace};
@@ -27,7 +26,6 @@ use parking_lot::Mutex;
 pub(crate) struct Params {
     pub latency: LatencyModel,
     pub mode: Mode,
-    pub classified: bool,
     pub use_history: bool,
     pub m: u64,
     /// Memoize classifier verdicts in the per-shard [`DecisionCache`].
@@ -37,18 +35,6 @@ pub(crate) struct Params {
     pub compiled: bool,
     /// HDD profile charging disk-head time per backend miss.
     pub hdd: HddProfile,
-}
-
-/// How a request's classifier verdict is obtained (Proposal mode).
-pub(crate) enum Verdict<'a> {
-    /// Resolve under the shard lock: decision cache first (when enabled),
-    /// then a fresh `model.predict`. This is the un-batched reference path
-    /// the exactness tests compare the batched pass against; production
-    /// workers always go through [`ShardedCache::process_segment`].
-    #[cfg_attr(not(test), allow(dead_code))]
-    Resolve(Option<&'a GateModel>, u64),
-    /// Already resolved by the batched scoring pass.
-    Ready(Option<bool>),
 }
 
 /// The model (and gate epoch) `req`'s verdict is resolved against: its own
@@ -86,13 +72,10 @@ impl BatchScratch {
 
 /// One shard's private state (guarded by its mutex).
 pub(crate) struct ShardState {
-    cache: Box<dyn Cache<ObjectId> + Send>,
-    history: HistoryTable,
-    stats: CacheStats,
-    response: ResponseTime,
-    service_time: ServiceTimeModel,
-    confusion: ConfusionMatrix,
-    evicted: Vec<Evicted<ObjectId>>,
+    kernel: Kernel,
+    /// `Always` under a filter mode: the filter is shared across shards.
+    admission: Admission,
+    accounting: Accounting,
     decisions: DecisionCache,
     /// Segment store backing this shard (admitted bytes + tombstones);
     /// `None` runs the service storeless, exactly as before.
@@ -153,103 +136,6 @@ impl ShardState {
             }
         }
     }
-
-    /// The classifier's verdict for a miss: `None` while no model is
-    /// installed, else `Some(model.predict(features))` — memoized in the
-    /// decision cache when enabled. Memoization is exact: a hit requires
-    /// the same model epoch and bit-identical features, so the returned
-    /// verdict always equals a fresh `predict`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn admission_verdict(
-        &mut self,
-        req: &PreparedRequest,
-        model: Option<&GateModel>,
-        epoch: u64,
-        use_cache: bool,
-    ) -> Option<bool> {
-        let model = model?;
-        if !use_cache {
-            return Some(model.predict(&req.features));
-        }
-        self.decisions.ensure_epoch(epoch);
-        let bits = feature_bits(&req.features);
-        if let Some(v) = self.decisions.lookup(req.object, &bits) {
-            return Some(v);
-        }
-        let v = model.predict(&req.features);
-        self.decisions.insert(req.object, bits, v);
-        Some(v)
-    }
-
-    /// Drive one request through this shard, mirroring the single-threaded
-    /// pipeline's per-request sequence exactly. The classifier verdict may
-    /// arrive precomputed (batched scoring); confusion and history
-    /// bookkeeping always runs here, in request order.
-    fn process(
-        &mut self,
-        req: &PreparedRequest,
-        verdict: Verdict<'_>,
-        p: &Params,
-        policy: Option<&Mutex<Box<dyn AdmissionPolicy>>>,
-    ) {
-        let now = req.idx;
-        if self.cache.contains(&req.object) {
-            self.cache.on_hit(&req.object, now);
-            self.stats.record_hit(req.size);
-            self.response.record(p.latency.request_latency_us(true, req.size, p.classified));
-            return;
-        }
-        let admit = match p.mode {
-            Mode::Original => true,
-            Mode::Ideal => !req.truth,
-            Mode::Proposal => {
-                let predicted = match verdict {
-                    Verdict::Resolve(model, epoch) => {
-                        self.admission_verdict(req, model, epoch, p.decision_cache)
-                    }
-                    Verdict::Ready(predicted) => predicted,
-                };
-                classifier_apply(
-                    predicted,
-                    &mut self.history,
-                    &mut self.confusion,
-                    p.use_history,
-                    p.m,
-                    req.object,
-                    now,
-                    req.truth,
-                )
-            }
-            // A missing filter policy is a wiring bug; degrade to
-            // admit-always (Original behaviour) rather than unwind a worker
-            // thread.
-            _filter => match policy {
-                Some(pol) => pol.lock().decide(req),
-                None => true,
-            },
-        };
-        if admit {
-            self.evicted.clear();
-            self.cache.insert(req.object, req.size, now, &mut self.evicted);
-            self.stats.record_admitted_miss(req.size);
-            if let Some(store) = self.store.as_mut() {
-                store.on_admit(req.object.0 as u64, req.size);
-            }
-            for e in &self.evicted {
-                self.stats.record_eviction(e.size);
-                if let Some(store) = self.store.as_mut() {
-                    store.on_evict(e.key.0 as u64);
-                }
-            }
-        } else {
-            self.cache.on_bypass(&req.object, req.size, now);
-            self.stats.record_bypassed_miss(req.size);
-        }
-        // Every miss reads the backend exactly once, admitted or not — the
-        // flash write happens off the critical path (§5.3.5).
-        self.service_time.record_miss(req.ts, req.size);
-        self.response.record(p.latency.request_latency_us(false, req.size, p.classified));
-    }
 }
 
 /// Merged view of the whole service at one point in time, plus the
@@ -279,15 +165,16 @@ pub struct Snapshot {
 pub struct ShardedCache {
     shards: Vec<Mutex<ShardState>>,
     params: Params,
-    /// Shared filter policy for the non-ML admission modes (`None` for
-    /// Original/Ideal/Proposal). One slot across all shards, exactly like
-    /// the single filter instance the pipeline drives.
-    policy: Option<Mutex<Box<dyn AdmissionPolicy>>>,
+    /// Shared filter of the non-ML admission modes (`None` for
+    /// Original/Ideal/Proposal). One instance across all shards, exactly
+    /// like the single filter the pipeline drives.
+    filter: Option<Mutex<MissFilter>>,
 }
 
 impl ShardedCache {
     /// Build `n_shards` shards of `policy`, splitting `capacity` (and the
-    /// history-table budget) evenly across them.
+    /// history-table budget) evenly across them. `filter` is the filter of
+    /// a filter mode ([`MissFilter::for_run`]), `None` otherwise.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         n_shards: usize,
@@ -296,7 +183,7 @@ impl ShardedCache {
         history_capacity: usize,
         trace: &Trace,
         params: Params,
-        admission: Option<Box<dyn AdmissionPolicy>>,
+        filter: Option<MissFilter>,
         stores: Vec<ShardStore>,
     ) -> Self {
         assert!(n_shards > 0, "need at least one shard");
@@ -307,19 +194,25 @@ impl ShardedCache {
         let shards = (0..n_shards)
             .map(|_| {
                 Mutex::new(ShardState {
-                    cache: policy.build(shard_capacity, trace),
-                    history: HistoryTable::new(shard_history),
-                    stats: CacheStats::default(),
-                    response: ResponseTime::default(),
-                    service_time: ServiceTimeModel::new(params.hdd),
-                    confusion: ConfusionMatrix::default(),
-                    evicted: Vec::new(),
+                    kernel: Kernel::new(policy.build(shard_capacity, trace)),
+                    admission: Admission::new(
+                        params.mode,
+                        None,
+                        params.m,
+                        shard_history,
+                        params.use_history,
+                    ),
+                    accounting: Accounting::new(
+                        params.latency,
+                        params.hdd,
+                        params.mode != Mode::Original,
+                    ),
                     decisions: DecisionCache::new(shard_history),
                     store: stores.next(),
                 })
             })
             .collect();
-        Self { shards, params, policy: admission.map(Mutex::new) }
+        Self { shards, params, filter: filter.map(Mutex::new) }
     }
 
     /// Number of shards.
@@ -337,31 +230,15 @@ impl ShardedCache {
         (z ^ (z >> 31)) as usize % self.shards.len()
     }
 
-    /// Route one request to its shard and process it under the shard lock,
-    /// resolving the classifier verdict there (decision cache, then a fresh
-    /// `predict`). `epoch` is the gate epoch `model` was snapshotted at.
-    /// Reference path for the batched-equals-sequential tests; production
-    /// workers batch through [`ShardedCache::process_segment`].
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn process(&self, req: &PreparedRequest, model: Option<&GateModel>, epoch: u64) {
-        let shard = &self.shards[self.shard_of(req.object)];
-        shard.lock().process(
-            req,
-            Verdict::Resolve(model, epoch),
-            &self.params,
-            self.policy.as_ref(),
-        );
-    }
-
     /// Process a batch segment routed to shard `shard_idx` under one shard
     /// lock: first a scoring pass that resolves every classifier verdict
     /// (memo lookups, then one `score_rows` call per same-(model, epoch)
     /// run), then the sequential per-request decision pass in arrival
     /// order. `gate` is the caller's snapshot of the shared gate (model and
     /// epoch), consulted by [`ModelSource::Gate`] requests; stamped requests
-    /// carry their own. Decisions are bit-identical to feeding the segment
-    /// through [`ShardedCache::process`] one request at a time — only the
-    /// number of lock acquisitions and tree walks changes.
+    /// carry their own. Decisions are bit-identical to driving the kernel
+    /// one request at a time with a scalar `predict` — only the number of
+    /// lock acquisitions and tree walks changes.
     pub(crate) fn process_segment(
         &self,
         shard_idx: usize,
@@ -373,10 +250,11 @@ impl ShardedCache {
             return;
         }
         let p = &self.params;
-        let mut shard = self.shards[shard_idx].lock();
+        let mut guard = self.shards[shard_idx].lock();
+        let shard = &mut *guard;
         scratch.preds.clear();
         scratch.preds.resize(segment.len(), None);
-        if p.mode == Mode::Proposal {
+        if p.mode.is_learned() {
             let mut start = 0;
             while start < segment.len() {
                 let (model, epoch) = model_for(segment[start], gate);
@@ -412,9 +290,28 @@ impl ShardedCache {
         // seam, and moving store puts outside the lock would reorder them
         // against later requests on the same shard, breaking replay
         // determinism (DESIGN.md §15).
+        let ShardState { kernel, admission, accounting, store, .. } = shard;
+        let mut to_store = |event| {
+            let Some(store) = store.as_mut() else { return };
+            match event {
+                // otae-lint: allow(no-blocking-under-lock)
+                CacheEvent::Insert { object, size } => store.on_admit(object.0 as u64, size),
+                // otae-lint: allow(no-blocking-under-lock)
+                CacheEvent::Evict { object, .. } => store.on_evict(object.0 as u64),
+            }
+        };
         for (k, req) in segment.iter().enumerate() {
-            // otae-lint: allow(no-blocking-under-lock)
-            shard.process(req, Verdict::Ready(scratch.preds[k]), p, self.policy.as_ref());
+            let outcome = kernel.access(
+                req.object,
+                req.size,
+                req.idx,
+                || match &self.filter {
+                    Some(filter) => filter.lock().decide(req.object),
+                    None => admission.decide(scratch.preds[k], req.object, req.idx, req.truth),
+                },
+                &mut to_store,
+            );
+            accounting.record(outcome, req.ts, req.size);
         }
     }
 
@@ -461,12 +358,14 @@ impl ShardedCache {
         let mut store: Option<StoreSnapshot> = None;
         for shard in &self.shards {
             let s = shard.lock();
-            stats.merge(&s.stats);
-            response.merge(&s.response);
-            service_time.merge(&s.service_time);
-            confusion.merge(&s.confusion);
-            rectifications += s.history.rectifications();
-            per_shard.push(s.stats);
+            stats.merge(s.kernel.stats());
+            response.merge(&s.accounting.response);
+            service_time.merge(&s.accounting.service_time);
+            if let Some(learned) = s.admission.learned() {
+                confusion.merge(&learned.confusion);
+                rectifications += learned.history.rectifications();
+            }
+            per_shard.push(*s.kernel.stats());
             if let Some(shard_store) = s.store.as_ref() {
                 store.get_or_insert_with(StoreSnapshot::default).merge(&shard_store.snapshot());
             }
@@ -485,7 +384,6 @@ mod tests {
         Params {
             latency: LatencyModel::default(),
             mode,
-            classified: mode != Mode::Original,
             use_history: true,
             m: 100,
             decision_cache: true,
@@ -509,6 +407,46 @@ mod tests {
     fn sharded(n: usize, mode: Mode) -> ShardedCache {
         let trace = generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
         ShardedCache::new(n, PolicyKind::Lru, 1 << 20, 64, &trace, params(mode), None, Vec::new())
+    }
+
+    /// One request through its shard as a one-request segment.
+    fn process(c: &ShardedCache, req: &PreparedRequest, gate: (Option<&GateModel>, u64)) {
+        c.process_segment(c.shard_of(req.object), &[req], gate, &mut BatchScratch::new());
+    }
+
+    /// The per-request reference for the exactness tests: the request kernel
+    /// over the same policy and capacity as a 1-shard `sharded(..)`, driven
+    /// one request at a time with a scalar `GateModel::predict` — no
+    /// batching, no memoization, no compiled walk. Returns the counters a
+    /// snapshot of the shard must equal.
+    fn kernel_reference(
+        reqs: &[PreparedRequest],
+        gate: (Option<&GateModel>, u64),
+    ) -> (CacheStats, ConfusionMatrix, u64) {
+        let trace = generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
+        let mut kernel = Kernel::new(PolicyKind::Lru.build(1 << 20, &trace));
+        let mut admission = Admission::new(Mode::Proposal, None, 100, 64, true);
+        for req in reqs {
+            let verdict = model_for(req, gate).0.map(|m| m.predict(&req.features));
+            let admit = || admission.decide(verdict, req.object, req.idx, req.truth);
+            kernel.access(req.object, req.size, req.idx, admit, |_| {});
+        }
+        let learned = admission.learned().expect("proposal admission is learned");
+        (*kernel.stats(), learned.confusion, learned.history.rectifications())
+    }
+
+    /// A tree judging `features[0] > threshold` one-time.
+    fn tree(threshold: f32) -> GateModel {
+        use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
+        let mut d = Dataset::new(otae_core::N_FEATURES);
+        for i in 0..100 {
+            let mut row = [0.0f32; otae_core::N_FEATURES];
+            row[0] = i as f32 / 100.0;
+            d.push(&row, row[0] > threshold);
+        }
+        let mut t = DecisionTree::new(TreeParams::default());
+        t.fit(&d);
+        GateModel::new(t)
     }
 
     #[test]
@@ -537,7 +475,7 @@ mod tests {
     fn per_shard_counters_sum_to_merged() {
         let c = sharded(4, Mode::Original);
         for i in 0..500u64 {
-            c.process(&prepared(i, (i % 37) as u32, 1000, false), None, 0);
+            process(&c, &prepared(i, (i % 37) as u32, 1000, false), (None, 0));
         }
         let snap = c.snapshot();
         assert_eq!(snap.stats.accesses, 500);
@@ -552,8 +490,8 @@ mod tests {
     #[test]
     fn ideal_mode_bypasses_one_time_objects() {
         let c = sharded(2, Mode::Ideal);
-        c.process(&prepared(0, 1, 1000, true), None, 0);
-        c.process(&prepared(1, 2, 1000, false), None, 0);
+        process(&c, &prepared(0, 1, 1000, true), (None, 0));
+        process(&c, &prepared(1, 2, 1000, false), (None, 0));
         let snap = c.snapshot();
         assert_eq!(snap.stats.bypasses, 1);
         assert_eq!(snap.stats.files_written, 1);
@@ -563,7 +501,7 @@ mod tests {
     fn injected_panic_leaves_shard_usable_and_counters_untouched() {
         crate::fault::silence_injected_panics();
         let c = sharded(2, Mode::Original);
-        c.process(&prepared(0, 1, 1000, false), None, 0);
+        process(&c, &prepared(0, 1, 1000, false), (None, 0));
         let req = prepared(1, 1, 1000, false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.process_with_injected_panic(&req)
@@ -571,7 +509,7 @@ mod tests {
         assert!(result.is_err(), "injection must unwind");
         // The shard recovered: same object still hits, counters saw exactly
         // the two *real* requests.
-        c.process(&prepared(2, 1, 1000, false), None, 0);
+        process(&c, &prepared(2, 1, 1000, false), (None, 0));
         let snap = c.snapshot();
         assert_eq!(snap.stats.accesses, 2);
         assert_eq!(snap.stats.hits, 1);
@@ -580,22 +518,10 @@ mod tests {
     /// The tentpole exactness claim at shard granularity: pushing a stream
     /// through `process_segment` in arbitrary batch sizes — with and
     /// without the decision cache, with and without the compiled walk —
-    /// must leave counters bit-identical to the one-request-at-a-time
-    /// reference path, including across a model swap mid-stream.
+    /// must leave counters bit-identical to the kernel driven one request
+    /// at a time, including across a model swap mid-stream.
     #[test]
     fn batched_segments_match_per_request_processing_exactly() {
-        use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
-        fn tree(threshold: f32) -> GateModel {
-            let mut d = Dataset::new(otae_core::N_FEATURES);
-            for i in 0..100 {
-                let mut row = [0.0f32; otae_core::N_FEATURES];
-                row[0] = i as f32 / 100.0;
-                d.push(&row, row[0] > threshold);
-            }
-            let mut t = DecisionTree::new(TreeParams::default());
-            t.fit(&d);
-            GateModel::new(t)
-        }
         let model_a = Arc::new(tree(0.5));
         let model_b = tree(0.2);
         assert!(model_a.compiled().is_some() && model_b.compiled().is_some());
@@ -618,14 +544,9 @@ mod tests {
             .collect();
         let segment: Vec<&PreparedRequest> = reqs.iter().collect();
 
-        let reference = sharded(1, Mode::Proposal);
-        for req in &reqs {
-            let (model, epoch) = model_for(req, gate);
-            reference.process(req, model, epoch);
-        }
-        let want = reference.snapshot();
-        assert!(want.confusion.total() > 0, "models must have been consulted");
-        assert!(want.stats.bypasses > 0 && want.stats.files_written > 0);
+        let (want_stats, want_confusion, want_rectifications) = kernel_reference(&reqs, gate);
+        assert!(want_confusion.total() > 0, "models must have been consulted");
+        assert!(want_stats.bypasses > 0 && want_stats.files_written > 0);
 
         for batch in [1usize, 3, 32, 400] {
             for cache_on in [true, false] {
@@ -651,9 +572,9 @@ mod tests {
                     }
                     let got = c.snapshot();
                     let tag = format!("batch={batch} cache={cache_on} compiled={compiled_on}");
-                    assert_eq!(got.stats, want.stats, "{tag}");
-                    assert_eq!(got.confusion, want.confusion, "{tag}");
-                    assert_eq!(got.rectifications, want.rectifications, "{tag}");
+                    assert_eq!(got.stats, want_stats, "{tag}");
+                    assert_eq!(got.confusion, want_confusion, "{tag}");
+                    assert_eq!(got.rectifications, want_rectifications, "{tag}");
                 }
             }
         }
@@ -664,30 +585,20 @@ mod tests {
     /// consulted the second time is a different (swapped-in) tree.
     #[test]
     fn rectification_survives_a_model_swap() {
-        use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
-        fn one_time_tree(threshold: f32) -> GateModel {
-            let mut d = Dataset::new(otae_core::N_FEATURES);
-            for i in 0..100 {
-                let mut row = [0.0f32; otae_core::N_FEATURES];
-                row[0] = i as f32 / 100.0;
-                d.push(&row, row[0] > threshold);
-            }
-            let mut t = DecisionTree::new(TreeParams::default());
-            t.fit(&d);
-            GateModel::new(t)
-        }
         let c = sharded(1, Mode::Proposal);
-        let model_a = one_time_tree(0.5);
-        let model_b = one_time_tree(0.2);
+        let model_a = tree(0.5);
+        let model_b = tree(0.2);
         let mut req = prepared(0, 7, 1000, true);
         req.features[0] = 0.9; // one-time under both models
         assert!(model_a.predict(&req.features) && model_b.predict(&req.features));
-        c.process(&req, Some(&model_a), 1);
+        req.model = ModelSource::Gate;
+        process(&c, &req, (Some(&model_a), 1));
         // Same object misses again within M (= 100 in these params), but the
         // gate has swapped to model B in between.
         let mut again = prepared(50, 7, 1000, true);
         again.features[0] = 0.9;
-        c.process(&again, Some(&model_b), 2);
+        again.model = ModelSource::Gate;
+        process(&c, &again, (Some(&model_b), 2));
         let snap = c.snapshot();
         assert_eq!(snap.rectifications, 1, "history must rectify across the swap");
         assert_eq!(snap.stats.bypasses, 1, "first miss bypassed");

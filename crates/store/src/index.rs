@@ -117,19 +117,40 @@ impl StoreIndex {
         }
     }
 
-    /// Re-point a key at a rewritten location (compaction). Only moves the
-    /// key if it still points at `from` — a concurrent newer put wins.
+    /// Account a put record compaction rewrote to `to` and re-point the key
+    /// at it. The copy is on disk either way — its bytes, record and put
+    /// count land in `to.segment` like any other put's — but the key only
+    /// moves (and the copy only counts as live) if it still points at
+    /// `from`: a newer put wins and leaves the rewrite dead on arrival.
     pub fn relocate(&mut self, key: u64, from: Location, to: Location) -> bool {
-        match self.entries.get_mut(&key) {
+        let moved = match self.entries.get_mut(&key) {
             Some(cur) if *cur == from => {
                 *cur = to;
-                if let Some(info) = self.segments.get_mut(&from.segment) {
-                    info.live_bytes = info.live_bytes.saturating_sub(from.len);
-                }
                 true
             }
             _ => false,
+        };
+        *self.puts_on_disk.entry(key).or_insert(0) += 1;
+        let dest = self.segments.entry(to.segment).or_default();
+        dest.total_bytes += to.len;
+        dest.records += 1;
+        if moved {
+            dest.live_bytes += to.len;
+            if let Some(info) = self.segments.get_mut(&from.segment) {
+                info.live_bytes = info.live_bytes.saturating_sub(from.len);
+            }
         }
+        moved
+    }
+
+    /// Account a tombstone of `len` bytes compaction rewrote into `seg`:
+    /// bytes and a record, dead on arrival. Unlike
+    /// [`StoreIndex::apply_tombstone`] it never touches the key — it
+    /// restates an old removal and must not shadow anything newer.
+    pub fn apply_gc_tombstone(&mut self, seg: SegmentId, len: u64) {
+        let info = self.segments.entry(seg).or_default();
+        info.total_bytes += len;
+        info.records += 1;
     }
 
     /// Drop a segment's accounting after compaction deleted it, adjusting
@@ -258,5 +279,39 @@ mod tests {
         ix.apply_put(1, loc(2, 0, 90));
         assert!(!ix.relocate(1, old, loc(3, 0, 100)), "stale relocation must lose");
         assert_eq!(ix.get(1).unwrap().segment, 2);
+        // The losing copy is still on disk: counted, but dead.
+        assert_eq!(ix.puts_on_disk(1), 3);
+        let dest = ix.segment_info(3).unwrap();
+        assert_eq!((dest.total_bytes, dest.records, dest.live_bytes), (100, 1, 0));
+    }
+
+    /// The resurrection bug: a relocated put that was not counted where it
+    /// landed left `puts_on_disk` at 0 once the victim was forgotten, so a
+    /// later tombstone was judged to shadow nothing and dropped.
+    #[test]
+    fn relocated_put_is_accounted_where_it_lands() {
+        let mut ix = StoreIndex::new();
+        let (from, to) = (loc(0, 0, 100), loc(1, 0, 100));
+        ix.apply_put(1, from);
+        ix.seal_segment(0);
+        assert!(ix.relocate(1, from, to));
+        assert_eq!(ix.puts_on_disk(1), 2, "victim copy + rewritten copy");
+        let mut puts_in_victim = FxHashMap::default();
+        puts_in_victim.insert(1u64, 1u32);
+        ix.forget_segment(0, &puts_in_victim);
+        assert_eq!(ix.puts_on_disk(1), 1, "the rewritten copy is still on disk");
+        let dest = ix.segment_info(1).unwrap();
+        assert_eq!((dest.total_bytes, dest.records, dest.live_bytes), (100, 1, 100));
+        assert_eq!(ix.get(1), Some(to));
+    }
+
+    #[test]
+    fn gc_tombstones_occupy_bytes_and_touch_no_key() {
+        let mut ix = StoreIndex::new();
+        ix.apply_put(7, loc(0, 0, 100));
+        ix.apply_gc_tombstone(1, 21);
+        assert_eq!(ix.get(7), Some(loc(0, 0, 100)), "a restated removal shadows nothing newer");
+        let info = ix.segment_info(1).unwrap();
+        assert_eq!((info.total_bytes, info.records, info.live_bytes), (21, 1, 0));
     }
 }

@@ -915,7 +915,7 @@ impl Writer {
                     StagedKind::GcPut { from } => {
                         ix.relocate(r.key, from, loc);
                     }
-                    StagedKind::GcTombstone => {}
+                    StagedKind::GcTombstone => ix.apply_gc_tombstone(self.active, r.len),
                 }
             }
         }

@@ -24,8 +24,8 @@ pub(crate) enum StagedKind {
         /// Victim location this rewrite replaces.
         from: Location,
     },
-    /// A still-shadowing tombstone rewritten out of a victim (appended,
-    /// never indexed — tombstone bytes are dead on arrival).
+    /// A still-shadowing tombstone rewritten out of a victim (its bytes
+    /// are accounted where it lands, dead on arrival; no key is touched).
     GcTombstone,
 }
 

@@ -156,3 +156,54 @@ proptest! {
         }
     }
 }
+
+/// Compaction must not resurrect a removed key. A put rewritten out of a
+/// compaction victim is a put on disk wherever it lands; if it is not
+/// counted there, the tombstone that later removes the key is judged to
+/// shadow nothing, dropped when *its* segment is compacted, and the
+/// rewritten put comes back at the next reopen.
+#[test]
+fn compaction_does_not_resurrect_a_removed_key() {
+    let backend = MemBackend::new();
+    let open = || {
+        SegmentStore::open(Arc::new(backend.clone()), cfg(1_000, 1, 1), Arc::new(NoStoreFaults))
+            .expect("open")
+    };
+    let (store, _) = open();
+    let put = |key: u64| store.put(key, &payload(key, 0, 200)).expect("put");
+
+    // Segment A: key 1 plus four keys that segment B then overwrites, so A
+    // is nearly dead and its one live record, key 1, is what compaction
+    // rewrites — into B, the active segment.
+    for key in [1, 10, 11, 12, 13, 10, 11, 12, 13] {
+        put(key);
+    }
+    store.flush().expect("flush");
+    let first = store.compact().expect("compact A");
+    assert_eq!(first.rewritten_records, 1, "key 1 is A's only live record");
+
+    // Roll to segment C and remove key 1 there: its rewritten put in B is
+    // now a dead record that only C's tombstone shadows. Overwrites of one
+    // key make C the deadest sealed segment once D becomes active.
+    for key in [20, 1, 30, 30, 30, 30, 40] {
+        if key == 1 {
+            store.remove(1).expect("remove");
+        } else {
+            put(key);
+        }
+    }
+    store.flush().expect("flush");
+    let second = store.compact().expect("compact C");
+    assert_eq!(
+        second.rewritten_records, 3,
+        "keys 20 and 30 are live, and the tombstone still shadows key 1's put in B"
+    );
+
+    assert_eq!(store.get(1).expect("get"), None);
+    let live_before = store.live_entries().len() as u64;
+    drop(store);
+
+    let (reopened, report) = open();
+    assert_eq!(reopened.get(1).expect("get"), None, "a removed key stays removed");
+    assert_eq!(report.live_records, live_before);
+}

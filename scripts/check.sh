@@ -46,9 +46,4 @@ if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-if [[ "${OTAE_BENCH_GUARD:-0}" == "1" ]]; then
-  echo "==> bench guard (fresh run vs committed BENCH_*.json; >25% regression fails)"
-  scripts/bench_guard.sh
-fi
-
 echo "OK: fmt, otae-lint, clippy, tests, benchmark smoke and bench smoke all clean"
