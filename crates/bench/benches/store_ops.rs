@@ -1,8 +1,7 @@
 //! Segment-store operation latency: append batches at queue depths
 //! {1, 16, 64}, indexed reads against a populated store, and a full
-//! compaction pass over a churned device. Complements the
-//! `store_throughput` experiment bin (which records the `store_*`
-//! trajectory in `BENCH_serve.json`) with Criterion's statistical view.
+//! compaction pass over a churned device — Criterion's statistical view
+//! next to `benchmark/`'s `store.*` per-layer metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use otae_serve::fill_payload;

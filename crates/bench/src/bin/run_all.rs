@@ -1,7 +1,7 @@
 //! Regenerate every table and figure; CSVs land in results/.
 use otae_bench::experiments::{
-    ablations, baselines, cluster, drift, fig2, fig5, figures, ftl_wear, online, serve, store,
-    table1, tails, tiered, trace_stats, train,
+    ablations, baselines, cluster, drift, fig2, fig5, figures, ftl_wear, online, table1, tails,
+    tiered, trace_stats,
 };
 
 fn main() {
@@ -36,10 +36,5 @@ fn main() {
     drift::run();
     cluster::run();
     tails::run();
-    serve::run();
-    println!("### Extension: segment-store throughput and recovery\n");
-    store::run();
-    println!("### Perf trajectory: training throughput\n");
-    train::run();
     println!("all experiments done in {:?}", t0.elapsed());
 }

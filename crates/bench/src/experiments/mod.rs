@@ -12,10 +12,7 @@ pub mod figures;
 pub mod ftl_wear;
 pub mod online;
 pub mod policy_sweep;
-pub mod serve;
-pub mod store;
 pub mod table1;
 pub mod tails;
 pub mod tiered;
 pub mod trace_stats;
-pub mod train;

@@ -7,7 +7,7 @@
 //! sampled day takes well under a second at our scale.
 
 use crate::features::N_FEATURES;
-use otae_ml::{Classifier, CompiledTree, Dataset, DecisionTree, SplitEngine, TreeParams};
+use otae_ml::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
 use otae_trace::diurnal::DAY;
 
 /// Cost-matrix policy for Table 4's `v` (the false-positive cost).
@@ -89,7 +89,8 @@ pub struct Sample {
 #[derive(Debug, Clone)]
 pub struct MinuteSampler {
     cap_per_minute: usize,
-    current_minute: u64,
+    /// Newest timestamp offered so far: the sampler's clock, never run back.
+    newest_ts: u64,
     in_minute: usize,
     samples: Vec<Sample>,
 }
@@ -97,16 +98,20 @@ pub struct MinuteSampler {
 impl MinuteSampler {
     /// Sampler keeping at most `cap_per_minute` records per minute.
     pub fn new(cap_per_minute: usize) -> Self {
-        Self { cap_per_minute, current_minute: u64::MAX, in_minute: 0, samples: Vec::new() }
+        Self { cap_per_minute, newest_ts: 0, in_minute: 0, samples: Vec::new() }
     }
 
-    /// Offer one record; it is kept if the minute's budget allows.
+    /// Offer one record; it is kept if the minute's budget allows. A record
+    /// older than the newest one seen (several clients feeding one sampler
+    /// are only approximately time-ordered) counts as arriving at that
+    /// newest timestamp, so a straggler neither re-opens a spent minute's
+    /// budget nor unsorts the samples `window` and `discard_before` search.
     pub fn offer(&mut self, ts: u64, features: [f32; N_FEATURES], one_time: bool) {
-        let minute = ts / 60;
-        if minute != self.current_minute {
-            self.current_minute = minute;
+        let ts = ts.max(self.newest_ts);
+        if ts / 60 != self.newest_ts / 60 {
             self.in_minute = 0;
         }
+        self.newest_ts = ts;
         if self.in_minute < self.cap_per_minute {
             self.in_minute += 1;
             self.samples.push(Sample { ts, features, one_time });
@@ -118,7 +123,7 @@ impl MinuteSampler {
         &self.samples
     }
 
-    /// Samples with `lo <= ts < hi`, relying on time-ordered offers.
+    /// Samples with `lo <= ts < hi` (samples are sorted by `ts`, see `offer`).
     pub fn window(&self, lo: u64, hi: u64) -> &[Sample] {
         let start = self.samples.partition_point(|s| s.ts < lo);
         let end = self.samples.partition_point(|s| s.ts < hi);
@@ -163,25 +168,18 @@ pub fn train_tree_with(
     Some(tree)
 }
 
-/// A freshly trained tree together with its compiled form, built once at
-/// the train boundary so no scoring path ever pays compilation latency.
-/// `compiled` is `None` only when the tree cannot be packed into the
-/// compact node table (impossible for `fit`-built trees at the paper's
-/// split budget); consumers then keep the interpreted walk.
+/// A freshly trained tree. Plain wrapper kept for `benchmark/src/layers.rs`,
+/// its only caller (`AdmissionGate::install_trained`).
 #[derive(Debug, Clone)]
 pub struct TrainedModel {
-    /// The interpreted tree (reference semantics; still serialized, still
-    /// the source of truth for decisions).
+    /// The trained tree.
     pub tree: DecisionTree,
-    /// Branchless SoA form of the same tree, bit-identical scores.
-    pub compiled: Option<CompiledTree>,
 }
 
 impl TrainedModel {
-    /// Compile `tree` once and pair the two representations.
+    /// Wrap `tree`.
     pub fn new(tree: DecisionTree) -> Self {
-        let compiled = tree.compile().and_then(otae_ml::CompiledModel::into_tree);
-        Self { tree, compiled }
+        Self { tree }
     }
 }
 
@@ -204,19 +202,11 @@ impl DailyTrainer {
         Self { cfg, v, next_retrain_ts: first, trainings: 0 }
     }
 
-    /// Whether [`DailyTrainer::maybe_retrain`] would do any work at `ts` —
-    /// i.e. a retrain boundary has passed and the trainer is still armed.
-    /// Pure: lets block-scoring callers cut their blocks exactly at retrain
-    /// boundaries without calling `maybe_retrain` per request.
-    pub fn would_fire(&self, ts: u64) -> bool {
-        ts >= self.next_retrain_ts && !(self.cfg.train_once && self.trainings > 0)
-    }
-
     /// Called per request with the current timestamp; when a retrain
     /// boundary passes, fits a fresh tree on the trailing 24 h of samples
     /// and returns it.
     pub fn maybe_retrain(&mut self, ts: u64, sampler: &mut MinuteSampler) -> Option<DecisionTree> {
-        if !self.would_fire(ts) {
+        if ts < self.next_retrain_ts || (self.cfg.train_once && self.trainings > 0) {
             return None;
         }
         let boundary = self.next_retrain_ts;
@@ -231,16 +221,6 @@ impl DailyTrainer {
             self.trainings += 1;
         }
         tree
-    }
-
-    /// [`DailyTrainer::maybe_retrain`], but the fresh tree is compiled at
-    /// the train boundary (amortized once per day, never per request).
-    pub fn maybe_retrain_compiled(
-        &mut self,
-        ts: u64,
-        sampler: &mut MinuteSampler,
-    ) -> Option<TrainedModel> {
-        self.maybe_retrain(ts, sampler).map(TrainedModel::new)
     }
 }
 
@@ -265,6 +245,31 @@ mod tests {
         let (f, ts, y) = sample(61, 0.0, false);
         s.offer(ts, f, y);
         assert_eq!(s.samples().len(), 4, "new minute resets the budget");
+    }
+
+    /// Two clients straddling a minute boundary offer m, m+1, m, m+1, …:
+    /// the late records must not re-open either minute's budget, and the
+    /// samples must stay sorted so windows cut where they say they do.
+    #[test]
+    fn out_of_order_offers_keep_the_cap_and_the_order() {
+        let mut s = MinuteSampler::new(2);
+        for i in 0..200u64 {
+            let (f, ts, y) = sample(if i % 2 == 0 { 119 } else { 120 }, 0.0, false);
+            s.offer(ts, f, y);
+        }
+        for minute in [1u64, 2] {
+            let kept = s.samples().iter().filter(|x| x.ts / 60 == minute).count();
+            assert!(kept <= 2, "minute {minute} kept {kept} samples, cap is 2");
+        }
+        assert!(s.samples().windows(2).all(|w| w[0].ts <= w[1].ts), "samples must be sorted");
+        for (lo, hi) in [(0u64, 120u64), (120, 180), (119, 121), (0, 1000)] {
+            let want = s.samples().iter().filter(|x| lo <= x.ts && x.ts < hi).count();
+            let got = s.window(lo, hi);
+            assert_eq!(got.len(), want, "window({lo}, {hi})");
+            assert!(got.iter().all(|x| lo <= x.ts && x.ts < hi), "window({lo}, {hi})");
+        }
+        s.discard_before(120);
+        assert!(s.samples().iter().all(|x| x.ts >= 120));
     }
 
     #[test]

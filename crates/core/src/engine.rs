@@ -179,10 +179,10 @@ impl Learned {
 
     /// Decide a miss from the model's verdict: `None` means no model is
     /// installed (admit everything, record nothing), `Some(p)` is
-    /// `model.predict(features)`. Scoring happens wherever the driver likes
-    /// (batched, compiled, memoized); confusion and history bookkeeping
-    /// happen here, in request order. `truth` is the offline label, used
-    /// only for the tally.
+    /// `model.predict(features)`, which the driver evaluates inside the
+    /// kernel's admit closure — on a miss only. Confusion and history
+    /// bookkeeping happen here, in request order. `truth` is the offline
+    /// label, used only for the tally.
     #[inline]
     pub fn apply(
         &mut self,

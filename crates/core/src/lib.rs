@@ -27,8 +27,8 @@
 //! * [`daily`] — per-minute training-data sampling (§3.1.1) and the daily
 //!   05:00 retraining cycle (§4.4.3) with the Table-4 cost matrix;
 //! * [`pipeline`] — the end-to-end trace-driven simulation producing every
-//!   statistic of Figures 5–10: the kernel driven over a trace in blocks,
-//!   scored ahead in Proposal mode;
+//!   statistic of Figures 5–10: the kernel driven over a trace request by
+//!   request, the model consulted on a miss in Proposal mode;
 //! * [`mod@sweep`] — parallel (policy × capacity × mode) grids via crossbeam;
 //! * [`cluster`] / [`tiered`] — a consistent-hash fleet and the production
 //!   OC → DC → backend topology of §2.1, both composed of

@@ -15,7 +15,7 @@ use crate::reaccess::ReaccessIndex;
 use crate::zoo::MissFilter;
 use otae_cache::{ArcCache, Belady, Cache, CacheStats, Fifo, Gdsf, Lfu, Lirs, Lru, S3Lru, TwoQ};
 use otae_device::{HddProfile, LatencyModel, ServiceTimeModel};
-use otae_ml::{Classifier, CompiledTree, ConfusionMatrix, DecisionTree};
+use otae_ml::{Classifier, ConfusionMatrix, DecisionTree};
 use otae_trace::diurnal::DAY;
 use otae_trace::{ObjectId, Trace};
 use std::sync::Arc;
@@ -305,10 +305,6 @@ fn confusion_delta(cur: &ConfusionMatrix, prev: &ConfusionMatrix) -> ConfusionMa
     }
 }
 
-/// Requests scored per block on the Proposal fast path. Blocks are cut
-/// early at retrain boundaries so the model can never change mid-block.
-const SCORE_BLOCK: usize = 1024;
-
 /// The exact sequence of model installs an inline Proposal run performs:
 /// `(request index, trained model)` pairs in ascending index order.
 ///
@@ -426,56 +422,51 @@ fn run_inner(
         criteria.history_table_capacity(),
         cfg.training.use_history,
     );
-    // Only the learned mode scores: every other mode runs the loop below as
-    // one block with no verdicts.
-    let mut scorer = cfg.mode.is_learned().then(|| BlockScorer::new(trace, index, cfg, plan, m));
+    // Only the learned mode has models and feature rows to feed the loop.
+    let mut feed = cfg.mode.is_learned().then(|| ModelFeed::new(trace, index, cfg, plan, m));
 
     let mut day_hits: Vec<(u64, u64)> = Vec::new(); // (hits, accesses) per day
     let mut per_day: Vec<DayMetrics> = Vec::new();
     let mut day_start_confusion = ConfusionMatrix::default();
     let mut current_day = 0u64;
 
-    let n = trace.len();
-    let mut i = 0usize;
-    while i < n {
-        let j = scorer.as_mut().map_or(n, |s| s.score_block(i));
-        // Exact per-request decision pass.
-        for k in i..j {
-            let req = &trace.requests[k];
-            let now = k as u64;
-            let size = trace.photo(req.object).size as u64;
-            let truth = index.is_one_time(k, m);
+    for (k, req) in trace.requests.iter().enumerate() {
+        let now = k as u64;
+        let size = trace.photo(req.object).size as u64;
+        let truth = index.is_one_time(k, m);
 
-            let day = req.ts / DAY;
-            if day != current_day {
-                // Day roll-over for Figure 5 accounting.
-                if let Some(l) = admission.learned() {
-                    per_day.push(DayMetrics {
-                        day: current_day,
-                        confusion: confusion_delta(&l.confusion, &day_start_confusion),
-                    });
-                    day_start_confusion = l.confusion;
-                }
-                current_day = day;
+        let day = req.ts / DAY;
+        if day != current_day {
+            // Day roll-over for Figure 5 accounting.
+            if let Some(l) = admission.learned() {
+                per_day.push(DayMetrics {
+                    day: current_day,
+                    confusion: confusion_delta(&l.confusion, &day_start_confusion),
+                });
+                day_start_confusion = l.confusion;
             }
-            let day = day as usize;
-            if day_hits.len() <= day {
-                day_hits.resize(day + 1, (0, 0));
-            }
-
-            let predicted = scorer.as_ref().and_then(|s| s.verdict(k - i));
-            let outcome = kernel.access(
-                req.object,
-                size,
-                now,
-                || admission.decide(predicted, req.object, now, truth),
-                &mut *observer,
-            );
-            day_hits[day].0 += u64::from(outcome == Outcome::Hit);
-            day_hits[day].1 += 1;
-            accounting.record(outcome, req.ts, size);
+            current_day = day;
         }
-        i = j;
+        let day = day as usize;
+        if day_hits.len() <= day {
+            day_hits.resize(day + 1, (0, 0));
+        }
+
+        let features = feed.as_mut().map(|f| f.advance(k));
+        let model = feed.as_ref().and_then(|f| f.model.as_deref());
+        let outcome = kernel.access(
+            req.object,
+            size,
+            now,
+            || {
+                let predicted = model.zip(features.as_ref()).map(|(m, row)| m.predict(row));
+                admission.decide(predicted, req.object, now, truth)
+            },
+            &mut *observer,
+        );
+        day_hits[day].0 += u64::from(outcome == Outcome::Hit);
+        day_hits[day].1 += 1;
+        accounting.record(outcome, req.ts, size);
     }
 
     let classifier = admission.learned().map(|l| {
@@ -487,7 +478,7 @@ fn run_inner(
             overall: l.confusion,
             per_day,
             rectifications: l.history.rectifications(),
-            trainings: scorer.as_ref().map_or(0, BlockScorer::trainings),
+            trainings: feed.as_ref().map_or(0, ModelFeed::trainings),
         }
     });
     let Accounting { response, service_time, .. } = accounting;
@@ -510,13 +501,10 @@ fn run_inner(
     }
 }
 
-/// The learned mode's scoring step. Requests are scored in blocks that never
-/// span a retrain boundary, so each block's features go through one
-/// [`Classifier::score_rows`] sweep over a flat reusable buffer instead of
-/// one tree walk per request. Only scoring is batched: the decision pass in
-/// [`run_inner`] consumes the verdicts in exact per-request order, which is
-/// why results are bit-identical to scoring request by request.
-struct BlockScorer<'a> {
+/// The learned mode's per-request inputs: which model is installed and the
+/// request's feature row. The verdict itself is computed by [`run_inner`]
+/// inside the kernel's admit closure — on a miss, never for a hit (§4.4).
+struct ModelFeed<'a> {
     trace: &'a Trace,
     index: &'a ReaccessIndex,
     m: u64,
@@ -527,17 +515,10 @@ struct BlockScorer<'a> {
     sampler: MinuteSampler,
     planned_features: Option<&'a [[f32; N_FEATURES]]>,
     extractor: Option<FeatureExtractor>,
-    model: Option<DecisionTree>,
-    /// Branchless SoA twin of `model`, rebuilt at install boundaries only
-    /// (see [`otae_ml::compiled`]); scores are bit-identical, so decisions
-    /// cannot drift from the interpreted path.
-    compiled: Option<CompiledTree>,
-    block_feats: Vec<[f32; N_FEATURES]>,
-    flat: Vec<f32>,
-    scores: Vec<f32>,
+    model: Option<Arc<DecisionTree>>,
 }
 
-impl<'a> BlockScorer<'a> {
+impl<'a> ModelFeed<'a> {
     fn new(
         trace: &'a Trace,
         index: &'a ReaccessIndex,
@@ -564,89 +545,40 @@ impl<'a> BlockScorer<'a> {
             planned_features: plan.features,
             extractor: plan.features.is_none().then(|| FeatureExtractor::new(trace)),
             model: None,
-            compiled: None,
-            block_feats: Vec::with_capacity(SCORE_BLOCK),
-            flat: Vec::with_capacity(SCORE_BLOCK * N_FEATURES),
-            scores: Vec::with_capacity(SCORE_BLOCK),
         }
     }
 
-    /// Prepare the block starting at request `i`: install the models due at
-    /// its head (§4.4.3), cut it before the next retrain boundary, feed the
-    /// sampler and score every row. Returns the block's end.
-    fn score_block(&mut self, i: usize) -> usize {
+    /// Step to request `i`: install the model due at it (§4.4.3), produce
+    /// its feature row — from the shared stream or extracted now — and
+    /// offer the row to the sampler.
+    fn advance(&mut self, i: usize) -> [f32; N_FEATURES] {
         let trace = self.trace;
+        let req = &trace.requests[i];
         if let Some(tr) = self.trainer.as_mut() {
-            if let Some(m) = tr.maybe_retrain_compiled(trace.requests[i].ts, &mut self.sampler) {
-                self.compiled = m.compiled;
-                self.model = Some(m.tree);
+            if let Some(tree) = tr.maybe_retrain(req.ts, &mut self.sampler) {
+                self.model = Some(Arc::new(tree));
             }
         } else if let Some(s) = self.schedule {
-            while self.next_install < s.installs.len()
-                && s.installs[self.next_install].0 == i as u64
+            while let Some((_, tree)) =
+                s.installs.get(self.next_install).filter(|(at, _)| *at == i as u64)
             {
-                let tree = (*s.installs[self.next_install].1).clone();
-                self.compiled = tree.compile().and_then(otae_ml::CompiledModel::into_tree);
-                self.model = Some(tree);
+                self.model = Some(Arc::clone(tree));
                 self.next_install += 1;
             }
         }
-
-        // Cut the block before the next retrain boundary so the model is
-        // constant across it.
-        let mut j = (i + SCORE_BLOCK).min(trace.len());
-        if let Some(tr) = self.trainer.as_ref() {
-            if let Some(k) = ((i + 1)..j).find(|&k| tr.would_fire(trace.requests[k].ts)) {
-                j = k;
-            }
-        } else if let Some(&(at, _)) = self.schedule.and_then(|s| s.installs.get(self.next_install))
-        {
-            j = j.min(at as usize);
-        }
-
-        // Features for [i, j): from the shared stream or extracted now.
-        let feats: &[[f32; N_FEATURES]] = match (self.planned_features, self.extractor.as_mut()) {
-            (Some(all), _) => &all[i..j],
+        let features = match (self.planned_features, self.extractor.as_mut()) {
+            (Some(all), _) => all[i],
             (None, fx) => {
                 let fx = fx.expect("extractor present without a feature plan");
-                self.block_feats.clear();
-                for req in &trace.requests[i..j] {
-                    self.block_feats.push(fx.extract(trace, req));
-                    fx.update(trace, req);
-                }
-                &self.block_feats
+                let row = fx.extract(trace, req);
+                fx.update(trace, req);
+                row
             }
         };
         if self.trainer.is_some() {
-            for (k, f) in (i..j).zip(feats) {
-                self.sampler.offer(trace.requests[k].ts, *f, self.index.is_one_time(k, self.m));
-            }
+            self.sampler.offer(req.ts, features, self.index.is_one_time(i, self.m));
         }
-
-        // One batched scoring sweep for the whole block: the compiled
-        // level-synchronous walk scores the fixed-width rows in place; the
-        // interpreted fallback (a model that would not compile) still packs
-        // the flat buffer.
-        if let Some(model) = &self.model {
-            self.scores.clear();
-            match &self.compiled {
-                Some(ct) => ct.score_rows_fixed(feats, &mut self.scores),
-                None => {
-                    self.flat.clear();
-                    for f in feats {
-                        self.flat.extend_from_slice(f);
-                    }
-                    model.score_rows(&self.flat, N_FEATURES, &mut self.scores);
-                }
-            }
-        }
-        j
-    }
-
-    /// The model's verdict for the `offset`-th request of the current
-    /// block; `None` while no model is installed.
-    fn verdict(&self, offset: usize) -> Option<bool> {
-        self.model.is_some().then(|| self.scores[offset] >= 0.5)
+        features
     }
 
     fn trainings(&self) -> u32 {

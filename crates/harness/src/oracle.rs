@@ -119,16 +119,15 @@ pub fn differential_policy(seed: u64, n_objects: usize) -> Result<(), HarnessFai
     Ok(())
 }
 
-/// The hot-path exactness oracle: the per-request reference path
-/// (`max_batch = 1`, decision cache off, interpreted scoring), the batched
-/// and memoized path with the interpreted tree walk, the same batched path
-/// with compiled branchless inference (the service defaults), and those
-/// defaults at every corner of the request queue's shape (`queue_depth` ∈
-/// {1, 2, 1024} × `max_batch` ∈ {1, 64} — a queue that blocks on every push
-/// up to one that never fills, stolen one request or one batch at a time)
-/// must all produce bit-identical fingerprints for every admission mode —
-/// including under an injected swap-fault schedule that deterministically
-/// drops every other model install on the exact 1×1 inline topology.
+/// The hot-path exactness oracle: the service at every corner of the
+/// request queue's shape (`queue_depth` ∈ {1, 2, 1024} × `max_batch` ∈
+/// {1, 64} — a queue that blocks on every push up to one that never fills,
+/// stolen one request or one batch at a time) must produce the fingerprint
+/// of the per-request reference (`max_batch = 1` at the default
+/// `queue_depth`: one queue lock and one shard lock per request) bit for
+/// bit, for every admission mode — including under an injected swap-fault
+/// schedule that deterministically drops every other model install on the
+/// exact 1×1 inline topology.
 pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
     use otae_serve::{FaultPlan, SwapFault};
     use std::sync::Arc;
@@ -146,6 +145,30 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
         }
     }
 
+    // Every field, no `..`: a new `ServeConfig` field fails to compile here
+    // until someone decides whether it needs an arm. Only `queue_depth` and
+    // `max_batch` select among ways of reaching the same decisions today.
+    let ServeConfig {
+        shards: _,
+        workers: _,
+        queue_depth: _,
+        policy: _,
+        mode: _,
+        trainer: _,
+        capacity: _,
+        training: _,
+        latency: _,
+        hdd: _,
+        coin_p: _,
+        criteria_iterations: _,
+        m_override: _,
+        max_batch: _,
+        clock: _,
+        faults: _,
+        store: _,
+        store_config: _,
+    } = ServeConfig::new(PolicyKind::Lru, Mode::Original, 0);
+
     let trace = case_trace(seed, n_objects);
     let index = ReaccessIndex::build(&trace);
     let capacity = cap(&trace, 0.02);
@@ -155,28 +178,13 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
         // is Proposal-only.
         let rungs: &[bool] = if mode == Mode::Proposal { &[false, true] } else { &[false] };
         for &faulted in rungs {
-            let mut reference = ServeConfig::new(PolicyKind::Lru, mode, capacity);
+            let base = ServeConfig::new(PolicyKind::Lru, mode, capacity);
+            let mut reference = base.clone();
             reference.max_batch = 1;
-            reference.decision_cache = false;
-            reference.compiled_inference = false;
-            let mut interpreted = ServeConfig::new(PolicyKind::Lru, mode, capacity);
-            interpreted.compiled_inference = false;
-            let compiled = ServeConfig::new(PolicyKind::Lru, mode, capacity);
-            if compiled.max_batch <= 1 || !compiled.decision_cache || !compiled.compiled_inference {
-                return Err(fail(
-                    seed,
-                    "hot-path oracle misconfigured: service defaults are not \
-                     batched + memoized + compiled"
-                        .into(),
-                ));
-            }
-            let mut arms = vec![
-                ("batched".to_string(), interpreted),
-                ("compiled".to_string(), compiled.clone()),
-            ];
+            let mut arms = Vec::new();
             for queue_depth in [1usize, 2, 1024] {
                 for max_batch in [1usize, 64] {
-                    let mut shaped = compiled.clone();
+                    let mut shaped = base.clone();
                     shaped.queue_depth = queue_depth;
                     shaped.max_batch = max_batch;
                     arms.push((format!("queue_depth={queue_depth} max_batch={max_batch}"), shaped));

@@ -38,16 +38,6 @@ impl AdaBoost {
     pub fn n_stages(&self) -> usize {
         self.stages.len()
     }
-
-    /// Fitted stages, for the compiler in [`crate::compiled`].
-    pub(crate) fn stages(&self) -> &[(DecisionTree, f32)] {
-        &self.stages
-    }
-
-    /// Total stage weight, for the compiler in [`crate::compiled`].
-    pub(crate) fn alpha_sum(&self) -> f32 {
-        self.alpha_sum
-    }
 }
 
 impl Classifier for AdaBoost {
@@ -129,10 +119,6 @@ impl Classifier for AdaBoost {
         }
         // Map margin in [-alpha_sum, alpha_sum] to [0, 1].
         (margin / self.alpha_sum + 1.0) * 0.5
-    }
-
-    fn compile(&self) -> Option<crate::CompiledModel> {
-        crate::CompiledAdaBoost::compile(self).ok().map(crate::CompiledModel::Boost)
     }
 
     fn name(&self) -> &'static str {

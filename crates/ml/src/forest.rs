@@ -43,11 +43,6 @@ impl RandomForest {
         self.trees.len()
     }
 
-    /// Fitted member trees, for the compiler in [`crate::compiled`].
-    pub(crate) fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
-
     fn fit_one(
         &self,
         data: &Dataset,
@@ -132,10 +127,6 @@ impl Classifier for RandomForest {
         let n = self.trees.len() as f32;
         sums.iter_mut().for_each(|s| *s /= n);
         sums
-    }
-
-    fn compile(&self) -> Option<crate::CompiledModel> {
-        crate::CompiledForest::compile(self).ok().map(crate::CompiledModel::Forest)
     }
 
     fn name(&self) -> &'static str {

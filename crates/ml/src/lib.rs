@@ -23,7 +23,6 @@
 
 pub mod adaboost;
 pub mod binning;
-pub mod compiled;
 pub mod dataset;
 pub mod feature_select;
 pub mod forest;
@@ -38,7 +37,6 @@ pub mod tree;
 
 pub use adaboost::AdaBoost;
 pub use binning::{BinnedDataset, MAX_BINS};
-pub use compiled::{CompiledAdaBoost, CompiledForest, CompiledModel, CompiledTree};
 pub use dataset::Dataset;
 pub use forest::RandomForest;
 pub use hoeffding::{HoeffdingTree, OnlineClassifier};
@@ -73,23 +71,6 @@ pub trait Classifier: Send + Sync {
     /// Hard decisions for every row at the 0.5 threshold.
     fn predict_batch(&self, data: &Dataset) -> Vec<bool> {
         self.score_batch(data).into_iter().map(|s| s >= 0.5).collect()
-    }
-    /// Positive-class confidences for rows packed in a flat row-major
-    /// buffer, appended to `out`. `rows.len()` must be a multiple of
-    /// `n_features` (and `n_features > 0`). This is the allocation-free hot
-    /// path: callers reuse both the row buffer and the output vector.
-    fn score_rows(&self, rows: &[f32], n_features: usize, out: &mut Vec<f32>) {
-        assert!(n_features > 0, "score_rows requires at least one feature");
-        out.extend(rows.chunks_exact(n_features).map(|row| self.score(row)));
-    }
-    /// Compile the fitted model into its branchless SoA form (see
-    /// [`compiled`]) for the serve hot path. Returns `None` for families
-    /// without a compiled representation, or when the fitted model cannot
-    /// be packed into the compact node table (callers keep the
-    /// interpreted path). Compiled scores are bit-identical to the
-    /// interpreter's.
-    fn compile(&self) -> Option<CompiledModel> {
-        None
     }
     /// Display name (matches Table 1 rows).
     fn name(&self) -> &'static str;

@@ -124,11 +124,6 @@ impl DecisionTree {
         self.n_features
     }
 
-    /// Flattened node array, for the compiler in [`crate::compiled`].
-    pub(crate) fn raw_nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// Depth of the fitted tree (a lone leaf has depth 0).
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], i: u32) -> usize {
@@ -881,27 +876,6 @@ impl Classifier for DecisionTree {
             .collect()
     }
 
-    fn score_rows(&self, rows: &[f32], n_features: usize, out: &mut Vec<f32>) {
-        assert!(n_features > 0, "score_rows requires at least one feature");
-        let nodes = &self.nodes[..];
-        out.extend(rows.chunks_exact(n_features).map(|row| {
-            let mut i = 0u32;
-            loop {
-                match nodes[i as usize] {
-                    Node::Leaf { score } => return score,
-                    Node::Split { feature, threshold, left, right } => {
-                        let x = row.get(feature as usize).copied().unwrap_or(0.0);
-                        i = if x <= threshold { left } else { right };
-                    }
-                }
-            }
-        }));
-    }
-
-    fn compile(&self) -> Option<crate::CompiledModel> {
-        crate::CompiledTree::compile(self).ok().map(crate::CompiledModel::Tree)
-    }
-
     fn name(&self) -> &'static str {
         "Decision Tree"
     }
@@ -1148,28 +1122,6 @@ mod tests {
         tree.fit(&train);
         let batch = tree.score_batch(&test);
         for (i, &s) in batch.iter().enumerate() {
-            assert_eq!(s, tree.score(test.row(i)), "row {i}");
-        }
-    }
-
-    #[test]
-    fn score_rows_matches_per_row_scores() {
-        let train = xor_dataset(1000, 21);
-        let test = xor_dataset(300, 22);
-        let mut tree = DecisionTree::new(TreeParams::default());
-        tree.fit(&train);
-        // Flat reusable buffer, scored in uneven chunks like the serve hot
-        // path does.
-        let mut rows: Vec<f32> = Vec::new();
-        for i in 0..test.len() {
-            rows.extend_from_slice(test.row(i));
-        }
-        let mut out = Vec::new();
-        for chunk in rows.chunks(7 * test.n_features()) {
-            tree.score_rows(chunk, test.n_features(), &mut out);
-        }
-        assert_eq!(out.len(), test.len());
-        for (i, &s) in out.iter().enumerate() {
             assert_eq!(s, tree.score(test.row(i)), "row {i}");
         }
     }

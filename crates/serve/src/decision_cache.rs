@@ -1,17 +1,15 @@
 //! Model-epoch-keyed memoization of admission predictions.
 //!
-//! The classifier's verdict for a request is a pure function of (installed
-//! model, feature row). Repeat lookups of hot objects therefore don't need
-//! a fresh tree walk: a small per-shard FIFO map remembers the last verdict
-//! per object, keyed by the model epoch it was computed under and guarded
-//! by a bit-exact feature comparison. Any hot-swap bumps the epoch and
-//! invalidates the whole cache wholesale — a cached decision must never
-//! survive a model swap.
+//! Not used by the service: bit-exact feature rows never repeat on real
+//! traffic (age, recency and owner averages are continuous), so the memo
+//! never hit and the shards score on a miss instead. The module stays for
+//! its only caller, `benchmark/src/layers.rs` (the `memo.*` probes).
 //!
-//! Only the *prediction* is memoized. Confusion accounting and history-table
-//! rectification (§4.4.2) are stateful and always run per request, which is
-//! why a memoized run is bit-identical to the per-request path (the harness
-//! differential oracle enforces this).
+//! The classifier's verdict for a request is a pure function of (installed
+//! model, feature row): a small FIFO map remembers the last verdict per
+//! object, keyed by the model epoch it was computed under and guarded by a
+//! bit-exact feature comparison. An epoch bump invalidates the whole cache
+//! wholesale — a cached decision must never survive a model swap.
 
 use otae_core::N_FEATURES;
 use otae_fxhash::FxHashMap;

@@ -1,72 +1,49 @@
 //! The shared admission-model slot (hot-swap seam).
 
 use otae_core::TrainedModel;
-use otae_ml::{Classifier, CompiledTree, DecisionTree};
+use otae_ml::{Classifier, DecisionTree};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An installed admission model: the interpreted tree paired with its
-/// branchless compiled twin (see [`otae_ml::compiled`]).
-///
-/// Compilation happens exactly once, at install (or earlier, at the train
-/// boundary via [`TrainedModel`]) — never on the request path. The two
-/// representations score bit-identically, so which one a worker consults
-/// is purely a throughput knob. `compiled` is `None` only for trees that
-/// cannot be packed into the compact node table; scoring then falls back
-/// to the interpreted walk, degrading without panicking.
+/// An installed admission model: the trained tree the shards consult on a
+/// miss.
 #[derive(Debug)]
 pub struct GateModel {
     tree: DecisionTree,
-    compiled: Option<CompiledTree>,
 }
 
 impl GateModel {
-    /// Wrap a freshly trained tree, compiling it now.
+    /// Wrap a freshly trained tree.
     pub fn new(tree: DecisionTree) -> Self {
-        let compiled = tree.compile().and_then(otae_ml::CompiledModel::into_tree);
-        Self { tree, compiled }
+        Self { tree }
     }
 
-    /// Wrap a model that was already compiled at its train boundary.
-    pub fn from_trained(model: TrainedModel) -> Self {
-        Self { tree: model.tree, compiled: model.compiled }
-    }
-
-    /// The interpreted tree (reference semantics).
+    /// The wrapped tree.
     pub fn tree(&self) -> &DecisionTree {
         &self.tree
     }
 
-    /// The compiled twin, when the tree compiled.
-    pub fn compiled(&self) -> Option<&CompiledTree> {
-        self.compiled.as_ref()
-    }
-
-    /// Positive-class confidence for one row (interpreted walk).
+    /// Positive-class confidence for one row. Only caller:
+    /// `benchmark/src/layers.rs`.
     pub fn score(&self, row: &[f32]) -> f32 {
         self.tree.score(row)
     }
 
-    /// Hard decision at the 0.5 threshold (interpreted walk).
+    /// Hard decision at the 0.5 threshold.
     pub fn predict(&self, row: &[f32]) -> bool {
         self.tree.predict(row)
     }
 
-    /// Score fixed-width rows, appended to `out`: the compiled
-    /// level-synchronous walk when `use_compiled` holds (and the model
-    /// compiled), else per-row interpreted scores. Bit-identical either
-    /// way.
+    /// Per-row scores appended to `out`; the flag is ignored. Only caller:
+    /// `benchmark/src/layers.rs` (its `gate.score_batch64` probe).
     pub fn score_rows_fixed<const F: usize>(
         &self,
         rows: &[[f32; F]],
-        use_compiled: bool,
+        _use_compiled: bool,
         out: &mut Vec<f32>,
     ) {
-        match &self.compiled {
-            Some(ct) if use_compiled => ct.score_rows_fixed(rows, out),
-            _ => out.extend(rows.iter().map(|r| self.tree.score(r))),
-        }
+        out.extend(rows.iter().map(|r| self.tree.score(r)));
     }
 }
 
@@ -79,10 +56,8 @@ impl GateModel {
 /// requests see the new one.
 #[derive(Debug, Default)]
 pub struct AdmissionGate {
-    /// Model plus its epoch, updated together under the lock so a snapshot
-    /// can never pair a model with another epoch (decision caches key
-    /// memoized predictions by epoch — a mismatched pair would let a cached
-    /// decision survive a swap).
+    /// Model plus its epoch (the install count), updated together under
+    /// the lock so a snapshot can never pair a model with another epoch.
     slot: RwLock<(Option<Arc<GateModel>>, u64)>,
     /// Lock-free mirror of the epoch, so workers can poll "did the model
     /// change?" with one relaxed load instead of taking the read lock per
@@ -104,21 +79,22 @@ impl AdmissionGate {
 
     /// Snapshot the current model together with its epoch (the install
     /// count at the time the model was installed). The pair is read under
-    /// one lock, so it is always internally consistent.
+    /// one lock, so it is always internally consistent. Only caller outside
+    /// the tests: `benchmark/src/layers.rs`.
     pub fn current_with_epoch(&self) -> (Option<Arc<GateModel>>, u64) {
         let slot = self.slot.read();
         (slot.0.clone(), slot.1)
     }
 
-    /// Install a freshly trained tree, compiling it here (install is off
-    /// the request path) and replacing the previous model.
+    /// Install a freshly trained tree, replacing the previous model.
     pub fn install(&self, model: DecisionTree) {
         self.install_arc(Arc::new(GateModel::new(model)));
     }
 
-    /// Install a model that was compiled at its train boundary.
+    /// [`AdmissionGate::install`] of a wrapped tree. Only caller:
+    /// `benchmark/src/layers.rs`.
     pub fn install_trained(&self, model: TrainedModel) {
-        self.install_arc(Arc::new(GateModel::from_trained(model)));
+        self.install(model.tree);
     }
 
     /// Install an already-shared model.
@@ -171,27 +147,6 @@ mod tests {
         let m = gate.current().expect("installed");
         assert!(m.predict(&[0.9]));
         assert!(!m.predict(&[0.1]));
-    }
-
-    #[test]
-    fn installed_models_carry_a_bit_identical_compiled_twin() {
-        let gate = AdmissionGate::new();
-        gate.install(tree(0.5));
-        let m = gate.current().expect("installed");
-        let ct = m.compiled().expect("fit-built trees always compile");
-        let rows: Vec<[f32; 1]> = (0..100).map(|i| [i as f32 / 100.0]).collect();
-        for row in &rows {
-            assert_eq!(ct.score(row).to_bits(), m.score(row).to_bits());
-        }
-        // Both arms of the fixed-width entry point agree bitwise.
-        let mut compiled = Vec::new();
-        m.score_rows_fixed(&rows, true, &mut compiled);
-        let mut interpreted = Vec::new();
-        m.score_rows_fixed(&rows, false, &mut interpreted);
-        assert_eq!(
-            compiled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            interpreted.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

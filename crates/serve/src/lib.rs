@@ -37,12 +37,12 @@
 //! thread scope every client and worker runs in, so a request is never
 //! copied and its model `Arc` never re-counted on the way to a shard.
 //!
-//! A worker resolves a segment's classifier verdicts up front (decision
-//! cache, then one batched sweep per model) and then drives the shard's
-//! kernel once per request in arrival order — the same
-//! `Kernel::access` / `Admission::decide` / `Accounting::record` sequence
-//! the simulator runs, so the service adds batching, threading and
-//! persistence around the decision logic, never a second copy of it.
+//! A worker drives the shard's kernel once per request of a segment, in
+//! arrival order — the same `Kernel::access` / `Admission::decide` /
+//! `Accounting::record` sequence the simulator runs, the model consulted
+//! inside the admit closure (on a miss, never for a hit) — so the service
+//! adds batching, threading and persistence around the decision logic,
+//! never a second copy of it.
 //!
 //! Two training deliveries are supported ([`TrainerMode`]): *Inline*
 //! stamps each request with the model current at its enqueue point, which
@@ -72,6 +72,7 @@ pub mod shard;
 pub mod store_layer;
 
 pub use clock::{ServiceClock, VirtualClock};
+// Only caller: `benchmark/src/layers.rs` (the `memo.*` probes).
 pub use decision_cache::{feature_bits, DecisionCache, FeatureBits};
 pub use fault::{
     silence_injected_panics, FaultPlan, FaultReport, InjectedFault, NoFaults, RetrainFault,
@@ -105,8 +106,6 @@ mod thread_safety_assertions {
         // Shared service state read by every worker.
         assert_send_sync::<AdmissionGate>();
         assert_send_sync::<ShardedCache>();
-        // Per-shard memoization state lives inside the shard mutex.
-        assert_send::<DecisionCache>();
         // Determinism seams shared across client/worker/retrainer threads.
         assert_send_sync::<VirtualClock>();
         assert_send_sync::<ServiceClock>();

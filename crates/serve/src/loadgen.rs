@@ -142,7 +142,7 @@ mod tests {
                 size: 1,
                 features: [0.0; otae_core::N_FEATURES],
                 truth: false,
-                model: ModelSource::Stamped { model: None, epoch: 0 },
+                model: ModelSource::Stamped { model: None },
             })
             .collect()
     }

@@ -22,13 +22,9 @@ pub enum ModelSource {
     /// this exact snapshot. This makes a 1-shard/1-worker replay reproduce
     /// the single-threaded simulator request for request, because a queued
     /// request can never observe a model trained after its enqueue point.
-    /// `epoch` is the gate's install count when the snapshot was taken —
-    /// the key the per-shard decision cache memoizes verdicts under.
     Stamped {
         /// The snapshotted model (`None` while the gate is cold).
         model: Option<Arc<GateModel>>,
-        /// Gate epoch the snapshot was taken at.
-        epoch: u64,
     },
     /// Model resolved by the worker at dispatch time from the shared
     /// [`AdmissionGate`] — the production path exercised by the background
@@ -92,14 +88,14 @@ pub fn prepare(
         let mut features = [0.0f32; N_FEATURES];
         if is_proposal {
             if inline {
-                if let Some(model) = trainer.maybe_retrain_compiled(req.ts, &mut sampler) {
+                if let Some(model) = trainer.maybe_retrain(req.ts, &mut sampler) {
                     // The same swap-fault seam the background retrainer
                     // consults: a dropped install leaves the previous model
-                    // (and epoch) in place, deterministically, so the
-                    // differential oracle can exercise swap faults on the
-                    // exact 1×1 inline path too.
+                    // in place, deterministically, so the differential
+                    // oracle can exercise swap faults on the exact 1×1
+                    // inline path too.
                     match cfg.faults.swap_fault(swap_attempt) {
-                        SwapFault::Install => gate.install_trained(model),
+                        SwapFault::Install => gate.install(model),
                         SwapFault::Drop => dropped_installs += 1,
                     }
                     swap_attempt += 1;
@@ -115,10 +111,9 @@ pub fn prepare(
             // Original/Ideal and the miss filters (SecondHit, TinyLFU,
             // RejectX, CoinFlip) never consult a model; stamp None so
             // workers skip the gate entirely.
-            ModelSource::Stamped { model: None, epoch: 0 }
+            ModelSource::Stamped { model: None }
         } else if inline {
-            let (model, epoch) = gate.current_with_epoch();
-            ModelSource::Stamped { model, epoch }
+            ModelSource::Stamped { model: gate.current() }
         } else {
             ModelSource::Gate
         };
@@ -182,15 +177,18 @@ mod tests {
         assert!(p.requests[..first_stamped]
             .iter()
             .all(|r| matches!(&r.model, ModelSource::Stamped { model: None, .. })));
-        // Stamped epochs are nondecreasing and track the install count.
-        let mut last_epoch = 0;
+        // Each install stamps a new model, and the last one is the gate's.
+        let mut stamped: Vec<&Arc<GateModel>> = Vec::new();
         for r in &p.requests {
-            if let ModelSource::Stamped { epoch, .. } = r.model {
-                assert!(epoch >= last_epoch);
-                last_epoch = epoch;
+            if let ModelSource::Stamped { model: Some(model) } = &r.model {
+                if !stamped.last().is_some_and(|last| Arc::ptr_eq(last, model)) {
+                    stamped.push(model);
+                }
             }
         }
-        assert_eq!(last_epoch, gate.swaps());
+        assert_eq!(stamped.len() as u64, gate.swaps());
+        let current = gate.current().expect("gate is warm");
+        assert!(Arc::ptr_eq(stamped[stamped.len() - 1], &current));
     }
 
     #[test]

@@ -16,8 +16,9 @@ use crate::fault::{FaultPlan, RetrainFault, SwapFault};
 use crate::gate::AdmissionGate;
 use crate::loadgen::SAMPLE_FLUSH;
 use crossbeam::channel::Receiver;
-use otae_core::daily::{DailyTrainer, MinuteSampler, TrainedModel};
+use otae_core::daily::{DailyTrainer, MinuteSampler};
 use otae_core::{TrainingConfig, N_FEATURES};
+use otae_ml::DecisionTree;
 
 /// One observed request, as forwarded to the retrainer.
 #[derive(Debug, Clone)]
@@ -74,8 +75,9 @@ pub struct RetrainerReport {
 ///
 /// With several client threads the forwarded stream is only approximately
 /// time-ordered (each client submits its own stride in order); the sampler
-/// and trainer tolerate the small interleaving skew, which matches how a
-/// production log tailer would behave.
+/// keeps its own clock monotone ([`MinuteSampler::offer`]), so the small
+/// interleaving skew neither inflates a minute's budget nor unsorts the fit
+/// window — which matches how a production log tailer would behave.
 pub fn run_retrainer(
     rx: Receiver<TrainBatch>,
     gate: &AdmissionGate,
@@ -87,7 +89,7 @@ pub fn run_retrainer(
     let mut sampler = MinuteSampler::new(training.records_per_minute);
     let mut report = RetrainerReport::default();
     // A model whose install was stalled, due once `seen` reaches the mark.
-    let mut pending: Option<(TrainedModel, u64)> = None;
+    let mut pending: Option<(DecisionTree, u64)> = None;
     let mut attempt = 0u32;
     let mut swap_attempt = 0u64;
     let mut seen = 0u64;
@@ -103,9 +105,9 @@ pub fn run_retrainer(
                 pending = Some((model, due));
             }
         }
-        // Training (and compiling, a sliver of the fit cost) happens here,
-        // on the retrainer thread — workers only ever see finished models.
-        if let Some(model) = trainer.maybe_retrain_compiled(msg.ts, &mut sampler) {
+        // Training happens here, on the retrainer thread — workers only
+        // ever see finished models.
+        if let Some(model) = trainer.maybe_retrain(msg.ts, &mut sampler) {
             match plan.retrain_fault(attempt) {
                 RetrainFault::Proceed => {
                     // A fresher model supersedes any still-stalled older one
@@ -137,7 +139,7 @@ pub fn run_retrainer(
 }
 
 fn install(
-    model: TrainedModel,
+    model: DecisionTree,
     gate: &AdmissionGate,
     plan: &dyn FaultPlan,
     rx: &Receiver<TrainBatch>,
@@ -148,7 +150,7 @@ fn install(
     *swap_attempt += 1;
     match fault {
         SwapFault::Install => {
-            gate.install_trained(model);
+            gate.install(model);
             report.installs += 1;
             let backlog = (rx.len() * SAMPLE_FLUSH) as u64;
             report.install_backlog_max = report.install_backlog_max.max(backlog);

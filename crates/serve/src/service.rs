@@ -9,7 +9,7 @@ use crate::intake::{self, Consumer};
 use crate::loadgen::{replay_client, ClientReport, LoadConfig};
 use crate::request::{prepare, ModelSource, PreparedRequest};
 use crate::retrainer::{run_retrainer, RetrainerReport};
-use crate::shard::{BatchScratch, Params, ShardedCache, Snapshot};
+use crate::shard::{Params, ShardedCache, Snapshot};
 use crate::store_layer::{ShardStore, StoreMode};
 use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
@@ -67,20 +67,11 @@ pub struct ServeConfig {
     pub criteria_iterations: usize,
     /// Override the computed one-time-access threshold `M`.
     pub m_override: Option<u64>,
-    /// Most requests a worker drains from the queue per batch (minimum 1).
-    /// Batched requests are grouped by shard and their classifier verdicts
-    /// resolved with one `score_rows` call per (model, epoch) run under a
-    /// single lock acquisition. `1` restores the exact per-request path.
+    /// Most requests a worker steals from the queue under one queue lock
+    /// (minimum 1). A stolen batch is grouped by shard and each group runs
+    /// under a single shard-lock acquisition; `1` takes both locks once per
+    /// request. Decisions do not depend on it.
     pub max_batch: usize,
-    /// Memoize classifier verdicts in a per-shard, model-epoch-keyed
-    /// decision cache (invalidated wholesale on every hot-swap). Decisions
-    /// are bit-identical either way; only repeat tree walks are saved.
-    pub decision_cache: bool,
-    /// Score batched misses with the compiled branchless SoA walk built at
-    /// model install (see [`GateModel`]). Decisions are bit-identical with
-    /// the flag on or off — `false` restores the interpreted tree walk,
-    /// which the differential oracle uses as its reference arm.
-    pub compiled_inference: bool,
     /// Time source for pacing and duration caps (wall by default; virtual
     /// for deterministic harness runs).
     pub clock: ServiceClock,
@@ -114,8 +105,6 @@ impl ServeConfig {
             criteria_iterations: 3,
             m_override: None,
             max_batch: 64,
-            decision_cache: true,
-            compiled_inference: true,
             clock: ServiceClock::Wall,
             faults: Arc::new(NoFaults),
             store: StoreMode::None,
@@ -231,8 +220,6 @@ pub fn serve_trace_with_index(
         mode: cfg.mode,
         use_history: cfg.training.use_history,
         m,
-        decision_cache: cfg.decision_cache,
-        compiled: cfg.compiled_inference,
         hdd: cfg.hdd,
     };
     // Build one segment store per shard before serving starts. A failed
@@ -404,9 +391,10 @@ pub fn serve_trace_with_index(
 /// Drain the request queue into the sharded cache until every client hangs
 /// up: steal up to `max_batch` requests under one queue lock (blocking only
 /// while the queue is empty), group the batch by shard and process each
-/// shard's subsequence as one segment (one lock acquisition, batched
-/// classifier scoring). The batch and the per-shard segments hold borrowed
-/// requests and are reused across batches, so the loop allocates nothing.
+/// shard's subsequence as one segment (one lock acquisition; the model is
+/// consulted per miss inside it). The batch and the per-shard segments hold
+/// borrowed requests and are reused across batches, so the loop allocates
+/// nothing.
 /// Gate-resolved requests share a cached model snapshot that is refreshed
 /// at most once per batch, and only when the gate's lock-free epoch hint
 /// says it moved — the read lock and `Arc` clone leave the per-request path
@@ -424,12 +412,10 @@ fn run_worker(
 ) {
     let max_batch = max_batch.max(1);
     let mut batch: Vec<&PreparedRequest> = Vec::with_capacity(max_batch);
-    let mut scratch = BatchScratch::new();
     // Cached gate snapshot. The sentinel hint (`u64::MAX`) marks "never
     // snapshotted"; real epochs count installs from 0.
     let mut gate_hint = u64::MAX;
     let mut gate_model: Option<Arc<GateModel>> = None;
-    let mut gate_epoch = 0u64;
     let mut segments: Vec<Vec<&PreparedRequest>> =
         (0..sharded.shard_count()).map(|_| Vec::new()).collect();
     let mut touched: Vec<usize> = Vec::with_capacity(sharded.shard_count());
@@ -438,13 +424,11 @@ fn run_worker(
         if batch.iter().any(|r| matches!(r.model, ModelSource::Gate)) {
             let hint = gate.swaps();
             if hint != gate_hint {
-                let (model, epoch) = gate.current_with_epoch();
-                gate_model = model;
-                gate_epoch = epoch;
+                gate_model = gate.current();
                 gate_hint = hint;
             }
         }
-        let snapshot = (gate_model.as_deref(), gate_epoch);
+        let snapshot = gate_model.as_deref();
         for &req in &batch {
             let s = sharded.shard_of(req.object);
             if segments[s].is_empty() {
@@ -457,7 +441,7 @@ fn run_worker(
             let mut start = 0;
             for (i, &req) in segment.iter().enumerate() {
                 if plan.shard_panic(s, req.idx) {
-                    sharded.process_segment(s, &segment[start..i], snapshot, &mut scratch);
+                    sharded.process_segment(s, &segment[start..i], snapshot);
                     start = i + 1;
                     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         sharded.process_with_injected_panic(req)
@@ -466,7 +450,7 @@ fn run_worker(
                     panics.fetch_add(1, Ordering::AcqRel);
                 }
             }
-            sharded.process_segment(s, &segment[start..], snapshot, &mut scratch);
+            sharded.process_segment(s, &segment[start..], snapshot);
             segment.clear();
         }
     }
@@ -738,8 +722,6 @@ mod tests {
             mode: Mode::Proposal,
             use_history: true,
             m,
-            decision_cache: true,
-            compiled: true,
             hdd: HddProfile::default(),
         };
         let sharded =

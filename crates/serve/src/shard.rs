@@ -9,13 +9,12 @@
 //! like a small single-threaded simulator over the subsequence of requests
 //! routed to it: it *is* the simulator's kernel, fed in segments.
 
-use crate::decision_cache::{feature_bits, DecisionCache};
 use crate::gate::GateModel;
 use crate::request::{ModelSource, PreparedRequest};
 use crate::store_layer::{ShardStore, StoreSnapshot};
 use otae_cache::CacheStats;
 use otae_core::pipeline::{Mode, PolicyKind};
-use otae_core::{Accounting, Admission, CacheEvent, Kernel, MissFilter, N_FEATURES};
+use otae_core::{Accounting, Admission, CacheEvent, Kernel, MissFilter};
 use otae_device::{HddProfile, LatencyModel, ResponseTime, ServiceTimeModel};
 use otae_ml::ConfusionMatrix;
 use otae_trace::{ObjectId, Trace};
@@ -28,45 +27,19 @@ pub(crate) struct Params {
     pub mode: Mode,
     pub use_history: bool,
     pub m: u64,
-    /// Memoize classifier verdicts in the per-shard [`DecisionCache`].
-    pub decision_cache: bool,
-    /// Score batched misses with the compiled branchless walk (when the
-    /// installed model compiled). Decisions are bit-identical either way.
-    pub compiled: bool,
     /// HDD profile charging disk-head time per backend miss.
     pub hdd: HddProfile,
 }
 
-/// The model (and gate epoch) `req`'s verdict is resolved against: its own
-/// stamp, or — for [`ModelSource::Gate`] — the caller's `gate` snapshot.
+/// The model `req`'s verdict is resolved against: its own stamp, or — for
+/// [`ModelSource::Gate`] — the caller's `gate` snapshot.
 pub(crate) fn model_for<'m>(
     req: &'m PreparedRequest,
-    gate: (Option<&'m GateModel>, u64),
-) -> (Option<&'m GateModel>, u64) {
+    gate: Option<&'m GateModel>,
+) -> Option<&'m GateModel> {
     match &req.model {
-        ModelSource::Stamped { model, epoch } => (model.as_deref(), *epoch),
+        ModelSource::Stamped { model } => model.as_deref(),
         ModelSource::Gate => gate,
-    }
-}
-
-/// Reusable buffers for the batched scoring pass — one per worker, so the
-/// hot path allocates nothing per request.
-#[derive(Default)]
-pub(crate) struct BatchScratch {
-    /// Per-segment resolved verdicts (`None` = no model installed).
-    preds: Vec<Option<bool>>,
-    /// Fixed-width row buffer for the batched scoring pass — `[f32; 9]`
-    /// elements keep the compiled walk free of per-row slice indirection.
-    rows: Vec<[f32; N_FEATURES]>,
-    /// Scores coming back from the model, parallel to `miss_idx`.
-    scored: Vec<f32>,
-    /// Segment positions whose verdict was not memoized.
-    miss_idx: Vec<usize>,
-}
-
-impl BatchScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -76,66 +49,9 @@ pub(crate) struct ShardState {
     /// `Always` under a filter mode: the filter is shared across shards.
     admission: Admission,
     accounting: Accounting,
-    decisions: DecisionCache,
     /// Segment store backing this shard (admitted bytes + tombstones);
     /// `None` runs the service storeless, exactly as before.
     store: Option<ShardStore>,
-}
-
-impl ShardState {
-    /// Resolve one same-(model, epoch) run of `run` into `scratch.preds`
-    /// (positions `offset..offset + run.len()`): decision-cache hits answer
-    /// immediately; the misses are gathered into one fixed-width row buffer
-    /// and scored in a single batched sweep — the compiled branchless walk
-    /// when `use_compiled` holds — then memoized. Verdicts are exactly
-    /// `model.predict` for every request: memo hits by the cache's epoch +
-    /// bit-exact-feature guard, fresh scores because both the compiled and
-    /// the interpreted batch paths score bit-identically to `predict`.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_run(
-        &mut self,
-        run: &[&PreparedRequest],
-        model: &GateModel,
-        epoch: u64,
-        use_cache: bool,
-        use_compiled: bool,
-        scratch: &mut BatchScratch,
-        offset: usize,
-    ) {
-        scratch.rows.clear();
-        scratch.miss_idx.clear();
-        if use_cache {
-            self.decisions.ensure_epoch(epoch);
-            for (j, req) in run.iter().enumerate() {
-                let bits = feature_bits(&req.features);
-                match self.decisions.lookup(req.object, &bits) {
-                    Some(v) => scratch.preds[offset + j] = Some(v),
-                    None => {
-                        scratch.miss_idx.push(offset + j);
-                        scratch.rows.push(req.features);
-                    }
-                }
-            }
-        } else {
-            for (j, req) in run.iter().enumerate() {
-                scratch.miss_idx.push(offset + j);
-                scratch.rows.push(req.features);
-            }
-        }
-        if scratch.miss_idx.is_empty() {
-            return;
-        }
-        scratch.scored.clear();
-        model.score_rows_fixed(&scratch.rows, use_compiled, &mut scratch.scored);
-        for (&k, &score) in scratch.miss_idx.iter().zip(&scratch.scored) {
-            let v = score >= 0.5;
-            scratch.preds[k] = Some(v);
-            if use_cache {
-                let req = run[k - offset];
-                self.decisions.insert(req.object, feature_bits(&req.features), v);
-            }
-        }
-    }
 }
 
 /// Merged view of the whole service at one point in time, plus the
@@ -207,7 +123,6 @@ impl ShardedCache {
                         params.hdd,
                         params.mode != Mode::Original,
                     ),
-                    decisions: DecisionCache::new(shard_history),
                     store: stores.next(),
                 })
             })
@@ -231,66 +146,28 @@ impl ShardedCache {
     }
 
     /// Process a batch segment routed to shard `shard_idx` under one shard
-    /// lock: first a scoring pass that resolves every classifier verdict
-    /// (memo lookups, then one `score_rows` call per same-(model, epoch)
-    /// run), then the sequential per-request decision pass in arrival
-    /// order. `gate` is the caller's snapshot of the shared gate (model and
-    /// epoch), consulted by [`ModelSource::Gate`] requests; stamped requests
-    /// carry their own. Decisions are bit-identical to driving the kernel
-    /// one request at a time with a scalar `predict` — only the number of
-    /// lock acquisitions and tree walks changes.
+    /// lock, request by request in arrival order through the kernel; the
+    /// model is consulted inside the admit closure, i.e. on a miss only.
+    /// `gate` is the caller's snapshot of the shared gate's model, consulted
+    /// by [`ModelSource::Gate`] requests; stamped requests carry their own.
+    /// Decisions are identical to one-request segments — only the number of
+    /// lock acquisitions changes.
     pub(crate) fn process_segment(
         &self,
         shard_idx: usize,
         segment: &[&PreparedRequest],
-        gate: (Option<&GateModel>, u64),
-        scratch: &mut BatchScratch,
+        gate: Option<&GateModel>,
     ) {
         if segment.is_empty() {
             return;
         }
-        let p = &self.params;
         let mut guard = self.shards[shard_idx].lock();
-        let shard = &mut *guard;
-        scratch.preds.clear();
-        scratch.preds.resize(segment.len(), None);
-        if p.mode.is_learned() {
-            let mut start = 0;
-            while start < segment.len() {
-                let (model, epoch) = model_for(segment[start], gate);
-                let mut end = start + 1;
-                while end < segment.len() {
-                    let (m2, e2) = model_for(segment[end], gate);
-                    let same = match (model, m2) {
-                        (Some(a), Some(b)) => std::ptr::eq(a, b) && epoch == e2,
-                        (None, None) => true,
-                        _ => false,
-                    };
-                    if !same {
-                        break;
-                    }
-                    end += 1;
-                }
-                if let Some(model) = model {
-                    shard.resolve_run(
-                        &segment[start..end],
-                        model,
-                        epoch,
-                        p.decision_cache,
-                        p.compiled,
-                        scratch,
-                        start,
-                    );
-                }
-                start = end;
-            }
-        }
         // Admitted bytes are handed to the shard store inside the critical
         // section by design: `on_admit`'s bounded send is the backpressure
         // seam, and moving store puts outside the lock would reorder them
         // against later requests on the same shard, breaking replay
         // determinism (DESIGN.md §15).
-        let ShardState { kernel, admission, accounting, store, .. } = shard;
+        let ShardState { kernel, admission, accounting, store } = &mut *guard;
         let mut to_store = |event| {
             let Some(store) = store.as_mut() else { return };
             match event {
@@ -300,14 +177,19 @@ impl ShardedCache {
                 CacheEvent::Evict { object, .. } => store.on_evict(object.0 as u64),
             }
         };
-        for (k, req) in segment.iter().enumerate() {
+        for req in segment {
             let outcome = kernel.access(
                 req.object,
                 req.size,
                 req.idx,
                 || match &self.filter {
                     Some(filter) => filter.lock().decide(req.object),
-                    None => admission.decide(scratch.preds[k], req.object, req.idx, req.truth),
+                    None => admission.decide(
+                        model_for(req, gate).map(|m| m.predict(&req.features)),
+                        req.object,
+                        req.idx,
+                        req.truth,
+                    ),
                 },
                 &mut to_store,
             );
@@ -386,8 +268,6 @@ mod tests {
             mode,
             use_history: true,
             m: 100,
-            decision_cache: true,
-            compiled: true,
             hdd: HddProfile::default(),
         }
     }
@@ -400,7 +280,7 @@ mod tests {
             size,
             features: [0.0; otae_core::N_FEATURES],
             truth,
-            model: ModelSource::Stamped { model: None, epoch: 0 },
+            model: ModelSource::Stamped { model: None },
         }
     }
 
@@ -410,24 +290,24 @@ mod tests {
     }
 
     /// One request through its shard as a one-request segment.
-    fn process(c: &ShardedCache, req: &PreparedRequest, gate: (Option<&GateModel>, u64)) {
-        c.process_segment(c.shard_of(req.object), &[req], gate, &mut BatchScratch::new());
+    fn process(c: &ShardedCache, req: &PreparedRequest, gate: Option<&GateModel>) {
+        c.process_segment(c.shard_of(req.object), &[req], gate);
     }
 
     /// The per-request reference for the exactness tests: the request kernel
     /// over the same policy and capacity as a 1-shard `sharded(..)`, driven
-    /// one request at a time with a scalar `GateModel::predict` — no
-    /// batching, no memoization, no compiled walk. Returns the counters a
+    /// one request at a time with the verdict computed ahead of the
+    /// hit/miss test — no segments, no shard lock. Returns the counters a
     /// snapshot of the shard must equal.
     fn kernel_reference(
         reqs: &[PreparedRequest],
-        gate: (Option<&GateModel>, u64),
+        gate: Option<&GateModel>,
     ) -> (CacheStats, ConfusionMatrix, u64) {
         let trace = generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
         let mut kernel = Kernel::new(PolicyKind::Lru.build(1 << 20, &trace));
         let mut admission = Admission::new(Mode::Proposal, None, 100, 64, true);
         for req in reqs {
-            let verdict = model_for(req, gate).0.map(|m| m.predict(&req.features));
+            let verdict = model_for(req, gate).map(|m| m.predict(&req.features));
             let admit = || admission.decide(verdict, req.object, req.idx, req.truth);
             kernel.access(req.object, req.size, req.idx, admit, |_| {});
         }
@@ -475,7 +355,7 @@ mod tests {
     fn per_shard_counters_sum_to_merged() {
         let c = sharded(4, Mode::Original);
         for i in 0..500u64 {
-            process(&c, &prepared(i, (i % 37) as u32, 1000, false), (None, 0));
+            process(&c, &prepared(i, (i % 37) as u32, 1000, false), None);
         }
         let snap = c.snapshot();
         assert_eq!(snap.stats.accesses, 500);
@@ -490,8 +370,8 @@ mod tests {
     #[test]
     fn ideal_mode_bypasses_one_time_objects() {
         let c = sharded(2, Mode::Ideal);
-        process(&c, &prepared(0, 1, 1000, true), (None, 0));
-        process(&c, &prepared(1, 2, 1000, false), (None, 0));
+        process(&c, &prepared(0, 1, 1000, true), None);
+        process(&c, &prepared(1, 2, 1000, false), None);
         let snap = c.snapshot();
         assert_eq!(snap.stats.bypasses, 1);
         assert_eq!(snap.stats.files_written, 1);
@@ -501,7 +381,7 @@ mod tests {
     fn injected_panic_leaves_shard_usable_and_counters_untouched() {
         crate::fault::silence_injected_panics();
         let c = sharded(2, Mode::Original);
-        process(&c, &prepared(0, 1, 1000, false), (None, 0));
+        process(&c, &prepared(0, 1, 1000, false), None);
         let req = prepared(1, 1, 1000, false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.process_with_injected_panic(&req)
@@ -509,33 +389,30 @@ mod tests {
         assert!(result.is_err(), "injection must unwind");
         // The shard recovered: same object still hits, counters saw exactly
         // the two *real* requests.
-        process(&c, &prepared(2, 1, 1000, false), (None, 0));
+        process(&c, &prepared(2, 1, 1000, false), None);
         let snap = c.snapshot();
         assert_eq!(snap.stats.accesses, 2);
         assert_eq!(snap.stats.hits, 1);
     }
 
-    /// The tentpole exactness claim at shard granularity: pushing a stream
-    /// through `process_segment` in arbitrary batch sizes — with and
-    /// without the decision cache, with and without the compiled walk —
-    /// must leave counters bit-identical to the kernel driven one request
-    /// at a time, including across a model swap mid-stream.
+    /// The exactness claim at shard granularity: pushing a stream through
+    /// `process_segment` in arbitrary batch sizes must leave counters
+    /// bit-identical to the kernel driven one request at a time, including
+    /// across a model swap mid-stream.
     #[test]
     fn batched_segments_match_per_request_processing_exactly() {
         let model_a = Arc::new(tree(0.5));
         let model_b = tree(0.2);
-        assert!(model_a.compiled().is_some() && model_b.compiled().is_some());
-        // A stream with repeats (memo hits), a swap at the midpoint — the
-        // first half stamped with model A, the second resolving model B
-        // from the gate snapshot — and truths that exercise both confusion
-        // outcomes.
-        let gate = (Some(&model_b), 2u64);
+        // A stream with repeats, a swap at the midpoint — the first half
+        // stamped with model A, the second resolving model B from the gate
+        // snapshot — and truths that exercise both confusion outcomes.
+        let gate = Some(&model_b);
         let reqs: Vec<PreparedRequest> = (0..400u64)
             .map(|i| {
                 let mut r = prepared(i, (i % 23) as u32, 500 + (i % 7) * 100, i % 3 == 0);
                 r.features[0] = (i % 10) as f32 / 10.0;
                 r.model = if i < 200 {
-                    ModelSource::Stamped { model: Some(Arc::clone(&model_a)), epoch: 1 }
+                    ModelSource::Stamped { model: Some(Arc::clone(&model_a)) }
                 } else {
                     ModelSource::Gate
                 };
@@ -549,34 +426,14 @@ mod tests {
         assert!(want_stats.bypasses > 0 && want_stats.files_written > 0);
 
         for batch in [1usize, 3, 32, 400] {
-            for cache_on in [true, false] {
-                for compiled_on in [true, false] {
-                    let trace =
-                        generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
-                    let mut p = params(Mode::Proposal);
-                    p.decision_cache = cache_on;
-                    p.compiled = compiled_on;
-                    let c = ShardedCache::new(
-                        1,
-                        PolicyKind::Lru,
-                        1 << 20,
-                        64,
-                        &trace,
-                        p,
-                        None,
-                        Vec::new(),
-                    );
-                    let mut scratch = BatchScratch::new();
-                    for seg in segment.chunks(batch) {
-                        c.process_segment(0, seg, gate, &mut scratch);
-                    }
-                    let got = c.snapshot();
-                    let tag = format!("batch={batch} cache={cache_on} compiled={compiled_on}");
-                    assert_eq!(got.stats, want_stats, "{tag}");
-                    assert_eq!(got.confusion, want_confusion, "{tag}");
-                    assert_eq!(got.rectifications, want_rectifications, "{tag}");
-                }
+            let c = sharded(1, Mode::Proposal);
+            for seg in segment.chunks(batch) {
+                c.process_segment(0, seg, gate);
             }
+            let got = c.snapshot();
+            assert_eq!(got.stats, want_stats, "batch={batch}");
+            assert_eq!(got.confusion, want_confusion, "batch={batch}");
+            assert_eq!(got.rectifications, want_rectifications, "batch={batch}");
         }
     }
 
@@ -592,13 +449,13 @@ mod tests {
         req.features[0] = 0.9; // one-time under both models
         assert!(model_a.predict(&req.features) && model_b.predict(&req.features));
         req.model = ModelSource::Gate;
-        process(&c, &req, (Some(&model_a), 1));
+        process(&c, &req, Some(&model_a));
         // Same object misses again within M (= 100 in these params), but the
         // gate has swapped to model B in between.
         let mut again = prepared(50, 7, 1000, true);
         again.features[0] = 0.9;
         again.model = ModelSource::Gate;
-        process(&c, &again, (Some(&model_b), 2));
+        process(&c, &again, Some(&model_b));
         let snap = c.snapshot();
         assert_eq!(snap.rectifications, 1, "history must rectify across the swap");
         assert_eq!(snap.stats.bypasses, 1, "first miss bypassed");

@@ -24,12 +24,6 @@ echo "==> benchmark smoke (all five workloads, tiny inputs; its output checks ga
 # store reconciliation: any failed check makes run.sh exit non-zero.
 benchmark/run.sh --smoke > /dev/null
 
-echo "==> bench smoke (tiny binned-training run + 1x1 serve tick)"
-OTAE_BENCH_SMOKE=1 cargo run --release -q -p otae-bench --bin train_throughput
-OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=2000 cargo run --release -q -p otae-bench --bin serve_throughput
-OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench admission_hot_path -- --test
-OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench compiled_inference -- --test
-
 if [[ "${OTAE_HARNESS_SMOKE:-0}" == "1" ]]; then
   echo "==> harness smoke (differential oracle + 3 fault plans)"
   cargo run --release -q -p otae-harness -- --smoke
@@ -41,9 +35,8 @@ if [[ "${OTAE_POLICY_SMOKE:-0}" == "1" ]]; then
 fi
 
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
-  echo "==> store smoke (segment-store throughput, recovery, measured WA)"
-  OTAE_BENCH_SMOKE=1 cargo run --release -q -p otae-bench --bin store_throughput
+  echo "==> store smoke (segment-store criterion bench, one pass)"
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-echo "OK: fmt, otae-lint, clippy, tests, benchmark smoke and bench smoke all clean"
+echo "OK: fmt, otae-lint, clippy, tests and benchmark smoke all clean"
