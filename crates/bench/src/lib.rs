@@ -12,6 +12,7 @@
 //! set, so "`g` GB" here means `g/448` of the trace's unique bytes. Set
 //! `OTAE_OBJECTS` to change the trace size.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

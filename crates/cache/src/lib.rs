@@ -24,6 +24,7 @@
 //! assert!(lru.contains(&2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arc;

@@ -43,6 +43,7 @@
 //!   serve shard     └─▶ Accounting::record(outcome) → ResponseTime, ServiceTimeModel
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

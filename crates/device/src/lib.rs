@@ -7,6 +7,7 @@
 //! the write-rate reductions of Figures 8–9 into lifetime projections — the
 //! paper's headline motivation ("write density threatens SSD lifetime", §1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ftl;

@@ -16,6 +16,7 @@
 //! prints the one-line `cargo run -p otae-harness -- --seed … --plan …`
 //! command that replays it exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod oracle;

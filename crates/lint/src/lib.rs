@@ -9,6 +9,8 @@
 //! The crate is a library plus a thin CLI (`cargo run -p otae-lint`) so the
 //! fixture testsuite and property tests drive the exact engine CI runs.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod config;
 pub mod diag;

@@ -19,6 +19,7 @@
 //!
 //! Everything is deterministic under explicit seeds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaboost;

@@ -57,6 +57,7 @@
 //! the training/swap/shard paths, so a harness can assert the learned
 //! layer degrades to plain caching instead of corrupting state).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

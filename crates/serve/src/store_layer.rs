@@ -155,10 +155,14 @@ pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
     let word = z.to_le_bytes();
     buf.clear();
     buf.reserve(len);
-    while buf.len() + 8 <= len {
-        buf.extend_from_slice(&word);
+    buf.extend_from_slice(&word[..len.min(8)]);
+    // Double the written prefix (always whole words, so the pattern stays
+    // in phase) instead of appending word by word, then copy the partial
+    // remainder from the front.
+    while buf.len() < len {
+        let n = buf.len().min(len - buf.len());
+        buf.extend_from_within(..n);
     }
-    buf.extend_from_slice(&word[..len - buf.len()]);
 }
 
 #[cfg(test)]
@@ -178,6 +182,31 @@ mod tests {
         fill_payload(1, 64, &mut a);
         fill_payload(2, 64, &mut b);
         assert_ne!(a, b, "different keys must differ");
+    }
+
+    #[test]
+    fn payload_bytes_equal_the_word_loop_at_every_length() {
+        // The fill this replaced; stored payloads and every oracle that
+        // recomputes them depend on these exact bytes.
+        fn word_loop(key: u64, len: usize, buf: &mut Vec<u8>) {
+            let mut z = key;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let word = z.to_le_bytes();
+            buf.clear();
+            while buf.len() + 8 <= len {
+                buf.extend_from_slice(&word);
+            }
+            buf.extend_from_slice(&word[..len - buf.len()]);
+        }
+        let (mut got, mut want) = (vec![0xEE; 100], Vec::new());
+        for len in (0..=4096).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]) {
+            let key = 0x9E37_79B9 ^ len as u64;
+            fill_payload(key, len, &mut got);
+            word_loop(key, len, &mut want);
+            assert_eq!(got, want, "len {len}");
+        }
     }
 
     #[test]

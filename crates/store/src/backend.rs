@@ -29,7 +29,11 @@ pub type SegmentId = u32;
 /// threads).
 pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Create an empty segment. Fails if it already exists.
-    fn create(&self, seg: SegmentId) -> Result<(), StoreError>;
+    /// `capacity_hint` is how many bytes the caller expects to append
+    /// before it stops writing to the segment (0 = unknown); a backend may
+    /// use it to place the segment once, and appending past it must still
+    /// work.
+    fn create(&self, seg: SegmentId, capacity_hint: u64) -> Result<(), StoreError>;
     /// Append bytes to a segment's tail.
     fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError>;
     /// Read `len` bytes at `offset`.
@@ -80,12 +84,19 @@ impl MemBackend {
 }
 
 impl Backend for MemBackend {
-    fn create(&self, seg: SegmentId) -> Result<(), StoreError> {
+    fn create(&self, seg: SegmentId, capacity_hint: u64) -> Result<(), StoreError> {
         let mut map = self.segments.lock();
         if map.contains_key(&seg) {
             return Err(StoreError::Corrupt(format!("segment {seg} already exists")));
         }
-        map.insert(seg, Vec::new());
+        // One allocation for the segment's whole life: growing by doubling
+        // copies every byte again and leaves a trail of freed 1, 2, 4 MiB
+        // blocks that same-sized successors cannot reuse. A hint the
+        // allocator cannot honour is dropped, not fatal: `append` grows
+        // the segment as it always did.
+        let mut bytes = Vec::new();
+        let _ = bytes.try_reserve_exact(usize::try_from(capacity_hint).unwrap_or(usize::MAX));
+        map.insert(seg, bytes);
         Ok(())
     }
 
@@ -253,7 +264,7 @@ impl FileBackend {
 }
 
 impl Backend for FileBackend {
-    fn create(&self, seg: SegmentId) -> Result<(), StoreError> {
+    fn create(&self, seg: SegmentId, _capacity_hint: u64) -> Result<(), StoreError> {
         let path = self.path_of(seg);
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
@@ -372,8 +383,8 @@ mod tests {
     use super::*;
 
     fn exercise(backend: &dyn Backend) {
-        backend.create(3).unwrap();
-        assert!(backend.create(3).is_err(), "double create must fail");
+        backend.create(3, 0).unwrap();
+        assert!(backend.create(3, 0).is_err(), "double create must fail");
         backend.append(3, b"hello ").unwrap();
         backend.append(3, b"world").unwrap();
         assert_eq!(backend.len(3).unwrap(), 11);
@@ -381,8 +392,8 @@ mod tests {
         assert_eq!(backend.read_all(3).unwrap(), b"hello world");
         assert!(backend.read_at(3, 8, 10).is_err(), "read past end must fail");
 
-        backend.create(1).unwrap();
-        backend.create(10).unwrap();
+        backend.create(1, 0).unwrap();
+        backend.create(10, 64).unwrap();
         assert_eq!(backend.list().unwrap(), vec![1, 3, 10]);
 
         backend.truncate(3, 5).unwrap();
@@ -410,11 +421,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn capacity_of(backend: &MemBackend, seg: SegmentId) -> usize {
+        backend.segments.lock()[&seg].capacity()
+    }
+
+    #[test]
+    fn mem_segment_filled_to_its_hint_is_allocated_once() {
+        let backend = MemBackend::new();
+        backend.create(0, 4096).unwrap();
+        let reserved = capacity_of(&backend, 0);
+        assert!(reserved >= 4096);
+        for _ in 0..4096 / 64 {
+            backend.append(0, &[0xA5; 64]).unwrap();
+            assert_eq!(capacity_of(&backend, 0), reserved, "append within the hint regrew");
+        }
+        assert_eq!(backend.len(0).unwrap(), 4096);
+    }
+
+    #[test]
+    fn mem_segment_appended_past_its_hint_reads_back_intact() {
+        let backend = MemBackend::new();
+        backend.create(0, 100).unwrap();
+        backend.append(0, &[1; 60]).unwrap();
+        // One record larger than the whole hint.
+        let big: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        backend.append(0, &big).unwrap();
+        backend.append(0, &[2; 7]).unwrap();
+        let all = backend.read_all(0).unwrap();
+        assert_eq!(all.len(), 1067);
+        assert_eq!(&all[..60], &[1; 60]);
+        assert_eq!(&all[60..1060], &big[..]);
+        assert_eq!(backend.read_at(0, 1060, 7).unwrap(), [2; 7]);
+    }
+
+    #[test]
+    fn mem_segment_without_a_hint_starts_unallocated() {
+        let backend = MemBackend::new();
+        backend.create(0, 0).unwrap();
+        assert_eq!(capacity_of(&backend, 0), 0);
+        backend.append(0, b"grows on demand").unwrap();
+        assert_eq!(backend.read_all(0).unwrap(), b"grows on demand");
+        // A hint no allocator can honour is dropped, not fatal.
+        backend.create(1, u64::MAX).unwrap();
+        backend.append(1, b"still works").unwrap();
+        assert_eq!(backend.read_all(1).unwrap(), b"still works");
+    }
+
     #[test]
     fn mem_backend_clones_share_the_device() {
         let a = MemBackend::new();
         let b = a.clone();
-        a.create(0).unwrap();
+        a.create(0, 0).unwrap();
         a.append(0, b"persisted").unwrap();
         drop(a); // "crash": the handle dies, the device survives
         assert_eq!(b.read_all(0).unwrap(), b"persisted");

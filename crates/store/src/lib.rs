@@ -32,6 +32,10 @@
 //! reopen the same "device" with no filesystem, wall clock, or entropy
 //! involved.
 
+// `deny`, not `forbid` like every other workspace crate: `record::crc32`
+// carries the one allowed `unsafe` block, the run-time-checked call into
+// its `#[target_feature]` kernel.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

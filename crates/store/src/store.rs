@@ -7,7 +7,7 @@ use crate::backend::{Backend, SegmentId};
 use crate::fault::StoreFaultPlan;
 use crate::index::{Location, StoreIndex};
 use crate::intake::Intake;
-use crate::record::{decode_record, RecordKind, MAX_PAYLOAD};
+use crate::record::{decode_record, RecordError, RecordKind, HEADER_LEN, MAX_PAYLOAD};
 use crate::write_buffer::{GroupBuffer, StagedKind};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use otae_device::WearLedger;
@@ -325,7 +325,7 @@ impl SegmentStore {
         report.live_records = index.len() as u64;
 
         let active = existing.last().map_or(0, |&s| s + 1);
-        create_segment(backend.as_ref(), active)?;
+        create_segment(backend.as_ref(), active, &cfg)?;
         index.add_segment(active);
 
         let shared = Arc::new(Shared {
@@ -496,8 +496,16 @@ impl Drop for SegmentStore {
     }
 }
 
-fn create_segment(backend: &dyn Backend, seg: SegmentId) -> Result<(), StoreError> {
-    backend.create(seg)?;
+/// Create segment `seg` with its header. The writer rolls at the first
+/// record staged at or past `segment_bytes`, so a segment ends up to one
+/// record beyond it; `group_bytes` stands in for that record in the
+/// capacity hint (a larger one costs the backend one regrowth).
+fn create_segment(
+    backend: &dyn Backend,
+    seg: SegmentId,
+    cfg: &StoreConfig,
+) -> Result<(), StoreError> {
+    backend.create(seg, cfg.segment_bytes.saturating_add(cfg.group_bytes))?;
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
     header.extend_from_slice(&SEGMENT_MAGIC);
     header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -514,6 +522,9 @@ fn recovery_threads(configured: usize) -> usize {
     }
 }
 
+/// Where one decoded record sits in its segment: `(key, kind, offset, len)`.
+type RecordMeta = (u64, RecordKind, u64, u64);
+
 /// What one segment scan found: record metadata in file order, plus any
 /// torn-tail repair. Segments are independent by construction (a record
 /// never spans segments), so scans can run concurrently and the index
@@ -521,8 +532,7 @@ fn recovery_threads(configured: usize) -> usize {
 /// result is identical to the sequential scan, whatever the thread count.
 struct SegmentScan {
     seg: SegmentId,
-    /// `(key, kind, offset, len)` per decoded record.
-    records: Vec<(u64, RecordKind, u64, u64)>,
+    records: Vec<RecordMeta>,
     torn_tail: bool,
     truncated_bytes: u64,
 }
@@ -543,29 +553,37 @@ fn scan_one(
     {
         return Err(StoreError::Corrupt(format!("segment {seg}: bad or short header")));
     }
-    let mut scan = SegmentScan { seg, records: Vec::new(), torn_tail: false, truncated_bytes: 0 };
+    let (records, stopped) = walk_records(&bytes);
+    let mut scan = SegmentScan { seg, records, torn_tail: false, truncated_bytes: 0 };
+    if let Some((offset, err)) = stopped {
+        if !tolerate_tail {
+            return Err(StoreError::Corrupt(format!(
+                "segment {seg}: record at offset {offset} unreadable mid-log: {err}"
+            )));
+        }
+        backend.truncate(seg, offset)?;
+        scan.torn_tail = true;
+        scan.truncated_bytes = bytes.len() as u64 - offset;
+    }
+    Ok(scan)
+}
+
+/// Decode (and so checksum) a segment's records in file order, once, plus
+/// where and why the walk stopped if a record failed to decode. `bytes` is
+/// the whole segment, header included.
+fn walk_records(bytes: &[u8]) -> (Vec<RecordMeta>, Option<(u64, RecordError)>) {
+    let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
     while (offset as usize) < bytes.len() {
         match decode_record(&bytes[offset as usize..]) {
             Ok((record, consumed)) => {
-                scan.records.push((record.key, record.kind, offset, consumed));
+                records.push((record.key, record.kind, offset, consumed));
                 offset += consumed;
             }
-            Err(err) => {
-                if !tolerate_tail {
-                    return Err(StoreError::Corrupt(format!(
-                        "segment {seg}: record at offset {offset} unreadable mid-log: {err}"
-                    )));
-                }
-                let torn = bytes.len() as u64 - offset;
-                backend.truncate(seg, offset)?;
-                scan.torn_tail = true;
-                scan.truncated_bytes += torn;
-                break;
-            }
+            Err(err) => return (records, Some((offset, err))),
         }
     }
-    Ok(scan)
+    (records, None)
 }
 
 /// Scan every segment, concurrently when `threads > 1`. Results come back
@@ -812,7 +830,7 @@ impl Writer {
     fn roll(&mut self) -> Result<(), StoreError> {
         debug_assert!(self.group.is_empty(), "roll with staged records would split the group");
         let next = self.active + 1;
-        create_segment(self.backend.as_ref(), next)?;
+        create_segment(self.backend.as_ref(), next, &self.cfg)?;
         {
             let mut ix = self.shared.index.lock();
             ix.seal_segment(self.active);
@@ -1005,44 +1023,39 @@ impl Writer {
             return Err(StoreError::Corrupt(format!("compaction victim {victim}: bad header")));
         }
 
-        // Pass 1: how many put records for each key live *in this segment*
-        // (any version), so pass 2 can tell whether a tombstone still
-        // shadows a put in some other segment.
+        // Pass 1: decode every record once, then count how many put records
+        // for each key live *in this segment* (any version), so pass 2 can
+        // tell whether a tombstone still shadows a put in some other
+        // segment.
+        let (records, stopped) = walk_records(&bytes);
+        if let Some((offset, e)) = stopped {
+            return Err(StoreError::Corrupt(format!(
+                "compaction victim {victim}: record at {offset} unreadable: {e}"
+            )));
+        }
         let mut puts_here: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut offset = SEGMENT_HEADER_LEN;
-        while (offset as usize) < bytes.len() {
-            let (record, consumed) = decode_record(&bytes[offset as usize..]).map_err(|e| {
-                StoreError::Corrupt(format!(
-                    "compaction victim {victim}: record at {offset} unreadable: {e}"
-                ))
-            })?;
-            if record.kind == RecordKind::Put {
-                *puts_here.entry(record.key).or_insert(0) += 1;
+        for &(key, kind, ..) in &records {
+            if kind == RecordKind::Put {
+                *puts_here.entry(key).or_insert(0) += 1;
             }
-            offset += consumed;
         }
 
         // Pass 2: rewrite what must survive, streamed through the same
-        // group-commit buffer as the host path. Relocations are applied
-        // when each group lands — safe because this writer thread is the
-        // only index mutator, so the stage-time liveness decisions cannot
-        // go stale before the flush.
+        // group-commit buffer as the host path; payloads are sliced out of
+        // the bytes pass 1 verified. Relocations are applied when each
+        // group lands — safe because this writer thread is the only index
+        // mutator, so the stage-time liveness decisions cannot go stale
+        // before the flush.
         let mut report = CompactReport { victim: Some(victim), ..CompactReport::default() };
-        let mut offset = SEGMENT_HEADER_LEN;
-        while (offset as usize) < bytes.len() {
-            let (record, consumed) = decode_record(&bytes[offset as usize..])
-                .map_err(|e| StoreError::Corrupt(format!("victim {victim} reread: {e}")))?;
+        for (key, kind, offset, consumed) in records {
             let from = Location { segment: victim, offset, len: consumed };
-            match record.kind {
+            match kind {
                 RecordKind::Put => {
-                    let is_current = self.shared.index.lock().get(record.key) == Some(from);
+                    let is_current = self.shared.index.lock().get(key) == Some(from);
                     if is_current {
-                        self.stage_gc(
-                            record.key,
-                            RecordKind::Put,
-                            record.payload,
-                            StagedKind::GcPut { from },
-                        )?;
+                        let payload =
+                            &bytes[offset as usize + HEADER_LEN..(offset + consumed) as usize];
+                        self.stage_gc(key, RecordKind::Put, payload, StagedKind::GcPut { from })?;
                         report.rewritten_bytes += consumed;
                         report.rewritten_records += 1;
                     }
@@ -1050,23 +1063,16 @@ impl Writer {
                 RecordKind::Tombstone => {
                     let shadows_elsewhere = {
                         let ix = self.shared.index.lock();
-                        ix.get(record.key).is_none()
-                            && ix.puts_on_disk(record.key)
-                                > puts_here.get(&record.key).copied().unwrap_or(0)
+                        ix.get(key).is_none()
+                            && ix.puts_on_disk(key) > puts_here.get(&key).copied().unwrap_or(0)
                     };
                     if shadows_elsewhere {
-                        self.stage_gc(
-                            record.key,
-                            RecordKind::Tombstone,
-                            &[],
-                            StagedKind::GcTombstone,
-                        )?;
+                        self.stage_gc(key, RecordKind::Tombstone, &[], StagedKind::GcTombstone)?;
                         report.rewritten_bytes += consumed;
                         report.rewritten_records += 1;
                     }
                 }
             }
-            offset += consumed;
         }
         // Land the tail group (and its relocations) before the victim can
         // be deleted out from under still-pointing index entries.

@@ -145,4 +145,23 @@ proptest! {
         bad[pos] ^= 1 << bit;
         prop_assert_ne!(clean, crc32(&bad), "single-bit flip must change the crc");
     }
+
+    /// Whichever kernel `crc32` dispatches to (carry-less-multiply folding
+    /// from 64 bytes up on x86_64, the table walk otherwise) computes the
+    /// polynomial's defining bit-at-a-time recurrence. The crate's private
+    /// table walk is pinned to the same recurrence by a unit test, so this
+    /// is kernel ≡ table walk from outside the crate.
+    #[test]
+    fn crc32_equals_the_bitwise_definition(
+        data in proptest::collection::vec(any::<u8>(), 0..8192),
+    ) {
+        let mut reg = u32::MAX;
+        for &byte in &data {
+            reg ^= u32::from(byte);
+            for _ in 0..8 {
+                reg = if reg & 1 != 0 { (reg >> 1) ^ 0xEDB8_8320 } else { reg >> 1 };
+            }
+        }
+        prop_assert_eq!(crc32(&data), !reg);
+    }
 }

@@ -27,6 +27,7 @@
 //! assert!(stats.one_time_object_fraction > 0.4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

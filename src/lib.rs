@@ -13,6 +13,7 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
