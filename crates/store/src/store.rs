@@ -1490,6 +1490,150 @@ mod tests {
         assert!(out.is_empty(), "missing key clears the buffer");
     }
 
+    /// A seeded mixed workload: puts of 0..700 bytes (empty payloads
+    /// included), removes and two explicit compactions over a small key
+    /// space, flushed and closed. Returns an FNV-1a digest of every
+    /// segment's id, length and bytes in id order.
+    fn run_pinned_workload(queue_depth: usize) -> u64 {
+        let backend = MemBackend::new();
+        let cfg = StoreConfig {
+            segment_bytes: 6_000,
+            queue_depth,
+            compact_trigger: None,
+            group_records: 8,
+            ..Default::default()
+        };
+        let (store, _) = open_mem(&backend, cfg);
+        let mut z = 0x0005_EED5_EED5_EEDu64;
+        for step in 0..300u64 {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            let key = (z >> 8) % 48;
+            match z % 20 {
+                0..=12 => {
+                    let len = if z % 7 == 0 { 0 } else { ((z >> 20) % 700) as usize };
+                    store.put(key, &payload(key ^ step, len)).unwrap();
+                }
+                _ => store.remove(key).unwrap(),
+            }
+            if step == 150 || step == 260 {
+                let report = store.compact().unwrap();
+                assert!(report.rewritten_records > 0, "compaction must move records");
+            }
+        }
+        store.flush().unwrap();
+        assert!(store.stats().segments > 5, "the workload must roll segments");
+        drop(store);
+
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for seg in backend.list().unwrap() {
+            let bytes = backend.read_all(seg).unwrap();
+            eat(&seg.to_le_bytes());
+            eat(&(bytes.len() as u64).to_le_bytes());
+            eat(&bytes);
+        }
+        digest
+    }
+
+    #[test]
+    fn segment_bytes_are_pinned_at_every_queue_depth() {
+        // Recorded before the put path stopped copying payloads into a
+        // staging buffer: the same command sequence must leave the same
+        // bytes on the device however commands batch into groups.
+        const PINNED: u64 = 0xE376_E583_9B7E_D116;
+        for queue_depth in [1usize, 2, 8, 64] {
+            assert_eq!(run_pinned_workload(queue_depth), PINNED, "queue_depth {queue_depth}");
+        }
+    }
+
+    /// A writer driven by hand instead of by its thread: commands apply in
+    /// call order, so what lands in one write group is exact.
+    fn bare_writer(backend: &MemBackend, cfg: StoreConfig, plan: CrashAt) -> Writer {
+        let backend: Arc<dyn Backend> = Arc::new(backend.clone());
+        create_segment(backend.as_ref(), 0, &cfg).unwrap();
+        let mut index = StoreIndex::new();
+        index.add_segment(0);
+        let shared = Arc::new(Shared {
+            index: Mutex::new(index),
+            io: RwLock::new(()),
+            counters: Counters::new(),
+            crashed: AtomicBool::new(false),
+        });
+        Writer {
+            backend,
+            shared,
+            intake: Arc::new(Intake::new(cfg.queue_depth)),
+            cfg,
+            faults: Arc::new(plan),
+            active: 0,
+            active_bytes: 0,
+            seq: 0,
+            group: GroupBuffer::new(),
+        }
+    }
+
+    fn put_cmd(key: u64, len: usize) -> Cmd {
+        Cmd::Put { key, payload: payload(key, len) }
+    }
+
+    #[test]
+    fn crash_cut_lands_at_the_same_byte_wherever_it_falls_in_a_group() {
+        // One landed group, then a six-record group mixing puts and
+        // tombstones. The seam cuts after record `at` of the second group
+        // and tears `torn` bytes: the segment must end exactly at the crash
+        // record's end minus the tear (clamped to that record), and
+        // recovery must see the acked prefix plus the crash record only
+        // when it survived whole.
+        let lens = |payloads: &[Option<usize>]| -> Vec<u64> {
+            payloads.iter().map(|p| (HEADER_LEN + p.unwrap_or(0)) as u64).collect()
+        };
+        let first = [Some(90), Some(10)];
+        let second = [Some(120), None, None, Some(64), Some(300), None];
+        for at in [0usize, 2, 3, 5] {
+            for torn in [0u64, 17, u64::MAX] {
+                let backend = MemBackend::new();
+                let seq = (first.len() + at) as u64;
+                let mut w = bare_writer(&backend, cfg(1 << 20), CrashAt { seq, torn_tail: torn });
+                let mut key = 0u64;
+                let mut apply = |w: &mut Writer, p: Option<usize>| {
+                    key += 1;
+                    let cmd = p.map_or(Cmd::Remove { key }, |len| put_cmd(key, len));
+                    assert!(matches!(w.handle(cmd), WriterStep::Ok));
+                };
+                for p in first {
+                    apply(&mut w, p);
+                }
+                assert!(matches!(w.flush_host(), WriterStep::Ok));
+                for p in second {
+                    apply(&mut w, p);
+                }
+                assert!(matches!(w.flush_host(), WriterStep::Crashed));
+
+                let landed: u64 = lens(&first).iter().chain(&lens(&second)[..=at]).sum();
+                let crash_len = lens(&second)[at];
+                let want = SEGMENT_HEADER_LEN + landed - torn.min(crash_len);
+                assert_eq!(backend.len(0).unwrap(), want, "at {at} torn {torn}");
+                assert_eq!(
+                    w.shared.counters.acked_puts.load(Ordering::Relaxed)
+                        + w.shared.counters.acked_removes.load(Ordering::Relaxed),
+                    seq
+                );
+                drop(w);
+
+                let (_, rec) = open_mem(&backend, cfg(1 << 20));
+                let whole = torn == 0;
+                assert_eq!(rec.records, seq + u64::from(whole), "at {at} torn {torn}");
+                assert_eq!(rec.torn_tail, !whole && torn < crash_len, "at {at} torn {torn}");
+            }
+        }
+    }
+
     #[test]
     fn parallel_recovery_matches_sequential() {
         let backend = MemBackend::new();
