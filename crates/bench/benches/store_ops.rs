@@ -4,7 +4,6 @@
 //! next to `benchmark/`'s `store.*` per-layer metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use otae_serve::fill_payload;
 use otae_store::{MemBackend, NoStoreFaults, SegmentStore, StoreConfig};
 use std::sync::Arc;
 
@@ -33,15 +32,14 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// Put `n` deterministic records and flush — the measured unit of the
-/// append benchmarks.
+/// append benchmarks. Payloads are written in place through `put_with`,
+/// the call `otae-serve`'s shards make.
 fn append_batch(store: &SegmentStore, n: usize) {
     let mut state = 0x5EEDu64;
-    let mut buf = Vec::new();
     for _ in 0..n {
         let r = splitmix(&mut state);
         let key = r % KEYS;
-        fill_payload(key, 64 + (r % 512) as usize, &mut buf);
-        store.put(key, &buf).expect("put");
+        store.put_with(key, 64 + (r % 512) as usize, |dst| dst.fill(r as u8)).expect("put");
     }
     store.flush().expect("flush");
 }

@@ -8,16 +8,15 @@
 //! written (device wear), and the backend disk-head-time the misses cost
 //! (total and the worst 60-second window, the provisioning number).
 
-use crate::common::{f4, gb_to_bytes, smoke_mode, standard_trace, BenchJson, Table};
+use crate::common::{f4, gb_to_bytes, smoke_mode, standard_trace, Table};
 use otae_core::reaccess::ReaccessIndex;
 use otae_core::sweep::{grid, sweep};
 use otae_core::{Mode, PolicyKind, RunConfig};
 
-/// Capacity used for the `BENCH_policy.json` summary cells (paper GB).
+/// The one capacity a smoke run sweeps (paper GB).
 const SUMMARY_GB: f64 = 8.0;
 
-/// Run the zoo sweep, print the grid, and merge the summary capacity's
-/// cells into `BENCH_policy.json`.
+/// Run the zoo sweep, print the grid and write `results/policy_sweep.csv`.
 pub fn run() {
     let smoke = smoke_mode();
     let trace = standard_trace();
@@ -33,9 +32,7 @@ pub fn run() {
 
     let points = grid(evictions, &Mode::ALL, &caps);
     let base = RunConfig::new(PolicyKind::Lru, Mode::Original, caps[0]);
-    let start = std::time::Instant::now();
     let results = sweep(&trace, &index, &points, &base, 0);
-    let wall = start.elapsed().as_secs_f64();
 
     let mut t = Table::new(
         "Policy sweep: admission zoo × eviction × capacity",
@@ -67,24 +64,4 @@ pub fn run() {
         ]);
     }
     t.emit("policy_sweep");
-
-    // Machine-readable artifact: every (admission, eviction, capacity)
-    // cell's hit rate, write rate, flash bytes written, and disk-head-time
-    // (total + peak window), keyed `{admission}_{eviction}_{gb}gb_{metric}`.
-    let mut json = BenchJson::new("policy_sweep");
-    json.stage("policy_sweep_grid", wall, results.len() as f64 / wall.max(1e-9));
-    for r in &results {
-        let cell = format!(
-            "{}_{}_{}gb",
-            r.mode.name().to_ascii_lowercase(),
-            r.policy.name().to_ascii_lowercase(),
-            gb_of(r.capacity),
-        );
-        json.metric(&format!("{cell}_hit_rate"), r.stats.file_hit_rate());
-        json.metric(&format!("{cell}_write_rate"), r.stats.file_write_rate());
-        json.metric(&format!("{cell}_flash_bytes_written"), r.stats.bytes_written as f64);
-        json.metric(&format!("{cell}_dt_total_s"), r.service_time.total_us() as f64 / 1e6);
-        json.metric(&format!("{cell}_dt_peak_ms"), r.service_time.peak_window_us() as f64 / 1e3);
-    }
-    json.merge_write("BENCH_policy.json");
 }

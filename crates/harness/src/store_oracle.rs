@@ -194,13 +194,16 @@ pub fn store_recovery_oracle(seed: u64) -> Result<(), HarnessFailure> {
 
     // Crash schedules: at an early, middle and late append, with the
     // in-flight record left whole, partially torn, and fully torn. The
-    // grid runs twice: once with the default group-commit shape, and once
-    // with tiny 7-record groups so the crash seqs land strictly *inside*
-    // write groups — the mid-group kill rung. A mid-group kill must
-    // recover exactly the acked prefix (plus the crash record when its
-    // tail survives whole), identically to the record-at-a-time contract.
+    // grid runs three times: with the default group-commit shape; with
+    // tiny 7-record groups so the crash seqs land strictly *inside* write
+    // groups — the mid-group kill rung, which must recover exactly the
+    // acked prefix (plus the crash record when its tail survives whole),
+    // identically to the record-at-a-time contract; and with a one-slot
+    // intake, where nearly every push waits for space, so the crash lands
+    // among records their callers framed rather than the writer.
     let grouped = StoreConfig { group_records: 7, ..cfg };
-    for (tag, cfg) in [("", cfg), ("mid-group ", grouped)] {
+    let one_slot = StoreConfig { queue_depth: 1, ..cfg };
+    for (tag, cfg) in [("", cfg), ("mid-group ", grouped), ("one-slot ", one_slot)] {
         for &crash_seq in &[5u64, 150, 295] {
             for &torn in &[0u64, 17, u64::MAX] {
                 let label = format!("{tag}seq {crash_seq} torn {torn}");

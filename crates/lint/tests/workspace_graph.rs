@@ -57,3 +57,48 @@ fn request_handoff_clones_nothing() {
         .collect();
     assert!(clones.is_empty(), "{}", clones.join("\n"));
 }
+
+/// The workspace has exactly one use of the `unsafe` keyword — the
+/// run-time-checked call into the CRC kernel in `otae-store` — and the
+/// compiler holds that line everywhere else: every workspace crate's
+/// `lib.rs` forbids `unsafe_code`, except `otae-store`'s, which denies it
+/// (so the one site can carry its `allow`). Counted on lexed tokens over
+/// every first-party file (`crates/`, `src/`, `benchmark/src`, tests,
+/// benches, examples), so strings and comments do not count.
+#[test]
+fn one_unsafe_block_in_the_workspace_and_every_crate_forbids_more() {
+    let root = walk::workspace_root(None);
+    let mut unsafe_sites = Vec::new();
+    let mut libs = 0;
+    for rel in walk::collect(&root) {
+        let path = walk::rule_path(&rel);
+        let src = std::fs::read_to_string(root.join(&rel)).expect("workspace file readable");
+        let lexed = otae_lint::lex(&src);
+        let idents = || {
+            lexed
+                .tokens
+                .iter()
+                .filter(|t| t.kind == otae_lint::TokenKind::Ident)
+                .map(|t| (&src[t.start..t.end], t.line))
+        };
+        unsafe_sites.extend(
+            idents()
+                .filter(|(word, _)| *word == "unsafe")
+                .map(|(_, line)| format!("{path}:{line}")),
+        );
+        let is_crate_lib =
+            path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
+        if is_crate_lib {
+            libs += 1;
+            let level = if path == "crates/store/src/lib.rs" { "deny" } else { "forbid" };
+            let words: Vec<&str> = idents().map(|(word, _)| word).collect();
+            assert!(
+                words.windows(2).any(|w| w == [level, "unsafe_code"]),
+                "{path} must carry #![{level}(unsafe_code)]"
+            );
+        }
+    }
+    assert_eq!(libs, 11, "ten crates under crates/ plus the root crate");
+    assert_eq!(unsafe_sites.len(), 1, "unsafe sites: {unsafe_sites:?}");
+    assert!(unsafe_sites[0].starts_with("crates/store/src/record.rs:"), "{unsafe_sites:?}");
+}

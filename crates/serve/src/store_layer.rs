@@ -42,12 +42,11 @@ impl StoreMode {
     }
 }
 
-/// One shard's store handle plus its reusable payload buffer and error
-/// tally. Lives inside the shard mutex, so store traffic is ordered
-/// exactly like the shard's decision stream.
+/// One shard's store handle plus its error tally. Lives inside the shard
+/// mutex, so store traffic is ordered exactly like the shard's decision
+/// stream.
 pub(crate) struct ShardStore {
     store: SegmentStore,
-    buf: Vec<u8>,
     errors: u64,
 }
 
@@ -72,18 +71,18 @@ impl ShardStore {
                     SegmentStore::open(Arc::new(backend), cfg, Arc::new(NoStoreFaults))?.0
                 }
             };
-            out.push(ShardStore { store, buf: Vec::new(), errors: 0 });
+            out.push(ShardStore { store, errors: 0 });
         }
         Ok(out)
     }
 
     /// Persist an admitted object: a deterministic payload of its real
     /// size (clamped to the record cap), so recovery oracles can verify
-    /// content, not just presence.
+    /// content, not just presence. The bytes are generated straight into
+    /// the store's record buffer.
     pub(crate) fn on_admit(&mut self, key: u64, size: u64) {
         let len = size.min(MAX_PAYLOAD as u64) as usize;
-        fill_payload(key, len, &mut self.buf);
-        if self.store.put(key, &self.buf).is_err() {
+        if self.store.put_with(key, len, |dst| fill_payload_slice(key, dst)).is_err() {
             self.errors += 1;
         }
     }
@@ -143,16 +142,25 @@ impl StoreSnapshot {
     }
 }
 
-/// Deterministic payload for object `key`: the SplitMix64 finalizer of the
-/// key, repeated as little-endian words to `len` bytes. Cheap to generate,
-/// unique per object, and reproducible anywhere (the recovery oracle
-/// recomputes it to verify read-back content).
-pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
+/// The 8-byte word a payload repeats: the SplitMix64 finalizer of the key.
+fn payload_word(key: u64) -> [u8; 8] {
     let mut z = key;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
-    let word = z.to_le_bytes();
+    z.to_le_bytes()
+}
+
+/// Deterministic payload for object `key`: the SplitMix64 finalizer of the
+/// key, repeated as little-endian words to `len` bytes. Cheap to generate,
+/// unique per object, and reproducible anywhere (the recovery oracle
+/// recomputes it to verify read-back content).
+///
+/// Grows `buf` by `extend_from_within` rather than sizing it and calling
+/// [`fill_payload_slice`]: a reused `Vec` would first be zero-filled up to
+/// `len`, a second pass over bytes about to be overwritten.
+pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
+    let word = payload_word(key);
     buf.clear();
     buf.reserve(len);
     buf.extend_from_slice(&word[..len.min(8)]);
@@ -162,6 +170,21 @@ pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
     while buf.len() < len {
         let n = buf.len().min(len - buf.len());
         buf.extend_from_within(..n);
+    }
+}
+
+/// [`fill_payload`] over memory that already exists: overwrite all of
+/// `dst` with the payload of `key` at length `dst.len()`. What the shard
+/// hands `SegmentStore::put_with`.
+pub(crate) fn fill_payload_slice(key: u64, dst: &mut [u8]) {
+    let word = payload_word(key);
+    let mut filled = dst.len().min(8);
+    dst[..filled].copy_from_slice(&word[..filled]);
+    // The same doubling, in place.
+    while filled < dst.len() {
+        let n = filled.min(dst.len() - filled);
+        dst.copy_within(..n, filled);
+        filled += n;
     }
 }
 
@@ -206,6 +229,10 @@ mod tests {
             fill_payload(key, len, &mut got);
             word_loop(key, len, &mut want);
             assert_eq!(got, want, "len {len}");
+            // The in-place form writes the same bytes over stale ones.
+            let mut in_place = vec![0xEE; len];
+            fill_payload_slice(key, &mut in_place);
+            assert_eq!(in_place, want, "slice form, len {len}");
         }
     }
 

@@ -17,7 +17,7 @@ use crate::StoreError;
 use otae_fxhash::FxHashMap;
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -35,7 +35,14 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// work.
     fn create(&self, seg: SegmentId, capacity_hint: u64) -> Result<(), StoreError>;
     /// Append bytes to a segment's tail.
-    fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError>;
+    fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError> {
+        self.append_vectored(seg, &[data])
+    }
+    /// Append the concatenation of `parts` to a segment's tail as one
+    /// append: no other append to the segment lands between two parts. A
+    /// write group lands through this, each part a record (or run of
+    /// records) where it already sits in memory; empty parts are allowed.
+    fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError>;
     /// Read `len` bytes at `offset`.
     fn read_at(&self, seg: SegmentId, offset: u64, len: usize) -> Result<Vec<u8>, StoreError>;
     /// Read `len` bytes at `offset` into `buf` (cleared first). The
@@ -100,15 +107,13 @@ impl Backend for MemBackend {
         Ok(())
     }
 
-    fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError> {
+    fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError> {
         let mut map = self.segments.lock();
-        match map.get_mut(&seg) {
-            Some(bytes) => {
-                bytes.extend_from_slice(data);
-                Ok(())
-            }
-            None => Err(StoreError::MissingSegment(seg)),
+        let bytes = map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?;
+        for part in parts {
+            bytes.extend_from_slice(part);
         }
+        Ok(())
     }
 
     fn read_at(&self, seg: SegmentId, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
@@ -191,6 +196,11 @@ pub struct FileBackend {
     root: PathBuf,
     handles: HandleCache,
 }
+
+/// Most slices handed to one `write_vectored` call — Linux's `IOV_MAX`.
+/// (std clamps the list to the platform's own limit as well, so a smaller
+/// limit elsewhere only means more rounds of the drain loop.)
+const MAX_IOV: usize = 1024;
 
 /// Cap on distinct segments with cached handles; beyond this the cache
 /// resets wholesale (segment populations stay far below this in practice).
@@ -281,11 +291,25 @@ impl Backend for FileBackend {
         }
     }
 
-    fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError> {
+    fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError> {
         let f = self.handles.append_handle(seg, || self.open_append(seg))?;
         // O_APPEND positions every write at the tail, so the shared handle
-        // needs no cursor management.
-        (&*f).write_all(data)?;
+        // needs no cursor management. One `writev` takes at most `MAX_IOV`
+        // parts and may write fewer bytes than offered, so loop until the
+        // list is drained; empty parts are dropped first, or a list of
+        // nothing but them would read as a zero-length write.
+        let mut slices: Vec<IoSlice<'_>> =
+            parts.iter().filter(|p| !p.is_empty()).map(|p| IoSlice::new(p)).collect();
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            let batch = &rest[..rest.len().min(MAX_IOV)];
+            match (&*f).write_vectored(batch) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 
@@ -405,6 +429,34 @@ mod tests {
         assert!(backend.delete(1).is_err());
         assert!(backend.append(1, b"x").is_err());
         assert_eq!(backend.list().unwrap(), vec![3, 10]);
+    }
+
+    /// More parts than one `writev` takes, empty ones among them (first,
+    /// interior and last), must land as their plain concatenation.
+    fn exercise_vectored(backend: &dyn Backend) {
+        backend.create(7, 0).unwrap();
+        backend.append(7, b"head").unwrap();
+        let chunks: Vec<Vec<u8>> = (0..2 * MAX_IOV + 77)
+            .map(|i| if i % 5 == 0 { Vec::new() } else { vec![i as u8; 1 + i % 37] })
+            .collect();
+        let parts: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).chain([&[][..]]).collect();
+        backend.append_vectored(7, &parts).unwrap();
+        backend.append_vectored(7, &[]).unwrap();
+        backend.append_vectored(7, &[&[], &[]]).unwrap();
+        backend.append(7, b"tail").unwrap();
+        let want = [&b"head"[..], &chunks.concat(), b"tail"].concat();
+        assert_eq!(backend.len(7).unwrap(), want.len() as u64);
+        assert_eq!(backend.read_all(7).unwrap(), want);
+        assert!(backend.append_vectored(8, &[b"x"]).is_err(), "missing segment must fail");
+    }
+
+    #[test]
+    fn vectored_appends_concatenate_their_parts() {
+        exercise_vectored(&MemBackend::new());
+        let dir = std::env::temp_dir().join(format!("otae-store-vec-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        exercise_vectored(&FileBackend::new(&dir).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

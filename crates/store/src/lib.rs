@@ -12,13 +12,24 @@
 //! crash can legitimately leave behind.
 //!
 //! ```text
-//!   put/remove ──staged intake──▶ writer thread ──append──▶ seg-N (active)
-//!                                   │   ▲                   seg-… (sealed)
-//!                            index update                     │
-//!                          (ack after append)            compaction:
-//!                                                     rewrite live records,
-//!                                                     delete victim
+//!            pooled record buffer: [ header | payload ]
+//!   put_with ── fill payload in place ──┐         ▲ spent buffers
+//!               (+ frame, if the intake │         │ (per landed group)
+//!                is under backpressure) ▼         │
+//!   remove ─────────────────────▶ staged intake ──┴─▶ writer thread
+//!                                                      │ frame what is not yet framed;
+//!                                                      │ group = [put bufs | inline run | …]
+//!                                   index update ◀─────┤
+//!                                 (ack after append)   ▼ one vectored append per group
+//!                                                   seg-N (active)   seg-… (sealed)
+//!                                                                      │ compaction:
+//!                                                                      │ rewrite live records,
+//!                                                                      ▼ delete victim
 //! ```
+//!
+//! A put's payload is written once (by its caller, into the buffer it is
+//! framed in) and copied once (by the group's append, into the segment);
+//! `store.rs` says which side frames when, and why there are two.
 //!
 //! Every byte handed to the backend is counted: `host_bytes` (caller puts
 //! and tombstones) and `gc_bytes` (compaction rewrites) make
@@ -51,7 +62,8 @@ pub use backend::{Backend, FileBackend, MemBackend, SegmentId};
 pub use fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
 pub use index::{Location, SegmentInfo, StoreIndex};
 pub use record::{
-    crc32, decode_record, encode_record, Record, RecordError, RecordKind, HEADER_LEN, MAX_PAYLOAD,
+    crc32, decode_record, encode_record, frame_in_place, Record, RecordError, RecordKind,
+    HEADER_LEN, MAX_PAYLOAD,
 };
 pub use store::{
     CompactReport, RecoveryReport, SegmentStore, StoreConfig, StoreError, StoreStats,

@@ -2,12 +2,38 @@
 //! in-memory index rebuilt by a recovery scan, and deadest-first
 //! compaction that reports rewritten bytes as measured write
 //! amplification.
+//!
+//! The put path writes an admitted byte to memory twice. The caller's
+//! `fill` closure writes the payload into a pooled record buffer
+//! ([`SegmentStore::put_with`]; `put` is the same with a `copy_from_slice`
+//! fill), the buffer travels whole through the intake and the write group,
+//! and the group's vectored append copies it into the segment. Nothing in
+//! between copies: the header is written around the payload where it lies
+//! ([`frame_in_place`]).
+//!
+//! Who frames is decided per put from what the intake observes. While a
+//! push has had to wait for space and the writer has not run dry since,
+//! the writer is the bottleneck and its callers are about to block on it,
+//! so the caller spends that wait on the header and both CRCs itself and
+//! the writer only appends; otherwise the caller is the critical path and
+//! the writer, which would park until the next batch, frames. The
+//! benchmark has a workload on each side: `serve_store` (a shard worker
+//! admitting into a store whose writer never idles — callers frame ~97 %
+//! of puts) and `store_mixed` (a reader that flushes to read its own
+//! writes — the writer frames ~96 %). In the prototype that sized this,
+//! framing always on the caller cost `store_mixed` 15–25 %, and always on
+//! the writer left `serve_store`'s worker idle behind a saturated writer
+//! (× 1.1 instead of × 1.6). The bytes are identical either
+//! way, which `segment_bytes_are_pinned_at_every_queue_depth` holds to a
+//! digest recorded before this path existed.
 
 use crate::backend::{Backend, SegmentId};
 use crate::fault::StoreFaultPlan;
 use crate::index::{Location, StoreIndex};
 use crate::intake::Intake;
-use crate::record::{decode_record, RecordError, RecordKind, HEADER_LEN, MAX_PAYLOAD};
+use crate::record::{
+    decode_record, frame_in_place, RecordError, RecordKind, HEADER_LEN, MAX_PAYLOAD,
+};
 use crate::write_buffer::{GroupBuffer, StagedKind};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use otae_device::WearLedger;
@@ -268,8 +294,19 @@ struct Shared {
 }
 
 enum Cmd {
-    Put { key: u64, payload: Vec<u8> },
-    Remove { key: u64 },
+    /// A put record in a pooled buffer: `buf[..len]` is the whole record
+    /// with the payload in place, and `framed` says whether the caller
+    /// already wrote the header (it does under backpressure; otherwise
+    /// the writer frames).
+    Put {
+        key: u64,
+        buf: Vec<u8>,
+        len: usize,
+        framed: bool,
+    },
+    Remove {
+        key: u64,
+    },
     Flush(Sender<()>),
     Compact(Sender<Result<CompactReport, StoreError>>),
 }
@@ -336,7 +373,14 @@ impl SegmentStore {
         });
         shared.counters.segments_created.store(1, Ordering::Relaxed);
 
-        let intake = Arc::new(Intake::new(cfg.queue_depth.max(1)));
+        // Record-buffer pool: four groups' worth of bytes in at most one
+        // group's worth of buffers. Measured on the benchmark's two store
+        // workloads, a checkout finds no pooled buffer long enough 37-42 %
+        // of the time at one group's worth, 16-17 % at two, 5 % at four
+        // (EXPERIMENTS.md "One copy per admitted byte").
+        let pool_bytes = usize::try_from(cfg.group_bytes.saturating_mul(4)).unwrap_or(usize::MAX);
+        let intake =
+            Arc::new(Intake::new(cfg.queue_depth.max(1), pool_bytes, cfg.group_records.max(1)));
         // The wake channel never carries data — one token at most is in
         // flight (the idle flag flips writer→set, producer→clear), so
         // bounded(1) can never block a producer.
@@ -351,6 +395,7 @@ impl SegmentStore {
             active_bytes: 0,
             seq: 0,
             group: GroupBuffer::new(),
+            spent: Vec::new(),
         };
         let handle = std::thread::spawn(move || writer.run(wake_rx));
         Ok((Self { shared, backend, intake, wake: Some(wake_tx), handle: Some(handle) }, report))
@@ -376,10 +421,51 @@ impl SegmentStore {
     /// `acked_puts`) only after the writer has durably appended it and
     /// updated the index.
     pub fn put(&self, key: u64, payload: &[u8]) -> Result<(), StoreError> {
-        if payload.len() as u64 > MAX_PAYLOAD as u64 {
-            return Err(StoreError::PayloadTooLarge(payload.len() as u64));
+        self.put_with(key, payload.len(), |dst| dst.copy_from_slice(payload))
+    }
+
+    /// [`SegmentStore::put`] for a caller that can produce the payload in
+    /// place: `fill` is handed exactly `len` bytes — the payload's place
+    /// inside a pooled record buffer, holding stale bytes it must
+    /// overwrite — so a generated or received payload is written once,
+    /// where it is framed, and copied once, into the segment.
+    pub fn put_with(
+        &self,
+        key: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), StoreError> {
+        self.put_framed_by(key, len, fill, None).map(drop)
+    }
+
+    /// The put path. The record is framed on this thread when the intake
+    /// reports backpressure and by the writer otherwise — same function,
+    /// same bytes. Under backpressure the writer is the bottleneck and
+    /// this caller would only wait on it (`otae-serve` with a store
+    /// attached: the shard worker admits faster than one writer lands);
+    /// without it the caller is the critical path and the writer has idle
+    /// time between batches (a read-mostly caller that flushes to read its
+    /// own writes). `frame_here` overrides the signal so tests can pin a
+    /// side; the result says whether this thread framed.
+    fn put_framed_by(
+        &self,
+        key: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+        frame_here: Option<bool>,
+    ) -> Result<bool, StoreError> {
+        if len as u64 > MAX_PAYLOAD as u64 {
+            return Err(StoreError::PayloadTooLarge(len as u64));
         }
-        self.enqueue(Cmd::Put { key, payload: payload.to_vec() })
+        let len = HEADER_LEN + len;
+        let (mut buf, backpressure) = self.intake.checkout(len);
+        fill(&mut buf[HEADER_LEN..len]);
+        let framed = frame_here.unwrap_or(backpressure);
+        if framed {
+            frame_in_place(key, RecordKind::Put, &mut buf[..len]);
+        }
+        self.enqueue(Cmd::Put { key, buf, len, framed })?;
+        Ok(framed)
     }
 
     /// Enqueue a deletion (a durable tombstone record).
@@ -674,9 +760,12 @@ struct Writer {
     active_bytes: u64,
     /// Host append sequence (puts + tombstones), the fault-seam clock.
     seq: u64,
-    /// Group-commit staging buffer: encoded records accumulate here and
-    /// land with one backend append + one index pass per group.
+    /// Group-commit staging: records accumulate here and land with one
+    /// backend append + one index pass per group.
     group: GroupBuffer,
+    /// Put buffers of the group that just landed, on their way back to the
+    /// intake's pool (kept for its capacity).
+    spent: Vec<Vec<u8>>,
 }
 
 enum WriterStep {
@@ -758,8 +847,23 @@ impl Writer {
 
     fn handle(&mut self, cmd: Cmd) -> WriterStep {
         match cmd {
-            Cmd::Put { key, payload } => self.stage_host(key, RecordKind::Put, &payload),
-            Cmd::Remove { key } => self.stage_host(key, RecordKind::Tombstone, &[]),
+            Cmd::Put { key, mut buf, len, framed } => {
+                if !framed {
+                    frame_in_place(key, RecordKind::Put, &mut buf[..len]);
+                }
+                let step = self.make_room_for_host();
+                if matches!(step, WriterStep::Ok) {
+                    self.group.stage_put(key, buf, len);
+                }
+                step
+            }
+            Cmd::Remove { key } => {
+                let step = self.make_room_for_host();
+                if matches!(step, WriterStep::Ok) {
+                    self.group.stage_inline(key, RecordKind::Tombstone, &[], StagedKind::Host);
+                }
+                step
+            }
             Cmd::Flush(done) => {
                 // Dropping `done` on the crash paths disconnects the
                 // caller's recv, which maps to `StoreError::Crashed` —
@@ -848,11 +952,11 @@ impl Writer {
             || self.group.bytes() >= self.cfg.group_bytes.max(1)
     }
 
-    /// Stage one caller record, flushing and/or rolling first when limits
-    /// or the segment size threshold demand it. The record's location is
-    /// fixed here (active segment tail + staged bytes), identically to the
-    /// record-at-a-time path this replaced.
-    fn stage_host(&mut self, key: u64, kind: RecordKind, payload: &[u8]) -> WriterStep {
+    /// Before staging one caller record: flush and/or roll when the group
+    /// limits or the segment size threshold demand it. The record's
+    /// location is fixed by what this leaves (active segment tail + staged
+    /// bytes), identically to the record-at-a-time path this replaced.
+    fn make_room_for_host(&mut self) -> WriterStep {
         if self.group_full() && matches!(self.flush_host(), WriterStep::Crashed) {
             return WriterStep::Crashed;
         }
@@ -864,7 +968,6 @@ impl Writer {
                 return WriterStep::Crashed;
             }
         }
-        self.group.stage(key, kind, payload, StagedKind::Host);
         WriterStep::Ok
     }
 
@@ -879,7 +982,7 @@ impl Writer {
 
     /// Land the staged group: consult the fault seam once per host record
     /// (in staging order), append everything up to and including any crash
-    /// record with **one** backend write, then apply the acked prefix to
+    /// record with **one** vectored backend write, then apply the acked prefix to
     /// the index under **one** lock acquisition.
     ///
     /// Crash semantics are bit-identical to the per-record path: the crash
@@ -912,7 +1015,7 @@ impl Writer {
             Some((i, torn)) => (i + 1, i, torn),
         };
         let end = staged[appended - 1].buf_offset + staged[appended - 1].len;
-        self.backend.append(self.active, &self.group.data()[..end as usize])?;
+        self.backend.append_vectored(self.active, &self.group.slices(end))?;
         if torn > 0 {
             let keep = SEGMENT_HEADER_LEN + self.active_bytes + (end - torn);
             let _ = self.backend.truncate(self.active, keep);
@@ -972,7 +1075,8 @@ impl Writer {
             return Ok(FlushOutcome::Crashed);
         }
         self.active_bytes += self.group.bytes();
-        self.group.clear();
+        self.group.clear(&mut self.spent);
+        self.intake.recycle(&mut self.spent);
         Ok(FlushOutcome::Done)
     }
 
@@ -992,7 +1096,7 @@ impl Writer {
             self.flush_gc()?;
             self.roll()?;
         }
-        self.group.stage(key, kind, payload, meta);
+        self.group.stage_inline(key, kind, payload, meta);
         Ok(())
     }
 
@@ -1098,7 +1202,7 @@ impl Writer {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::fault::{CrashAt, NoStoreFaults};
+    use crate::fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
 
     fn cfg(segment_bytes: u64) -> StoreConfig {
         StoreConfig { segment_bytes, queue_depth: 8, compact_trigger: None, ..Default::default() }
@@ -1492,9 +1596,14 @@ mod tests {
 
     /// A seeded mixed workload: puts of 0..700 bytes (empty payloads
     /// included), removes and two explicit compactions over a small key
-    /// space, flushed and closed. Returns an FNV-1a digest of every
-    /// segment's id, length and bytes in id order.
-    fn run_pinned_workload(queue_depth: usize) -> u64 {
+    /// space, flushed and closed. `frame_here` picks who frames each put
+    /// (`None`: the intake's backpressure signal). Returns an FNV-1a digest
+    /// of every segment's id, length and bytes in id order, and how many
+    /// puts the caller and the writer framed.
+    fn run_pinned_workload(
+        queue_depth: usize,
+        frame_here: impl Fn(u64) -> Option<bool>,
+    ) -> (u64, [u64; 2]) {
         let backend = MemBackend::new();
         let cfg = StoreConfig {
             segment_bytes: 6_000,
@@ -1504,7 +1613,8 @@ mod tests {
             ..Default::default()
         };
         let (store, _) = open_mem(&backend, cfg);
-        let mut z = 0x0005_EED5_EED5_EEDu64;
+        let mut framed_by = [0u64; 2];
+        let mut z = 0x0000_5EED_5EED_5EED_u64;
         for step in 0..300u64 {
             z ^= z << 13;
             z ^= z >> 7;
@@ -1512,8 +1622,12 @@ mod tests {
             let key = (z >> 8) % 48;
             match z % 20 {
                 0..=12 => {
-                    let len = if z % 7 == 0 { 0 } else { ((z >> 20) % 700) as usize };
-                    store.put(key, &payload(key ^ step, len)).unwrap();
+                    let len = if z.is_multiple_of(7) { 0 } else { ((z >> 20) % 700) as usize };
+                    let bytes = payload(key ^ step, len);
+                    let here = store
+                        .put_framed_by(key, len, |dst| dst.copy_from_slice(&bytes), frame_here(z))
+                        .unwrap();
+                    framed_by[usize::from(!here)] += 1;
                 }
                 _ => store.remove(key).unwrap(),
             }
@@ -1538,18 +1652,114 @@ mod tests {
             eat(&(bytes.len() as u64).to_le_bytes());
             eat(&bytes);
         }
-        digest
+        (digest, framed_by)
     }
 
     #[test]
     fn segment_bytes_are_pinned_at_every_queue_depth() {
         // Recorded before the put path stopped copying payloads into a
         // staging buffer: the same command sequence must leave the same
-        // bytes on the device however commands batch into groups.
+        // bytes on the device however commands batch into groups and
+        // whichever side frames each put.
         const PINNED: u64 = 0xE376_E583_9B7E_D116;
         for queue_depth in [1usize, 2, 8, 64] {
-            assert_eq!(run_pinned_workload(queue_depth), PINNED, "queue_depth {queue_depth}");
+            // Sides pinned per put by a bit of the op stream...
+            let (digest, [caller, writer]) =
+                run_pinned_workload(queue_depth, |z| Some(z & (1 << 40) != 0));
+            assert_eq!(digest, PINNED, "queue_depth {queue_depth}, pinned sides");
+            assert!(caller > 0 && writer > 0, "both sides must frame: {caller} / {writer}");
+            // ... and chosen by the intake, as `put` does.
+            let (digest, _) = run_pinned_workload(queue_depth, |_| None);
+            assert_eq!(digest, PINNED, "queue_depth {queue_depth}, intake-chosen sides");
         }
+    }
+
+    /// A fault plan that never crashes but holds the writer at the seam
+    /// (just before a group's append) while closed, and says when it is
+    /// held there.
+    #[derive(Debug)]
+    struct Gate {
+        closed: AtomicBool,
+        writer_held: AtomicBool,
+    }
+
+    impl StoreFaultPlan for Gate {
+        fn crash_after_append(&self, _seq: u64) -> bool {
+            while self.closed.load(Ordering::SeqCst) {
+                self.writer_held.store(true, Ordering::SeqCst);
+                std::thread::yield_now();
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn the_caller_frames_under_backpressure_and_the_writer_otherwise() {
+        let gate =
+            Arc::new(Gate { closed: AtomicBool::new(true), writer_held: AtomicBool::new(false) });
+        let cfg = StoreConfig { queue_depth: 2, ..cfg(1 << 20) };
+        let plan: Arc<dyn StoreFaultPlan> = gate.clone();
+        let (store, _) = SegmentStore::open(Arc::new(MemBackend::new()), cfg, plan).expect("open");
+        let fill = |key: u64| move |dst: &mut [u8]| dst.copy_from_slice(&payload(key, 40));
+
+        // No push has waited yet: the writer frames. It then runs dry,
+        // goes to land the group and is held at the gate.
+        assert!(!store.put_framed_by(1, 40, fill(1), None).unwrap());
+        while !gate.writer_held.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        std::thread::scope(|scope| {
+            // With the writer held, two puts fill the intake and the third
+            // waits for space, which opens a backpressure episode that
+            // cannot end before the gate opens.
+            scope.spawn(|| {
+                for key in 2..=4u64 {
+                    store.put(key, &payload(key, 40)).unwrap();
+                }
+            });
+            while !store.intake.backpressure() {
+                std::thread::yield_now();
+            }
+            // So this put finds the flag set and frames its own record; its
+            // fill runs after that decision and lets the writer go.
+            let here = store.put_framed_by(
+                5,
+                40,
+                |dst| {
+                    fill(5)(dst);
+                    gate.closed.store(false, Ordering::SeqCst);
+                },
+                None,
+            );
+            assert!(here.unwrap(), "a put under backpressure is framed by its caller");
+        });
+        store.flush().unwrap();
+        for key in 1..=5u64 {
+            assert_eq!(store.get(key).unwrap().unwrap(), payload(key, 40), "key {key}");
+        }
+    }
+
+    #[test]
+    fn the_buffer_pool_stays_inside_its_byte_bound() {
+        let backend = MemBackend::new();
+        let cfg = cfg(1 << 20);
+        let bound = 4 * cfg.group_bytes as usize;
+        let (store, _) = open_mem(&backend, cfg);
+        // Records at the payload cap are far larger than the whole pool:
+        // their buffers are freed, never pooled.
+        for key in 0..2u64 {
+            store.put_with(key, MAX_PAYLOAD as usize, |dst| dst[..8].fill(key as u8)).unwrap();
+        }
+        store.flush().unwrap();
+        assert_eq!(store.intake.pool_bytes(), 0);
+        // A burst of ordinary records hands back more than the pool keeps.
+        for key in 0..400u64 {
+            store.put(key, &payload(key, 20_000 + (key as usize * 997) % 40_000)).unwrap();
+        }
+        store.flush().unwrap();
+        let pooled = store.intake.pool_bytes();
+        assert!(pooled > 0 && pooled <= bound, "pool holds {pooled} of {bound} bytes");
+        assert_eq!(store.stats().acked_puts, 402);
     }
 
     /// A writer driven by hand instead of by its thread: commands apply in
@@ -1568,18 +1778,29 @@ mod tests {
         Writer {
             backend,
             shared,
-            intake: Arc::new(Intake::new(cfg.queue_depth)),
+            intake: Arc::new(Intake::new(cfg.queue_depth, 0, 0)),
             cfg,
             faults: Arc::new(plan),
             active: 0,
             active_bytes: 0,
             seq: 0,
             group: GroupBuffer::new(),
+            spent: Vec::new(),
         }
     }
 
+    /// A put command as a caller pushes it: in a buffer longer than the
+    /// record, framed by the caller for odd keys and left to the writer
+    /// for even ones.
     fn put_cmd(key: u64, len: usize) -> Cmd {
-        Cmd::Put { key, payload: payload(key, len) }
+        let framed = key % 2 == 1;
+        let len = HEADER_LEN + len;
+        let mut buf = vec![0xEE; len + 13];
+        buf[HEADER_LEN..len].copy_from_slice(&payload(key, len - HEADER_LEN));
+        if framed {
+            frame_in_place(key, RecordKind::Put, &mut buf[..len]);
+        }
+        Cmd::Put { key, buf, len, framed }
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! The group-commit staging buffer.
 //!
-//! The writer thread stages encoded records contiguously here and lands
-//! the whole group with **one** backend append and **one** index-lock
-//! pass, instead of a syscall + lock round-trip per record. Records keep
-//! their staging order, so every staged record's final on-disk location is
-//! known at stage time: the group always lands at the current active
-//! segment's tail, and `buf_offset` is the record's displacement within
-//! the group.
+//! The writer thread stages records here and lands the whole group with
+//! **one** vectored backend append and **one** index-lock pass, instead
+//! of a syscall + lock round-trip per record. A caller's put arrives as
+//! the pooled buffer it was framed in and is *kept*, not copied: the
+//! group is a list of chunks — whole put records in their own buffers,
+//! and runs of small records the writer encodes itself (tombstones,
+//! compaction rewrites) in one inline buffer — whose slices, in staging
+//! order, are the group's wire bytes. Records keep their staging order,
+//! so every staged record's final on-disk location is known at stage
+//! time: the group always lands at the current active segment's tail, and
+//! `buf_offset` is the record's displacement within the group's bytes.
 
 use crate::index::Location;
 use crate::record::{encode_record, RecordKind};
+use std::ops::Range;
 
 /// What a staged record is, beyond its wire bytes: host traffic (the
 /// fault-seam clock ticks once per host record) or a compaction rewrite
@@ -52,13 +57,25 @@ impl Staged {
     }
 }
 
-/// Contiguous encode buffer + per-record metadata for one write group.
-/// Cleared (capacity kept) after each flush, so the steady-state append
-/// path allocates nothing.
+/// One run of the group's wire bytes.
+#[derive(Debug)]
+enum Chunk {
+    /// A caller's framed put record, `buf[..len]`, in the pooled buffer it
+    /// travelled in.
+    Put { buf: Vec<u8>, len: usize },
+    /// Consecutive writer-encoded records: a range of `GroupBuffer::inline`.
+    Inline(Range<usize>),
+}
+
+/// The chunks and per-record metadata of one write group. Cleared after
+/// each flush with the inline buffer's and the lists' capacity kept; the
+/// put buffers go back to the intake's pool.
 #[derive(Debug, Default)]
 pub(crate) struct GroupBuffer {
-    buf: Vec<u8>,
+    chunks: Vec<Chunk>,
+    inline: Vec<u8>,
     staged: Vec<Staged>,
+    bytes: u64,
 }
 
 impl GroupBuffer {
@@ -67,18 +84,35 @@ impl GroupBuffer {
         Self::default()
     }
 
-    /// Encode one record onto the group's tail; returns its encoded
-    /// length.
-    pub fn stage(&mut self, key: u64, kind: RecordKind, payload: &[u8], meta: StagedKind) -> u64 {
-        let buf_offset = self.buf.len() as u64;
-        let len = encode_record(key, kind, payload, &mut self.buf);
-        self.staged.push(Staged { key, kind, buf_offset, len, meta });
-        len
+    /// Stage a caller's put: `buf[..len]` is the framed record.
+    pub fn stage_put(&mut self, key: u64, buf: Vec<u8>, len: usize) {
+        self.staged.push(Staged {
+            key,
+            kind: RecordKind::Put,
+            buf_offset: self.bytes,
+            len: len as u64,
+            meta: StagedKind::Host,
+        });
+        self.bytes += len as u64;
+        self.chunks.push(Chunk::Put { buf, len });
+    }
+
+    /// Encode one record onto the inline buffer (a tombstone, or a
+    /// compaction rewrite whose payload is sliced out of the victim).
+    pub fn stage_inline(&mut self, key: u64, kind: RecordKind, payload: &[u8], meta: StagedKind) {
+        let start = self.inline.len();
+        let len = encode_record(key, kind, payload, &mut self.inline);
+        self.staged.push(Staged { key, kind, buf_offset: self.bytes, len, meta });
+        self.bytes += len;
+        match self.chunks.last_mut() {
+            Some(Chunk::Inline(run)) => run.end = self.inline.len(),
+            _ => self.chunks.push(Chunk::Inline(start..self.inline.len())),
+        }
     }
 
     /// Total staged bytes.
     pub fn bytes(&self) -> u64 {
-        self.buf.len() as u64
+        self.bytes
     }
 
     /// Staged record count.
@@ -91,9 +125,25 @@ impl GroupBuffer {
         self.staged.is_empty()
     }
 
-    /// The group's wire bytes (all records, in staging order).
-    pub fn data(&self) -> &[u8] {
-        &self.buf
+    /// The first `end` wire bytes of the group as slices in staging order
+    /// (`end` is a record boundary: the whole group, or the end of a crash
+    /// record).
+    pub fn slices(&self, end: u64) -> Vec<&[u8]> {
+        let mut left = end as usize;
+        let mut out = Vec::with_capacity(self.chunks.len());
+        for chunk in &self.chunks {
+            if left == 0 {
+                break;
+            }
+            let bytes = match chunk {
+                Chunk::Put { buf, len } => &buf[..*len],
+                Chunk::Inline(run) => &self.inline[run.clone()],
+            };
+            let bytes = &bytes[..bytes.len().min(left)];
+            left -= bytes.len();
+            out.push(bytes);
+        }
+        out
     }
 
     /// Per-record metadata, in staging order.
@@ -101,34 +151,65 @@ impl GroupBuffer {
         &self.staged
     }
 
-    /// Drop the staged group, keeping allocations for the next one.
-    pub fn clear(&mut self) {
-        self.buf.clear();
+    /// Drop the staged group, keeping allocations for the next one and
+    /// moving the put records' buffers onto `spent`.
+    pub fn clear(&mut self, spent: &mut Vec<Vec<u8>>) {
+        spent.extend(self.chunks.drain(..).filter_map(|chunk| match chunk {
+            Chunk::Put { buf, .. } => Some(buf),
+            Chunk::Inline(_) => None,
+        }));
+        self.inline.clear();
         self.staged.clear();
+        self.bytes = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{decode_record, HEADER_LEN};
+    use crate::record::{decode_record, frame_in_place, HEADER_LEN};
+
+    /// A framed put in a buffer longer than the record, as the pool hands
+    /// them out.
+    fn framed_put(key: u64, payload: &[u8]) -> (Vec<u8>, usize) {
+        let len = HEADER_LEN + payload.len();
+        let mut buf = vec![0xEE; len + 9];
+        buf[HEADER_LEN..len].copy_from_slice(payload);
+        frame_in_place(key, RecordKind::Put, &mut buf[..len]);
+        (buf, len)
+    }
 
     #[test]
     fn staged_records_decode_back_at_their_offsets() {
         let mut g = GroupBuffer::new();
-        g.stage(1, RecordKind::Put, b"abc", StagedKind::Host);
-        g.stage(2, RecordKind::Tombstone, &[], StagedKind::Host);
-        g.stage(3, RecordKind::Put, b"defgh", StagedKind::Host);
-        assert_eq!(g.records(), 3);
-        assert_eq!(g.bytes(), 3 * HEADER_LEN as u64 + 3 + 5);
+        let (buf, len) = framed_put(1, b"abc");
+        g.stage_put(1, buf, len);
+        g.stage_inline(2, RecordKind::Tombstone, &[], StagedKind::Host);
+        g.stage_inline(4, RecordKind::Tombstone, &[], StagedKind::Host);
+        let (buf, len) = framed_put(3, b"defgh");
+        g.stage_put(3, buf, len);
+        assert_eq!(g.records(), 4);
+        assert_eq!(g.bytes(), 4 * HEADER_LEN as u64 + 3 + 5);
+        // Put, one run of two tombstones, put.
+        assert_eq!(g.slices(g.bytes()).len(), 3);
+        let data = g.slices(g.bytes()).concat();
+        assert_eq!(data.len() as u64, g.bytes());
         for s in g.staged() {
-            let (rec, consumed) = decode_record(&g.data()[s.buf_offset as usize..]).unwrap();
+            let (rec, consumed) = decode_record(&data[s.buf_offset as usize..]).unwrap();
             assert_eq!(rec.key, s.key);
             assert_eq!(rec.kind, s.kind);
             assert_eq!(consumed, s.len);
         }
-        g.clear();
+        // A cut at any record boundary is a prefix of the whole.
+        for s in g.staged() {
+            let end = s.buf_offset + s.len;
+            assert_eq!(g.slices(end).concat(), data[..end as usize]);
+        }
+        let mut spent = Vec::new();
+        g.clear(&mut spent);
+        assert_eq!(spent.len(), 2, "both put buffers come back");
         assert!(g.is_empty());
         assert_eq!(g.bytes(), 0);
+        assert!(g.slices(0).is_empty());
     }
 }

@@ -5,9 +5,53 @@
 //! and bytes past the framed payload are never consumed.
 
 use otae_store::{
-    crc32, decode_record, encode_record, Record, RecordError, RecordKind, HEADER_LEN,
+    crc32, decode_record, encode_record, frame_in_place, Record, RecordError, RecordKind,
+    HEADER_LEN,
 };
 use proptest::prelude::*;
+
+/// A record built field by field from the layout table in `record.rs`,
+/// sharing only `crc32` with the crate's framing.
+fn framed_by_hand(key: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+    let mut out = key.to_le_bytes().to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.push(match kind {
+        RecordKind::Put => 0,
+        RecordKind::Tombstone => 1,
+    });
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let header_crc = crc32(&out);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Framing a buffer whose payload is already in place (over stale header
+/// bytes, as a pooled buffer has) produces exactly the bytes
+/// `encode_record` appends and the layout prescribes — at every payload
+/// length across the CRC kernel's cut-overs and at 64 KiB ± 1, for both
+/// kinds — and never touches the payload.
+#[test]
+fn frame_in_place_equals_encode_record_at_every_length() {
+    let data: Vec<u8> =
+        (0..(64usize << 10) + 1).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
+    let lens = (0..=4096).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
+    for (len, kind) in lens.map(|l| (l, RecordKind::Put)).chain([(0, RecordKind::Tombstone)]) {
+        let key = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(len as u64 + 1);
+        let payload = &data[..len];
+        let mut encoded = vec![0xAB; 3]; // appended after existing bytes
+        let n = encode_record(key, kind, payload, &mut encoded);
+        assert_eq!(n as usize, HEADER_LEN + len);
+
+        let mut in_place = vec![0xEE; HEADER_LEN + len];
+        in_place[HEADER_LEN..].copy_from_slice(payload);
+        frame_in_place(key, kind, &mut in_place);
+
+        assert_eq!(in_place, &encoded[3..], "{kind:?} len {len}");
+        assert_eq!(in_place, framed_by_hand(key, kind, payload), "{kind:?} len {len}");
+        assert_eq!(&encoded[..3], [0xAB; 3]);
+    }
+}
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..512)
