@@ -6,6 +6,7 @@ use crate::common::{capacity_grid, f4, standard_trace, Table};
 use otae_core::reaccess::ReaccessIndex;
 use otae_core::sweep::{grid, sweep};
 use otae_core::{Mode, PolicyKind, RunConfig, RunResult};
+use std::sync::OnceLock;
 
 /// Metric plotted by one figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +63,38 @@ pub struct FigureGrid {
 }
 
 const MODES: [Mode; 3] = [Mode::Original, Mode::Proposal, Mode::Ideal];
+
+/// This process's grid, computed on first use: a figure run alone pays for
+/// it once, and so does `all` for the five of them.
+fn shared_grid() -> &'static FigureGrid {
+    static GRID: OnceLock<FigureGrid> = OnceLock::new();
+    GRID.get_or_init(FigureGrid::compute)
+}
+
+/// Figure 6 of the paper.
+pub fn fig6() {
+    shared_grid().emit(Metric::FileHitRate, 6, "fig6_file_hit_rate");
+}
+
+/// Figure 7 of the paper.
+pub fn fig7() {
+    shared_grid().emit(Metric::ByteHitRate, 7, "fig7_byte_hit_rate");
+}
+
+/// Figure 8 of the paper.
+pub fn fig8() {
+    shared_grid().emit(Metric::FileWriteRate, 8, "fig8_file_write_rate");
+}
+
+/// Figure 9 of the paper.
+pub fn fig9() {
+    shared_grid().emit(Metric::ByteWriteRate, 9, "fig9_byte_write_rate");
+}
+
+/// Figure 10 of the paper.
+pub fn fig10() {
+    shared_grid().emit(Metric::ResponseTime, 10, "fig10_response_time");
+}
 
 impl FigureGrid {
     /// Run the full grid (the expensive part, shared by all five figures).

@@ -1,8 +1,9 @@
 //! # otae-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), each calling a
-//! function in [`experiments`]; `run_all` regenerates everything and writes
-//! CSV series into `results/`. Criterion microbenches (in `benches/`) verify
+//! One named experiment per table/figure of the paper
+//! ([`experiments::REGISTRY`]), run by the `otae-bench <name> | all | --list`
+//! driver (`src/main.rs`); `all` regenerates everything and writes CSV
+//! series into `results/`. Criterion microbenches (in `benches/`) verify
 //! the §5.3.5 timing constants (`t_classify`, `t_query`) and measure cache,
 //! training and generation throughput.
 //!

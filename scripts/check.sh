@@ -34,7 +34,7 @@ fi
 
 if [[ "${OTAE_POLICY_SMOKE:-0}" == "1" ]]; then
   echo "==> policy smoke (admission zoo x eviction x capacity mini-grid)"
-  OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=3000 cargo run --release -q -p otae-bench --bin policy_sweep
+  OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=3000 cargo run --release -q -p otae-bench -- policy_sweep
 fi
 
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
