@@ -2,8 +2,8 @@
 //!
 //! Every driver in the workspace — the simulator ([`crate::pipeline`]), the
 //! cluster ring and the OC → DC tiers ([`Server`]), the online learner
-//! ([`crate::online`]) and a serve shard behind its mutex — pushes requests
-//! through the same three pieces:
+//! ([`crate::online`]) and a serve shard on its owning worker — pushes
+//! requests through the same three pieces:
 //!
 //! * [`Kernel::access`]: hit, or miss → *decide* → admit (insert, evict) or
 //!   bypass, with the cache counters kept here and nowhere else;
@@ -17,7 +17,7 @@
 //! the kernel stays monomorphic per driver: a hit costs two calls into the
 //! replacement policy and one counter update, and evaluates neither.
 //!
-//! This file runs inside the serve shard's critical section, so it is in
+//! This file runs on the serve worker's request path, so it is in
 //! otae-lint's no-panic scope: nothing here unwraps or panics.
 
 use crate::criteria::{resolve_criteria, CriteriaSolution};
@@ -224,9 +224,10 @@ pub enum Admission {
 }
 
 impl Admission {
-    /// Admission of a run in `mode`. `filter` is the zoo filter of a filter
-    /// mode ([`MissFilter::for_run`]); a caller that keeps the filter
-    /// elsewhere — serve shards share one — passes `None` and gets `Always`.
+    /// Admission of a run in `mode`. `filter` is what
+    /// [`MissFilter::for_run`] built for `mode` — `Some` for exactly the
+    /// filter modes — and every cache owns its own: the simulator its one,
+    /// a cluster node or a serve shard one sized for its share of the keys.
     pub fn new(
         mode: Mode,
         filter: Option<MissFilter>,
@@ -234,6 +235,7 @@ impl Admission {
         history_capacity: usize,
         use_history: bool,
     ) -> Self {
+        debug_assert_eq!(filter.is_some(), mode.is_filter(), "a filter mode owns its filter");
         match (filter, mode) {
             (Some(f), _) => Admission::Filter(f),
             (None, Mode::Ideal) => Admission::Oracle,
@@ -523,8 +525,5 @@ mod tests {
         assert!(matches!(Admission::new(Mode::Proposal, None, 9, 16, true), Admission::Learned(_)));
         let filter = MissFilter::for_run(Mode::TinyLfu, 1000, 9, 30, 0.5);
         assert!(matches!(Admission::new(Mode::TinyLfu, filter, 9, 16, true), Admission::Filter(_)));
-        // A filter mode whose filter lives elsewhere admits like Original.
-        let mut shared = Admission::new(Mode::TinyLfu, None, 9, 16, true);
-        assert!(shared.decide(None, ObjectId(1), 0, true));
     }
 }

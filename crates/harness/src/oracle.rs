@@ -3,13 +3,17 @@
 //! asserted where the implementations are deterministic and conservation
 //! asserted where they are not.
 //!
-//! Three rungs:
+//! Four rungs:
 //! 1. **Exact** — the single-threaded simulator vs. a 1-shard/1-worker
 //!    inline-trained serve run must produce bit-identical fingerprints for
 //!    every admission mode.
-//! 2. **Conserved** — N-shard/N-worker serve runs (N ∈ {2, 4, 8}) are
-//!    nondeterministic in interleaving but must conserve every counter.
-//! 3. **Metamorphic** — properties that must hold across *related* runs:
+//! 2. **Conserved** — N-shard/N-worker serve runs (N ∈ {2, 4, 8}) fed by
+//!    two clients are nondeterministic in interleaving but must conserve
+//!    every counter.
+//! 3. **Exact topology** — fed by *one* client, an N-shard run is a pure
+//!    function of the trace: any worker count and queue shape must produce
+//!    one fingerprint, one per-shard breakdown and one store command stream.
+//! 4. **Metamorphic** — properties that must hold across *related* runs:
 //!    disabling the admission gate reproduces the plain policy, and doubling
 //!    capacity never reduces a stack policy's hit count (LRU inclusion).
 
@@ -17,7 +21,7 @@ use crate::plan::FaultSchedule;
 use crate::run::{case_trace, HarnessFailure};
 use otae_core::pipeline::{run_with_index, Mode, PolicyKind, RunConfig};
 use otae_core::ReaccessIndex;
-use otae_serve::{serve_trace_with_index, LoadConfig, ServeConfig, TrainerMode};
+use otae_serve::{serve_trace_with_index, LoadConfig, ServeConfig, StoreMode, TrainerMode};
 use otae_trace::Trace;
 
 fn fail(seed: u64, message: String) -> HarnessFailure {
@@ -124,8 +128,7 @@ pub fn differential_policy(seed: u64, n_objects: usize) -> Result<(), HarnessFai
 /// {1, 64} — a queue that blocks on every push up to one that never fills,
 /// stolen one request or one batch at a time) must produce the fingerprint
 /// of the per-request reference (`max_batch = 1` at the default
-/// `queue_depth`: one queue lock and one shard lock per request) bit for
-/// bit, for every admission mode — including under an injected swap-fault
+/// `queue_depth`: one queue lock per request) bit for bit, for every admission mode — including under an injected swap-fault
 /// schedule that deterministically drops every other model install on the
 /// exact 1×1 inline topology.
 pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
@@ -246,6 +249,100 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
     Ok(())
 }
 
+/// The exact topology rung. Requests are routed to the queue of the worker
+/// that owns their shard, so with one client every shard sees its requests
+/// in trace order whoever drives it: for N ∈ {2, 4, 8} shards and every
+/// admission mode (Proposal trained inline), `workers` ∈ {1, 2, N} at every
+/// corner of the queue's shape (`queue_depth` ∈ {1, 2, 1024} × `max_batch` ∈
+/// {1, 64}) must agree on the fingerprint, on the per-shard counters, and —
+/// a memory store attached, auto-compaction off — on the merged command
+/// stream the stores acknowledged.
+pub fn differential_topology(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
+    let trace = case_trace(seed, n_objects);
+    let index = ReaccessIndex::build(&trace);
+    // A tenth of the unique bytes: split eight ways, the other rungs' 2 %
+    // would leave a shard room for less than one object of a small trace.
+    let capacity = cap(&trace, 0.1);
+
+    for mode in [
+        Mode::Original,
+        Mode::Ideal,
+        Mode::Proposal,
+        Mode::SecondHit,
+        Mode::TinyLfu,
+        Mode::RejectX,
+        Mode::CoinFlip,
+    ] {
+        for shards in [2usize, 4, 8] {
+            let mut worker_counts = vec![1, 2, shards];
+            worker_counts.dedup();
+            let mut arms = Vec::new();
+            for workers in worker_counts {
+                for queue_depth in [1usize, 2, 1024] {
+                    for max_batch in [1usize, 64] {
+                        let mut cfg = ServeConfig::new(PolicyKind::Lru, mode, capacity);
+                        cfg.shards = shards;
+                        cfg.workers = workers;
+                        cfg.queue_depth = queue_depth;
+                        cfg.max_batch = max_batch;
+                        cfg.store = StoreMode::Memory;
+                        cfg.store_config.compact_trigger = None;
+                        let arm = format!(
+                            "N={shards} workers={workers} queue_depth={queue_depth} \
+                             max_batch={max_batch}"
+                        );
+                        arms.push((arm, cfg));
+                    }
+                }
+            }
+            let mut reference = None;
+            for (arm, cfg) in arms {
+                let r = serve_trace_with_index(&trace, &index, &cfg, &LoadConfig::default());
+                let Some(store) = r.snapshot.store else {
+                    return Err(fail(
+                        seed,
+                        format!("topology[{mode:?}]: {arm}: store snapshot missing"),
+                    ));
+                };
+                if r.replayed != trace.len() as u64 || !r.faults.is_clean() {
+                    return Err(fail(
+                        seed,
+                        format!(
+                            "topology[{mode:?}]: {arm}: replayed {} of {}, faults {:?}",
+                            r.replayed,
+                            trace.len(),
+                            r.faults
+                        ),
+                    ));
+                }
+                let st = store.stats;
+                let got = (
+                    r.fingerprint(),
+                    r.snapshot.per_shard,
+                    [
+                        st.host_bytes,
+                        st.put_records,
+                        st.tombstone_records,
+                        st.acked_puts,
+                        st.acked_removes,
+                    ],
+                );
+                let (first, want) = reference.get_or_insert_with(|| (arm.clone(), got.clone()));
+                if got != *want {
+                    return Err(fail(
+                        seed,
+                        format!(
+                            "topology[{mode:?}]: {arm} diverges from {first}\n  \
+                             {first}: {want:?}\n  {arm}: {got:?}"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Rung 3a: with the admission gate disabled (Original mode) the served
 /// system is exactly the plain replacement policy — same fingerprint as a
 /// bare pipeline run, for several policies.
@@ -307,12 +404,15 @@ pub fn metamorphic_capacity_monotone(seed: u64, n_objects: usize) -> Result<(), 
     Ok(())
 }
 
-/// The full oracle: differential across modes plus both metamorphic checks,
-/// and the segment-store recovery + differential rungs.
+/// The full oracle: differential across modes, queue shapes and topologies
+/// plus both metamorphic checks, and the segment-store recovery +
+/// differential rungs. The topology rung replays its trace 336 times with a
+/// store attached, so it gets a quarter of the objects.
 pub fn full_oracle(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
     differential_oracle(seed, n_objects)?;
     differential_policy(seed, n_objects)?;
     differential_hot_path(seed, n_objects)?;
+    differential_topology(seed, n_objects / 4)?;
     metamorphic_gate_disabled(seed, n_objects)?;
     metamorphic_capacity_monotone(seed, n_objects)?;
     crate::store_oracle::store_recovery_oracle(seed)?;

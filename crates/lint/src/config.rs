@@ -152,7 +152,7 @@ impl Rule {
             Rule::NoUnseededRng => &[],
             // Widened when crates/device, the zoo and the request kernel
             // grew real service-path code: FTL/wear models and the kernel
-            // (core/src/engine.rs) run inside the shard critical section
+            // (core/src/engine.rs) run on the serve worker's request path
             // and the zoo's filters run per request.
             Rule::NoPanicInServe => &[
                 "crates/serve/src/",
@@ -255,7 +255,7 @@ mod tests {
         // rules' scope.
         assert!(Rule::NoUnseededRng.in_scope("crates/core/src/zoo.rs"));
         // Widened scopes: device models, the zoo and the request kernel run
-        // on the request path, the kernel inside the shard critical section.
+        // on the request path, the kernel on the shard's owning worker.
         assert!(Rule::NoPanicInServe.in_scope("crates/device/src/ftl.rs"));
         for path in ["crates/core/src/zoo.rs", "crates/core/src/engine.rs"] {
             assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");

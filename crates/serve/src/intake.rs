@@ -1,38 +1,41 @@
-//! The request queue between client and worker threads: a bounded
-//! multi-producer multi-consumer FIFO whose consumers steal a whole batch
-//! under one lock and whose wake-ups are paid only when someone sleeps.
+//! The request queue between the client threads and one worker: a bounded
+//! multi-producer single-consumer FIFO whose consumer steals a whole batch
+//! under one lock and whose wake-ups are paid only when someone sleeps. The
+//! service builds one per worker; the clients route each request to the
+//! queue of the worker that owns its shard.
 //!
 //! The channel this replaced took its mutex and called
 //! `Condvar::notify_one` — a futex syscall whether or not anyone waits —
 //! once per `send` and again per `recv`/`try_recv`; that handoff cost five
 //! times the hit/miss/evict/account kernel it fed. Here the lock is taken
 //! once per [`Producer::push`] and once per [`Consumer::pop_batch`] (up to
-//! `max` requests), and the guarded state counts the threads parked on each
-//! condvar, so a `push` signals `not_empty` only when a consumer is parked
+//! `max` requests), and the guarded state knows who is parked on each
+//! condvar, so a `push` signals `not_empty` only when the consumer is parked
 //! and a `pop_batch` signals `not_full` only when a producer is.
 //!
 //! **Bound.** At most `cap` items are queued; `push` blocks while the queue
 //! is full. Items a consumer has popped into its batch no longer count —
 //! exactly the bound the channel gave.
 //!
-//! **Wake accounting.** A thread increments its side's parked count under
-//! the lock just before it waits; the thread that signals it decrements the
-//! count under the same lock before notifying. The count is therefore an
-//! upper bound on the waiters nobody has signalled yet: at zero no notify
-//! is owed, so the syscall is skipped. A spurious wake-up leaves the count
-//! one too high, which costs one needless notify later — never a lost one.
+//! **Wake accounting.** A thread marks itself parked (producers count, the
+//! consumer sets a flag) under the lock just before it waits; the thread
+//! that signals it takes the mark back under the same lock before notifying.
+//! The marks are therefore an upper bound on the waiters nobody has
+//! signalled yet: with none, no notify is owed and the syscall is skipped. A
+//! spurious wake-up leaves a mark standing, which costs one needless notify
+//! later — never a lost one.
 //!
-//! **Order.** One FIFO under one mutex: each producer's items are consumed
-//! in the order it pushed them, and with a single consumer the global
-//! consumption order is the global push order — what keeps a 1×1 inline
-//! replay bit-identical to the single-threaded pipeline.
+//! **Order.** One FIFO, one consumer: the pop order is the push order, and
+//! each producer's items are popped in the order it pushed them — what
+//! keeps a one-client replay a pure function of the trace at any topology,
+//! and a 1×1 inline replay bit-identical to the single-threaded pipeline.
 //!
-//! **Hang-up.** [`Producer`] and [`Consumer`] are counted handles. When the
-//! last producer drops, parked consumers wake, drain what is queued and see
-//! `pop_batch` return `false`; when the last consumer drops, blocked and
-//! later `push`es get their item back as an error. Drop runs on unwind too,
-//! so a panicking client or worker disconnects the other side instead of
-//! deadlocking it.
+//! **Hang-up.** [`Producer`] is a counted handle, [`Consumer`] a unique
+//! one. When the last producer drops, a parked consumer wakes, drains what
+//! is queued and sees `pop_batch` return `false`; when the consumer drops,
+//! blocked and later `push`es get their item back as an error. Drop runs on
+//! unwind too, so a panicking client or worker disconnects the other side
+//! instead of deadlocking it.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -41,19 +44,20 @@ use std::sync::Arc;
 struct QueueState<T> {
     queue: VecDeque<T>,
     producers: usize,
-    consumers: usize,
+    /// False once the consumer dropped.
+    consumer_alive: bool,
     /// Producers waiting on `not_full` that no `pop_batch` has signalled.
     parked_producers: usize,
-    /// Consumers waiting on `not_empty` that no `push` has signalled.
-    parked_consumers: usize,
+    /// The consumer waits on `not_empty` and no `push` has signalled it.
+    consumer_parked: bool,
     /// Most items ever queued at once (never above `cap`).
     high_water: usize,
 }
 
 struct Shared<T> {
     // Lock class `QueueState`, a leaf of the acquisition graph: nothing
-    // else is acquired while it is held, and neither a shard nor the
-    // filter-policy lock is held when it is taken.
+    // else is acquired while it is held, and the request path holds no
+    // other lock when it is taken.
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -65,7 +69,7 @@ pub struct Producer<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Draining half of the request queue; clone for more consumers.
+/// Draining half of the request queue: exactly one per queue.
 pub struct Consumer<T> {
     shared: Arc<Shared<T>>,
 }
@@ -76,9 +80,9 @@ pub fn bounded<T>(cap: usize) -> (Producer<T>, Consumer<T>) {
         state: Mutex::new(QueueState {
             queue: VecDeque::new(),
             producers: 1,
-            consumers: 1,
+            consumer_alive: true,
             parked_producers: 0,
-            parked_consumers: 0,
+            consumer_parked: false,
             high_water: 0,
         }),
         not_empty: Condvar::new(),
@@ -90,12 +94,12 @@ pub fn bounded<T>(cap: usize) -> (Producer<T>, Consumer<T>) {
 
 impl<T> Producer<T> {
     /// Queue one item, blocking while the queue is full. Fails — handing
-    /// the item back — once every consumer is gone.
+    /// the item back — once the consumer is gone.
     pub fn push(&self, item: T) -> Result<(), T> {
         let sh = &*self.shared;
         let mut st = sh.state.lock();
         loop {
-            if st.consumers == 0 {
+            if !st.consumer_alive {
                 return Err(item);
             }
             if st.queue.len() < sh.cap {
@@ -110,10 +114,7 @@ impl<T> Producer<T> {
         st.queue.push_back(item);
         st.high_water = st.high_water.max(st.queue.len());
         debug_assert!(st.queue.len() <= sh.cap, "queue above its bound");
-        let wake = st.parked_consumers > 0;
-        if wake {
-            st.parked_consumers -= 1;
-        }
+        let wake = std::mem::take(&mut st.consumer_parked);
         drop(st);
         if wake {
             sh.not_empty.notify_one();
@@ -135,7 +136,7 @@ impl<T> Consumer<T> {
             if st.producers == 0 {
                 return false;
             }
-            st.parked_consumers += 1;
+            st.consumer_parked = true;
             // See `push`: the wait releases the guard.
             // otae-lint: allow(no-blocking-under-lock)
             sh.not_empty.wait(&mut st);
@@ -165,21 +166,14 @@ impl<T> Clone for Producer<T> {
     }
 }
 
-impl<T> Clone for Consumer<T> {
-    fn clone(&self) -> Self {
-        self.shared.state.lock().consumers += 1;
-        Self { shared: Arc::clone(&self.shared) }
-    }
-}
-
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         let mut st = self.shared.state.lock();
         st.producers -= 1;
         if st.producers == 0 {
-            st.parked_consumers = 0;
+            st.consumer_parked = false;
             drop(st);
-            self.shared.not_empty.notify_all();
+            self.shared.not_empty.notify_one();
         }
     }
 }
@@ -187,12 +181,10 @@ impl<T> Drop for Producer<T> {
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
         let mut st = self.shared.state.lock();
-        st.consumers -= 1;
-        if st.consumers == 0 {
-            st.parked_producers = 0;
-            drop(st);
-            self.shared.not_full.notify_all();
-        }
+        st.consumer_alive = false;
+        st.parked_producers = 0;
+        drop(st);
+        self.shared.not_full.notify_all();
     }
 }
 
@@ -232,13 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn push_fails_once_every_consumer_is_gone() {
-        let (tx, rx) = bounded(1);
-        let rx2 = rx.clone();
-        drop(rx);
+    fn push_fails_once_the_consumer_is_gone() {
+        let (tx, rx) = bounded(2);
         tx.push(1).unwrap();
-        drop(rx2);
-        assert_eq!(tx.push(2), Err(2));
+        drop(rx);
+        assert_eq!(tx.push(2), Err(2), "room in the queue, nobody to drain it");
     }
 
     /// A producer blocked on a full queue is released by exactly one
@@ -277,7 +267,7 @@ mod tests {
         assert!(rx.pop_batch(&mut batch, 4));
         {
             let st = tx.shared.state.lock();
-            assert_eq!((st.parked_producers, st.parked_consumers), (0, 0));
+            assert_eq!((st.parked_producers, st.consumer_parked), (0, false));
         }
         std::thread::scope(|s| {
             let consumer = s.spawn(|| {
@@ -285,45 +275,39 @@ mod tests {
                 assert!(rx.pop_batch(&mut batch, 4));
                 batch
             });
-            while tx.shared.state.lock().parked_consumers == 0 {
+            while !tx.shared.state.lock().consumer_parked {
                 std::thread::yield_now();
             }
             tx.push(7).unwrap();
-            assert_eq!(tx.shared.state.lock().parked_consumers, 0, "push settles the wake it owes");
+            assert!(!tx.shared.state.lock().consumer_parked, "push settles the wake it owes");
             assert_eq!(consumer.join().unwrap(), [7]);
         });
     }
 
-    /// Consumers asleep on an empty queue must all wake and hang up when
-    /// the last producer handle drops — one notify per sleeper is not owed
-    /// by any push, so the drop has to wake them all itself.
+    /// A consumer asleep on an empty queue must wake and hang up when the
+    /// last producer handle drops — no push owes it a notify, so the drop
+    /// has to wake it itself — and not before.
     #[test]
-    fn parked_consumers_all_return_false_after_the_last_producer_drops() {
+    fn parked_consumer_returns_false_after_the_last_producer_drops() {
         let (tx, rx) = bounded::<u32>(4);
         let tx2 = tx.clone();
         std::thread::scope(|s| {
-            let consumers: Vec<_> = (0..3)
-                .map(|_| {
-                    let rx = rx.clone();
-                    s.spawn(move || rx.pop_batch(&mut Vec::new(), 8))
-                })
-                .collect();
-            while rx.shared.state.lock().parked_consumers < 3 {
+            let rx = &rx;
+            let consumer = s.spawn(move || rx.pop_batch(&mut Vec::new(), 8));
+            while !tx.shared.state.lock().consumer_parked {
                 std::thread::yield_now();
             }
             drop(tx);
-            assert_eq!(rx.shared.state.lock().parked_consumers, 3, "one producer is still alive");
+            assert!(tx2.shared.state.lock().consumer_parked, "one producer is still alive");
             drop(tx2);
-            for c in consumers {
-                assert!(!c.join().unwrap());
-            }
+            assert!(!consumer.join().unwrap());
         });
     }
 
     /// A producer asleep on a full queue gets its item back — not a hang —
-    /// when the last consumer drops.
+    /// when the consumer drops.
     #[test]
-    fn blocked_producer_errors_when_the_last_consumer_drops() {
+    fn blocked_producer_errors_when_the_consumer_drops() {
         let (tx, rx) = bounded(1);
         tx.push(1).unwrap();
         std::thread::scope(|s| {

@@ -2,47 +2,64 @@
 //!
 //! The simulator crates answer *what* the paper's admission policy does to
 //! hit and write rates; this crate answers whether the design *serves*: a
-//! shard-per-core cache service where N independent shards (each a mutex
-//! around the simulator's own request kernel, [`otae_core::engine`] — a
-//! replacement policy and its counters — plus a slice of the §4.4.2 history
-//! table and its accounting) process requests stolen in batches from a
-//! bounded queue by K worker threads, while a background retrainer hot-swaps
-//! the daily-trained admission tree through a shared [`AdmissionGate`]
-//! without stalling the request path.
+//! shard-per-core cache service where N independent shards (each the
+//! simulator's own request kernel, [`otae_core::engine`] — a replacement
+//! policy and its counters — plus its admission state, a slice of the
+//! §4.4.2 history table or its own miss filter, and its accounting) are
+//! *owned* by K worker threads, each draining a bounded queue of its own in
+//! batches, while a background retrainer hot-swaps the daily-trained
+//! admission tree through a shared [`AdmissionGate`] without stalling the
+//! request path. Like the paper's deployment (§2.1, §4.4) — independent
+//! cache servers, each with its own classifier state — nothing but the
+//! model is shared between shards, and nothing on the request path is
+//! locked but a worker's own queue.
 //!
 //! ```text
 //!   trace ──prepare──▶ [PreparedRequest…]          AdmissionGate
 //!   (features, labels,       │ &request           (RwLock<Arc<tree>>)
 //!    model stamps)     M client threads                  ▲ install
 //!                            │ paced @ QPS         retrainer thread
-//!                            │ push: blocks at     (samples ⇒ daily train)
-//!                            ▼ queue_depth
-//!                      intake queue (Mutex<VecDeque<&request>>)
-//!                            │ pop_batch: ≤ max_batch per lock
-//!                            ▼
-//!                      K worker threads ──hash(object)──▶ shard mutex
-//!                                                         ┌────────────┐
-//!                                                         │ Kernel     │ ×N
-//!                                                         │ Admission  │
-//!                                                         │ Accounting │
-//!                                                         └────────────┘
+//!                            │ route: hash(object) (samples ⇒ daily train)
+//!                            │   ⇒ shard ⇒ owner
+//!                            │ push: blocks at
+//!            ┌───────────────┴─ queue_depth ─┐
+//!            ▼                               ▼
+//!      intake queue 0         …        intake queue K-1
+//!      (Mutex<VecDeque<&request>>, one consumer each)
+//!            │ pop_batch: ≤ max_batch per lock
+//!            ▼                               ▼
+//!        worker 0             …          worker K-1
+//!      &mut shards[0..c]              &mut shards[(K-1)c..N]
+//!      ┌────────────┐
+//!      │ Kernel     │ ×c   (c = ⌈N / min(workers, N)⌉ shards per worker,
+//!      │ Admission  │       borrowed for the life of the thread scope)
+//!      │ Accounting │
+//!      │ store      │
+//!      └────────────┘
 //! ```
 //!
-//! The queue ([`intake`]) bounds the requests waiting between clients and
-//! workers at `queue_depth`; a batch a worker has stolen no longer counts.
-//! Each side signals the other only when it is parked — a `push` wakes a
-//! worker sleeping on an empty queue, a `pop_batch` wakes clients blocked on
-//! a full one — so a busy queue pays no wake-up syscall at all. It carries
-//! `&PreparedRequest` borrowed from the prepared trace, which outlives the
-//! thread scope every client and worker runs in, so a request is never
-//! copied and its model `Arc` never re-counted on the way to a shard.
+//! Each queue ([`intake`]) bounds the requests waiting between the clients
+//! and one worker at `queue_depth`; a batch the worker has stolen no longer
+//! counts. Each side signals the other only when it is parked — a `push`
+//! wakes a worker sleeping on an empty queue, a `pop_batch` wakes clients
+//! blocked on a full one — so a busy queue pays no wake-up syscall at all.
+//! It carries `&PreparedRequest` borrowed from the prepared trace, which
+//! outlives the thread scope every client and worker runs in, so a request
+//! is never copied and its model `Arc` never re-counted on the way to a
+//! shard. A client picks the queue from the request's shard (one multiply-
+//! shift hash and a table lookup; with one worker, nothing), so every
+//! request of a shard reaches the one worker that owns it, in the order the
+//! clients pushed it: with one client, the whole replay is a pure function
+//! of the trace at any `workers`, `queue_depth` and `max_batch`.
 //!
-//! A worker drives the shard's kernel once per request of a segment, in
-//! arrival order — the same `Kernel::access` / `Admission::decide` /
+//! A worker drives the owning shard's kernel once per request of a stolen
+//! batch, in pop order — the same `Kernel::access` / `Admission::decide` /
 //! `Accounting::record` sequence the simulator runs, the model consulted
 //! inside the admit closure (on a miss, never for a hit) — so the service
 //! adds batching, threading and persistence around the decision logic,
-//! never a second copy of it.
+//! never a second copy of it. When the scope ends the workers' borrows end
+//! with it, and the orchestrator flushes the stores and merges the
+//! [`Snapshot`] from the same `Vec` of shards.
 //!
 //! Two training deliveries are supported ([`TrainerMode`]): *Inline*
 //! stamps each request with the model current at its enqueue point, which
@@ -84,7 +101,7 @@ pub use loadgen::{LoadConfig, SAMPLE_FLUSH};
 pub use request::{prepare, ModelSource, PreparedRequest, PreparedTrace};
 pub use retrainer::{run_retrainer, RetrainerReport, TrainBatch, TrainMsg};
 pub use service::{serve_trace, serve_trace_with_index, ServeConfig, ServeReport, TrainerMode};
-pub use shard::{ShardedCache, Snapshot};
+pub use shard::Snapshot;
 pub use store_layer::{fill_payload, StoreMode, StoreSnapshot};
 
 /// Compile-time thread-safety guarantees for everything the service moves
@@ -106,14 +123,15 @@ mod thread_safety_assertions {
         assert_send::<TrainBatch>();
         // Shared service state read by every worker.
         assert_send_sync::<AdmissionGate>();
-        assert_send_sync::<ShardedCache>();
+        // A run of shards moves into the worker thread that owns it.
+        assert_send::<crate::shard::ShardState>();
         // Determinism seams shared across client/worker/retrainer threads.
         assert_send_sync::<VirtualClock>();
         assert_send_sync::<ServiceClock>();
         assert_send_sync::<NoFaults>();
         assert_send_sync::<std::sync::Arc<dyn FaultPlan>>();
-        // Per-shard segment stores live inside the shard mutex; their
-        // writer threads are owned by the store itself.
+        // Per-shard segment stores live inside the shard; their writer
+        // threads are owned by the store itself.
         assert_send::<crate::store_layer::ShardStore>();
         assert_send_sync::<StoreMode>();
         // Classifier state moved into shards and the retrainer.
@@ -123,14 +141,14 @@ mod thread_safety_assertions {
         assert_send_sync::<otae_core::baseline::SecondHitAdmission>();
         assert_send_sync::<otae_cache::CacheStats>();
         assert_send_sync::<otae_device::ResponseTime>();
-        // Disk-head-time accounting lives inside each shard's mutex.
+        // Disk-head-time accounting lives inside each shard.
         assert_send::<otae_device::ServiceTimeModel>();
-        // The policy zoo: the shared filter crosses worker threads, and
+        // The policy zoo: each shard's filter moves to its worker, and
         // every zoo filter must stay plain seeded data.
         assert_send_sync::<otae_core::MissFilter>();
         // Every replacement policy must build into a Send trait object, and
-        // the request kernel wrapping it lives inside the shard mutex with
-        // its admission and accounting.
+        // the request kernel wrapping it lives inside the shard with its
+        // admission and accounting.
         assert_send::<Box<dyn otae_cache::Cache<otae_trace::ObjectId> + Send>>();
         assert_send::<otae_core::Kernel>();
         assert_send::<otae_core::Admission>();

@@ -1,11 +1,13 @@
 //! Trace-replay load generation: M client threads submitting prepared
-//! requests into the service's bounded queue at a target aggregate QPS.
+//! requests at a target aggregate QPS, each request routed to the bounded
+//! queue of the worker that owns its shard.
 
 use crate::clock::ClockHandle;
 use crate::fault::{FaultPlan, SampleFault};
-use crate::intake::Producer;
+use crate::intake::{self, Consumer, Producer};
 use crate::request::PreparedRequest;
 use crate::retrainer::{TrainBatch, TrainMsg};
+use crate::shard::shard_of;
 use crossbeam::channel::Sender;
 use otae_core::N_FEATURES;
 use std::time::Duration;
@@ -36,6 +38,43 @@ impl Default for LoadConfig {
     }
 }
 
+/// A client's view of the workers' queues: the submitting half of every
+/// queue plus, per shard, the queue of the worker that owns it. Cloned once
+/// per client thread; the last clone to drop hangs up every queue.
+#[derive(Clone)]
+pub(crate) struct Router<'a> {
+    queues: Vec<Producer<&'a PreparedRequest>>,
+    /// `owner[s]` indexes `queues`: the worker shard `s` belongs to.
+    owner: Vec<usize>,
+}
+
+impl<'a> Router<'a> {
+    /// One queue of `queue_depth` per run of `chunk` shards, and the router
+    /// over them: worker `w` — the consumer at index `w` — owns the shards
+    /// starting at `w * chunk`, the split `chunks_mut(chunk)` hands the
+    /// workers themselves.
+    pub(crate) fn bounded(
+        n_shards: usize,
+        chunk: usize,
+        queue_depth: usize,
+    ) -> (Self, Vec<Consumer<&'a PreparedRequest>>) {
+        let (queues, consumers) =
+            (0..n_shards.div_ceil(chunk)).map(|_| intake::bounded(queue_depth)).unzip();
+        (Self { queues, owner: (0..n_shards).map(|s| s / chunk).collect() }, consumers)
+    }
+
+    /// Queue `req` with the worker that owns its shard, blocking while that
+    /// queue is full. With a single queue nothing is hashed. Fails once the
+    /// owning worker is gone.
+    #[inline]
+    pub(crate) fn push(&self, req: &'a PreparedRequest) -> Result<(), &'a PreparedRequest> {
+        match self.queues.as_slice() {
+            [only] => only.push(req),
+            queues => queues[self.owner[shard_of(req.object, self.owner.len())]].push(req),
+        }
+    }
+}
+
 /// What one client thread did.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ClientReport {
@@ -48,7 +87,7 @@ pub(crate) struct ClientReport {
 }
 
 /// Replay `client`'s stride of the prepared trace (requests `client`,
-/// `client + n_clients`, …) into the request queue, pacing to its share of
+/// `client + n_clients`, …) into the workers' queues, pacing to its share of
 /// the aggregate QPS target. Requests are queued by reference: the prepared
 /// trace outlives every client and worker thread of the run, so nothing is
 /// copied per request.
@@ -70,7 +109,7 @@ pub(crate) fn replay_client<'a>(
     prepared: &'a [PreparedRequest],
     load: &LoadConfig,
     clock: &ClockHandle,
-    requests: &Producer<&'a PreparedRequest>,
+    requests: &Router<'a>,
     samples: Option<&Sender<TrainBatch>>,
     plan: &dyn FaultPlan,
 ) -> ClientReport {
@@ -112,7 +151,7 @@ pub(crate) fn replay_client<'a>(
             }
         }
         if requests.push(req).is_err() {
-            break; // all workers gone; nothing left to do
+            break; // the owning worker is gone; nothing left to do
         }
         report.submitted += 1;
     }
@@ -127,8 +166,8 @@ mod tests {
     use super::*;
     use crate::clock::ServiceClock;
     use crate::fault::NoFaults;
-    use crate::intake::{bounded, Consumer};
     use crate::request::ModelSource;
+    use crate::service::shards_per_worker;
     use crossbeam::channel::unbounded;
     use otae_trace::ObjectId;
     use std::time::Instant;
@@ -147,10 +186,11 @@ mod tests {
             .collect()
     }
 
-    /// A request queue deep enough to hold all of `reqs`, so a test can run
-    /// the client to completion before draining on the same thread.
-    fn queue(reqs: &[PreparedRequest]) -> (Producer<&PreparedRequest>, Consumer<&PreparedRequest>) {
-        bounded(reqs.len())
+    /// One worker's queue, deep enough to hold all of `reqs`, so a test
+    /// can run the client to completion before draining on the same thread.
+    fn queue(reqs: &[PreparedRequest]) -> (Router<'_>, Consumer<&PreparedRequest>) {
+        let (router, mut rxs) = Router::bounded(1, 1, reqs.len());
+        (router, rxs.pop().expect("one queue"))
     }
 
     /// Everything queued, in order (call after the last producer dropped).
@@ -162,21 +202,43 @@ mod tests {
         all
     }
 
+    /// Three clients' strides cover the trace exactly once, and every
+    /// request lands in the queue of the worker that owns its shard — one
+    /// queue per run of `chunk` shards, never more queues than shards — with
+    /// each client's requests in trace order inside each queue.
     #[test]
     fn strides_partition_the_trace() {
-        let reqs = prepared(10);
-        let (tx, rx) = queue(&reqs);
+        let reqs = prepared(1000);
         let load = LoadConfig::default();
         let clock = ServiceClock::Wall.start();
-        let mut total = 0;
-        for c in 0..3 {
-            total += replay_client(c, 3, &reqs, &load, &clock, &tx, None, &NoFaults).submitted;
+        for (shards, workers) in [(1usize, 1usize), (4, 4), (5, 3), (2, 4), (8, 2)] {
+            let chunk = shards_per_worker(shards, workers);
+            let (router, rxs) = Router::bounded(shards, chunk, reqs.len());
+            assert!(rxs.len() <= workers.min(shards));
+            let mut total = 0;
+            for c in 0..3 {
+                total +=
+                    replay_client(c, 3, &reqs, &load, &clock, &router, None, &NoFaults).submitted;
+            }
+            drop(router);
+            assert_eq!(total, 1000);
+            let mut seen = Vec::new();
+            for (w, rx) in rxs.iter().enumerate() {
+                let queued = drain(rx);
+                assert!(!queued.is_empty(), "{shards}x{workers}: queue {w} never used");
+                let mut last = [None::<u64>; 3];
+                for r in &queued {
+                    let topology = format!("{shards}x{workers}");
+                    assert_eq!(shard_of(r.object, shards) / chunk, w, "{topology}: wrong owner");
+                    let client = (r.idx % 3) as usize;
+                    assert!(last[client] < Some(r.idx), "{topology}: client {client} reordered");
+                    last[client] = Some(r.idx);
+                }
+                seen.extend(queued.iter().map(|r| r.idx));
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..1000).collect::<Vec<_>>(), "{shards}x{workers}");
         }
-        drop(tx);
-        assert_eq!(total, 10);
-        let mut seen: Vec<u64> = drain(&rx).iter().map(|r| r.idx).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

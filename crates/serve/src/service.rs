@@ -1,22 +1,21 @@
-//! The service orchestrator: prepare → (clients ⇒ queue ⇒ workers) →
-//! snapshot, with an optional background retrainer hot-swapping the
-//! admission model mid-replay.
+//! The service orchestrator: prepare → (clients ⇒ per-worker queues ⇒
+//! workers, each owning its shards) → snapshot, with an optional background
+//! retrainer hot-swapping the admission model mid-replay.
 
 use crate::clock::ServiceClock;
-use crate::fault::{FaultPlan, FaultReport, NoFaults};
+use crate::fault::{FaultPlan, FaultReport, InjectedFault, NoFaults};
 use crate::gate::{AdmissionGate, GateModel};
-use crate::intake::{self, Consumer};
-use crate::loadgen::{replay_client, ClientReport, LoadConfig};
+use crate::intake::Consumer;
+use crate::loadgen::{replay_client, ClientReport, LoadConfig, Router};
 use crate::request::{prepare, ModelSource, PreparedRequest};
 use crate::retrainer::{run_retrainer, RetrainerReport};
-use crate::shard::{Params, ShardedCache, Snapshot};
+use crate::shard::{shard_of, ShardState, Snapshot};
 use crate::store_layer::{ShardStore, StoreMode};
 use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
-use otae_core::{resolve_criteria, CriteriaSolution, MissFilter, ReaccessIndex, TrainingConfig};
+use otae_core::{resolve_criteria, CriteriaSolution, ReaccessIndex, TrainingConfig};
 use otae_device::{HddProfile, LatencyModel};
 use otae_trace::Trace;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,10 +38,14 @@ pub enum TrainerMode {
 pub struct ServeConfig {
     /// Number of independent cache shards.
     pub shards: usize,
-    /// Number of request-processing worker threads.
+    /// Most request-processing worker threads. Each worker owns a
+    /// contiguous run of `ceil(shards / min(workers, shards))` shards, so a
+    /// worker beyond the shard count would own nothing and is not spawned;
+    /// [`ServeReport::workers`] is the number that ran.
     pub workers: usize,
-    /// Bound of the ingestion queue (requests buffered between clients and
-    /// workers).
+    /// Bound of *each* worker's ingestion queue (requests buffered between
+    /// the clients and that worker); at most `workers × queue_depth`
+    /// requests are buffered in total.
     pub queue_depth: usize,
     /// Replacement policy (each shard runs its own instance).
     pub policy: PolicyKind,
@@ -67,10 +70,9 @@ pub struct ServeConfig {
     pub criteria_iterations: usize,
     /// Override the computed one-time-access threshold `M`.
     pub m_override: Option<u64>,
-    /// Most requests a worker steals from the queue under one queue lock
-    /// (minimum 1). A stolen batch is grouped by shard and each group runs
-    /// under a single shard-lock acquisition; `1` takes both locks once per
-    /// request. Decisions do not depend on it.
+    /// Most requests a worker steals from its queue under one queue lock
+    /// (minimum 1), then drives through its shards in pop order; `1` takes
+    /// the lock once per request. Decisions do not depend on it.
     pub max_batch: usize,
     /// Time source for pacing and duration caps (wall by default; virtual
     /// for deterministic harness runs).
@@ -134,6 +136,8 @@ pub struct ServeReport {
     pub wall: Duration,
     /// Requests processed per wall-clock second of the replay phase.
     pub throughput_rps: f64,
+    /// Worker threads that ran (at most `min(cfg.workers, cfg.shards)`).
+    pub workers: usize,
     /// Admission models installed into the gate over the run.
     pub model_swaps: u64,
     /// Completed daily trainings (models fitted, whether or not an injected
@@ -210,18 +214,6 @@ pub fn serve_trace_with_index(
     let gate = AdmissionGate::new();
     let prepared = prepare(trace, index, cfg, &gate, m, v);
 
-    // The filter of a filter mode builds through the same seam as the
-    // pipeline's, so both sides construct byte-identical state; `None` for
-    // Original/Ideal/Proposal.
-    let filter =
-        MissFilter::for_run(cfg.mode, trace.meta.len(), m, cfg.training.max_splits, cfg.coin_p);
-    let params = Params {
-        latency: cfg.latency,
-        mode: cfg.mode,
-        use_history: cfg.training.use_history,
-        m,
-        hdd: cfg.hdd,
-    };
     // Build one segment store per shard before serving starts. A failed
     // open (disk mode only) degrades to storeless serving — recorded as a
     // store failure, never an unwind.
@@ -233,24 +225,19 @@ pub fn serve_trace_with_index(
                 (Vec::new(), 1)
             }
         };
-    let sharded = ShardedCache::new(
-        cfg.shards,
-        cfg.policy,
-        cfg.capacity,
-        criteria.history_table_capacity(),
-        trace,
-        params,
-        filter,
-        stores,
-    );
+    let mut shards =
+        ShardState::build_all(cfg, trace, m, criteria.history_table_capacity(), stores);
+    // Ownership: worker `w` borrows shards `w * chunk ..` for the whole
+    // scope and drains a queue of its own, which the clients fill by shard.
+    let chunk = shards_per_worker(cfg.shards, cfg.workers);
 
     // The retrainer thread only exists for the learned policy: every filter
     // policy (and Original/Ideal) runs the whole replay without a trainer,
     // a sampler channel, or a single gate install.
     let background = cfg.mode.is_learned() && cfg.trainer == TrainerMode::Background;
-    // Requests cross the queue by reference: `prepared` is declared before
+    // Requests cross the queues by reference: `prepared` is declared before
     // the thread scope below, so it outlives every client and worker.
-    let (req_tx, req_rx) = intake::bounded::<&PreparedRequest>(cfg.queue_depth);
+    let (router, req_rxs) = Router::bounded(cfg.shards, chunk, cfg.queue_depth);
     let (sample_tx, sample_rx) = if background {
         let (tx, rx) = unbounded();
         (Some(tx), Some(rx))
@@ -259,7 +246,7 @@ pub fn serve_trace_with_index(
     };
 
     let plan: &dyn FaultPlan = cfg.faults.as_ref();
-    let panics = AtomicU64::new(0);
+    let mut shard_panics = 0u64;
     // Failure tallies accumulate in locals and land in the FaultReport via
     // one exhaustive literal below, so a new field cannot be forgotten
     // (merge-exhaustive).
@@ -271,7 +258,7 @@ pub fn serve_trace_with_index(
     let clock = cfg.clock.start();
     let mut serve_wall = Duration::ZERO;
     // Thread failures are recorded, never propagated: a dead client only
-    // loses its stride, a dead worker only its queue share (the queue's
+    // loses its stride, a dead worker only its shards' share (its queue's
     // handles hang up on unwind rather than deadlock), a dead retrainer only
     // freezes the model — the service always reaches its snapshot.
     let scope_result = crossbeam::thread::scope(|s| {
@@ -280,30 +267,40 @@ pub fn serve_trace_with_index(
             let training = &cfg.training;
             s.spawn(move |_| run_retrainer(rx, gate, training, v, plan))
         });
-        let workers: Vec<_> = (0..cfg.workers)
-            .map(|_| {
-                let rx = req_rx.clone();
-                let sharded = &sharded;
+        let workers: Vec<_> = shards
+            .chunks_mut(chunk)
+            .zip(req_rxs)
+            .enumerate()
+            .map(|(w, (owned, rx))| {
                 let gate = &gate;
-                let panics = &panics;
-                let max_batch = cfg.max_batch;
-                s.spawn(move |_| run_worker(rx, sharded, gate, plan, panics, max_batch))
+                let (first, n_shards, max_batch) = (w * chunk, cfg.shards, cfg.max_batch);
+                // The closure owns `rx`: a worker that unwinds drops it,
+                // which hangs its queue up instead of blocking the clients.
+                s.spawn(move |_| run_worker(&rx, owned, first, n_shards, gate, plan, max_batch))
             })
             .collect();
-        drop(req_rx);
 
         let clients: Vec<_> = (0..load.clients)
             .map(|c| {
-                let tx = req_tx.clone();
+                let router = router.clone();
                 let stx = sample_tx.clone();
                 let prepared = &prepared.requests;
                 let clock = &clock;
                 s.spawn(move |_| {
-                    replay_client(c, load.clients, prepared, load, clock, &tx, stx.as_ref(), plan)
+                    replay_client(
+                        c,
+                        load.clients,
+                        prepared,
+                        load,
+                        clock,
+                        &router,
+                        stx.as_ref(),
+                        plan,
+                    )
                 })
             })
             .collect();
-        drop(req_tx);
+        drop(router);
         drop(sample_tx);
 
         for h in clients {
@@ -313,8 +310,9 @@ pub fn serve_trace_with_index(
             }
         }
         for w in workers {
-            if w.join().is_err() {
-                worker_failures += 1;
+            match w.join() {
+                Ok(caught) => shard_panics += caught,
+                Err(_) => worker_failures += 1,
             }
         }
         // Every request is processed once the workers join; stamp the
@@ -340,10 +338,13 @@ pub fn serve_trace_with_index(
 
     let replayed: u64 = client_reports.iter().map(|r| r.submitted).sum();
 
-    // Every worker has joined: drain the store write queues so the
-    // snapshot's byte counters cover every acknowledged append.
-    sharded.flush_stores();
-    let snapshot = sharded.snapshot();
+    // Every worker has joined and handed its shards back: drain the store
+    // write queues so the snapshot's byte counters cover every acknowledged
+    // append.
+    for shard in &mut shards {
+        shard.flush_store();
+    }
+    let snapshot = Snapshot::merge(&shards, cfg.hdd);
     // Destructured without `..`: a new retrainer counter has to be placed
     // in the report below before this compiles. `installs` is the one
     // field not copied — the gate's own swap count reports it.
@@ -362,7 +363,7 @@ pub fn serve_trace_with_index(
         failed_trainings: failed,
         deferred_installs: deferred,
         dropped_installs: dropped_installs + prepared.dropped_installs,
-        shard_panics: panics.load(Ordering::Acquire),
+        shard_panics,
         client_failures,
         worker_failures,
         retrainer_failure,
@@ -376,6 +377,7 @@ pub fn serve_trace_with_index(
         replayed,
         wall,
         throughput_rps: replayed as f64 / wall.as_secs_f64().max(1e-9),
+        workers: cfg.shards.div_ceil(chunk),
         model_swaps: gate.swaps(),
         trainings: if background { background_trainings } else { prepared.trainings },
         faults,
@@ -388,37 +390,43 @@ pub fn serve_trace_with_index(
     }
 }
 
-/// Drain the request queue into the sharded cache until every client hangs
-/// up: steal up to `max_batch` requests under one queue lock (blocking only
-/// while the queue is empty), group the batch by shard and process each
-/// shard's subsequence as one segment (one lock acquisition; the model is
-/// consulted per miss inside it). The batch and the per-shard segments hold
-/// borrowed requests and are reused across batches, so the loop allocates
-/// nothing.
+/// Length of the contiguous run of shards each worker owns when at most
+/// `workers` workers split `shards` shards: shard `s` belongs to worker
+/// `s / chunk`, and `ceil(shards / chunk) ≤ min(workers, shards)` workers
+/// have anything to own.
+pub(crate) fn shards_per_worker(shards: usize, workers: usize) -> usize {
+    shards.div_ceil(workers.min(shards))
+}
+
+/// Drain one worker's queue into the shards it owns until every client
+/// hangs up: steal up to `max_batch` requests under one queue lock (blocking
+/// only while the queue is empty) and drive them through their shards in pop
+/// order — the shards are this worker's alone (`owned` is shards `first ..`
+/// of `n_shards`), so nothing is locked and the model is consulted per miss.
+/// The batch holds borrowed requests and is reused, so the loop allocates
+/// nothing; a worker with a single shard does not hash.
 /// Gate-resolved requests share a cached model snapshot that is refreshed
 /// at most once per batch, and only when the gate's lock-free epoch hint
 /// says it moved — the read lock and `Arc` clone leave the per-request path
-/// entirely. Injected shard panics are caught here — the request is
-/// consumed, the panic counted, and the worker keeps draining; the requests
-/// before the faulted one in its shard group are flushed first, so
-/// shard-local order is preserved.
+/// entirely. An injected shard panic is raised and caught here, before the
+/// shard is touched: the request is consumed, the panic counted, and the
+/// worker keeps draining. Returns the injected panics caught.
 fn run_worker(
-    rx: Consumer<&PreparedRequest>,
-    sharded: &ShardedCache,
+    rx: &Consumer<&PreparedRequest>,
+    owned: &mut [ShardState],
+    first: usize,
+    n_shards: usize,
     gate: &AdmissionGate,
     plan: &dyn FaultPlan,
-    panics: &AtomicU64,
     max_batch: usize,
-) {
+) -> u64 {
     let max_batch = max_batch.max(1);
     let mut batch: Vec<&PreparedRequest> = Vec::with_capacity(max_batch);
     // Cached gate snapshot. The sentinel hint (`u64::MAX`) marks "never
     // snapshotted"; real epochs count installs from 0.
     let mut gate_hint = u64::MAX;
     let mut gate_model: Option<Arc<GateModel>> = None;
-    let mut segments: Vec<Vec<&PreparedRequest>> =
-        (0..sharded.shard_count()).map(|_| Vec::new()).collect();
-    let mut touched: Vec<usize> = Vec::with_capacity(sharded.shard_count());
+    let mut panics = 0u64;
 
     while rx.pop_batch(&mut batch, max_batch) {
         if batch.iter().any(|r| matches!(r.model, ModelSource::Gate)) {
@@ -430,30 +438,19 @@ fn run_worker(
         }
         let snapshot = gate_model.as_deref();
         for &req in &batch {
-            let s = sharded.shard_of(req.object);
-            if segments[s].is_empty() {
-                touched.push(s);
+            let shard = if owned.len() == 1 { first } else { shard_of(req.object, n_shards) };
+            if plan.shard_panic(shard, req.idx) {
+                let unwound = std::panic::catch_unwind(|| {
+                    std::panic::panic_any(InjectedFault { shard, request: req.idx })
+                });
+                debug_assert!(unwound.is_err());
+                panics += 1;
+                continue;
             }
-            segments[s].push(req);
-        }
-        for s in touched.drain(..) {
-            let segment = &mut segments[s];
-            let mut start = 0;
-            for (i, &req) in segment.iter().enumerate() {
-                if plan.shard_panic(s, req.idx) {
-                    sharded.process_segment(s, &segment[start..i], snapshot);
-                    start = i + 1;
-                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sharded.process_with_injected_panic(req)
-                    }));
-                    debug_assert!(unwound.is_err());
-                    panics.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-            sharded.process_segment(s, &segment[start..], snapshot);
-            segment.clear();
+            owned[shard - first].process(req, snapshot);
         }
     }
+    panics
 }
 
 #[cfg(test)]
@@ -461,7 +458,8 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::fault::{RetrainFault, SampleFault};
-    use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
+    use crate::shard::model_for;
+    use crate::shard::tests::{prepared, sharded, snapshot, tree};
     use otae_trace::{generate, TraceConfig};
     use std::time::Instant;
 
@@ -583,11 +581,13 @@ mod tests {
         let t = trace();
         let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, cap(&t));
         cfg.trainer = TrainerMode::Background;
-        // Two shards, but one worker/client: multiple workers may reorder
-        // same-shard requests, which breaks the exact cross-check below.
+        // Two shards, two workers, one client: each shard's requests reach
+        // its owner in trace order, so the cross-check below is exact.
         cfg.shards = 2;
+        cfg.workers = 2;
         cfg.faults = Arc::new(TrainingOutage);
         let r = serve_trace(&t, &cfg, &LoadConfig::default());
+        assert_eq!(r.workers, 2);
         assert_eq!(r.snapshot.stats.accesses as usize, t.len());
         assert_eq!(r.model_swaps, 0, "every training was failed");
         assert!(r.faults.failed_trainings > 0);
@@ -595,12 +595,21 @@ mod tests {
         assert_eq!(r.snapshot.stats.bypasses, 0, "cold gate must admit everything");
         assert_eq!(r.snapshot.confusion.total(), 0);
         // Cross-check against an Original-mode run on the same topology
-        // (shard count changes per-shard LRU behaviour): identical outcome.
+        // (shard count changes per-shard LRU behaviour): the same
+        // fingerprint, once the classifier block only a Proposal run
+        // reports (empty here, but present) is set aside.
         let mut orig = ServeConfig::new(PolicyKind::Lru, Mode::Original, cap(&t));
         orig.shards = 2;
+        orig.workers = 2;
         let o = serve_trace(&t, &orig, &LoadConfig::default());
-        assert_eq!(r.snapshot.stats.hits, o.snapshot.stats.hits);
-        assert_eq!(r.snapshot.stats.files_written, o.snapshot.stats.files_written);
+        let degraded = otae_core::RunFingerprint {
+            confusion: None,
+            rectifications: None,
+            trainings: None,
+            ..r.fingerprint()
+        };
+        assert_eq!(degraded, o.fingerprint());
+        assert_eq!(r.snapshot.per_shard, o.snapshot.per_shard);
     }
 
     /// Injected shard panics consume their requests without breaking the
@@ -696,40 +705,167 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    fn tree(threshold: f32) -> DecisionTree {
-        let mut d = Dataset::new(otae_core::N_FEATURES);
-        for i in 0..100 {
-            let mut row = [0.0f32; otae_core::N_FEATURES];
-            row[0] = i as f32 / 100.0;
-            d.push(&row, row[0] > threshold);
-        }
-        let mut m = DecisionTree::new(TreeParams::default());
-        m.fit(&d);
-        m
+    /// The service's thread rig without prepare or report: `clients`
+    /// clients route `reqs` to one queue per worker while the workers drive
+    /// their runs of `shards`, and `meanwhile` runs on the calling thread.
+    /// Returns every queue's high-water mark.
+    fn drive(
+        shards: &mut [ShardState],
+        workers: usize,
+        queue_depth: usize,
+        clients: usize,
+        reqs: &[PreparedRequest],
+        gate: &AdmissionGate,
+        meanwhile: impl FnOnce(),
+    ) -> Vec<usize> {
+        let n_shards = shards.len();
+        let chunk = shards_per_worker(n_shards, workers);
+        let (router, rxs) = Router::bounded(n_shards, chunk, queue_depth);
+        let load = LoadConfig { clients, target_qps: 0.0, duration: None };
+        let clock = ServiceClock::Wall.start();
+        let plan: &dyn FaultPlan = &NoFaults;
+        crossbeam::thread::scope(|s| {
+            let workers: Vec<_> = shards
+                .chunks_mut(chunk)
+                .zip(&rxs)
+                .enumerate()
+                .map(|(w, (owned, rx))| {
+                    s.spawn(move |_| run_worker(rx, owned, w * chunk, n_shards, gate, plan, 64))
+                })
+                .collect();
+            let clients: Vec<_> = (0..clients)
+                .map(|c| {
+                    let (router, load, clock) = (router.clone(), &load, &clock);
+                    s.spawn(move |_| {
+                        replay_client(c, load.clients, reqs, load, clock, &router, None, plan)
+                    })
+                })
+                .collect();
+            drop(router);
+            meanwhile();
+            let submitted: u64 =
+                clients.into_iter().map(|c| c.join().expect("client").submitted).sum();
+            assert_eq!(submitted as usize, reqs.len());
+            for w in workers {
+                assert_eq!(w.join().expect("worker"), 0, "no panic was injected");
+            }
+        })
+        .expect("scope");
+        rxs.iter().map(Consumer::high_water).collect()
     }
 
-    /// The ISSUE's hot-swap acceptance test: four workers replay a stream
-    /// resolving the model from the gate per request while the main thread
-    /// keeps swapping fresh models in; the replay must complete (no
-    /// blocking) and the workers must observe installed models.
+    /// `reqs` through `run_worker` on the calling thread, stolen in batches
+    /// of exactly `max_batch`: the queue holds them all before the worker
+    /// starts.
+    fn drain_prefilled(
+        shards: &mut [ShardState],
+        reqs: &[PreparedRequest],
+        gate: &AdmissionGate,
+        plan: &dyn FaultPlan,
+        max_batch: usize,
+    ) -> u64 {
+        let (router, rxs) = Router::bounded(shards.len(), shards.len(), reqs.len());
+        for r in reqs {
+            router.push(r).expect("consumer alive");
+        }
+        drop(router);
+        run_worker(&rxs[0], shards, 0, shards.len(), gate, plan, max_batch)
+    }
+
+    /// The per-request reference for the exactness test: the request kernel
+    /// over the same policy and capacity as a 1-shard `sharded(..)`, driven
+    /// one request at a time with the verdict computed ahead of the
+    /// hit/miss test — no queue, no batch, no worker. Returns the counters
+    /// a snapshot of the shard must equal.
+    fn kernel_reference(
+        reqs: &[PreparedRequest],
+        gate: Option<&GateModel>,
+    ) -> (otae_cache::CacheStats, otae_ml::ConfusionMatrix, u64) {
+        use otae_core::{Admission, Kernel};
+        let trace = generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
+        let mut kernel = Kernel::new(PolicyKind::Lru.build(1 << 20, &trace));
+        let mut admission = Admission::new(Mode::Proposal, None, 100, 64, true);
+        for req in reqs {
+            let verdict = model_for(req, gate).map(|m| m.predict(&req.features));
+            let admit = || admission.decide(verdict, req.object, req.idx, req.truth);
+            kernel.access(req.object, req.size, req.idx, admit, |_| {});
+        }
+        let learned = admission.learned().expect("proposal admission is learned");
+        (*kernel.stats(), learned.confusion, learned.history.rectifications())
+    }
+
+    /// The exactness claim at worker granularity: however the pop order is
+    /// cut into batches, driving it through the owned shard must leave
+    /// counters bit-identical to the kernel driven one request at a time,
+    /// including across a model swap mid-stream.
     #[test]
-    fn hot_swap_mid_replay_never_blocks_workers() {
-        let t = trace();
-        let index = ReaccessIndex::build(&t);
-        let m = 1000u64;
-        let params = Params {
-            latency: LatencyModel::default(),
-            mode: Mode::Proposal,
-            use_history: true,
-            m,
-            hdd: HddProfile::default(),
-        };
-        let sharded =
-            ShardedCache::new(4, PolicyKind::Lru, cap(&t), 4096, &t, params, None, Vec::new());
+    fn any_batching_of_the_pop_order_matches_the_kernel_reference_exactly() {
+        let model_a = Arc::new(tree(0.5));
+        // A stream with repeats, a swap at the midpoint — the first half
+        // stamped with model A, the second resolving model B from the gate
+        // — and truths that exercise both confusion outcomes.
         let gate = AdmissionGate::new();
-        gate.install(tree(0.5)); // warm before replay so every decision consults a model
-        let n = 40_000.min(t.len());
-        let reqs: Vec<PreparedRequest> = t.requests[..n]
+        gate.install_arc(Arc::new(tree(0.2)));
+        let model_b = gate.current();
+        let reqs: Vec<PreparedRequest> = (0..400u64)
+            .map(|i| {
+                let mut r = prepared(i, (i % 23) as u32, 500 + (i % 7) * 100, i % 3 == 0);
+                r.features[0] = (i % 10) as f32 / 10.0;
+                r.model = if i < 200 {
+                    ModelSource::Stamped { model: Some(Arc::clone(&model_a)) }
+                } else {
+                    ModelSource::Gate
+                };
+                r
+            })
+            .collect();
+
+        let (want_stats, want_confusion, want_rectifications) =
+            kernel_reference(&reqs, model_b.as_deref());
+        assert!(want_confusion.total() > 0, "models must have been consulted");
+        assert!(want_stats.bypasses > 0 && want_stats.files_written > 0);
+
+        for batch in [1usize, 3, 32, 400] {
+            let mut c = sharded(1, Mode::Proposal);
+            assert_eq!(drain_prefilled(&mut c, &reqs, &gate, &NoFaults, batch), 0);
+            let got = snapshot(&c);
+            assert_eq!(got.stats, want_stats, "batch={batch}");
+            assert_eq!(got.confusion, want_confusion, "batch={batch}");
+            assert_eq!(got.rectifications, want_rectifications, "batch={batch}");
+        }
+    }
+
+    /// A shard dying mid-request, on a shard the worker only borrows: the
+    /// injected panic unwinds and is caught before the shard is touched, so
+    /// the shard keeps serving and its counters saw exactly the real
+    /// requests.
+    #[test]
+    fn injected_panic_leaves_shard_usable_and_counters_untouched() {
+        crate::fault::silence_injected_panics();
+        #[derive(Debug)]
+        struct PanicAtOne;
+        impl FaultPlan for PanicAtOne {
+            fn shard_panic(&self, shard: usize, idx: u64) -> bool {
+                assert_eq!(shard, shard_of(otae_trace::ObjectId(1), 2), "the global shard index");
+                idx == 1
+            }
+        }
+        let mut c = sharded(2, Mode::Original);
+        let reqs: Vec<PreparedRequest> = (0..3).map(|i| prepared(i, 1, 1000, false)).collect();
+        let owned: &mut [ShardState] = &mut c;
+        let caught = drain_prefilled(owned, &reqs, &AdmissionGate::new(), &PanicAtOne, 64);
+        assert_eq!(caught, 1, "the injection must unwind, once");
+        // The shard recovered: same object still hits, counters saw exactly
+        // the two *real* requests.
+        let snap = snapshot(&c);
+        assert_eq!(snap.stats.accesses, 2);
+        assert_eq!(snap.stats.hits, 1);
+    }
+
+    /// The trace's first `n` requests, every one resolving its model from
+    /// the gate, with a synthetic feature the test trees split on.
+    fn gate_resolved(t: &Trace, index: &ReaccessIndex, m: u64, n: usize) -> Vec<PreparedRequest> {
+        t.requests[..n]
             .iter()
             .enumerate()
             .map(|(i, req)| {
@@ -745,48 +881,85 @@ mod tests {
                     model: ModelSource::Gate,
                 }
             })
-            .collect();
+            .collect()
+    }
 
-        let (tx, rx) = intake::bounded::<&PreparedRequest>(256);
+    /// The ISSUE's hot-swap acceptance test: four workers, each draining
+    /// its own queue into its own shard, replay a stream resolving the
+    /// model from the gate per request while the main thread keeps swapping
+    /// fresh models in; the replay must complete (no blocking) and the
+    /// workers must observe installed models.
+    #[test]
+    fn hot_swap_mid_replay_never_blocks_workers() {
+        let t = trace();
+        let index = ReaccessIndex::build(&t);
+        let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, cap(&t));
+        cfg.shards = 4;
+        let mut shards = ShardState::build_all(&cfg, &t, 1000, 4096, Vec::new());
+        let gate = AdmissionGate::new();
+        gate.install_arc(Arc::new(tree(0.5))); // warm before replay so every decision consults a model
+        let n = 40_000.min(t.len());
+        let reqs = gate_resolved(&t, &index, 1000, n);
+
         let swaps_target = 50u64;
-        let panics = AtomicU64::new(0);
-        crossbeam::thread::scope(|s| {
-            let workers: Vec<_> = (0..4)
-                .map(|_| {
-                    let rx = rx.clone();
-                    let sharded = &sharded;
-                    let gate = &gate;
-                    let panics = &panics;
-                    s.spawn(move |_| run_worker(rx, sharded, gate, &NoFaults, panics, 64))
-                })
-                .collect();
-            drop(rx);
-            let producer = {
-                let reqs = &reqs;
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    for r in reqs {
-                        tx.push(r).unwrap();
-                    }
-                })
-            };
-            drop(tx);
+        drive(&mut shards, 4, 256, 1, &reqs, &gate, || {
             // Swap models while the replay is in flight.
             for i in 0..swaps_target {
-                gate.install(tree(0.2 + 0.6 * (i % 10) as f32 / 10.0));
+                gate.install_arc(Arc::new(tree(0.2 + 0.6 * (i % 10) as f32 / 10.0)));
                 std::thread::sleep(Duration::from_micros(200));
             }
-            producer.join().expect("producer");
-            for w in workers {
-                w.join().expect("worker");
-            }
-        })
-        .expect("scope");
+        });
 
         assert_eq!(gate.swaps(), swaps_target + 1);
-        assert_eq!(panics.load(Ordering::Acquire), 0);
-        let snap = sharded.snapshot();
+        let snap = snapshot(&shards);
         assert_eq!(snap.stats.accesses as usize, n, "every request must be served");
+        assert!(snap.per_shard.iter().all(|s| s.accesses > 0), "every worker must have served");
         assert!(snap.confusion.total() > 0, "workers must have consulted the models");
+    }
+
+    /// `queue_depth` bounds each worker's queue, not their sum: with two
+    /// clients filling four queues, no queue ever held more than its bound
+    /// and every one of them was used.
+    #[test]
+    fn every_workers_queue_stays_inside_queue_depth() {
+        let t = trace();
+        let index = ReaccessIndex::build(&t);
+        let reqs = gate_resolved(&t, &index, 1000, 20_000.min(t.len()));
+        for queue_depth in [1usize, 2, 64] {
+            let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Original, cap(&t));
+            cfg.shards = 4;
+            let mut shards = ShardState::build_all(&cfg, &t, 1000, 4096, Vec::new());
+            let gate = AdmissionGate::new();
+            let high_water = drive(&mut shards, 4, queue_depth, 2, &reqs, &gate, || {});
+            assert_eq!(high_water.len(), 4, "one queue per worker");
+            for (w, &held) in high_water.iter().enumerate() {
+                assert!(
+                    (1..=queue_depth).contains(&held),
+                    "queue {w} held {held} of {queue_depth}"
+                );
+            }
+            assert_eq!(snapshot(&shards).stats.accesses as usize, reqs.len());
+        }
+    }
+
+    /// Workers above the shard count would own nothing and are not spawned;
+    /// below it, every worker owns a contiguous run and the runs cover the
+    /// shards.
+    #[test]
+    fn workers_never_outnumber_shards() {
+        for (shards, workers, ran) in
+            [(1, 1, 1), (2, 4, 2), (4, 4, 4), (5, 3, 3), (5, 4, 3), (8, 3, 3), (8, 1, 1)]
+        {
+            let chunk = shards_per_worker(shards, workers);
+            assert_eq!(shards.div_ceil(chunk), ran, "{shards} shards, {workers} workers");
+            assert!(ran <= workers.min(shards));
+        }
+        let t = trace();
+        let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Original, cap(&t));
+        cfg.shards = 2;
+        cfg.workers = 4;
+        let r = serve_trace(&t, &cfg, &LoadConfig::default());
+        assert_eq!(r.workers, 2);
+        assert_eq!(r.snapshot.stats.accesses as usize, t.len());
     }
 }

@@ -43,8 +43,8 @@ impl StoreMode {
 }
 
 /// One shard's store handle plus its error tally. Lives inside the shard
-/// mutex, so store traffic is ordered exactly like the shard's decision
-/// stream.
+/// and is driven by the shard's owning worker, so store traffic is ordered
+/// exactly like the shard's decision stream.
 pub(crate) struct ShardStore {
     store: SegmentStore,
     errors: u64,

@@ -1,4 +1,4 @@
-//! Black-box tests of the client ⇒ worker request queue
+//! Black-box tests of the clients ⇒ one worker request queue
 //! (`otae_serve::intake`): conservation, per-producer order and the bound
 //! under real contention, and hang-up when a thread on either side dies.
 
@@ -7,48 +7,42 @@ use otae_serve::{silence_injected_panics, InjectedFault};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
 const PRODUCERS: u64 = 3;
-const CONSUMERS: usize = 3;
 const PER_PRODUCER: u64 = 20_000;
 
-/// 3 producers × 3 consumers at every cap and batch size the service uses
-/// at its extremes: nothing is lost or duplicated, each consumer sees every
+/// 3 producers ⇒ 1 consumer at every cap and batch size the service uses at
+/// its extremes: nothing is lost or duplicated, the consumer sees every
 /// producer's items in the order they were pushed, no batch exceeds `max`,
 /// and the queue never held more than `cap`.
 #[test]
-fn three_by_three_conserves_items_and_keeps_each_producers_order() {
+fn three_producers_conserve_items_and_keep_their_order() {
     for cap in [1usize, 2, 1024] {
         for max in [1usize, 64] {
             let (tx, rx) = bounded::<(u64, u64)>(cap);
             let mut seen: Vec<(u64, u64)> = std::thread::scope(|s| {
-                let consumers: Vec<_> = (0..CONSUMERS)
-                    .map(|_| {
-                        let rx = rx.clone();
-                        s.spawn(move || {
-                            let mut got = Vec::new();
-                            let mut batch = Vec::new();
-                            let mut last = [None::<u64>; PRODUCERS as usize];
-                            while rx.pop_batch(&mut batch, max) {
-                                assert!(!batch.is_empty() && batch.len() <= max, "cap {cap}");
-                                for &(p, seq) in &batch {
-                                    assert!(last[p as usize] < Some(seq), "producer {p} reordered");
-                                    last[p as usize] = Some(seq);
-                                }
-                                got.append(&mut batch);
-                            }
-                            got
-                        })
-                    })
-                    .collect();
+                let consumer = s.spawn(|| {
+                    let mut got = Vec::new();
+                    let mut batch = Vec::new();
+                    let mut last = [None::<u64>; PRODUCERS as usize];
+                    while rx.pop_batch(&mut batch, max) {
+                        assert!(!batch.is_empty() && batch.len() <= max, "cap {cap}");
+                        for &(p, seq) in &batch {
+                            assert!(last[p as usize] < Some(seq), "producer {p} reordered");
+                            last[p as usize] = Some(seq);
+                        }
+                        got.append(&mut batch);
+                    }
+                    got
+                });
                 for p in 0..PRODUCERS {
                     let tx = tx.clone();
                     s.spawn(move || {
                         for seq in 0..PER_PRODUCER {
-                            tx.push((p, seq)).expect("consumers outlive the producers");
+                            tx.push((p, seq)).expect("the consumer outlives the producers");
                         }
                     });
                 }
                 drop(tx);
-                consumers.into_iter().flat_map(|c| c.join().expect("consumer")).collect()
+                consumer.join().expect("consumer")
             });
             assert!(rx.high_water() <= cap, "cap {cap}: held {}", rx.high_water());
             assert!(rx.high_water() >= 1);

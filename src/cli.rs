@@ -63,7 +63,8 @@ USAGE:
 Defaults: objects=50000, seed=42, days=9, rate=0.01, eviction=lru,
 mode=proposal, capacity-frac=0.02 (fraction of unique bytes),
 shards=4, workers=4, clients=2, qps=0 (unthrottled), trainer=background,
-store=none (memory = deterministic in-RAM segment store; disk:DIR =
+(each worker owns whole shards, so at most one worker per shard runs; the
+topology line reports the number that did), store=none (memory = deterministic in-RAM segment store; disk:DIR =
 real segment files under DIR, default ./otae-store-data).
 store-group-records/store-group-bytes bound the store's group-commit
 batches (records and bytes per coalesced write; defaults 128 / 256 KiB —
@@ -404,8 +405,13 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
 
     let s = &r.snapshot.stats;
     let mut out = String::new();
-    let _ =
-        writeln!(out, "topology          {shards} shards x {workers} workers, {clients} clients");
+    // The workers that ran: a worker owns a run of shards, so `--workers`
+    // above `--shards` spawns no more than one per shard.
+    let _ = writeln!(
+        out,
+        "topology          {shards} shards x {} workers, {clients} clients",
+        r.workers
+    );
     let _ = writeln!(out, "policy            {}", policy.name());
     let _ = writeln!(out, "admission         {}", mode.name());
     let _ = writeln!(out, "capacity          {:.1} MB", capacity as f64 / 1e6);
@@ -729,6 +735,29 @@ mod tests {
         assert!(out.contains("install backlog   max 0 / total 0"), "no retrainer in ideal mode");
         assert!(out.contains("shard  0"), "per-shard breakdown expected:\n{out}");
         assert!(out.contains("shard  1"));
+    }
+
+    #[test]
+    fn serve_bench_reports_the_workers_that_ran() {
+        let bin = temp_path("serve4.bin");
+        run_cli(&["generate", "--out", &bin, "--objects", "1000", "--seed", "5"])
+            .expect("generate");
+        // Default --workers 4 over two shards: two workers would own nothing.
+        let out = run_cli(&["serve-bench", &bin, "--shards", "2", "--mode", "original"])
+            .expect("serve-bench");
+        assert!(out.contains("2 shards x 2 workers"), "{out}");
+        let out = run_cli(&[
+            "serve-bench",
+            &bin,
+            "--shards",
+            "5",
+            "--workers",
+            "3",
+            "--mode",
+            "original",
+        ])
+        .expect("serve-bench");
+        assert!(out.contains("5 shards x 3 workers"), "{out}");
     }
 
     #[test]
