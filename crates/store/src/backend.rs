@@ -43,24 +43,19 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// write group lands through this, each part a record (or run of
     /// records) where it already sits in memory; empty parts are allowed.
     fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError>;
-    /// Read `len` bytes at `offset`.
-    fn read_at(&self, seg: SegmentId, offset: u64, len: usize) -> Result<Vec<u8>, StoreError>;
-    /// Read `len` bytes at `offset` into `buf` (cleared first). The
-    /// default delegates to [`Backend::read_at`]; backends override it to
-    /// serve the hot read path without a per-call allocation.
+    /// Read `len` bytes at `offset` into `buf`, replacing its contents and
+    /// keeping its allocation: the one positioned read, under every `get`
+    /// and every record compaction looks at. A range that runs past the
+    /// segment's end is an error, never a short read.
     fn read_into(
         &self,
         seg: SegmentId,
         offset: u64,
         len: usize,
         buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        let bytes = self.read_at(seg, offset, len)?;
-        buf.clear();
-        buf.extend_from_slice(&bytes);
-        Ok(())
-    }
-    /// Read a whole segment (recovery / compaction scans).
+    ) -> Result<(), StoreError>;
+    /// Read a whole segment (the recovery scan, which must verify every
+    /// byte of it anyway).
     fn read_all(&self, seg: SegmentId) -> Result<Vec<u8>, StoreError>;
     /// Current length of a segment in bytes.
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError>;
@@ -114,21 +109,6 @@ impl Backend for MemBackend {
             bytes.extend_from_slice(part);
         }
         Ok(())
-    }
-
-    fn read_at(&self, seg: SegmentId, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-        let map = self.segments.lock();
-        let bytes = map.get(&seg).ok_or(StoreError::MissingSegment(seg))?;
-        let end = offset
-            .checked_add(len as u64)
-            .ok_or_else(|| StoreError::Corrupt("read range overflows".into()))?;
-        if end > bytes.len() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "read past end of segment {seg}: {end} > {}",
-                bytes.len()
-            )));
-        }
-        Ok(bytes[offset as usize..end as usize].to_vec())
     }
 
     fn read_into(
@@ -313,12 +293,6 @@ impl Backend for FileBackend {
         Ok(())
     }
 
-    fn read_at(&self, seg: SegmentId, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        self.read_into(seg, offset, len, &mut buf)?;
-        Ok(buf)
-    }
-
     fn read_into(
         &self,
         seg: SegmentId,
@@ -412,9 +386,18 @@ mod tests {
         backend.append(3, b"hello ").unwrap();
         backend.append(3, b"world").unwrap();
         assert_eq!(backend.len(3).unwrap(), 11);
-        assert_eq!(backend.read_at(3, 6, 5).unwrap(), b"world");
+        // A longer buffer with stale contents comes back holding exactly
+        // the range asked for.
+        let mut buf = b"stale bytes, longer than the read".to_vec();
+        backend.read_into(3, 6, 5, &mut buf).unwrap();
+        assert_eq!(buf, b"world");
+        backend.read_into(3, 0, 11, &mut buf).unwrap();
+        assert_eq!(buf, b"hello world");
+        backend.read_into(3, 11, 0, &mut buf).unwrap();
+        assert!(buf.is_empty(), "an empty read at the very end is legal");
         assert_eq!(backend.read_all(3).unwrap(), b"hello world");
-        assert!(backend.read_at(3, 8, 10).is_err(), "read past end must fail");
+        assert!(backend.read_into(3, 8, 10, &mut buf).is_err(), "read past end must fail");
+        assert!(backend.read_into(4, 0, 1, &mut buf).is_err(), "missing segment must fail");
 
         backend.create(1, 0).unwrap();
         backend.create(10, 64).unwrap();
@@ -503,7 +486,9 @@ mod tests {
         assert_eq!(all.len(), 1067);
         assert_eq!(&all[..60], &[1; 60]);
         assert_eq!(&all[60..1060], &big[..]);
-        assert_eq!(backend.read_at(0, 1060, 7).unwrap(), [2; 7]);
+        let mut tail = Vec::new();
+        backend.read_into(0, 1060, 7, &mut tail).unwrap();
+        assert_eq!(tail, [2; 7]);
     }
 
     #[test]

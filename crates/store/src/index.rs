@@ -201,13 +201,15 @@ impl StoreIndex {
             .map(|(&id, &info)| (id, info))
     }
 
-    /// Dead bytes across sealed segments (reclaimable by compaction).
-    pub fn sealed_dead_bytes(&self) -> u64 {
-        self.segments
-            .values()
-            .filter(|s| s.sealed)
-            .map(|s| s.total_bytes.saturating_sub(s.live_bytes))
-            .sum()
+    /// `(total, dead)` record bytes across sealed segments — what
+    /// compaction could work on, and what it would reclaim — in one pass
+    /// over the tracked segments. The auto-compaction trigger reads this
+    /// at every dry intake and every flush, so it must not cost a lookup
+    /// per segment id ever issued: ids only grow, tracked segments do not.
+    pub fn sealed_bytes(&self) -> (u64, u64) {
+        self.segments.values().filter(|s| s.sealed).fold((0, 0), |(total, dead), s| {
+            (total + s.total_bytes, dead + s.total_bytes.saturating_sub(s.live_bytes))
+        })
     }
 
     /// Sorted live entries `(key, payload location)` — the deterministic
@@ -267,7 +269,32 @@ mod tests {
         let (victim, info) = ix.deadest_segment().unwrap();
         assert_eq!(victim, 1);
         assert_eq!(info.live_bytes, 100);
-        assert_eq!(ix.sealed_dead_bytes(), 100);
+        assert_eq!(ix.sealed_bytes(), (300, 100));
+    }
+
+    #[test]
+    fn sealed_bytes_cover_exactly_the_tracked_sealed_segments() {
+        let mut ix = StoreIndex::new();
+        assert_eq!(ix.sealed_bytes(), (0, 0));
+        // Ids far apart, as a long-lived device has after many reopens and
+        // compactions: 3 and 900 sealed, 40 000 the active segment.
+        ix.apply_put(1, loc(3, 0, 100));
+        ix.apply_put(2, loc(3, 100, 60));
+        ix.apply_put(3, loc(900, 0, 200));
+        ix.apply_tombstone(2, 900, 21);
+        ix.apply_put(4, loc(40_000, 0, 500));
+        ix.apply_put(1, loc(40_000, 500, 90));
+        assert_eq!(ix.sealed_bytes(), (0, 0), "nothing is sealed yet");
+        ix.seal_segment(3);
+        ix.seal_segment(900);
+        // Segment 3 is wholly dead (160), 900 holds a live put and a
+        // tombstone (21 dead); the active segment never counts.
+        assert_eq!(ix.sealed_bytes(), (160 + 221, 160 + 21));
+        let puts_in_3: FxHashMap<u64, u32> = [(1, 1), (2, 1)].into_iter().collect();
+        ix.forget_segment(3, &puts_in_3);
+        assert_eq!(ix.sealed_bytes(), (221, 21), "a forgotten segment leaves the sums");
+        ix.seal_segment(40_000);
+        assert_eq!(ix.sealed_bytes(), (221 + 590, 21));
     }
 
     #[test]

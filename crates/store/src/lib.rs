@@ -62,8 +62,8 @@ pub use backend::{Backend, FileBackend, MemBackend, SegmentId};
 pub use fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
 pub use index::{Location, SegmentInfo, StoreIndex};
 pub use record::{
-    crc32, decode_record, encode_record, frame_in_place, Record, RecordError, RecordKind,
-    HEADER_LEN, MAX_PAYLOAD,
+    crc32, decode_header, decode_record, encode_record, frame_in_place, Record, RecordError,
+    RecordHeader, RecordKind, HEADER_LEN, MAX_PAYLOAD,
 };
 pub use store::{
     CompactReport, RecoveryReport, SegmentStore, StoreConfig, StoreError, StoreStats,

@@ -348,10 +348,35 @@ pub fn encode_record(key: u64, kind: RecordKind, payload: &[u8], out: &mut Vec<u
     (out.len() - start) as u64
 }
 
-/// Decode one record from the front of `buf`, returning it and the number
-/// of bytes consumed. Never reads past the framed payload: bytes after it
-/// belong to the next record.
-pub fn decode_record(buf: &[u8]) -> Result<(Record<'_>, u64), RecordError> {
+/// A record header that passed its own checks: checksum, kind, length
+/// cap. What it says about the payload — how long, which checksum — is
+/// still only a claim until [`decode_record`] has seen the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader {
+    /// The record's key.
+    pub key: u64,
+    /// Put or tombstone.
+    pub kind: RecordKind,
+    /// Payload bytes following the header (0 for tombstones, at most
+    /// [`MAX_PAYLOAD`]).
+    pub payload_len: u32,
+    /// CRC32 the payload must have.
+    pub payload_crc: u32,
+}
+
+impl RecordHeader {
+    /// Total encoded length of the record (header + payload), widened so
+    /// the sum cannot wrap on 32-bit targets.
+    pub fn encoded_len(&self) -> u64 {
+        HEADER_LEN as u64 + self.payload_len as u64
+    }
+}
+
+/// Decode and verify the header at the front of `buf` without touching the
+/// payload: the one place the layout at the top of this file is read.
+/// Compaction walks a segment through this, [`HEADER_LEN`] bytes per
+/// record, and fetches only the payloads it keeps.
+pub fn decode_header(buf: &[u8]) -> Result<RecordHeader, RecordError> {
     if buf.len() < HEADER_LEN {
         return Err(RecordError::Truncated { needed: HEADER_LEN as u64, have: buf.len() as u64 });
     }
@@ -363,29 +388,36 @@ pub fn decode_record(buf: &[u8]) -> Result<(Record<'_>, u64), RecordError> {
     let key = u64::from_le_bytes([
         header[0], header[1], header[2], header[3], header[4], header[5], header[6], header[7],
     ]);
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    let payload_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     let kind = match header[12] {
         0 => RecordKind::Put,
         1 => RecordKind::Tombstone,
         k => return Err(RecordError::BadKind(k)),
     };
-    if len > MAX_PAYLOAD {
-        return Err(RecordError::OversizedPayload(len));
+    if payload_len > MAX_PAYLOAD {
+        return Err(RecordError::OversizedPayload(payload_len));
     }
-    if kind == RecordKind::Tombstone && len != 0 {
-        return Err(RecordError::TombstoneWithPayload(len));
+    if kind == RecordKind::Tombstone && payload_len != 0 {
+        return Err(RecordError::TombstoneWithPayload(payload_len));
     }
-    // Widened total so `header + payload` cannot wrap on 32-bit targets.
-    let total = HEADER_LEN as u64 + len as u64;
+    let payload_crc = u32::from_le_bytes([header[13], header[14], header[15], header[16]]);
+    Ok(RecordHeader { key, kind, payload_len, payload_crc })
+}
+
+/// Decode one record from the front of `buf`, returning it and the number
+/// of bytes consumed. Never reads past the framed payload: bytes after it
+/// belong to the next record.
+pub fn decode_record(buf: &[u8]) -> Result<(Record<'_>, u64), RecordError> {
+    let header = decode_header(buf)?;
+    let total = header.encoded_len();
     if (buf.len() as u64) < total {
         return Err(RecordError::Truncated { needed: total, have: buf.len() as u64 });
     }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len as usize];
-    let stored_payload_crc = u32::from_le_bytes([header[13], header[14], header[15], header[16]]);
-    if crc32(payload) != stored_payload_crc {
+    let payload = &buf[HEADER_LEN..HEADER_LEN + header.payload_len as usize];
+    if crc32(payload) != header.payload_crc {
         return Err(RecordError::BadPayloadCrc);
     }
-    Ok((Record { key, kind, payload }, total))
+    Ok((Record { key: header.key, kind: header.kind, payload }, total))
 }
 
 #[cfg(test)]

@@ -6,10 +6,16 @@
 //! put elsewhere — and one digest pins everything a pass produces: its
 //! report, the bytes of every segment afterwards, the live index, and the
 //! GC counters at the end.
+//!
+//! Then what a pass reads and what it vouches for, on a victim whose
+//! layout the tests know: every header and the records it carries forward
+//! — counted to the byte by `CompactReport::read_bytes` — are verified
+//! before anything is staged from them; the payloads of records it is
+//! about to delete are not looked at.
 
 use otae_store::{
     decode_record, Backend, CompactReport, Location, MemBackend, NoStoreFaults, RecordKind,
-    SegmentId, SegmentStore, StoreConfig, SEGMENT_HEADER_LEN,
+    SegmentId, SegmentStore, StoreConfig, StoreError, HEADER_LEN, SEGMENT_HEADER_LEN,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -249,4 +255,185 @@ fn compaction_output_is_pinned_across_victim_shapes() {
         assert!(n >= 2, "victim shape `{shape}` met {n} times: {s:?}");
     }
     assert_eq!(p.digest.0, PINNED, "{s:?}, {} victims", p.victims);
+}
+
+/// `(key, kind, offset, len)`.
+type Meta = (u64, RecordKind, u64, u64);
+
+/// A store over two segments. Sealed segment 0, the only possible victim,
+/// holds thirteen 161-byte puts of keys 0..13 with two tombstones (of keys
+/// never put) among them; keys 0, 4, 8 and 12 are still live there, and
+/// the active segment 1 holds the overwrites of the other nine.
+struct Victim {
+    backend: MemBackend,
+    store: SegmentStore,
+    /// Segment 0's records in file order.
+    records: Vec<Meta>,
+    /// Those of them the index points at.
+    live: Vec<Meta>,
+}
+
+fn latest(key: u64) -> Vec<u8> {
+    if key.is_multiple_of(4) {
+        payload(key, 0, 140)
+    } else {
+        payload(key, 1, 60)
+    }
+}
+
+fn victim() -> Victim {
+    let backend = MemBackend::new();
+    let store = open(&backend, cfg(2_000));
+    for key in 0..13 {
+        store.put(key, &payload(key, 0, 140)).expect("put");
+        if key == 5 || key == 9 {
+            store.remove(50 + key).expect("remove");
+        }
+    }
+    for key in (0..13).filter(|k| k % 4 != 0) {
+        store.put(key, &latest(key)).expect("put");
+    }
+    store.flush().expect("flush");
+    assert_eq!(backend.list().expect("list"), [0, 1], "one sealed segment, one active");
+    let records = records_of(&backend, 0);
+    assert_eq!(records.len(), 15);
+    let index: BTreeMap<u64, Location> = store.live_entries().into_iter().collect();
+    let live: Vec<Meta> = (records.iter().copied())
+        .filter(|&(key, kind, offset, len)| {
+            kind == RecordKind::Put && index[&key] == Location { segment: 0, offset, len }
+        })
+        .collect();
+    assert_eq!(live.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 4, 8, 12]);
+    Victim { backend, store, records, live }
+}
+
+impl Victim {
+    /// Flip one bit of segment 0's byte `at`, behind the open store's back.
+    fn flip(&self, at: u64) {
+        let mut bytes = self.backend.read_all(0).expect("read_all");
+        bytes[at as usize] ^= 0x10;
+        self.backend.truncate(0, 0).expect("truncate");
+        self.backend.append(0, &bytes).expect("append");
+    }
+
+    /// A pass that must fail as `Corrupt` and leave the victim in place.
+    /// Returns the GC bytes that landed once the group it left is flushed.
+    fn compact_must_fail(&self, why: &str) -> u64 {
+        let err = self.store.compact().expect_err(why);
+        assert!(matches!(err, StoreError::Corrupt(_)), "{why}: {err:?}");
+        self.store.flush().expect("a failed explicit pass leaves the writer running");
+        assert_eq!(self.backend.list().expect("list"), [0, 1], "{why}: the victim stays");
+        let stats = self.store.stats();
+        assert_eq!((stats.compactions, stats.segments_deleted), (0, 0), "{why}");
+        stats.gc_bytes
+    }
+}
+
+#[test]
+fn a_pass_reads_every_header_and_only_the_records_it_rewrites() {
+    let v = victim();
+    let headers = |records: usize| SEGMENT_HEADER_LEN + (HEADER_LEN * records) as u64;
+    let live_bytes: u64 = v.live.iter().map(|r| r.3).sum();
+    let first = v.store.compact().expect("compact");
+    assert_eq!((first.victim, first.rewritten_records), (Some(0), 4));
+    assert_eq!(first.rewritten_bytes, live_bytes);
+    // 965 bytes of a 2 141-byte victim.
+    assert_eq!(first.read_bytes, headers(15) + live_bytes);
+    assert!(first.read_bytes < (first.rewritten_bytes + first.reclaimed_bytes) / 2);
+
+    // Two more rounds of overwrites leave segment 1 sealed and wholly
+    // dead: a pass over it reads headers and nothing else.
+    for version in 2..4 {
+        for key in 0..13 {
+            v.store.put(key, &payload(key, version, 140)).expect("put");
+        }
+    }
+    v.store.flush().expect("flush");
+    let dead = records_of(&v.backend, 1).len();
+    let second = v.store.compact().expect("compact");
+    assert_eq!((second.victim, second.rewritten_records), (Some(1), 0));
+    assert_eq!(second.read_bytes, headers(dead));
+    assert_eq!(v.store.stats().gc_read_bytes, first.read_bytes + second.read_bytes);
+}
+
+#[test]
+fn a_flipped_payload_bit_in_a_live_record_fails_the_pass_before_that_record_is_staged() {
+    let v = victim();
+    let (first, _, _, first_len) = v.live[0];
+    let (key, _, offset, len) = v.live[1];
+    v.flip(offset + HEADER_LEN as u64 + 7);
+    let landed = v.compact_must_fail("a live record's payload checksum must be verified");
+
+    let index: BTreeMap<u64, Location> = v.store.live_entries().into_iter().collect();
+    // The corrupt record was not carried forward: its key still resolves
+    // to the victim, where a read reports the damage.
+    assert_eq!(index[&key], Location { segment: 0, offset, len });
+    assert!(matches!(v.store.get(key), Err(StoreError::Corrupt(_))));
+    // The live record ahead of it was verified and staged before the pass
+    // failed, and landed as a valid copy; nothing behind it was touched.
+    assert_eq!(landed, first_len);
+    assert_eq!(index[&first].segment, 1);
+    for &(later, _, offset, len) in &v.live[2..] {
+        assert_eq!(index[&later], Location { segment: 0, offset, len });
+    }
+    for key in (0..13).filter(|&k| k != key) {
+        assert_eq!(v.store.get(key).expect("get").expect("present"), latest(key), "key {key}");
+    }
+}
+
+#[test]
+fn a_flipped_header_bit_in_any_record_fails_the_pass_before_anything_is_staged() {
+    let records = victim().records;
+    for (i, &(_, kind, offset, _)) in records.iter().enumerate() {
+        // A bit of the key, the length, the kind, the payload checksum,
+        // the header checksum — of dead puts, live puts and tombstones.
+        for byte in [0, 9, 12, 14, 19] {
+            let v = victim();
+            let before = v.store.live_entries();
+            v.flip(offset + byte);
+            let why = format!("record {i} ({kind:?}), header byte {byte}");
+            assert_eq!(v.compact_must_fail(&why), 0, "{why}: nothing may be staged");
+            assert_eq!(v.store.live_entries(), before, "{why}");
+        }
+    }
+}
+
+#[test]
+fn a_victim_cut_short_fails_the_pass() {
+    let (_, _, last_offset, last_len) = *victim().records.last().expect("records");
+    // Inside the last record's payload, inside its header, inside the
+    // segment header.
+    for keep in [last_offset + last_len - 5, last_offset + 10, 3] {
+        let v = victim();
+        let before = v.store.live_entries();
+        v.backend.truncate(0, keep).expect("truncate");
+        let why = format!("victim cut to {keep} bytes");
+        assert_eq!(v.compact_must_fail(&why), 0, "{why}: nothing may be staged");
+        assert_eq!(v.store.live_entries(), before, "{why}");
+    }
+}
+
+#[test]
+fn a_flipped_payload_bit_in_a_dead_record_is_deleted_with_the_segment() {
+    let v = victim();
+    let &(key, _, offset, _) = (v.records.iter())
+        .find(|r| r.1 == RecordKind::Put && !v.live.contains(r))
+        .expect("a dead put");
+    v.flip(offset + HEADER_LEN as u64 + 7);
+    // Garbage is not read, so damage to it cannot fail the pass...
+    let report = v.store.compact().expect("a pass over damaged garbage succeeds");
+    assert_eq!((report.victim, report.rewritten_records), (Some(0), 4));
+    assert!(!v.store.is_crashed());
+    for key in 0..13 {
+        assert_eq!(v.store.get(key).expect("get").expect("present"), latest(key), "key {key}");
+    }
+    // ... and the damage is gone with the victim: the device scans clean.
+    let entries = v.store.live_entries();
+    drop(v.store);
+    let (reopened, recovery) =
+        SegmentStore::open(Arc::new(v.backend.clone()), cfg(2_000), Arc::new(NoStoreFaults))
+            .expect("reopen");
+    assert!(!recovery.torn_tail);
+    assert_eq!(reopened.live_entries(), entries);
+    assert_eq!(reopened.get(key).expect("get").expect("present"), latest(key));
 }

@@ -5,8 +5,8 @@
 //! and bytes past the framed payload are never consumed.
 
 use otae_store::{
-    crc32, decode_record, encode_record, frame_in_place, Record, RecordError, RecordKind,
-    HEADER_LEN,
+    crc32, decode_header, decode_record, encode_record, frame_in_place, Record, RecordError,
+    RecordHeader, RecordKind, HEADER_LEN,
 };
 use proptest::prelude::*;
 
@@ -26,19 +26,26 @@ fn framed_by_hand(key: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Framing a buffer whose payload is already in place (over stale header
-/// bytes, as a pooled buffer has) produces exactly the bytes
-/// `encode_record` appends and the layout prescribes — at every payload
-/// length across the CRC kernel's cut-overs and at 64 KiB ± 1, for both
-/// kinds — and never touches the payload.
-#[test]
-fn frame_in_place_equals_encode_record_at_every_length() {
+/// Every payload length across the CRC kernel's cut-overs and at 64 KiB
+/// ± 1, for both kinds, with a key and payload for each.
+fn at_every_length(mut check: impl FnMut(u64, RecordKind, &[u8])) {
     let data: Vec<u8> =
         (0..(64usize << 10) + 1).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
     let lens = (0..=4096).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
     for (len, kind) in lens.map(|l| (l, RecordKind::Put)).chain([(0, RecordKind::Tombstone)]) {
         let key = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(len as u64 + 1);
-        let payload = &data[..len];
+        check(key, kind, &data[..len]);
+    }
+}
+
+/// Framing a buffer whose payload is already in place (over stale header
+/// bytes, as a pooled buffer has) produces exactly the bytes
+/// `encode_record` appends and the layout prescribes — at every length,
+/// for both kinds — and never touches the payload.
+#[test]
+fn frame_in_place_equals_encode_record_at_every_length() {
+    at_every_length(|key, kind, payload| {
+        let len = payload.len();
         let mut encoded = vec![0xAB; 3]; // appended after existing bytes
         let n = encode_record(key, kind, payload, &mut encoded);
         assert_eq!(n as usize, HEADER_LEN + len);
@@ -50,7 +57,34 @@ fn frame_in_place_equals_encode_record_at_every_length() {
         assert_eq!(in_place, &encoded[3..], "{kind:?} len {len}");
         assert_eq!(in_place, framed_by_hand(key, kind, payload), "{kind:?} len {len}");
         assert_eq!(&encoded[..3], [0xAB; 3]);
-    }
+    });
+}
+
+/// `decode_header` is the front half of `decode_record`: given the header
+/// alone it reports every field the full decode does, at every length,
+/// and a header cut at any of its 21 offsets is truncated, never decoded.
+#[test]
+fn decode_header_agrees_with_decode_record_at_every_length() {
+    at_every_length(|key, kind, payload| {
+        let mut buf = Vec::new();
+        encode_record(key, kind, payload, &mut buf);
+        let (record, consumed) = decode_record(&buf).expect("clean record");
+        let want = RecordHeader {
+            key: record.key,
+            kind: record.kind,
+            payload_len: record.payload.len() as u32,
+            payload_crc: crc32(record.payload),
+        };
+        assert_eq!((record.key, record.kind, record.payload), (key, kind, payload));
+        // With the payload behind it or without: the payload is not read.
+        assert_eq!(decode_header(&buf), Ok(want), "{kind:?} len {}", payload.len());
+        assert_eq!(decode_header(&buf[..HEADER_LEN]), Ok(want));
+        assert_eq!(want.encoded_len(), consumed);
+        for cut in 0..HEADER_LEN {
+            let truncated = RecordError::Truncated { needed: HEADER_LEN as u64, have: cut as u64 };
+            assert_eq!(decode_header(&buf[..cut]), Err(truncated), "header cut at {cut}");
+        }
+    });
 }
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {

@@ -6,7 +6,9 @@
 //! — opening a store repairs torn tails and creates a fresh active
 //! segment, so a shared device would let the first open perturb the
 //! second), then one is recovered with a single scan thread and the other
-//! with several.
+//! with several. A last rung holds compaction to being logically
+//! invisible: the same op stream with and without interleaved passes reads
+//! back the same key → payload map, before and after a reopen.
 
 use otae_store::{
     Backend, MemBackend, NoStoreFaults, SegmentStore, StoreConfig, SEGMENT_HEADER_LEN,
@@ -37,6 +39,22 @@ fn cfg(segment_bytes: u64, group_records: usize, recovery_threads: usize) -> Sto
     }
 }
 
+/// Apply `ops` to `store` in order, with one explicit compaction pass after
+/// every `compact_every` of them (0 = none), then flush.
+fn apply_ops(store: &SegmentStore, ops: &[Op], compact_every: usize) {
+    for (step, &(is_put, key, len)) in ops.iter().enumerate() {
+        if is_put {
+            store.put(key as u64, &payload(key as u64, step, len)).expect("put");
+        } else {
+            store.remove(key as u64).expect("remove");
+        }
+        if compact_every > 0 && (step + 1) % compact_every == 0 {
+            store.compact().expect("compact");
+        }
+    }
+    store.flush().expect("flush");
+}
+
 /// Drive `ops` (plus `compact_passes` explicit compactions) into a fresh
 /// in-memory device and return it with the store dropped — the on-device
 /// bytes a crashed process would leave behind, optionally with `chop`
@@ -55,14 +73,7 @@ fn build_device(
         Arc::new(NoStoreFaults),
     )
     .expect("build open");
-    for (step, &(is_put, key, len)) in ops.iter().enumerate() {
-        if is_put {
-            store.put(key as u64, &payload(key as u64, step, len)).expect("put");
-        } else {
-            store.remove(key as u64).expect("remove");
-        }
-    }
-    store.flush().expect("flush");
+    apply_ops(&store, ops, 0);
     for _ in 0..compact_passes {
         store.compact().expect("compact");
     }
@@ -154,6 +165,38 @@ proptest! {
                 "index differs at {} threads", threads
             );
         }
+    }
+
+    /// Compaction is logically invisible: a store compacted every few ops
+    /// and one never compacted answer every key alike — absent, or the
+    /// same bytes — while open and again after a reopen, whatever the
+    /// passes moved, dropped or deleted underneath.
+    #[test]
+    fn compaction_is_logically_invisible(
+        ops in arb_ops(),
+        segment_bytes in 400u64..2_000,
+        group_records in 1usize..33,
+        compact_every in 1usize..12,
+    ) {
+        let open = |backend: &MemBackend| {
+            SegmentStore::open(
+                Arc::new(backend.clone()),
+                cfg(segment_bytes, group_records, 1),
+                Arc::new(NoStoreFaults),
+            ).expect("open").0
+        };
+        let read_all = |store: &SegmentStore| -> Vec<Option<Vec<u8>>> {
+            (0..24).map(|key| store.get(key).expect("get")).collect()
+        };
+        let (plain_dev, compacted_dev) = (MemBackend::new(), MemBackend::new());
+        let (plain, compacted) = (open(&plain_dev), open(&compacted_dev));
+        apply_ops(&plain, &ops, 0);
+        apply_ops(&compacted, &ops, compact_every);
+        let want = read_all(&plain);
+        prop_assert_eq!(&read_all(&compacted), &want, "while open");
+        drop((plain, compacted));
+        prop_assert_eq!(&read_all(&open(&plain_dev)), &want, "uncompacted device reopened");
+        prop_assert_eq!(&read_all(&open(&compacted_dev)), &want, "compacted device reopened");
     }
 }
 

@@ -439,6 +439,7 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(out, "store puts        {}", store.stats.acked_puts);
         let _ = writeln!(out, "store host bytes  {}", store.stats.host_bytes);
         let _ = writeln!(out, "store gc bytes    {}", store.stats.gc_bytes);
+        let _ = writeln!(out, "store gc read bytes {}", store.stats.gc_read_bytes);
         let _ = writeln!(out, "store compactions {}", store.stats.compactions);
         let _ = writeln!(out, "store measured WA {:.4}", store.write_amplification());
         let _ = writeln!(out, "store errors      {}", store.errors);
@@ -696,6 +697,7 @@ mod tests {
         ])
         .expect("serve-bench with store");
         assert!(out.contains("store puts"), "store lines expected:\n{out}");
+        assert!(out.contains("store gc read bytes"));
         assert!(out.contains("store measured WA"));
         assert!(out.contains("store errors      0"));
         // Without the flag the store lines must not appear.
