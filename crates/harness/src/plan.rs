@@ -15,7 +15,7 @@ use otae_serve::{FaultPlan, RetrainFault, SampleFault, SwapFault};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Drop training samples at `idx ∈ [from, to)` with `idx ≡ from (mod
-    /// every)` — a lossy sample channel / dropped `TrainMsg` batch.
+    /// every)` — a lossy sample channel / dropped sample batch.
     DropSamples {
         /// First affected trace position.
         from: u64,

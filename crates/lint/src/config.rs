@@ -183,6 +183,7 @@ impl Rule {
             Rule::AdvisoryClonePerRequest => &[
                 "crates/serve/src/loadgen.rs",
                 "crates/serve/src/intake.rs",
+                "crates/serve/src/retrainer.rs",
                 "crates/serve/src/shard.rs",
                 "crates/serve/src/request.rs",
                 "crates/serve/src/decision_cache.rs",

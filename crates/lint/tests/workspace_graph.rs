@@ -60,19 +60,26 @@ fn the_shard_names_no_lock_and_needs_no_allowance() {
     assert!(!src.contains("otae-lint: allow"), "shard.rs carries a lint allowance");
 }
 
-/// Requests cross the client ⇒ worker queue by reference: the strict
-/// advisory run reports no per-request `.clone()` in the load generator or
-/// the queue itself.
+/// Requests cross the client ⇒ worker queue by reference and samples the
+/// retrainer channel by position: the strict advisory run reports no
+/// per-request `.clone()` in the load generator, the queue itself or the
+/// retrainer that reads the samples back.
 #[test]
 fn request_handoff_clones_nothing() {
+    const FILES: [&str; 3] = [
+        "crates/serve/src/loadgen.rs",
+        "crates/serve/src/intake.rs",
+        "crates/serve/src/retrainer.rs",
+    ];
+    for path in FILES {
+        assert!(Rule::AdvisoryClonePerRequest.in_scope(path), "{path} is not checked");
+    }
     let report = strict_report();
     let clones: Vec<_> = report
         .diags
         .iter()
         .filter(|d| d.rule == Rule::AdvisoryClonePerRequest)
-        .filter(|d| {
-            d.path.ends_with("serve/src/loadgen.rs") || d.path.ends_with("serve/src/intake.rs")
-        })
+        .filter(|d| FILES.iter().any(|path| d.path.ends_with(path)))
         .map(|d| d.render())
         .collect();
     assert!(clones.is_empty(), "{}", clones.join("\n"));

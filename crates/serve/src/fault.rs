@@ -14,7 +14,7 @@
 pub enum SampleFault {
     /// Forward the sample unchanged (the default).
     Deliver,
-    /// Silently drop it (lossy log tailer / dropped `TrainMsg` batch).
+    /// Silently drop it (lossy log tailer / dropped sample batch).
     Drop,
     /// Deliver a corrupted record: scrambled finite features and a flipped
     /// label (a codec bit-flip that survived into the training path).

@@ -15,11 +15,14 @@
 //! locked but a worker's own queue.
 //!
 //! ```text
-//!   trace ──prepare──▶ [PreparedRequest…]          AdmissionGate
-//!   (features, labels,       │ &request           (RwLock<Arc<tree>>)
-//!    model stamps)     M client threads                  ▲ install
-//!                            │ paced @ QPS         retrainer thread
-//!                            │ route: hash(object) (samples ⇒ daily train)
+//!   trace ──prepare──▶ PreparedTrace                    AdmissionGate
+//!                        requests: [24-byte record…]   (RwLock<Arc<tree>>)
+//!                        features: [row…] (Proposal)          ▲ install
+//!                        models: None|Gate|Stamped(…)         │
+//!                            │ &request               retrainer thread
+//!                      M client threads ─ positions ─▶ (reads ts, row and
+//!                            │ paced @ QPS              label back; daily
+//!                            │ route: hash(object)      train)
 //!                            │   ⇒ shard ⇒ owner
 //!                            │ push: blocks at
 //!            ┌───────────────┴─ queue_depth ─┐
@@ -44,9 +47,15 @@
 //! wakes a worker sleeping on an empty queue, a `pop_batch` wakes clients
 //! blocked on a full one — so a busy queue pays no wake-up syscall at all.
 //! It carries `&PreparedRequest` borrowed from the prepared trace, which
-//! outlives the thread scope every client and worker runs in, so a request
-//! is never copied and its model `Arc` never re-counted on the way to a
-//! shard. A client picks the queue from the request's shard (one multiply-
+//! outlives the thread scope every client, worker and the retrainer runs
+//! in, so a request is never copied on the way to a shard. The record is
+//! 24 bytes — position, object, size, label, timestamp — and everything
+//! else a request needs stays in the trace or in one per-run column: the
+//! worker reads the request's feature row and resolves its model (from the
+//! run's install schedule, or from its own gate snapshot) only on a miss.
+//! A background client forwards samples the same way, as positions into
+//! the prepared trace, and the retrainer reads the rows back from it. A
+//! client picks the queue from the request's shard (one multiply-
 //! shift hash and a table lookup; with one worker, nothing), so every
 //! request of a shard reaches the one worker that owns it, in the order the
 //! clients pushed it: with one client, the whole replay is a pure function
@@ -62,8 +71,9 @@
 //! [`Snapshot`] from the same `Vec` of shards.
 //!
 //! Two training deliveries are supported ([`TrainerMode`]): *Inline*
-//! stamps each request with the model current at its enqueue point, which
-//! makes a 1-shard/1-worker replay bit-identical to the single-threaded
+//! trains in the prepare pass and records one schedule entry per install,
+//! so every request is judged by the model current at its trace position,
+//! which makes a 1-shard/1-worker replay bit-identical to the single-threaded
 //! [`otae_core::pipeline::run`] (the cross-check tests assert this);
 //! *Background* resolves models at dispatch time from the gate — the
 //! production path, exercised by the hot-swap tests.
@@ -99,7 +109,7 @@ pub use fault::{
 pub use gate::{AdmissionGate, GateModel};
 pub use loadgen::{LoadConfig, SAMPLE_FLUSH};
 pub use request::{prepare, ModelSource, PreparedRequest, PreparedTrace};
-pub use retrainer::{run_retrainer, RetrainerReport, TrainBatch, TrainMsg};
+pub use retrainer::{run_retrainer, RetrainerReport, SampleRef, TrainBatch};
 pub use service::{serve_trace, serve_trace_with_index, ServeConfig, ServeReport, TrainerMode};
 pub use shard::Snapshot;
 pub use store_layer::{fill_payload, StoreMode, StoreSnapshot};
@@ -117,10 +127,12 @@ mod thread_safety_assertions {
 
     const _: () = {
         // Requests cross the client ⇒ worker queue by reference; samples
-        // cross the retrainer channel by value.
+        // cross the retrainer channel as positions, by value; clients,
+        // workers and the retrainer all borrow the prepared trace.
         assert_send::<&'static PreparedRequest>();
-        assert_send::<TrainMsg>();
+        assert_send::<SampleRef>();
         assert_send::<TrainBatch>();
+        assert_send::<&'static PreparedTrace>();
         // Shared service state read by every worker.
         assert_send_sync::<AdmissionGate>();
         // A run of shards moves into the worker thread that owns it.

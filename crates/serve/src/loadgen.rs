@@ -6,10 +6,9 @@ use crate::clock::ClockHandle;
 use crate::fault::{FaultPlan, SampleFault};
 use crate::intake::{self, Consumer, Producer};
 use crate::request::PreparedRequest;
-use crate::retrainer::{TrainBatch, TrainMsg};
+use crate::retrainer::{SampleRef, TrainBatch};
 use crate::shard::shard_of;
 use crossbeam::channel::Sender;
-use otae_core::N_FEATURES;
 use std::time::Duration;
 
 /// Samples buffered per client before a flush onto the retrainer channel.
@@ -93,8 +92,10 @@ pub(crate) struct ClientReport {
 /// copied per request.
 ///
 /// When `samples` is set (background-trainer Proposal runs), each submitted
-/// request is also forwarded to the retrainer, tying training progress to
-/// replay progress the way a production log tailer tails live traffic.
+/// request is also forwarded to the retrainer — by position, with the fault
+/// plan's verdict; the retrainer reads the sample itself from the prepared
+/// trace — tying training progress to replay progress the way a production
+/// log tailer tails live traffic. Drops and corruptions are tallied here.
 /// Forwarding is buffered: surviving samples accumulate client-side and
 /// flush as one [`TrainBatch`] every [`SAMPLE_FLUSH`] requests (and at
 /// replay end), so per-client message order is preserved while the channel
@@ -130,17 +131,12 @@ pub(crate) fn replay_client<'a>(
             clock.sleep_until(Duration::from_secs_f64(report.submitted as f64 / per_client_qps));
         }
         if let Some(samples) = samples {
-            let mut msg = TrainMsg { ts: req.ts, features: req.features, one_time: req.truth };
-            match plan.sample_fault(req.idx) {
-                SampleFault::Deliver => sample_buf.push(msg),
+            match plan.sample_fault(u64::from(req.idx)) {
+                SampleFault::Deliver => sample_buf.push(SampleRef { idx: req.idx, corrupt: false }),
                 SampleFault::Drop => report.dropped_samples += 1,
                 SampleFault::Corrupt => {
-                    // Finite garbage (the ML layer rejects NaN by contract)
-                    // with a flipped label: a corrupt record that parsed.
-                    msg.features = [f32::MAX; N_FEATURES];
-                    msg.one_time = !msg.one_time;
                     report.corrupted_samples += 1;
-                    sample_buf.push(msg);
+                    sample_buf.push(SampleRef { idx: req.idx, corrupt: true });
                 }
             }
             if sample_buf.len() >= SAMPLE_FLUSH {
@@ -166,24 +162,14 @@ mod tests {
     use super::*;
     use crate::clock::ServiceClock;
     use crate::fault::NoFaults;
-    use crate::request::ModelSource;
+    use crate::request::{ModelSource, PreparedTrace};
     use crate::service::shards_per_worker;
     use crossbeam::channel::unbounded;
-    use otae_trace::ObjectId;
+    use otae_core::N_FEATURES;
     use std::time::Instant;
 
-    fn prepared(n: usize) -> Vec<PreparedRequest> {
-        (0..n)
-            .map(|i| PreparedRequest {
-                idx: i as u64,
-                ts: i as u64,
-                object: ObjectId(i as u32),
-                size: 1,
-                features: [0.0; otae_core::N_FEATURES],
-                truth: false,
-                model: ModelSource::Stamped { model: None },
-            })
-            .collect()
+    fn prepared(n: u32) -> Vec<PreparedRequest> {
+        (0..n).map(|i| crate::shard::tests::prepared(i, i, 1, i % 2 == 0)).collect()
     }
 
     /// One worker's queue, deep enough to hold all of `reqs`, so a test
@@ -226,7 +212,7 @@ mod tests {
             for (w, rx) in rxs.iter().enumerate() {
                 let queued = drain(rx);
                 assert!(!queued.is_empty(), "{shards}x{workers}: queue {w} never used");
-                let mut last = [None::<u64>; 3];
+                let mut last = [None::<u32>; 3];
                 for r in &queued {
                     let topology = format!("{shards}x{workers}");
                     assert_eq!(shard_of(r.object, shards) / chunk, w, "{topology}: wrong owner");
@@ -308,7 +294,7 @@ mod tests {
     #[test]
     fn sample_flushes_are_bounded_and_ordered() {
         let n = 2 * SAMPLE_FLUSH + 17;
-        let reqs = prepared(n);
+        let reqs = prepared(n as u32);
         let (tx, rx) = queue(&reqs);
         let (stx, srx) = unbounded();
         let clock = ServiceClock::Wall.start();
@@ -323,8 +309,8 @@ mod tests {
         assert_eq!(batches[0].len(), SAMPLE_FLUSH);
         assert_eq!(batches[1].len(), SAMPLE_FLUSH);
         assert_eq!(batches[2].len(), 17);
-        let ts: Vec<u64> = batches.iter().flatten().map(|m| m.ts).collect();
-        assert_eq!(ts, (0..n as u64).collect::<Vec<_>>(), "order survives batching");
+        let idx: Vec<u32> = batches.iter().flatten().map(|m| m.idx).collect();
+        assert_eq!(idx, (0..n as u32).collect::<Vec<_>>(), "order survives batching");
     }
 
     /// The satellite invariant: a hung-up retrainer (its receiver gone) must
@@ -344,8 +330,9 @@ mod tests {
         assert_eq!(drain(&rx).len(), 50);
     }
 
-    /// Scripted sample faults: drops and corruptions are tallied and only
-    /// surviving samples reach the retrainer channel.
+    /// Scripted sample faults: drops and corruptions are tallied, only
+    /// surviving samples reach the retrainer channel, and the corrupted ones
+    /// reach the sampler as finite garbage with flipped labels.
     #[test]
     fn sample_faults_are_applied_and_tallied() {
         #[derive(Debug)]
@@ -379,9 +366,28 @@ mod tests {
         assert_eq!(report.dropped_samples, 10);
         assert_eq!(report.corrupted_samples, 10);
         assert_eq!(drain(&rx).len(), 30);
-        let delivered: Vec<TrainMsg> = srx.iter().flatten().collect();
+        let delivered: Vec<SampleRef> = srx.iter().flatten().collect();
         assert_eq!(delivered.len(), 20, "dropped samples never reach the channel");
-        let corrupted = delivered.iter().filter(|m| m.features == [f32::MAX; N_FEATURES]).count();
-        assert_eq!(corrupted, 10);
+        assert!(delivered.iter().all(|m| m.idx % 3 != 0));
+        let corrupted: Vec<u32> = delivered.iter().filter(|m| m.corrupt).map(|m| m.idx).collect();
+        assert_eq!(corrupted, (0..10).map(|i| 3 * i + 1).collect::<Vec<_>>());
+        // What the retrainer then offers its sampler.
+        let trace = PreparedTrace {
+            requests: reqs.clone(),
+            features: (0..30).map(|i| [i as f32; N_FEATURES]).collect(),
+            models: ModelSource::Gate,
+            trainings: 0,
+            dropped_installs: 0,
+        };
+        for m in delivered {
+            let r = reqs[m.idx as usize];
+            let (ts, features, one_time) = m.read(&trace);
+            assert_eq!(ts, r.ts);
+            if m.corrupt {
+                assert_eq!((features, one_time), ([f32::MAX; N_FEATURES], !r.truth));
+            } else {
+                assert_eq!((features, one_time), ([m.idx as f32; N_FEATURES], r.truth));
+            }
+        }
     }
 }

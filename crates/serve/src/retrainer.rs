@@ -1,10 +1,12 @@
 //! The background retrainer thread (the production training path).
 //!
-//! Client threads forward one [`TrainMsg`] per submitted request, batched
-//! into [`TrainBatch`] flushes so the sample channel (and the condvar wake
+//! Client threads forward one [`SampleRef`] per submitted request — its
+//! trace position and whether the fault plan corrupted it — batched into
+//! [`TrainBatch`] flushes so the sample channel (and the condvar wake
 //! behind it) is touched once per ~[`SAMPLE_FLUSH`](crate::SAMPLE_FLUSH)
-//! requests rather than per request; the retrainer owns the minute-capped
-//! sampler and the daily-training
+//! requests rather than per request. The retrainer borrows the prepared
+//! trace for the run, reads each sample's timestamp, feature row and label
+//! back from it, owns the minute-capped sampler and the daily-training
 //! schedule, and installs each freshly fitted tree into the shared
 //! [`AdmissionGate`](crate::AdmissionGate) — a hot swap the request
 //! workers observe without ever blocking on training. Every step consults
@@ -15,20 +17,36 @@
 use crate::fault::{FaultPlan, RetrainFault, SwapFault};
 use crate::gate::AdmissionGate;
 use crate::loadgen::SAMPLE_FLUSH;
+use crate::request::PreparedTrace;
 use crossbeam::channel::Receiver;
 use otae_core::daily::{DailyTrainer, MinuteSampler};
 use otae_core::{TrainingConfig, N_FEATURES};
 use otae_ml::DecisionTree;
 
-/// One observed request, as forwarded to the retrainer.
-#[derive(Debug, Clone)]
-pub struct TrainMsg {
-    /// Request timestamp (seconds since trace start).
-    pub ts: u64,
-    /// Feature row extracted for the request.
-    pub features: [f32; N_FEATURES],
-    /// Offline one-time-access label.
-    pub one_time: bool,
+/// One observed request, as forwarded to the retrainer: a position in the
+/// prepared trace the retrainer reads the sample from.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleRef {
+    /// The request's trace position.
+    pub idx: u32,
+    /// Set when the fault plan corrupted the sample on its way
+    /// ([`SampleFault::Corrupt`](crate::SampleFault::Corrupt)).
+    pub corrupt: bool,
+}
+
+impl SampleRef {
+    /// The sample as the minute sampler takes it — timestamp, feature row,
+    /// one-time label — read from the trace it was forwarded from. A
+    /// corrupted sample is finite garbage (the ML layer rejects NaN by
+    /// contract) with a flipped label: a corrupt record that parsed.
+    pub(crate) fn read(self, prepared: &PreparedTrace) -> (u64, [f32; N_FEATURES], bool) {
+        let req = &prepared.requests[self.idx as usize];
+        if self.corrupt {
+            (req.ts, [f32::MAX; N_FEATURES], !req.truth)
+        } else {
+            (req.ts, prepared.features[self.idx as usize], req.truth)
+        }
+    }
 }
 
 /// A client-side flush of forwarded samples: what actually travels on the
@@ -36,7 +54,7 @@ pub struct TrainMsg {
 /// the flattened message stream, so per-message accounting (`seen` counts,
 /// stall deadlines, minute-sampler offers) is identical to an unbatched
 /// channel carrying the same messages in the same per-client order.
-pub type TrainBatch = Vec<TrainMsg>;
+pub type TrainBatch = Vec<SampleRef>;
 
 /// What the retrainer thread did over one run.
 ///
@@ -70,8 +88,9 @@ pub struct RetrainerReport {
     pub install_backlog_total: u64,
 }
 
-/// Drain `rx` until every sender hangs up, sampling records and retraining
-/// at each daily boundary.
+/// Drain `rx` until every sender hangs up, sampling the records of
+/// `prepared` it names ([`SampleRef::read`]) and retraining at each daily
+/// boundary.
 ///
 /// With several client threads the forwarded stream is only approximately
 /// time-ordered (each client submits its own stride in order); the sampler
@@ -80,13 +99,14 @@ pub struct RetrainerReport {
 /// window — which matches how a production log tailer would behave.
 pub fn run_retrainer(
     rx: Receiver<TrainBatch>,
+    prepared: &PreparedTrace,
     gate: &AdmissionGate,
-    training: &TrainingConfig,
+    training: TrainingConfig,
     v: f32,
     plan: &dyn FaultPlan,
 ) -> RetrainerReport {
-    let mut trainer = DailyTrainer::new(training.clone(), v);
     let mut sampler = MinuteSampler::new(training.records_per_minute);
+    let mut trainer = DailyTrainer::new(training, v);
     let mut report = RetrainerReport::default();
     // A model whose install was stalled, due once `seen` reaches the mark.
     let mut pending: Option<(DecisionTree, u64)> = None;
@@ -96,7 +116,8 @@ pub fn run_retrainer(
     // Batches are flattened here: `seen` counts messages, not flushes, so a
     // `RetrainFault::Stall { messages }` deadline means the same thing at
     // every flush size.
-    for msg in rx.iter().flatten() {
+    for sample in rx.iter().flatten() {
+        let (ts, features, one_time) = sample.read(prepared);
         seen += 1;
         if let Some((model, due)) = pending.take() {
             if seen >= due {
@@ -107,7 +128,7 @@ pub fn run_retrainer(
         }
         // Training happens here, on the retrainer thread — workers only
         // ever see finished models.
-        if let Some(model) = trainer.maybe_retrain(msg.ts, &mut sampler) {
+        if let Some(model) = trainer.maybe_retrain(ts, &mut sampler) {
             match plan.retrain_fault(attempt) {
                 RetrainFault::Proceed => {
                     // A fresher model supersedes any still-stalled older one
@@ -128,7 +149,7 @@ pub fn run_retrainer(
             }
             attempt += 1;
         }
-        sampler.offer(msg.ts, msg.features, msg.one_time);
+        sampler.offer(ts, features, one_time);
     }
     // Stream over: a still-stalled install lands now (the job finished late).
     if let Some((model, _)) = pending.take() {
@@ -164,37 +185,44 @@ fn install(
 mod tests {
     use super::*;
     use crate::fault::NoFaults;
+    use crate::request::{ModelSource, PreparedRequest};
     use crossbeam::channel::unbounded;
     use otae_trace::diurnal::DAY;
+    use otae_trace::ObjectId;
 
-    /// `days` days of separable samples (x > 0.5 means one-time), flushed
-    /// in uneven batches so the tests exercise the batched transport.
-    fn feed_days(tx: &crossbeam::channel::Sender<TrainBatch>, days: u64) {
-        let mut batch = TrainBatch::new();
-        for day in 0..days {
-            for i in 0..600u64 {
-                let ts = day * DAY + i * 120;
-                let mut features = [0.0f32; N_FEATURES];
-                features[0] = (i % 100) as f32 / 100.0;
-                batch.push(TrainMsg { ts, features, one_time: (i % 100) >= 50 });
-                if batch.len() == 97 {
-                    tx.send(std::mem::take(&mut batch)).unwrap();
-                }
-            }
+    /// `days` days of separable samples (x > 0.5 means one-time), 600 a day,
+    /// as a prepared trace, and a hung-up channel forwarding every one of
+    /// them in uneven batches so the tests exercise the batched transport.
+    fn feed_days(days: u64) -> (Receiver<TrainBatch>, PreparedTrace) {
+        let (requests, features) = (0..days)
+            .flat_map(|day| (0..600u64).map(move |i| (day * DAY + i * 120, i % 100)))
+            .zip(0u32..)
+            .map(|((ts, x), idx)| {
+                let mut row = [0.0f32; N_FEATURES];
+                row[0] = x as f32 / 100.0;
+                (PreparedRequest { idx, object: ObjectId(idx), size: 1, truth: x >= 50, ts }, row)
+            })
+            .unzip();
+        let prepared = PreparedTrace {
+            requests,
+            features,
+            models: ModelSource::Gate,
+            trainings: 0,
+            dropped_installs: 0,
+        };
+        let (tx, rx) = unbounded();
+        for batch in prepared.requests.chunks(97) {
+            let batch = batch.iter().map(|r| SampleRef { idx: r.idx, corrupt: false }).collect();
+            tx.send(batch).expect("receiver alive");
         }
-        if !batch.is_empty() {
-            tx.send(batch).unwrap();
-        }
+        (rx, prepared)
     }
 
     #[test]
     fn trains_at_daily_boundaries_and_installs() {
-        let (tx, rx) = unbounded();
+        let (rx, days) = feed_days(2);
         let gate = AdmissionGate::new();
-        let cfg = TrainingConfig::default();
-        feed_days(&tx, 2);
-        drop(tx);
-        let report = run_retrainer(rx, &gate, &cfg, 2.0, &NoFaults);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &NoFaults);
         assert_eq!(report.trainings, 1, "day-1 boundary fires once within 2 days");
         assert_eq!(report.installs, 1);
         assert_eq!(gate.swaps(), 1);
@@ -213,10 +241,9 @@ mod tests {
 
     #[test]
     fn empty_stream_never_trains() {
-        let (tx, rx) = unbounded::<TrainBatch>();
-        drop(tx);
+        let (rx, days) = feed_days(0);
         let gate = AdmissionGate::new();
-        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &NoFaults);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &NoFaults);
         assert_eq!(report, RetrainerReport::default());
         assert!(!gate.is_warm());
     }
@@ -230,11 +257,9 @@ mod tests {
                 RetrainFault::Fail
             }
         }
-        let (tx, rx) = unbounded();
+        let (rx, days) = feed_days(2);
         let gate = AdmissionGate::new();
-        feed_days(&tx, 2);
-        drop(tx);
-        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &FailAll);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &FailAll);
         assert_eq!(report.trainings, 1, "the model was fitted…");
         assert_eq!(report.failed, 1, "…then lost");
         assert_eq!(report.installs, 0);
@@ -254,11 +279,9 @@ mod tests {
                 }
             }
         }
-        let (tx, rx) = unbounded();
+        let (rx, days) = feed_days(2);
         let gate = AdmissionGate::new();
-        feed_days(&tx, 2);
-        drop(tx);
-        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &StallFirst);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &StallFirst);
         assert_eq!(report.trainings, 1);
         assert_eq!(report.deferred, 1);
         assert_eq!(report.installs, 1, "the stalled install must still land");
@@ -274,11 +297,9 @@ mod tests {
                 SwapFault::Drop
             }
         }
-        let (tx, rx) = unbounded();
+        let (rx, days) = feed_days(2);
         let gate = AdmissionGate::new();
-        feed_days(&tx, 2);
-        drop(tx);
-        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &DropAllSwaps);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &DropAllSwaps);
         assert_eq!(report.trainings, 1);
         assert_eq!(report.dropped_installs, 1);
         assert_eq!(report.installs, 0);
@@ -312,11 +333,9 @@ mod tests {
                 }
             }
         }
-        let (tx, rx) = unbounded();
+        let (rx, days) = feed_days(6);
         let gate = AdmissionGate::new();
-        feed_days(&tx, 6);
-        drop(tx);
-        let report = run_retrainer(rx, &gate, &TrainingConfig::default(), 2.0, &Mixed);
+        let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &Mixed);
         let RetrainerReport {
             trainings,
             installs,

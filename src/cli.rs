@@ -428,6 +428,9 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(out, "latency p999      {:.1} us", r.latency_p999_us);
     let _ = writeln!(out, "model swaps       {}", r.model_swaps);
     let _ = writeln!(out, "trainings         {}", r.trainings);
+    // What the prepare pass held for the replay: request records, feature
+    // rows (Proposal) and model schedule entries.
+    let _ = writeln!(out, "prepared bytes    {}", r.prepared_bytes);
     // Requests accepted under the old model while a fit ran (background
     // trainer only): how far installs lagged the replay, largest and summed.
     let _ = writeln!(
@@ -735,6 +738,12 @@ mod tests {
         assert!(out.contains("throughput"));
         assert!(out.contains("latency p99"));
         assert!(out.contains("install backlog   max 0 / total 0"), "no retrainer in ideal mode");
+        let replayed: u64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("replayed")?.split_whitespace().next()?.parse().ok())
+            .expect("replayed line");
+        // No model in ideal mode: one 24-byte record a request, nothing else.
+        assert!(out.contains(&format!("prepared bytes    {}\n", 24 * replayed)), "{out}");
         assert!(out.contains("shard  0"), "per-shard breakdown expected:\n{out}");
         assert!(out.contains("shard  1"));
     }
