@@ -5,12 +5,18 @@
 //! - [`FileBackend`] — real files under a root directory, hash-prefixed
 //!   into 256 subdirectories (`<root>/<xx>/seg-<id>.seg`) so a large store
 //!   never piles every segment into one directory.
-//! - [`MemBackend`] — an `Arc`-shared in-memory map with identical
+//! - [`MemBackend`] — an `Arc`-shared in-memory device with identical
 //!   semantics. Because the bytes live in the shared handle rather than the
 //!   [`SegmentStore`](crate::SegmentStore), a harness can "crash" a store
 //!   (drop it mid-write) and reopen the same backend to exercise the
 //!   recovery scan deterministically, with no filesystem, wall clock, or
 //!   entropy involved.
+//!
+//! A `MemBackend` segment is the list of its appends, each an immutable,
+//! exactly-sized chunk copied *before* the device lock is taken; under the
+//! lock an append only pushes its chunk, and a read copies from the
+//! chunk(s) covering its range. So no reader waits for a write group's
+//! `memcpy`, and the device needs no notion of an active segment.
 
 use crate::handles::HandleCache;
 use crate::StoreError;
@@ -29,11 +35,7 @@ pub type SegmentId = u32;
 /// threads).
 pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Create an empty segment. Fails if it already exists.
-    /// `capacity_hint` is how many bytes the caller expects to append
-    /// before it stops writing to the segment (0 = unknown); a backend may
-    /// use it to place the segment once, and appending past it must still
-    /// work.
-    fn create(&self, seg: SegmentId, capacity_hint: u64) -> Result<(), StoreError>;
+    fn create(&self, seg: SegmentId) -> Result<(), StoreError>;
     /// Append bytes to a segment's tail.
     fn append(&self, seg: SegmentId, data: &[u8]) -> Result<(), StoreError> {
         self.append_vectored(seg, &[data])
@@ -44,9 +46,10 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// records) where it already sits in memory; empty parts are allowed.
     fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError>;
     /// Read `len` bytes at `offset` into `buf`, replacing its contents and
-    /// keeping its allocation: the one positioned read, under every `get`
-    /// and every record compaction looks at. A range that runs past the
-    /// segment's end is an error, never a short read.
+    /// keeping its allocation: the one read, under every `get`, every
+    /// record compaction looks at and every record the recovery scan
+    /// verifies. A range that runs past the segment's end is an error,
+    /// never a short read.
     fn read_into(
         &self,
         seg: SegmentId,
@@ -54,9 +57,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         len: usize,
         buf: &mut Vec<u8>,
     ) -> Result<(), StoreError>;
-    /// Read a whole segment (the recovery scan, which must verify every
-    /// byte of it anyway).
-    fn read_all(&self, seg: SegmentId) -> Result<Vec<u8>, StoreError>;
     /// Current length of a segment in bytes.
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError>;
     /// Truncate a segment to `len` bytes (recovery repair, fault injection).
@@ -70,7 +70,54 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 /// In-memory backend; clone the handle to share the same "device".
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
-    segments: Arc<Mutex<FxHashMap<SegmentId, Vec<u8>>>>,
+    segments: Arc<Mutex<FxHashMap<SegmentId, Segment>>>,
+}
+
+/// One append as it landed: where it starts in its segment, and exactly its
+/// bytes. Never written again once pushed; only a truncate may shorten or
+/// drop it.
+#[derive(Debug)]
+struct Chunk {
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+impl Chunk {
+    fn end(&self) -> u64 {
+        self.start + self.bytes.len() as u64
+    }
+}
+
+/// A [`MemBackend`] segment: its non-empty appends in offset order, each
+/// starting where the one before it ends.
+#[derive(Debug, Default)]
+struct Segment {
+    chunks: Vec<Chunk>,
+}
+
+impl Segment {
+    fn len(&self) -> u64 {
+        self.chunks.last().map_or(0, Chunk::end)
+    }
+
+    /// Append the segment's bytes `offset..end` to `buf`; `end` is within
+    /// the segment.
+    fn copy_range(&self, offset: u64, end: u64, buf: &mut Vec<u8>) {
+        let first = self.chunks.partition_point(|c| c.end() <= offset);
+        for chunk in self.chunks[first..].iter().take_while(|c| c.start < end) {
+            let from = offset.max(chunk.start) - chunk.start;
+            let to = end.min(chunk.end()) - chunk.start;
+            buf.extend_from_slice(&chunk.bytes[from as usize..to as usize]);
+        }
+    }
+
+    /// Cut the segment to `len` bytes; a longer `len` is a no-op.
+    fn truncate(&mut self, len: u64) {
+        self.chunks.truncate(self.chunks.partition_point(|c| c.start < len));
+        if let Some(last) = self.chunks.last_mut() {
+            last.bytes.truncate(usize::try_from(len - last.start).unwrap_or(usize::MAX));
+        }
+    }
 }
 
 impl MemBackend {
@@ -81,32 +128,29 @@ impl MemBackend {
 
     /// Total bytes across all segments (test/diagnostic helper).
     pub fn total_bytes(&self) -> u64 {
-        self.segments.lock().values().map(|v| v.len() as u64).sum()
+        self.segments.lock().values().map(Segment::len).sum()
     }
 }
 
 impl Backend for MemBackend {
-    fn create(&self, seg: SegmentId, capacity_hint: u64) -> Result<(), StoreError> {
+    fn create(&self, seg: SegmentId) -> Result<(), StoreError> {
         let mut map = self.segments.lock();
         if map.contains_key(&seg) {
             return Err(StoreError::Corrupt(format!("segment {seg} already exists")));
         }
-        // One allocation for the segment's whole life: growing by doubling
-        // copies every byte again and leaves a trail of freed 1, 2, 4 MiB
-        // blocks that same-sized successors cannot reuse. A hint the
-        // allocator cannot honour is dropped, not fatal: `append` grows
-        // the segment as it always did.
-        let mut bytes = Vec::new();
-        let _ = bytes.try_reserve_exact(usize::try_from(capacity_hint).unwrap_or(usize::MAX));
-        map.insert(seg, bytes);
+        map.insert(seg, Segment::default());
         Ok(())
     }
 
     fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError> {
+        // The copy, into one exactly-sized chunk, happens before the lock;
+        // under it the append is a push.
+        let bytes = parts.concat();
         let mut map = self.segments.lock();
-        let bytes = map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?;
-        for part in parts {
-            bytes.extend_from_slice(part);
+        let segment = map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?;
+        if !bytes.is_empty() {
+            let start = segment.len();
+            segment.chunks.push(Chunk { start, bytes });
         }
         Ok(())
     }
@@ -118,44 +162,37 @@ impl Backend for MemBackend {
         len: usize,
         buf: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let map = self.segments.lock();
-        let bytes = map.get(&seg).ok_or(StoreError::MissingSegment(seg))?;
         let end = offset
             .checked_add(len as u64)
             .ok_or_else(|| StoreError::Corrupt("read range overflows".into()))?;
-        if end > bytes.len() as u64 {
+        let map = self.segments.lock();
+        let segment = map.get(&seg).ok_or(StoreError::MissingSegment(seg))?;
+        if end > segment.len() {
             return Err(StoreError::Corrupt(format!(
                 "read past end of segment {seg}: {end} > {}",
-                bytes.len()
+                segment.len()
             )));
         }
         buf.clear();
-        buf.extend_from_slice(&bytes[offset as usize..end as usize]);
+        segment.copy_range(offset, end, buf);
         Ok(())
-    }
-
-    fn read_all(&self, seg: SegmentId) -> Result<Vec<u8>, StoreError> {
-        let map = self.segments.lock();
-        map.get(&seg).cloned().ok_or(StoreError::MissingSegment(seg))
     }
 
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError> {
         let map = self.segments.lock();
-        map.get(&seg).map(|b| b.len() as u64).ok_or(StoreError::MissingSegment(seg))
+        map.get(&seg).map(Segment::len).ok_or(StoreError::MissingSegment(seg))
     }
 
     fn truncate(&self, seg: SegmentId, len: u64) -> Result<(), StoreError> {
         let mut map = self.segments.lock();
-        let bytes = map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?;
-        if len < bytes.len() as u64 {
-            bytes.truncate(len as usize);
-        }
+        map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?.truncate(len);
         Ok(())
     }
 
     fn delete(&self, seg: SegmentId) -> Result<(), StoreError> {
-        let mut map = self.segments.lock();
-        map.remove(&seg).map(|_| ()).ok_or(StoreError::MissingSegment(seg))
+        // Out of the map under the lock; its chunks are freed after it.
+        let removed = self.segments.lock().remove(&seg);
+        removed.map(drop).ok_or(StoreError::MissingSegment(seg))
     }
 
     fn list(&self) -> Result<Vec<SegmentId>, StoreError> {
@@ -254,7 +291,7 @@ impl FileBackend {
 }
 
 impl Backend for FileBackend {
-    fn create(&self, seg: SegmentId, _capacity_hint: u64) -> Result<(), StoreError> {
+    fn create(&self, seg: SegmentId) -> Result<(), StoreError> {
         let path = self.path_of(seg);
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
@@ -308,14 +345,6 @@ impl Backend for FileBackend {
         }
         pread_exact(&f, offset, buf)?;
         Ok(())
-    }
-
-    fn read_all(&self, seg: SegmentId) -> Result<Vec<u8>, StoreError> {
-        let f = self.handles.read_handle(seg, || self.open_existing(seg))?;
-        let len = f.metadata()?.len();
-        let mut buf = vec![0u8; len as usize];
-        pread_exact(&f, 0, &mut buf)?;
-        Ok(buf)
     }
 
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError> {
@@ -380,9 +409,15 @@ impl Backend for FileBackend {
 mod tests {
     use super::*;
 
+    fn read_whole(backend: &dyn Backend, seg: SegmentId) -> Vec<u8> {
+        let mut buf = Vec::new();
+        backend.read_into(seg, 0, backend.len(seg).unwrap() as usize, &mut buf).unwrap();
+        buf
+    }
+
     fn exercise(backend: &dyn Backend) {
-        backend.create(3, 0).unwrap();
-        assert!(backend.create(3, 0).is_err(), "double create must fail");
+        backend.create(3).unwrap();
+        assert!(backend.create(3).is_err(), "double create must fail");
         backend.append(3, b"hello ").unwrap();
         backend.append(3, b"world").unwrap();
         assert_eq!(backend.len(3).unwrap(), 11);
@@ -395,16 +430,15 @@ mod tests {
         assert_eq!(buf, b"hello world");
         backend.read_into(3, 11, 0, &mut buf).unwrap();
         assert!(buf.is_empty(), "an empty read at the very end is legal");
-        assert_eq!(backend.read_all(3).unwrap(), b"hello world");
         assert!(backend.read_into(3, 8, 10, &mut buf).is_err(), "read past end must fail");
         assert!(backend.read_into(4, 0, 1, &mut buf).is_err(), "missing segment must fail");
 
-        backend.create(1, 0).unwrap();
-        backend.create(10, 64).unwrap();
+        backend.create(1).unwrap();
+        backend.create(10).unwrap();
         assert_eq!(backend.list().unwrap(), vec![1, 3, 10]);
 
         backend.truncate(3, 5).unwrap();
-        assert_eq!(backend.read_all(3).unwrap(), b"hello");
+        assert_eq!(read_whole(backend, 3), b"hello");
         backend.truncate(3, 100).unwrap(); // growing truncate is a no-op
         assert_eq!(backend.len(3).unwrap(), 5);
 
@@ -417,7 +451,7 @@ mod tests {
     /// More parts than one `writev` takes, empty ones among them (first,
     /// interior and last), must land as their plain concatenation.
     fn exercise_vectored(backend: &dyn Backend) {
-        backend.create(7, 0).unwrap();
+        backend.create(7).unwrap();
         backend.append(7, b"head").unwrap();
         let chunks: Vec<Vec<u8>> = (0..2 * MAX_IOV + 77)
             .map(|i| if i % 5 == 0 { Vec::new() } else { vec![i as u8; 1 + i % 37] })
@@ -429,7 +463,7 @@ mod tests {
         backend.append(7, b"tail").unwrap();
         let want = [&b"head"[..], &chunks.concat(), b"tail"].concat();
         assert_eq!(backend.len(7).unwrap(), want.len() as u64);
-        assert_eq!(backend.read_all(7).unwrap(), want);
+        assert_eq!(read_whole(backend, 7), want);
         assert!(backend.append_vectored(8, &[b"x"]).is_err(), "missing segment must fail");
     }
 
@@ -456,61 +490,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn capacity_of(backend: &MemBackend, seg: SegmentId) -> usize {
-        backend.segments.lock()[&seg].capacity()
+    /// The chunks a `MemBackend` segment holds: `(start, len, capacity)`.
+    fn chunks_of(backend: &MemBackend, seg: SegmentId) -> Vec<(u64, usize, usize)> {
+        let map = backend.segments.lock();
+        map[&seg].chunks.iter().map(|c| (c.start, c.bytes.len(), c.bytes.capacity())).collect()
     }
 
     #[test]
-    fn mem_segment_filled_to_its_hint_is_allocated_once() {
+    fn mem_appends_land_as_exactly_sized_chunks() {
         let backend = MemBackend::new();
-        backend.create(0, 4096).unwrap();
-        let reserved = capacity_of(&backend, 0);
-        assert!(reserved >= 4096);
-        for _ in 0..4096 / 64 {
-            backend.append(0, &[0xA5; 64]).unwrap();
-            assert_eq!(capacity_of(&backend, 0), reserved, "append within the hint regrew");
-        }
-        assert_eq!(backend.len(0).unwrap(), 4096);
-    }
-
-    #[test]
-    fn mem_segment_appended_past_its_hint_reads_back_intact() {
-        let backend = MemBackend::new();
-        backend.create(0, 100).unwrap();
-        backend.append(0, &[1; 60]).unwrap();
-        // One record larger than the whole hint.
-        let big: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        backend.append(0, &big).unwrap();
-        backend.append(0, &[2; 7]).unwrap();
-        let all = backend.read_all(0).unwrap();
-        assert_eq!(all.len(), 1067);
-        assert_eq!(&all[..60], &[1; 60]);
-        assert_eq!(&all[60..1060], &big[..]);
-        let mut tail = Vec::new();
-        backend.read_into(0, 1060, 7, &mut tail).unwrap();
-        assert_eq!(tail, [2; 7]);
-    }
-
-    #[test]
-    fn mem_segment_without_a_hint_starts_unallocated() {
-        let backend = MemBackend::new();
-        backend.create(0, 0).unwrap();
-        assert_eq!(capacity_of(&backend, 0), 0);
-        backend.append(0, b"grows on demand").unwrap();
-        assert_eq!(backend.read_all(0).unwrap(), b"grows on demand");
-        // A hint no allocator can honour is dropped, not fatal.
-        backend.create(1, u64::MAX).unwrap();
-        backend.append(1, b"still works").unwrap();
-        assert_eq!(backend.read_all(1).unwrap(), b"still works");
+        backend.create(0).unwrap();
+        assert!(chunks_of(&backend, 0).is_empty(), "a new segment holds nothing");
+        backend.append_vectored(0, &[b"seg", b"hdr"]).unwrap();
+        backend.append_vectored(0, &[]).unwrap();
+        backend.append_vectored(0, &[&[], &[]]).unwrap();
+        backend.append_vectored(0, &[&[7; 100], &[], &[8; 28]]).unwrap();
+        // One chunk per non-empty append, allocated to its length.
+        assert_eq!(chunks_of(&backend, 0), [(0, 6, 6), (6, 128, 128)]);
+        let mut buf = Vec::new();
+        backend.read_into(0, 4, 4, &mut buf).unwrap();
+        assert_eq!(buf, [b'd', b'r', 7, 7], "a read across two appends");
+        // A cut inside the second chunk shortens it; one at a boundary
+        // drops what follows.
+        backend.truncate(0, 50).unwrap();
+        assert_eq!(chunks_of(&backend, 0).iter().map(|c| c.1).collect::<Vec<_>>(), [6, 44]);
+        backend.truncate(0, 6).unwrap();
+        assert_eq!(chunks_of(&backend, 0).len(), 1);
+        backend.append(0, b"next").unwrap();
+        assert_eq!(chunks_of(&backend, 0)[1], (6, 4, 4));
+        assert_eq!(backend.total_bytes(), 10);
     }
 
     #[test]
     fn mem_backend_clones_share_the_device() {
         let a = MemBackend::new();
         let b = a.clone();
-        a.create(0, 0).unwrap();
+        a.create(0).unwrap();
         a.append(0, b"persisted").unwrap();
         drop(a); // "crash": the handle dies, the device survives
-        assert_eq!(b.read_all(0).unwrap(), b"persisted");
+        assert_eq!(read_whole(&b, 0), b"persisted");
     }
 }

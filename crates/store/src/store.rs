@@ -37,15 +37,17 @@
 //! re-checksumming the whole segment did, and the writer stops being that
 //! workload's bottleneck. See `Writer::compact_once` for what a pass
 //! still verifies and what it no longer does; the recovery scan
-//! (`scan_one`) is the path that vouches for every byte, and is
-//! unchanged.
+//! (`scan_one`) is the path that vouches for every byte: it walks the
+//! headers the same way and also reads and decodes each whole record, one
+//! at a time.
 
 use crate::backend::{Backend, SegmentId};
 use crate::fault::StoreFaultPlan;
 use crate::index::{Location, StoreIndex};
 use crate::intake::Intake;
 use crate::record::{
-    decode_header, decode_record, frame_in_place, RecordError, RecordKind, HEADER_LEN, MAX_PAYLOAD,
+    decode_header, decode_record, frame_in_place, RecordError, RecordHeader, RecordKind,
+    HEADER_LEN, MAX_PAYLOAD,
 };
 use crate::write_buffer::{GroupBuffer, StagedKind};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -255,6 +257,12 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
     /// Bytes discarded by the torn-tail repair.
     pub truncated_bytes: u64,
+    /// Bytes the scan read from the backend: every segment header, every
+    /// record header, and every whole record (its header a second time).
+    /// A clean segment costs `SEGMENT_HEADER_LEN + Σ (HEADER_LEN + record
+    /// length)`; a record that fails ends its segment's scan after what was
+    /// read of it.
+    pub read_bytes: u64,
 }
 
 /// One compaction pass's outcome.
@@ -386,7 +394,7 @@ impl SegmentStore {
         report.live_records = index.len() as u64;
 
         let active = existing.last().map_or(0, |&s| s + 1);
-        create_segment(backend.as_ref(), active, &cfg)?;
+        create_segment(backend.as_ref(), active)?;
         index.add_segment(active);
 
         let shared = Arc::new(Shared {
@@ -600,16 +608,9 @@ impl Drop for SegmentStore {
     }
 }
 
-/// Create segment `seg` with its header. The writer rolls at the first
-/// record staged at or past `segment_bytes`, so a segment ends up to one
-/// record beyond it; `group_bytes` stands in for that record in the
-/// capacity hint (a larger one costs the backend one regrowth).
-fn create_segment(
-    backend: &dyn Backend,
-    seg: SegmentId,
-    cfg: &StoreConfig,
-) -> Result<(), StoreError> {
-    backend.create(seg, cfg.segment_bytes.saturating_add(cfg.group_bytes))?;
+/// Create segment `seg` with its header.
+fn create_segment(backend: &dyn Backend, seg: SegmentId) -> Result<(), StoreError> {
+    backend.create(seg)?;
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
     header.extend_from_slice(&SEGMENT_MAGIC);
     header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -649,79 +650,112 @@ fn recovery_threads(configured: usize) -> usize {
 type RecordMeta = (u64, RecordKind, u64, u64);
 
 /// What one segment scan found: record metadata in file order, plus any
-/// torn-tail repair. Segments are independent by construction (a record
-/// never spans segments), so scans can run concurrently and the index
-/// rebuild replays `SegmentScan`s in ascending segment-id order — the
-/// result is identical to the sequential scan, whatever the thread count.
+/// torn-tail repair and the bytes the scan read. Segments are independent
+/// by construction (a record never spans segments), so scans can run
+/// concurrently and the index rebuild replays `SegmentScan`s in ascending
+/// segment-id order — the result is identical to the sequential scan,
+/// whatever the thread count.
+#[derive(Default)]
 struct SegmentScan {
     seg: SegmentId,
     records: Vec<RecordMeta>,
     torn_tail: bool,
     truncated_bytes: u64,
+    read_bytes: u64,
 }
 
-/// Scan one segment's records. `tolerate_tail` is true only for the
-/// newest segment: a decode failure there is the torn tail a crash
-/// legitimately leaves behind and is truncated away; anywhere else it is
-/// corruption and fails the scan.
+/// Scan one segment record by record: per record its header
+/// ([`read_header`]), then the whole record through the full
+/// [`decode_record`]. `tolerate_tail` is true only for the newest segment:
+/// the first record that fails there is the torn tail a crash legitimately
+/// leaves behind and is truncated away; anywhere else it is corruption and
+/// fails the scan.
 fn scan_one(
     backend: &dyn Backend,
     seg: SegmentId,
     tolerate_tail: bool,
 ) -> Result<SegmentScan, StoreError> {
-    let bytes = backend.read_all(seg)?;
-    if !starts_with_segment_header(&bytes) {
+    let end = backend.len(seg)?;
+    let mut buf = Vec::new();
+    if !read_segment_header(backend, seg, end, &mut buf)? {
         return Err(StoreError::Corrupt(format!("segment {seg}: bad or short header")));
     }
-    let (records, stopped) = walk_records(&bytes);
-    let mut scan = SegmentScan { seg, records, torn_tail: false, truncated_bytes: 0 };
-    if let Some((offset, err)) = stopped {
-        if !tolerate_tail {
-            return Err(StoreError::Corrupt(format!(
-                "segment {seg}: record at offset {offset} unreadable mid-log: {err}"
-            )));
+    let mut scan = SegmentScan { seg, read_bytes: SEGMENT_HEADER_LEN, ..SegmentScan::default() };
+    let mut offset = SEGMENT_HEADER_LEN;
+    while offset < end {
+        let header = read_header(backend, seg, offset, end, &mut buf)?;
+        scan.read_bytes += buf.len() as u64;
+        let verified = match header {
+            Ok(header) => {
+                backend.read_into(seg, offset, header.encoded_len() as usize, &mut buf)?;
+                scan.read_bytes += buf.len() as u64;
+                decode_record(&buf).map(|(record, len)| (record.key, record.kind, len))
+            }
+            Err(err) => Err(err),
+        };
+        match verified {
+            Ok((key, kind, len)) => {
+                scan.records.push((key, kind, offset, len));
+                offset += len;
+            }
+            Err(_) if tolerate_tail => {
+                backend.truncate(seg, offset)?;
+                scan.torn_tail = true;
+                scan.truncated_bytes = end - offset;
+                break;
+            }
+            Err(err) => {
+                return Err(StoreError::Corrupt(format!(
+                    "segment {seg}: record at offset {offset} unreadable mid-log: {err}"
+                )))
+            }
         }
-        backend.truncate(seg, offset)?;
-        scan.torn_tail = true;
-        scan.truncated_bytes = bytes.len() as u64 - offset;
     }
     Ok(scan)
 }
 
-/// Whether `bytes` opens with this format's segment header.
-fn starts_with_segment_header(bytes: &[u8]) -> bool {
-    bytes.len() >= SEGMENT_HEADER_LEN as usize
-        && bytes[..4] == SEGMENT_MAGIC
-        && u16::from_le_bytes([bytes[4], bytes[5]]) == SEGMENT_VERSION
+/// Read segment `seg`'s header (or as much of it as its `end` holds) into
+/// `buf`, and say whether it is this format's.
+fn read_segment_header(
+    backend: &dyn Backend,
+    seg: SegmentId,
+    end: u64,
+    buf: &mut Vec<u8>,
+) -> Result<bool, StoreError> {
+    backend.read_into(seg, 0, SEGMENT_HEADER_LEN.min(end) as usize, buf)?;
+    Ok(buf.len() == SEGMENT_HEADER_LEN as usize
+        && buf[..4] == SEGMENT_MAGIC
+        && u16::from_le_bytes([buf[4], buf[5]]) == SEGMENT_VERSION)
 }
 
-/// Decode (and so checksum) a segment's records in file order, once, plus
-/// where and why the walk stopped if a record failed to decode. `bytes` is
-/// the whole segment, header included.
-fn walk_records(bytes: &[u8]) -> (Vec<RecordMeta>, Option<(u64, RecordError)>) {
-    let mut records = Vec::new();
-    let mut offset = SEGMENT_HEADER_LEN;
-    while (offset as usize) < bytes.len() {
-        match decode_record(&bytes[offset as usize..]) {
-            Ok((record, consumed)) => {
-                records.push((record.key, record.kind, offset, consumed));
-                offset += consumed;
-            }
-            Err(err) => return (records, Some((offset, err))),
-        }
-    }
-    (records, None)
+/// Read the header of the record at `offset` into `buf` — [`HEADER_LEN`]
+/// bytes, or what is left before the segment's `end` — and check it with
+/// [`decode_header`] (its own CRC, kind, length cap) and against `end`.
+/// The backend is never asked for bytes past the end, so a cut record is
+/// reported as truncated by the decoder, whatever the backend. The outer
+/// error is the backend's; the inner one says why the record is unreadable.
+fn read_header(
+    backend: &dyn Backend,
+    seg: SegmentId,
+    offset: u64,
+    end: u64,
+    buf: &mut Vec<u8>,
+) -> Result<Result<RecordHeader, RecordError>, StoreError> {
+    let have = end - offset;
+    backend.read_into(seg, offset, (HEADER_LEN as u64).min(have) as usize, buf)?;
+    Ok(decode_header(buf).and_then(|h| match h.encoded_len() {
+        needed if needed > have => Err(RecordError::Truncated { needed, have }),
+        _ => Ok(h),
+    }))
 }
 
 /// A sealed segment's records in file order, learned from its headers
 /// alone, plus the segment's length: the segment header, then
-/// [`HEADER_LEN`] bytes per record through [`Backend::read_into`], each
-/// record's place given by the lengths before it. Every header passes
-/// [`decode_header`] (its own CRC, kind, length cap) and the chain must end
-/// exactly at the segment's end, so a flipped header bit or a cut record is
-/// `Corrupt`; no payload is read, let alone checksummed. This is
-/// compaction's view of its victim — recovery, which must vouch for every
-/// byte, goes through [`walk_records`].
+/// [`read_header`] per record, each record's place given by the lengths
+/// before it. A flipped header bit or a cut record is `Corrupt`; no payload
+/// is read, let alone checksummed. This is compaction's view of its victim
+/// — recovery, which must vouch for every byte, also reads each whole
+/// record ([`scan_one`]).
 fn walk_headers(
     backend: &dyn Backend,
     seg: SegmentId,
@@ -729,22 +763,13 @@ fn walk_headers(
 ) -> Result<(Vec<RecordMeta>, u64), StoreError> {
     let corrupt = |what: String| StoreError::Corrupt(format!("compaction victim {seg}: {what}"));
     let end = backend.len(seg)?;
-    backend.read_into(seg, 0, SEGMENT_HEADER_LEN.min(end) as usize, scratch)?;
-    if !starts_with_segment_header(scratch) {
+    if !read_segment_header(backend, seg, end, scratch)? {
         return Err(corrupt("bad or short header".into()));
     }
     let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
     while offset < end {
-        // Never ask the backend for bytes past the end: a cut record is
-        // reported as truncated by the decoder, whatever the backend.
-        let have = end - offset;
-        backend.read_into(seg, offset, (HEADER_LEN as u64).min(have) as usize, scratch)?;
-        let header = decode_header(scratch)
-            .and_then(|h| match h.encoded_len() {
-                needed if needed > have => Err(RecordError::Truncated { needed, have }),
-                _ => Ok(h),
-            })
+        let header = read_header(backend, seg, offset, end, scratch)?
             .map_err(|e| corrupt(format!("record at {offset} unreadable: {e}")))?;
         records.push((header.key, header.kind, offset, header.encoded_len()));
         offset += header.encoded_len();
@@ -825,6 +850,7 @@ fn merge_scan(scan: &SegmentScan, index: &mut StoreIndex, report: &mut RecoveryR
     }
     report.torn_tail |= scan.torn_tail;
     report.truncated_bytes += scan.truncated_bytes;
+    report.read_bytes += scan.read_bytes;
     index.seal_segment(scan.seg);
 }
 
@@ -1008,7 +1034,7 @@ impl Writer {
     fn roll(&mut self) -> Result<(), StoreError> {
         debug_assert!(self.group.is_empty(), "roll with staged records would split the group");
         let next = self.active + 1;
-        create_segment(self.backend.as_ref(), next, &self.cfg)?;
+        create_segment(self.backend.as_ref(), next)?;
         {
             let mut ix = self.shared.index.lock();
             ix.seal_segment(self.active);
@@ -1312,6 +1338,12 @@ mod tests {
         (0..len).map(|i| word[i % 8]).collect()
     }
 
+    fn segment_bytes(backend: &MemBackend, seg: SegmentId) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        backend.read_into(seg, 0, backend.len(seg).unwrap() as usize, &mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn put_get_remove_round_trip() {
         let backend = MemBackend::new();
@@ -1469,6 +1501,63 @@ mod tests {
     }
 
     #[test]
+    fn reads_of_just_acknowledged_keys_race_appends_rolls_and_compaction() {
+        // A reader loops `get_into` over the keys acknowledged last, whose
+        // records sit in the active segment and the one just sealed, while
+        // the writer appends, rolls and auto-compacts under it. Every read
+        // must pass `verified_put` and return the bytes that were put (a
+        // key's payload never changes, so any of its versions will do).
+        let backend = MemBackend::new();
+        let cfg = StoreConfig {
+            segment_bytes: 4_000,
+            queue_depth: 8,
+            compact_trigger: Some(0.3),
+            group_records: 4,
+            ..Default::default()
+        };
+        let (store, _) = open_mem(&backend, cfg);
+        let value = |key: u64| payload(key, 40 + (key as usize * 37) % 200);
+        let acked = AtomicU64::new(0);
+        let passes = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let reads = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut out, mut reads) = (Vec::new(), 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let n = acked.load(Ordering::Acquire);
+                    for key in (n.saturating_sub(12)..n).map(|i| i % 97) {
+                        match store.get_into(key, &mut out) {
+                            Ok(true) => assert_eq!(out, value(key), "key {key}"),
+                            other => panic!("acknowledged key {key} read as {other:?}"),
+                        }
+                        reads += 1;
+                    }
+                    passes.fetch_add(1, Ordering::Release);
+                }
+                reads
+            });
+            for i in 0..3_000u64 {
+                store.put(i % 97, &value(i % 97)).unwrap();
+                if i % 6 == 5 {
+                    store.flush().unwrap();
+                    acked.store(i + 1, Ordering::Release);
+                    // Let the reader start a pass over what was just acked
+                    // before the writer moves on, however busy the host.
+                    let seen = passes.load(Ordering::Acquire);
+                    while passes.load(Ordering::Acquire) < seen + 2 && !reader.is_finished() {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader")
+        });
+        let s = store.stats();
+        assert!(s.compactions >= 10 && s.segments_created >= 50, "{s:?}");
+        assert!(reads >= 10_000, "the reader ran alongside: {reads} reads");
+    }
+
+    #[test]
     fn crash_between_append_and_index_update_loses_only_the_ack() {
         let backend = MemBackend::new();
         let plan = CrashAt { seq: 10, torn_tail: 0 };
@@ -1584,7 +1673,7 @@ mod tests {
         let segments = backend.list().unwrap();
         assert!(segments.len() > 2);
         let first = segments[0];
-        let mut bytes = backend.read_all(first).unwrap();
+        let mut bytes = segment_bytes(&backend, first);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         backend.truncate(first, 0).unwrap();
@@ -1742,7 +1831,7 @@ mod tests {
             }
         };
         for seg in backend.list().unwrap() {
-            let bytes = backend.read_all(seg).unwrap();
+            let bytes = segment_bytes(&backend, seg);
             eat(&seg.to_le_bytes());
             eat(&(bytes.len() as u64).to_le_bytes());
             eat(&bytes);
@@ -1861,7 +1950,7 @@ mod tests {
     /// call order, so what lands in one write group is exact.
     fn bare_writer(backend: &MemBackend, cfg: StoreConfig, plan: CrashAt) -> Writer {
         let backend: Arc<dyn Backend> = Arc::new(backend.clone());
-        create_segment(backend.as_ref(), 0, &cfg).unwrap();
+        create_segment(backend.as_ref(), 0).unwrap();
         let mut index = StoreIndex::new();
         index.add_segment(0);
         let shared = Arc::new(Shared {

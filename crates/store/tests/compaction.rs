@@ -39,6 +39,14 @@ fn payload(key: u64, version: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| word[i % 8] ^ (i / 8) as u8).collect()
 }
 
+/// A segment's bytes, read back through the positioned read.
+fn bytes_of(backend: &MemBackend, seg: SegmentId) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let len = backend.len(seg).expect("len") as usize;
+    backend.read_into(seg, 0, len, &mut bytes).expect("read segment");
+    bytes
+}
+
 /// FNV-1a, fed field by field.
 struct Digest(u64);
 
@@ -61,7 +69,7 @@ impl Digest {
     /// index in key order.
     fn eat_store(&mut self, backend: &MemBackend, store: &SegmentStore) {
         for seg in backend.list().expect("list") {
-            let bytes = backend.read_all(seg).expect("read_all");
+            let bytes = bytes_of(backend, seg);
             self.eat_u64(u64::from(seg));
             self.eat_u64(bytes.len() as u64);
             self.eat(&bytes);
@@ -77,7 +85,7 @@ impl Digest {
 /// `(key, kind, offset, len)` of every record in `seg`, by decoding its
 /// bytes front to back.
 fn records_of(backend: &MemBackend, seg: SegmentId) -> Vec<(u64, RecordKind, u64, u64)> {
-    let bytes = backend.read_all(seg).expect("read_all");
+    let bytes = bytes_of(backend, seg);
     let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
     while (offset as usize) < bytes.len() {
@@ -310,7 +318,7 @@ fn victim() -> Victim {
 impl Victim {
     /// Flip one bit of segment 0's byte `at`, behind the open store's back.
     fn flip(&self, at: u64) {
-        let mut bytes = self.backend.read_all(0).expect("read_all");
+        let mut bytes = bytes_of(&self.backend, 0);
         bytes[at as usize] ^= 0x10;
         self.backend.truncate(0, 0).expect("truncate");
         self.backend.append(0, &bytes).expect("append");
