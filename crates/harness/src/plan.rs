@@ -35,7 +35,7 @@ pub enum Fault {
         /// Stride between corrupted samples.
         every: u64,
     },
-    /// Daily training `attempt` dies: the fitted model is lost.
+    /// Daily training `attempt` dies before it fits: no model that day.
     FailRetrain {
         /// 0-based training attempt.
         attempt: u32,

@@ -26,8 +26,8 @@ pub enum SampleFault {
 pub enum RetrainFault {
     /// Install the model as usual (the default).
     Proceed,
-    /// The training job dies; the model is lost and the previous one keeps
-    /// serving.
+    /// The training job dies before it fits: the day's window is discarded
+    /// and the previous model keeps serving.
     Fail,
     /// The training job stalls: the model is installed only after the
     /// retrainer has seen this many further samples.
@@ -59,7 +59,9 @@ pub trait FaultPlan: std::fmt::Debug + Send + Sync {
         SampleFault::Deliver
     }
 
-    /// Consulted when daily training attempt `attempt` (0-based) completes.
+    /// Consulted when daily training attempt `attempt` (0-based) is due — a
+    /// boundary has passed over a trainable window — before anything is
+    /// fitted.
     fn retrain_fault(&self, attempt: u32) -> RetrainFault {
         let _ = attempt;
         RetrainFault::Proceed
@@ -97,7 +99,7 @@ pub struct FaultReport {
     pub dropped_samples: u64,
     /// Training samples delivered corrupted.
     pub corrupted_samples: u64,
-    /// Completed trainings whose model was lost to a `RetrainFault::Fail`.
+    /// Trainings killed by a `RetrainFault::Fail` before they fitted.
     pub failed_trainings: u32,
     /// Trainings whose install was stalled by a `RetrainFault::Stall`.
     pub deferred_installs: u32,

@@ -11,7 +11,8 @@
 //! once per [`Producer::push`] and once per [`Consumer::pop_batch`] (up to
 //! `max` requests), and the guarded state knows who is parked on each
 //! condvar, so a `push` signals `not_empty` only when the consumer is parked
-//! and a `pop_batch` signals `not_full` only when a producer is.
+//! and a `pop_batch` signals `not_full` only when a producer is — and then
+//! only once the queue has drained to half its bound.
 //!
 //! **Bound.** At most `cap` items are queued; `push` blocks while the queue
 //! is full. Items a consumer has popped into its batch no longer count —
@@ -24,6 +25,22 @@
 //! signalled yet: with none, no notify is owed and the syscall is skipped. A
 //! spurious wake-up leaves a mark standing, which costs one needless notify
 //! later — never a lost one.
+//!
+//! **Producers wake at half.** A `push` wakes a parked consumer at once; a
+//! `pop_batch` wakes parked producers only when it leaves the queue at or
+//! below `⌊cap/2⌋` items, and then takes back every producer mark and
+//! notifies them all in one round. A producer parks only on a full queue, so
+//! each park buys at least `cap − ⌊cap/2⌋` pushes before the next one, and
+//! the consumer still holds `⌊cap/2⌋` requests of work while the producers
+//! wake — where waking after every batch let a client that outruns its
+//! worker refill one batch and park again. Nothing is lost: the consumer
+//! never parks on a non-empty queue, and the pop that empties it leaves
+//! `0 ≤ ⌊cap/2⌋`, so every standing mark is taken back by the time the
+//! consumer could sleep.
+//!
+//! **Counters.** [`IntakeStats`] counts pushes, batches, parks and wakes on
+//! both sides and the high water, as plain fields under the lock each
+//! operation already holds; [`Consumer::stats`] reads them.
 //!
 //! **Order.** One FIFO, one consumer: the pop order is the push order, and
 //! each producer's items are popped in the order it pushed them — what
@@ -50,8 +67,51 @@ struct QueueState<T> {
     parked_producers: usize,
     /// The consumer waits on `not_empty` and no `push` has signalled it.
     consumer_parked: bool,
-    /// Most items ever queued at once (never above `cap`).
-    high_water: usize,
+    stats: IntakeStats,
+}
+
+/// What one queue did, counted under its lock. Timing-dependent: two runs
+/// of the same trace reach the same decisions with different counts.
+// lint: merge-exhaustive
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IntakeStats {
+    /// Items pushed.
+    pub pushes: u64,
+    /// Batches popped (each of at least one item).
+    pub batches: u64,
+    /// Times a producer waited on a full queue.
+    pub producer_parks: u64,
+    /// Times the consumer waited on an empty queue.
+    pub consumer_parks: u64,
+    /// Pops that woke the parked producers, one notify round each.
+    pub producer_wake_rounds: u64,
+    /// Pushes that woke the parked consumer.
+    pub consumer_wakes: u64,
+    /// Most items queued at once (never above the bound).
+    pub high_water: u64,
+}
+
+impl IntakeStats {
+    /// Fold another queue's counters into these: counts add, the high
+    /// water is the larger of the two.
+    pub fn merge(&mut self, other: &IntakeStats) {
+        let IntakeStats {
+            pushes,
+            batches,
+            producer_parks,
+            consumer_parks,
+            producer_wake_rounds,
+            consumer_wakes,
+            high_water,
+        } = *other;
+        self.pushes += pushes;
+        self.batches += batches;
+        self.producer_parks += producer_parks;
+        self.consumer_parks += consumer_parks;
+        self.producer_wake_rounds += producer_wake_rounds;
+        self.consumer_wakes += consumer_wakes;
+        self.high_water = self.high_water.max(high_water);
+    }
 }
 
 struct Shared<T> {
@@ -83,7 +143,7 @@ pub fn bounded<T>(cap: usize) -> (Producer<T>, Consumer<T>) {
             consumer_alive: true,
             parked_producers: 0,
             consumer_parked: false,
-            high_water: 0,
+            stats: IntakeStats::default(),
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -106,15 +166,20 @@ impl<T> Producer<T> {
                 break;
             }
             st.parked_producers += 1;
+            st.stats.producer_parks += 1;
             // A condvar wait releases the guard for its whole sleep; the
             // textual rule cannot see that.
             // otae-lint: allow(no-blocking-under-lock)
             sh.not_full.wait(&mut st);
         }
         st.queue.push_back(item);
-        st.high_water = st.high_water.max(st.queue.len());
         debug_assert!(st.queue.len() <= sh.cap, "queue above its bound");
+        let len = st.queue.len() as u64;
         let wake = std::mem::take(&mut st.consumer_parked);
+        let stats = &mut st.stats;
+        stats.pushes += 1;
+        stats.high_water = stats.high_water.max(len);
+        stats.consumer_wakes += u64::from(wake);
         drop(st);
         if wake {
             sh.not_empty.notify_one();
@@ -137,25 +202,30 @@ impl<T> Consumer<T> {
                 return false;
             }
             st.consumer_parked = true;
+            st.stats.consumer_parks += 1;
             // See `push`: the wait releases the guard.
             // otae-lint: allow(no-blocking-under-lock)
             sh.not_empty.wait(&mut st);
         }
         let n = st.queue.len().min(max.max(1));
         into.extend(st.queue.drain(..n));
-        // `n` slots came free: signal at most that many parked producers.
-        let wake = st.parked_producers.min(n);
-        st.parked_producers -= wake;
+        st.stats.batches += 1;
+        // Producers wake at half (see the module docs): every mark at once.
+        let wake = st.parked_producers > 0 && st.queue.len() <= sh.cap / 2;
+        if wake {
+            st.parked_producers = 0;
+            st.stats.producer_wake_rounds += 1;
+        }
         drop(st);
-        for _ in 0..wake {
-            sh.not_full.notify_one();
+        if wake {
+            sh.not_full.notify_all();
         }
         true
     }
 
-    /// Most items ever queued at once.
-    pub fn high_water(&self) -> usize {
-        self.shared.state.lock().high_water
+    /// The queue's counters so far.
+    pub fn stats(&self) -> IntakeStats {
+        self.shared.state.lock().stats
     }
 }
 
@@ -231,10 +301,10 @@ mod tests {
         assert_eq!(tx.push(2), Err(2), "room in the queue, nobody to drain it");
     }
 
-    /// A producer blocked on a full queue is released by exactly one
-    /// `pop_batch`. The queue is full before the producer starts; the
-    /// parked count (read under the lock) orders "producer is asleep"
-    /// before the pop.
+    /// A producer blocked on a full queue of two is released by exactly one
+    /// `pop_batch`: one item left is half the bound. The queue is full
+    /// before the producer starts; the parked count (read under the lock)
+    /// orders "producer is asleep" before the pop.
     #[test]
     fn one_pop_releases_a_blocked_producer() {
         let (tx, rx) = bounded(2);
@@ -250,10 +320,90 @@ mod tests {
             assert_eq!(batch, [1]);
             producer.join().unwrap();
         });
-        assert_eq!(rx.high_water(), 2);
+        let stats = rx.stats();
+        assert_eq!((stats.pushes, stats.batches, stats.high_water), (3, 1, 2));
+        assert_eq!(stats.producer_wake_rounds, 1);
+        assert!(stats.producer_parks >= 1);
         let mut batch = Vec::new();
         assert!(rx.pop_batch(&mut batch, 8));
         assert_eq!(batch, [2, 3]);
+    }
+
+    /// The wake rule, transition by transition, at every bound up to four:
+    /// with the marks three producers leave when they park on the full
+    /// queue, each one-item pop that leaves more than `⌊cap/2⌋` items keeps
+    /// every mark, and the first pop that leaves `⌊cap/2⌋` or fewer takes
+    /// all three back in one wake round. No producer thread runs, so no
+    /// push can interleave.
+    #[test]
+    fn marks_stand_until_a_pop_leaves_half_the_bound() {
+        for cap in 1..=4usize {
+            let (tx, rx) = bounded(cap);
+            for i in 0..cap {
+                tx.push(i).unwrap();
+            }
+            rx.shared.state.lock().parked_producers = 3;
+            let mut batch = Vec::new();
+            for left in (0..cap).rev() {
+                assert!(rx.pop_batch(&mut batch, 1));
+                let st = rx.shared.state.lock();
+                assert_eq!(st.queue.len(), left);
+                let woken = left <= cap / 2;
+                let marks = if woken { 0 } else { 3 };
+                assert_eq!(st.parked_producers, marks, "cap {cap}, {left} left");
+                assert_eq!(st.stats.producer_wake_rounds, u64::from(woken), "cap {cap}");
+            }
+        }
+    }
+
+    /// Three producers asleep on a full queue all wake from the one round a
+    /// draining pop pays, and each finds room: at bounds of three and four
+    /// the queue takes all their items without anyone parking again. At
+    /// bounds of one and two there is room for fewer than three, so later
+    /// rounds release the rest; every item still arrives. Producers run on
+    /// detached threads so a lost wake-up fails the deadline instead of
+    /// hanging the test.
+    #[test]
+    fn one_wake_round_releases_every_parked_producer() {
+        fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+            let until = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !done() {
+                assert!(std::time::Instant::now() < until, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        }
+        for cap in 1..=4usize {
+            let (tx, rx) = bounded(cap);
+            for i in 0..cap {
+                tx.push(i).unwrap();
+            }
+            let producers: Vec<_> = (0..3)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || tx.push(100 + p).unwrap())
+                })
+                .collect();
+            drop(tx);
+            wait_for("three parks", || rx.shared.state.lock().parked_producers >= 3);
+            let mut batch = Vec::new();
+            assert!(rx.pop_batch(&mut batch, cap));
+            assert_eq!(rx.stats().producer_wake_rounds, 1, "cap {cap}: the draining pop wakes");
+            if cap >= 3 {
+                wait_for("three pushes", || rx.stats().pushes == cap as u64 + 3);
+                assert_eq!(rx.stats().producer_wake_rounds, 1, "cap {cap}: one round for all");
+            }
+            let mut got = Vec::new();
+            while got.len() < 3 {
+                wait_for("an item", || !rx.shared.state.lock().queue.is_empty());
+                assert!(rx.pop_batch(&mut batch, 1));
+                got.append(&mut batch);
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+            got.sort_unstable();
+            assert_eq!(got, [100, 101, 102], "cap {cap}");
+        }
     }
 
     /// Wake-ups are owed only to parked threads: with nobody parked the

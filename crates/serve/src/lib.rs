@@ -44,8 +44,12 @@
 //! Each queue ([`intake`]) bounds the requests waiting between the clients
 //! and one worker at `queue_depth`; a batch the worker has stolen no longer
 //! counts. Each side signals the other only when it is parked — a `push`
-//! wakes a worker sleeping on an empty queue, a `pop_batch` wakes clients
-//! blocked on a full one — so a busy queue pays no wake-up syscall at all.
+//! wakes a worker sleeping on an empty queue, and the `pop_batch` that
+//! leaves a full queue at half its bound wakes every client blocked on it,
+//! so a client that outruns its worker parks once per half-queue of
+//! requests, not once per batch — and a busy queue pays no wake-up syscall
+//! at all. Each queue counts its pushes, batches, parks and wakes
+//! ([`IntakeStats`]); [`ServeReport::handoff`] merges them.
 //! It carries `&PreparedRequest` borrowed from the prepared trace, which
 //! outlives the thread scope every client, worker and the retrainer runs
 //! in, so a request is never copied on the way to a shard. The record is
@@ -107,6 +111,7 @@ pub use fault::{
     SampleFault, SwapFault,
 };
 pub use gate::{AdmissionGate, GateModel};
+pub use intake::IntakeStats;
 pub use loadgen::{LoadConfig, SAMPLE_FLUSH};
 pub use request::{prepare, ModelSource, PreparedRequest, PreparedTrace};
 pub use retrainer::{run_retrainer, RetrainerReport, SampleRef, TrainBatch};

@@ -64,11 +64,14 @@ pub type TrainBatch = Vec<SampleRef>;
 /// flushes when the stream closes — never silently lost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrainerReport {
-    /// Models fitted by the daily trainer.
+    /// Daily boundaries that found a trainable window (non-empty, both
+    /// classes): models fitted, plus jobs an injected `RetrainFault::Fail`
+    /// killed before they fitted anything.
     pub trainings: u32,
     /// Models actually installed into the gate.
     pub installs: u32,
-    /// Trainings lost to an injected `RetrainFault::Fail`.
+    /// Trainings lost to an injected `RetrainFault::Fail`: the window is
+    /// discarded and nothing is fitted.
     pub failed: u32,
     /// Installs that were stalled by an injected `RetrainFault::Stall`
     /// (they may later land or be superseded).
@@ -127,10 +130,23 @@ pub fn run_retrainer(
             }
         }
         // Training happens here, on the retrainer thread — workers only
-        // ever see finished models.
-        if let Some(model) = trainer.maybe_retrain(ts, &mut sampler) {
-            match plan.retrain_fault(attempt) {
-                RetrainFault::Proceed => {
+        // ever see finished models. The plan is asked before the fit, once
+        // a trainable window is due: a failed job costs no fit.
+        let mut fault = RetrainFault::Proceed;
+        let due = trainer.maybe_retrain_if(ts, &mut sampler, || {
+            fault = plan.retrain_fault(attempt);
+            fault != RetrainFault::Fail
+        });
+        if let Some(fitted) = due {
+            match (fitted, fault) {
+                (None, _) => report.failed += 1,
+                (Some(model), RetrainFault::Stall { messages }) => {
+                    report.deferred += 1;
+                    if pending.replace((model, seen + messages)).is_some() {
+                        report.dropped_installs += 1;
+                    }
+                }
+                (Some(model), _) => {
                     // A fresher model supersedes any still-stalled older one
                     // (installing the stale model later would roll the gate
                     // backwards); the loss is tallied as a dropped install.
@@ -138,13 +154,6 @@ pub fn run_retrainer(
                         report.dropped_installs += 1;
                     }
                     install(model, gate, plan, &rx, &mut swap_attempt, &mut report)
-                }
-                RetrainFault::Fail => report.failed += 1,
-                RetrainFault::Stall { messages } => {
-                    report.deferred += 1;
-                    if pending.replace((model, seen + messages)).is_some() {
-                        report.dropped_installs += 1;
-                    }
                 }
             }
             attempt += 1;
@@ -260,8 +269,8 @@ mod tests {
         let (rx, days) = feed_days(2);
         let gate = AdmissionGate::new();
         let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &FailAll);
-        assert_eq!(report.trainings, 1, "the model was fitted…");
-        assert_eq!(report.failed, 1, "…then lost");
+        assert_eq!(report.trainings, 1, "the boundary was consumed…");
+        assert_eq!(report.failed, 1, "…by a job that fitted nothing");
         assert_eq!(report.installs, 0);
         assert!(!gate.is_warm(), "no model must reach the gate");
     }

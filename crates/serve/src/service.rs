@@ -5,7 +5,7 @@
 use crate::clock::ServiceClock;
 use crate::fault::{FaultPlan, FaultReport, InjectedFault, NoFaults};
 use crate::gate::AdmissionGate;
-use crate::intake::Consumer;
+use crate::intake::{Consumer, IntakeStats};
 use crate::loadgen::{replay_client, ClientReport, LoadConfig, Router};
 use crate::request::{prepare, PreparedRequest, Verdicts};
 use crate::retrainer::{run_retrainer, RetrainerReport};
@@ -141,8 +141,9 @@ pub struct ServeReport {
     pub workers: usize,
     /// Admission models installed into the gate over the run.
     pub model_swaps: u64,
-    /// Completed daily trainings (models fitted, whether or not an injected
-    /// fault later lost them).
+    /// Daily boundaries that found a trainable window: models fitted, plus
+    /// background jobs an injected `RetrainFault::Fail` killed before they
+    /// fitted anything.
     pub trainings: u32,
     /// Injected-fault and thread-failure tally (all-zero in clean runs).
     pub faults: FaultReport,
@@ -153,6 +154,10 @@ pub struct ServeReport {
     pub install_backlog_max: u64,
     /// The install backlog summed over every install of the run.
     pub install_backlog_total: u64,
+    /// The client → worker queues' counters, merged over every worker's
+    /// queue: pushes, batches, parks and wakes on both sides, the highest
+    /// high water. Timing-dependent, so not part of the fingerprint.
+    pub handoff: IntakeStats,
     /// Bytes the prepare pass materialised before the replay started
     /// ([`PreparedTrace::bytes`](crate::PreparedTrace::bytes)): the request
     /// records, the feature column and the model schedule.
@@ -258,6 +263,7 @@ pub fn serve_trace_with_index(
 
     let plan: &dyn FaultPlan = cfg.faults.as_ref();
     let mut shard_panics = 0u64;
+    let mut handoff = IntakeStats::default();
     // Failure tallies accumulate in locals and land in the FaultReport via
     // one exhaustive literal below, so a new field cannot be forgotten
     // (merge-exhaustive).
@@ -321,7 +327,10 @@ pub fn serve_trace_with_index(
         }
         for w in workers {
             match w.join() {
-                Ok(caught) => shard_panics += caught,
+                Ok((caught, queue)) => {
+                    shard_panics += caught;
+                    handoff.merge(&queue);
+                }
                 Err(_) => worker_failures += 1,
             }
         }
@@ -393,6 +402,7 @@ pub fn serve_trace_with_index(
         faults,
         install_backlog_max,
         install_backlog_total,
+        handoff,
         prepared_bytes: prepared.bytes(),
         mean_latency_us: response.mean_us(),
         latency_p50_us: response.percentile_us(0.5),
@@ -422,7 +432,7 @@ pub(crate) fn shards_per_worker(shards: usize, workers: usize) -> usize {
 /// ([`Verdicts::refresh`]). An injected shard panic is raised and caught
 /// here, before the shard is touched: the request is consumed, the panic
 /// counted, and the worker keeps draining. Returns the injected panics
-/// caught.
+/// caught and the counters of the queue it drained.
 fn run_worker(
     rx: &Consumer<&PreparedRequest>,
     owned: &mut [ShardState],
@@ -431,7 +441,7 @@ fn run_worker(
     mut verdicts: Verdicts<'_>,
     plan: &dyn FaultPlan,
     max_batch: usize,
-) -> u64 {
+) -> (u64, IntakeStats) {
     let max_batch = max_batch.max(1);
     let mut batch: Vec<&PreparedRequest> = Vec::with_capacity(max_batch);
     let mut panics = 0u64;
@@ -452,7 +462,7 @@ fn run_worker(
             owned[shard - first].process(req, &mut verdicts);
         }
     }
-    panics
+    (panics, rx.stats())
 }
 
 #[cfg(test)]
@@ -487,6 +497,11 @@ mod tests {
         assert_eq!(r.model_swaps, 0);
         assert_eq!((r.install_backlog_max, r.install_backlog_total), (0, 0), "no retrainer ran");
         assert_eq!(r.prepared_bytes, 24 * t.len() as u64, "one 24-byte record a request");
+        let h = r.handoff;
+        assert_eq!(h.pushes, r.replayed, "every request crossed the queue once");
+        assert!(h.pushes.div_ceil(64) <= h.batches && h.batches <= h.pushes, "{h:?}");
+        assert!((1..=1024).contains(&h.high_water), "{h:?}");
+        assert!(h.producer_wake_rounds <= h.producer_parks, "a round takes back a park's mark");
         assert!(r.faults.is_clean());
         assert!(r.latency_p999_us >= r.latency_p99_us);
         assert!(r.latency_p99_us >= r.latency_p50_us);
@@ -501,6 +516,7 @@ mod tests {
         let load = LoadConfig { clients: 2, target_qps: 0.0, duration: None };
         let r = serve_trace(&t, &cfg, &load);
         assert_eq!(r.snapshot.stats.accesses as usize, t.len());
+        assert_eq!(r.handoff.pushes, r.replayed, "the four queues' pushes merge");
         let s = &r.snapshot.stats;
         assert_eq!(s.accesses, s.hits + s.files_written + s.bypasses);
         assert!(s.bypasses > 0, "ideal mode must bypass one-time objects");
@@ -713,7 +729,7 @@ mod tests {
     /// The service's thread rig without prepare or report: `clients`
     /// clients route `prepared`'s requests to one queue per worker while the
     /// workers drive their runs of `shards`, and `meanwhile` runs on the
-    /// calling thread. Returns every queue's high-water mark.
+    /// calling thread. Returns every queue's counters.
     fn drive(
         shards: &mut [ShardState],
         workers: usize,
@@ -722,7 +738,7 @@ mod tests {
         prepared: &PreparedTrace,
         gate: &AdmissionGate,
         meanwhile: impl FnOnce(),
-    ) -> Vec<usize> {
+    ) -> Vec<IntakeStats> {
         let n_shards = shards.len();
         let chunk = shards_per_worker(n_shards, workers);
         let (router, rxs) = Router::bounded(n_shards, chunk, queue_depth);
@@ -754,11 +770,11 @@ mod tests {
                 clients.into_iter().map(|c| c.join().expect("client").submitted).sum();
             assert_eq!(submitted as usize, reqs.len());
             for w in workers {
-                assert_eq!(w.join().expect("worker"), 0, "no panic was injected");
+                assert_eq!(w.join().expect("worker").0, 0, "no panic was injected");
             }
         })
         .expect("scope");
-        rxs.iter().map(Consumer::high_water).collect()
+        rxs.iter().map(Consumer::stats).collect()
     }
 
     /// `reqs` through `run_worker` on the calling thread, stolen in batches
@@ -776,7 +792,7 @@ mod tests {
             router.push(r).expect("consumer alive");
         }
         drop(router);
-        run_worker(&rxs[0], shards, 0, shards.len(), verdicts, plan, max_batch)
+        run_worker(&rxs[0], shards, 0, shards.len(), verdicts, plan, max_batch).0
     }
 
     /// The per-request reference for the exactness test: the request kernel
@@ -946,11 +962,12 @@ mod tests {
             cfg.shards = 4;
             let mut shards = ShardState::build_all(&cfg, &t, 1000, 4096, Vec::new());
             let gate = AdmissionGate::new();
-            let high_water = drive(&mut shards, 4, queue_depth, 2, &prepared, &gate, || {});
-            assert_eq!(high_water.len(), 4, "one queue per worker");
-            for (w, &held) in high_water.iter().enumerate() {
+            let queues = drive(&mut shards, 4, queue_depth, 2, &prepared, &gate, || {});
+            assert_eq!(queues.len(), 4, "one queue per worker");
+            for (w, queue) in queues.iter().enumerate() {
+                let held = queue.high_water;
                 assert!(
-                    (1..=queue_depth).contains(&held),
+                    (1..=queue_depth as u64).contains(&held),
                     "queue {w} held {held} of {queue_depth}"
                 );
             }

@@ -1,57 +1,129 @@
 //! Black-box tests of the clients ⇒ one worker request queue
 //! (`otae_serve::intake`): conservation, per-producer order and the bound
-//! under real contention, and hang-up when a thread on either side dies.
+//! under real contention, the producer wake-up rule's cost bound, and
+//! hang-up when a thread on either side dies.
 
 use otae_serve::intake::bounded;
 use otae_serve::{silence_injected_panics, InjectedFault};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const PRODUCERS: u64 = 3;
-const PER_PRODUCER: u64 = 20_000;
+const PER_PRODUCER: u64 = 4_000;
+/// Every bound up to four (the producer wake point `⌊cap/2⌋` is 0, 1, 1
+/// and 2 there) and the service default.
+const CAPS: [usize; 5] = [1, 2, 3, 4, 1024];
+const MAX_BATCHES: [usize; 3] = [1, 2, 64];
 
-/// 3 producers ⇒ 1 consumer at every cap and batch size the service uses at
-/// its extremes: nothing is lost or duplicated, the consumer sees every
-/// producer's items in the order they were pushed, no batch exceeds `max`,
-/// and the queue never held more than `cap`.
+/// Run `f` on a thread of its own and fail — instead of hanging the test
+/// binary — if it has not finished within a minute (a lost wake-up).
+fn with_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::sync_channel(1);
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => worker.join().expect("test thread"),
+        // The thread panicked: re-raise its assertion.
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no progress in 60 s (lost wake-up?)"),
+    }
+}
+
+/// 3 producers ⇒ 1 consumer at every bound up to four and the default,
+/// stolen 1, 2 or 64 at a time: nothing is lost or duplicated, the consumer
+/// sees every producer's items in the order they were pushed, no batch
+/// exceeds `max`, the queue never held more than `cap`, and the whole grid
+/// finishes under a watchdog.
 #[test]
 fn three_producers_conserve_items_and_keep_their_order() {
-    for cap in [1usize, 2, 1024] {
-        for max in [1usize, 64] {
-            let (tx, rx) = bounded::<(u64, u64)>(cap);
-            let mut seen: Vec<(u64, u64)> = std::thread::scope(|s| {
-                let consumer = s.spawn(|| {
-                    let mut got = Vec::new();
-                    let mut batch = Vec::new();
-                    let mut last = [None::<u64>; PRODUCERS as usize];
-                    while rx.pop_batch(&mut batch, max) {
-                        assert!(!batch.is_empty() && batch.len() <= max, "cap {cap}");
-                        for &(p, seq) in &batch {
-                            assert!(last[p as usize] < Some(seq), "producer {p} reordered");
-                            last[p as usize] = Some(seq);
+    with_watchdog("3 producers x 1 consumer", || {
+        for cap in CAPS {
+            for max in MAX_BATCHES {
+                let (tx, rx) = bounded::<(u64, u64)>(cap);
+                let mut seen: Vec<(u64, u64)> = std::thread::scope(|s| {
+                    let consumer = s.spawn(|| {
+                        let mut got = Vec::new();
+                        let mut batch = Vec::new();
+                        let mut last = [None::<u64>; PRODUCERS as usize];
+                        while rx.pop_batch(&mut batch, max) {
+                            assert!(!batch.is_empty() && batch.len() <= max, "cap {cap}");
+                            for &(p, seq) in &batch {
+                                assert!(last[p as usize] < Some(seq), "producer {p} reordered");
+                                last[p as usize] = Some(seq);
+                            }
+                            got.append(&mut batch);
                         }
-                        got.append(&mut batch);
+                        got
+                    });
+                    for p in 0..PRODUCERS {
+                        let tx = tx.clone();
+                        s.spawn(move || {
+                            for seq in 0..PER_PRODUCER {
+                                tx.push((p, seq)).expect("the consumer outlives the producers");
+                            }
+                        });
                     }
-                    got
+                    drop(tx);
+                    consumer.join().expect("consumer")
                 });
-                for p in 0..PRODUCERS {
-                    let tx = tx.clone();
+                let stats = rx.stats();
+                assert!((1..=cap as u64).contains(&stats.high_water), "cap {cap}: {stats:?}");
+                assert_eq!(stats.pushes, PRODUCERS * PER_PRODUCER);
+                seen.sort_unstable();
+                let want: Vec<(u64, u64)> =
+                    (0..PRODUCERS).flat_map(|p| (0..PER_PRODUCER).map(move |s| (p, s))).collect();
+                assert_eq!(seen, want, "cap {cap} max {max}");
+            }
+        }
+    });
+}
+
+/// One producer that outruns its consumer pays at most one wake round per
+/// `cap − ⌊cap/2⌋` items: after a round the queue holds at most half its
+/// bound, and the producer has to fill it before it can park again. Rounds
+/// are counted, not parks — a spurious condvar return re-parks without a
+/// round — and every round takes back at least one park's mark.
+#[test]
+fn one_producer_pays_a_wake_round_per_half_queue() {
+    const ITEMS: u64 = 20_000;
+    with_watchdog("1 producer x 1 consumer", || {
+        for cap in CAPS {
+            for max in MAX_BATCHES {
+                let (tx, rx) = bounded::<u64>(cap);
+                std::thread::scope(|s| {
                     s.spawn(move || {
-                        for seq in 0..PER_PRODUCER {
-                            tx.push((p, seq)).expect("the consumer outlives the producers");
+                        for i in 0..ITEMS {
+                            tx.push(i).expect("consumer alive");
                         }
                     });
-                }
-                drop(tx);
-                consumer.join().expect("consumer")
-            });
-            assert!(rx.high_water() <= cap, "cap {cap}: held {}", rx.high_water());
-            assert!(rx.high_water() >= 1);
-            seen.sort_unstable();
-            let want: Vec<(u64, u64)> =
-                (0..PRODUCERS).flat_map(|p| (0..PER_PRODUCER).map(move |s| (p, s))).collect();
-            assert_eq!(seen, want, "cap {cap} max {max}");
+                    let (mut next, mut batch) = (0, Vec::new());
+                    while rx.pop_batch(&mut batch, max) {
+                        for &i in &batch {
+                            assert_eq!(i, next, "cap {cap} max {max}");
+                            next += 1;
+                        }
+                    }
+                    assert_eq!(next, ITEMS);
+                });
+                let stats = rx.stats();
+                let per_round = (cap - cap / 2) as u64;
+                assert!(
+                    stats.producer_wake_rounds <= ITEMS / per_round + 1,
+                    "cap {cap} max {max}: {stats:?}"
+                );
+                assert!(stats.producer_wake_rounds <= stats.producer_parks, "{stats:?}");
+                assert_eq!(stats.pushes, ITEMS);
+                assert!(ITEMS.div_ceil(max as u64) <= stats.batches, "{stats:?}");
+            }
         }
-    }
+    });
 }
 
 /// A producer that panics mid-stream still hangs up: its handle drops on
