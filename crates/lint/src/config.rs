@@ -182,7 +182,7 @@ impl Rule {
             Rule::GuardAcrossSpawn => &[],
             Rule::AdvisoryClonePerRequest => &[
                 "crates/serve/src/loadgen.rs",
-                "crates/serve/src/intake.rs",
+                "crates/store/src/intake.rs",
                 "crates/serve/src/retrainer.rs",
                 "crates/serve/src/shard.rs",
                 "crates/serve/src/request.rs",
@@ -273,14 +273,13 @@ mod tests {
         // The store's group-commit write buffer and file-handle cache are
         // inside the enforced store scope: the handle cache holds a lock
         // around lookup only (opens happen outside it), and the write
-        // buffer runs on the writer's critical path. The serve request
-        // queue sits on every request's path and owns a mutex of its own.
-        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/serve/src/intake.rs"));
+        // buffer runs on the writer's critical path. The bounded intake
+        // sits on every request's path and owns a mutex of its own.
+        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/store/src/intake.rs"));
         for path in [
             "crates/store/src/write_buffer.rs",
             "crates/store/src/handles.rs",
             "crates/store/src/intake.rs",
-            "crates/serve/src/intake.rs",
         ] {
             assert!(Rule::NoBlockingUnderLock.in_scope(path), "{path} must be lint-covered");
             assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");

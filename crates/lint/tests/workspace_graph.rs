@@ -15,12 +15,14 @@ fn strict_report() -> WorkspaceReport {
     lint_workspace(&files, Options { strict: true })
 }
 
-/// The serve request queue's mutex (`QueueState`, crates/serve/src/intake.rs)
-/// is a leaf of the acquisition graph — a known lock class with no ordered
+/// The bounded intake's mutex (`QueueState`, crates/store/src/intake.rs) is
+/// a leaf of the acquisition graph — a known lock class with no ordered
 /// edge in or out — and it is the only lock on the request path: shards are
 /// owned by their workers and each owns its filter, so there is no
-/// `ShardState` or `MissFilter` lock class for it to nest with. The one
-/// ordered edge left in the workspace sits inside the store.
+/// `ShardState` or `MissFilter` lock class for it to nest with. The store's
+/// writer drains the same type, so its old command intake (`IntakeState`)
+/// is no class either. The one ordered edge left in the workspace sits
+/// inside the store.
 #[test]
 fn request_queue_mutex_is_a_leaf_of_the_lock_graph() {
     let report = strict_report();
@@ -34,9 +36,9 @@ fn request_queue_mutex_is_a_leaf_of_the_lock_graph() {
     assert!(edges.iter().all(|l| !l.contains("QueueState")), "queue mutex nests:\n{graph}");
     // Pinned deliberately: a new class or edge is a decision, not a side
     // effect.
-    assert!(graph.contains("7 classes, 1 ordered edges"), "{graph}");
+    assert!(graph.contains("6 classes, 1 ordered edges"), "{graph}");
     assert!(edges.len() == 1 && edges[0].contains("Shared.io -> StoreIndex"), "{graph}");
-    for gone in ["ShardState", "MissFilter"] {
+    for gone in ["ShardState", "MissFilter", "IntakeState"] {
         assert!(!graph.contains(gone), "{gone} is a lock class again:\n{graph}");
     }
 }
@@ -68,7 +70,7 @@ fn the_shard_names_no_lock_and_needs_no_allowance() {
 fn request_handoff_clones_nothing() {
     const FILES: [&str; 3] = [
         "crates/serve/src/loadgen.rs",
-        "crates/serve/src/intake.rs",
+        "crates/store/src/intake.rs",
         "crates/serve/src/retrainer.rs",
     ];
     for path in FILES {

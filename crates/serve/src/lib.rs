@@ -28,7 +28,7 @@
 //!            ┌───────────────┴─ queue_depth ─┐
 //!            ▼                               ▼
 //!      intake queue 0         …        intake queue K-1
-//!      (Mutex<VecDeque<&request>>, one consumer each)
+//!      (otae_store::intake: Mutex<VecDeque<&request>>, one consumer each)
 //!            │ pop_batch: ≤ max_batch per lock
 //!            ▼                               ▼
 //!        worker 0             …          worker K-1
@@ -41,7 +41,8 @@
 //!      └────────────┘
 //! ```
 //!
-//! Each queue ([`intake`]) bounds the requests waiting between the clients
+//! Each queue ([`otae_store::intake`], the same bounded intake the segment
+//! store's writer drains) bounds the requests waiting between the clients
 //! and one worker at `queue_depth`; a batch the worker has stolen no longer
 //! counts. Each side signals the other only when it is parked — a `push`
 //! wakes a worker sleeping on an empty queue, and the `pop_batch` that
@@ -95,7 +96,6 @@ pub mod clock;
 pub mod decision_cache;
 pub mod fault;
 pub mod gate;
-pub mod intake;
 pub mod loadgen;
 pub mod request;
 pub mod retrainer;
@@ -111,8 +111,8 @@ pub use fault::{
     SampleFault, SwapFault,
 };
 pub use gate::{AdmissionGate, GateModel};
-pub use intake::IntakeStats;
 pub use loadgen::{LoadConfig, SAMPLE_FLUSH};
+pub use otae_store::intake::IntakeStats;
 pub use request::{prepare, ModelSource, PreparedRequest, PreparedTrace};
 pub use retrainer::{run_retrainer, RetrainerReport, SampleRef, TrainBatch};
 pub use service::{serve_trace, serve_trace_with_index, ServeConfig, ServeReport, TrainerMode};

@@ -4,11 +4,11 @@
 
 use crate::clock::ClockHandle;
 use crate::fault::{FaultPlan, SampleFault};
-use crate::intake::{self, Consumer, Producer};
 use crate::request::PreparedRequest;
 use crate::retrainer::{SampleRef, TrainBatch};
 use crate::shard::shard_of;
 use crossbeam::channel::Sender;
+use otae_store::intake::{self, Consumer, Producer};
 use std::time::Duration;
 
 /// Samples buffered per client before a flush onto the retrainer channel.
@@ -58,7 +58,7 @@ impl<'a> Router<'a> {
         queue_depth: usize,
     ) -> (Self, Vec<Consumer<&'a PreparedRequest>>) {
         let (queues, consumers) =
-            (0..n_shards.div_ceil(chunk)).map(|_| intake::bounded(queue_depth)).unzip();
+            (0..n_shards.div_ceil(chunk)).map(|_| intake::bounded(queue_depth, ())).unzip();
         (Self { queues, owner: (0..n_shards).map(|s| s / chunk).collect() }, consumers)
     }
 

@@ -5,7 +5,6 @@
 use crate::clock::ServiceClock;
 use crate::fault::{FaultPlan, FaultReport, InjectedFault, NoFaults};
 use crate::gate::AdmissionGate;
-use crate::intake::{Consumer, IntakeStats};
 use crate::loadgen::{replay_client, ClientReport, LoadConfig, Router};
 use crate::request::{prepare, PreparedRequest, Verdicts};
 use crate::retrainer::{run_retrainer, RetrainerReport};
@@ -15,6 +14,7 @@ use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
 use otae_core::{resolve_criteria, CriteriaSolution, ReaccessIndex, TrainingConfig};
 use otae_device::{HddProfile, LatencyModel};
+use otae_store::intake::{Consumer, IntakeStats};
 use otae_trace::Trace;
 use std::sync::Arc;
 use std::time::Duration;
