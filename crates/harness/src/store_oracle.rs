@@ -199,8 +199,9 @@ pub fn store_recovery_oracle(seed: u64) -> Result<(), HarnessFailure> {
     // groups — the mid-group kill rung, which must recover exactly the
     // acked prefix (plus the crash record when its tail survives whole),
     // identically to the record-at-a-time contract; and with a one-slot
-    // intake, where nearly every push waits for space, so the crash lands
-    // among records their callers framed rather than the writer.
+    // intake, where nearly every push parks on the full intake, so the
+    // crash lands among records their callers framed rather than the
+    // writer, and the put parked when it fires returns `Crashed`.
     let grouped = StoreConfig { group_records: 7, ..cfg };
     let one_slot = StoreConfig { queue_depth: 1, ..cfg };
     for (tag, cfg) in [("", cfg), ("mid-group ", grouped), ("one-slot ", one_slot)] {
