@@ -1,10 +1,11 @@
 //! Segment-store operation latency: append batches at queue depths
-//! {1, 16, 64}, indexed reads against a populated store, and a full
-//! compaction pass over a churned device — Criterion's statistical view
-//! next to `benchmark/`'s `store.*` per-layer metrics.
+//! {1, 16, 64}, indexed reads against a populated store, a full
+//! compaction pass over a churned device, and the record checksum per
+//! kernel — Criterion's statistical view next to `benchmark/`'s `store.*`
+//! per-layer metrics.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use otae_store::{MemBackend, NoStoreFaults, SegmentStore, StoreConfig};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use otae_store::{crc32_with, Crc32Kernel, MemBackend, NoStoreFaults, SegmentStore, StoreConfig};
 use std::sync::Arc;
 
 const APPENDS_PER_ITER: usize = 1_000;
@@ -112,5 +113,29 @@ fn bench_compact(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_append, bench_read, bench_compact);
+/// `crc32/{kernel}/{size}`: each CRC32 kernel this CPU has over a hot
+/// buffer of 2 KiB (a photo-sized record), 32 KiB and 8 MiB (a segment,
+/// out of cache), in bytes per second. A kernel the CPU lacks is named and
+/// skipped.
+fn bench_crc32(c: &mut Criterion) {
+    let mut state = 0xC4C3u64;
+    let data: Vec<u8> = (0..8 << 20).map(|_| splitmix(&mut state) as u8).collect();
+    let mut group = c.benchmark_group("crc32");
+    for kernel in Crc32Kernel::ALL {
+        if kernel.on_this_host() != kernel {
+            println!("crc32/{}: skipped, this CPU lacks its features", kernel.name());
+            continue;
+        }
+        for (label, len) in [("2KiB", 2 << 10), ("32KiB", 32 << 10), ("8MiB", 8 << 20)] {
+            group.throughput(Throughput::Bytes(len as u64));
+            let input = &data[..len];
+            group.bench_function(BenchmarkId::new(kernel.name(), label), |b| {
+                b.iter(|| crc32_with(kernel, black_box(input)))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_append, bench_read, bench_compact, bench_crc32);
 criterion_main!(benches);

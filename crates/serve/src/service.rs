@@ -158,6 +158,11 @@ pub struct ServeReport {
     /// queue: pushes, batches, parks and wakes on both sides, the highest
     /// high water. Timing-dependent, so not part of the fingerprint.
     pub handoff: IntakeStats,
+    /// The same counters for the shard stores' command intakes (callers are
+    /// the producers, each store's writer the consumer), merged over
+    /// shards; `None` when serving storeless. Timing-dependent, so kept
+    /// out of the fingerprint and of [`Snapshot::store`].
+    pub store_intake: Option<IntakeStats>,
     /// Bytes the prepare pass materialised before the replay started
     /// ([`PreparedTrace::bytes`](crate::PreparedTrace::bytes)): the request
     /// records, the feature column and the model schedule.
@@ -364,6 +369,10 @@ pub fn serve_trace_with_index(
         shard.flush_store();
     }
     let snapshot = Snapshot::merge(&shards, cfg.hdd);
+    let store_intake = shards.iter().filter_map(ShardState::store_intake).reduce(|mut all, one| {
+        all.merge(&one);
+        all
+    });
     // Destructured without `..`: a new retrainer counter has to be placed
     // in the report below before this compiles. `installs` is the one
     // field not copied — the gate's own swap count reports it.
@@ -403,6 +412,7 @@ pub fn serve_trace_with_index(
         install_backlog_max,
         install_backlog_total,
         handoff,
+        store_intake,
         prepared_bytes: prepared.bytes(),
         mean_latency_us: response.mean_us(),
         latency_p50_us: response.percentile_us(0.5),
@@ -684,6 +694,12 @@ mod tests {
         assert!(store.stats.host_bytes > s.bytes_written);
         assert!(store.wear_ledger().host_bytes() == store.stats.host_bytes);
         assert!(store.write_amplification() >= 1.0);
+        // Every put, tombstone and the final flush crossed a store intake
+        // once, merged over both shards.
+        let intake = r.store_intake.expect("store intake counters");
+        assert_eq!(intake.pushes, s.files_written + s.evictions + 2);
+        assert!((2..=intake.pushes).contains(&intake.batches), "{intake:?}");
+        assert!((1..=64).contains(&intake.high_water), "default queue depth: {intake:?}");
     }
 
     /// Store traffic is a pure side effect: the decision stream (and hence
@@ -700,6 +716,7 @@ mod tests {
             assert_eq!(a.fingerprint(), b.fingerprint(), "mode {mode:?}");
             assert!(a.snapshot.store.is_some());
             assert!(b.snapshot.store.is_none());
+            assert!(a.store_intake.is_some() && b.store_intake.is_none());
         }
     }
 

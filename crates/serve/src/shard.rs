@@ -21,6 +21,7 @@ use otae_core::pipeline::Mode;
 use otae_core::{Accounting, Admission, CacheEvent, Kernel, MissFilter};
 use otae_device::{HddProfile, ResponseTime, ServiceTimeModel};
 use otae_ml::ConfusionMatrix;
+use otae_store::intake::IntakeStats;
 use otae_trace::{ObjectId, Trace};
 
 /// Shard an object maps to among `n_shards` (stable for the service's
@@ -114,6 +115,12 @@ impl ShardState {
             },
         );
         accounting.record(outcome, req.ts, size);
+    }
+
+    /// The store's command-intake counters (`None` when serving
+    /// storeless).
+    pub(crate) fn store_intake(&self) -> Option<IntakeStats> {
+        self.store.as_ref().map(ShardStore::intake_stats)
     }
 
     /// Drain the store's write queue so the next snapshot reports fully

@@ -14,6 +14,7 @@
 //! harness's differential oracle asserts.
 
 use otae_device::WearLedger;
+use otae_store::intake::IntakeStats;
 use otae_store::{
     FileBackend, MemBackend, NoStoreFaults, SegmentStore, StoreConfig, StoreError, StoreStats,
     MAX_PAYLOAD,
@@ -105,6 +106,12 @@ impl ShardStore {
 
     pub(crate) fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot { stats: self.store.stats(), errors: self.errors }
+    }
+
+    /// The store's command-intake counters. Timing-dependent, so never part
+    /// of the [`StoreSnapshot`] that differential oracles compare.
+    pub(crate) fn intake_stats(&self) -> IntakeStats {
+        self.store.intake_stats()
     }
 }
 
@@ -246,10 +253,16 @@ mod tests {
         stores[0].on_evict(7);
         stores[1].on_admit(9, 100);
         let mut merged = StoreSnapshot::default();
+        let mut intake = IntakeStats::default();
         for s in &mut stores {
             s.flush();
             merged.merge(&s.snapshot());
+            intake.merge(&s.intake_stats());
         }
+        // Three commands and a flush on the first shard, one and a flush on
+        // the other; each shard's writer took at least one batch.
+        assert_eq!(intake.pushes, 4 + 2);
+        assert!((2..=6).contains(&intake.batches), "{intake:?}");
         assert_eq!(merged.stats.acked_puts, 3);
         assert_eq!(merged.stats.acked_removes, 1);
         assert_eq!(merged.stats.live_records, 2);

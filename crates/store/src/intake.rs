@@ -54,7 +54,8 @@
 //!
 //! **Counters.** [`IntakeStats`] counts pushes, batches, parks and wakes on
 //! both sides and the high water, as plain fields under the lock each
-//! operation already holds; [`Consumer::stats`] reads them.
+//! operation already holds; [`Consumer::stats`] and [`Producer::stats`]
+//! read them.
 //!
 //! **Order.** One FIFO, one consumer: the pop order is the push order, and
 //! each producer's items are popped in the order it pushed them — what
@@ -346,6 +347,12 @@ impl<T, S> Producer<T, S> {
         let backpressure = st.backpressure;
         f(&mut st.side, backpressure)
     }
+
+    /// The queue's counters so far, as [`Consumer::stats`] reads them:
+    /// still readable once the consumer has hung up.
+    pub fn stats(&self) -> IntakeStats {
+        self.shared.state.lock().stats.0
+    }
 }
 
 impl<T, S> Consumer<T, S> {
@@ -524,6 +531,7 @@ mod tests {
             producer.join().unwrap();
         });
         let stats = rx.stats();
+        assert_eq!(tx.stats(), stats, "both ends read the same counters");
         assert_eq!((stats.pushes, stats.batches, stats.high_water), (3, 1, 2));
         assert_eq!(stats.producer_wake_rounds, 1);
         assert!(stats.producer_parks >= 1);

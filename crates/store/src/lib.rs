@@ -43,9 +43,10 @@
 //! reopen the same "device" with no filesystem, wall clock, or entropy
 //! involved.
 
-// `deny`, not `forbid` like every other workspace crate: `record::crc32`
+// `deny`, not `forbid` like every other workspace crate: `record::crc32_with`
 // carries the one allowed `unsafe` block, the run-time-checked call into
-// its `#[target_feature]` kernel.
+// its two `#[target_feature]` kernels (the 128-bit and the 512-bit fold).
+// The kernels themselves are safe code: no pointer loads or stores.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -62,8 +63,8 @@ pub use backend::{Backend, FileBackend, MemBackend, SegmentId};
 pub use fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
 pub use index::{Location, SegmentInfo, StoreIndex};
 pub use record::{
-    crc32, decode_header, decode_record, encode_record, frame_in_place, Record, RecordError,
-    RecordHeader, RecordKind, HEADER_LEN, MAX_PAYLOAD,
+    crc32, crc32_with, decode_header, decode_record, encode_record, frame_in_place, Crc32Kernel,
+    Record, RecordError, RecordHeader, RecordKind, HEADER_LEN, MAX_PAYLOAD,
 };
 pub use store::{
     CompactReport, RecoveryReport, SegmentStore, StoreConfig, StoreError, StoreStats,

@@ -111,23 +111,35 @@ impl Record<'_> {
     }
 }
 
-// CRC32 (IEEE 802.3 polynomial 0xEDB88320, reflected). Two implementations
-// compute the same function and [`crc32`] picks between them at run time:
+// CRC32 (IEEE 802.3 polynomial 0xEDB88320, reflected). Three
+// implementations ([`Crc32Kernel`]) compute the same function, and
+// [`crc32`] picks one by input length first and CPU features second:
 //
+// - `crc32_fold512` (x86_64 CPUs with AVX-512F + VPCLMULQDQ, inputs of at
+//   least `WIDE_MIN_LEN` = 256 bytes): carry-less-multiply folding in
+//   512-bit registers, 256 input bytes per round — what a put's payload
+//   checksum, a `get_into`, a recovery scan and a compaction pass run on
+//   for every record of a quarter kilobyte or more. Measured on an Intel
+//   Xeon (family 6, model 207) KVM guest, rustc 1.95: ≈ 3× the 128-bit
+//   fold at 2 KiB, ≈ 4× at 32 KiB, × 1.3 at 256 bytes and no faster below,
+//   where it has no whole round of four registers to overlap — hence the
+//   threshold (EXPERIMENTS.md "A 512-bit CRC fold").
 // - `crc32_fold` (x86_64 CPUs with PCLMULQDQ + SSE4.1, inputs of at least
-//   `FOLD_MIN_LEN` bytes): carry-less-multiply folding, 64 input bytes per
-//   round — what the payload checksum of every put, read, recovery scan
-//   and compaction pass runs on.
+//   `FOLD_MIN_LEN` bytes, and longer ones on CPUs without the wide
+//   kernel's features): the same folding in 128-bit registers, 64 input
+//   bytes per round.
 // - `crc32_tables` (everything else: other architectures and older CPUs,
-//   the 17-byte header, the sub-16-byte tail the fold leaves): slicing-by-8
-//   over eight tables generated at compile time. Table 0 is the classic
-//   byte-at-a-time table; table k maps "byte fed k steps earlier", so one
-//   round combines eight lookups with XOR. It is also the oracle the fold
-//   is tested against.
+//   the 17-byte header, tombstones, the sub-16-byte tail the folds leave):
+//   slicing-by-8 over eight tables generated at compile time. Table 0 is
+//   the classic byte-at-a-time table; table k maps "byte fed k steps
+//   earlier", so one round combines eight lookups with XOR. It is also the
+//   oracle the folds are tested against. Inputs this short never reach a
+//   CPU-feature check.
 //
-// Both take and return the raw (un-inverted) register so one can continue
-// where the other stopped; the values are bit-identical to the byte-wise
-// walk, so stored checksums never depend on which host wrote them.
+// All three take and return the raw (un-inverted) register so one can
+// continue where another stopped, and the two folds share one reduction
+// (`fold_lanes`); the values are bit-identical to the byte-wise walk, so
+// stored checksums never depend on which host wrote them.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -154,27 +166,105 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Shortest input the folding kernel folds: its four 128-bit lanes are
-/// seeded from the first 64 bytes. Anything shorter (every record header)
-/// takes the table walk.
-#[cfg(target_arch = "x86_64")]
+/// Shortest input [`crc32`] folds: the fold's four 128-bit lanes are
+/// seeded from the first 64 bytes. Anything shorter (every record header,
+/// every tombstone) takes the table walk.
 const FOLD_MIN_LEN: usize = 64;
 
-/// CRC32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
-        // SAFETY: `crc32_fold` is a safe function for every input; the
-        // call's one requirement is that this CPU has the `pclmulqdq` and
-        // `sse4.1` features the function is compiled with, which the two
-        // `is_x86_feature_detected!` checks directly above confirmed.
-        #[allow(unsafe_code)]
-        let reg = unsafe { crc32_fold(u32::MAX, data) };
-        return !reg;
+/// Shortest input [`crc32`] hands the 512-bit fold: one round of its four
+/// registers. On the host the comment above names, both folds ran at
+/// 15 GB/s on 192–240-byte inputs, and the wide one at 256 bytes already
+/// ran 22 GB/s to the 128-bit fold's 17.
+const WIDE_MIN_LEN: usize = 256;
+
+/// One implementation of [`crc32`]. All three compute the same function;
+/// [`crc32_with`] runs a chosen one, so tests and benches reach every
+/// kernel the host has, not only the one [`crc32`] picks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Crc32Kernel {
+    /// Slicing-by-8 table walk: every host.
+    Tables,
+    /// 128-bit carry-less-multiply fold: x86_64 with PCLMULQDQ and SSE4.1.
+    Fold128,
+    /// 512-bit carry-less-multiply fold: x86_64 with AVX-512F and
+    /// VPCLMULQDQ (and the 128-bit fold's features, for its reduction).
+    Fold512,
+}
+
+impl Crc32Kernel {
+    /// Every kernel, narrowest first.
+    pub const ALL: [Crc32Kernel; 3] =
+        [Crc32Kernel::Tables, Crc32Kernel::Fold128, Crc32Kernel::Fold512];
+
+    /// Short lower-case name, for bench ids and test messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Crc32Kernel::Tables => "tables",
+            Crc32Kernel::Fold128 => "fold128",
+            Crc32Kernel::Fold512 => "fold512",
+        }
     }
-    !crc32_tables(u32::MAX, data)
+
+    /// The kernel that runs when `self` is asked for on this CPU: `self`
+    /// when the CPU has its features, else the next narrower one it has.
+    /// The table walk needs nothing and checks nothing.
+    pub fn on_this_host(self) -> Crc32Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let fold128 = self != Crc32Kernel::Tables && has!("pclmulqdq") && has!("sse4.1");
+            if fold128 && self == Crc32Kernel::Fold512 && has!("avx512f") && has!("vpclmulqdq") {
+                return Crc32Kernel::Fold512;
+            }
+            if fold128 {
+                return Crc32Kernel::Fold128;
+            }
+        }
+        Crc32Kernel::Tables
+    }
+}
+
+/// CRC32 (IEEE) of `data`: the table walk below [`FOLD_MIN_LEN`] bytes,
+/// the 128-bit fold below [`WIDE_MIN_LEN`], the widest fold the CPU has
+/// from there on.
+pub fn crc32(data: &[u8]) -> u32 {
+    let kernel = match data.len() {
+        n if n < FOLD_MIN_LEN => Crc32Kernel::Tables,
+        n if n < WIDE_MIN_LEN => Crc32Kernel::Fold128,
+        _ => Crc32Kernel::Fold512,
+    };
+    crc32_with(kernel, data)
+}
+
+/// CRC32 (IEEE) of `data` computed by `kernel`, or by the next narrower
+/// kernel this CPU has ([`Crc32Kernel::on_this_host`]). Every kernel
+/// accepts every length; the folds hand what they cannot fold to the table
+/// walk.
+pub fn crc32_with(kernel: Crc32Kernel, data: &[u8]) -> u32 {
+    let reg = match kernel.on_this_host() {
+        Crc32Kernel::Tables => crc32_tables(u32::MAX, data),
+        #[cfg(target_arch = "x86_64")]
+        fold => {
+            // SAFETY: both folds are safe functions for every input; a
+            // call's one requirement is that this CPU has the features the
+            // function is compiled with. `on_this_host` returns `Fold512`
+            // only after `is_x86_feature_detected!` confirmed `avx512f`,
+            // `vpclmulqdq`, `pclmulqdq` and `sse4.1` (`crc32_fold512`'s
+            // set), and `Fold128` only after it confirmed `pclmulqdq` and
+            // `sse4.1` (`crc32_fold`'s).
+            #[allow(unsafe_code)]
+            unsafe {
+                if fold == Crc32Kernel::Fold512 {
+                    crc32_fold512(u32::MAX, data)
+                } else {
+                    crc32_fold(u32::MAX, data)
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => crc32_tables(u32::MAX, data),
+    };
+    !reg
 }
 
 /// Slicing-by-8 table walk: advance the raw CRC register over `data`.
@@ -198,6 +288,21 @@ fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
+// Fold constants, all bit-reflected like the polynomial: `x^n mod P`,
+// reflected in 32 bits and shifted left by one. A pair `(x^(D+32),
+// x^(D-32))` moves a 128-bit lane `D` bits later in the message.
+/// x^(2048+32) mod P, x^(2048-32) mod P: fold across four 512-bit registers.
+#[cfg(target_arch = "x86_64")]
+const W1: i64 = 0x1_1542_778a;
+#[cfg(target_arch = "x86_64")]
+const W2: i64 = 0x1_322d_1430;
+/// x^(512+32) mod P, x^(512-32) mod P: fold across four 128-bit lanes (or
+/// one 512-bit register onto the next).
+#[cfg(target_arch = "x86_64")]
+const K1: i64 = 0x1_5444_2bd4;
+#[cfg(target_arch = "x86_64")]
+const K2: i64 = 0x1_c6e4_1596;
+
 /// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
 /// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009): advance
 /// the raw CRC register over `data`. Inputs shorter than
@@ -206,25 +311,139 @@ fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
 ///
 /// The message is a polynomial over GF(2); multiplying a 128-bit chunk by
 /// `x^D mod P` moves it `D` bits "later" in the message without changing
-/// the remainder, so four independent accumulators can each absorb every
-/// fourth 16-byte block (`D` = 512), then collapse into one (`D` = 128),
-/// which absorbs the remaining blocks one at a time. The final 128 bits
-/// are reduced to 64, then to the 32-bit remainder by Barrett reduction
-/// (two multiplications by precomputed `floor(x^64 / P)` and `P` in place
-/// of a division). Constants are the paper's for the bit-reflected IEEE
-/// polynomial.
+/// the remainder, so four independent lanes can each absorb every fourth
+/// 16-byte block (`D` = 512) before [`fold_lanes`] collapses and reduces
+/// them. Constants are the paper's for the bit-reflected IEEE polynomial.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "pclmulqdq,sse4.1")]
 fn crc32_fold(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{__m128i, _mm_cvtsi32_si128, _mm_set_epi64x, _mm_xor_si128};
+
+    let (rounds, rest) = data.as_chunks::<FOLD_MIN_LEN>();
+    let Some((head, rounds)) = rounds.split_first() else {
+        return crc32_tables(crc, data);
+    };
+    let lanes = |round: &[u8; FOLD_MIN_LEN]| -> [__m128i; 4] {
+        let (l, _) = round.as_chunks::<16>();
+        [load128(&l[0]), load128(&l[1]), load128(&l[2]), load128(&l[3])]
+    };
+    let [mut x0, mut x1, mut x2, mut x3] = lanes(head);
+    x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(crc as i32));
+
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    for round in rounds {
+        let [n0, n1, n2, n3] = lanes(round);
+        x0 = fold128(x0, n0, k1k2);
+        x1 = fold128(x1, n1, k1k2);
+        x2 = fold128(x2, n2, k1k2);
+        x3 = fold128(x3, n3, k1k2);
+    }
+    fold_lanes([x0, x1, x2, x3], rest)
+}
+
+/// [`crc32_fold`] four lanes wide: the same folding over 512-bit
+/// registers, each holding four consecutive 16-byte lanes. Four registers
+/// absorb every fourth 64-byte block (`D` = 2048, 256 bytes a round), then
+/// collapse into one with the 128-bit kernel's K1/K2 broadcast to every
+/// lane (`D` = 512), which absorbs the remaining 64-byte blocks one at a
+/// time. Its four lanes are then exactly the four lanes [`crc32_fold`]
+/// ends its main loop with, and [`fold_lanes`] finishes both. An input
+/// shorter than one round goes to [`crc32_fold`], which is as fast there.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.1")]
+fn crc32_fold512(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m512i, _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_set_epi64,
+        _mm512_setr_epi64, _mm512_ternarylogic_epi64, _mm512_xor_si512,
     };
 
-    // All bit-reflected, like the polynomial.
-    /// x^(512+32) mod P, x^(512-32) mod P: fold across four lanes.
-    const K1: i64 = 0x1_5444_2bd4;
-    const K2: i64 = 0x1_c6e4_1596;
+    // Closures, not nested fns: a closure inherits the enclosing function's
+    // target features, so the intrinsics stay safe calls. The eight words
+    // are read in order and set lowest first: that form compiles to one
+    // 64-byte load, where `_mm512_set_epi64`'s highest-first argument order
+    // left a chain of shuffles that ran at half the speed.
+    let load = |block: &[u8; 64]| -> __m512i {
+        let (w, _) = block.as_chunks::<8>();
+        let [q0, q1, q2, q3, q4, q5, q6, q7] =
+            [0, 1, 2, 3, 4, 5, 6, 7].map(|i| i64::from_le_bytes(w[i]));
+        _mm512_setr_epi64(q0, q1, q2, q3, q4, q5, q6, q7)
+    };
+    // `acc` moved past `next`, plus `next`, lane by lane; 0x96 is the
+    // three-way XOR's truth table.
+    let fold = |acc: __m512i, next: __m512i, keys: __m512i| -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, keys);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, keys);
+        _mm512_ternarylogic_epi64::<0x96>(next, lo, hi)
+    };
+
+    let (blocks, rest) = data.as_chunks::<64>();
+    let (rounds, singles) = blocks.as_chunks::<4>();
+    let Some((head, rounds)) = rounds.split_first() else {
+        return crc32_fold(crc, data);
+    };
+    let [mut x0, mut x1, mut x2, mut x3] = head.each_ref().map(load);
+    x0 = _mm512_xor_si512(x0, _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, i64::from(crc)));
+    let w1w2 = _mm512_set_epi64(W2, W1, W2, W1, W2, W1, W2, W1);
+    for [n0, n1, n2, n3] in rounds {
+        x0 = fold(x0, load(n0), w1w2);
+        x1 = fold(x1, load(n1), w1w2);
+        x2 = fold(x2, load(n2), w1w2);
+        x3 = fold(x3, load(n3), w1w2);
+    }
+    let k1k2 = _mm512_set_epi64(K2, K1, K2, K1, K2, K1, K2, K1);
+    let mut x = fold(fold(fold(x0, x1, k1k2), x2, k1k2), x3, k1k2);
+    for block in singles {
+        x = fold(x, load(block), k1k2);
+    }
+    let lanes = [
+        _mm512_extracti32x4_epi32::<0>(x),
+        _mm512_extracti32x4_epi32::<1>(x),
+        _mm512_extracti32x4_epi32::<2>(x),
+        _mm512_extracti32x4_epi32::<3>(x),
+    ];
+    fold_lanes(lanes, rest)
+}
+
+/// One 16-byte block as a 128-bit lane, without a pointer load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.1")]
+#[inline]
+fn load128(block: &[u8; 16]) -> std::arch::x86_64::__m128i {
+    let v = u128::from_le_bytes(*block);
+    std::arch::x86_64::_mm_set_epi64x((v >> 64) as i64, v as i64)
+}
+
+/// `acc` moved past `next`, plus `next`: each half of `acc` times the
+/// matching fold constant in `keys`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+#[inline]
+fn fold128(
+    acc: std::arch::x86_64::__m128i,
+    next: std::arch::x86_64::__m128i,
+    keys: std::arch::x86_64::__m128i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::{_mm_clmulepi64_si128, _mm_xor_si128};
+    let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+    let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+    _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+}
+
+/// The reduction both folds share: collapse four consecutive 128-bit lanes
+/// into one (`D` = 128), absorb `rest`'s 16-byte blocks one at a time,
+/// reduce the final 128 bits to 64, then to the 32-bit remainder by
+/// Barrett reduction (two multiplications by precomputed `floor(x^64 / P)`
+/// and `P` in place of a division), and hand the sub-16-byte tail to
+/// [`crc32_tables`]. Returns the raw register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+#[inline]
+fn fold_lanes(lanes: [std::arch::x86_64::__m128i; 4], rest: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        _mm_and_si128, _mm_clmulepi64_si128, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
+        _mm_srli_si128, _mm_xor_si128,
+    };
+
     /// x^(128+32) mod P, x^(128-32) mod P: fold onto the next block.
     const K3: i64 = 0x1_7519_97d0;
     const K4: i64 = 0x0_ccaa_009e;
@@ -234,47 +453,12 @@ fn crc32_fold(crc: u32, data: &[u8]) -> u32 {
     const POLY: i64 = 0x1_db71_0641;
     const MU: i64 = 0x1_f701_1641;
 
-    // Closures, not nested fns: a closure inherits the enclosing function's
-    // target features, so the intrinsics stay safe calls.
-    let load = |block: &[u8; 16]| -> __m128i {
-        let v = u128::from_le_bytes(*block);
-        _mm_set_epi64x((v >> 64) as i64, v as i64)
-    };
-    // `acc` moved past `next`, plus `next`: each half of `acc` times the
-    // matching fold constant.
-    let fold = |acc: __m128i, next: __m128i, keys: __m128i| -> __m128i {
-        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
-        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
-        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
-    };
-
-    let (rounds, rest) = data.as_chunks::<FOLD_MIN_LEN>();
-    let Some((head, rounds)) = rounds.split_first() else {
-        return crc32_tables(crc, data);
-    };
-    let lanes = |round: &[u8; FOLD_MIN_LEN]| -> [__m128i; 4] {
-        let (l, _) = round.as_chunks::<16>();
-        [load(&l[0]), load(&l[1]), load(&l[2]), load(&l[3])]
-    };
-    let [mut x0, mut x1, mut x2, mut x3] = lanes(head);
-    x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(crc as i32));
-
-    let k1k2 = _mm_set_epi64x(K2, K1);
-    for round in rounds {
-        let [n0, n1, n2, n3] = lanes(round);
-        x0 = fold(x0, n0, k1k2);
-        x1 = fold(x1, n1, k1k2);
-        x2 = fold(x2, n2, k1k2);
-        x3 = fold(x3, n3, k1k2);
-    }
-
+    let [x0, x1, x2, x3] = lanes;
     let k3k4 = _mm_set_epi64x(K4, K3);
-    let mut x = fold(x0, x1, k3k4);
-    x = fold(x, x2, k3k4);
-    x = fold(x, x3, k3k4);
+    let mut x = fold128(fold128(fold128(x0, x1, k3k4), x2, k3k4), x3, k3k4);
     let (blocks, tail) = rest.as_chunks::<16>();
     for block in blocks {
-        x = fold(x, load(block), k3k4);
+        x = fold128(x, load128(block), k3k4);
     }
 
     // 128 → 96 → 64 bits.
@@ -469,34 +653,68 @@ mod tests {
         assert_eq!(table_walk(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The fold kernels this CPU can run; each one it lacks is named on
+    /// stderr, so a host without it shows a skip, not a vacuous pass.
+    fn folds_on_this_host() -> Vec<Crc32Kernel> {
+        let (have, lack): (Vec<_>, Vec<_>) = Crc32Kernel::ALL
+            .into_iter()
+            .filter(|&k| k != Crc32Kernel::Tables)
+            .partition(|k| k.on_this_host() == *k);
+        for k in lack {
+            eprintln!("crc32 kernel {} skipped: this CPU lacks its features", k.name());
+        }
+        have
+    }
+
     #[test]
-    fn crc32_equals_table_walk_at_every_length_and_alignment() {
-        // Every length across the 64-byte cut-over (every lane count, every
-        // fold-by-1 block count, every sub-16-byte tail) at every start
-        // offset 0..16 (the kernel's loads are unaligned). The unoptimized
-        // table walk makes the full cross product a 20 s test, so a debug
-        // build sweeps all lengths at offset 0 only and a shorter range,
-        // still covering every phase several times, at the other fifteen;
-        // `scripts/check.sh` runs the full sweep in release.
-        let data = seeded_bytes(0x5EED_C4C3, 4096 + 16);
-        for start in 0..16 {
-            let sweep = if start == 0 || !cfg!(debug_assertions) { 4096 } else { 640 };
+    fn every_kernel_equals_the_table_walk_at_every_length_and_alignment() {
+        // Every length across the cut-overs — the 16-byte blocks, the
+        // 64-byte lanes, the 256-byte wide round and the dispatch
+        // threshold, each several times — at every start offset 0..64 (the
+        // loads are unaligned), for every fold this CPU has and for the
+        // dispatching `crc32`. The unoptimized table walk makes the full
+        // cross product a long test, so a debug build sweeps all lengths at
+        // offset 0 only and a shorter range, still crossing every cut-over,
+        // at the other 63; `scripts/check.sh` runs the full sweep in
+        // release.
+        let folds = folds_on_this_host();
+        let data = seeded_bytes(0x5EED_C4C3, 4096 + 64);
+        for start in 0..64 {
+            let sweep = if start == 0 || !cfg!(debug_assertions) { 1100 } else { 330 };
             for len in (0..=sweep).chain([4096]) {
                 let slice = &data[start..start + len];
-                assert_eq!(crc32(slice), table_walk(slice), "start {start} len {len}");
+                let want = table_walk(slice);
+                assert_eq!(crc32(slice), want, "crc32, start {start} len {len}");
+                for &k in &folds {
+                    assert_eq!(crc32_with(k, slice), want, "{}, start {start} len {len}", k.name());
+                }
             }
         }
     }
 
     #[test]
-    fn crc32_equals_table_walk_on_a_large_buffer() {
+    fn every_kernel_equals_the_table_walk_on_large_and_flat_buffers() {
+        let folds = folds_on_this_host();
         let data = seeded_bytes(0xB16_B0FF, (1 << 20) + 5);
-        assert_eq!(crc32(&data), table_walk(&data));
-        assert_eq!(crc32(&data[..1 << 20]), table_walk(&data[..1 << 20]));
-        for fill in [0u8, 0xFF] {
-            let flat = vec![fill; 1 << 16];
-            assert_eq!(crc32(&flat), table_walk(&flat), "all-{fill:#04x} buffer");
+        let flat = [0u8, 0xFF].map(|fill| vec![fill; 1 << 16]);
+        let inputs = [&data[..], &data[..1 << 20], &flat[0][..], &flat[1][..]];
+        for (i, input) in inputs.into_iter().enumerate() {
+            let want = table_walk(input);
+            assert_eq!(crc32(input), want, "crc32, input {i}");
+            for &k in &folds {
+                assert_eq!(crc32_with(k, input), want, "{}, input {i}", k.name());
+            }
         }
+    }
+
+    #[test]
+    fn a_kernel_the_cpu_lacks_runs_a_narrower_one() {
+        assert_eq!(Crc32Kernel::Tables.on_this_host(), Crc32Kernel::Tables);
+        let wide = Crc32Kernel::Fold512.on_this_host();
+        let narrow = Crc32Kernel::Fold128.on_this_host();
+        assert_ne!(narrow, Crc32Kernel::Fold512);
+        assert!(wide == Crc32Kernel::Fold512 || wide == narrow, "{wide:?} / {narrow:?}");
+        assert_eq!(crc32_with(Crc32Kernel::Tables, b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

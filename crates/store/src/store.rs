@@ -29,10 +29,10 @@
 //!
 //! Compaction reads what it rewrites. A pass walks its victim's record
 //! *headers* — the segment header, then 21 bytes per record — to learn
-//! what the segment holds, then fetches, fully verifies and stages only
-//! the puts the index still points at (and re-encodes the tombstones that
-//! still shadow something); a dead record costs its header and nothing
-//! else. On the benchmark's `store_mixed` the victims are about nine
+//! what the segment holds, then fetches, fully verifies and stages — as
+//! read, not re-encoded — only the puts the index still points at (and
+//! re-encodes the tombstones that still shadow something); a dead record
+//! costs its header and nothing else. On the benchmark's `store_mixed` the victims are about nine
 //! tenths dead, so a pass reads a tenth of what cloning and
 //! re-checksumming the whole segment did, and the writer stops being that
 //! workload's bottleneck. See `Writer::compact_once` for what a pass
@@ -44,7 +44,7 @@
 use crate::backend::{Backend, SegmentId};
 use crate::fault::StoreFaultPlan;
 use crate::index::{Location, StoreIndex};
-use crate::intake::{self, Consumer, Producer};
+use crate::intake::{self, Consumer, IntakeStats, Producer};
 use crate::record::{
     decode_header, decode_record, frame_in_place, RecordError, RecordHeader, RecordKind,
     HEADER_LEN, MAX_PAYLOAD,
@@ -632,6 +632,14 @@ impl SegmentStore {
         }
     }
 
+    /// The command intake's counters so far: caller (`producer_parks`)
+    /// and writer (`consumer_parks`) parks, batches, high water. Kept out
+    /// of [`StoreStats`]: they depend on thread timing, and two runs of
+    /// the same operations apply them identically with different counts.
+    pub fn intake_stats(&self) -> IntakeStats {
+        self.intake.as_ref().map(Producer::stats).unwrap_or_default()
+    }
+
     /// Sorted `(key, location)` pairs of every live record — the
     /// deterministic index digest the recovery oracle compares.
     pub fn live_entries(&self) -> Vec<(u64, Location)> {
@@ -1208,15 +1216,10 @@ impl Writer {
         Ok(FlushOutcome::Done)
     }
 
-    /// Stage one GC rewrite (compaction traffic: no fault seam, no ack;
-    /// put relocations are applied when its group lands).
-    fn stage_gc(
-        &mut self,
-        key: u64,
-        kind: RecordKind,
-        payload: &[u8],
-        meta: StagedKind,
-    ) -> Result<(), StoreError> {
+    /// Make room to stage one GC rewrite (compaction traffic: no fault
+    /// seam, no ack; put relocations are applied when its group lands):
+    /// land a full group, and roll a full active segment.
+    fn make_room_for_gc(&mut self) -> Result<(), StoreError> {
         if self.group_full() {
             self.flush_gc()?;
         }
@@ -1224,7 +1227,6 @@ impl Writer {
             self.flush_gc()?;
             self.roll()?;
         }
-        self.group.stage_inline(key, kind, payload, meta);
         Ok(())
     }
 
@@ -1247,9 +1249,12 @@ impl Writer {
     /// the victim's record headers ([`walk_headers`]); pass 2 fetches each
     /// put the index still points at — one `read_into` of that record into
     /// the writer's scratch buffer — and runs it through the full
-    /// [`decode_record`] ([`verified_put`]) before it is staged. So every byte copied forward
-    /// was checksum-verified on the bytes actually read, and every header
-    /// in the victim was verified, but the payloads of dead puts are never
+    /// [`decode_record`] ([`verified_put`]) before it is staged as read —
+    /// the record format holds no location, so the verified bytes are what
+    /// re-encoding the payload would produce, and the payload is
+    /// checksummed once, not twice. So every byte copied forward was
+    /// checksum-verified on the bytes actually read, and every header in
+    /// the victim was verified, but the payloads of dead puts are never
     /// read: a flipped bit in garbage no longer fails the pass, it is
     /// deleted with the rest of the segment. [`CompactReport::read_bytes`]
     /// counts the traffic, and is what would show a return to
@@ -1302,12 +1307,13 @@ impl Writer {
                     if is_current {
                         self.backend.read_into(victim, offset, len as usize, scratch)?;
                         report.read_bytes += len;
-                        let payload = verified_put(scratch, key).map_err(|found| {
+                        verified_put(scratch, key).map_err(|found| {
                             StoreError::Corrupt(format!(
                                 "compaction victim {victim}, offset {offset}: {found}"
                             ))
                         })?;
-                        self.stage_gc(key, RecordKind::Put, payload, StagedKind::GcPut { from })?;
+                        self.make_room_for_gc()?;
+                        self.group.stage_framed_put(key, scratch, StagedKind::GcPut { from });
                         report.rewritten_bytes += len;
                         report.rewritten_records += 1;
                     }
@@ -1319,7 +1325,9 @@ impl Writer {
                             && ix.puts_on_disk(key) > puts_here.get(&key).copied().unwrap_or(0)
                     };
                     if shadows_elsewhere {
-                        self.stage_gc(key, RecordKind::Tombstone, &[], StagedKind::GcTombstone)?;
+                        self.make_room_for_gc()?;
+                        let kind = RecordKind::Tombstone;
+                        self.group.stage_inline(key, kind, &[], StagedKind::GcTombstone);
                         report.rewritten_bytes += len;
                         report.rewritten_records += 1;
                     }

@@ -5,8 +5,8 @@
 //! of a syscall + lock round-trip per record. A caller's put arrives as
 //! the pooled buffer it was framed in and is *kept*, not copied: the
 //! group is a list of chunks — whole put records in their own buffers,
-//! and runs of small records the writer encodes itself (tombstones,
-//! compaction rewrites) in one inline buffer — whose slices, in staging
+//! and runs of records the writer stages itself (tombstones it encodes,
+//! compaction rewrites it copies) in one inline buffer — whose slices, in staging
 //! order, are the group's wire bytes. Records keep their staging order,
 //! so every staged record's final on-disk location is known at stage
 //! time: the group always lands at the current active segment's tail, and
@@ -97,11 +97,29 @@ impl GroupBuffer {
         self.chunks.push(Chunk::Put { buf, len });
     }
 
-    /// Encode one record onto the inline buffer (a tombstone, or a
-    /// compaction rewrite whose payload is sliced out of the victim).
+    /// Encode one record onto the inline buffer (a tombstone, caller's or
+    /// rewritten by compaction).
     pub fn stage_inline(&mut self, key: u64, kind: RecordKind, payload: &[u8], meta: StagedKind) {
         let start = self.inline.len();
-        let len = encode_record(key, kind, payload, &mut self.inline);
+        encode_record(key, kind, payload, &mut self.inline);
+        self.staged_inline(key, kind, start, meta);
+    }
+
+    /// Copy one already framed put record onto the inline buffer as it is:
+    /// a compaction rewrite of a record just read and verified. The format
+    /// holds no location or sequence number, so these are exactly the bytes
+    /// [`encode_record`] would produce for its payload, without checksumming
+    /// the payload again.
+    pub fn stage_framed_put(&mut self, key: u64, record: &[u8], meta: StagedKind) {
+        let start = self.inline.len();
+        self.inline.extend_from_slice(record);
+        self.staged_inline(key, RecordKind::Put, start, meta);
+    }
+
+    /// Account for the record just appended to the inline buffer at
+    /// `start`, extending the group's trailing inline run.
+    fn staged_inline(&mut self, key: u64, kind: RecordKind, start: usize, meta: StagedKind) {
+        let len = (self.inline.len() - start) as u64;
         self.staged.push(Staged { key, kind, buf_offset: self.bytes, len, meta });
         self.bytes += len;
         match self.chunks.last_mut() {
@@ -188,10 +206,15 @@ mod tests {
         g.stage_inline(4, RecordKind::Tombstone, &[], StagedKind::Host);
         let (buf, len) = framed_put(3, b"defgh");
         g.stage_put(3, buf, len);
-        assert_eq!(g.records(), 4);
-        assert_eq!(g.bytes(), 4 * HEADER_LEN as u64 + 3 + 5);
-        // Put, one run of two tombstones, put.
-        assert_eq!(g.slices(g.bytes()).len(), 3);
+        let (rewrite, len) = framed_put(5, b"ij");
+        let from = Location { segment: 0, offset: 6, len: len as u64 };
+        g.stage_framed_put(5, &rewrite[..len], StagedKind::GcPut { from });
+        g.stage_inline(6, RecordKind::Tombstone, &[], StagedKind::GcTombstone);
+        assert_eq!(g.records(), 6);
+        assert_eq!(g.bytes(), 6 * HEADER_LEN as u64 + 3 + 5 + 2);
+        // Put, one run of two tombstones, put, one run of a rewrite and a
+        // tombstone.
+        assert_eq!(g.slices(g.bytes()).len(), 4);
         let data = g.slices(g.bytes()).concat();
         assert_eq!(data.len() as u64, g.bytes());
         for s in g.staged() {
@@ -205,6 +228,11 @@ mod tests {
             let end = s.buf_offset + s.len;
             assert_eq!(g.slices(end).concat(), data[..end as usize]);
         }
+        // A forwarded record is the record `encode_record` writes.
+        let mut encoded = Vec::new();
+        encode_record(5, RecordKind::Put, b"ij", &mut encoded);
+        let rewrite = &g.staged()[4];
+        assert_eq!(data[rewrite.buf_offset as usize..][..encoded.len()], encoded);
         let mut spent = Vec::new();
         g.clear(&mut spent);
         assert_eq!(spent.len(), 2, "both put buffers come back");

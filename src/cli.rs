@@ -460,6 +460,19 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(out, "store measured WA {:.4}", store.write_amplification());
         let _ = writeln!(out, "store errors      {}", store.errors);
     }
+    // The shard stores' caller -> writer intakes, merged: how often a
+    // caller waited on a full intake and a writer on an empty one, and how
+    // many commands a writer took per lock.
+    if let Some(si) = r.store_intake {
+        let per_1k = |parks: u64| parks as f64 * 1000.0 / si.pushes.max(1) as f64;
+        let _ =
+            writeln!(out, "store caller parks {:.2} per 1k commands", per_1k(si.producer_parks));
+        let _ =
+            writeln!(out, "store writer parks {:.2} per 1k commands", per_1k(si.consumer_parks));
+        let mean = si.pushes as f64 / si.batches.max(1) as f64;
+        let _ = writeln!(out, "store mean batch  {mean:.1} commands");
+        let _ = writeln!(out, "store intake high water {}", si.high_water);
+    }
     let _ = writeln!(out, "per-shard (accesses / hit rate / write rate):");
     for (i, ps) in r.snapshot.per_shard.iter().enumerate() {
         let _ = writeln!(
@@ -716,10 +729,25 @@ mod tests {
         assert!(out.contains("store gc read bytes"));
         assert!(out.contains("store measured WA"));
         assert!(out.contains("store errors      0"));
+        // The store intake's counters: parks per 1 k commands on both
+        // sides, the mean batch and the high water (default depth 64).
+        let value = |prefix: &str| -> f64 {
+            out.lines()
+                .find_map(|l| l.strip_prefix(prefix)?.split_whitespace().next()?.parse().ok())
+                .unwrap_or_else(|| panic!("no {prefix} line:\n{out}"))
+        };
+        for parks in ["store caller parks", "store writer parks"] {
+            assert!(value(parks) >= 0.0);
+            let line = out.lines().find(|l| l.starts_with(parks)).expect("parks line");
+            assert!(line.ends_with(" per 1k commands"), "{line}");
+        }
+        assert!(value("store mean batch") >= 1.0, "{out}");
+        assert!((1.0..=64.0).contains(&value("store intake high water")), "{out}");
         // Without the flag the store lines must not appear.
         let plain =
             run_cli(&["serve-bench", &bin, "--mode", "ideal"]).expect("storeless serve-bench");
         assert!(!plain.contains("store puts"));
+        assert!(!plain.contains("store caller parks") && !plain.contains("store intake"));
         let e = run_cli(&["serve-bench", &bin, "--store", "floppy"]).unwrap_err();
         assert!(e.0.contains("unknown store"));
         let e = run_cli(&["serve-bench", &bin, "--store", "memory", "--store-group-records", "0"])
