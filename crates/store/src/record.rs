@@ -120,10 +120,10 @@ impl Record<'_> {
 //   512-bit registers, 256 input bytes per round — what a put's payload
 //   checksum, a `get_into`, a recovery scan and a compaction pass run on
 //   for every record of a quarter kilobyte or more. Measured on an Intel
-//   Xeon (family 6, model 207) KVM guest, rustc 1.95: ≈ 3× the 128-bit
-//   fold at 2 KiB, ≈ 4× at 32 KiB, × 1.3 at 256 bytes and no faster below,
-//   where it has no whole round of four registers to overlap — hence the
-//   threshold (EXPERIMENTS.md "A 512-bit CRC fold").
+//   Xeon (family 6, model 207) KVM guest, rustc 1.95: 68–72 GiB/s at
+//   2–32 KiB, ≈ 3× the 128-bit fold, × 1.3 at 256 bytes, and nothing
+//   below, where it has no whole round of four registers to overlap —
+//   hence the threshold (EXPERIMENTS.md "A 512-bit CRC fold").
 // - `crc32_fold` (x86_64 CPUs with PCLMULQDQ + SSE4.1, inputs of at least
 //   `FOLD_MIN_LEN` bytes, and longer ones on CPUs without the wide
 //   kernel's features): the same folding in 128-bit registers, 64 input
@@ -172,9 +172,9 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 const FOLD_MIN_LEN: usize = 64;
 
 /// Shortest input [`crc32`] hands the 512-bit fold: one round of its four
-/// registers. On the host the comment above names, both folds ran at
-/// 15 GB/s on 192–240-byte inputs, and the wide one at 256 bytes already
-/// ran 22 GB/s to the 128-bit fold's 17.
+/// registers. On the host the comment above names, the 128-bit fold ran
+/// 192–240-byte inputs at 19–20 GB/s, and the wide one 256 bytes at 27.5
+/// GB/s to the 128-bit fold's 21.
 const WIDE_MIN_LEN: usize = 256;
 
 /// One implementation of [`crc32`]. All three compute the same function;
