@@ -32,11 +32,11 @@
 //! what the segment holds, then fetches, fully verifies and stages — as
 //! read, not re-encoded — only the puts the index still points at (and
 //! re-encodes the tombstones that still shadow something); a dead record
-//! costs its header and nothing else. On the benchmark's `store_mixed` the victims are about nine
-//! tenths dead, so a pass reads a tenth of what cloning and
-//! re-checksumming the whole segment did, and the writer stops being that
-//! workload's bottleneck. See `Writer::compact_once` for what a pass
-//! still verifies and what it no longer does; the recovery scan
+//! costs its header and nothing else. On the benchmark's `store_mixed`
+//! the victims are about nine tenths dead, so a pass reads a tenth of what
+//! cloning and re-checksumming the whole segment did, and the writer stops
+//! being that workload's bottleneck. See `Writer::compact_once` for what a
+//! pass still verifies and what it no longer does; the recovery scan
 //! (`scan_one`) is the path that vouches for every byte: it walks the
 //! headers the same way and also reads and decodes each whole record, one
 //! at a time.

@@ -6,11 +6,12 @@
 //! the pooled buffer it was framed in and is *kept*, not copied: the
 //! group is a list of chunks — whole put records in their own buffers,
 //! and runs of records the writer stages itself (tombstones it encodes,
-//! compaction rewrites it copies) in one inline buffer — whose slices, in staging
-//! order, are the group's wire bytes. Records keep their staging order,
-//! so every staged record's final on-disk location is known at stage
-//! time: the group always lands at the current active segment's tail, and
-//! `buf_offset` is the record's displacement within the group's bytes.
+//! compaction rewrites it copies) in one inline buffer — whose slices, in
+//! staging order, are the group's wire bytes. Records keep their staging
+//! order, so every staged record's final on-disk location is known at
+//! stage time: the group always lands at the current active segment's
+//! tail, and `buf_offset` is the record's displacement within the group's
+//! bytes.
 
 use crate::index::Location;
 use crate::record::{encode_record, RecordKind};
