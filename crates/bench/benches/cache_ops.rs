@@ -1,8 +1,12 @@
 //! Cache-operation throughput per replacement policy (t_query in §5.3.5 is
-//! ~1 µs on the paper's hardware; ours should be comparable or better).
+//! ~1 µs on the paper's hardware; ours should be comparable or better), and
+//! the request kernel with its accounting over a generated trace.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use otae_cache::{ArcCache, Cache, Evicted, Fifo, Lfu, Lirs, Lru, S3Lru};
+use otae_core::{Accounting, Kernel, Outcome, PolicyKind};
+use otae_device::{HddProfile, LatencyModel};
+use otae_trace::{generate, Trace, TraceConfig};
 
 /// Deterministic zipf-ish key stream.
 fn keystream(n: usize) -> Vec<(u64, u64)> {
@@ -22,8 +26,7 @@ fn drive<C: Cache<u64>>(cache: &mut C, stream: &[(u64, u64)]) -> u64 {
     let mut evicted: Vec<Evicted<u64>> = Vec::new();
     let mut hits = 0u64;
     for (now, &(k, s)) in stream.iter().enumerate() {
-        if cache.contains(&k) {
-            cache.on_hit(&k, now as u64);
+        if cache.on_hit(&k, now as u64) {
             hits += 1;
         } else {
             evicted.clear();
@@ -59,5 +62,36 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies);
+/// Every request through `Kernel::access` (admit every miss) and
+/// `Accounting::record`, as `pipeline::run` drives an Original run.
+fn replay(trace: &Trace, policy: PolicyKind, capacity: u64) -> u64 {
+    let mut kernel = Kernel::new(policy.build(capacity, trace));
+    let mut accounting = Accounting::new(LatencyModel::default(), HddProfile::default(), false);
+    let mut hits = 0u64;
+    for (now, req) in trace.requests.iter().enumerate() {
+        let size = u64::from(trace.photo(req.object).size);
+        let outcome = kernel.access(req.object, size, now as u64, || true, |_| {});
+        hits += u64::from(outcome == Outcome::Hit);
+        accounting.record(outcome, req.ts, size);
+    }
+    black_box(accounting.response.mean_us());
+    hits
+}
+
+fn bench_kernel(c: &mut Criterion) {
+    let trace = generate(&TraceConfig { n_objects: 50_000, seed: 1, ..Default::default() });
+    // The CLI's default cache: 2 % of the trace's unique bytes.
+    let capacity = trace.unique_bytes() / 50;
+    let mut group = c.benchmark_group("kernel_access");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    for policy in [PolicyKind::Lru, PolicyKind::S3Lru, PolicyKind::Arc, PolicyKind::Lirs] {
+        group.bench_function(policy.name(), |b| {
+            b.iter(|| replay(black_box(&trace), policy, capacity))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_kernel);
 criterion_main!(benches);

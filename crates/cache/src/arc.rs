@@ -154,8 +154,8 @@ impl<K: Key> Cache<K> for ArcCache<K> {
         matches!(self.map.get(key), Some(Slot { loc: Loc::T1 | Loc::T2, .. }))
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        let Some(&slot) = self.map.get(key) else { return };
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(&slot) = self.map.get(key) else { return false };
         match slot.loc {
             Loc::T1 => {
                 self.t1.remove(slot.node);
@@ -165,8 +165,10 @@ impl<K: Key> Cache<K> for ArcCache<K> {
                 self.map.insert(*key, Slot { loc: Loc::T2, node, size: slot.size });
             }
             Loc::T2 => self.t2.move_to_front(slot.node),
-            Loc::B1 | Loc::B2 => unreachable!("on_hit requires residency"),
+            // A ghost is a miss; its adaptation happens on insert.
+            Loc::B1 | Loc::B2 => return false,
         }
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

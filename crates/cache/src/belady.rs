@@ -90,13 +90,13 @@ impl<K: Key> Cache<K> for Belady<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, key: &K, now: u64) {
+    fn on_hit(&mut self, key: &K, now: u64) -> bool {
         let next = self.next_of(now);
-        if let Some(&(old_next, size)) = self.map.get(key) {
-            self.order.remove(&(old_next, *key));
-            self.order.insert((next, *key));
-            self.map.insert(*key, (next, size));
-        }
+        let Some(entry) = self.map.get_mut(key) else { return false };
+        self.order.remove(&(entry.0, *key));
+        self.order.insert((next, *key));
+        entry.0 = next;
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, now: u64, evicted: &mut Vec<Evicted<K>>) {

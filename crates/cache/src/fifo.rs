@@ -43,8 +43,9 @@ impl<K: Key> Cache<K> for Fifo<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, _key: &K, _now: u64) {
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
         // FIFO ignores recency.
+        self.map.contains_key(key)
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

@@ -94,13 +94,14 @@ impl<K: Key> Cache<K> for Gdsf<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        let Some(entry) = self.map.get_mut(key) else { return };
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(entry) = self.map.get_mut(key) else { return false };
         let removed = self.order.remove(&(bits(entry.priority), entry.seq, *key));
         debug_assert!(removed);
         entry.freq += 1;
         entry.priority = self.inflation + entry.freq as f64 / (entry.size.max(1) as f64 / 1024.0);
         self.order.insert((bits(entry.priority), entry.seq, *key));
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

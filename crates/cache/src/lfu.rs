@@ -51,13 +51,13 @@ impl<K: Key> Cache<K> for Lfu<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        if let Some(e) = self.map.get_mut(key) {
-            let removed = self.order.remove(&(e.freq, e.seq, *key));
-            debug_assert!(removed);
-            e.freq += 1;
-            self.order.insert((e.freq, e.seq, *key));
-        }
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(e) = self.map.get_mut(key) else { return false };
+        let removed = self.order.remove(&(e.freq, e.seq, *key));
+        debug_assert!(removed);
+        e.freq += 1;
+        self.order.insert((e.freq, e.seq, *key));
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

@@ -69,8 +69,9 @@ pub struct Evicted<K> {
 
 /// A byte-capacity cache with an external admission decision.
 ///
-/// The driver looks up `contains` first; on a hit it calls `on_hit`, on a
-/// miss it either calls `insert` (admitted) or `on_bypass` (excluded).
+/// The driver calls `on_hit` first, which is also the hit test: it returns
+/// whether the key was resident, and only then records the hit. On a miss
+/// the driver either calls `insert` (admitted) or `on_bypass` (excluded).
 /// `now` is the logical access index within the request stream — policies
 /// with future knowledge (Belady) or aging use it.
 pub trait Cache<K: Key> {
@@ -84,8 +85,10 @@ pub trait Cache<K: Key> {
     fn len(&self) -> usize;
     /// Whether `key` is resident.
     fn contains(&self, key: &K) -> bool;
-    /// Record a hit on a resident `key`.
-    fn on_hit(&mut self, key: &K, now: u64);
+    /// Record a hit on `key` if it is resident and return whether it was.
+    /// An absent key — including one a policy remembers only as a ghost —
+    /// changes nothing and returns `false`.
+    fn on_hit(&mut self, key: &K, now: u64) -> bool;
     /// Admit `key` after a miss, evicting into `evicted` as needed.
     /// Objects larger than the whole cache are ignored (never resident).
     fn insert(&mut self, key: K, size: u64, now: u64, evicted: &mut Vec<Evicted<K>>);
@@ -107,10 +110,8 @@ pub(crate) mod test_util {
         let mut out = Vec::with_capacity(accesses.len());
         let mut evicted = Vec::new();
         for (now, &(k, s)) in accesses.iter().enumerate() {
-            let hit = cache.contains(&k);
-            if hit {
-                cache.on_hit(&k, now as u64);
-            } else {
+            let hit = cache.on_hit(&k, now as u64);
+            if !hit {
                 cache.insert(k, s, now as u64, &mut evicted);
             }
             out.push(hit);

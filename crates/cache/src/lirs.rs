@@ -200,8 +200,8 @@ impl<K: Key> Cache<K> for Lirs<K> {
         matches!(self.map.get(key), Some(Slot { state: State::Lir | State::HirResident, .. }))
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        let Some(&slot) = self.map.get(key) else { return };
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(&slot) = self.map.get(key) else { return false };
         match slot.state {
             State::Lir => {
                 self.s.move_to_front(slot.s_node.expect("LIR blocks live in the stack"));
@@ -220,8 +220,10 @@ impl<K: Key> Cache<K> for Lirs<K> {
                     slot.s_node = Some(s_node);
                 }
             }
-            State::HirGhost => unreachable!("on_hit requires residency"),
+            // A ghost is a miss; its promotion happens on insert.
+            State::HirGhost => return false,
         }
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

@@ -3,6 +3,7 @@
 use crate::list::{DList, NodeId};
 use crate::{Cache, Evicted, Key};
 use otae_fxhash::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// Byte-capacity LRU cache.
 #[derive(Debug, Clone)]
@@ -50,22 +51,30 @@ impl<K: Key> Cache<K> for Lru<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        if let Some(&(node, _)) = self.map.get(key) {
-            self.order.move_to_front(node);
-        }
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(&(node, _)) = self.map.get(key) else { return false };
+        self.order.move_to_front(node);
+        true
     }
 
+    /// One probe of the map: link the new key at the front, then evict from
+    /// the tail until the bytes fit. The evictions and their order are those
+    /// of evict-then-insert, and the new key, at most `capacity` bytes, is
+    /// never among them.
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {
-        if size > self.capacity || self.map.contains_key(&key) {
+        if size > self.capacity {
             return;
         }
-        while self.used + size > self.capacity {
+        match self.map.entry(key) {
+            Entry::Occupied(_) => return,
+            Entry::Vacant(slot) => {
+                slot.insert((self.order.push_front(key), size));
+            }
+        }
+        self.used += size;
+        while self.used > self.capacity {
             self.evict_one(evicted);
         }
-        let node = self.order.push_front(key);
-        self.map.insert(key, (node, size));
-        self.used += size;
     }
 }
 
@@ -73,6 +82,9 @@ impl<K: Key> Cache<K> for Lru<K> {
 mod tests {
     use super::*;
     use crate::test_util::{check_capacity_invariant, drive};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::VecDeque;
 
     #[test]
     fn evicts_least_recently_used() {
@@ -118,6 +130,72 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c.contains(&3));
         check_capacity_invariant(&c);
+    }
+
+    /// Reference LRU: front = MRU, evict from the back before inserting.
+    #[derive(Default)]
+    struct ModelLru {
+        order: VecDeque<(u64, u64)>,
+        used: u64,
+    }
+
+    impl ModelLru {
+        fn hit(&mut self, key: u64) -> bool {
+            let Some(i) = self.order.iter().position(|&(k, _)| k == key) else { return false };
+            let entry = self.order.remove(i).expect("position is in range");
+            self.order.push_front(entry);
+            true
+        }
+
+        fn insert(&mut self, key: u64, size: u64, capacity: u64) -> Vec<Evicted<u64>> {
+            let mut evicted = Vec::new();
+            if size > capacity || self.order.iter().any(|&(k, _)| k == key) {
+                return evicted;
+            }
+            while self.used + size > capacity {
+                let (key, size) = self.order.pop_back().expect("over capacity implies nonempty");
+                self.used -= size;
+                evicted.push(Evicted { key, size });
+            }
+            self.order.push_front((key, size));
+            self.used += size;
+            evicted
+        }
+    }
+
+    #[test]
+    fn matches_a_reference_lru_on_seeded_streams() {
+        const CAPACITY: u64 = 10_000;
+        for seed in 0..8u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (mut lru, mut model) = (Lru::new(CAPACITY), ModelLru::default());
+            let mut evicted = Vec::new();
+            for now in 0..4_000u64 {
+                let key = rng.gen_range(0..60u64);
+                // Mostly fitting sizes, now and then larger than the cache.
+                let size =
+                    if rng.gen_range(0..40) == 0 { CAPACITY + 1 } else { rng.gen_range(1..3_000) };
+                // Some inserts skip the hit test: a resident key is then a
+                // duplicate insert, which must change nothing.
+                let hit = if rng.gen_range(0..8) == 0 {
+                    false
+                } else {
+                    let hit = lru.on_hit(&key, now);
+                    assert_eq!(hit, model.hit(key), "seed {seed}, step {now}: hit");
+                    hit
+                };
+                if !hit {
+                    evicted.clear();
+                    lru.insert(key, size, now, &mut evicted);
+                    assert_eq!(
+                        evicted,
+                        model.insert(key, size, CAPACITY),
+                        "seed {seed}, step {now}"
+                    );
+                }
+                assert_eq!((lru.used(), lru.len()), (model.used, model.order.len()));
+            }
+        }
     }
 
     #[test]

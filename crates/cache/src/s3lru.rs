@@ -107,13 +107,13 @@ impl<K: Key> Cache<K> for S3Lru<K> {
         self.map.contains_key(key)
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        let Some(&slot) = self.map.get(key) else { return };
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(&slot) = self.map.get(key) else { return false };
         let from = slot.seg as usize;
         let to = (from + 1).min(SEGMENTS - 1);
         if to == from {
             self.segs[from].move_to_front(slot.node);
-            return;
+            return true;
         }
         self.segs[from].remove(slot.node);
         self.seg_used[from] -= slot.size;
@@ -125,6 +125,7 @@ impl<K: Key> Cache<K> for S3Lru<K> {
         let mut sink = Vec::new();
         self.rebalance(&mut sink);
         debug_assert!(sink.is_empty());
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

@@ -11,8 +11,7 @@ pub fn run_always_admit<K: Key, C: Cache<K>>(cache: &mut C, accesses: &[(K, u64)
     let mut stats = CacheStats::default();
     let mut evicted: Vec<Evicted<K>> = Vec::new();
     for (now, &(key, size)) in accesses.iter().enumerate() {
-        if cache.contains(&key) {
-            cache.on_hit(&key, now as u64);
+        if cache.on_hit(&key, now as u64) {
             stats.record_hit(size);
         } else {
             evicted.clear();

@@ -121,13 +121,15 @@ impl<K: Key> Cache<K> for TwoQ<K> {
         matches!(self.map.get(key), Some(Slot { loc: Loc::A1In | Loc::Am, .. }))
     }
 
-    fn on_hit(&mut self, key: &K, _now: u64) {
-        let Some(&slot) = self.map.get(key) else { return };
+    fn on_hit(&mut self, key: &K, _now: u64) -> bool {
+        let Some(&slot) = self.map.get(key) else { return false };
         match slot.loc {
             Loc::Am => self.am.move_to_front(slot.node),
             Loc::A1In => {} // classic 2Q: A1in stays FIFO on hits
-            Loc::Ghost => unreachable!("on_hit requires residency"),
+            // A ghost is a miss; its promotion happens on insert.
+            Loc::Ghost => return false,
         }
+        true
     }
 
     fn insert(&mut self, key: K, size: u64, _now: u64, evicted: &mut Vec<Evicted<K>>) {

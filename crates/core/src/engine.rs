@@ -14,8 +14,9 @@
 //!   backend disk-head time of the outcome.
 //!
 //! The admit decision and the insert/evict sink are generic closures, so
-//! the kernel stays monomorphic per driver: a hit costs two calls into the
-//! replacement policy and one counter update, and evaluates neither.
+//! the kernel stays monomorphic per driver: a hit costs one call into the
+//! replacement policy ([`Cache::on_hit`] is the hit test) and one counter
+//! update, and evaluates neither.
 //!
 //! This file runs on the serve worker's request path, so it is in
 //! otae-lint's no-panic scope: nothing here unwraps or panics.
@@ -28,7 +29,7 @@ use crate::pipeline::{Mode, PolicyKind};
 use crate::reaccess::ReaccessIndex;
 use crate::zoo::MissFilter;
 use otae_cache::{Cache, CacheStats, Evicted};
-use otae_device::{HddProfile, LatencyModel, ResponseTime, ServiceTimeModel};
+use otae_device::{HddProfile, LatencyModel, ResponseTime, RunLatency, ServiceTimeModel};
 use otae_ml::{Classifier, ConfusionMatrix, DecisionTree};
 use otae_trace::{ObjectId, Trace};
 
@@ -93,8 +94,7 @@ impl Kernel {
         admit: impl FnOnce() -> bool,
         mut sink: impl FnMut(CacheEvent),
     ) -> Outcome {
-        if self.cache.contains(&object) {
-            self.cache.on_hit(&object, now);
+        if self.cache.on_hit(&object, now) {
             self.stats.record_hit(size);
             return Outcome::Hit;
         }
@@ -123,8 +123,7 @@ pub struct Accounting {
     pub response: ResponseTime,
     /// Disk-head time of every backend read.
     pub service_time: ServiceTimeModel,
-    latency: LatencyModel,
-    classified: bool,
+    latency: RunLatency,
 }
 
 impl Accounting {
@@ -134,8 +133,7 @@ impl Accounting {
         Self {
             response: ResponseTime::default(),
             service_time: ServiceTimeModel::new(hdd),
-            latency,
-            classified,
+            latency: latency.per_run(classified),
         }
     }
 
@@ -148,7 +146,7 @@ impl Accounting {
         if !hit {
             self.service_time.record_miss(ts, size);
         }
-        self.response.record(self.latency.request_latency_us(hit, size, self.classified));
+        self.response.record(self.latency.request_us(hit, size));
     }
 }
 

@@ -16,6 +16,6 @@ pub mod service_time;
 pub mod wear;
 
 pub use ftl::{FtlConfig, FtlSim, FtlStats};
-pub use latency::{LatencyModel, ResponseTime};
+pub use latency::{LatencyModel, ResponseTime, RunLatency};
 pub use service_time::{HddProfile, ServiceTimeModel};
 pub use wear::{SsdWearModel, WearLedger};

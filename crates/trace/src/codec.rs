@@ -5,6 +5,7 @@
 //! written by older builds fail loudly rather than parse as garbage.
 
 use crate::types::{ObjectId, Owner, OwnerId, PhotoMeta, PhotoType, Request, Terminal, Trace};
+use crate::TS_LIMIT;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
@@ -41,6 +42,14 @@ fn malformed(msg: impl Into<String>) -> CodecError {
     CodecError::Malformed(msg.into())
 }
 
+/// `ts` of request `what`, refused at or beyond [`TS_LIMIT`].
+fn bounded_ts(ts: u64, what: impl std::fmt::Display) -> Result<u64, CodecError> {
+    if ts >= TS_LIMIT {
+        return Err(malformed(format!("{what}: timestamp {ts} is at or beyond {TS_LIMIT} s")));
+    }
+    Ok(ts)
+}
+
 /// Serialise a trace to the binary format.
 pub fn to_bytes(trace: &Trace) -> Bytes {
     let mut buf = BytesMut::with_capacity(
@@ -69,7 +78,8 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialise a trace from the binary format.
+/// Deserialise a trace from the binary format. A request timestamp at or
+/// beyond [`TS_LIMIT`] is malformed.
 pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
     // Full header: 4 magic + 2 version + 4 owners + 4 meta + 8 requests.
     if data.remaining() < 22 {
@@ -117,8 +127,8 @@ pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
         });
     }
     let mut requests = Vec::with_capacity(n_req);
-    for _ in 0..n_req {
-        let ts = data.get_u64_le();
+    for i in 0..n_req {
+        let ts = bounded_ts(data.get_u64_le(), format_args!("request {i}"))?;
         let object = ObjectId(data.get_u32_le());
         if object.0 as usize >= n_meta {
             return Err(malformed("object index out of range"));
@@ -176,7 +186,8 @@ pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> Result<(), CodecError> {
 
 /// Read a text trace (the [`write_text`] format):
 /// `ts object_id owner_id type size upload_ts terminal`, one request per
-/// line; `#`-prefixed lines and blank lines are ignored.
+/// line; `#`-prefixed lines and blank lines are ignored. A timestamp at or
+/// beyond [`TS_LIMIT`] is malformed.
 ///
 /// Object/owner metadata is reconstructed from the first line mentioning
 /// each id; later lines must agree on the metadata or the input is rejected
@@ -202,6 +213,7 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, CodecError> {
         }
         let parse_err = |what: &str| malformed(format!("line {}: bad {what}", lineno + 1));
         let ts: u64 = fields[0].parse().map_err(|_| parse_err("timestamp"))?;
+        let ts = bounded_ts(ts, format_args!("line {}", lineno + 1))?;
         let object: u32 = fields[1].parse().map_err(|_| parse_err("object id"))?;
         let owner: u32 = fields[2].parse().map_err(|_| parse_err("owner id"))?;
         let ptype = ALL_PHOTO_TYPES_BY_LABEL
@@ -335,6 +347,29 @@ mod tests {
         };
         let bytes = to_bytes(&t);
         assert!(from_bytes(&bytes).is_err());
+    }
+
+    /// Two requests, the second at `last_ts`.
+    fn two_requests(last_ts: u64) -> String {
+        format!("0 0 0 l5 1000 0 1\n{last_ts} 1 0 l5 1000 0 1\n")
+    }
+
+    #[test]
+    fn timestamps_at_or_beyond_the_limit_are_malformed() {
+        for last_ts in [TS_LIMIT, 1_000_000_000_000_000_000, u64::MAX] {
+            let text = two_requests(last_ts);
+            let err = read_text(text.as_bytes()).expect_err("text decoder refuses");
+            assert!(err.to_string().contains(&format!("line 2: timestamp {last_ts}")), "{err}");
+            // The same requests in binary: encode one inside the bound, then
+            // patch its timestamp (the last request's 13 bytes end the stream).
+            let mut bytes = to_bytes(&read_text(two_requests(0).as_bytes()).unwrap()).to_vec();
+            let at = bytes.len() - 13;
+            bytes[at..at + 8].copy_from_slice(&last_ts.to_le_bytes());
+            let err = from_bytes(&bytes).expect_err("binary decoder refuses");
+            assert!(err.to_string().contains(&format!("request 1: timestamp {last_ts}")), "{err}");
+        }
+        let inside = read_text(two_requests(TS_LIMIT - 1).as_bytes()).expect("just inside");
+        assert_eq!(from_bytes(&to_bytes(&inside)).unwrap(), inside);
     }
 
     #[test]

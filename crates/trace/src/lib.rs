@@ -39,6 +39,12 @@ pub mod sample;
 pub mod stats;
 pub mod types;
 
+/// Exclusive bound on a request timestamp, in seconds since trace start:
+/// 45 × the paper's 9-day window (405 days). Every driver sizes per-day
+/// and per-window tables by `ts`, so the decoders reject a request at or
+/// beyond it and `otae generate` refuses a longer window.
+pub const TS_LIMIT: u64 = 45 * 9 * diurnal::DAY;
+
 pub use generator::{generate, TraceConfig};
 pub use popularity::{analyze as analyze_popularity, PopularityProfile};
 pub use sample::sample_objects;

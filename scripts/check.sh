@@ -22,6 +22,9 @@ cargo test --workspace -q
 echo "==> cargo test --release -p otae-store (the CRC kernel as the benchmark compiles it)"
 cargo test --release -p otae-store -q
 
+echo "==> cargo test --release -p otae-device -p otae-cache (the full latency-bucket sweep, as the benchmark compiles it)"
+cargo test --release -p otae-device -p otae-cache -q
+
 echo "==> benchmark smoke (all five workloads, tiny inputs; its output checks gate the run)"
 # serve == pipeline fingerprint on every replay, conservation, clean FaultReport,
 # store reconciliation: any failed check makes run.sh exit non-zero.

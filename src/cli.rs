@@ -16,7 +16,8 @@
 use otae_core::{run, Mode, PolicyKind, RunConfig};
 use otae_serve::{serve_trace, LoadConfig, ServeConfig, StoreMode, TrainerMode};
 use otae_trace::codec::{read_binary, read_text, write_binary, write_text};
-use otae_trace::{generate, sample_objects, Trace, TraceConfig};
+use otae_trace::diurnal::DAY;
+use otae_trace::{generate, sample_objects, Trace, TraceConfig, TS_LIMIT};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -240,6 +241,13 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
         days: args.get_parsed("days", 9u32)?,
         ..Default::default()
     };
+    if cfg.window() > TS_LIMIT {
+        return Err(err(format!(
+            "--days {}: the window may not exceed {} days",
+            cfg.days,
+            TS_LIMIT / DAY
+        )));
+    }
     let trace = generate(&cfg);
     save_trace(&trace, out)?;
     if let Some(text_path) = args.get("text") {
@@ -594,6 +602,27 @@ mod tests {
         // Imported trace simulates fine.
         let sim = run_cli(&["simulate", &back, "--mode", "ideal"]).expect("simulate");
         assert!(sim.contains("file hit rate"));
+    }
+
+    #[test]
+    fn timestamps_past_the_limit_are_refused_at_the_boundary() {
+        let text = temp_path("far.txt");
+        let bin = temp_path("far.bin");
+        std::fs::write(&text, "0 0 0 l5 1000 0 1\n1000000000000000000 1 0 l5 1000 0 1\n")
+            .expect("write text trace");
+        let e = run_cli(&["import", &text, "--out", &bin]).unwrap_err();
+        assert!(e.0.contains("timestamp 1000000000000000000"), "{}", e.0);
+        // A trace ending one second inside the bound imports and simulates.
+        std::fs::write(&text, format!("0 0 0 l5 1000 0 1\n{} 1 0 l5 1000 0 1\n", TS_LIMIT - 1))
+            .expect("write text trace");
+        run_cli(&["import", &text, "--out", &bin]).expect("import");
+        for mode in ["original", "proposal"] {
+            let sim = run_cli(&["simulate", &bin, "--mode", mode]).expect("simulate");
+            assert!(sim.contains("file hit rate"), "{sim}");
+        }
+        let days = (TS_LIMIT / DAY + 1).to_string();
+        let e = run_cli(&["generate", "--out", &bin, "--days", &days]).unwrap_err();
+        assert!(e.0.contains("--days"), "{}", e.0);
     }
 
     #[test]

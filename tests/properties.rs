@@ -21,9 +21,7 @@ fn check_policy<C: Cache<u64>>(mut cache: C, accesses: &[(u64, u64)]) {
     let mut evicted: Vec<Evicted<u64>> = Vec::new();
     let mut resident: FxHashMap<u64, u64> = FxHashMap::default();
     for (now, &(k, s)) in accesses.iter().enumerate() {
-        if cache.contains(&k) {
-            cache.on_hit(&k, now as u64);
-        } else {
+        if !cache.on_hit(&k, now as u64) {
             evicted.clear();
             cache.insert(k, s, now as u64, &mut evicted);
             // Tentatively resident; policies may evict the inserted object
@@ -101,8 +99,7 @@ proptest! {
             let mut evicted = Vec::new();
             let mut n = 0u64;
             for (now, &(k, s)) in accesses.iter().enumerate() {
-                if cache.contains(&k) {
-                    cache.on_hit(&k, now as u64);
+                if cache.on_hit(&k, now as u64) {
                     n += 1;
                 } else {
                     evicted.clear();
