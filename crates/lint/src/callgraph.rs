@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::{path_is_test, Rule};
 use crate::diag::Diagnostic;
-use crate::lexer::{Lexed, TokenKind};
+use crate::lexer::{Lexed, TokenKind, Toks};
 use crate::locks::{self, Event, EventKind};
 use crate::parse::FileModel;
 
@@ -25,6 +25,12 @@ pub struct PreppedFile {
     pub src: String,
     pub lexed: Lexed,
     pub model: FileModel,
+}
+
+impl PreppedFile {
+    fn toks(&self) -> Toks<'_> {
+        self.lexed.view(&self.src)
+    }
 }
 
 /// What is known about a struct field's (or fn param's) type.
@@ -155,7 +161,7 @@ struct LockEdge {
 /// The full structural analysis over a prepared file set.
 pub struct Analysis {
     pub diags: Vec<Diagnostic>,
-    /// Rendered acquisition graph (printed under `--strict`).
+    /// Rendered acquisition graph, printed after the diagnostics.
     pub lock_graph: String,
 }
 
@@ -223,7 +229,7 @@ impl<'a> Workspace<'a> {
             .iter()
             .map(|&(fi, di)| {
                 let f = &files[fi];
-                locks::scan_fn(&f.src, &f.lexed.tokens, &f.model.fns[di], &tables)
+                locks::scan_fn(f.toks(), &f.model.fns[di], &tables)
             })
             .collect();
         let effects = compute_effects(files, &fns, &facts);
@@ -244,13 +250,6 @@ impl<'a> Workspace<'a> {
         format!("{}:{line}", self.files[fi].path)
     }
 
-    fn allowed(&self, file: usize, rule: Rule, line: u32) -> bool {
-        self.files[file].lexed.allows.iter().any(|a| {
-            a.rules.iter().any(|r| r == rule.name())
-                && (a.line == line || (a.standalone && a.line + 1 == line))
-        })
-    }
-
     fn report(
         &self,
         out: &mut Vec<Diagnostic>,
@@ -260,11 +259,11 @@ impl<'a> Workspace<'a> {
         col: u32,
         message: String,
     ) {
-        let path = &self.files[file].path;
-        if !rule.in_scope(path) || self.allowed(file, rule, line) {
+        let f = &self.files[file];
+        if !rule.in_scope(&f.path) || f.lexed.allowed(rule.name(), line) {
             return;
         }
-        out.push(Diagnostic { rule, path: clone_path(path), line, col, message, fixable: false });
+        out.push(Diagnostic { rule, path: f.path.clone(), line, col, message });
     }
 
     // ---- lock-order ----------------------------------------------------
@@ -463,11 +462,8 @@ impl<'a> Workspace<'a> {
                     continue;
                 }
                 let Some((open, close)) = d.body else { continue };
-                for t in &f.lexed.tokens[open..close] {
-                    if t.kind == TokenKind::Ident {
-                        fp_idents.insert(f.src[t.start..t.end].to_string());
-                    }
-                }
+                let t = f.toks();
+                fp_idents.extend((open..close).filter_map(|i| t.ident(i)).map(str::to_string));
             }
         }
         let have_fp_context = !fp_types.is_empty() || !fp_idents.is_empty();
@@ -529,11 +525,9 @@ impl<'a> Workspace<'a> {
                 if self.body_has_full_destructure(f, open, close, name, fields) {
                     continue;
                 }
-                let body_idents: BTreeSet<&str> = f.lexed.tokens[open..close]
-                    .iter()
-                    .filter(|t| t.kind == TokenKind::Ident)
-                    .map(|t| &f.src[t.start..t.end])
-                    .collect();
+                let t = f.toks();
+                let body_idents: BTreeSet<&str> =
+                    (open..close).filter_map(|i| t.ident(i)).collect();
                 let missing: Vec<&str> =
                     fields.iter().filter(|fd| !body_idents.contains(**fd)).copied().collect();
                 let detail = if missing.is_empty() {
@@ -561,31 +555,31 @@ impl<'a> Workspace<'a> {
         name: &str,
         fields: &[&str],
     ) -> bool {
-        let toks = &f.lexed.tokens;
+        let t = f.toks();
         let mut i = open;
         while i + 1 < close {
-            let head_ok = tok_ident(f, i).is_some_and(|t| t == "Self" || t == name);
-            if head_ok && tok_punct(f, i + 1, "{") {
-                if let Some(end) = match_forward_toks(f, i + 1) {
+            let head_ok = t.ident(i).is_some_and(|h| h == "Self" || h == name);
+            if head_ok && t.is_punct(i + 1, "{") {
+                if let Some(end) = t.match_forward(i + 1, "{", "}") {
                     let mut depth = 0i32;
                     let mut seen: BTreeSet<&str> = BTreeSet::new();
                     let mut has_rest = false;
                     for j in i + 2..end {
-                        let t = &toks[j];
-                        if t.kind == TokenKind::Punct {
-                            match &f.src[t.start..t.end] {
+                        let tok = &t.toks[j];
+                        if tok.kind == TokenKind::Punct {
+                            match t.text(tok) {
                                 "{" | "(" | "[" => depth += 1,
                                 "}" | ")" | "]" => depth -= 1,
                                 "." if depth == 0
-                                    && tok_punct(f, j + 1, ".")
-                                    && toks[j + 1].start == t.end =>
+                                    && t.is_punct(j + 1, ".")
+                                    && t.toks[j + 1].start == tok.end =>
                                 {
                                     has_rest = true;
                                 }
                                 _ => {}
                             }
-                        } else if t.kind == TokenKind::Ident && depth == 0 {
-                            seen.insert(&f.src[t.start..t.end]);
+                        } else if tok.kind == TokenKind::Ident && depth == 0 {
+                            seen.insert(t.text(tok));
                         }
                     }
                     if !has_rest && fields.iter().all(|fd| seen.contains(fd)) {
@@ -607,16 +601,16 @@ impl<'a> Workspace<'a> {
             if path_is_test(&f.path) {
                 continue;
             }
-            let toks = &f.lexed.tokens;
+            let t = f.toks();
             // Literal heads: `Name {` anywhere, and `Self {` inside fns the
             // struct owns.
             let mut heads: Vec<usize> = Vec::new();
-            for (i, t) in toks.iter().enumerate().take(toks.len().saturating_sub(1)) {
-                if t.in_test {
+            for (i, tok) in t.toks.iter().enumerate().take(t.toks.len().saturating_sub(1)) {
+                if tok.in_test {
                     continue;
                 }
-                if tok_ident(f, i) == Some(name) && tok_punct(f, i + 1, "{") {
-                    let prev = i.checked_sub(1).and_then(|p| tok_ident(f, p));
+                if t.is_ident(i, name) && t.is_punct(i + 1, "{") {
+                    let prev = i.checked_sub(1).and_then(|p| t.ident(p));
                     if !matches!(
                         prev,
                         Some("struct" | "mod" | "trait" | "enum" | "union" | "impl" | "fn" | "for")
@@ -631,7 +625,7 @@ impl<'a> Workspace<'a> {
                 }
                 let Some((open, close)) = d.body else { continue };
                 for i in open..close.saturating_sub(1) {
-                    if tok_ident(f, i) == Some("Self") && tok_punct(f, i + 1, "{") {
+                    if t.is_ident(i, "Self") && t.is_punct(i + 1, "{") {
                         heads.push(i);
                     }
                 }
@@ -639,29 +633,29 @@ impl<'a> Workspace<'a> {
             heads.sort_unstable();
             heads.dedup();
             for head in heads {
-                let Some(end) = match_forward_toks(f, head + 1) else { continue };
+                let Some(end) = t.match_forward(head + 1, "{", "}") else { continue };
                 let mut depth = 0i32;
                 for j in head + 2..end {
-                    let t = &toks[j];
-                    if t.kind != TokenKind::Punct {
+                    let tok = &t.toks[j];
+                    if tok.kind != TokenKind::Punct {
                         continue;
                     }
-                    match &f.src[t.start..t.end] {
+                    match t.text(tok) {
                         "{" | "(" | "[" => depth += 1,
                         "}" | ")" | "]" => depth -= 1,
                         // `..ident` / `..Self::default()` is a functional
                         // update; `..}` is a (pattern) rest and is fine.
                         "." if depth == 0
-                            && tok_punct(f, j + 1, ".")
-                            && toks[j + 1].start == t.end
-                            && toks.get(j + 2).is_some_and(|n| n.kind == TokenKind::Ident) =>
+                            && t.is_punct(j + 1, ".")
+                            && t.toks[j + 1].start == tok.end
+                            && t.ident(j + 2).is_some() =>
                         {
                             self.report(
                                 out,
                                 Rule::MergeExhaustive,
                                 fi,
-                                t.line,
-                                t.col,
+                                tok.line,
+                                tok.col,
                                 format!(
                                     "functional-update `..` on merge-exhaustive struct \
                                      `{name}` hides fields from the audit"
@@ -674,37 +668,6 @@ impl<'a> Workspace<'a> {
             }
         }
     }
-}
-
-fn clone_path(p: &str) -> String {
-    p.to_string()
-}
-
-fn tok_ident(f: &PreppedFile, i: usize) -> Option<&str> {
-    f.lexed.tokens.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| &f.src[t.start..t.end])
-}
-
-fn tok_punct(f: &PreppedFile, i: usize, c: &str) -> bool {
-    f.lexed.tokens.get(i).is_some_and(|t| t.kind == TokenKind::Punct && &f.src[t.start..t.end] == c)
-}
-
-/// Index of the `}` matching the `{` at `open_idx`.
-fn match_forward_toks(f: &PreppedFile, open_idx: usize) -> Option<usize> {
-    let toks = &f.lexed.tokens;
-    let mut depth = 0usize;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if tok_punct(f, j, "{") {
-            depth += 1;
-        } else if tok_punct(f, j, "}") {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 /// Per-function transitive effects, computed to a fixpoint over the call

@@ -26,9 +26,6 @@ pub enum Rule {
     /// Hash-map iteration feeding float accumulation banned in ML scoring
     /// paths — ordering-dependent sums break engine-parity tests.
     NoFloatNondeterminism,
-    /// Unbounded `mpsc::channel()` banned on service paths — use
-    /// `sync_channel` so backpressure is explicit.
-    BoundedChannel,
     /// Structural: the cross-crate lock acquisition graph must be acyclic;
     /// any cycle is a potential deadlock and fails with a witness path.
     LockOrder,
@@ -43,19 +40,15 @@ pub enum Rule {
     /// Structural: lock guards may not be moved into spawned closures —
     /// a guard crossing a thread boundary outlives all local reasoning.
     GuardAcrossSpawn,
-    /// Advisory (strict mode only): `.clone()` inside per-request serve
-    /// paths; reported, never fails the build.
-    AdvisoryClonePerRequest,
 }
 
-/// All enforced (non-advisory) rules, in diagnostic order.
-pub const ENFORCED: [Rule; 10] = [
+/// Every rule, in diagnostic order.
+pub const ENFORCED: [Rule; 9] = [
     Rule::NoSiphash,
     Rule::NoWallClock,
     Rule::NoUnseededRng,
     Rule::NoPanicInServe,
     Rule::NoFloatNondeterminism,
-    Rule::BoundedChannel,
     Rule::LockOrder,
     Rule::NoBlockingUnderLock,
     Rule::MergeExhaustive,
@@ -71,12 +64,10 @@ impl Rule {
             Rule::NoUnseededRng => "no-unseeded-rng",
             Rule::NoPanicInServe => "no-panic-in-serve",
             Rule::NoFloatNondeterminism => "no-float-nondeterminism",
-            Rule::BoundedChannel => "bounded-channel",
             Rule::LockOrder => "lock-order",
             Rule::NoBlockingUnderLock => "no-blocking-under-lock",
             Rule::MergeExhaustive => "merge-exhaustive",
             Rule::GuardAcrossSpawn => "guard-across-spawn",
-            Rule::AdvisoryClonePerRequest => "advisory-clone-per-request",
         }
     }
 
@@ -99,9 +90,6 @@ impl Rule {
                 "float accumulation over hash-map order is nondeterministic; iterate a sorted or \
                  dense structure"
             }
-            Rule::BoundedChannel => {
-                "service channels are bounded (sync_channel) so backpressure is explicit"
-            }
             Rule::LockOrder => {
                 "lock classes are acquired in one global order; a cycle in the acquisition \
                  graph is a latent deadlock"
@@ -118,9 +106,6 @@ impl Rule {
                 "lock guards never move into spawned closures; a guard crossing threads defeats \
                  local lock-discipline reasoning"
             }
-            Rule::AdvisoryClonePerRequest => {
-                "per-request serve paths should avoid clone(); prefer borrowing or Arc"
-            }
         }
     }
 
@@ -129,11 +114,6 @@ impl Rule {
     /// entropy are exactly the flaky tests the harness exists to prevent.
     pub fn checks_tests(self) -> bool {
         matches!(self, Rule::NoUnseededRng)
-    }
-
-    /// True for strict-mode advisory rules that never affect the exit code.
-    pub fn advisory(self) -> bool {
-        matches!(self, Rule::AdvisoryClonePerRequest)
     }
 
     /// Path prefixes the rule applies to. Empty means "everywhere".
@@ -163,14 +143,6 @@ impl Rule {
                 "crates/core/src/engine.rs",
             ],
             Rule::NoFloatNondeterminism => &["crates/ml/src/", "crates/core/src/"],
-            Rule::BoundedChannel => &[
-                "crates/serve/src/",
-                "crates/harness/src/",
-                "crates/store/src/",
-                "crates/device/src/",
-                "crates/core/src/zoo.rs",
-                "crates/core/src/engine.rs",
-            ],
             // Structural rules see the whole workspace; no-blocking-under-lock
             // is confined to the latency-critical serve/store/harness paths
             // (the pipeline and bench crates block deliberately).
@@ -180,15 +152,6 @@ impl Rule {
             }
             Rule::MergeExhaustive => &[],
             Rule::GuardAcrossSpawn => &[],
-            Rule::AdvisoryClonePerRequest => &[
-                "crates/serve/src/loadgen.rs",
-                "crates/store/src/intake.rs",
-                "crates/serve/src/retrainer.rs",
-                "crates/serve/src/shard.rs",
-                "crates/serve/src/request.rs",
-                "crates/serve/src/decision_cache.rs",
-                "crates/core/src/engine.rs",
-            ],
         }
     }
 
@@ -210,12 +173,10 @@ impl Rule {
             Rule::NoUnseededRng => &[],
             Rule::NoPanicInServe => &[],
             Rule::NoFloatNondeterminism => &[],
-            Rule::BoundedChannel => &[],
             Rule::LockOrder => &[],
             Rule::NoBlockingUnderLock => &[],
             Rule::MergeExhaustive => &[],
             Rule::GuardAcrossSpawn => &[],
-            Rule::AdvisoryClonePerRequest => &[],
         }
     }
 
@@ -244,8 +205,6 @@ mod tests {
     fn scoping_honours_prefixes_and_allowlists() {
         assert!(Rule::NoPanicInServe.in_scope("crates/serve/src/service.rs"));
         assert!(Rule::NoPanicInServe.in_scope("crates/serve/src/decision_cache.rs"));
-        assert!(Rule::BoundedChannel.in_scope("crates/serve/src/decision_cache.rs"));
-        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/serve/src/decision_cache.rs"));
         assert!(!Rule::NoPanicInServe.in_scope("crates/ml/src/tree.rs"));
         assert!(Rule::NoFloatNondeterminism.in_scope("crates/ml/src/tree.rs"));
         assert!(Rule::NoWallClock.in_scope("crates/serve/src/service.rs"));
@@ -260,10 +219,7 @@ mod tests {
         assert!(Rule::NoPanicInServe.in_scope("crates/device/src/ftl.rs"));
         for path in ["crates/core/src/zoo.rs", "crates/core/src/engine.rs"] {
             assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");
-            assert!(Rule::BoundedChannel.in_scope(path), "{path} must be lint-covered");
         }
-        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/core/src/engine.rs"));
-        assert!(Rule::BoundedChannel.in_scope("crates/device/src/service_time.rs"));
         assert!(!Rule::NoPanicInServe.in_scope("crates/core/src/pipeline.rs"));
         // Structural rules: lock-order everywhere, blocking confined.
         assert!(Rule::LockOrder.in_scope("crates/cache/src/lru.rs"));
@@ -275,7 +231,6 @@ mod tests {
         // around lookup only (opens happen outside it), and the write
         // buffer runs on the writer's critical path. The bounded intake
         // sits on every request's path and owns a mutex of its own.
-        assert!(Rule::AdvisoryClonePerRequest.in_scope("crates/store/src/intake.rs"));
         for path in [
             "crates/store/src/write_buffer.rs",
             "crates/store/src/handles.rs",
@@ -283,15 +238,13 @@ mod tests {
         ] {
             assert!(Rule::NoBlockingUnderLock.in_scope(path), "{path} must be lint-covered");
             assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");
-            assert!(Rule::BoundedChannel.in_scope(path), "{path} must be lint-covered");
             assert!(Rule::LockOrder.in_scope(path), "{path} must be lint-covered");
         }
     }
 
     #[test]
     fn rule_names_are_unique_and_stable() {
-        let mut names: Vec<&str> = ENFORCED.iter().map(|r| r.name()).collect();
-        names.push(Rule::AdvisoryClonePerRequest.name());
+        let names: Vec<&str> = ENFORCED.iter().map(|r| r.name()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -1,8 +1,8 @@
-//! Diagnostics: rustc-style rendering and exit-code policy.
+//! Diagnostics: rustc-style rendering and stable ordering.
 
 use crate::config::Rule;
 
-/// One violation (or advisory finding).
+/// One violation of an enforced rule.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub rule: Rule,
@@ -13,70 +13,21 @@ pub struct Diagnostic {
     pub col: u32,
     /// What was found, e.g. "`Instant::now` call".
     pub message: String,
-    /// Whether `--fix` can rewrite this site mechanically.
-    pub fixable: bool,
 }
 
 impl Diagnostic {
     /// Render in the `file:line:col` shape editors and CI both parse.
     pub fn render(&self) -> String {
-        let severity = if self.rule.advisory() { "warning" } else { "error" };
         format!(
-            "{severity}[{rule}]: {msg}\n  --> {path}:{line}:{col}\n  = note: {inv}{fix}",
+            "error[{rule}]: {msg}\n  --> {path}:{line}:{col}\n  = note: {inv}",
             rule = self.rule.name(),
             msg = self.message,
             path = self.path,
             line = self.line,
             col = self.col,
             inv = self.rule.invariant(),
-            fix = if self.fixable {
-                "\n  = help: mechanically fixable; rerun with --fix"
-            } else {
-                ""
-            },
         )
     }
-}
-
-/// Render a diagnostic set as a JSON array for machine-readable CI
-/// annotations (`--json`). Hand-rolled because the linter is deliberately
-/// dependency-free; the escaper covers everything `Diagnostic` can carry.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut s = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let severity = if d.rule.advisory() { "warning" } else { "error" };
-        s.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"severity\":\"{severity}\",\"path\":\"{}\",\"line\":{},\
-             \"col\":{},\"message\":\"{}\",\"fixable\":{}}}",
-            json_escape(d.rule.name()),
-            json_escape(&d.path),
-            d.line,
-            d.col,
-            json_escape(&d.message),
-            d.fixable,
-        ));
-    }
-    s.push_str(if diags.is_empty() { "]" } else { "\n]" });
-    s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Order diagnostics for stable output: path, then position, then rule.
@@ -103,40 +54,9 @@ mod tests {
             line: 213,
             col: 17,
             message: "`Instant::now` call".into(),
-            fixable: false,
         };
         let text = d.render();
         assert!(text.starts_with("error[no-wall-clock]:"), "{text}");
         assert!(text.contains("--> crates/serve/src/service.rs:213:17"), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_shapes() {
-        let d = Diagnostic {
-            rule: Rule::NoPanicInServe,
-            path: "crates/serve/src/shard.rs".into(),
-            line: 7,
-            col: 3,
-            message: "`.expect(\"msg\")` call".into(),
-            fixable: false,
-        };
-        let json = render_json(&[d]);
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.contains("\"rule\":\"no-panic-in-serve\""), "{json}");
-        assert!(json.contains("\\\"msg\\\""), "quotes must be escaped: {json}");
-        assert_eq!(render_json(&[]), "[]");
-    }
-
-    #[test]
-    fn advisories_render_as_warnings() {
-        let d = Diagnostic {
-            rule: Rule::AdvisoryClonePerRequest,
-            path: "crates/serve/src/loadgen.rs".into(),
-            line: 1,
-            col: 1,
-            message: "`.clone()` on the per-request path".into(),
-            fixable: false,
-        };
-        assert!(d.render().starts_with("warning[advisory-clone-per-request]:"));
     }
 }

@@ -70,6 +70,86 @@ pub struct Lexed {
     pub tags: Vec<TagDirective>,
 }
 
+impl Lexed {
+    /// The token stream as a cursor over `src`, the text it was lexed from.
+    pub fn view<'a>(&'a self, src: &'a str) -> Toks<'a> {
+        Toks { src, toks: &self.tokens }
+    }
+
+    /// Is a site on `line` suppressed by an `allow(<rule>)` directive on
+    /// the same line, or standalone on the line above?
+    pub(crate) fn allowed(&self, rule: &str, line: u32) -> bool {
+        self.allows.iter().any(|a| {
+            a.rules.iter().any(|r| r == rule)
+                && (a.line == line || (a.standalone && a.line + 1 == line))
+        })
+    }
+}
+
+/// A token stream paired with its source text: the token predicates and
+/// bracket matchers every analysis pass shares. Out-of-range indices never
+/// match, so patterns can probe ahead without bounds checks.
+#[derive(Clone, Copy)]
+pub struct Toks<'a> {
+    pub src: &'a str,
+    pub toks: &'a [Token],
+}
+
+impl<'a> Toks<'a> {
+    pub fn text(&self, t: &Token) -> &'a str {
+        &self.src[t.start..t.end]
+    }
+
+    /// The identifier at `i`, if token `i` is one.
+    pub fn ident(&self, i: usize) -> Option<&'a str> {
+        self.toks.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| self.text(t))
+    }
+
+    pub fn is_ident(&self, i: usize, name: &str) -> bool {
+        self.ident(i) == Some(name)
+    }
+
+    pub fn is_punct(&self, i: usize, c: &str) -> bool {
+        self.toks.get(i).is_some_and(|t| t.kind == TokenKind::Punct && self.text(t) == c)
+    }
+
+    /// Index of the `open` matching the `close` at `close_idx`.
+    pub fn match_back(&self, close_idx: usize, open: &str, close: &str) -> Option<usize> {
+        let mut depth = 0usize;
+        let mut j = close_idx;
+        loop {
+            if self.is_punct(j, close) {
+                depth += 1;
+            } else if self.is_punct(j, open) {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(j);
+                }
+            }
+            if j == 0 {
+                return None;
+            }
+            j -= 1;
+        }
+    }
+
+    /// Index of the `close` matching the `open` at `open_idx`.
+    pub fn match_forward(&self, open_idx: usize, open: &str, close: &str) -> Option<usize> {
+        let mut depth = 0usize;
+        for j in open_idx..self.toks.len() {
+            if self.is_punct(j, open) {
+                depth += 1;
+            } else if self.is_punct(j, close) {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(j);
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Lex `src` completely. Never panics: unterminated literals and comments
 /// simply run to end-of-file, which is the forgiving behaviour a linter
 /// wants on code that may not even compile yet.

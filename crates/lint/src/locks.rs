@@ -9,7 +9,7 @@
 //! point. The call graph layer combines these per-function facts into
 //! transitive effects and the cross-crate acquisition graph.
 //!
-//! Guard liveness model (deliberately simple, documented in DESIGN.md §15):
+//! Guard liveness model (deliberately simple, documented in DESIGN.md §10):
 //! an acquisition that is the entire right-hand side of a `let` becomes a
 //! *named guard* live until its block closes or it is `drop`ped; any other
 //! acquisition is a *temporary guard* live until the end of the enclosing
@@ -20,7 +20,7 @@
 //! a false positive.
 
 use crate::callgraph::{field_info, FieldInfo, Tables};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{TokenKind, Toks};
 use crate::parse::FnDef;
 
 /// One observed fact inside a function body.
@@ -95,12 +95,11 @@ const BLOCKING_PATHS: &[(&str, &[&str])] = &[
     ("OpenOptions", &["new"]),
 ];
 
-/// Scan one function body for events. `fn_owner` is the `impl` type name.
-pub fn scan_fn(src: &str, toks: &[Token], def: &FnDef, tables: &Tables) -> Vec<Event> {
+/// Scan one function body for events; `def`'s body span indexes `t`.
+pub fn scan_fn(t: Toks, def: &FnDef, tables: &Tables) -> Vec<Event> {
     let Some((open, close)) = def.body else { return Vec::new() };
     let mut s = Scanner {
-        src,
-        toks,
+        t,
         tables,
         owner: def.owner.as_deref(),
         bindings: Vec::new(),
@@ -140,8 +139,7 @@ struct TempGuard {
 }
 
 struct Scanner<'a> {
-    src: &'a str,
-    toks: &'a [Token],
+    t: Toks<'a>,
     tables: &'a Tables,
     owner: Option<&'a str>,
     bindings: Vec<Binding>,
@@ -154,18 +152,6 @@ struct Scanner<'a> {
 }
 
 impl Scanner<'_> {
-    fn text(&self, t: &Token) -> &str {
-        &self.src[t.start..t.end]
-    }
-
-    fn ident(&self, i: usize) -> Option<&str> {
-        self.toks.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| self.text(t))
-    }
-
-    fn is_punct(&self, i: usize, c: &str) -> bool {
-        self.toks.get(i).is_some_and(|t| t.kind == TokenKind::Punct && self.text(t) == c)
-    }
-
     fn held(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .named_guards
@@ -179,8 +165,8 @@ impl Scanner<'_> {
     }
 
     fn push_event(&mut self, kind: EventKind, at: usize) {
-        let t = &self.toks[at];
-        self.events.push(Event { kind, held: self.held(), line: t.line, col: t.col });
+        let tok = &self.t.toks[at];
+        self.events.push(Event { kind, held: self.held(), line: tok.line, col: tok.col });
     }
 
     fn walk(&mut self, start: usize, end: usize) {
@@ -188,9 +174,9 @@ impl Scanner<'_> {
         let mut paren: u32 = 0;
         let mut i = start;
         while i < end {
-            let t = &self.toks[i];
-            if t.kind == TokenKind::Punct {
-                match self.text(t) {
+            let tok = &self.t.toks[i];
+            if tok.kind == TokenKind::Punct {
+                match self.t.text(tok) {
                     "{" => {
                         depth += 1;
                         if let Some(info) = self.pending_match.take() {
@@ -221,16 +207,16 @@ impl Scanner<'_> {
                 i += 1;
                 continue;
             }
-            match self.text(t) {
+            match self.t.text(tok) {
                 "let" => self.handle_let(i, depth, end),
                 "for" => self.handle_for(i, depth, end),
                 "match" => self.handle_match(i, end),
-                "drop" if self.is_punct(i + 1, "(") && self.is_punct(i + 3, ")") => {
-                    if let Some(name) = self.ident(i + 2).map(str::to_string) {
+                "drop" if self.t.is_punct(i + 1, "(") && self.t.is_punct(i + 3, ")") => {
+                    if let Some(name) = self.t.ident(i + 2).map(str::to_string) {
                         self.named_guards.retain(|g| g.name != name);
                     }
                 }
-                "spawn" if self.is_punct(i + 1, "(") => self.handle_spawn(i + 1, end),
+                "spawn" if self.t.is_punct(i + 1, "(") => self.handle_spawn(i + 1, end),
                 "Some" | "Ok" => self.try_bind_arm(i, depth),
                 _ => {
                     self.check_path_blocking(i);
@@ -249,17 +235,17 @@ impl Scanner<'_> {
     /// `.method(` sites: acquisitions, blocking methods, resolvable calls.
     /// Returns the index to resume from when the site was consumed.
     fn handle_dot(&mut self, i: usize, depth: u32, paren: u32) -> Option<usize> {
-        let m = self.ident(i + 1)?;
-        if !self.is_punct(i + 2, "(") {
+        let m = self.t.ident(i + 1)?;
+        if !self.t.is_punct(i + 2, "(") {
             return None;
         }
-        let empty = self.is_punct(i + 3, ")");
+        let empty = self.t.is_punct(i + 3, ")");
         // Lock acquisition: `.lock()` / `.read()` / `.write()` (no args).
         if empty && matches!(m, "lock" | "read" | "write") {
             let recv = self.resolve_receiver(i.checked_sub(1)?);
             if let Some(class) = recv.lock_class {
                 self.push_event(EventKind::Acquire { class: class.clone() }, i + 1);
-                if self.is_punct(i + 4, ";") {
+                if self.t.is_punct(i + 4, ";") {
                     if let Some(name) = self.let_binding_name(i) {
                         self.bindings.push(Binding {
                             name: name.clone(),
@@ -304,12 +290,12 @@ impl Scanner<'_> {
 
     /// `thread::sleep(..)`, `File::open(..)`, `fs::write(..)` path forms.
     fn check_path_blocking(&mut self, i: usize) {
-        let Some(head) = self.ident(i) else { return };
-        if !(self.is_punct(i + 1, ":") && self.is_punct(i + 2, ":")) {
+        let Some(head) = self.t.ident(i) else { return };
+        if !(self.t.is_punct(i + 1, ":") && self.t.is_punct(i + 2, ":")) {
             return;
         }
-        let Some(m) = self.ident(i + 3) else { return };
-        if !self.is_punct(i + 4, "(") {
+        let Some(m) = self.t.ident(i + 3) else { return };
+        if !self.t.is_punct(i + 4, "(") {
             return;
         }
         for (ty, fns) in BLOCKING_PATHS {
@@ -323,10 +309,10 @@ impl Scanner<'_> {
 
     /// `Type::assoc(..)`, `Self::assoc(..)`, and free `helper(..)` calls.
     fn check_path_call(&mut self, i: usize) {
-        let Some(head) = self.ident(i) else { return };
-        if self.is_punct(i + 1, ":") && self.is_punct(i + 2, ":") {
-            let Some(m) = self.ident(i + 3) else { return };
-            if !self.is_punct(i + 4, "(") {
+        let Some(head) = self.t.ident(i) else { return };
+        if self.t.is_punct(i + 1, ":") && self.t.is_punct(i + 2, ":") {
+            let Some(m) = self.t.ident(i + 3) else { return };
+            if !self.t.is_punct(i + 4, "(") {
                 return;
             }
             let owner = if head == "Self" {
@@ -346,8 +332,8 @@ impl Scanner<'_> {
         }
         // Free function call: bare ident followed by `(`, not a method or
         // path segment (those were handled above).
-        if self.is_punct(i + 1, "(")
-            && !(i >= 1 && (self.is_punct(i - 1, ".") || self.is_punct(i - 1, ":")))
+        if self.t.is_punct(i + 1, "(")
+            && !(i >= 1 && (self.t.is_punct(i - 1, ".") || self.t.is_punct(i - 1, ":")))
         {
             if let Some(&target) = self.tables.keys.get(&(String::new(), head.to_string())) {
                 self.push_event(EventKind::Call { target }, i);
@@ -360,21 +346,21 @@ impl Scanner<'_> {
     fn let_binding_name(&self, dot: usize) -> Option<String> {
         let mut s = dot;
         while s > 0 {
-            let t = &self.toks[s - 1];
-            if t.kind == TokenKind::Punct && matches!(self.text(t), ";" | "{" | "}") {
+            let tok = &self.t.toks[s - 1];
+            if tok.kind == TokenKind::Punct && matches!(self.t.text(tok), ";" | "{" | "}") {
                 break;
             }
             s -= 1;
         }
-        if self.ident(s) != Some("let") {
+        if self.t.ident(s) != Some("let") {
             return None;
         }
         let mut j = s + 1;
-        if self.ident(j) == Some("mut") {
+        if self.t.ident(j) == Some("mut") {
             j += 1;
         }
-        let name = self.ident(j)?;
-        if self.is_punct(j + 1, "=") {
+        let name = self.t.ident(j)?;
+        if self.t.is_punct(j + 1, "=") {
             Some(name.to_string())
         } else {
             None
@@ -384,18 +370,18 @@ impl Scanner<'_> {
     /// `let` bindings: simple aliases and `let Some(x) = …` destructures.
     fn handle_let(&mut self, i: usize, depth: u32, end: usize) {
         let mut j = i + 1;
-        if self.ident(j) == Some("mut") {
+        if self.t.ident(j) == Some("mut") {
             j += 1;
         }
         // `let Some(x) = rhs` / `let Ok(x) = rhs` (also reached via
         // `if let` / `while let`).
-        if matches!(self.ident(j), Some("Some" | "Ok")) && self.is_punct(j + 1, "(") {
+        if matches!(self.t.ident(j), Some("Some" | "Ok")) && self.t.is_punct(j + 1, "(") {
             let mut k = j + 2;
-            if self.ident(k) == Some("mut") {
+            if self.t.ident(k) == Some("mut") {
                 k += 1;
             }
-            if let Some(name) = self.ident(k) {
-                if self.is_punct(k + 1, ")") && self.is_punct(k + 2, "=") {
+            if let Some(name) = self.t.ident(k) {
+                if self.t.is_punct(k + 1, ")") && self.t.is_punct(k + 2, "=") {
                     let info = self.resolve_rhs(k + 3, end);
                     self.bindings.push(Binding { name: name.to_string(), depth, info });
                 }
@@ -403,8 +389,8 @@ impl Scanner<'_> {
             return;
         }
         // `let [mut] name = rhs;`
-        let Some(name) = self.ident(j) else { return };
-        if !self.is_punct(j + 1, "=") || self.is_punct(j + 2, "=") {
+        let Some(name) = self.t.ident(j) else { return };
+        if !self.t.is_punct(j + 1, "=") || self.t.is_punct(j + 2, "=") {
             return;
         }
         let info = self.resolve_rhs(j + 2, end);
@@ -415,8 +401,8 @@ impl Scanner<'_> {
     /// the lock itself (`for shard in &self.shards`), so the binding simply
     /// inherits the iterable's resolution.
     fn handle_for(&mut self, i: usize, depth: u32, end: usize) {
-        let Some(name) = self.ident(i + 1) else { return };
-        if self.ident(i + 2) != Some("in") {
+        let Some(name) = self.t.ident(i + 1) else { return };
+        if self.t.ident(i + 2) != Some("in") {
             return;
         }
         let info = self.resolve_rhs(i + 3, end);
@@ -430,9 +416,9 @@ impl Scanner<'_> {
         let mut j = i + 1;
         let mut d = 0i32;
         while j < end {
-            let t = &self.toks[j];
-            if t.kind == TokenKind::Punct {
-                match self.text(t) {
+            let tok = &self.t.toks[j];
+            if tok.kind == TokenKind::Punct {
+                match self.t.text(tok) {
                     "(" | "[" => d += 1,
                     ")" | "]" => d -= 1,
                     "{" if d == 0 => break,
@@ -451,15 +437,16 @@ impl Scanner<'_> {
     /// scrutinee's resolution.
     fn try_bind_arm(&mut self, i: usize, depth: u32) {
         let Some((_, info)) = self.match_frames.last() else { return };
-        if !self.is_punct(i + 1, "(") {
+        if !self.t.is_punct(i + 1, "(") {
             return;
         }
         let mut k = i + 2;
-        if self.ident(k) == Some("mut") {
+        if self.t.ident(k) == Some("mut") {
             k += 1;
         }
-        let Some(name) = self.ident(k) else { return };
-        if self.is_punct(k + 1, ")") && self.is_punct(k + 2, "=") && self.is_punct(k + 3, ">") {
+        let Some(name) = self.t.ident(k) else { return };
+        if self.t.is_punct(k + 1, ")") && self.t.is_punct(k + 2, "=") && self.t.is_punct(k + 3, ">")
+        {
             let info = info.clone();
             self.bindings.push(Binding { name: name.to_string(), depth, info });
         }
@@ -472,14 +459,14 @@ impl Scanner<'_> {
         let mut j = open;
         let mut captured: Vec<(String, String)> = Vec::new();
         while j < end {
-            if self.is_punct(j, "(") {
+            if self.t.is_punct(j, "(") {
                 d += 1;
-            } else if self.is_punct(j, ")") {
+            } else if self.t.is_punct(j, ")") {
                 d -= 1;
                 if d == 0 {
                     break;
                 }
-            } else if let Some(name) = self.ident(j) {
+            } else if let Some(name) = self.t.ident(j) {
                 if let Some(g) = self.named_guards.iter().find(|g| g.name == name) {
                     let pair = (g.name.clone(), g.class.clone());
                     if !captured.contains(&pair) {
@@ -501,9 +488,9 @@ impl Scanner<'_> {
         let mut d = 0i32;
         let mut j = start;
         while j < end {
-            let t = &self.toks[j];
-            if t.kind == TokenKind::Punct {
-                match self.text(t) {
+            let tok = &self.t.toks[j];
+            if tok.kind == TokenKind::Punct {
+                match self.t.text(tok) {
                     "(" | "[" => d += 1,
                     ")" | "]" => d -= 1,
                     ";" | "{" if d <= 0 => break,
@@ -529,28 +516,28 @@ impl Scanner<'_> {
                 return FieldInfo::default();
             }
             let ju = j as usize;
-            let t = &self.toks[ju];
-            match t.kind {
+            let tok = &self.t.toks[ju];
+            match tok.kind {
                 TokenKind::Ident => {
-                    steps.push(Step::Name(self.text(t).to_string()));
-                    if ju >= 2 && self.is_punct(ju - 1, ":") && self.is_punct(ju - 2, ":") {
+                    steps.push(Step::Name(self.t.text(tok).to_string()));
+                    if ju >= 2 && self.t.is_punct(ju - 1, ":") && self.t.is_punct(ju - 2, ":") {
                         j = ju as isize - 3;
                         continue;
                     }
-                    if ju >= 1 && self.is_punct(ju - 1, ".") {
+                    if ju >= 1 && self.t.is_punct(ju - 1, ".") {
                         j = ju as isize - 2;
                         continue;
                     }
                     break;
                 }
-                TokenKind::Punct if self.text(t) == ")" => {
-                    let Some(open) = self.match_back(ju, "(", ")") else {
+                TokenKind::Punct if self.t.text(tok) == ")" => {
+                    let Some(open) = self.t.match_back(ju, "(", ")") else {
                         return FieldInfo::default();
                     };
                     if open == 0 {
                         return FieldInfo::default();
                     }
-                    let Some(m) = self.ident(open - 1) else { return FieldInfo::default() };
+                    let Some(m) = self.t.ident(open - 1) else { return FieldInfo::default() };
                     let lockish = matches!(m, "lock" | "read" | "write") && open + 1 == ju;
                     if !(TRANSPARENT.contains(&m) || lockish) {
                         return FieldInfo::default();
@@ -558,16 +545,16 @@ impl Scanner<'_> {
                     if lockish {
                         steps.push(Step::LockDeref);
                     }
-                    if open >= 2 && self.is_punct(open - 2, ".") {
+                    if open >= 2 && self.t.is_punct(open - 2, ".") {
                         j = open as isize - 3;
                         continue;
                     }
                     return FieldInfo::default();
                 }
-                TokenKind::Punct if self.text(t) == "]" => {
+                TokenKind::Punct if self.t.text(tok) == "]" => {
                     // Indexing is transparent: the element of a collection
                     // of locks resolves to the lock.
-                    let Some(open) = self.match_back(ju, "[", "]") else {
+                    let Some(open) = self.t.match_back(ju, "[", "]") else {
                         return FieldInfo::default();
                     };
                     if open == 0 {
@@ -580,25 +567,6 @@ impl Scanner<'_> {
         }
         steps.reverse();
         self.resolve_steps(&steps)
-    }
-
-    fn match_back(&self, close_idx: usize, open: &str, close: &str) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut j = close_idx;
-        loop {
-            if self.is_punct(j, close) {
-                depth += 1;
-            } else if self.is_punct(j, open) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            if j == 0 {
-                return None;
-            }
-            j -= 1;
-        }
     }
 
     fn resolve_steps(&self, steps: &[Step]) -> FieldInfo {

@@ -2,44 +2,29 @@
 //!
 //! ```text
 //! cargo run -p otae-lint                 # lint the whole workspace
-//! cargo run -p otae-lint -- --fix       # apply mechanical fixes, then relint
-//! cargo run -p otae-lint -- --strict    # also report advisory findings
 //! cargo run -p otae-lint -- --list-rules
 //! cargo run -p otae-lint -- path/a.rs   # lint specific files only
 //! ```
 //!
-//! Exit code 0 when no enforced rule fired; 1 otherwise (advisories never
-//! affect the exit code); 2 on usage or I/O errors.
+//! Prints the diagnostics, then the lock acquisition graph, then a summary.
+//! Exit code 0 when no rule fired; 1 otherwise; 2 on usage or I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use otae_lint::{apply_fixes, lint_workspace, walk, Options, Rule, SourceFile, ENFORCED};
+use otae_lint::{lint_workspace, walk, SourceFile, ENFORCED};
 
 struct Cli {
-    fix: bool,
-    strict: bool,
-    json: bool,
     list_rules: bool,
     root: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        fix: false,
-        strict: std::env::var("OTAE_LINT_STRICT").map(|v| v == "1").unwrap_or(false),
-        json: false,
-        list_rules: false,
-        root: None,
-        paths: Vec::new(),
-    };
+    let mut cli = Cli { list_rules: false, root: None, paths: Vec::new() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fix" => cli.fix = true,
-            "--strict" => cli.strict = true,
-            "--json" => cli.json = true,
             "--list-rules" => cli.list_rules = true,
             "--root" => {
                 let v = args.next().ok_or("--root requires a directory argument")?;
@@ -48,14 +33,10 @@ fn parse_args() -> Result<Cli, String> {
             "-h" | "--help" => {
                 println!(
                     "otae-lint: workspace static analysis\n\n\
-                     usage: otae-lint [--fix] [--strict] [--json] [--list-rules] [--root DIR] \
-                     [FILES…]\n\n\
+                     usage: otae-lint [--list-rules] [--root DIR] [FILES…]\n\n\
                      With no FILES, lints every first-party .rs file in the workspace.\n\
-                     --fix       apply mechanical rewrites for no-siphash / no-unseeded-rng\n\
-                     --strict    also report advisory findings and the lock acquisition graph\n\
-                     \x20           (or set OTAE_LINT_STRICT=1)\n\
-                     --json      emit diagnostics as a JSON array (summary goes to stderr)\n\
-                     --list-rules  print the rule catalogue with scopes and allowlists"
+                     --list-rules  print the rule catalogue with scopes and allowlists\n\
+                     --root DIR    the workspace root FILES are relative to"
                 );
                 std::process::exit(0);
             }
@@ -69,9 +50,8 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn list_rules() {
-    for rule in ENFORCED.iter().copied().chain([Rule::AdvisoryClonePerRequest]) {
-        let kind = if rule.advisory() { "advisory" } else { "enforced" };
-        println!("{} ({kind})", rule.name());
+    for rule in ENFORCED {
+        println!("{}", rule.name());
         println!("  invariant: {}", rule.invariant());
         let applies = rule.applies_to();
         if applies.is_empty() {
@@ -88,31 +68,21 @@ fn list_rules() {
     }
 }
 
-/// Load one file for linting, applying `--fix` first if asked.
-fn load_file(root: &Path, rel: &Path, fix: bool) -> Result<SourceFile, String> {
+/// Load one file for linting under its workspace-relative rule path.
+fn load_file(root: &Path, rel: &Path) -> Result<SourceFile, String> {
     let abs = root.join(rel);
-    let mut src = std::fs::read_to_string(&abs)
+    let src = std::fs::read_to_string(&abs)
         .map_err(|e| format!("{}: cannot read: {e}", abs.display()))?;
     // Fixtures (and only fixtures) carry a first-line directive naming the
     // virtual workspace path they should be linted as, so path-scoped rules
     // are exercisable from files living elsewhere.
-    let rule_path = src
+    let path = src
         .lines()
         .next()
         .and_then(|l| l.strip_prefix("// otae-lint-fixture-path:"))
         .map(|p| p.trim().to_string())
         .unwrap_or_else(|| walk::rule_path(rel));
-    if fix {
-        let mut lexed = otae_lint::lex(&src);
-        otae_lint::mark_test_scopes(&mut lexed.tokens, &src);
-        if let Some(fixed) = apply_fixes(&rule_path, &src, &lexed.tokens) {
-            std::fs::write(&abs, &fixed)
-                .map_err(|e| format!("{}: cannot write fix: {e}", abs.display()))?;
-            eprintln!("fixed: {rule_path}");
-            src = fixed;
-        }
-    }
-    Ok(SourceFile { path: rule_path, src })
+    Ok(SourceFile { path, src })
 }
 
 fn main() -> ExitCode {
@@ -142,11 +112,10 @@ fn main() -> ExitCode {
             .collect()
     };
 
-    let opts = Options { strict: cli.strict };
     let mut sources: Vec<SourceFile> = Vec::new();
     let mut io_error = false;
     for rel in &files {
-        match load_file(&root, rel, cli.fix) {
+        match load_file(&root, rel) {
             Ok(sf) => sources.push(sf),
             Err(e) => {
                 eprintln!("otae-lint: {e}");
@@ -154,33 +123,18 @@ fn main() -> ExitCode {
             }
         }
     }
-    let report = lint_workspace(&sources, opts);
-    let all = report.diags;
-
-    if cli.json {
-        println!("{}", otae_lint::diag::render_json(&all));
-    } else {
-        for d in &all {
-            println!("{}\n", d.render());
-        }
-        if cli.strict {
-            print!("{}", report.lock_graph);
-        }
+    let report = lint_workspace(&sources);
+    for d in &report.diags {
+        println!("{}\n", d.render());
     }
-    let errors = all.iter().filter(|d| !d.rule.advisory()).count();
-    let warnings = all.len() - errors;
-    let summary = format!(
-        "otae-lint: {} file{} checked, {errors} error{}, {warnings} warning{}",
+    print!("{}", report.lock_graph);
+    let errors = report.diags.len();
+    println!(
+        "otae-lint: {} file{} checked, {errors} error{}",
         files.len(),
         if files.len() == 1 { "" } else { "s" },
         if errors == 1 { "" } else { "s" },
-        if warnings == 1 { "" } else { "s" },
     );
-    if cli.json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
     if io_error {
         ExitCode::from(2)
     } else if errors > 0 {

@@ -12,7 +12,7 @@
 //! guess degrades a structural rule to silence, never to a panic or a
 //! false diagnostic storm.
 
-use crate::lexer::{Lexed, Token, TokenKind};
+use crate::lexer::{Lexed, TokenKind, Toks};
 
 /// A `// lint: merge-exhaustive` tag bound to a struct declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,15 +69,15 @@ pub struct FileModel {
 
 /// Build the file model from an already-lexed (and scope-marked) stream.
 pub fn build(src: &str, lexed: &Lexed) -> FileModel {
-    let p = Parser { src, toks: &lexed.tokens };
+    let p = Parser { t: lexed.view(src) };
     let mut model = FileModel::default();
     let mut depth: u32 = 0;
     // (owner name, depth at which its body opened)
     let mut owners: Vec<(String, u32)> = Vec::new();
     let mut pending_owner: Option<String> = None;
     let mut i = 0;
-    while i < p.toks.len() {
-        if p.is_punct(i, "{") {
+    while i < p.t.toks.len() {
+        if p.t.is_punct(i, "{") {
             depth += 1;
             if let Some(o) = pending_owner.take() {
                 owners.push((o, depth));
@@ -85,7 +85,7 @@ pub fn build(src: &str, lexed: &Lexed) -> FileModel {
             i += 1;
             continue;
         }
-        if p.is_punct(i, "}") {
+        if p.t.is_punct(i, "}") {
             if owners.last().is_some_and(|&(_, d)| d == depth) {
                 owners.pop();
             }
@@ -93,13 +93,13 @@ pub fn build(src: &str, lexed: &Lexed) -> FileModel {
             i += 1;
             continue;
         }
-        match p.ident(i) {
+        match p.t.ident(i) {
             Some("impl") if p.item_position(i) => {
                 pending_owner = p.impl_owner(i + 1);
                 i += 1;
             }
             Some("trait") if p.item_position(i) => {
-                if let Some(name) = p.ident(i + 1) {
+                if let Some(name) = p.t.ident(i + 1) {
                     model.type_names.push(name.to_string());
                     model.trait_names.push(name.to_string());
                     pending_owner = Some(name.to_string());
@@ -107,7 +107,7 @@ pub fn build(src: &str, lexed: &Lexed) -> FileModel {
                 i += 2;
             }
             Some("enum" | "union") if p.item_position(i) => {
-                if let Some(name) = p.ident(i + 1) {
+                if let Some(name) = p.t.ident(i + 1) {
                     model.type_names.push(name.to_string());
                 }
                 i += 2;
@@ -119,7 +119,7 @@ pub fn build(src: &str, lexed: &Lexed) -> FileModel {
                 }
                 i += 2;
             }
-            Some("fn") if p.ident(i + 1).is_some() => {
+            Some("fn") if p.t.ident(i + 1).is_some() => {
                 if let Some(def) = p.parse_fn(i, owners.last().map(|(o, _)| o.as_str())) {
                     model.fns.push(def);
                 }
@@ -147,23 +147,10 @@ pub fn build(src: &str, lexed: &Lexed) -> FileModel {
 }
 
 struct Parser<'a> {
-    src: &'a str,
-    toks: &'a [Token],
+    t: Toks<'a>,
 }
 
 impl Parser<'_> {
-    fn text(&self, t: &Token) -> &str {
-        &self.src[t.start..t.end]
-    }
-
-    fn ident(&self, i: usize) -> Option<&str> {
-        self.toks.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| self.text(t))
-    }
-
-    fn is_punct(&self, i: usize, c: &str) -> bool {
-        self.toks.get(i).is_some_and(|t| t.kind == TokenKind::Punct && self.text(t) == c)
-    }
-
     /// Is the keyword at `i` in item position (start of a declaration)
     /// rather than inside an expression or type (`-> impl Trait`)?
     fn item_position(&self, i: usize) -> bool {
@@ -173,16 +160,16 @@ impl Parser<'_> {
                 return true;
             }
             j -= 1;
-            let t = &self.toks[j];
-            match (t.kind, self.text(t)) {
+            let tok = &self.t.toks[j];
+            match (tok.kind, self.t.text(tok)) {
                 (TokenKind::Ident, "pub" | "unsafe" | "const" | "async" | "extern" | "default") => {
                 }
                 // `extern "C" fn` — the ABI string.
                 (TokenKind::Str, _) => {}
                 (TokenKind::Punct, ")") => {
                     // Only a `pub(crate)`-style visibility group qualifies.
-                    let Some(open) = self.match_back(j, "(", ")") else { return false };
-                    if open == 0 || self.ident(open - 1) != Some("pub") {
+                    let Some(open) = self.t.match_back(j, "(", ")") else { return false };
+                    if open == 0 || self.t.ident(open - 1) != Some("pub") {
                         return false;
                     }
                     j = open;
@@ -193,56 +180,18 @@ impl Parser<'_> {
         }
     }
 
-    /// Index of the `(`/`[`/`{` matching the closer at `close_idx`.
-    fn match_back(&self, close_idx: usize, open: &str, close: &str) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut j = close_idx;
-        loop {
-            if self.is_punct(j, close) {
-                depth += 1;
-            } else if self.is_punct(j, open) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            if j == 0 {
-                return None;
-            }
-            j -= 1;
-        }
-    }
-
-    /// Index of the closer matching the opener at `open_idx`.
-    fn match_forward(&self, open_idx: usize, open: &str, close: &str) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut j = open_idx;
-        while j < self.toks.len() {
-            if self.is_punct(j, open) {
-                depth += 1;
-            } else if self.is_punct(j, close) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            j += 1;
-        }
-        None
-    }
-
     /// Skip a `<…>` generic parameter list starting at `j`, if present.
     fn skip_generics(&self, j: usize) -> usize {
-        if !self.is_punct(j, "<") {
+        if !self.t.is_punct(j, "<") {
             return j;
         }
         let mut depth = 0i32;
         let mut k = j;
-        while k < self.toks.len() {
-            if self.toks[k].kind == TokenKind::Punct {
-                match self.text(&self.toks[k]) {
+        while k < self.t.toks.len() {
+            if self.t.toks[k].kind == TokenKind::Punct {
+                match self.t.text(&self.t.toks[k]) {
                     "<" | "(" | "[" => depth += 1,
-                    ">" if !self.is_punct(k.wrapping_sub(1), "-") => {
+                    ">" if !self.t.is_punct(k.wrapping_sub(1), "-") => {
                         depth -= 1;
                         if depth == 0 {
                             return k + 1;
@@ -263,11 +212,11 @@ impl Parser<'_> {
         let mut j = self.skip_generics(start);
         let mut candidate: Option<String> = None;
         let mut depth = 0i32;
-        while j < self.toks.len() {
-            let t = &self.toks[j];
-            match (t.kind, self.text(t)) {
+        while j < self.t.toks.len() {
+            let tok = &self.t.toks[j];
+            match (tok.kind, self.t.text(tok)) {
                 (TokenKind::Punct, "<" | "(" | "[") => depth += 1,
-                (TokenKind::Punct, ">") if !self.is_punct(j.wrapping_sub(1), "-") => depth -= 1,
+                (TokenKind::Punct, ">") if !self.t.is_punct(j.wrapping_sub(1), "-") => depth -= 1,
                 (TokenKind::Punct, ")" | "]") => depth -= 1,
                 (TokenKind::Punct, "{") if depth <= 0 => break,
                 (TokenKind::Ident, "where") if depth <= 0 => break,
@@ -291,37 +240,38 @@ impl Parser<'_> {
         let mut out = Vec::new();
         let mut j = start;
         while j < limit {
-            let t = &self.toks[j];
-            if t.kind == TokenKind::Punct {
-                match self.text(t) {
+            let tok = &self.t.toks[j];
+            if tok.kind == TokenKind::Punct {
+                match self.t.text(tok) {
                     "<" | "(" | "[" | "{" => depth += 1,
-                    ">" if !self.is_punct(j.wrapping_sub(1), "-") => depth -= 1,
+                    ">" if !self.t.is_punct(j.wrapping_sub(1), "-") => depth -= 1,
                     ")" | "]" | "}" => depth -= 1,
                     "," if depth <= 0 => break,
                     _ => {}
                 }
             }
-            out.push(self.text(t).to_string());
+            out.push(self.t.text(tok).to_string());
             j += 1;
         }
         (out, j)
     }
 
     fn parse_struct(&self, i: usize) -> Option<StructDef> {
-        let name = self.ident(i + 1)?.to_string();
-        let (line, col, in_test) = (self.toks[i].line, self.toks[i].col, self.toks[i].in_test);
+        let name = self.t.ident(i + 1)?.to_string();
+        let (line, col, in_test) =
+            (self.t.toks[i].line, self.t.toks[i].col, self.t.toks[i].in_test);
         let mut j = self.skip_generics(i + 2);
         // Walk over any `where` clause to the body (or `;` for unit structs).
-        while j < self.toks.len()
-            && !self.is_punct(j, "{")
-            && !self.is_punct(j, "(")
-            && !self.is_punct(j, ";")
+        while j < self.t.toks.len()
+            && !self.t.is_punct(j, "{")
+            && !self.t.is_punct(j, "(")
+            && !self.t.is_punct(j, ";")
         {
             j += 1;
         }
         let mut fields = Vec::new();
-        if self.is_punct(j, "(") {
-            let close = self.match_forward(j, "(", ")")?;
+        if self.t.is_punct(j, "(") {
+            let close = self.t.match_forward(j, "(", ")")?;
             let mut k = j + 1;
             let mut idx = 0usize;
             while k < close {
@@ -333,21 +283,21 @@ impl Parser<'_> {
                 }
                 k = next + 1;
             }
-        } else if self.is_punct(j, "{") {
-            let close = self.match_forward(j, "{", "}")?;
+        } else if self.t.is_punct(j, "{") {
+            let close = self.t.match_forward(j, "{", "}")?;
             let mut k = j + 1;
             while k < close {
-                while self.is_punct(k, "#") && self.is_punct(k + 1, "[") {
-                    k = self.match_forward(k + 1, "[", "]")? + 1;
+                while self.t.is_punct(k, "#") && self.t.is_punct(k + 1, "[") {
+                    k = self.t.match_forward(k + 1, "[", "]")? + 1;
                 }
-                if self.ident(k) == Some("pub") {
+                if self.t.ident(k) == Some("pub") {
                     k += 1;
-                    if self.is_punct(k, "(") {
-                        k = self.match_forward(k, "(", ")")? + 1;
+                    if self.t.is_punct(k, "(") {
+                        k = self.t.match_forward(k, "(", ")")? + 1;
                     }
                 }
-                let Some(fname) = self.ident(k) else { break };
-                if !self.is_punct(k + 1, ":") {
+                let Some(fname) = self.t.ident(k) else { break };
+                if !self.t.is_punct(k + 1, ":") {
                     break;
                 }
                 let (ty, next) = self.collect_type(k + 2, close);
@@ -359,28 +309,29 @@ impl Parser<'_> {
     }
 
     fn parse_fn(&self, i: usize, owner: Option<&str>) -> Option<FnDef> {
-        let name = self.ident(i + 1)?.to_string();
-        let (line, col, in_test) = (self.toks[i].line, self.toks[i].col, self.toks[i].in_test);
+        let name = self.t.ident(i + 1)?.to_string();
+        let (line, col, in_test) =
+            (self.t.toks[i].line, self.t.toks[i].col, self.t.toks[i].in_test);
         let j = self.skip_generics(i + 2);
-        if !self.is_punct(j, "(") {
+        if !self.t.is_punct(j, "(") {
             return None;
         }
-        let close = self.match_forward(j, "(", ")")?;
+        let close = self.t.match_forward(j, "(", ")")?;
         let mut params = Vec::new();
         let mut k = j + 1;
         while k < close {
-            while self.is_punct(k, "#") && self.is_punct(k + 1, "[") {
-                k = self.match_forward(k + 1, "[", "]")? + 1;
+            while self.t.is_punct(k, "#") && self.t.is_punct(k + 1, "[") {
+                k = self.t.match_forward(k + 1, "[", "]")? + 1;
             }
             // Receiver forms: `self`, `&self`, `&mut self`, `&'a self`.
             let mut p = k;
-            while self.is_punct(p, "&")
-                || self.ident(p) == Some("mut")
-                || self.toks.get(p).is_some_and(|t| t.kind == TokenKind::Lifetime)
+            while self.t.is_punct(p, "&")
+                || self.t.ident(p) == Some("mut")
+                || self.t.toks.get(p).is_some_and(|t| t.kind == TokenKind::Lifetime)
             {
                 p += 1;
             }
-            if self.ident(p) == Some("self") {
+            if self.t.ident(p) == Some("self") {
                 let (_, next) = self.collect_type(p, close);
                 k = next + 1;
                 continue;
@@ -388,11 +339,11 @@ impl Parser<'_> {
             // `name: Type` (after an optional `mut`); anything fancier
             // (tuple patterns, `_`) is skipped to the next comma.
             let mut q = k;
-            if self.ident(q) == Some("mut") {
+            if self.t.ident(q) == Some("mut") {
                 q += 1;
             }
-            if let Some(pname) = self.ident(q) {
-                if self.is_punct(q + 1, ":") && !self.is_punct(q + 2, ":") {
+            if let Some(pname) = self.t.ident(q) {
+                if self.t.is_punct(q + 1, ":") && !self.t.is_punct(q + 2, ":") {
                     let (ty, next) = self.collect_type(q + 2, close);
                     params.push(FieldDef { name: pname.to_string(), ty });
                     k = next + 1;
@@ -406,10 +357,10 @@ impl Parser<'_> {
         let mut b = close + 1;
         let mut depth = 0i32;
         let mut body = None;
-        while b < self.toks.len() {
-            let t = &self.toks[b];
-            if t.kind == TokenKind::Punct {
-                match self.text(t) {
+        while b < self.t.toks.len() {
+            let tok = &self.t.toks[b];
+            if tok.kind == TokenKind::Punct {
+                match self.t.text(tok) {
                     "(" | "[" => depth += 1,
                     ")" | "]" => {
                         if depth == 0 {
@@ -419,7 +370,7 @@ impl Parser<'_> {
                     }
                     ";" if depth == 0 => break,
                     "{" if depth == 0 => {
-                        body = Some((b, self.match_forward(b, "{", "}")?));
+                        body = Some((b, self.t.match_forward(b, "{", "}")?));
                         break;
                     }
                     _ => {}

@@ -8,11 +8,19 @@
 //! test-marking attribute (`#[test]`, `#[cfg(test)]`, `#[cfg(any(test, …))]`,
 //! `#[cfg_attr(test, …)]`, and inner `#![cfg(test)]` forms).
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Token, TokenKind, Toks};
 
 /// Fill in [`Token::in_test`] across the stream.
 pub fn mark_test_scopes(tokens: &mut [Token], src: &str) {
-    let text = |t: &Token| &src[t.start..t.end];
+    let flags = test_flags(Toks { src, toks: tokens });
+    for (t, in_test) in tokens.iter_mut().zip(flags) {
+        t.in_test = in_test;
+    }
+}
+
+/// Per token: does it sit inside test-only code?
+fn test_flags(t: Toks) -> Vec<bool> {
+    let mut flags = vec![false; t.toks.len()];
     // Stack of (depth-after-open, is_test) for every open brace scope.
     let mut scopes: Vec<(u32, bool)> = Vec::new();
     let mut depth: u32 = 0;
@@ -21,22 +29,19 @@ pub fn mark_test_scopes(tokens: &mut [Token], src: &str) {
     let mut pending_test = false;
 
     let mut i = 0;
-    while i < tokens.len() {
-        let is_punct = |j: usize, c: &str| {
-            tokens.get(j).is_some_and(|t| t.kind == TokenKind::Punct && &src[t.start..t.end] == c)
-        };
-        if is_punct(i, "#") {
+    while i < t.toks.len() {
+        if t.is_punct(i, "#") {
             // Outer `#[…]` or inner `#![…]` attribute: scan its bracketed
             // token run for the `test` identifier.
-            let inner = is_punct(i + 1, "!");
+            let inner = t.is_punct(i + 1, "!");
             let open = if inner { i + 2 } else { i + 1 };
-            if is_punct(open, "[") {
+            if t.is_punct(open, "[") {
                 let mut j = open + 1;
                 let mut bracket_depth = 1u32;
                 let mut has_test = false;
-                while j < tokens.len() && bracket_depth > 0 {
-                    let t = &tokens[j];
-                    match (t.kind, text(t)) {
+                while j < t.toks.len() && bracket_depth > 0 {
+                    let tok = &t.toks[j];
+                    match (tok.kind, t.text(tok)) {
                         (TokenKind::Punct, "[") => bracket_depth += 1,
                         (TokenKind::Punct, "]") => bracket_depth -= 1,
                         (TokenKind::Ident, "test") => has_test = true,
@@ -46,9 +51,7 @@ pub fn mark_test_scopes(tokens: &mut [Token], src: &str) {
                 }
                 // The attribute tokens themselves inherit the current scope.
                 let in_test = pending_test || scopes.iter().any(|s| s.1);
-                for t in &mut tokens[i..j] {
-                    t.in_test = in_test;
-                }
+                flags[i..j].fill(in_test);
                 if has_test {
                     if inner {
                         // `#![cfg(test)]` marks the *enclosing* scope.
@@ -62,8 +65,8 @@ pub fn mark_test_scopes(tokens: &mut [Token], src: &str) {
             }
         }
 
-        let t = &tokens[i];
-        match (t.kind, text(t)) {
+        let tok = &t.toks[i];
+        match (tok.kind, t.text(tok)) {
             (TokenKind::Punct, "{") => {
                 depth += 1;
                 if pending_test {
@@ -84,9 +87,10 @@ pub fn mark_test_scopes(tokens: &mut [Token], src: &str) {
             }
             _ => {}
         }
-        tokens[i].in_test = pending_test || scopes.iter().any(|s| s.1);
+        flags[i] = pending_test || scopes.iter().any(|s| s.1);
         i += 1;
     }
+    flags
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //!
 //! Every `lint_fixtures/*.rs` file is linted as the virtual workspace path
 //! named by its first-line `// otae-lint-fixture-path:` directive, and the
-//! diagnostics must match the `//~ ERROR <rule>` / `//~ WARN <rule>`
-//! markers exactly (line + rule, strict mode on so advisories show).
-//! `lint_fixtures/fix/*.rs` files are input/expected pairs for `--fix`.
+//! diagnostics must match the `//~ ERROR <rule>` markers exactly (line +
+//! rule).
 
-use otae_lint::{apply_fixes, lex, lint_source, mark_test_scopes, Options};
+use otae_lint::lint_source;
 use std::fs;
 use std::path::PathBuf;
 
@@ -22,7 +21,7 @@ fn virtual_path(src: &str) -> String {
         .unwrap_or_else(|| "crates/fixture/src/lib.rs".to_string())
 }
 
-/// Parse `//~ ERROR <rule>` / `//~ WARN <rule>` markers into (line, rule).
+/// Parse `//~ ERROR <rule>` markers into (line, rule).
 fn expected_markers(name: &str, src: &str) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     for (idx, line) in src.lines().enumerate() {
@@ -30,8 +29,7 @@ fn expected_markers(name: &str, src: &str) -> Vec<(u32, String)> {
             let part = part.trim_start();
             let rest = part
                 .strip_prefix("ERROR")
-                .or_else(|| part.strip_prefix("WARN"))
-                .unwrap_or_else(|| panic!("{name}: marker must be `//~ ERROR` or `//~ WARN`"));
+                .unwrap_or_else(|| panic!("{name}: marker must be `//~ ERROR`"));
             let rule = rest
                 .split_whitespace()
                 .next()
@@ -44,13 +42,9 @@ fn expected_markers(name: &str, src: &str) -> Vec<(u32, String)> {
     out
 }
 
-fn fixture_sources(sub: Option<&str>) -> Vec<(String, String)> {
-    let dir = match sub {
-        Some(s) => fixture_dir().join(s),
-        None => fixture_dir(),
-    };
+fn fixture_sources() -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for entry in fs::read_dir(&dir).expect("fixture dir exists") {
+    for entry in fs::read_dir(fixture_dir()).expect("fixture dir exists") {
         let path = entry.expect("dir entry").path();
         if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
             let name = path.file_name().expect("file name").to_string_lossy().into_owned();
@@ -63,13 +57,13 @@ fn fixture_sources(sub: Option<&str>) -> Vec<(String, String)> {
 
 #[test]
 fn fixtures_match_their_markers_exactly() {
-    let fixtures = fixture_sources(None);
+    let fixtures = fixture_sources();
     assert!(fixtures.len() >= 12, "fixture corpus shrank: {} files", fixtures.len());
     let mut bad = 0;
     let mut good = 0;
     for (name, src) in &fixtures {
         let vpath = virtual_path(src);
-        let mut got: Vec<(u32, String)> = lint_source(&vpath, src, Options { strict: true })
+        let mut got: Vec<(u32, String)> = lint_source(&vpath, src)
             .into_iter()
             .map(|d| (d.line, d.rule.name().to_string()))
             .collect();
@@ -91,7 +85,7 @@ fn fixtures_match_their_markers_exactly() {
 #[test]
 fn every_enforced_rule_has_a_firing_fixture() {
     let mut fired: Vec<String> = Vec::new();
-    for (name, src) in fixture_sources(None) {
+    for (name, src) in fixture_sources() {
         for (_, rule) in expected_markers(&name, &src) {
             fired.push(rule);
         }
@@ -99,29 +93,13 @@ fn every_enforced_rule_has_a_firing_fixture() {
     for rule in otae_lint::ENFORCED {
         assert!(fired.iter().any(|r| r == rule.name()), "no fixture exercises {}", rule.name());
     }
-    assert!(
-        fired.iter().any(|r| r == "advisory-clone-per-request"),
-        "no fixture exercises the strict-mode advisory"
-    );
-}
-
-#[test]
-fn advisories_only_show_in_strict_mode() {
-    for (name, src) in fixture_sources(None) {
-        let vpath = virtual_path(&src);
-        let lax = lint_source(&vpath, &src, Options { strict: false });
-        assert!(
-            lax.iter().all(|d| !d.rule.advisory()),
-            "{name}: advisory reported without --strict"
-        );
-    }
 }
 
 #[test]
 fn bad_fixtures_report_accurate_columns() {
     // Spot-check that positions point at real tokens, not line starts.
     let src = fs::read_to_string(fixture_dir().join("bad_wall_clock.rs")).expect("fixture");
-    let diags = lint_source(&virtual_path(&src), &src, Options::default());
+    let diags = lint_source(&virtual_path(&src), &src);
     for d in &diags {
         let line = src.lines().nth(d.line as usize - 1).expect("diag line in range");
         assert!(
@@ -134,40 +112,10 @@ fn bad_fixtures_report_accurate_columns() {
 }
 
 #[test]
-fn fix_pairs_rewrite_to_expected_output() {
-    let pairs: Vec<(String, String)> = fixture_sources(Some("fix"));
-    let inputs: Vec<&(String, String)> =
-        pairs.iter().filter(|(n, _)| !n.ends_with(".fixed.rs")).collect();
-    assert!(inputs.len() >= 2, "need at least the siphash and rng fix pairs");
-    for (name, src) in inputs {
-        let expected_name = name.replace(".rs", ".fixed.rs");
-        let expected = pairs
-            .iter()
-            .find(|(n, _)| *n == expected_name)
-            .unwrap_or_else(|| panic!("{name}: missing {expected_name}"))
-            .1
-            .clone();
-        let vpath = virtual_path(src);
-        let mut lexed = lex(src);
-        mark_test_scopes(&mut lexed.tokens, src);
-        let fixed = apply_fixes(&vpath, src, &lexed.tokens)
-            .unwrap_or_else(|| panic!("{name}: no fixes applied"));
-        assert_eq!(fixed, expected, "{name}: --fix output mismatch");
-        // And the rewrite must actually silence the fixable rules.
-        let after = lint_source(&vpath, &fixed, Options::default());
-        assert!(
-            after.is_empty(),
-            "{name}: diagnostics survive --fix: {:?}",
-            after.iter().map(|d| d.render()).collect::<Vec<_>>()
-        );
-    }
-}
-
-#[test]
 fn cli_exit_codes_track_fixture_kind() {
     let exe = env!("CARGO_BIN_EXE_otae-lint");
     let dir = fixture_dir();
-    for (name, _) in fixture_sources(None) {
+    for (name, _) in fixture_sources() {
         let status = std::process::Command::new(exe)
             .arg("--root")
             .arg(&dir)
@@ -176,12 +124,10 @@ fn cli_exit_codes_track_fixture_kind() {
             .status()
             .expect("run otae-lint");
         let code = status.code().expect("exit code");
-        if name.starts_with("bad_") && name != "bad_strict_clone.rs" {
+        if name.starts_with("bad_") {
             assert_eq!(code, 1, "{name}: bad_ fixture must fail the lint");
         } else {
-            // good_ fixtures and the advisory-only fixture pass (advisories
-            // never affect the exit code, even under --strict).
-            assert_eq!(code, 0, "{name}: must exit clean");
+            assert_eq!(code, 0, "{name}: good_ fixture must exit clean");
         }
     }
 }

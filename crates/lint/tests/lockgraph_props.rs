@@ -10,7 +10,7 @@
 //!   `lock-order`.
 //! * Planting a single reversed edge always trips it.
 
-use otae_lint::{lint_source, Options};
+use otae_lint::lint_source;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -75,7 +75,7 @@ fn program(
 }
 
 fn lock_order_diags(src: &str) -> usize {
-    let diags = lint_source(PATH, src, Options { strict: false });
+    let diags = lint_source(PATH, src);
     for d in &diags {
         assert_eq!(
             d.rule.name(),

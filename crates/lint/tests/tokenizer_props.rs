@@ -4,7 +4,7 @@
 //! The vendored proptest stand-in has no regex string strategies, so
 //! strings are built from sampled charset indices instead.
 
-use otae_lint::{lex, lint_source, Options};
+use otae_lint::{lex, lint_source};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -22,7 +22,6 @@ const BANNED: &[&str] = &[
     ".unwrap()",
     ".expect(\"x\")",
     "panic!(\"x\")",
-    "mpsc::channel()",
 ];
 
 /// Paths covering every rule's scope.
@@ -35,7 +34,7 @@ fn lowercase_filler(indices: &[usize]) -> String {
 
 fn assert_silent(src: &str, context: &str) {
     for path in PATHS {
-        let diags = lint_source(path, src, Options { strict: true });
+        let diags = lint_source(path, src);
         assert!(
             diags.is_empty(),
             "{context} leaked a diagnostic at {path}:\n{src}\n{:?}",
@@ -110,7 +109,7 @@ proptest! {
         ];
         let src: String = indices.iter().map(|&i| SOUP[i % SOUP.len()]).collect();
         for path in PATHS {
-            let _ = lint_source(path, &src, Options { strict: true });
+            let _ = lint_source(path, &src);
         }
     }
 }
