@@ -1,10 +1,14 @@
 //! Cache-operation throughput per replacement policy (t_query in §5.3.5 is
-//! ~1 µs on the paper's hardware; ours should be comparable or better), and
-//! the request kernel with its accounting over a generated trace.
+//! ~1 µs on the paper's hardware; ours should be comparable or better), the
+//! request kernel with its accounting over a generated trace, and the
+//! zoo's miss filters deciding a trace's requests.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use otae_cache::{ArcCache, Cache, Evicted, Fifo, Lfu, Lirs, Lru, S3Lru};
-use otae_core::{Accounting, Kernel, Outcome, PolicyKind};
+use otae_core::{
+    resolve_criteria, Accounting, Kernel, MissFilter, Mode, Outcome, PolicyKind, ReaccessIndex,
+    TrainingConfig,
+};
 use otae_device::{HddProfile, LatencyModel};
 use otae_trace::{generate, Trace, TraceConfig};
 
@@ -93,5 +97,33 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_kernel);
+/// A full-size miss filter, as a run over a 200 k-object trace at the
+/// paper's 10/448 operating point builds it, deciding every request of the
+/// trace (the filter sees each request as a miss).
+fn bench_miss_filters(c: &mut Criterion) {
+    let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
+    let index = ReaccessIndex::build(&trace);
+    let capacity = (trace.unique_bytes() as f64 * 10.0 / 448.0) as u64;
+    let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, 3, None);
+    let max_splits = TrainingConfig::default().max_splits;
+    let mut group = c.benchmark_group("miss_filter");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    for mode in [Mode::SecondHit, Mode::TinyLfu, Mode::RejectX] {
+        let fresh = MissFilter::for_run(mode, trace.meta.len(), m, max_splits, 0.5);
+        let Some(fresh) = fresh else { continue };
+        group.bench_function(fresh.name(), |b| {
+            b.iter(|| {
+                let mut filter = fresh.clone();
+                for req in black_box(&trace).requests.iter() {
+                    black_box(filter.decide(req.object));
+                }
+                filter.admitted()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_kernel, bench_miss_filters);
 criterion_main!(benches);

@@ -25,6 +25,7 @@
 
 use crate::baseline::{BloomFilter, SecondHitAdmission};
 use crate::pipeline::Mode;
+use otae_fxhash::FxHashMap;
 use otae_trace::ObjectId;
 
 /// splitmix64: the seeded mixing primitive every sketch hash and the coin
@@ -38,13 +39,19 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Seeded count-min sketch over object ids: `ROWS` rows of `width`
-/// saturating counters; the estimate is the row-wise minimum, which can
-/// overestimate (hash collisions) but never underestimate a key's true
+/// saturating `u32` counters; the estimate is the row-wise minimum, which
+/// can overestimate (hash collisions) but never underestimate a key's true
 /// increment count — the property the zoo proptests pin down.
+///
+/// A counter lives in a one-byte cell while it is below 255; a cell reading
+/// 255 has its exact count in a side table keyed by cell index. Counts stay exact to `u32::MAX`,
+/// while the table a decision touches is a quarter of a `u32` layout's size.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
-    /// Flat row-major counter table (`ROWS * width`).
-    counters: Vec<u32>,
+    /// Flat row-major cell table (`ROWS * width`).
+    cells: Vec<u8>,
+    /// Exact counts of the cells reading `ESCAPED`, each at least 255.
+    escaped: FxHashMap<u32, u32>,
     /// Power-of-two row width.
     width: usize,
     /// Per-row hash seeds, derived from the construction seed.
@@ -55,16 +62,20 @@ impl CountMinSketch {
     /// Rows in the sketch (TinyLFU's standard depth).
     pub const ROWS: usize = 4;
 
+    /// Cell value marking a count kept in the escape table.
+    const ESCAPED: u8 = u8::MAX;
+
     /// Sketch sized for `expected_items` distinct keys: the row width is
     /// the next power of two at or above it (so collisions stay rare at the
-    /// expected load), at least 64.
+    /// expected load), at least 64 and at most 2^30, so that every cell
+    /// index fits the escape table's `u32` key.
     pub fn new(expected_items: usize, seed: u64) -> Self {
-        let width = expected_items.max(64).next_power_of_two();
+        let width = expected_items.clamp(64, 1 << 30).next_power_of_two();
         let mut row_seeds = [0u64; Self::ROWS];
         for (i, s) in row_seeds.iter_mut().enumerate() {
             *s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         }
-        Self { counters: vec![0; Self::ROWS * width], width, row_seeds }
+        Self { cells: vec![0; Self::ROWS * width], escaped: FxHashMap::default(), width, row_seeds }
     }
 
     #[inline]
@@ -73,39 +84,83 @@ impl CountMinSketch {
         row * self.width + (h as usize & (self.width - 1))
     }
 
-    /// Count one occurrence of `key` (saturating).
-    pub fn increment(&mut self, key: ObjectId) {
+    /// The count of an escaped cell (255 should the table have lost it).
+    #[inline]
+    fn escaped_count(&self, i: usize) -> u32 {
+        self.escaped.get(&(i as u32)).copied().unwrap_or(u32::from(Self::ESCAPED))
+    }
+
+    /// Count one occurrence of `key` (saturating); returns the estimate
+    /// after the increment, as [`CountMinSketch::estimate`] would read it.
+    pub fn increment(&mut self, key: ObjectId) -> u32 {
+        let mut min = u32::MAX;
         for row in 0..Self::ROWS {
             let i = self.index(row, key);
-            self.counters[i] = self.counters[i].saturating_add(1);
+            let c = self.cells[i];
+            let count = if c < Self::ESCAPED - 1 {
+                self.cells[i] = c + 1;
+                u32::from(c) + 1
+            } else {
+                // 254 escapes with an entry of 255; an escaped cell counts
+                // on in its entry.
+                self.cells[i] = Self::ESCAPED;
+                let count = self.escaped.entry(i as u32).or_insert(u32::from(c));
+                *count = count.saturating_add(1);
+                *count
+            };
+            min = min.min(count);
         }
+        min
     }
 
     /// Estimated occurrence count: the minimum over rows. Never less than
     /// the true number of [`CountMinSketch::increment`] calls for `key`
     /// (short of counter saturation), possibly more.
     pub fn estimate(&self, key: ObjectId) -> u32 {
-        (0..Self::ROWS).map(|row| self.counters[self.index(row, key)]).min().unwrap_or(0)
+        let rows: [usize; Self::ROWS] = std::array::from_fn(|row| self.index(row, key));
+        let least = rows.iter().map(|&i| self.cells[i]).min().unwrap_or(0);
+        if least < Self::ESCAPED {
+            // An escaped cell counts at least 255, so it cannot be the minimum.
+            return u32::from(least);
+        }
+        rows.iter().map(|&i| self.escaped_count(i)).min().unwrap_or(0)
     }
 
     /// The aging reset: floor-halve every counter. Halving commutes with
     /// the row-wise minimum, so the relative (non-strict) order of any two
-    /// keys' estimates is preserved.
+    /// keys' estimates is preserved. An escaped count that halves below 255
+    /// moves back into its cell.
     pub fn halve(&mut self) {
-        for c in &mut self.counters {
-            *c /= 2;
+        for c in &mut self.cells {
+            *c = if *c == Self::ESCAPED { Self::ESCAPED } else { *c / 2 };
         }
+        let cells = &mut self.cells;
+        self.escaped.retain(|&i, count| {
+            *count /= 2;
+            match u8::try_from(*count) {
+                Ok(c) if c < Self::ESCAPED => {
+                    if let Some(cell) = cells.get_mut(i as usize) {
+                        *cell = c;
+                    }
+                    false
+                }
+                _ => true,
+            }
+        });
     }
 
     /// Zero every counter (window reset; RejectX's forgetting model).
     pub fn clear(&mut self) {
-        self.counters.iter_mut().for_each(|c| *c = 0);
+        self.cells.fill(0);
+        self.escaped.clear();
     }
 
     /// Sum of all counters (diagnostics; proportional to increments since
     /// the last halving).
     pub fn weight(&self) -> u64 {
-        self.counters.iter().map(|&c| c as u64).sum()
+        let cells: u64 =
+            self.cells.iter().filter(|&&c| c != Self::ESCAPED).map(|&c| u64::from(c)).sum();
+        cells + self.escaped.values().map(|&c| u64::from(c)).sum::<u64>()
     }
 }
 
@@ -145,7 +200,10 @@ impl TinyLfuAdmission {
 
     /// Decide a miss: admit iff the object's aged frequency says it has
     /// been seen before, then record this sighting (doorkeeper first,
-    /// sketch once the doorkeeper already knows the key).
+    /// sketch once the doorkeeper already knows the key). One doorkeeper
+    /// walk answers both: a key it holds has frequency ≥ 1 and is counted
+    /// in the sketch; a key it lacks is entered there and admitted on its
+    /// sketch estimate alone.
     pub fn decide(&mut self, obj: ObjectId) -> bool {
         if self.sample_period > 0 {
             self.ops += 1;
@@ -155,12 +213,12 @@ impl TinyLfuAdmission {
                 self.ops = 0;
             }
         }
-        let admit = self.frequency(obj) >= 1;
-        if self.doorkeeper.contains(obj) {
+        let admit = if self.doorkeeper.check_and_insert(obj) {
             self.sketch.increment(obj);
+            true
         } else {
-            self.doorkeeper.insert(obj);
-        }
+            self.sketch.estimate(obj) >= 1
+        };
         if admit {
             self.admitted += 1;
         } else {
@@ -220,8 +278,7 @@ impl RejectXAdmission {
                 self.ops = 0;
             }
         }
-        self.sketch.increment(obj);
-        let admit = self.sketch.estimate(obj) > self.x;
+        let admit = self.sketch.increment(obj) > self.x;
         if admit {
             self.admitted += 1;
         } else {
@@ -393,6 +450,121 @@ impl MissFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One step of a sketch-equivalence stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Increment(u32),
+        Halve,
+        Clear,
+    }
+
+    impl Step {
+        /// Mostly increments of four hot keys (≈ 425 each between
+        /// halvings, so their counters cross 255 and fall back), some of a
+        /// cold range, a halving one step in two thousand and a clear one
+        /// in four thousand.
+        fn from_draw((r, cold): (u32, u32)) -> Self {
+            match r {
+                0..3_400 => Step::Increment(r % 4),
+                3_400..3_990 => Step::Increment(cold),
+                3_990..3_992 => Step::Halve,
+                _ => Step::Clear,
+            }
+        }
+    }
+
+    /// The sketch's counters as a plain `u32` table, checking the cell
+    /// encoding on the way: a cell below 255 holds its count and has no
+    /// escape entry; a cell reading 255 has one, of at least 255.
+    fn decoded(s: &CountMinSketch) -> Vec<u32> {
+        let counts: Vec<u32> = (0..s.cells.len())
+            .map(|i| match s.cells[i] {
+                CountMinSketch::ESCAPED => {
+                    let count = s.escaped.get(&(i as u32)).copied();
+                    assert!(count.is_some_and(|c| c >= 255), "cell {i} escaped to {count:?}");
+                    count.unwrap_or(0)
+                }
+                c => {
+                    assert!(!s.escaped.contains_key(&(i as u32)), "cell {i} ({c}) also escaped");
+                    u32::from(c)
+                }
+            })
+            .collect();
+        assert_eq!(
+            s.escaped.len(),
+            s.cells.iter().filter(|&&c| c == CountMinSketch::ESCAPED).count()
+        );
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One-byte cells with the exact escape are a `u32` saturating
+        /// count-min sketch: the same counters, estimates and weight at
+        /// every step while hot cells enter and leave the escape table.
+        #[test]
+        fn sketch_matches_a_u32_counter_model(
+            draws in proptest::collection::vec((0u32..3_993, 0u32..5_000), 1..4_000),
+            expected in 64usize..256,
+            seed in any::<u64>(),
+        ) {
+            let mut s = CountMinSketch::new(expected, seed);
+            let mut model = vec![0u32; s.cells.len()];
+            let mut weight = 0u64;
+            let rows = |s: &CountMinSketch, key: ObjectId| -> [usize; CountMinSketch::ROWS] {
+                std::array::from_fn(|row| s.index(row, key))
+            };
+            let estimate = |model: &[u32], rows: [usize; CountMinSketch::ROWS]| {
+                rows.iter().map(|&i| model[i]).min().unwrap_or(0)
+            };
+            // Increments of each hot key since the last halving or clear.
+            let mut run = [0u32; 4];
+            for (n, &draw) in draws.iter().enumerate() {
+                let step = Step::from_draw(draw);
+                match step {
+                    Step::Increment(k) => {
+                        let key = ObjectId(k);
+                        let cells = rows(&s, key);
+                        for &i in &cells {
+                            weight += u64::from(model[i] < u32::MAX);
+                            model[i] = model[i].saturating_add(1);
+                        }
+                        prop_assert_eq!(s.increment(key), estimate(&model, cells), "step {}", n);
+                        if let Some(r) = run.get_mut(k as usize) {
+                            *r += 1;
+                            // The stream reaches the escape table.
+                            prop_assert!(*r < 255 || s.escaped.len() >= CountMinSketch::ROWS);
+                        }
+                    }
+                    Step::Halve => {
+                        s.halve();
+                        model.iter_mut().for_each(|c| *c /= 2);
+                        weight = model.iter().map(|&c| u64::from(c)).sum();
+                        run = [0; 4];
+                    }
+                    Step::Clear => {
+                        s.clear();
+                        model.iter_mut().for_each(|c| *c = 0);
+                        weight = 0;
+                        run = [0; 4];
+                    }
+                }
+                // The whole table after every reset and now and then; an
+                // increment moves only the cells the estimates below read.
+                if !matches!(step, Step::Increment(_)) || n % 64 == 0 {
+                    prop_assert_eq!(&decoded(&s), &model, "counters at step {}", n);
+                }
+                prop_assert_eq!(s.weight(), weight, "weight at step {}", n);
+                for k in (0u32..8).chain([n as u32 % 5_000]) {
+                    let key = ObjectId(k);
+                    prop_assert_eq!(s.estimate(key), estimate(&model, rows(&s, key)), "key {}", k);
+                }
+            }
+        }
+    }
 
     #[test]
     fn count_min_counts_and_halves() {
@@ -406,6 +578,27 @@ mod tests {
         s.halve();
         assert!(s.estimate(ObjectId(1)) >= 5);
         assert!(s.estimate(ObjectId(1)) <= 10);
+    }
+
+    #[test]
+    fn counts_escape_at_255_and_fold_back_below_it() {
+        let mut s = CountMinSketch::new(64, 3);
+        let key = ObjectId(9);
+        for n in 1..=254 {
+            assert_eq!(s.increment(key), n);
+        }
+        assert!(s.escaped.is_empty(), "254 still fits a cell");
+        assert_eq!(s.increment(key), 255);
+        assert_eq!(s.escaped.len(), CountMinSketch::ROWS, "255 escapes every row");
+        for n in 256..=511 {
+            assert_eq!(s.increment(key), n);
+        }
+        s.halve();
+        assert_eq!((s.estimate(key), s.escaped.len()), (255, CountMinSketch::ROWS), "255 stays");
+        s.halve();
+        assert_eq!((s.estimate(key), s.escaped.len()), (127, 0), "127 folds back into its cells");
+        assert_eq!(s.weight(), 127 * CountMinSketch::ROWS as u64);
+        assert_eq!(s.increment(key), 128);
     }
 
     #[test]

@@ -53,7 +53,8 @@ impl ShardState {
     /// the history-table budget and — under a filter mode — the filter's
     /// sizing evenly across them: each shard's [`MissFilter`] expects
     /// `objects / N` keys and ages on an `M / N` window, because it sees
-    /// exactly the misses of its own keys. With one shard that is the
+    /// exactly the misses of its own keys. The window is at least 1 for any
+    /// `M ≥ 1`: a 0 would mean "never age". With one shard that is the
     /// pipeline's filter, bit for bit. `stores` is empty or holds one store
     /// per shard.
     pub(crate) fn build_all(
@@ -68,6 +69,7 @@ impl ShardState {
         assert!(stores.is_empty() || stores.len() == n, "need zero stores or one per shard");
         let shard_capacity = cfg.capacity / n as u64;
         let shard_history = history_capacity.div_ceil(n).max(1);
+        let shard_m = (m / n as u64).max(u64::from(m > 0));
         let mut stores = stores.into_iter();
         (0..n)
             .map(|_| ShardState {
@@ -77,7 +79,7 @@ impl ShardState {
                     MissFilter::for_run(
                         cfg.mode,
                         trace.meta.len() / n,
-                        m / n as u64,
+                        shard_m,
                         cfg.training.max_splits,
                         cfg.coin_p,
                     ),
@@ -306,6 +308,29 @@ pub(crate) mod tests {
         assert_eq!(snap.stats.bypasses, 64, "first sightings are bypassed");
         assert_eq!(snap.stats.files_written, 64, "second sightings are admitted");
         assert!(snap.per_shard.iter().all(|s| s.bypasses > 0), "{:?}", snap.per_shard);
+    }
+
+    /// A shard's filter ages even when `M < N`: at `M = 3` every topology's
+    /// TinyLFU clears its doorkeeper within 13 of a shard's decisions
+    /// (every 12 with one shard, every 4 once the per-shard `M` is clamped
+    /// to 1), so an object seen once and then again 13 misses later is
+    /// bypassed both times. Without the clamp, `3 / 4` floors to the "never
+    /// age" window and the four- and eight-shard filters admit it.
+    #[test]
+    fn shard_filters_age_when_m_is_below_the_shard_count() {
+        let trace = generate(&TraceConfig { n_objects: 100, seed: 1, ..Default::default() });
+        for n in [1usize, 2, 4, 8] {
+            let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::TinyLfu, 1 << 20);
+            cfg.shards = n;
+            let mut c = ShardState::build_all(&cfg, &trace, 3, 64, Vec::new());
+            let keys: Vec<u32> =
+                (0u32..).filter(|&id| shard_of(ObjectId(id), n) == 0).take(13).collect();
+            let objects = keys.iter().copied().chain([keys[0]]);
+            process_all(&mut c, (0..).zip(objects).map(|(i, o)| prepared(i, o, 1000, false)));
+            let snap = snapshot(&c);
+            assert_eq!(snap.stats.bypasses, 14, "N = {n}: every miss bypassed");
+            assert_eq!(snap.stats.files_written, 0, "N = {n}: nothing admitted");
+        }
     }
 
     /// §4.4.2 across a hot swap: an object judged one-time under model A and

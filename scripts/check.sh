@@ -16,8 +16,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p otae-store -p otae-device -p otae-cache (the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
-cargo test --release -p otae-store -p otae-device -p otae-cache -q
+echo "==> cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache (the golden fingerprints, the sketch model, the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
+cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache -q
 
 echo "==> benchmark smoke (all five workloads, tiny inputs; its output checks gate the run)"
 # serve == pipeline fingerprint on every replay, conservation, clean FaultReport,
