@@ -5,10 +5,18 @@
 //! retrained every day at 05:00 (the load trough) on the previous 24 hours
 //! of samples, using the Table-4 cost matrix; training a CART tree on the
 //! sampled day takes well under a second at our scale.
+//!
+//! [`DailyTrainer`] is that cycle, sampler included: one
+//! [`DailyTrainer::observe`] per request. [`ModelSchedule`] records what it
+//! installs over a whole trace and answers which model judges a trace
+//! position. The lookup runs on the serve worker's request path, so this
+//! file is in otae-lint's no-panic scope: nothing here unwraps or panics.
 
 use crate::features::N_FEATURES;
-use otae_ml::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
+use crate::reaccess::ReaccessIndex;
+use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
 use otae_trace::diurnal::DAY;
+use otae_trace::Trace;
 
 /// Cost-matrix policy for Table 4's `v` (the false-positive cost).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,10 +62,6 @@ pub struct TrainingConfig {
     /// Train once (first boundary) and never refresh — the static-model
     /// baseline §4.4.3 argues against (ablation knob; paper: false).
     pub train_once: bool,
-    /// Split-search engine for retraining. Defaults to the histogram-binned
-    /// engine, which keeps the §4.4.3 daily retrain off the serving hot
-    /// path's critical section for far less time than the exact splitter.
-    pub engine: SplitEngine,
 }
 
 impl Default for TrainingConfig {
@@ -69,7 +73,6 @@ impl Default for TrainingConfig {
             max_splits: 30,
             use_history: true,
             train_once: false,
-            engine: SplitEngine::default(),
         }
     }
 }
@@ -147,17 +150,6 @@ fn trainable(samples: &[Sample]) -> bool {
 /// default (histogram-binned) split engine. Returns `None` when the window
 /// is empty or single-class.
 pub fn train_tree(samples: &[Sample], v: f32, max_splits: usize) -> Option<DecisionTree> {
-    train_tree_with(samples, v, max_splits, SplitEngine::default())
-}
-
-/// [`train_tree`] with an explicit split-search engine (the exact splitter
-/// remains available for equivalence testing and benchmarking).
-pub fn train_tree_with(
-    samples: &[Sample],
-    v: f32,
-    max_splits: usize,
-    engine: SplitEngine,
-) -> Option<DecisionTree> {
     if !trainable(samples) {
         return None;
     }
@@ -166,7 +158,7 @@ pub fn train_tree_with(
         data.push(&s.features, s.one_time);
     }
     let mut tree =
-        DecisionTree::new(TreeParams { max_splits, cost_fp: v, engine, ..TreeParams::default() });
+        DecisionTree::new(TreeParams { max_splits, cost_fp: v, ..TreeParams::default() });
     tree.fit(&data);
     Some(tree)
 }
@@ -186,17 +178,19 @@ impl TrainedModel {
     }
 }
 
-/// Daily retraining driver (§4.4.3): retrains at `retrain_hour` each day on
-/// the previous 24 hours of samples.
+/// The daily retraining cycle (§4.4.3) with its minute sampler (§3.1.1):
+/// at `retrain_hour` each day it fits a tree on the previous 24 hours of
+/// samples.
 #[derive(Debug)]
 pub struct DailyTrainer {
     cfg: TrainingConfig,
     v: f32,
     /// Next timestamp at which training fires.
     next_retrain_ts: u64,
+    sampler: MinuteSampler,
     /// Retrain boundaries that found a trainable window: trees fitted, plus
-    /// windows a `fit = false` answer to [`Self::maybe_retrain_if`]
-    /// discarded unfitted.
+    /// windows a `fit = false` answer to [`Self::observe_if`] discarded
+    /// unfitted.
     pub trainings: u32,
 }
 
@@ -204,55 +198,131 @@ impl DailyTrainer {
     /// New trainer; `v` resolved from the cost policy by the caller.
     pub fn new(cfg: TrainingConfig, v: f32) -> Self {
         let first = cfg.retrain_hour as u64 * 3600 + DAY; // 05:00 of day 1
-        Self { cfg, v, next_retrain_ts: first, trainings: 0 }
+        let sampler = MinuteSampler::new(cfg.records_per_minute);
+        Self { cfg, v, next_retrain_ts: first, sampler, trainings: 0 }
     }
 
-    /// Called per request with the current timestamp; when a retrain
-    /// boundary passes, fits a fresh tree on the trailing 24 h of samples
-    /// and returns it.
-    pub fn maybe_retrain(&mut self, ts: u64, sampler: &mut MinuteSampler) -> Option<DecisionTree> {
-        self.maybe_retrain_if(ts, sampler, || true).flatten()
-    }
-
-    /// [`Self::maybe_retrain`] with a say before the fit. When a boundary
-    /// passes over a trainable window (non-empty, both classes), `fit` is
-    /// asked once: `true` fits
-    /// and returns `Some(Some(tree))`, `false` returns `Some(None)` without
-    /// fitting. Either way the boundary is consumed — the window is
-    /// discarded, the next boundary scheduled and the training counted.
-    /// `None` when no boundary passed or its window was not trainable.
-    pub fn maybe_retrain_if(
+    /// Called per request: when a retrain boundary has passed, fits a fresh
+    /// tree on the trailing 24 h of samples and returns it; then offers the
+    /// request's row to the sampler.
+    pub fn observe(
         &mut self,
         ts: u64,
-        sampler: &mut MinuteSampler,
+        features: [f32; N_FEATURES],
+        one_time: bool,
+    ) -> Option<DecisionTree> {
+        self.observe_if(ts, features, one_time, || true).flatten()
+    }
+
+    /// [`Self::observe`] with a say before the fit. When a boundary passes
+    /// over a trainable window (non-empty, both classes), `fit` is asked
+    /// once: `true` fits and returns `Some(Some(tree))`, `false` returns
+    /// `Some(None)` without fitting. Either way the boundary is consumed —
+    /// the window is discarded, the next boundary scheduled and the
+    /// training counted. `None` when no boundary passed or its window was
+    /// not trainable. A `train_once` trainer that has trained neither fits
+    /// nor samples again.
+    pub fn observe_if(
+        &mut self,
+        ts: u64,
+        features: [f32; N_FEATURES],
+        one_time: bool,
         fit: impl FnOnce() -> bool,
     ) -> Option<Option<DecisionTree>> {
-        if ts < self.next_retrain_ts || (self.cfg.train_once && self.trainings > 0) {
-            return None;
+        let mut due = None;
+        if ts >= self.next_retrain_ts && !self.finished() {
+            let boundary = self.next_retrain_ts;
+            // Catch up if the stream skipped several days.
+            while ts >= self.next_retrain_ts {
+                self.next_retrain_ts += DAY;
+            }
+            let lo = boundary.saturating_sub(DAY);
+            let window = self.sampler.window(lo, boundary);
+            let fitted = || train_tree(window, self.v, self.cfg.max_splits);
+            due = trainable(window).then(|| fit().then(fitted).flatten());
+            self.sampler.discard_before(lo);
+            self.trainings += u32::from(due.is_some());
         }
-        let boundary = self.next_retrain_ts;
-        // Catch up if the stream skipped several days.
-        while ts >= self.next_retrain_ts {
-            self.next_retrain_ts += DAY;
-        }
-        let lo = boundary.saturating_sub(DAY);
-        let window = sampler.window(lo, boundary);
-        let due = trainable(window).then(|| {
-            fit()
-                .then(|| train_tree_with(window, self.v, self.cfg.max_splits, self.cfg.engine))
-                .flatten()
-        });
-        sampler.discard_before(lo);
-        if due.is_some() {
-            self.trainings += 1;
+        if !self.finished() {
+            self.sampler.offer(ts, features, one_time);
         }
         due
+    }
+
+    /// A `train_once` trainer that has trained: nothing it samples is read.
+    fn finished(&self) -> bool {
+        self.cfg.train_once && self.trainings > 0
+    }
+}
+
+/// The exact sequence of model installs an inline Proposal run performs:
+/// `(request index, model)` pairs in ascending index order.
+///
+/// Training depends only on the request stream, the label threshold `M` and
+/// the misprediction cost `v` — never on replacement-policy or capacity
+/// state — so a schedule built once can be replayed across every sweep
+/// point that shares `(m, v)` (e.g. the same policy at many capacities),
+/// skipping the sampler and tree fitting entirely. The serve crate holds
+/// the same schedule with each tree wrapped for its gate.
+#[derive(Debug, Clone)]
+pub struct ModelSchedule<M = DecisionTree> {
+    /// One-time-access threshold the schedule's labels used.
+    pub m: u64,
+    /// Misprediction cost the trees were trained with.
+    pub v: f32,
+    /// `(request index, model)` install points, ascending by index.
+    pub installs: Vec<(u64, M)>,
+    /// Completed daily trainings.
+    pub trainings: u32,
+}
+
+impl ModelSchedule {
+    /// Record the install sequence by running the daily trainer over a
+    /// precomputed feature stream (see
+    /// [`FeatureExtractor::extract_all`](crate::FeatureExtractor::extract_all)).
+    pub fn build(
+        trace: &Trace,
+        index: &ReaccessIndex,
+        features: &[[f32; N_FEATURES]],
+        m: u64,
+        v: f32,
+        cfg: &TrainingConfig,
+    ) -> Self {
+        assert_eq!(features.len(), trace.len(), "feature stream must match the trace");
+        let mut trainer = DailyTrainer::new(cfg.clone(), v);
+        let mut installs = Vec::new();
+        for (i, (req, row)) in trace.requests.iter().zip(features).enumerate() {
+            if let Some(model) = trainer.observe(req.ts, *row, index.is_one_time(i, m)) {
+                installs.push((i as u64, model));
+            }
+        }
+        ModelSchedule { m, v, installs, trainings: trainer.trainings }
+    }
+}
+
+impl<M> ModelSchedule<M> {
+    /// The model request `idx` is judged by: the last install at or before
+    /// it, none before the first. A request can therefore never observe a
+    /// model trained after its trace position. `cursor` is where the
+    /// caller's previous lookup ended: walking in trace order costs one
+    /// compare a lookup, and any other order stays correct.
+    #[inline]
+    pub fn model(&self, idx: u64, cursor: &mut usize) -> Option<&M> {
+        let installs = &self.installs;
+        while installs.get(*cursor).is_some_and(|(first, _)| *first <= idx) {
+            *cursor += 1;
+        }
+        while installs.get(cursor.wrapping_sub(1)).is_some_and(|(first, _)| *first > idx) {
+            *cursor -= 1;
+        }
+        installs.get(cursor.checked_sub(1)?).map(|(_, model)| model)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otae_ml::SplitEngine;
 
     fn sample(ts: u64, x: f32, one_time: bool) -> ([f32; N_FEATURES], u64, bool) {
         let mut f = [0.0f32; N_FEATURES];
@@ -340,24 +410,27 @@ mod tests {
         assert!(train_tree(&[], 2.0, 30).is_none());
     }
 
+    /// Day-0 rows every 200 s, x > 0.5 meaning one-time: no boundary
+    /// passes while they are observed.
+    fn observe_day_zero(trainer: &mut DailyTrainer) {
+        for i in 0..400u64 {
+            let (f, t, y) = sample(i * 200, (i % 100) as f32 / 100.0, (i % 100) >= 50);
+            assert!(trainer.observe(t, f, y).is_none());
+        }
+    }
+
     #[test]
     fn daily_trainer_fires_at_five_am() {
-        let mut sampler = MinuteSampler::new(100);
-        // Day 0 data: x > 0.5 means one-time.
-        for i in 0..400u64 {
-            let ts = i * 200; // spread over day 0
-            let (f, t, y) = sample(ts, (i % 100) as f32 / 100.0, (i % 100) >= 50);
-            sampler.offer(t, f, y);
-        }
         let mut trainer = DailyTrainer::new(TrainingConfig::default(), 2.0);
+        observe_day_zero(&mut trainer);
+        let (f, _, y) = sample(0, 0.5, true);
         // Before 05:00 of day 1: nothing.
-        assert!(trainer.maybe_retrain(DAY + 4 * 3600, &mut sampler).is_none());
+        assert!(trainer.observe(DAY + 4 * 3600, f, y).is_none());
         // At 05:00 of day 1: trains on day-0 window.
-        let model = trainer.maybe_retrain(DAY + 5 * 3600, &mut sampler);
-        assert!(model.is_some());
+        assert!(trainer.observe(DAY + 5 * 3600, f, y).is_some());
         assert_eq!(trainer.trainings, 1);
         // Does not retrain again within the same day.
-        assert!(trainer.maybe_retrain(DAY + 6 * 3600, &mut sampler).is_none());
+        assert!(trainer.observe(DAY + 6 * 3600, f, y).is_none());
     }
 
     /// The say before the fit: asked once per trainable boundary and never
@@ -366,47 +439,92 @@ mod tests {
     /// without one.
     #[test]
     fn a_refused_fit_consumes_the_boundary_without_fitting() {
-        let mut sampler = MinuteSampler::new(100);
-        for i in 0..400u64 {
-            let (f, t, y) = sample(i * 200, (i % 100) as f32 / 100.0, (i % 100) >= 50);
-            sampler.offer(t, f, y);
-        }
         let mut trainer = DailyTrainer::new(TrainingConfig::default(), 2.0);
+        observe_day_zero(&mut trainer);
         let mut asked = 0;
         let mut refuse = || {
             asked += 1;
             false
         };
-        assert!(trainer.maybe_retrain_if(DAY + 4 * 3600, &mut sampler, &mut refuse).is_none());
-        let due = trainer.maybe_retrain_if(DAY + 5 * 3600, &mut sampler, &mut refuse);
+        // Every row from here on is one-time, so day 1 is single-class.
+        let (f, _, y) = sample(0, 0.5, true);
+        assert!(trainer.observe_if(DAY + 4 * 3600, f, y, &mut refuse).is_none());
+        let due = trainer.observe_if(DAY + 5 * 3600, f, y, &mut refuse);
         assert!(matches!(due, Some(None)), "due, refused, nothing fitted");
         assert_eq!(trainer.trainings, 1);
-        assert!(sampler.samples().iter().all(|x| x.ts >= 5 * 3600), "discarded as after a fit");
-        assert!(trainer.maybe_retrain_if(DAY + 6 * 3600, &mut sampler, &mut refuse).is_none());
-        // Day 1's samples are all one class: the next boundary is not
-        // trainable, so nobody is asked and nothing is counted.
+        let kept = trainer.sampler.samples();
+        assert!(kept.iter().all(|x| x.ts >= 5 * 3600), "discarded as after a fit");
+        assert!(trainer.observe_if(DAY + 6 * 3600, f, y, &mut refuse).is_none());
+        // The next boundary is not trainable, so nobody is asked and
+        // nothing is counted.
         for i in 0..100u64 {
-            let (f, t, y) = sample(DAY + 6 * 3600 + i * 60, 0.5, true);
-            sampler.offer(t, f, y);
+            assert!(trainer.observe_if(DAY + 6 * 3600 + i * 60, f, y, &mut refuse).is_none());
         }
-        assert!(trainer.maybe_retrain_if(2 * DAY + 5 * 3600, &mut sampler, &mut refuse).is_none());
+        assert!(trainer.observe_if(2 * DAY + 5 * 3600, f, y, &mut refuse).is_none());
         assert_eq!((asked, trainer.trainings), (1, 1));
+    }
+
+    /// A `train_once` trainer never reads a sample after its fit, so it
+    /// stops taking them: one row every 10 s for five days leaves it
+    /// holding on days 2–4 what it held when day 1 ended.
+    #[test]
+    fn a_train_once_trainer_stops_sampling_after_its_fit() {
+        let cfg = TrainingConfig { train_once: true, ..TrainingConfig::default() };
+        let mut trainer = DailyTrainer::new(cfg, 2.0);
+        let mut held = Vec::new();
+        for ts in (0..5 * DAY).step_by(10) {
+            let (f, t, y) = sample(ts, (ts % 100) as f32 / 100.0, ts % 100 >= 50);
+            trainer.observe(t, f, y);
+            if ts % DAY == DAY - 10 {
+                held.push(trainer.sampler.samples().len());
+            }
+        }
+        assert_eq!(trainer.trainings, 1);
+        assert_eq!(held[0], 8_640, "day 0: every row sampled");
+        assert_eq!(held[1..], [held[1]; 4], "flat from the fit on: {held:?}");
+    }
+
+    /// The schedule's lookup is an optimisation for trace order, not an
+    /// assumption: positions resolved in any order — as several clients
+    /// interleave them — get the model the schedule names.
+    #[test]
+    fn schedule_resolves_positions_in_any_order() {
+        let schedule =
+            ModelSchedule { m: 0, v: 0.0, installs: vec![(10, 0), (20, 1), (30, 2)], trainings: 3 };
+        let expected = |idx: u64| match idx {
+            0..10 => None,
+            10..20 => Some(0),
+            20..30 => Some(1),
+            _ => Some(2),
+        };
+        let mut cursor = 0;
+        let order = (0..40u64).chain((0..40).rev()).chain((0..40).map(|i| (i * 17) % 40));
+        for idx in order {
+            assert_eq!(schedule.model(idx, &mut cursor).copied(), expected(idx), "idx {idx}");
+        }
     }
 
     #[test]
     fn binned_and_exact_engines_agree_on_sampled_window() {
         // Feature values are 200 distinct grid points, so the binned engine
         // (256 bins) must reproduce the exact splitter's predictions.
+        let mut data = Dataset::new(N_FEATURES);
         let samples: Vec<Sample> = (0..400)
             .map(|i| {
                 let (features, ts, one_time) =
                     sample(i, (i % 200) as f32 / 200.0, (i % 200) >= 120);
+                data.push(&features, one_time);
                 Sample { ts, features, one_time }
             })
             .collect();
-        let exact = train_tree_with(&samples, 2.0, 30, SplitEngine::Exact).expect("trainable");
-        let binned = train_tree_with(&samples, 2.0, 30, SplitEngine::Binned { max_bins: 256 })
-            .expect("trainable");
+        let fit = |engine| {
+            let params = TreeParams { max_splits: 30, cost_fp: 2.0, engine, ..Default::default() };
+            let mut tree = DecisionTree::new(params);
+            tree.fit(&data);
+            tree
+        };
+        let exact = fit(SplitEngine::Exact);
+        let binned = fit(SplitEngine::Binned { max_bins: 256 });
         for s in &samples {
             assert_eq!(exact.predict(&s.features), binned.predict(&s.features));
         }

@@ -22,7 +22,7 @@
 //! otae-lint's no-panic scope: nothing here unwraps or panics.
 
 use crate::criteria::{resolve_criteria, CriteriaSolution};
-use crate::daily::{DailyTrainer, MinuteSampler, TrainingConfig};
+use crate::daily::{DailyTrainer, TrainingConfig};
 use crate::features::N_FEATURES;
 use crate::history::HistoryTable;
 use crate::pipeline::{Mode, PolicyKind};
@@ -286,7 +286,6 @@ pub struct Server {
     admission: Admission,
     model: Option<DecisionTree>,
     trainer: DailyTrainer,
-    sampler: MinuteSampler,
 }
 
 impl Server {
@@ -317,7 +316,6 @@ impl Server {
             ),
             model: None,
             trainer: DailyTrainer::new(training.clone(), v),
-            sampler: MinuteSampler::new(training.records_per_minute),
         }
     }
 
@@ -333,10 +331,9 @@ impl Server {
         truth: bool,
     ) -> Outcome {
         if self.admission.learned().is_some() {
-            if let Some(model) = self.trainer.maybe_retrain(ts, &mut self.sampler) {
+            if let Some(model) = self.trainer.observe(ts, *features, truth) {
                 self.model = Some(model);
             }
-            self.sampler.offer(ts, *features, truth);
         }
         let (admission, model) = (&mut self.admission, &self.model);
         self.kernel.access(

@@ -24,8 +24,9 @@
 //!   always-admit (Original), the trained classifier rectified by the
 //!   history table (Proposal), the oracle (Ideal, 100 % accuracy) and the
 //!   zoo filters;
-//! * [`daily`] — per-minute training-data sampling (§3.1.1) and the daily
-//!   05:00 retraining cycle (§4.4.3) with the Table-4 cost matrix;
+//! * [`daily`] — the daily 05:00 retraining cycle (§4.4.3) with its
+//!   per-minute training-data sampler (§3.1.1) and the Table-4 cost matrix,
+//!   and the model schedule that maps a trace position to its model;
 //! * [`pipeline`] — the end-to-end trace-driven simulation producing every
 //!   statistic of Figures 5–10: the kernel driven over a trace request by
 //!   request, the model consulted on a miss in Proposal mode;
@@ -63,15 +64,12 @@ pub mod zoo;
 pub use baseline::{BloomFilter, SecondHitAdmission};
 pub use cluster::{run_cluster, ClusterConfig, ClusterResult, HashRing};
 pub use criteria::{resolve_criteria, solve_criteria, CriteriaSolution};
-pub use daily::{DailyTrainer, MinuteSampler, TrainedModel, TrainingConfig};
+pub use daily::{DailyTrainer, MinuteSampler, ModelSchedule, TrainedModel, TrainingConfig};
 pub use engine::{Accounting, Admission, CacheEvent, Kernel, Learned, Outcome};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use history::HistoryTable;
 pub use online::{run_online, run_online_with, OnlineModelKind};
-pub use otae_ml::SplitEngine;
-pub use pipeline::{
-    run, Mode, ModelSchedule, PolicyKind, RunConfig, RunFingerprint, RunPlan, RunResult,
-};
+pub use pipeline::{run, Mode, PolicyKind, RunConfig, RunFingerprint, RunPlan, RunResult};
 pub use reaccess::ReaccessIndex;
 pub use sweep::{sweep, SweepPoint};
 pub use tiered::{run_tiered, TierConfig, TieredConfig, TieredResult};

@@ -7,7 +7,7 @@
 //! and per-day classifier quality (Figure 5).
 
 use crate::criteria::{resolve_criteria, CriteriaSolution};
-use crate::daily::{DailyTrainer, MinuteSampler, TrainingConfig};
+use crate::daily::{ModelSchedule, TrainingConfig};
 pub use crate::engine::CacheEvent;
 use crate::engine::{Accounting, Admission, Kernel, Outcome};
 use crate::features::{FeatureExtractor, N_FEATURES};
@@ -15,10 +15,10 @@ use crate::reaccess::ReaccessIndex;
 use crate::zoo::MissFilter;
 use otae_cache::{ArcCache, Belady, Cache, CacheStats, Fifo, Gdsf, Lfu, Lirs, Lru, S3Lru, TwoQ};
 use otae_device::{HddProfile, LatencyModel, ServiceTimeModel};
-use otae_ml::{Classifier, ConfusionMatrix, DecisionTree};
+use otae_ml::{Classifier, ConfusionMatrix};
 use otae_trace::diurnal::DAY;
 use otae_trace::{ObjectId, Trace};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// Replacement policy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -305,55 +305,9 @@ fn confusion_delta(cur: &ConfusionMatrix, prev: &ConfusionMatrix) -> ConfusionMa
     }
 }
 
-/// The exact sequence of model installs an inline Proposal run performs:
-/// `(request index, trained model)` pairs in ascending index order.
-///
-/// Training depends only on the request stream, the label threshold `M` and
-/// the misprediction cost `v` — never on replacement-policy or capacity
-/// state — so a schedule built once can be replayed across every sweep
-/// point that shares `(m, v)` (e.g. the same policy at many capacities),
-/// skipping the sampler and tree fitting entirely.
-#[derive(Debug, Clone)]
-pub struct ModelSchedule {
-    /// One-time-access threshold the schedule's labels used.
-    pub m: u64,
-    /// Misprediction cost the trees were trained with.
-    pub v: f32,
-    /// `(request index, model)` install points, ascending by index.
-    pub installs: Vec<(u64, Arc<DecisionTree>)>,
-    /// Completed daily trainings.
-    pub trainings: u32,
-}
-
-impl ModelSchedule {
-    /// Record the install sequence by replaying the trainer/sampler half of
-    /// a Proposal run over a precomputed feature stream (see
-    /// [`FeatureExtractor::extract_all`]).
-    pub fn build(
-        trace: &Trace,
-        index: &ReaccessIndex,
-        features: &[[f32; N_FEATURES]],
-        m: u64,
-        v: f32,
-        cfg: &TrainingConfig,
-    ) -> Self {
-        assert_eq!(features.len(), trace.len(), "feature stream must match the trace");
-        let mut trainer = DailyTrainer::new(cfg.clone(), v);
-        let mut sampler = MinuteSampler::new(cfg.records_per_minute);
-        let mut installs = Vec::new();
-        for (i, req) in trace.requests.iter().enumerate() {
-            if let Some(model) = trainer.maybe_retrain(req.ts, &mut sampler) {
-                installs.push((i as u64, Arc::new(model)));
-            }
-            sampler.offer(req.ts, features[i], index.is_one_time(i, m));
-        }
-        ModelSchedule { m, v, installs, trainings: trainer.trainings }
-    }
-}
-
 /// Precomputed inputs a run may share with other runs over the same trace:
 /// the feature stream and/or a model schedule. Both default to `None`
-/// (compute inline); both are ignored outside Proposal mode.
+/// (the run builds its own); both are ignored outside Proposal mode.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPlan<'a> {
     /// Per-request feature rows ([`FeatureExtractor::extract_all`]).
@@ -422,8 +376,9 @@ fn run_inner(
         criteria.history_table_capacity(),
         cfg.training.use_history,
     );
-    // Only the learned mode has models and feature rows to feed the loop.
-    let mut feed = cfg.mode.is_learned().then(|| ModelFeed::new(trace, index, cfg, plan, m));
+    // Only the learned mode has feature rows and models to consult.
+    let learned = cfg.mode.is_learned().then(|| learned_inputs(trace, index, cfg, plan, m));
+    let mut cursor = 0;
 
     let mut day_hits: Vec<(u64, u64)> = Vec::new(); // (hits, accesses) per day
     let mut per_day: Vec<DayMetrics> = Vec::new();
@@ -452,14 +407,14 @@ fn run_inner(
             day_hits.resize(day + 1, (0, 0));
         }
 
-        let features = feed.as_mut().map(|f| f.advance(k));
-        let model = feed.as_ref().and_then(|f| f.model.as_deref());
         let outcome = kernel.access(
             req.object,
             size,
             now,
             || {
-                let predicted = model.zip(features.as_ref()).map(|(m, row)| m.predict(row));
+                let predicted = learned.as_ref().and_then(|(features, schedule)| {
+                    schedule.model(now, &mut cursor).map(|model| model.predict(&features[k]))
+                });
                 admission.decide(predicted, req.object, now, truth)
             },
             &mut *observer,
@@ -478,7 +433,7 @@ fn run_inner(
             overall: l.confusion,
             per_day,
             rectifications: l.history.rectifications(),
-            trainings: feed.as_ref().map_or(0, ModelFeed::trainings),
+            trainings: learned.as_ref().map_or(0, |(_, schedule)| schedule.trainings),
         }
     });
     let Accounting { response, service_time, .. } = accounting;
@@ -501,93 +456,33 @@ fn run_inner(
     }
 }
 
-/// The learned mode's per-request inputs: which model is installed and the
-/// request's feature row. The verdict itself is computed by [`run_inner`]
-/// inside the kernel's admit closure — on a miss, never for a hit (§4.4).
-struct ModelFeed<'a> {
-    trace: &'a Trace,
-    index: &'a ReaccessIndex,
+/// The learned mode's feature column and model schedule: the plan's, or
+/// built here. The verdict itself is computed by [`run_inner`] inside the
+/// kernel's admit closure — on a miss, never for a hit (§4.4).
+fn learned_inputs<'a>(
+    trace: &Trace,
+    index: &ReaccessIndex,
+    cfg: &RunConfig,
+    plan: &RunPlan<'a>,
     m: u64,
-    /// Prerecorded installs; replaces the trainer/sampler pair wholesale.
-    schedule: Option<&'a ModelSchedule>,
-    next_install: usize,
-    trainer: Option<DailyTrainer>,
-    sampler: MinuteSampler,
-    planned_features: Option<&'a [[f32; N_FEATURES]]>,
-    extractor: Option<FeatureExtractor>,
-    model: Option<Arc<DecisionTree>>,
-}
-
-impl<'a> ModelFeed<'a> {
-    fn new(
-        trace: &'a Trace,
-        index: &'a ReaccessIndex,
-        cfg: &RunConfig,
-        plan: &RunPlan<'a>,
-        m: u64,
-    ) -> Self {
-        let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
-        if let Some(s) = plan.schedule {
+) -> (Cow<'a, [[f32; N_FEATURES]]>, Cow<'a, ModelSchedule>) {
+    let features = match plan.features {
+        Some(f) => {
+            assert_eq!(f.len(), trace.len(), "feature stream must match the trace");
+            Cow::Borrowed(f)
+        }
+        None => Cow::Owned(FeatureExtractor::extract_all(trace)),
+    };
+    let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
+    let schedule = match plan.schedule {
+        Some(s) => {
             assert_eq!(s.m, m, "model schedule was built for a different M");
             assert_eq!(s.v.to_bits(), v.to_bits(), "model schedule was built for a different v");
+            Cow::Borrowed(s)
         }
-        if let Some(f) = plan.features {
-            assert_eq!(f.len(), trace.len(), "feature stream must match the trace");
-        }
-        Self {
-            trace,
-            index,
-            m,
-            schedule: plan.schedule,
-            next_install: 0,
-            trainer: plan.schedule.is_none().then(|| DailyTrainer::new(cfg.training.clone(), v)),
-            sampler: MinuteSampler::new(cfg.training.records_per_minute),
-            planned_features: plan.features,
-            extractor: plan.features.is_none().then(|| FeatureExtractor::new(trace)),
-            model: None,
-        }
-    }
-
-    /// Step to request `i`: install the model due at it (§4.4.3), produce
-    /// its feature row — from the shared stream or extracted now — and
-    /// offer the row to the sampler.
-    fn advance(&mut self, i: usize) -> [f32; N_FEATURES] {
-        let trace = self.trace;
-        let req = &trace.requests[i];
-        if let Some(tr) = self.trainer.as_mut() {
-            if let Some(tree) = tr.maybe_retrain(req.ts, &mut self.sampler) {
-                self.model = Some(Arc::new(tree));
-            }
-        } else if let Some(s) = self.schedule {
-            while let Some((_, tree)) =
-                s.installs.get(self.next_install).filter(|(at, _)| *at == i as u64)
-            {
-                self.model = Some(Arc::clone(tree));
-                self.next_install += 1;
-            }
-        }
-        let features = match (self.planned_features, self.extractor.as_mut()) {
-            (Some(all), _) => all[i],
-            (None, fx) => {
-                let fx = fx.expect("extractor present without a feature plan");
-                let row = fx.extract(trace, req);
-                fx.update(trace, req);
-                row
-            }
-        };
-        if self.trainer.is_some() {
-            self.sampler.offer(req.ts, features, self.index.is_one_time(i, self.m));
-        }
-        features
-    }
-
-    fn trainings(&self) -> u32 {
-        self.trainer
-            .as_ref()
-            .map(|t| t.trainings)
-            .or(self.schedule.map(|s| s.trainings))
-            .unwrap_or(0)
-    }
+        None => Cow::Owned(ModelSchedule::build(trace, index, &features, m, v, &cfg.training)),
+    };
+    (features, schedule)
 }
 
 #[cfg(test)]

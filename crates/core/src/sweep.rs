@@ -12,10 +12,9 @@
 //! identical trees.
 
 use crate::criteria::resolve_criteria;
+use crate::daily::ModelSchedule;
 use crate::features::FeatureExtractor;
-use crate::pipeline::{
-    run_with_plan, Mode, ModelSchedule, PolicyKind, RunConfig, RunPlan, RunResult,
-};
+use crate::pipeline::{run_with_plan, Mode, PolicyKind, RunConfig, RunPlan, RunResult};
 use crate::reaccess::ReaccessIndex;
 use otae_trace::Trace;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -26,7 +26,8 @@ pub mod store_oracle;
 
 pub use oracle::{
     differential_hot_path, differential_mode, differential_oracle, differential_policy,
-    differential_topology, full_oracle, metamorphic_capacity_monotone, metamorphic_gate_disabled,
+    differential_topology, differential_training, full_oracle, metamorphic_capacity_monotone,
+    metamorphic_gate_disabled,
 };
 pub use plan::{Fault, FaultSchedule, ScriptedPlan};
 pub use run::{case_trace, run_case, CaseConfig, HarnessFailure};

@@ -6,7 +6,7 @@
 //! Four rungs:
 //! 1. **Exact** — the single-threaded simulator vs. a 1-shard/1-worker
 //!    inline-trained serve run must produce bit-identical fingerprints for
-//!    every admission mode.
+//!    every admission mode, and for Proposal under every training knob.
 //! 2. **Conserved** — N-shard/N-worker serve runs (N ∈ {2, 4, 8}) fed by
 //!    two clients are nondeterministic in interleaving but must conserve
 //!    every counter.
@@ -19,6 +19,7 @@
 
 use crate::plan::FaultSchedule;
 use crate::run::{case_trace, HarnessFailure};
+use otae_core::daily::{CostPolicy, TrainingConfig};
 use otae_core::pipeline::{run_with_index, Mode, PolicyKind, RunConfig};
 use otae_core::ReaccessIndex;
 use otae_serve::{serve_trace_with_index, LoadConfig, ServeConfig, StoreMode, TrainerMode};
@@ -119,6 +120,41 @@ pub fn differential_oracle(seed: u64, n_objects: usize) -> Result<(), HarnessFai
 pub fn differential_policy(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
     for mode in [Mode::Proposal, Mode::SecondHit, Mode::TinyLfu, Mode::RejectX, Mode::CoinFlip] {
         differential_mode(seed, n_objects, mode)?;
+    }
+    Ok(())
+}
+
+/// Rung 1 under non-default training: Proposal on the 1×1 inline topology
+/// must reproduce the simulator bit for bit with a model trained once, with
+/// the history table off, and at a fixed cost matrix — the knobs the
+/// `TrainingConfig::default()` of [`differential_mode`] never turns.
+pub fn differential_training(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
+    let trace = case_trace(seed, n_objects);
+    let index = ReaccessIndex::build(&trace);
+    let capacity = cap(&trace, 0.02);
+    let base = TrainingConfig::default;
+    let variants = [
+        ("train_once", TrainingConfig { train_once: true, ..base() }),
+        ("use_history = false", TrainingConfig { use_history: false, ..base() }),
+        ("cost = Fixed(3.0)", TrainingConfig { cost: CostPolicy::Fixed(3.0), ..base() }),
+    ];
+    for (knob, training) in variants {
+        let mut sim_cfg = RunConfig::new(PolicyKind::Lru, Mode::Proposal, capacity);
+        sim_cfg.training = training.clone();
+        let expected = run_with_index(&trace, &index, &sim_cfg).fingerprint();
+        let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, capacity);
+        cfg.training = training;
+        let got = serve_trace_with_index(&trace, &index, &cfg, &LoadConfig::default());
+        let got = got.fingerprint();
+        if got != expected {
+            return Err(fail(
+                seed,
+                format!(
+                    "differential_training[{knob}]: N=1 serve diverges from pipeline::run\n  \
+                     pipeline: {expected:?}\n  serve:    {got:?}"
+                ),
+            ));
+        }
     }
     Ok(())
 }
@@ -406,13 +442,15 @@ pub fn metamorphic_capacity_monotone(seed: u64, n_objects: usize) -> Result<(), 
     Ok(())
 }
 
-/// The full oracle: differential across modes, queue shapes and topologies
+/// The full oracle: differential across modes, training knobs, queue shapes
+/// and topologies
 /// plus both metamorphic checks, and the segment-store recovery +
 /// differential rungs. The topology rung replays its trace 448 times with a
 /// store attached, so it gets a quarter of the objects.
 pub fn full_oracle(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
     differential_oracle(seed, n_objects)?;
     differential_policy(seed, n_objects)?;
+    differential_training(seed, n_objects)?;
     differential_hot_path(seed, n_objects)?;
     differential_topology(seed, n_objects / 4)?;
     metamorphic_gate_disabled(seed, n_objects)?;
@@ -434,6 +472,11 @@ mod tests {
     #[test]
     fn differential_exactness_holds_for_proposal() {
         differential_mode(5, 1_500, Mode::Proposal).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    #[test]
+    fn non_default_training_is_exact() {
+        differential_training(13, 2_000).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

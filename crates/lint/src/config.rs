@@ -132,8 +132,9 @@ impl Rule {
             Rule::NoUnseededRng => &[],
             // Widened when crates/device, the zoo and the request kernel
             // grew real service-path code: FTL/wear models and the kernel
-            // (core/src/engine.rs) run on the serve worker's request path
-            // and the zoo's filters run per request.
+            // (core/src/engine.rs) run on the serve worker's request path,
+            // the zoo's filters run per request, and a worker resolves an
+            // inline run's model through the schedule in core/src/daily.rs.
             Rule::NoPanicInServe => &[
                 "crates/serve/src/",
                 "crates/harness/src/",
@@ -141,6 +142,7 @@ impl Rule {
                 "crates/device/src/",
                 "crates/core/src/zoo.rs",
                 "crates/core/src/engine.rs",
+                "crates/core/src/daily.rs",
             ],
             Rule::NoFloatNondeterminism => &["crates/ml/src/", "crates/core/src/"],
             // Structural rules see the whole workspace; no-blocking-under-lock
@@ -214,10 +216,13 @@ mod tests {
         // The admission-policy zoo sits inside the global determinism
         // rules' scope.
         assert!(Rule::NoUnseededRng.in_scope("crates/core/src/zoo.rs"));
-        // Widened scopes: device models, the zoo and the request kernel run
-        // on the request path, the kernel on the shard's owning worker.
+        // Widened scopes: device models, the zoo, the request kernel and the
+        // model schedule run on the request path, the kernel and the
+        // schedule's lookup on the shard's owning worker.
         assert!(Rule::NoPanicInServe.in_scope("crates/device/src/ftl.rs"));
-        for path in ["crates/core/src/zoo.rs", "crates/core/src/engine.rs"] {
+        for path in
+            ["crates/core/src/zoo.rs", "crates/core/src/engine.rs", "crates/core/src/daily.rs"]
+        {
             assert!(Rule::NoPanicInServe.in_scope(path), "{path} must be lint-covered");
         }
         assert!(!Rule::NoPanicInServe.in_scope("crates/core/src/pipeline.rs"));

@@ -13,8 +13,8 @@
 //! - the feature column, [`PreparedTrace::features`], filled for Proposal
 //!   only and read by a worker on a miss, when the model is consulted;
 //! - the run's [`ModelSource`]: none, the shared gate, or — for the inline
-//!   trainer — the schedule of models its daily fits installed, one
-//!   `(first idx, model)` entry per install.
+//!   trainer — the [`ModelSchedule`] of models its daily fits installed,
+//!   one `(first idx, model)` entry per install that reached the gate.
 //!
 //! A background client forwards training samples as positions into the
 //! same prepared trace; the retrainer reads their features and labels back
@@ -23,9 +23,8 @@
 use crate::fault::SwapFault;
 use crate::gate::{AdmissionGate, GateModel};
 use crate::service::{ServeConfig, TrainerMode};
-use otae_core::daily::{DailyTrainer, MinuteSampler};
 use otae_core::pipeline::Mode;
-use otae_core::{FeatureExtractor, ReaccessIndex, N_FEATURES};
+use otae_core::{FeatureExtractor, ModelSchedule, ReaccessIndex, N_FEATURES};
 use otae_trace::{ObjectId, Trace};
 use std::mem::size_of;
 use std::sync::Arc;
@@ -41,13 +40,12 @@ pub enum ModelSource {
     /// [`AdmissionGate`] — the production path exercised by the background
     /// retrainer.
     Gate,
-    /// The inline trainer's install schedule, in trace order: each entry is
-    /// the first trace position a model applies to and the model. Request
-    /// `idx` is judged by the last entry at or before it (none: the gate
-    /// was still cold). A request can therefore never observe a model
-    /// trained after its trace position, which makes a 1-shard/1-worker
-    /// replay reproduce the single-threaded simulator request for request.
-    Stamped(Vec<(u32, Arc<GateModel>)>),
+    /// The inline trainer's install schedule, each model the one the gate
+    /// holds: request `idx` is judged by [`ModelSchedule::model`], never by
+    /// a model trained after its trace position, which makes a
+    /// 1-shard/1-worker replay reproduce the single-threaded simulator
+    /// request for request.
+    Stamped(ModelSchedule<Arc<GateModel>>),
 }
 
 /// One request as the queues carry it: the trace's own fields, narrowed to
@@ -89,7 +87,7 @@ impl PreparedTrace {
     /// and the schedule's entries (the models they point at are the gate's).
     pub fn bytes(&self) -> u64 {
         let schedule = match &self.models {
-            ModelSource::Stamped(schedule) => schedule.len() * size_of::<(u32, Arc<GateModel>)>(),
+            ModelSource::Stamped(s) => s.installs.len() * size_of::<(u64, Arc<GateModel>)>(),
             ModelSource::None | ModelSource::Gate => 0,
         };
         let requests = self.requests.len() * size_of::<PreparedRequest>();
@@ -98,10 +96,10 @@ impl PreparedTrace {
 }
 
 /// Walk the trace once, recording each request and its label; under
-/// Proposal also extract its features and, for the inline trainer, drive
-/// the daily retraining cycle, installing each fit into `gate` and into the
-/// run's model schedule. `m` and `v` are the resolved criteria threshold
-/// and cost-matrix value.
+/// Proposal also extract its features and, for the inline trainer, build
+/// the run's model schedule over them, installing each fit into `gate`
+/// unless the fault plan drops it. `m` and `v` are the resolved criteria
+/// threshold and cost-matrix value.
 ///
 /// # Panics
 ///
@@ -143,46 +141,30 @@ pub fn prepare(
         return prepared;
     }
 
-    let mut extractor = FeatureExtractor::new(trace);
-    let mut features = Vec::with_capacity(trace.len());
-    // The inline trainer's state; the background retrainer owns its own.
-    let mut inline = (cfg.trainer == TrainerMode::Inline).then(|| {
-        let sampler = MinuteSampler::new(cfg.training.records_per_minute);
-        (DailyTrainer::new(cfg.training.clone(), v), sampler)
-    });
-    let mut schedule: Vec<(u32, Arc<GateModel>)> =
-        gate.current().map(|model| (0, model)).into_iter().collect();
-    let mut swap_attempt = 0u64;
-    for (p, req) in prepared.requests.iter().zip(&trace.requests) {
-        let row = extractor.extract(trace, req);
-        if let Some((trainer, sampler)) = inline.as_mut() {
-            if let Some(tree) = trainer.maybe_retrain(p.ts, sampler) {
-                // The same swap-fault seam the background retrainer
-                // consults: a dropped install leaves the previous model in
-                // place, deterministically, so the differential oracle can
-                // exercise swap faults on the exact 1×1 inline path too.
-                match cfg.faults.swap_fault(swap_attempt) {
-                    SwapFault::Install => {
-                        let model = Arc::new(GateModel::new(tree));
-                        gate.install_arc(Arc::clone(&model));
-                        schedule.push((p.idx, model));
-                    }
-                    SwapFault::Drop => prepared.dropped_installs += 1,
-                }
-                swap_attempt += 1;
-            }
-            sampler.offer(p.ts, row, p.truth);
-        }
-        extractor.update(trace, req);
-        features.push(row);
-    }
-    prepared.features = features;
-    if let Some((trainer, _)) = inline {
-        prepared.trainings = trainer.trainings;
-        prepared.models = ModelSource::Stamped(schedule);
-    } else {
+    prepared.features = FeatureExtractor::extract_all(trace);
+    if cfg.trainer == TrainerMode::Background {
         prepared.models = ModelSource::Gate;
+        return prepared;
     }
+    // Each fit passes the same swap-fault seam the background retrainer
+    // consults: a dropped install leaves the previous model in place,
+    // deterministically, so the differential oracle can exercise swap
+    // faults on the exact 1×1 inline path too.
+    let fitted = ModelSchedule::build(trace, index, &prepared.features, m, v, &cfg.training);
+    let mut installs = Vec::with_capacity(fitted.installs.len());
+    for (attempt, (first, tree)) in (0u64..).zip(fitted.installs) {
+        match cfg.faults.swap_fault(attempt) {
+            SwapFault::Install => {
+                let model = Arc::new(GateModel::new(tree));
+                gate.install_arc(Arc::clone(&model));
+                installs.push((first, model));
+            }
+            SwapFault::Drop => prepared.dropped_installs += 1,
+        }
+    }
+    prepared.trainings = fitted.trainings;
+    prepared.models =
+        ModelSource::Stamped(ModelSchedule { installs, trainings: fitted.trainings, m, v });
     prepared
 }
 
@@ -198,9 +180,8 @@ pub(crate) struct Verdicts<'a> {
     /// (`u64::MAX`) marks "never snapshotted"; real epochs count installs
     /// from 0.
     snapshot: (Option<Arc<GateModel>>, u64),
-    /// Schedule entries at or before the last request resolved: with one
-    /// client a worker sees its requests in trace order, so moving it costs
-    /// one compare per miss, and any other order stays correct.
+    /// Where the last [`ModelSchedule::model`] lookup ended: with one
+    /// client a worker sees its requests in trace order.
     cursor: usize,
 }
 
@@ -233,13 +214,7 @@ impl<'a> Verdicts<'a> {
             ModelSource::None => None,
             ModelSource::Gate => self.snapshot.0.as_deref(),
             ModelSource::Stamped(schedule) => {
-                while schedule.get(self.cursor).is_some_and(|&(first, _)| first <= idx) {
-                    self.cursor += 1;
-                }
-                while self.cursor > 0 && schedule[self.cursor - 1].0 > idx {
-                    self.cursor -= 1;
-                }
-                Some(&schedule[self.cursor.checked_sub(1)?].1)
+                schedule.model(u64::from(idx), &mut self.cursor).map(|model| &**model)
             }
         }
     }
@@ -257,7 +232,7 @@ impl<'a> Verdicts<'a> {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, NoFaults};
-    use crate::shard::tests::{tree, tree_digest};
+    use crate::shard::tests::tree_digest;
     use otae_core::pipeline::PolicyKind;
     use otae_trace::{generate, TraceConfig};
 
@@ -316,8 +291,8 @@ mod tests {
         assert_eq!(prepared(Mode::Original).bytes(), 24 * n);
         let p = prepared(Mode::Proposal);
         let ModelSource::Stamped(schedule) = &p.models else { panic!("inline is stamped") };
-        assert!(!schedule.is_empty());
-        assert_eq!(p.bytes(), 60 * n + 16 * schedule.len() as u64);
+        assert!(!schedule.installs.is_empty());
+        assert_eq!(p.bytes(), 60 * n + 16 * schedule.installs.len() as u64);
     }
 
     #[test]
@@ -330,16 +305,18 @@ mod tests {
         assert!(p.trainings >= 7, "9-day trace retrains daily: {}", p.trainings);
         assert_eq!(gate.swaps(), p.trainings as u64);
         let ModelSource::Stamped(schedule) = &p.models else { panic!("inline is stamped") };
+        let installs = &schedule.installs;
         // Cold prefix, then one entry per install, in trace order, the
         // last one the gate's.
-        assert!(schedule[0].0 > 0, "day 0 runs cold");
-        assert!(schedule.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(schedule.len() as u64, gate.swaps());
+        assert!(installs[0].0 > 0, "day 0 runs cold");
+        assert!(installs.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(installs.len() as u64, gate.swaps());
         let current = gate.current().expect("gate is warm");
-        assert!(Arc::ptr_eq(&schedule[schedule.len() - 1].1, &current));
+        assert!(Arc::ptr_eq(&installs[installs.len() - 1].1, &current));
         let mut verdicts = Verdicts::new(&p.models, &p.features, &gate);
-        assert!(verdicts.model(schedule[0].0 - 1).is_none(), "cold before the first install");
-        assert!(verdicts.model(schedule[0].0).is_some());
+        let first = installs[0].0 as u32;
+        assert!(verdicts.model(first - 1).is_none(), "cold before the first install");
+        assert!(verdicts.model(first).is_some());
     }
 
     /// Drops every even-numbered install attempt.
@@ -415,34 +392,6 @@ mod tests {
         assert_eq!(digests, [TREES[1], TREES[3], TREES[5], TREES[7]]);
     }
 
-    /// The cursor is an optimisation for trace order, not an assumption:
-    /// positions resolved in any order — as several clients interleave them
-    /// — get the model the schedule names.
-    #[test]
-    fn schedule_resolves_positions_in_any_order() {
-        let models: Vec<Arc<GateModel>> = (0..3).map(|i| Arc::new(tree(0.2 * i as f32))).collect();
-        let source = ModelSource::Stamped(vec![
-            (10, Arc::clone(&models[0])),
-            (20, Arc::clone(&models[1])),
-            (30, Arc::clone(&models[2])),
-        ]);
-        let expected = |idx: u32| match idx {
-            0..10 => None,
-            10..20 => Some(0),
-            20..30 => Some(1),
-            _ => Some(2),
-        };
-        let gate = AdmissionGate::new();
-        let mut verdicts = Verdicts::new(&source, &[], &gate);
-        let order = (0..40u32).chain((0..40).rev()).chain((0..40).map(|i| (i * 17) % 40));
-        for idx in order {
-            let got = verdicts.model(idx).map(|m| {
-                models.iter().position(|s| std::ptr::eq(&**s, m)).expect("a scheduled model")
-            });
-            assert_eq!(got, expected(idx), "idx {idx}");
-        }
-    }
-
     #[test]
     fn inline_proposal_swap_faults_drop_installs_deterministically() {
         let t = small_trace();
@@ -455,7 +404,7 @@ mod tests {
         assert_eq!(p.dropped_installs, p.trainings.div_ceil(2), "even attempts dropped");
         assert_eq!(gate.swaps(), (p.trainings / 2) as u64, "odd attempts installed");
         let ModelSource::Stamped(schedule) = &p.models else { panic!("inline is stamped") };
-        assert_eq!(schedule.len() as u64, gate.swaps(), "a dropped install is no entry");
+        assert_eq!(schedule.installs.len() as u64, gate.swaps(), "a dropped install is no entry");
     }
 
     #[test]

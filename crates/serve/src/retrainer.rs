@@ -3,24 +3,23 @@
 //! Client threads forward one [`SampleRef`] per submitted request — its
 //! trace position and whether the fault plan corrupted it — batched into
 //! [`TrainBatch`] flushes so the sample channel (and the condvar wake
-//! behind it) is touched once per ~[`SAMPLE_FLUSH`](crate::SAMPLE_FLUSH)
-//! requests rather than per request. The retrainer borrows the prepared
-//! trace for the run, reads each sample's timestamp, feature row and label
-//! back from it, owns the minute-capped sampler and the daily-training
-//! schedule, and installs each freshly fitted tree into the shared
-//! [`AdmissionGate`](crate::AdmissionGate) — a hot swap the request
-//! workers observe without ever blocking on training. Every step consults
-//! the run's [`FaultPlan`], so a harness can fail a training job, stall an
-//! install, or lose a model at the gate and assert the service degrades to
-//! its previous model (or, cold, to admit-all) instead of misbehaving.
+//! behind it) is touched once per ~[`SAMPLE_FLUSH`] requests rather than
+//! per request. The retrainer borrows the prepared trace for the run, reads
+//! each sample's timestamp, feature row and label back from it, feeds them
+//! to its daily trainer (which owns the minute-capped sampler), and
+//! installs each freshly fitted tree into the shared [`AdmissionGate`] — a
+//! hot swap the request workers observe without ever blocking on training.
+//! Every step consults the run's [`FaultPlan`], so a harness can fail a
+//! training job, stall an install, or lose a model at the gate and assert
+//! the service degrades to its previous model (or, cold, to admit-all)
+//! instead of misbehaving.
 
 use crate::fault::{FaultPlan, RetrainFault, SwapFault};
 use crate::gate::AdmissionGate;
 use crate::loadgen::SAMPLE_FLUSH;
 use crate::request::PreparedTrace;
 use crossbeam::channel::Receiver;
-use otae_core::daily::{DailyTrainer, MinuteSampler};
-use otae_core::{TrainingConfig, N_FEATURES};
+use otae_core::{DailyTrainer, TrainingConfig, N_FEATURES};
 use otae_ml::DecisionTree;
 
 /// One observed request, as forwarded to the retrainer: a position in the
@@ -35,7 +34,7 @@ pub struct SampleRef {
 }
 
 impl SampleRef {
-    /// The sample as the minute sampler takes it — timestamp, feature row,
+    /// The sample as the daily trainer takes it — timestamp, feature row,
     /// one-time label — read from the trace it was forwarded from. A
     /// corrupted sample is finite garbage (the ML layer rejects NaN by
     /// contract) with a flipped label: a corrupt record that parsed.
@@ -92,14 +91,15 @@ pub struct RetrainerReport {
 }
 
 /// Drain `rx` until every sender hangs up, sampling the records of
-/// `prepared` it names ([`SampleRef::read`]) and retraining at each daily
-/// boundary.
+/// `prepared` it names and retraining at each daily boundary
+/// ([`DailyTrainer::observe_if`]).
 ///
 /// With several client threads the forwarded stream is only approximately
 /// time-ordered (each client submits its own stride in order); the sampler
-/// keeps its own clock monotone ([`MinuteSampler::offer`]), so the small
-/// interleaving skew neither inflates a minute's budget nor unsorts the fit
-/// window — which matches how a production log tailer would behave.
+/// keeps its own clock monotone
+/// ([`MinuteSampler::offer`](otae_core::MinuteSampler::offer)), so the
+/// small interleaving skew neither inflates a minute's budget nor unsorts
+/// the fit window — which matches how a production log tailer would behave.
 pub fn run_retrainer(
     rx: Receiver<TrainBatch>,
     prepared: &PreparedTrace,
@@ -108,7 +108,6 @@ pub fn run_retrainer(
     v: f32,
     plan: &dyn FaultPlan,
 ) -> RetrainerReport {
-    let mut sampler = MinuteSampler::new(training.records_per_minute);
     let mut trainer = DailyTrainer::new(training, v);
     let mut report = RetrainerReport::default();
     // A model whose install was stalled, due once `seen` reaches the mark.
@@ -133,7 +132,7 @@ pub fn run_retrainer(
         // ever see finished models. The plan is asked before the fit, once
         // a trainable window is due: a failed job costs no fit.
         let mut fault = RetrainFault::Proceed;
-        let due = trainer.maybe_retrain_if(ts, &mut sampler, || {
+        let due = trainer.observe_if(ts, features, one_time, || {
             fault = plan.retrain_fault(attempt);
             fault != RetrainFault::Fail
         });
@@ -158,7 +157,6 @@ pub fn run_retrainer(
             }
             attempt += 1;
         }
-        sampler.offer(ts, features, one_time);
     }
     // Stream over: a still-stalled install lands now (the job finished late).
     if let Some((model, _)) = pending.take() {

@@ -178,10 +178,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// The run's [`RunFingerprint`], comparable against
-    /// [`otae_core::pipeline::RunResult::fingerprint`] for differential
-    /// testing. Classifier fields are populated only for Proposal runs,
-    /// mirroring the simulator's `classifier: Option<_>` report.
+    /// The run's [`RunFingerprint`](otae_core::RunFingerprint), comparable
+    /// against [`otae_core::pipeline::RunResult::fingerprint`] for
+    /// differential testing. Classifier fields are populated only for
+    /// Proposal runs, mirroring the simulator's `classifier: Option<_>`
+    /// report.
     pub fn fingerprint(&self) -> otae_core::RunFingerprint {
         let proposal = self.mode == Mode::Proposal;
         otae_core::RunFingerprint {
@@ -483,7 +484,7 @@ mod tests {
     use crate::gate::GateModel;
     use crate::request::{ModelSource, PreparedTrace};
     use crate::shard::tests::{prepared, sharded, snapshot, tree, tree_digest, NO_MODEL};
-    use otae_core::N_FEATURES;
+    use otae_core::{ModelSchedule, N_FEATURES};
     use otae_trace::{generate, TraceConfig};
     use std::time::Instant;
 
@@ -862,9 +863,10 @@ mod tests {
         assert!(want_confusion.total() > 0, "models must have been consulted");
         assert!(want_stats.bypasses > 0 && want_stats.files_written > 0);
 
-        let scheduled =
-            ModelSource::Stamped(vec![(0, Arc::clone(&model_a)), (200, Arc::clone(&model_b))]);
-        let first_half = ModelSource::Stamped(vec![(0, model_a)]);
+        let stamped =
+            |installs| ModelSource::Stamped(ModelSchedule { m: 0, v: 0.0, installs, trainings: 0 });
+        let scheduled = stamped(vec![(0, Arc::clone(&model_a)), (200, Arc::clone(&model_b))]);
+        let first_half = stamped(vec![(0, model_a)]);
         let second_half = ModelSource::Gate;
         let gate = AdmissionGate::new();
         gate.install_arc(model_b);

@@ -7,7 +7,7 @@
 //! TinyLFU, RejectX, CoinFlip), its accounting and its store handle, so the
 //! only cross-shard state on the request path is read-only: the admission
 //! model and the prepared trace. Objects map to shards by id hash
-//! ([`shard_of`]), and a shard is mutated through the `&mut` its worker
+//! (`shard_of`), and a shard is mutated through the `&mut` its worker
 //! borrows for the life of the thread scope: its state evolves exactly like
 //! a small single-threaded simulator over the subsequence of requests
 //! routed to it — it *is* the simulator's kernel, fed in its queue's pop

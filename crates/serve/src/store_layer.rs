@@ -164,7 +164,7 @@ fn payload_word(key: u64) -> [u8; 8] {
 /// recomputes it to verify read-back content).
 ///
 /// Grows `buf` by `extend_from_within` rather than sizing it and calling
-/// [`fill_payload_slice`]: a reused `Vec` would first be zero-filled up to
+/// `fill_payload_slice`: a reused `Vec` would first be zero-filled up to
 /// `len`, a second pass over bytes about to be overwritten.
 pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
     let word = payload_word(key);

@@ -224,9 +224,9 @@ impl Crc32Kernel {
     }
 }
 
-/// CRC32 (IEEE) of `data`: the table walk below [`FOLD_MIN_LEN`] bytes,
-/// the 128-bit fold below [`WIDE_MIN_LEN`], the widest fold the CPU has
-/// from there on.
+/// CRC32 (IEEE) of `data`: the table walk below 64 bytes (`FOLD_MIN_LEN`),
+/// the 128-bit fold below 256 (`WIDE_MIN_LEN`), the widest fold the CPU
+/// has from there on.
 pub fn crc32(data: &[u8]) -> u32 {
     let kernel = match data.len() {
         n if n < FOLD_MIN_LEN => Crc32Kernel::Tables,

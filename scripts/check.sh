@@ -13,6 +13,9 @@ cargo run -q -p otae-lint
 echo "==> cargo clippy --workspace (deny warnings; sole owner of the unbounded-channel and SipHash constructor bans in clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (deny warnings: a renamed or deleted item cannot leave a doc link dangling)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
@@ -39,4 +42,4 @@ if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-echo "OK: fmt, otae-lint, clippy, tests and benchmark smoke all clean"
+echo "OK: fmt, otae-lint, clippy, rustdoc, tests and benchmark smoke all clean"
