@@ -104,7 +104,7 @@ fn bench_miss_filters(c: &mut Criterion) {
     let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
     let index = ReaccessIndex::build(&trace);
     let capacity = (trace.unique_bytes() as f64 * 10.0 / 448.0) as u64;
-    let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, 3, None);
+    let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, None);
     let max_splits = TrainingConfig::default().max_splits;
     let mut group = c.benchmark_group("miss_filter");
     group.sample_size(10);
@@ -115,10 +115,7 @@ fn bench_miss_filters(c: &mut Criterion) {
         group.bench_function(fresh.name(), |b| {
             b.iter(|| {
                 let mut filter = fresh.clone();
-                for req in black_box(&trace).requests.iter() {
-                    black_box(filter.decide(req.object));
-                }
-                filter.admitted()
+                black_box(&trace).requests.iter().filter(|req| filter.decide(req.object)).count()
             })
         });
     }

@@ -3,7 +3,7 @@
 
 use crate::common::{f4, gb_to_bytes, standard_trace, Table};
 use otae_core::reaccess::ReaccessIndex;
-use otae_core::{solve_criteria, FeatureExtractor, FEATURE_NAMES, N_FEATURES};
+use otae_core::{solve_criteria, FeatureExtractor, CRITERIA_ITERATIONS, FEATURE_NAMES, N_FEATURES};
 use otae_ml::{
     predict_all, roc_auc, score_all, AdaBoost, Classifier, ConfusionMatrix, Dataset, DecisionTree,
     Knn, LogisticRegression, Mlp, NaiveBayes, RandomForest, TreeParams,
@@ -26,8 +26,12 @@ pub const PAPER_TABLE1: [(&str, f64, f64, f64, f64); 7] = [
 /// paper-GB capacity, capped at `max_rows` by even striding.
 pub fn build_dataset(trace: &Trace, gb: f64, max_rows: usize) -> Dataset {
     let index = ReaccessIndex::build(trace);
-    let criteria =
-        solve_criteria(&index, gb_to_bytes(trace, gb), trace.avg_object_size().max(1.0), 3);
+    let criteria = solve_criteria(
+        &index,
+        gb_to_bytes(trace, gb),
+        trace.avg_object_size().max(1.0),
+        CRITERIA_ITERATIONS,
+    );
     let stride = (trace.len() / max_rows).max(1);
     let mut extractor = FeatureExtractor::new(trace);
     let mut data = Dataset::new(N_FEATURES).with_feature_names(&FEATURE_NAMES);

@@ -148,21 +148,13 @@ pub struct SecondHitAdmission {
     /// Accesses between doorkeeper resets (aging window).
     reset_every: u64,
     since_reset: u64,
-    admitted: u64,
-    bypassed: u64,
 }
 
 impl SecondHitAdmission {
     /// Doorkeeper sized for `expected_objects`, reset every `reset_every`
     /// misses (0 = never reset).
     pub fn new(expected_objects: usize, reset_every: u64, seed: u64) -> Self {
-        Self {
-            doorkeeper: BloomFilter::new(expected_objects, seed),
-            reset_every,
-            since_reset: 0,
-            admitted: 0,
-            bypassed: 0,
-        }
+        Self { doorkeeper: BloomFilter::new(expected_objects, seed), reset_every, since_reset: 0 }
     }
 
     /// Decide a miss: admit iff the object was seen before (approximately).
@@ -174,23 +166,7 @@ impl SecondHitAdmission {
                 self.since_reset = 0;
             }
         }
-        if self.doorkeeper.check_and_insert(obj) {
-            self.admitted += 1;
-            true
-        } else {
-            self.bypassed += 1;
-            false
-        }
-    }
-
-    /// Misses admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Misses bypassed so far.
-    pub fn bypassed(&self) -> u64 {
-        self.bypassed
+        self.doorkeeper.check_and_insert(obj)
     }
 }
 
@@ -302,8 +278,6 @@ mod tests {
         let mut a = SecondHitAdmission::new(1000, 0, 9);
         assert!(!a.decide(ObjectId(1)), "first sighting bypassed");
         assert!(a.decide(ObjectId(1)), "second sighting admitted");
-        assert_eq!(a.bypassed(), 1);
-        assert_eq!(a.admitted(), 1);
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl Server {
         training: &TrainingConfig,
         filter_objects: usize,
     ) -> Self {
-        let (criteria, m) = resolve_criteria(trace, index, policy, capacity, 3, None);
+        let (criteria, m) = resolve_criteria(trace, index, policy, capacity, None);
         let filter =
             MissFilter::for_run(mode, filter_objects, m, training.max_splits, SERVER_COIN_P);
         let v = training.cost.resolve(capacity, trace.unique_bytes());

@@ -30,7 +30,7 @@
 //! * [`pipeline`] — the end-to-end trace-driven simulation producing every
 //!   statistic of Figures 5–10: the kernel driven over a trace request by
 //!   request, the model consulted on a miss in Proposal mode;
-//! * [`mod@sweep`] — parallel (policy × capacity × mode) grids via crossbeam;
+//! * [`mod@sweep`] — parallel (policy × capacity × mode) grids on scoped threads;
 //! * [`cluster`] / [`tiered`] — a consistent-hash fleet and the production
 //!   OC → DC → backend topology of §2.1, both composed of
 //!   [`engine::Server`]s (kernel + admission + its own daily trainer);
@@ -63,7 +63,7 @@ pub mod zoo;
 
 pub use baseline::{BloomFilter, SecondHitAdmission};
 pub use cluster::{run_cluster, ClusterConfig, ClusterResult, HashRing};
-pub use criteria::{resolve_criteria, solve_criteria, CriteriaSolution};
+pub use criteria::{resolve_criteria, solve_criteria, CriteriaSolution, CRITERIA_ITERATIONS};
 pub use daily::{DailyTrainer, MinuteSampler, ModelSchedule, TrainedModel, TrainingConfig};
 pub use engine::{Accounting, Admission, CacheEvent, Kernel, Learned, Outcome};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};

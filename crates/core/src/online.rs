@@ -281,14 +281,7 @@ pub fn run_online_with(
     kind: OnlineModelKind,
 ) -> OnlineResult {
     assert_eq!(index.len(), trace.len());
-    let (criteria, m) = resolve_criteria(
-        trace,
-        index,
-        cfg.policy,
-        cfg.capacity,
-        cfg.criteria_iterations,
-        cfg.m_override,
-    );
+    let (criteria, m) = resolve_criteria(trace, index, cfg.policy, cfg.capacity, cfg.m_override);
     let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
 
     let mut kernel = Kernel::new(cfg.policy.build(cfg.capacity, trace));

@@ -170,8 +170,6 @@ pub struct RunConfig {
     pub training: TrainingConfig,
     /// Latency model for Figure 10.
     pub latency: LatencyModel,
-    /// Criteria fixed-point rounds (§4.3; paper uses 3).
-    pub criteria_iterations: usize,
     /// Override the computed one-time-access threshold `M` (ablations; e.g.
     /// `u64::MAX - 1` reproduces the naive "accessed once in the whole
     /// trace" criteria of §4.3's first paragraph).
@@ -192,7 +190,6 @@ impl RunConfig {
             capacity,
             training: TrainingConfig::default(),
             latency: LatencyModel::default(),
-            criteria_iterations: 3,
             m_override: None,
             coin_p: 0.5,
             hdd: HddProfile::default(),
@@ -359,14 +356,7 @@ fn run_inner(
     observer: &mut dyn FnMut(CacheEvent),
 ) -> RunResult {
     assert_eq!(index.len(), trace.len(), "index must match the trace");
-    let (criteria, m) = resolve_criteria(
-        trace,
-        index,
-        cfg.policy,
-        cfg.capacity,
-        cfg.criteria_iterations,
-        cfg.m_override,
-    );
+    let (criteria, m) = resolve_criteria(trace, index, cfg.policy, cfg.capacity, cfg.m_override);
     let mut kernel = Kernel::new(cfg.policy.build(cfg.capacity, trace));
     let mut accounting = Accounting::new(cfg.latency, cfg.hdd, cfg.mode != Mode::Original);
     let mut admission = Admission::new(

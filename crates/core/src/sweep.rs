@@ -1,7 +1,7 @@
 //! Parallel experiment grids.
 //!
 //! The paper's figures sweep (policy × mode × capacity); runs are
-//! independent, so they fan out over crossbeam scoped threads sharing one
+//! independent, so they fan out over scoped threads sharing one
 //! reaccess index. Results return in the order of the input points,
 //! regardless of scheduling.
 //!
@@ -57,13 +57,13 @@ where
     }
     let threads = threads.clamp(1, n);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, T)>(n);
-    crossbeam::thread::scope(|scope| {
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, T)>(n);
+    std::thread::scope(|scope| {
         let next = &next;
         let job = &job;
         for _ in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -73,8 +73,7 @@ where
                 let _ = tx.send((i, job(i)));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     drop(tx);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     while let Ok((i, result)) = rx.try_recv() {
@@ -109,14 +108,7 @@ pub fn sweep(
     // `(M, v)` fully determines training: labels come from `M`, tree costs
     // from `v`; both resolve exactly as a run resolves them.
     let key_of = |p: &SweepPoint| -> (u64, u32) {
-        let (_, m) = resolve_criteria(
-            trace,
-            index,
-            p.policy,
-            p.capacity,
-            base.criteria_iterations,
-            base.m_override,
-        );
+        let (_, m) = resolve_criteria(trace, index, p.policy, p.capacity, base.m_override);
         let v = base.training.cost.resolve(p.capacity, unique_bytes);
         (m, v.to_bits())
     };

@@ -173,8 +173,6 @@ pub struct TinyLfuAdmission {
     /// Decisions between halving resets (0 = never age).
     sample_period: u64,
     ops: u64,
-    admitted: u64,
-    bypassed: u64,
 }
 
 impl TinyLfuAdmission {
@@ -186,8 +184,6 @@ impl TinyLfuAdmission {
             doorkeeper: BloomFilter::new(expected_objects, splitmix64(seed ^ 0xD00F)),
             sample_period,
             ops: 0,
-            admitted: 0,
-            bypassed: 0,
         }
     }
 
@@ -213,28 +209,12 @@ impl TinyLfuAdmission {
                 self.ops = 0;
             }
         }
-        let admit = if self.doorkeeper.check_and_insert(obj) {
+        if self.doorkeeper.check_and_insert(obj) {
             self.sketch.increment(obj);
             true
         } else {
             self.sketch.estimate(obj) >= 1
-        };
-        if admit {
-            self.admitted += 1;
-        } else {
-            self.bypassed += 1;
         }
-        admit
-    }
-
-    /// Misses admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Misses bypassed so far.
-    pub fn bypassed(&self) -> u64 {
-        self.bypassed
     }
 }
 
@@ -250,21 +230,12 @@ pub struct RejectXAdmission {
     /// Decisions between sketch clears (0 = never clear).
     window: u64,
     ops: u64,
-    admitted: u64,
-    bypassed: u64,
 }
 
 impl RejectXAdmission {
     /// Reject the first `x` sightings per window of `window` decisions.
     pub fn new(expected_objects: usize, x: u32, window: u64, seed: u64) -> Self {
-        Self {
-            sketch: CountMinSketch::new(expected_objects, seed),
-            x,
-            window,
-            ops: 0,
-            admitted: 0,
-            bypassed: 0,
-        }
+        Self { sketch: CountMinSketch::new(expected_objects, seed), x, window, ops: 0 }
     }
 
     /// Decide a miss: count the sighting, admit iff the key has now been
@@ -278,23 +249,7 @@ impl RejectXAdmission {
                 self.ops = 0;
             }
         }
-        let admit = self.sketch.increment(obj) > self.x;
-        if admit {
-            self.admitted += 1;
-        } else {
-            self.bypassed += 1;
-        }
-        admit
-    }
-
-    /// Misses admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Misses bypassed so far.
-    pub fn bypassed(&self) -> u64 {
-        self.bypassed
+        self.sketch.increment(obj) > self.x
     }
 }
 
@@ -307,8 +262,6 @@ pub struct CoinFlipAdmission {
     /// Admit iff the next draw lands at or below this threshold.
     threshold: u64,
     state: u64,
-    admitted: u64,
-    bypassed: u64,
 }
 
 impl CoinFlipAdmission {
@@ -318,29 +271,13 @@ impl CoinFlipAdmission {
         let p = f64::from(p).clamp(0.0, 1.0);
         // Map p onto the full u64 range; p = 1 admits every draw.
         let threshold = (p * u64::MAX as f64) as u64;
-        Self { threshold, state: splitmix64(seed ^ 0xC01F), admitted: 0, bypassed: 0 }
+        Self { threshold, state: splitmix64(seed ^ 0xC01F) }
     }
 
     /// Decide a miss: one RNG draw, object identity ignored.
     pub fn decide(&mut self) -> bool {
         self.state = splitmix64(self.state);
-        let admit = self.state <= self.threshold;
-        if admit {
-            self.admitted += 1;
-        } else {
-            self.bypassed += 1;
-        }
-        admit
-    }
-
-    /// Misses admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Misses bypassed so far.
-    pub fn bypassed(&self) -> u64 {
-        self.bypassed
+        self.state <= self.threshold
     }
 }
 
@@ -423,26 +360,6 @@ impl MissFilter {
             MissFilter::TinyLfu(_) => "TinyLFU",
             MissFilter::RejectX(_) => "RejectX",
             MissFilter::CoinFlip(_) => "CoinFlip",
-        }
-    }
-
-    /// Misses admitted so far.
-    pub fn admitted(&self) -> u64 {
-        match self {
-            MissFilter::SecondHit(f) => f.admitted(),
-            MissFilter::TinyLfu(f) => f.admitted(),
-            MissFilter::RejectX(f) => f.admitted(),
-            MissFilter::CoinFlip(f) => f.admitted(),
-        }
-    }
-
-    /// Misses bypassed so far.
-    pub fn bypassed(&self) -> u64 {
-        match self {
-            MissFilter::SecondHit(f) => f.bypassed(),
-            MissFilter::TinyLfu(f) => f.bypassed(),
-            MissFilter::RejectX(f) => f.bypassed(),
-            MissFilter::CoinFlip(f) => f.bypassed(),
         }
     }
 }
@@ -606,8 +523,6 @@ mod tests {
         let mut t = TinyLfuAdmission::new(1000, 0, 42);
         assert!(!t.decide(ObjectId(1)), "cold first sighting bypassed");
         assert!(t.decide(ObjectId(1)), "second sighting admitted");
-        assert_eq!(t.bypassed(), 1);
-        assert_eq!(t.admitted(), 1);
     }
 
     #[test]
@@ -636,8 +551,6 @@ mod tests {
         assert!(!r.decide(ObjectId(5)));
         assert!(!r.decide(ObjectId(5)));
         assert!(r.decide(ObjectId(5)), "third sighting exceeds X = 2");
-        assert_eq!(r.bypassed(), 2);
-        assert_eq!(r.admitted(), 1);
     }
 
     #[test]
@@ -691,7 +604,6 @@ mod tests {
         let mut f = MissFilter::for_run(Mode::SecondHit, 1000, 100, 30, 0.5).expect("filter mode");
         assert!(!f.decide(ObjectId(7)), "first sighting bypasses");
         assert!(f.decide(ObjectId(7)), "second sighting admits");
-        assert_eq!((f.admitted(), f.bypassed()), (1, 1));
     }
 
     #[test]

@@ -201,7 +201,6 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
         latency: _,
         hdd: _,
         coin_p: _,
-        criteria_iterations: _,
         m_override: _,
         max_batch: _,
         clock: _,

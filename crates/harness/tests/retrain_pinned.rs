@@ -62,7 +62,7 @@ fn retrain_under(schedule: &FaultSchedule) -> (RetrainerReport, u64) {
     let capacity = (trace.unique_bytes() as f64 * 0.02) as u64;
     let mut cfg = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, capacity);
     cfg.trainer = TrainerMode::Background;
-    let (_, m) = resolve_criteria(&trace, &index, cfg.policy, capacity, 3, None);
+    let (_, m) = resolve_criteria(&trace, &index, cfg.policy, capacity, None);
     let v = cfg.training.cost.resolve(capacity, trace.unique_bytes());
     let gate = AdmissionGate::new();
     let prepared = prepare(&trace, &index, &cfg, &gate, m, v);

@@ -1,5 +1,5 @@
 //! Random Forest (Table 1 baseline): bootstrap-aggregated CART trees with
-//! per-split feature subsampling, trained in parallel with crossbeam scoped
+//! per-split feature subsampling, trained in parallel with std scoped
 //! threads. With the binned engine the dataset is quantized **once** and
 //! every tree trains on the shared bin codes — a bootstrap is then just a
 //! row-index multiset, so no per-tree dataset copies are made either.
@@ -92,17 +92,16 @@ impl Classifier for RandomForest {
         let this: &RandomForest = self;
         let binned = binned.as_ref();
         let mut trees: Vec<Option<DecisionTree>> = vec![None; self.n_trees];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard_id, chunk) in trees.chunks_mut(this.n_trees.div_ceil(threads)).enumerate() {
                 let chunk_base = shard_id * this.n_trees.div_ceil(threads);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, slot) in chunk.iter_mut().enumerate() {
                         *slot = Some(this.fit_one(data, binned, chunk_base + off));
                     }
                 });
             }
-        })
-        .expect("forest worker panicked");
+        });
         self.trees = trees.into_iter().map(|t| t.expect("all trees fitted")).collect();
     }
 

@@ -10,7 +10,7 @@
 //!   cost-sensitive class weights (Table 4's cost matrix);
 //! * the six Table-1 baselines: [`NaiveBayes`], [`Knn`], [`LogisticRegression`],
 //!   [`Mlp`] ("BP NN"), [`AdaBoost`], [`RandomForest`] (trained in parallel
-//!   with crossbeam);
+//!   on scoped threads);
 //! * [`metrics`] — confusion matrix, precision/recall/accuracy/F1 and ROC
 //!   AUC (Tables 2–3);
 //! * [`feature_select`] — information gain and the paper's greedy forward

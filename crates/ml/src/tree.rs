@@ -451,7 +451,7 @@ struct BinnedCandidate {
 }
 
 /// Nodes at or above this many samples build their histograms with one
-/// crossbeam scoped thread per feature.
+/// scoped thread per feature.
 const PARALLEL_HIST_ROWS: usize = 8192;
 
 /// Whether fanning histogram accumulation out across threads can help at
@@ -499,12 +499,11 @@ fn build_hist(
             slices.push(head);
             rest = tail;
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (f, slice) in slices.into_iter().enumerate() {
-                scope.spawn(move |_| accumulate_feature(data, f, slice, rows, eff));
+                scope.spawn(move || accumulate_feature(data, f, slice, rows, eff));
             }
-        })
-        .expect("histogram worker panicked");
+        });
     } else {
         // Fused single-threaded pass: one `eff`/label gather per row and one
         // contiguous read of all the row's codes, instead of one pass over

@@ -181,10 +181,10 @@ mod tests {
     fn concurrent_readers_see_some_installed_model() {
         let gate = std::sync::Arc::new(AdmissionGate::new());
         gate.install(tree(0.5));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let gate = std::sync::Arc::clone(&gate);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..1000 {
                         assert!(gate.current().is_some());
                     }
@@ -193,8 +193,7 @@ mod tests {
             for t in [0.3f32, 0.6, 0.8] {
                 gate.install(tree(t));
             }
-        })
-        .unwrap();
+        });
         assert_eq!(gate.swaps(), 4);
     }
 }

@@ -67,8 +67,6 @@ pub struct ServeConfig {
     pub hdd: HddProfile,
     /// Admit probability for the CoinFlip policy (ignored otherwise).
     pub coin_p: f32,
-    /// Criteria fixed-point rounds (§4.3; paper uses 3).
-    pub criteria_iterations: usize,
     /// Override the computed one-time-access threshold `M`.
     pub m_override: Option<u64>,
     /// Most requests a worker steals from its queue under one queue lock
@@ -105,7 +103,6 @@ impl ServeConfig {
             latency: LatencyModel::default(),
             hdd: HddProfile::default(),
             coin_p: 0.5,
-            criteria_iterations: 3,
             m_override: None,
             max_batch: 64,
             clock: ServiceClock::Wall,
@@ -222,14 +219,7 @@ pub fn serve_trace_with_index(
     assert!(load.clients > 0, "need at least one client");
     assert_eq!(index.len(), trace.len(), "index must match the trace");
 
-    let (criteria, m) = resolve_criteria(
-        trace,
-        index,
-        cfg.policy,
-        cfg.capacity,
-        cfg.criteria_iterations,
-        cfg.m_override,
-    );
+    let (criteria, m) = resolve_criteria(trace, index, cfg.policy, cfg.capacity, cfg.m_override);
     let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
 
     let gate = AdmissionGate::new();
@@ -279,15 +269,14 @@ pub fn serve_trace_with_index(
     let mut client_reports: Vec<ClientReport> = Vec::new();
     let mut retrain_report = RetrainerReport::default();
     let clock = cfg.clock.start();
-    let mut serve_wall = Duration::ZERO;
     // Thread failures are recorded, never propagated: a dead client only
     // loses its stride, a dead worker only its shards' share (its queue's
     // handles hang up on unwind rather than deadlock), a dead retrainer only
     // freezes the model — the service always reaches its snapshot.
-    let scope_result = crossbeam::thread::scope(|s| {
+    let wall = std::thread::scope(|s| {
         let retrainer = sample_rx.map(|rx| {
             let (prepared, gate, training) = (&prepared, &gate, cfg.training.clone());
-            s.spawn(move |_| run_retrainer(rx, prepared, gate, training, v, plan))
+            s.spawn(move || run_retrainer(rx, prepared, gate, training, v, plan))
         });
         let workers: Vec<_> = shards
             .chunks_mut(chunk)
@@ -298,7 +287,7 @@ pub fn serve_trace_with_index(
                 let (first, n_shards, max_batch) = (w * chunk, cfg.shards, cfg.max_batch);
                 // The closure owns `rx`: a worker that unwinds drops it,
                 // which hangs its queue up instead of blocking the clients.
-                s.spawn(move |_| run_worker(&rx, owned, first, n_shards, verdicts, plan, max_batch))
+                s.spawn(move || run_worker(&rx, owned, first, n_shards, verdicts, plan, max_batch))
             })
             .collect();
 
@@ -308,7 +297,7 @@ pub fn serve_trace_with_index(
                 let stx = sample_tx.clone();
                 let prepared = &prepared.requests;
                 let clock = &clock;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     replay_client(
                         c,
                         load.clients,
@@ -342,24 +331,15 @@ pub fn serve_trace_with_index(
         }
         // Every request is processed once the workers join; stamp the
         // replay wall here, before waiting out the retrainer's backlog.
-        serve_wall = clock.wall_elapsed();
+        let wall = clock.wall_elapsed();
         if let Some(r) = retrainer {
             match r.join() {
                 Ok(report) => retrain_report = report,
                 Err(_) => retrainer_failure = true,
             }
         }
+        wall
     });
-    // `scope` only errors when a spawned thread panicked without being
-    // joined; every join above consumes its result, so this is a spawn-time
-    // failure — account it like a dead worker rather than unwinding.
-    if scope_result.is_err() {
-        worker_failures += 1;
-        serve_wall = clock.wall_elapsed();
-    }
-    // A spawn failure (or a run with no workers) never stamped the replay
-    // wall inside the scope; fall back to the full elapsed time.
-    let wall = if serve_wall > Duration::ZERO { serve_wall } else { clock.wall_elapsed() };
 
     let replayed: u64 = client_reports.iter().map(|r| r.submitted).sum();
 
@@ -764,20 +744,20 @@ mod tests {
         let clock = ServiceClock::Wall.start();
         let plan: &dyn FaultPlan = &NoFaults;
         let reqs = &prepared.requests;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let workers: Vec<_> = shards
                 .chunks_mut(chunk)
                 .zip(&rxs)
                 .enumerate()
                 .map(|(w, (owned, rx))| {
                     let verdicts = Verdicts::new(&prepared.models, &prepared.features, gate);
-                    s.spawn(move |_| run_worker(rx, owned, w * chunk, n_shards, verdicts, plan, 64))
+                    s.spawn(move || run_worker(rx, owned, w * chunk, n_shards, verdicts, plan, 64))
                 })
                 .collect();
             let clients: Vec<_> = (0..clients)
                 .map(|c| {
                     let (router, load, clock) = (router.clone(), &load, &clock);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         replay_client(c, load.clients, reqs, load, clock, &router, None, plan)
                     })
                 })
@@ -790,8 +770,7 @@ mod tests {
             for w in workers {
                 assert_eq!(w.join().expect("worker").0, 0, "no panic was injected");
             }
-        })
-        .expect("scope");
+        });
         rxs.iter().map(Consumer::stats).collect()
     }
 
@@ -1018,14 +997,7 @@ mod tests {
         cfg: &ServeConfig,
     ) -> (ClientReport, RetrainerReport, Option<Arc<GateModel>>) {
         let index = ReaccessIndex::build(t);
-        let (_, m) = resolve_criteria(
-            t,
-            &index,
-            cfg.policy,
-            cfg.capacity,
-            cfg.criteria_iterations,
-            cfg.m_override,
-        );
+        let (_, m) = resolve_criteria(t, &index, cfg.policy, cfg.capacity, cfg.m_override);
         let v = cfg.training.cost.resolve(cfg.capacity, t.unique_bytes());
         let gate = AdmissionGate::new();
         let prepared = prepare(t, &index, cfg, &gate, m, v);

@@ -54,7 +54,7 @@ use crossbeam::channel::{bounded, Sender};
 use otae_device::WearLedger;
 use otae_fxhash::FxHashMap;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -281,46 +281,19 @@ pub struct CompactReport {
     pub read_bytes: u64,
 }
 
-struct Counters {
-    host_bytes: AtomicU64,
-    gc_bytes: AtomicU64,
-    gc_read_bytes: AtomicU64,
-    put_records: AtomicU64,
-    tombstone_records: AtomicU64,
-    acked_puts: AtomicU64,
-    acked_removes: AtomicU64,
-    compactions: AtomicU64,
-    rewritten_records: AtomicU64,
-    segments_created: AtomicU64,
-    segments_deleted: AtomicU64,
-}
-
-impl Counters {
-    fn new() -> Self {
-        Self {
-            host_bytes: AtomicU64::new(0),
-            gc_bytes: AtomicU64::new(0),
-            gc_read_bytes: AtomicU64::new(0),
-            put_records: AtomicU64::new(0),
-            tombstone_records: AtomicU64::new(0),
-            acked_puts: AtomicU64::new(0),
-            acked_removes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            rewritten_records: AtomicU64::new(0),
-            segments_created: AtomicU64::new(0),
-            segments_deleted: AtomicU64::new(0),
-        }
-    }
-}
-
 struct Shared {
-    index: Mutex<StoreIndex>,
+    /// The index and the writer's counters of what it appended, updated in
+    /// the same critical sections (a group's index pass, `roll`,
+    /// compaction's `forget_segment`), so [`SegmentStore::stats`] reads
+    /// both at one instant. The counters' snapshot fields (`live_records`,
+    /// `live_bytes`, `segments`) stay zero here; `stats` reads them off
+    /// the index.
+    index: Mutex<(StoreIndex, StoreStats)>,
     /// Readers hold this shared across index-lookup + backend-read so a
     /// compaction cannot delete a segment out from under an in-flight
     /// `get`; the compactor takes it exclusively only for the final
     /// delete-and-forget step. Lock order is always `io` before `index`.
     io: RwLock<()>,
-    counters: Counters,
     crashed: AtomicBool,
 }
 
@@ -436,6 +409,7 @@ impl SegmentStore {
         faults: Arc<dyn StoreFaultPlan>,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let existing = backend.list()?;
+        let active = existing.last().map_or(Ok(0), |&newest| next_segment(newest))?;
         let scans = scan_segments(&backend, &existing, recovery_threads(cfg.recovery_threads))?;
         let mut index = StoreIndex::new();
         let mut report = RecoveryReport::default();
@@ -444,17 +418,15 @@ impl SegmentStore {
         }
         report.live_records = index.len() as u64;
 
-        let active = existing.last().map_or(0, |&s| s + 1);
         create_segment(backend.as_ref(), active)?;
         index.add_segment(active);
 
         let shared = Arc::new(Shared {
-            index: Mutex::new(index),
+            index: Mutex::new((index, StoreStats::default())),
             io: RwLock::new(()),
-            counters: Counters::new(),
             crashed: AtomicBool::new(false),
         });
-        shared.counters.segments_created.store(1, Ordering::Relaxed);
+        shared.index.lock().1.segments_created = 1;
 
         // Record-buffer pool: four groups' worth of bytes in at most one
         // group's worth of buffers. Measured on the benchmark's two store
@@ -585,7 +557,7 @@ impl SegmentStore {
     pub fn get_into(&self, key: u64, out: &mut Vec<u8>) -> Result<bool, StoreError> {
         out.clear();
         let _io = self.shared.io.read();
-        let loc = match self.shared.index.lock().get(key) {
+        let loc = match self.shared.index.lock().0.get(key) {
             Some(loc) => loc,
             None => return Ok(false),
         };
@@ -607,29 +579,15 @@ impl SegmentStore {
         self.shared.crashed.load(Ordering::Acquire)
     }
 
-    /// Snapshot of cumulative statistics plus current index occupancy.
+    /// Snapshot of cumulative statistics plus current index occupancy, read
+    /// at one instant under the index lock.
     pub fn stats(&self) -> StoreStats {
-        let c = &self.shared.counters;
-        let (live_records, live_bytes, segments) = {
-            let ix = self.shared.index.lock();
-            (ix.len() as u64, ix.live_bytes(), ix.segment_count() as u64)
-        };
-        StoreStats {
-            host_bytes: c.host_bytes.load(Ordering::Relaxed),
-            gc_bytes: c.gc_bytes.load(Ordering::Relaxed),
-            gc_read_bytes: c.gc_read_bytes.load(Ordering::Relaxed),
-            put_records: c.put_records.load(Ordering::Relaxed),
-            tombstone_records: c.tombstone_records.load(Ordering::Relaxed),
-            acked_puts: c.acked_puts.load(Ordering::Relaxed),
-            acked_removes: c.acked_removes.load(Ordering::Relaxed),
-            compactions: c.compactions.load(Ordering::Relaxed),
-            rewritten_records: c.rewritten_records.load(Ordering::Relaxed),
-            segments_created: c.segments_created.load(Ordering::Relaxed),
-            segments_deleted: c.segments_deleted.load(Ordering::Relaxed),
-            live_records,
-            live_bytes,
-            segments,
-        }
+        let (index, stats) = &*self.shared.index.lock();
+        let mut snapshot = *stats;
+        snapshot.live_records = index.len() as u64;
+        snapshot.live_bytes = index.live_bytes();
+        snapshot.segments = index.segment_count() as u64;
+        snapshot
     }
 
     /// The command intake's counters so far: caller (`producer_parks`)
@@ -643,7 +601,7 @@ impl SegmentStore {
     /// Sorted `(key, location)` pairs of every live record — the
     /// deterministic index digest the recovery oracle compares.
     pub fn live_entries(&self) -> Vec<(u64, Location)> {
-        self.shared.index.lock().live_entries()
+        self.shared.index.lock().0.live_entries()
     }
 
     /// The backend handle (a harness reopens the same backend after a
@@ -662,6 +620,14 @@ impl Drop for SegmentStore {
             let _ = handle.join();
         }
     }
+}
+
+/// The id of the segment after `seg`. The last id has none: wrapping to
+/// segment 0 would put new writes behind every older segment, where
+/// recovery's id-order replay lets the older records shadow them.
+fn next_segment(seg: SegmentId) -> Result<SegmentId, StoreError> {
+    seg.checked_add(1)
+        .ok_or_else(|| StoreError::Corrupt(format!("segment {seg} is the last segment id")))
 }
 
 /// Create segment `seg` with its header.
@@ -933,20 +899,20 @@ struct Writer {
     scratch: Vec<u8>,
 }
 
-enum WriterStep {
-    Ok,
-    Crashed,
-}
-
-/// How a group flush ended (distinct from an I/O error: a seam-scheduled
-/// crash still landed and accounted the acked prefix).
-enum FlushOutcome {
-    Done,
-    Crashed,
-}
-
 impl Writer {
+    /// Serve the intake until every handle hangs up. Any error takes the
+    /// writer down: `crashed` is set, and dropping the writer drops the
+    /// intake's consumer with it. That drops every command still queued (a
+    /// `Flush` or `Compact` there disconnects its reply sender, so its
+    /// caller sees `Crashed` instead of waiting forever) and makes every
+    /// blocked and later push fail.
     fn run(mut self) {
+        if self.serve().is_err() {
+            self.shared.crashed.store(true, Ordering::Release);
+        }
+    }
+
+    fn serve(&mut self) -> Result<(), StoreError> {
         let mut batch: Vec<Cmd> = Vec::new();
         loop {
             // Take everything queued since the last pass and apply it in
@@ -955,109 +921,66 @@ impl Writer {
             if !self.intake.try_pop_batch(&mut batch, usize::MAX) {
                 // The intake ran dry: land the partial group now so ack
                 // latency is bounded by queue idleness, not group fill.
-                if matches!(self.flush_host(), WriterStep::Crashed)
-                    || matches!(self.auto_compact(), WriterStep::Crashed)
-                {
-                    return self.crash();
-                }
+                self.flush_group()?;
+                self.auto_compact()?;
                 if !self.intake.pop_batch(&mut batch, usize::MAX) {
                     // Every handle hung up and nothing is queued; the group
                     // landed just above.
-                    return;
+                    return Ok(());
                 }
             }
-            if matches!(self.handle_batch(&mut batch), WriterStep::Crashed) {
-                return self.crash();
+            // On an error the rest of the batch is dropped with the drain,
+            // disconnecting its reply senders.
+            for cmd in batch.drain(..) {
+                self.handle(cmd)?;
             }
-        }
-    }
-
-    /// Apply one popped batch in order, leaving it empty. On a crash the
-    /// remaining commands are dropped here — disconnecting any `Flush`
-    /// or `Compact` reply senders so their callers error instead of
-    /// hanging.
-    fn handle_batch(&mut self, batch: &mut Vec<Cmd>) -> WriterStep {
-        let mut crashed = false;
-        for cmd in batch.drain(..) {
-            if crashed {
-                continue; // dropped: reply senders disconnect
-            }
-            crashed = matches!(self.handle(cmd), WriterStep::Crashed);
-        }
-        if crashed {
-            WriterStep::Crashed
-        } else {
-            WriterStep::Ok
         }
     }
 
     /// Run one compaction pass if the dead-byte trigger is due.
-    fn auto_compact(&mut self) -> WriterStep {
-        if let Some(trigger) = self.cfg.compact_trigger {
-            if self.should_auto_compact(trigger) && self.compact_once().is_err() {
-                return WriterStep::Crashed;
-            }
+    fn auto_compact(&mut self) -> Result<(), StoreError> {
+        match self.cfg.compact_trigger {
+            Some(trigger) if self.should_auto_compact(trigger) => self.compact_once().map(drop),
+            _ => Ok(()),
         }
-        WriterStep::Ok
     }
 
-    fn handle(&mut self, cmd: Cmd) -> WriterStep {
+    fn handle(&mut self, cmd: Cmd) -> Result<(), StoreError> {
         match cmd {
             Cmd::Put { key, mut buf, len, framed } => {
                 if !framed {
                     frame_in_place(key, RecordKind::Put, &mut buf[..len]);
                 }
-                let step = self.make_room_for_host();
-                if matches!(step, WriterStep::Ok) {
-                    self.group.stage_put(key, buf, len);
-                }
-                step
+                self.make_room()?;
+                self.group.stage_put(key, buf, len);
             }
             Cmd::Remove { key } => {
-                let step = self.make_room_for_host();
-                if matches!(step, WriterStep::Ok) {
-                    self.group.stage_inline(key, RecordKind::Tombstone, &[], StagedKind::Host);
-                }
-                step
+                self.make_room()?;
+                self.group.stage_inline(key, RecordKind::Tombstone, &[], StagedKind::Host);
             }
             Cmd::Flush(done) => {
-                // Dropping `done` on the crash paths disconnects the
-                // caller's recv, which maps to `StoreError::Crashed` —
-                // same as a command the crash strands in the intake.
-                // Auto-compaction due at flush
-                // time completes before the reply, so "flush returned"
-                // keeps implying the store has absorbed every consequence
-                // of the enqueued operations.
-                if matches!(self.flush_host(), WriterStep::Crashed) {
-                    return WriterStep::Crashed;
-                }
-                if matches!(self.auto_compact(), WriterStep::Crashed) {
-                    return WriterStep::Crashed;
-                }
+                // An error drops `done`, which disconnects the caller's
+                // recv: `StoreError::Crashed`, as for a command the crash
+                // strands in the intake. Auto-compaction due at flush time
+                // completes before the reply, so "flush returned" keeps
+                // implying the store has absorbed every consequence of the
+                // enqueued operations.
+                self.flush_group()?;
+                self.auto_compact()?;
                 let _ = done.send(());
-                WriterStep::Ok
             }
-            Cmd::Compact(done) => match self.flush_host() {
-                WriterStep::Ok => {
-                    let _ = done.send(self.compact_once());
-                    WriterStep::Ok
-                }
-                WriterStep::Crashed => WriterStep::Crashed,
-            },
+            Cmd::Compact(done) => {
+                // The pass's own error goes to the caller; the writer
+                // keeps serving.
+                self.flush_group()?;
+                let _ = done.send(self.compact_once());
+            }
         }
-    }
-
-    /// Terminal crash: mark the store crashed, then drop the writer — and
-    /// with it the intake's consumer. That drops every command still
-    /// queued (a `Flush` or `Compact` there disconnects its reply sender,
-    /// so its caller sees `Crashed` instead of waiting forever) and makes
-    /// every blocked and later push fail.
-    fn crash(self) {
-        self.shared.crashed.store(true, Ordering::Release);
+        Ok(())
     }
 
     fn should_auto_compact(&self, trigger: f64) -> bool {
-        let (sealed_total, dead) = self.shared.index.lock().sealed_bytes();
+        let (sealed_total, dead) = self.shared.index.lock().0.sealed_bytes();
         dead > 0 && dead as f64 > trigger * sealed_total as f64
     }
 
@@ -1066,67 +989,54 @@ impl Writer {
     /// staged against).
     fn roll(&mut self) -> Result<(), StoreError> {
         debug_assert!(self.group.is_empty(), "roll with staged records would split the group");
-        let next = self.active + 1;
+        let next = next_segment(self.active)?;
         create_segment(self.backend.as_ref(), next)?;
         {
-            let mut ix = self.shared.index.lock();
+            let (ix, stats) = &mut *self.shared.index.lock();
             ix.seal_segment(self.active);
             ix.add_segment(next);
+            stats.segments_created += 1;
         }
-        self.shared.counters.segments_created.fetch_add(1, Ordering::Relaxed);
         self.active = next;
         self.active_bytes = 0;
         Ok(())
     }
 
-    /// Whether the staged group has reached its configured size limits.
-    fn group_full(&self) -> bool {
-        self.group.records() >= self.cfg.group_records.max(1)
+    /// Before staging one record, a caller's or compaction's: land a full
+    /// group, and land the group and roll a full active segment. The
+    /// record's location is fixed by what this leaves (the active
+    /// segment's tail plus the staged bytes), identically to the
+    /// record-at-a-time path this replaced.
+    fn make_room(&mut self) -> Result<(), StoreError> {
+        if self.group.records() >= self.cfg.group_records.max(1)
             || self.group.bytes() >= self.cfg.group_bytes.max(1)
-    }
-
-    /// Before staging one caller record: flush and/or roll when the group
-    /// limits or the segment size threshold demand it. The record's
-    /// location is fixed by what this leaves (active segment tail + staged
-    /// bytes), identically to the record-at-a-time path this replaced.
-    fn make_room_for_host(&mut self) -> WriterStep {
-        if self.group_full() && matches!(self.flush_host(), WriterStep::Crashed) {
-            return WriterStep::Crashed;
+        {
+            self.flush_group()?;
         }
         if self.active_bytes + self.group.bytes() >= self.cfg.segment_bytes {
-            if matches!(self.flush_host(), WriterStep::Crashed) {
-                return WriterStep::Crashed;
-            }
-            if self.roll().is_err() {
-                return WriterStep::Crashed;
-            }
+            self.flush_group()?;
+            self.roll()?;
         }
-        WriterStep::Ok
-    }
-
-    /// Flush the staged group on the host path: I/O failures and
-    /// seam-scheduled crashes both take the writer down.
-    fn flush_host(&mut self) -> WriterStep {
-        match self.flush_group() {
-            Ok(FlushOutcome::Done) => WriterStep::Ok,
-            Ok(FlushOutcome::Crashed) | Err(_) => WriterStep::Crashed,
-        }
+        Ok(())
     }
 
     /// Land the staged group: consult the fault seam once per host record
     /// (in staging order), append everything up to and including any crash
-    /// record with **one** vectored backend write, then apply the acked prefix to
-    /// the index under **one** lock acquisition.
+    /// record with **one** vectored backend write, then walk the appended
+    /// prefix once under **one** index-lock acquisition, counting it and
+    /// indexing the acked prefix.
     ///
     /// Crash semantics are bit-identical to the per-record path: the crash
-    /// record is durably appended (minus any torn tail) but never acked or
-    /// indexed, records staged after it are dropped entirely, and recovery
-    /// therefore sees exactly the acked prefix plus the crash record (when
-    /// its tail survives whole) — regardless of how commands were batched
-    /// into groups.
-    fn flush_group(&mut self) -> Result<FlushOutcome, StoreError> {
+    /// record is durably appended (minus any torn tail) and counted, but
+    /// never acked or indexed, records staged after it are dropped
+    /// entirely, and recovery therefore sees exactly the acked prefix plus
+    /// the crash record (when its tail survives whole) — regardless of how
+    /// commands were batched into groups. A cut group returns
+    /// `Err(StoreError::Crashed)`. Compaction's groups hold only GC
+    /// records, which never tick the seam.
+    fn flush_group(&mut self) -> Result<(), StoreError> {
         if self.group.is_empty() {
-            return Ok(FlushOutcome::Done);
+            return Ok(());
         }
         // Tick the seam clock for each host record; the first scheduled
         // crash cuts the group after that record.
@@ -1154,58 +1064,45 @@ impl Writer {
             let _ = self.backend.truncate(self.active, keep);
         }
 
-        // One index pass over the acked prefix.
+        // One pass: the appended prefix is physical traffic (the crash
+        // record included); the acked prefix is indexed and acknowledged.
         let base = SEGMENT_HEADER_LEN + self.active_bytes;
         {
-            let mut ix = self.shared.index.lock();
-            for r in &staged[..acked] {
+            let (ix, stats) = &mut *self.shared.index.lock();
+            for (i, r) in staged[..appended].iter().enumerate() {
+                let ack = i < acked;
                 let loc =
                     Location { segment: self.active, offset: base + r.buf_offset, len: r.len };
-                match r.meta {
-                    StagedKind::Host => match r.kind {
-                        RecordKind::Put => ix.apply_put(r.key, loc),
-                        RecordKind::Tombstone => ix.apply_tombstone(r.key, self.active, r.len),
-                    },
-                    StagedKind::GcPut { from } => {
+                match (r.meta, r.kind) {
+                    (StagedKind::Host, RecordKind::Put) => {
+                        stats.host_bytes += r.len;
+                        stats.put_records += 1;
+                        if ack {
+                            ix.apply_put(r.key, loc);
+                            stats.acked_puts += 1;
+                        }
+                    }
+                    (StagedKind::Host, RecordKind::Tombstone) => {
+                        stats.host_bytes += r.len;
+                        stats.tombstone_records += 1;
+                        if ack {
+                            ix.apply_tombstone(r.key, self.active, r.len);
+                            stats.acked_removes += 1;
+                        }
+                    }
+                    (StagedKind::GcPut { from }, _) => {
+                        stats.gc_bytes += r.len;
                         ix.relocate(r.key, from, loc);
                     }
-                    StagedKind::GcTombstone => ix.apply_gc_tombstone(self.active, r.len),
+                    (StagedKind::GcTombstone, _) => {
+                        stats.gc_bytes += r.len;
+                        ix.apply_gc_tombstone(self.active, r.len);
+                    }
                 }
             }
         }
-
-        // Counters: the appended prefix is physical traffic (the crash
-        // record included), the acked prefix is acknowledgements.
-        let (mut host, mut gc, mut puts, mut tombs) = (0u64, 0u64, 0u64, 0u64);
-        for r in &staged[..appended] {
-            if r.is_gc() {
-                gc += r.len;
-            } else {
-                host += r.len;
-                match r.kind {
-                    RecordKind::Put => puts += 1,
-                    RecordKind::Tombstone => tombs += 1,
-                }
-            }
-        }
-        let (mut acked_puts, mut acked_removes) = (0u64, 0u64);
-        for r in &staged[..acked] {
-            match (r.is_gc(), r.kind) {
-                (false, RecordKind::Put) => acked_puts += 1,
-                (false, RecordKind::Tombstone) => acked_removes += 1,
-                (true, _) => {}
-            }
-        }
-        let c = &self.shared.counters;
-        c.host_bytes.fetch_add(host, Ordering::Relaxed);
-        c.gc_bytes.fetch_add(gc, Ordering::Relaxed);
-        c.put_records.fetch_add(puts, Ordering::Relaxed);
-        c.tombstone_records.fetch_add(tombs, Ordering::Relaxed);
-        c.acked_puts.fetch_add(acked_puts, Ordering::Relaxed);
-        c.acked_removes.fetch_add(acked_removes, Ordering::Relaxed);
-
         if cut.is_some() {
-            return Ok(FlushOutcome::Crashed);
+            return Err(StoreError::Crashed);
         }
         self.active_bytes += self.group.bytes();
         self.group.clear(&mut self.spent);
@@ -1213,31 +1110,7 @@ impl Writer {
             self.intake.with_side(|pool| pool.recycle(&mut self.spent));
             self.spent.clear();
         }
-        Ok(FlushOutcome::Done)
-    }
-
-    /// Make room to stage one GC rewrite (compaction traffic: no fault
-    /// seam, no ack; put relocations are applied when its group lands):
-    /// land a full group, and roll a full active segment.
-    fn make_room_for_gc(&mut self) -> Result<(), StoreError> {
-        if self.group_full() {
-            self.flush_gc()?;
-        }
-        if self.active_bytes + self.group.bytes() >= self.cfg.segment_bytes {
-            self.flush_gc()?;
-            self.roll()?;
-        }
         Ok(())
-    }
-
-    /// Flush on the compaction path, where the group holds only GC
-    /// records: the fault seam never ticks, so `Crashed` is unreachable
-    /// and I/O errors surface to the compaction caller.
-    fn flush_gc(&mut self) -> Result<(), StoreError> {
-        match self.flush_group()? {
-            FlushOutcome::Done => Ok(()),
-            FlushOutcome::Crashed => Err(StoreError::Crashed),
-        }
     }
 
     /// One compaction pass: pick the deadest sealed segment, rewrite what
@@ -1269,10 +1142,7 @@ impl Writer {
     /// [`Writer::compact_once`] with the read buffer lent out, so records
     /// can be staged (`&mut self`) straight from it.
     fn compact_through(&mut self, scratch: &mut Vec<u8>) -> Result<CompactReport, StoreError> {
-        let victim = {
-            let ix = self.shared.index.lock();
-            ix.deadest_segment()
-        };
+        let victim = self.shared.index.lock().0.deadest_segment();
         let Some((victim, _)) = victim else {
             return Ok(CompactReport::default());
         };
@@ -1303,7 +1173,7 @@ impl Writer {
             let from = Location { segment: victim, offset, len };
             match kind {
                 RecordKind::Put => {
-                    let is_current = self.shared.index.lock().get(key) == Some(from);
+                    let is_current = self.shared.index.lock().0.get(key) == Some(from);
                     if is_current {
                         self.backend.read_into(victim, offset, len as usize, scratch)?;
                         report.read_bytes += len;
@@ -1312,7 +1182,7 @@ impl Writer {
                                 "compaction victim {victim}, offset {offset}: {found}"
                             ))
                         })?;
-                        self.make_room_for_gc()?;
+                        self.make_room()?;
                         self.group.stage_framed_put(key, scratch, StagedKind::GcPut { from });
                         report.rewritten_bytes += len;
                         report.rewritten_records += 1;
@@ -1320,12 +1190,12 @@ impl Writer {
                 }
                 RecordKind::Tombstone => {
                     let shadows_elsewhere = {
-                        let ix = self.shared.index.lock();
+                        let (ix, _) = &*self.shared.index.lock();
                         ix.get(key).is_none()
                             && ix.puts_on_disk(key) > puts_here.get(&key).copied().unwrap_or(0)
                     };
                     if shadows_elsewhere {
-                        self.make_room_for_gc()?;
+                        self.make_room()?;
                         let kind = RecordKind::Tombstone;
                         self.group.stage_inline(key, kind, &[], StagedKind::GcTombstone);
                         report.rewritten_bytes += len;
@@ -1336,21 +1206,21 @@ impl Writer {
         }
         // Land the tail group (and its relocations) before the victim can
         // be deleted out from under still-pointing index entries.
-        self.flush_gc()?;
+        self.flush_group()?;
 
         // Reclaim: exclusive `io` so no reader holds a location into the
         // victim across its deletion.
         {
             let _io = self.shared.io.write();
             self.backend.delete(victim)?;
-            self.shared.index.lock().forget_segment(victim, &puts_here);
+            let (ix, stats) = &mut *self.shared.index.lock();
+            ix.forget_segment(victim, &puts_here);
+            stats.compactions += 1;
+            stats.segments_deleted += 1;
+            stats.rewritten_records += report.rewritten_records;
+            stats.gc_read_bytes += report.read_bytes;
         }
         report.reclaimed_bytes = victim_len.saturating_sub(report.rewritten_bytes);
-        let c = &self.shared.counters;
-        c.compactions.fetch_add(1, Ordering::Relaxed);
-        c.segments_deleted.fetch_add(1, Ordering::Relaxed);
-        c.rewritten_records.fetch_add(report.rewritten_records, Ordering::Relaxed);
-        c.gc_read_bytes.fetch_add(report.read_bytes, Ordering::Relaxed);
         Ok(report)
     }
 }
@@ -1360,6 +1230,8 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
+    use crate::record::encode_record;
+    use std::sync::atomic::AtomicU64;
 
     fn cfg(segment_bytes: u64) -> StoreConfig {
         StoreConfig { segment_bytes, queue_depth: 8, compact_trigger: None, ..Default::default() }
@@ -2150,9 +2022,8 @@ mod tests {
         let mut index = StoreIndex::new();
         index.add_segment(0);
         let shared = Arc::new(Shared {
-            index: Mutex::new(index),
+            index: Mutex::new((index, StoreStats::default())),
             io: RwLock::new(()),
-            counters: Counters::new(),
             crashed: AtomicBool::new(false),
         });
         Writer {
@@ -2206,26 +2077,26 @@ mod tests {
                 let mut apply = |w: &mut Writer, p: Option<usize>| {
                     key += 1;
                     let cmd = p.map_or(Cmd::Remove { key }, |len| put_cmd(key, len));
-                    assert!(matches!(w.handle(cmd), WriterStep::Ok));
+                    assert!(w.handle(cmd).is_ok());
                 };
                 for p in first {
                     apply(&mut w, p);
                 }
-                assert!(matches!(w.flush_host(), WriterStep::Ok));
+                assert!(w.flush_group().is_ok());
                 for p in second {
                     apply(&mut w, p);
                 }
-                assert!(matches!(w.flush_host(), WriterStep::Crashed));
+                assert!(matches!(w.flush_group(), Err(StoreError::Crashed)));
 
                 let landed: u64 = lens(&first).iter().chain(&lens(&second)[..=at]).sum();
                 let crash_len = lens(&second)[at];
                 let want = SEGMENT_HEADER_LEN + landed - torn.min(crash_len);
                 assert_eq!(backend.len(0).unwrap(), want, "at {at} torn {torn}");
-                assert_eq!(
-                    w.shared.counters.acked_puts.load(Ordering::Relaxed)
-                        + w.shared.counters.acked_removes.load(Ordering::Relaxed),
-                    seq
-                );
+                let stats = w.shared.index.lock().1;
+                assert_eq!(stats.acked_puts + stats.acked_removes, seq);
+                // The crash record is appended traffic, whole, even when torn.
+                assert_eq!(stats.put_records + stats.tombstone_records, seq + 1);
+                assert_eq!(stats.host_bytes, landed, "at {at} torn {torn}");
                 drop(w);
 
                 let (_, rec) = open_mem(&backend, cfg(1 << 20));
@@ -2234,6 +2105,48 @@ mod tests {
                 assert_eq!(rec.torn_tail, !whole && torn < crash_len, "at {at} torn {torn}");
             }
         }
+    }
+
+    /// A listing whose newest segment is the last id leaves no id for the
+    /// new active segment. Wrapping to segment 0 acked new writes there,
+    /// behind every older segment, and the next open failed to create
+    /// segment 0 again, so those writes could never be read.
+    #[test]
+    fn a_listing_that_ends_at_the_last_segment_id_is_refused_at_open() {
+        let backend = MemBackend::new();
+        create_segment(&backend, SegmentId::MAX).unwrap();
+        let mut record = Vec::new();
+        encode_record(7, RecordKind::Put, &payload(7, 30), &mut record);
+        backend.append(SegmentId::MAX, &record).unwrap();
+        let opened =
+            SegmentStore::open(Arc::new(backend.clone()), cfg(1 << 20), Arc::new(NoStoreFaults));
+        assert!(matches!(opened, Err(StoreError::Corrupt(_))), "{opened:?}");
+        assert_eq!(backend.list().unwrap(), [SegmentId::MAX], "a refused open creates nothing");
+    }
+
+    /// A roll out of the last segment id takes the writer down: the puts
+    /// landed before it stay acked and readable, the one that needed the
+    /// new segment is never acked, and no segment 0 appears.
+    #[test]
+    fn a_roll_past_the_last_segment_id_crashes_the_writer_instead_of_wrapping() {
+        let backend = MemBackend::new();
+        create_segment(&backend, SegmentId::MAX - 1).unwrap();
+        let (store, _) = open_mem(&backend, cfg(150));
+        for key in 0..3u64 {
+            // 121-byte records: the third reaches the 150-byte roll threshold.
+            let _ = store.put(key, &payload(key, 100));
+        }
+        assert!(matches!(store.flush(), Err(StoreError::Crashed)));
+        // The second flush fails only once the writer has let its intake
+        // go, which it does after marking the store crashed.
+        assert!(matches!(store.flush(), Err(StoreError::Crashed)));
+        assert!(store.is_crashed());
+        let s = store.stats();
+        assert_eq!((s.acked_puts, s.segments_created), (2, 1), "{s:?}");
+        assert_eq!(store.get(1).unwrap().unwrap(), payload(1, 100));
+        assert_eq!(store.get(2).unwrap(), None);
+        drop(store);
+        assert_eq!(backend.list().unwrap(), [SegmentId::MAX - 1, SegmentId::MAX]);
     }
 
     #[test]

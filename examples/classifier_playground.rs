@@ -6,7 +6,9 @@
 //! Run with: `cargo run --release --example classifier_playground`
 
 use otae::core::reaccess::ReaccessIndex;
-use otae::core::{solve_criteria, FeatureExtractor, FEATURE_NAMES, N_FEATURES};
+use otae::core::{
+    solve_criteria, FeatureExtractor, CRITERIA_ITERATIONS, FEATURE_NAMES, N_FEATURES,
+};
 use otae::ml::feature_select::{forward_select, information_gain};
 use otae::ml::{
     predict_all, roc_auc, score_all, Classifier, ConfusionMatrix, Dataset, DecisionTree,
@@ -18,7 +20,7 @@ fn main() {
     let trace = generate(&TraceConfig { n_objects: 20_000, seed: 11, ..Default::default() });
     let index = ReaccessIndex::build(&trace);
     let capacity = (trace.unique_bytes() as f64 * 0.02) as u64;
-    let criteria = solve_criteria(&index, capacity, trace.avg_object_size(), 3);
+    let criteria = solve_criteria(&index, capacity, trace.avg_object_size(), CRITERIA_ITERATIONS);
     println!(
         "criteria: M = {} accesses (p = {:.3}, h = {:.3})\n",
         criteria.m, criteria.p, criteria.h
