@@ -1,9 +1,10 @@
-//! Split-engine comparison: exact sorted splitter vs histogram-binned
-//! engine on the acceptance dataset (50 k rows × 8 features) and smaller
-//! sizes. The binned engine must come out ≥ 3× faster at 50 k.
+//! Split-search comparison: the exact sorted reference splitter
+//! (`DecisionTree::fit_exact`) vs the production histogram fit
+//! (`DecisionTree::fit`) on the acceptance dataset (50 k rows × 8 features)
+//! and a smaller size. The histogram fit must come out ≥ 3× faster at 50 k.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use otae_ml::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
+use otae_ml::{Classifier, Dataset, DecisionTree};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -23,9 +24,15 @@ fn synthetic_dataset(n: usize, seed: u64) -> Dataset {
     d
 }
 
-fn fit_with(engine: SplitEngine, data: &Dataset) -> usize {
-    let mut tree = DecisionTree::new(TreeParams { engine, cost_fp: 2.0, ..TreeParams::default() });
-    tree.fit(data);
+/// Fit a cost-sensitive tree with the exact reference splitter or the
+/// production histogram path; returns the split count.
+fn fit_with(exact: bool, data: &Dataset) -> usize {
+    let mut tree = DecisionTree::with_cost(2.0);
+    if exact {
+        tree.fit_exact(data);
+    } else {
+        tree.fit(data);
+    }
     tree.n_splits()
 }
 
@@ -35,10 +42,10 @@ fn bench_engines(c: &mut Criterion) {
     for n in [10_000usize, 50_000] {
         let data = synthetic_dataset(n, 42);
         group.bench_function(format!("exact_{n}x8"), |b| {
-            b.iter(|| fit_with(SplitEngine::Exact, black_box(&data)))
+            b.iter(|| fit_with(true, black_box(&data)))
         });
         group.bench_function(format!("binned_{n}x8"), |b| {
-            b.iter(|| fit_with(SplitEngine::default(), black_box(&data)))
+            b.iter(|| fit_with(false, black_box(&data)))
         });
     }
     group.finish();

@@ -146,9 +146,9 @@ fn trainable(samples: &[Sample]) -> bool {
     samples.iter().any(|s| s.one_time) && samples.iter().any(|s| !s.one_time)
 }
 
-/// Train the paper's cost-sensitive CART tree on a sample window with the
-/// default (histogram-binned) split engine. Returns `None` when the window
-/// is empty or single-class.
+/// Train the paper's cost-sensitive CART tree on a sample window
+/// (`DecisionTree::fit`: one 256-bin quantization, histogram split search).
+/// Returns `None` when the window is empty or single-class.
 pub fn train_tree(samples: &[Sample], v: f32, max_splits: usize) -> Option<DecisionTree> {
     if !trainable(samples) {
         return None;
@@ -322,7 +322,6 @@ impl<M> ModelSchedule<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otae_ml::SplitEngine;
 
     fn sample(ts: u64, x: f32, one_time: bool) -> ([f32; N_FEATURES], u64, bool) {
         let mut f = [0.0f32; N_FEATURES];
@@ -517,14 +516,11 @@ mod tests {
                 Sample { ts, features, one_time }
             })
             .collect();
-        let fit = |engine| {
-            let params = TreeParams { max_splits: 30, cost_fp: 2.0, engine, ..Default::default() };
-            let mut tree = DecisionTree::new(params);
-            tree.fit(&data);
-            tree
-        };
-        let exact = fit(SplitEngine::Exact);
-        let binned = fit(SplitEngine::Binned { max_bins: 256 });
+        let params = TreeParams { max_splits: 30, cost_fp: 2.0, ..Default::default() };
+        let mut exact = DecisionTree::new(params);
+        let mut binned = exact.clone();
+        exact.fit_exact(&data);
+        binned.fit(&data);
         for s in &samples {
             assert_eq!(exact.predict(&s.features), binned.predict(&s.features));
         }

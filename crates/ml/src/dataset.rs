@@ -90,12 +90,6 @@ impl Dataset {
         &self.y
     }
 
-    /// Overwrite all sample weights (length must match).
-    pub fn set_weights(&mut self, w: Vec<f32>) {
-        assert_eq!(w.len(), self.len());
-        self.w = w;
-    }
-
     /// Fraction of positive samples.
     pub fn positive_fraction(&self) -> f64 {
         if self.is_empty() {

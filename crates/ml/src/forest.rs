@@ -1,11 +1,11 @@
 //! Random Forest (Table 1 baseline): bootstrap-aggregated CART trees with
 //! per-split feature subsampling, trained in parallel with std scoped
-//! threads. With the binned engine the dataset is quantized **once** and
-//! every tree trains on the shared bin codes — a bootstrap is then just a
-//! row-index multiset, so no per-tree dataset copies are made either.
+//! threads. The dataset is quantized **once** and every tree trains on the
+//! shared bin codes — a bootstrap is just a row-index multiset, so no
+//! per-tree dataset copies are made.
 
-use crate::binning::BinnedDataset;
-use crate::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
+use crate::binning::{BinnedDataset, MAX_BINS};
+use crate::{Classifier, Dataset, DecisionTree, TreeParams};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -20,22 +20,13 @@ pub struct RandomForest {
     pub seed: u64,
     /// Worker threads for fitting (`0` = available parallelism).
     pub threads: usize,
-    /// Split-search engine every tree trains with.
-    pub engine: SplitEngine,
     trees: Vec<DecisionTree>,
 }
 
 impl RandomForest {
     /// New forest of `n_trees` trees.
     pub fn new(n_trees: usize, seed: u64) -> Self {
-        Self {
-            n_trees,
-            max_splits: 30,
-            seed,
-            threads: 0,
-            engine: SplitEngine::default(),
-            trees: Vec::new(),
-        }
+        Self { n_trees, max_splits: 30, seed, threads: 0, trees: Vec::new() }
     }
 
     /// Fitted tree count.
@@ -43,30 +34,18 @@ impl RandomForest {
         self.trees.len()
     }
 
-    fn fit_one(
-        &self,
-        data: &Dataset,
-        binned: Option<&BinnedDataset>,
-        tree_idx: usize,
-    ) -> DecisionTree {
+    fn fit_one(&self, binned: &BinnedDataset, tree_idx: usize) -> DecisionTree {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(tree_idx as u64));
-        let n = data.len();
-        let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-        let max_features = (data.n_features() as f64).sqrt().ceil() as usize;
+        let n = binned.len();
+        let rows: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n) as u32).collect();
+        let max_features = (binned.n_features() as f64).sqrt().ceil() as usize;
         let mut tree = DecisionTree::new(TreeParams {
             max_splits: self.max_splits,
             max_features: Some(max_features),
             seed: rng.gen(),
-            engine: self.engine,
             ..TreeParams::default()
         });
-        match binned {
-            Some(b) => {
-                let rows: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
-                tree.fit_binned_on(b, Some(&rows), None);
-            }
-            None => tree.fit_exact(&data.subset(&indices)),
-        }
+        tree.fit_binned_on(binned, Some(&rows), None);
         tree
     }
 }
@@ -78,10 +57,7 @@ impl Classifier for RandomForest {
             return;
         }
         // Bin once, train all members on the shared codes.
-        let binned = match self.engine {
-            SplitEngine::Binned { max_bins } => Some(BinnedDataset::build(data, max_bins)),
-            SplitEngine::Exact => None,
-        };
+        let binned = &BinnedDataset::build(data, MAX_BINS);
         let threads = if self.threads == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
         } else {
@@ -90,14 +66,13 @@ impl Classifier for RandomForest {
         .min(self.n_trees);
 
         let this: &RandomForest = self;
-        let binned = binned.as_ref();
         let mut trees: Vec<Option<DecisionTree>> = vec![None; self.n_trees];
         std::thread::scope(|scope| {
             for (shard_id, chunk) in trees.chunks_mut(this.n_trees.div_ceil(threads)).enumerate() {
                 let chunk_base = shard_id * this.n_trees.div_ceil(threads);
                 scope.spawn(move || {
                     for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(this.fit_one(data, binned, chunk_base + off));
+                        *slot = Some(this.fit_one(binned, chunk_base + off));
                     }
                 });
             }
@@ -111,21 +86,6 @@ impl Classifier for RandomForest {
         }
         let votes: f32 = self.trees.iter().map(|t| t.score(row)).sum();
         votes / self.trees.len() as f32
-    }
-
-    fn score_batch(&self, data: &Dataset) -> Vec<f32> {
-        if self.trees.is_empty() {
-            return vec![0.0; data.len()];
-        }
-        let mut sums = vec![0.0f32; data.len()];
-        for tree in &self.trees {
-            for (acc, s) in sums.iter_mut().zip(tree.score_batch(data)) {
-                *acc += s;
-            }
-        }
-        let n = self.trees.len() as f32;
-        sums.iter_mut().for_each(|s| *s /= n);
-        sums
     }
 
     fn name(&self) -> &'static str {

@@ -47,7 +47,7 @@ pub use metrics::{optimal_threshold, roc_auc, ConfusionMatrix};
 pub use mlp::Mlp;
 pub use naive_bayes::NaiveBayes;
 pub use preprocess::Standardizer;
-pub use tree::{DecisionTree, SplitEngine, TreeParams};
+pub use tree::{DecisionTree, TreeParams};
 
 /// A trained (or trainable) binary classifier.
 ///
@@ -63,9 +63,8 @@ pub trait Classifier: Send + Sync {
     fn predict(&self, row: &[f32]) -> bool {
         self.score(row) >= 0.5
     }
-    /// Positive-class confidences for every row. The default delegates to
-    /// [`Classifier::score`] per row; models with a batch-friendly layout
-    /// (e.g. [`DecisionTree`]'s flattened node array) override it.
+    /// Positive-class confidences for every row. The default calls
+    /// [`Classifier::score`] per row.
     fn score_batch(&self, data: &Dataset) -> Vec<f32> {
         (0..data.len()).map(|i| self.score(data.row(i))).collect()
     }

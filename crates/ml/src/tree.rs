@@ -9,40 +9,19 @@
 //! the resulting tree is shallow — the paper reports height ≈ 5, i.e. at most
 //! five comparisons per prediction.
 //!
-//! Two split-search engines are available (see [`SplitEngine`]): the
-//! reference **exact** splitter, which re-sorts every feature column at
-//! every node, and the default **binned** engine, which quantizes each
-//! column once into ≤ 256 bins ([`BinnedDataset`]) and finds splits by
-//! accumulating per-bin weight histograms — O(n_node × features) per node
-//! with no sorting, deriving the larger sibling's histograms by subtracting
-//! the smaller child's from the parent's.
+//! Splits are found on histograms: [`Classifier::fit`] quantizes each
+//! column once into ≤ [`MAX_BINS`] bins ([`BinnedDataset`]) and accumulates
+//! per-bin weight histograms — O(n_node × features) per node with no
+//! sorting, deriving the larger sibling's histograms by subtracting the
+//! smaller child's from the parent's. [`DecisionTree::fit_exact`], which
+//! re-sorts every feature column at every node, is kept as the reference the
+//! equivalence tests compare against.
 
 use crate::binning::{BinnedDataset, MAX_BINS};
 use crate::{Classifier, Dataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Which split-search implementation a tree trains with. Both engines use
-/// identical impurity, budget, cost and feature-subsampling logic; with one
-/// bin per distinct value they produce prediction-identical trees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitEngine {
-    /// Per-node sorted scan over raw feature values. O(n log n) per node
-    /// per feature; kept as the equivalence reference.
-    Exact,
-    /// Histogram search over pre-quantized bin codes (≤ `max_bins` ≤ 256).
-    Binned {
-        /// Bins per feature (clamped to `[2, 256]`).
-        max_bins: usize,
-    },
-}
-
-impl Default for SplitEngine {
-    fn default() -> Self {
-        SplitEngine::Binned { max_bins: MAX_BINS }
-    }
-}
 
 /// Tree hyper-parameters.
 #[derive(Debug, Clone)]
@@ -60,8 +39,6 @@ pub struct TreeParams {
     pub max_features: Option<usize>,
     /// Seed for feature subsampling.
     pub seed: u64,
-    /// Split-search engine (default: binned histograms).
-    pub engine: SplitEngine,
 }
 
 impl Default for TreeParams {
@@ -73,7 +50,6 @@ impl Default for TreeParams {
             cost_fp: 1.0,
             max_features: None,
             seed: 0,
-            engine: SplitEngine::default(),
         }
     }
 }
@@ -203,9 +179,8 @@ impl DecisionTree {
                     out.push(1);
                     out.extend_from_slice(&threshold.to_le_bytes());
                     out.extend_from_slice(&feature.to_le_bytes());
-                    // left/right as u24 each would be cramped; use u32 pair
-                    // packed into 6 bytes (u24 is plenty for our trees would
-                    // be, but explicit u32/u16 split keeps it simple):
+                    // Child indices as 24 bits each: the 13-byte record's
+                    // last 6 bytes.
                     out.extend_from_slice(&left.to_le_bytes()[..3]);
                     out.extend_from_slice(&right.to_le_bytes()[..3]);
                 }
@@ -543,8 +518,8 @@ fn accumulate_feature(
 }
 
 impl DecisionTree {
-    /// Fit on a pre-binned dataset (binned-engine hot path, shared by
-    /// forests and boosting so the quantization cost is paid once).
+    /// Fit on a pre-binned dataset. [`Classifier::fit`] bins once and calls
+    /// this; forests and boosting share one binning across their trees.
     ///
     /// * `rows` — sample multiset to train on (bootstrap duplicates
     ///   allowed); `None` trains on every row.
@@ -746,8 +721,9 @@ fn leaf_score_of(tot: HBin) -> f32 {
 }
 
 impl DecisionTree {
-    /// Fit with the exact sorted splitter regardless of the configured
-    /// engine (the equivalence-test reference path).
+    /// Fit with the exact sorted splitter. Its only role is the reference
+    /// the equivalence tests hold [`Classifier::fit`] to: with one bin per
+    /// distinct value the two produce prediction-identical trees.
     pub fn fit_exact(&mut self, data: &Dataset) {
         self.nodes.clear();
         self.n_splits = 0;
@@ -830,13 +806,7 @@ impl DecisionTree {
 
 impl Classifier for DecisionTree {
     fn fit(&mut self, data: &Dataset) {
-        match self.params.engine {
-            SplitEngine::Exact => self.fit_exact(data),
-            SplitEngine::Binned { max_bins } => {
-                let binned = BinnedDataset::build(data, max_bins);
-                self.fit_binned_on(&binned, None, None);
-            }
-        }
+        self.fit_binned_on(&BinnedDataset::build(data, MAX_BINS), None, None);
     }
 
     fn score(&self, row: &[f32]) -> f32 {
@@ -852,27 +822,6 @@ impl Classifier for DecisionTree {
                 }
             }
         }
-    }
-
-    fn score_batch(&self, data: &Dataset) -> Vec<f32> {
-        // Tight loop over the flattened node array: one shared borrow of
-        // the nodes, no per-row virtual dispatch.
-        let nodes = &self.nodes[..];
-        (0..data.len())
-            .map(|r| {
-                let row = data.row(r);
-                let mut i = 0u32;
-                loop {
-                    match nodes[i as usize] {
-                        Node::Leaf { score } => return score,
-                        Node::Split { feature, threshold, left, right } => {
-                            let x = row.get(feature as usize).copied().unwrap_or(0.0);
-                            i = if x <= threshold { left } else { right };
-                        }
-                    }
-                }
-            })
-            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -1063,17 +1012,9 @@ mod tests {
         for seed in 0..4u64 {
             let train = low_cardinality_dataset(1500, seed);
             let test = low_cardinality_dataset(400, seed + 100);
-            let mut exact = DecisionTree::new(TreeParams {
-                engine: SplitEngine::Exact,
-                seed,
-                ..Default::default()
-            });
-            let mut binned = DecisionTree::new(TreeParams {
-                engine: SplitEngine::Binned { max_bins: 256 },
-                seed,
-                ..Default::default()
-            });
-            exact.fit(&train);
+            let mut exact = DecisionTree::new(TreeParams { seed, ..Default::default() });
+            let mut binned = exact.clone();
+            exact.fit_exact(&train);
             binned.fit(&train);
             assert_eq!(exact.n_splits(), binned.n_splits(), "seed {seed}: split count differs");
             for i in 0..test.len() {
@@ -1091,17 +1032,9 @@ mod tests {
         // Table 4 cost matrices: v multiplies negative-sample weights.
         for v in [2.0f32, 3.0] {
             let train = low_cardinality_dataset(1200, 9);
-            let mut exact = DecisionTree::new(TreeParams {
-                engine: SplitEngine::Exact,
-                cost_fp: v,
-                ..Default::default()
-            });
-            let mut binned = DecisionTree::new(TreeParams {
-                engine: SplitEngine::Binned { max_bins: 256 },
-                cost_fp: v,
-                ..Default::default()
-            });
-            exact.fit(&train);
+            let mut exact = DecisionTree::with_cost(v);
+            let mut binned = exact.clone();
+            exact.fit_exact(&train);
             binned.fit(&train);
             for i in 0..train.len() {
                 assert_eq!(
@@ -1131,11 +1064,8 @@ mod tests {
         // the binned tree must still learn the concept.
         let train = xor_dataset(3000, 31);
         let test = xor_dataset(600, 32);
-        let mut tree = DecisionTree::new(TreeParams {
-            engine: SplitEngine::Binned { max_bins: 32 },
-            ..Default::default()
-        });
-        tree.fit(&train);
+        let mut tree = DecisionTree::new(TreeParams::default());
+        tree.fit_binned_on(&BinnedDataset::build(&train, 32), None, None);
         let preds = predict_all(&tree, &test);
         let acc = preds.iter().zip(test.labels()).filter(|(p, y)| *p == *y).count() as f64
             / test.len() as f64;

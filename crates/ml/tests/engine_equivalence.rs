@@ -3,7 +3,7 @@
 //! distinct values (one bin per distinct value reproduces the exact
 //! splitter's candidate thresholds, weights and tie-breaking exactly).
 
-use otae_ml::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
+use otae_ml::{Classifier, Dataset, DecisionTree, TreeParams};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -26,11 +26,11 @@ fn grid_dataset(n: usize, cards: &[u32], seed: u64) -> Dataset {
     d
 }
 
+/// The exact reference and the production fit, on the same parameters.
 fn fit_both(data: &Dataset, params: TreeParams) -> (DecisionTree, DecisionTree) {
-    let mut exact = DecisionTree::new(TreeParams { engine: SplitEngine::Exact, ..params });
-    let mut binned =
-        DecisionTree::new(TreeParams { engine: SplitEngine::Binned { max_bins: 256 }, ..params });
-    exact.fit(data);
+    let mut exact = DecisionTree::new(params);
+    let mut binned = exact.clone();
+    exact.fit_exact(data);
     binned.fit(data);
     (exact, binned)
 }

@@ -4,7 +4,7 @@
 //! short rows) — so a model shipped over the wire makes the exact admission
 //! decisions the trainer measured.
 
-use otae_ml::{Classifier, Dataset, DecisionTree, SplitEngine, TreeParams};
+use otae_ml::{BinnedDataset, Classifier, Dataset, DecisionTree, TreeParams};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use rand::{Rng, SeedableRng};
@@ -25,13 +25,8 @@ fn dataset(n: usize, n_features: usize, card: u32, seed: u64) -> Dataset {
 }
 
 fn fitted_tree(data: &Dataset, max_splits: usize, seed: u64) -> DecisionTree {
-    let mut tree = DecisionTree::new(TreeParams {
-        max_splits,
-        seed,
-        engine: SplitEngine::Binned { max_bins: 64 },
-        ..TreeParams::default()
-    });
-    tree.fit(data);
+    let mut tree = DecisionTree::new(TreeParams { max_splits, seed, ..TreeParams::default() });
+    tree.fit_binned_on(&BinnedDataset::build(data, 64), None, None);
     tree
 }
 
