@@ -50,6 +50,17 @@ fn bounded_ts(ts: u64, what: impl std::fmt::Display) -> Result<u64, CodecError> 
     Ok(ts)
 }
 
+/// `upload_ts` of object `what`, refused when its magnitude is at or beyond
+/// [`TS_LIMIT`]: feature extraction subtracts it from a request timestamp.
+fn bounded_upload_ts(upload_ts: i64, what: impl std::fmt::Display) -> Result<i64, CodecError> {
+    if upload_ts.unsigned_abs() >= TS_LIMIT {
+        return Err(malformed(format!(
+            "{what}: upload timestamp {upload_ts} is at or beyond ±{TS_LIMIT} s"
+        )));
+    }
+    Ok(upload_ts)
+}
+
 /// Serialise a trace to the binary format.
 pub fn to_bytes(trace: &Trace) -> Bytes {
     let mut buf = BytesMut::with_capacity(
@@ -79,7 +90,8 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
 }
 
 /// Deserialise a trace from the binary format. A request timestamp at or
-/// beyond [`TS_LIMIT`] is malformed.
+/// beyond [`TS_LIMIT`], or an upload timestamp whose magnitude is, is
+/// malformed.
 pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
     // Full header: 4 magic + 2 version + 4 owners + 4 meta + 8 requests.
     if data.remaining() < 22 {
@@ -110,7 +122,7 @@ pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
         owners.push(Owner { activity: data.get_f32_le(), active_friends: data.get_u32_le() });
     }
     let mut meta = Vec::with_capacity(n_meta);
-    for _ in 0..n_meta {
+    for i in 0..n_meta {
         let owner = OwnerId(data.get_u32_le());
         if owner.0 as usize >= n_owners {
             return Err(malformed("owner index out of range"));
@@ -123,7 +135,7 @@ pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
             owner,
             ptype: PhotoType::from_index(ptype_raw),
             size: data.get_u32_le(),
-            upload_ts: data.get_i64_le(),
+            upload_ts: bounded_upload_ts(data.get_i64_le(), format_args!("object {i}"))?,
         });
     }
     let mut requests = Vec::with_capacity(n_req);
@@ -187,7 +199,14 @@ pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> Result<(), CodecError> {
 /// Read a text trace (the [`write_text`] format):
 /// `ts object_id owner_id type size upload_ts terminal`, one request per
 /// line; `#`-prefixed lines and blank lines are ignored. A timestamp at or
-/// beyond [`TS_LIMIT`] is malformed.
+/// beyond [`TS_LIMIT`], or an upload timestamp whose magnitude is, is
+/// malformed.
+///
+/// Object ids and owner ids are renumbered densely in ascending order: the
+/// smallest object id in the input becomes object 0, the next smallest
+/// object 1, and so on (owners likewise), so no id sizes a table. A trace
+/// whose ids are already dense from 0 with none skipped (every generated
+/// trace) keeps its ids; sparse ids, such as `otae sample` output, do not.
 ///
 /// Object/owner metadata is reconstructed from the first line mentioning
 /// each id; later lines must agree on the metadata or the input is rejected
@@ -200,7 +219,6 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, CodecError> {
     let reader = io::BufReader::new(r);
     let mut requests = Vec::new();
     let mut meta_map: otae_fxhash::FxHashMap<u32, PhotoMeta> = otae_fxhash::FxHashMap::default();
-    let mut max_owner = 0u32;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -223,6 +241,7 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, CodecError> {
             .ok_or_else(|| parse_err("photo type"))?;
         let size: u32 = fields[4].parse().map_err(|_| parse_err("size"))?;
         let upload_ts: i64 = fields[5].parse().map_err(|_| parse_err("upload ts"))?;
+        let upload_ts = bounded_upload_ts(upload_ts, format_args!("line {}", lineno + 1))?;
         let terminal = match fields[6] {
             "0" => Terminal::Pc,
             "1" => Terminal::Mobile,
@@ -241,26 +260,33 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, CodecError> {
                 )))
             }
         }
-        max_owner = max_owner.max(owner);
         requests.push(Request { ts, object: ObjectId(object), terminal });
     }
-    let max_object = meta_map.keys().copied().max().map_or(0, |m| m + 1);
-    let mut meta = vec![
-        PhotoMeta { owner: OwnerId(0), ptype: PhotoType::L5, size: 0, upload_ts: 0 };
-        max_object as usize
-    ];
-    for (id, m) in meta_map {
-        meta[id as usize] = m;
+    let object_ids = dense_ids(meta_map.keys().copied());
+    let owner_ids = dense_ids(meta_map.values().map(|m| m.owner.0));
+    let mut meta: Vec<(u32, PhotoMeta)> = meta_map
+        .into_iter()
+        .map(|(id, m)| (object_ids[&id], PhotoMeta { owner: OwnerId(owner_ids[&m.owner.0]), ..m }))
+        .collect();
+    meta.sort_unstable_by_key(|(id, _)| *id);
+    let meta = meta.into_iter().map(|(_, m)| m).collect();
+    for r in &mut requests {
+        r.object = ObjectId(object_ids[&r.object.0]);
     }
-    let owners = vec![
-        Owner { activity: 0.0, active_friends: 0 };
-        if requests.is_empty() { 0 } else { max_owner as usize + 1 }
-    ];
+    let owners = vec![Owner { activity: 0.0, active_friends: 0 }; owner_ids.len()];
     let trace = Trace { requests, meta, owners };
     if !trace.is_time_ordered() {
         return Err(malformed("requests not time-ordered"));
     }
     Ok(trace)
+}
+
+/// Each distinct id mapped to its rank among them in ascending order.
+fn dense_ids(ids: impl Iterator<Item = u32>) -> otae_fxhash::FxHashMap<u32, u32> {
+    let mut sorted: Vec<u32> = ids.collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.into_iter().zip(0..).collect()
 }
 
 /// Label → type mapping used by the text reader.
@@ -370,6 +396,64 @@ mod tests {
         }
         let inside = read_text(two_requests(TS_LIMIT - 1).as_bytes()).expect("just inside");
         assert_eq!(from_bytes(&to_bytes(&inside)).unwrap(), inside);
+    }
+
+    #[test]
+    fn upload_timestamps_at_or_beyond_the_limit_are_malformed() {
+        let limit = TS_LIMIT as i64;
+        let text = |upload_ts: i64| format!("0 0 0 a0 100 {upload_ts} 0\n5 1 0 a0 100 0 1\n");
+        for upload_ts in [i64::MIN, -limit, limit, i64::MAX] {
+            let err = read_text(text(upload_ts).as_bytes()).expect_err("text decoder refuses");
+            assert!(
+                err.to_string().contains(&format!("line 1: upload timestamp {upload_ts}")),
+                "{err}"
+            );
+            // The same trace in binary: object 0's upload_ts sits 9 bytes into
+            // its 17-byte record, after the 22-byte header and one owner.
+            let mut bytes = to_bytes(&read_text(text(0).as_bytes()).unwrap()).to_vec();
+            bytes[22 + 8 + 9..22 + 8 + 17].copy_from_slice(&upload_ts.to_le_bytes());
+            let err = from_bytes(&bytes).expect_err("binary decoder refuses");
+            assert!(
+                err.to_string().contains(&format!("object 0: upload timestamp {upload_ts}")),
+                "{err}"
+            );
+        }
+        for upload_ts in [-(limit - 1), limit - 1] {
+            let inside = read_text(text(upload_ts).as_bytes()).expect("just inside");
+            assert_eq!(inside.photo(ObjectId(0)).upload_ts, upload_ts);
+            assert_eq!(from_bytes(&to_bytes(&inside)).unwrap(), inside);
+        }
+    }
+
+    #[test]
+    fn text_ids_are_renumbered_densely_in_ascending_order() {
+        // Objects 3 < 7 < u32::MAX become 0, 1, 2; owners 9 < 20 become 0, 1.
+        let input =
+            "0 7 20 a0 100 0 0\n1 4294967295 9 b0 200 0 1\n2 3 20 c0 300 0 0\n3 7 20 a0 100 0 1\n";
+        let t = read_text(input.as_bytes()).unwrap();
+        let objects: Vec<u32> = t.requests.iter().map(|r| r.object.0).collect();
+        assert_eq!(objects, [1, 2, 0, 1]);
+        assert_eq!(t.meta.len(), 3);
+        assert_eq!(t.owners.len(), 2);
+        let owner_and_size = |o: u32| (t.photo(ObjectId(o)).owner.0, t.photo(ObjectId(o)).size);
+        assert_eq!(
+            [owner_and_size(0), owner_and_size(1), owner_and_size(2)],
+            [(1, 300), (1, 100), (0, 200)]
+        );
+    }
+
+    #[test]
+    fn huge_text_ids_size_no_table() {
+        // Each used to size `meta` or `owners` by the id itself: a wrapped
+        // `id + 1` indexed an empty table, larger ids aborted on allocation.
+        for line in
+            ["0 4294967295 0 a0 100 0 0", "0 0 4294967295 a0 100 0 0", "0 3000000000 0 a0 100 0 0"]
+        {
+            let t = read_text(line.as_bytes()).unwrap();
+            assert_eq!((t.meta.len(), t.owners.len()), (1, 1), "{line}");
+            assert_eq!(t.requests[0].object, ObjectId(0), "{line}");
+            assert_eq!(t.photo(ObjectId(0)).owner, OwnerId(0), "{line}");
+        }
     }
 
     #[test]
