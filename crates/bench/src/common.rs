@@ -34,6 +34,11 @@ pub fn capacity_grid(trace: &Trace) -> Vec<(f64, u64)> {
     PAPER_GBS.iter().map(|&g| (g, gb_to_bytes(trace, g))).collect()
 }
 
+/// Suffix [`Table::wall_clock`] appends to a column header. Cells under
+/// such a header are wall-clock measurements, which differ between two
+/// runs of the same code, so [`results_diff`] skips them.
+pub const WALL_CLOCK: &str = " [wall clock]";
+
 /// A printable, CSV-writable results table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -50,6 +55,14 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// Declare `column` a wall-clock measurement (its header gains
+    /// [`WALL_CLOCK`]). Every other cell must be a function of the code.
+    pub fn wall_clock(mut self, column: &str) -> Self {
+        let header = self.headers.iter_mut().find(|h| *h == column).expect("column exists");
+        header.push_str(WALL_CLOCK);
+        self
     }
 
     /// Append a row (must match the header width).
@@ -133,6 +146,74 @@ impl Table {
     }
 }
 
+/// Records of a CSV text as [`Table::write_csv`] writes it: fields split at
+/// commas outside quotes, `""` inside quotes read as one quote.
+fn csv_records(text: &str) -> Vec<Vec<String>> {
+    let (mut records, mut record, mut field, mut quoted) =
+        (Vec::new(), Vec::new(), String::new(), false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                field.push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => record.push(std::mem::take(&mut field)),
+            '\n' if !quoted => {
+                record.push(std::mem::take(&mut field));
+                records.push(std::mem::take(&mut record));
+            }
+            _ => field.push(c),
+        }
+    }
+    records
+}
+
+/// How the CSVs under `fresh` differ from their namesakes under
+/// `committed`, one line per differing file or line; empty when they all
+/// match. Cells under a [`WALL_CLOCK`] header are not compared, the header
+/// line itself is. CSVs only under `committed` are not looked at; a
+/// `fresh` without any CSV is a difference.
+pub fn results_diff(fresh: &Path, committed: &Path) -> std::io::Result<Vec<String>> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(fresh)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".csv") {
+            names.push(name);
+        }
+    }
+    names.sort();
+    let mut out = Vec::new();
+    if names.is_empty() {
+        out.push(format!("no CSV under {}", fresh.display()));
+    }
+    for name in names {
+        let new = csv_records(&std::fs::read_to_string(fresh.join(&name))?);
+        let Ok(old) = std::fs::read_to_string(committed.join(&name)) else {
+            out.push(format!("{name}: missing from {}", committed.display()));
+            continue;
+        };
+        let old = csv_records(&old);
+        if new.len() != old.len() {
+            out.push(format!("{name}: {} lines, committed {}", new.len(), old.len()));
+            continue;
+        }
+        let header = new.first().map_or(&[][..], Vec::as_slice);
+        for (line, (a, b)) in new.iter().zip(&old).enumerate() {
+            let same = a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .zip(header)
+                    .all(|((x, y), h)| x == y || (line > 0 && h.ends_with(WALL_CLOCK)));
+            if !same {
+                out.push(format!("{name}:{}: {a:?}, committed {b:?}", line + 1));
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// True when `OTAE_BENCH_SMOKE=1`: experiments shrink to seconds-scale
 /// sanity runs and skip writing `results/*.csv` (so CI smoke runs never
 /// clobber real numbers).
@@ -173,6 +254,47 @@ mod tests {
         assert!(text.contains("demo"));
         assert!(text.contains('1'));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn csv_records_read_what_write_csv_escapes() {
+        let text = "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n,\n";
+        assert_eq!(csv_records(text), [vec!["a", "b"], vec!["x,y", "say \"hi\""], vec!["", ""]]);
+    }
+
+    #[test]
+    fn results_diff_skips_wall_clock_cells_only() {
+        let root = std::env::temp_dir().join(format!("otae-results-diff-{}", std::process::id()));
+        let (fresh, committed) = (root.join("fresh"), root.join("committed"));
+        for dir in [&fresh, &committed] {
+            std::fs::create_dir_all(dir).unwrap();
+        }
+        assert_eq!(results_diff(&fresh, &committed).unwrap().len(), 1, "empty run");
+        let header = format!("model,accuracy,ms{WALL_CLOCK}\n");
+        let write = |dir: &Path, name: &str, body: &str| {
+            std::fs::write(dir.join(name), format!("{header}{body}")).unwrap();
+        };
+        write(&fresh, "a.csv", "tree,0.80,5.0\n");
+        write(&committed, "a.csv", "tree,0.80,4.1\n");
+        write(&committed, "only_committed.csv", "x,1,2\n");
+        assert!(results_diff(&fresh, &committed).unwrap().is_empty());
+
+        write(&fresh, "a.csv", "tree,0.81,5.0\n");
+        write(&fresh, "b.csv", "tree,0.80,5.0\n");
+        std::fs::write(committed.join("c.csv"), "model,accuracy,ms\ntree,0.80,5.0\n").unwrap();
+        write(&fresh, "c.csv", "tree,0.80,5.0\n");
+        let diff = results_diff(&fresh, &committed).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(diff.len(), 3, "{diff:?}");
+        assert!(diff[0].starts_with("a.csv:2:"), "{diff:?}");
+        assert!(diff[1].starts_with("b.csv: missing"), "{diff:?}");
+        assert!(diff[2].starts_with("c.csv:1:"), "a header gaining the mark: {diff:?}");
+    }
+
+    #[test]
+    fn wall_clock_marks_one_header() {
+        let t = Table::new("demo", &["a", "ms"]).wall_clock("ms");
+        assert_eq!(t.headers, ["a".to_string(), format!("ms{WALL_CLOCK}")]);
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub fn ensemble_tradeoff() {
     let mut t = Table::new(
         "Ensemble trade-off (§3.1.1): accuracy vs training cost",
         &["model", "accuracy", "train time (ms)"],
-    );
+    )
+    .wall_clock("train time (ms)");
     let accuracy = |clf: &dyn Classifier| {
         let correct =
             (0..test.len()).filter(|&i| clf.predict(test.row(i)) == test.label(i)).count();

@@ -22,6 +22,16 @@ cargo test --workspace -q
 echo "==> cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache (the golden fingerprints, the sketch model, the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
 cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache -q
 
+echo "==> results/ is current (otae-bench all in a temp dir; every CSV it writes must match results/, wall-clock columns aside)"
+# Table::write_csv writes under the working directory, so the run lands in
+# $tmp/results. The experiments run at their defaults: no OTAE_OBJECTS, no
+# smoke mode.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+root="$PWD"
+(cd "$tmp" && env -u OTAE_OBJECTS -u OTAE_BENCH_SMOKE cargo run --manifest-path "$root/Cargo.toml" --release -q -p otae-bench -- all > /dev/null)
+cargo run --release -q -p otae-bench -- diff "$tmp/results" results
+
 echo "==> benchmark smoke (all five workloads, tiny inputs; its output checks gate the run)"
 # serve == pipeline fingerprint on every replay, conservation, clean FaultReport,
 # store reconciliation: any failed check makes run.sh exit non-zero.
