@@ -1,11 +1,13 @@
 //! Segment-store operation latency: append batches at queue depths
 //! {1, 16, 64}, indexed reads against a populated store, a full
-//! compaction pass over a churned device, and the record checksum per
-//! kernel — Criterion's statistical view next to `benchmark/`'s `store.*`
-//! per-layer metrics.
+//! compaction pass over a churned device, the recovery scan of a reopened
+//! device, and the record checksum per kernel — Criterion's statistical
+//! view next to `benchmark/`'s `store.*` per-layer metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use otae_store::{crc32_with, Crc32Kernel, MemBackend, NoStoreFaults, SegmentStore, StoreConfig};
+use otae_store::{
+    crc32_with, Backend, Crc32Kernel, MemBackend, NoStoreFaults, SegmentStore, StoreConfig,
+};
 use std::sync::Arc;
 
 const APPENDS_PER_ITER: usize = 1_000;
@@ -113,6 +115,47 @@ fn bench_compact(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bytes of records on the device [`bench_recover`] reopens.
+const RECOVER_BYTES: usize = 40 << 20;
+
+/// `store_recover/40MiB_20KiB_records`: `open` over a `MemBackend`
+/// holding ≈ 40 MiB of 16–24 KiB records (one put per key, so every record
+/// is live) in 8 MiB segments, all sealed once reopened. Each iteration is
+/// the recovery scan — every header, then every whole record through
+/// the full decode on the scan's threads — plus the writer thread's start
+/// and stop; the empty segment each `open` creates is deleted again, so
+/// every iteration scans the same device.
+fn bench_recover(c: &mut Criterion) {
+    let backend = MemBackend::new();
+    let cfg = StoreConfig { compact_trigger: None, ..StoreConfig::default() };
+    let open = || {
+        SegmentStore::open(Arc::new(backend.clone()), cfg, Arc::new(NoStoreFaults)).expect("open")
+    };
+    let (store, _) = open();
+    let mut state = 0x2EC0u64;
+    let (mut key, mut bytes) = (0u64, 0usize);
+    while bytes < RECOVER_BYTES {
+        let r = splitmix(&mut state);
+        let len = (16 << 10) + (r % (8 << 10)) as usize;
+        store.put_with(key, len, |dst| dst.fill(r as u8)).expect("put");
+        (key, bytes) = (key + 1, bytes + len);
+    }
+    drop(store);
+    let mut group = c.benchmark_group("store_recover");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(backend.total_bytes()));
+    group.bench_function("40MiB_20KiB_records", |b| {
+        b.iter(|| {
+            let (store, report) = open();
+            drop(store);
+            let created = *backend.list().expect("list").last().expect("the active segment");
+            backend.delete(created).expect("delete");
+            black_box(report)
+        })
+    });
+    group.finish();
+}
+
 /// `crc32/{kernel}/{size}`: each CRC32 kernel this CPU has over a hot
 /// buffer of 2 KiB (a photo-sized record), 32 KiB and 8 MiB (a segment,
 /// out of cache), in bytes per second. A kernel the CPU lacks is named and
@@ -137,5 +180,5 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_append, bench_read, bench_compact, bench_crc32);
+criterion_group!(benches, bench_append, bench_read, bench_compact, bench_recover, bench_crc32);
 criterion_main!(benches);

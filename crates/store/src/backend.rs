@@ -13,10 +13,19 @@
 //!   entropy involved.
 //!
 //! A `MemBackend` segment is the list of its appends, each an immutable,
-//! exactly-sized chunk copied *before* the device lock is taken; under the
-//! lock an append only pushes its chunk, and a read copies from the
-//! chunk(s) covering its range. So no reader waits for a write group's
-//! `memcpy`, and the device needs no notion of an active segment.
+//! exactly-sized, shared chunk built *before* the device lock is taken;
+//! under the lock an append only pushes its chunk, and a read only checks
+//! its range and clones the handles of the chunk(s) covering it. So no
+//! reader waits for a write group's `memcpy`, no writer waits for a
+//! reader's, and the device needs no notion of an active segment.
+//!
+//! Reads are lent. [`Backend::read_lent`] hands out the bytes of a range
+//! where they lie: a `MemBackend` range inside one append (every record,
+//! since a record never spans two appends) is its chunk, kept alive by the
+//! handle, so the caller verifies and copies it straight from the device.
+//! Bytes are copied into the caller's scratch buffer only at the fallback:
+//! a range that crosses appends, and every [`FileBackend`] read, whose
+//! positioned read into the scratch buffer is already its one copy.
 
 use crate::handles::HandleCache;
 use crate::StoreError;
@@ -24,6 +33,7 @@ use otae_fxhash::FxHashMap;
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
 use std::io::{IoSlice, Write};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -46,10 +56,10 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// records) where it already sits in memory; empty parts are allowed.
     fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError>;
     /// Read `len` bytes at `offset` into `buf`, replacing its contents and
-    /// keeping its allocation: the one read, under every `get`, every
-    /// record compaction looks at and every record the recovery scan
-    /// verifies. A range that runs past the segment's end is an error,
-    /// never a short read.
+    /// keeping its allocation: a copy the caller owns. The store reads
+    /// headers through it; records are read through
+    /// [`read_lent`](Backend::read_lent). A range that runs past the
+    /// segment's end is an error, never a short read.
     fn read_into(
         &self,
         seg: SegmentId,
@@ -57,6 +67,23 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         len: usize,
         buf: &mut Vec<u8>,
     ) -> Result<(), StoreError>;
+    /// The `len` bytes at `offset`, lent: the read under every `get`, every
+    /// record compaction rewrites and every record the recovery scan
+    /// verifies. A backend that can lend the range where it lies does; the
+    /// default copies it into `scratch` with [`read_into`](Backend::read_into)
+    /// and lends that. The bytes stay as read for as long as the [`Lent`]
+    /// lives, whatever happens to the segment meanwhile, and holding it
+    /// holds no lock. Errors as `read_into`.
+    fn read_lent<'s>(
+        &self,
+        seg: SegmentId,
+        offset: u64,
+        len: usize,
+        scratch: &'s mut Vec<u8>,
+    ) -> Result<Lent<'s>, StoreError> {
+        self.read_into(seg, offset, len, scratch)?;
+        Ok(Lent(Lending::Scratch(scratch)))
+    }
     /// Current length of a segment in bytes.
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError>;
     /// Truncate a segment to `len` bytes (recovery repair, fault injection).
@@ -67,6 +94,27 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     fn list(&self) -> Result<Vec<SegmentId>, StoreError>;
 }
 
+/// Bytes lent by [`Backend::read_lent`]; derefs to them.
+pub struct Lent<'s>(Lending<'s>);
+
+enum Lending<'s> {
+    /// Copied into the caller's scratch buffer.
+    Scratch(&'s [u8]),
+    /// `bytes[from..to]` of a `MemBackend` chunk, where the append left it.
+    Chunk { bytes: Arc<Vec<u8>>, from: usize, to: usize },
+}
+
+impl Deref for Lent<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Lending::Scratch(bytes) => bytes,
+            Lending::Chunk { bytes, from, to } => &bytes[*from..*to],
+        }
+    }
+}
+
 /// In-memory backend; clone the handle to share the same "device".
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
@@ -74,12 +122,13 @@ pub struct MemBackend {
 }
 
 /// One append as it landed: where it starts in its segment, and exactly its
-/// bytes. Never written again once pushed; only a truncate may shorten or
-/// drop it.
-#[derive(Debug)]
+/// bytes, shared with every reader they are lent to. Never written again
+/// once pushed; only a truncate may shorten or drop it, and shortening a
+/// chunk that is lent out copies it first, so the reader keeps its bytes.
+#[derive(Debug, Clone)]
 struct Chunk {
     start: u64,
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
 }
 
 impl Chunk {
@@ -100,22 +149,25 @@ impl Segment {
         self.chunks.last().map_or(0, Chunk::end)
     }
 
-    /// Append the segment's bytes `offset..end` to `buf`; `end` is within
-    /// the segment.
-    fn copy_range(&self, offset: u64, end: u64, buf: &mut Vec<u8>) {
+    /// The chunks holding the segment's bytes `offset..end`; `end` is
+    /// within the segment. Empty for an empty range at a chunk boundary.
+    fn covering(&self, offset: u64, end: u64) -> &[Chunk] {
         let first = self.chunks.partition_point(|c| c.end() <= offset);
-        for chunk in self.chunks[first..].iter().take_while(|c| c.start < end) {
-            let from = offset.max(chunk.start) - chunk.start;
-            let to = end.min(chunk.end()) - chunk.start;
-            buf.extend_from_slice(&chunk.bytes[from as usize..to as usize]);
-        }
+        let last = first + self.chunks[first..].partition_point(|c| c.start < end);
+        &self.chunks[first..last]
     }
 
     /// Cut the segment to `len` bytes; a longer `len` is a no-op.
     fn truncate(&mut self, len: u64) {
         self.chunks.truncate(self.chunks.partition_point(|c| c.start < len));
         if let Some(last) = self.chunks.last_mut() {
-            last.bytes.truncate(usize::try_from(len - last.start).unwrap_or(usize::MAX));
+            let keep = usize::try_from(len - last.start).unwrap_or(usize::MAX);
+            if keep < last.bytes.len() {
+                match Arc::get_mut(&mut last.bytes) {
+                    Some(bytes) => bytes.truncate(keep),
+                    None => last.bytes = Arc::new(last.bytes[..keep].to_vec()),
+                }
+            }
         }
     }
 }
@@ -145,7 +197,7 @@ impl Backend for MemBackend {
     fn append_vectored(&self, seg: SegmentId, parts: &[&[u8]]) -> Result<(), StoreError> {
         // The copy, into one exactly-sized chunk, happens before the lock;
         // under it the append is a push.
-        let bytes = parts.concat();
+        let bytes = Arc::new(parts.concat());
         let mut map = self.segments.lock();
         let segment = map.get_mut(&seg).ok_or(StoreError::MissingSegment(seg))?;
         if !bytes.is_empty() {
@@ -162,20 +214,53 @@ impl Backend for MemBackend {
         len: usize,
         buf: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
+        // A lend of scratch is already in `buf`.
+        let Lending::Chunk { bytes, from, to } = self.read_lent(seg, offset, len, buf)?.0 else {
+            return Ok(());
+        };
+        buf.clear();
+        buf.extend_from_slice(&bytes[from..to]);
+        Ok(())
+    }
+
+    fn read_lent<'s>(
+        &self,
+        seg: SegmentId,
+        offset: u64,
+        len: usize,
+        scratch: &'s mut Vec<u8>,
+    ) -> Result<Lent<'s>, StoreError> {
         let end = offset
             .checked_add(len as u64)
             .ok_or_else(|| StoreError::Corrupt("read range overflows".into()))?;
-        let map = self.segments.lock();
-        let segment = map.get(&seg).ok_or(StoreError::MissingSegment(seg))?;
-        if end > segment.len() {
-            return Err(StoreError::Corrupt(format!(
-                "read past end of segment {seg}: {end} > {}",
-                segment.len()
-            )));
+        // Under the lock: the range check and a clone of the handle(s) of
+        // the chunk(s) holding the range, nothing else.
+        let chunks = {
+            let map = self.segments.lock();
+            let segment = map.get(&seg).ok_or(StoreError::MissingSegment(seg))?;
+            if end > segment.len() {
+                return Err(StoreError::Corrupt(format!(
+                    "read past end of segment {seg}: {end} > {}",
+                    segment.len()
+                )));
+            }
+            match segment.covering(offset, end) {
+                [chunk] => {
+                    let from = (offset - chunk.start) as usize;
+                    let bytes = Arc::clone(&chunk.bytes);
+                    return Ok(Lent(Lending::Chunk { bytes, from, to: from + len }));
+                }
+                chunks => chunks.to_vec(),
+            }
+        };
+        // A range across appends (or empty at a boundary): copied.
+        scratch.clear();
+        for chunk in &chunks {
+            let from = offset.max(chunk.start) - chunk.start;
+            let to = end.min(chunk.end()) - chunk.start;
+            scratch.extend_from_slice(&chunk.bytes[from as usize..to as usize]);
         }
-        buf.clear();
-        segment.copy_range(offset, end, buf);
-        Ok(())
+        Ok(Lent(Lending::Scratch(scratch)))
     }
 
     fn len(&self, seg: SegmentId) -> Result<u64, StoreError> {
@@ -190,7 +275,8 @@ impl Backend for MemBackend {
     }
 
     fn delete(&self, seg: SegmentId) -> Result<(), StoreError> {
-        // Out of the map under the lock; its chunks are freed after it.
+        // Out of the map under the lock; its chunks are freed after it, or
+        // when the last lend of each drops.
         let removed = self.segments.lock().remove(&seg);
         removed.map(drop).ok_or(StoreError::MissingSegment(seg))
     }
@@ -395,8 +481,14 @@ impl Backend for FileBackend {
                 else {
                     continue;
                 };
-                if let Ok(id) = id.parse::<SegmentId>() {
-                    ids.push(id);
+                // Only the one file `path_of(id)` names is segment `id`: a
+                // name that merely parses to it (`seg-0.seg`, `seg-+1.seg`)
+                // or sits in another prefix directory is a stray, which
+                // would otherwise be listed (and scanned) twice, or list a
+                // segment that `open` cannot find.
+                match id.parse::<SegmentId>() {
+                    Ok(id) if entry.path() == self.path_of(id) => ids.push(id),
+                    _ => {}
                 }
             }
         }
@@ -406,8 +498,29 @@ impl Backend for FileBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{NoStoreFaults, SegmentStore, StoreConfig};
+    use crossbeam::channel::bounded;
+
+    /// Run `f` on a thread of its own and fail — instead of hanging the
+    /// test binary — if it has not finished within a minute.
+    pub(crate) fn with_watchdog(f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = bounded::<()>(1);
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().expect("test thread"),
+            Err(_) if worker.is_finished() => {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            Err(_) => panic!("no progress in 60 s (a caller or the writer never woke)"),
+        }
+    }
 
     fn read_whole(backend: &dyn Backend, seg: SegmentId) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -529,5 +642,79 @@ mod tests {
         a.append(0, b"persisted").unwrap();
         drop(a); // "crash": the handle dies, the device survives
         assert_eq!(read_whole(&b, 0), b"persisted");
+    }
+
+    #[test]
+    fn a_lend_holds_no_lock_and_outlives_the_segment() {
+        let backend = MemBackend::new();
+        backend.create(0).unwrap();
+        backend.append(0, b"seghdr").unwrap();
+        backend.append(0, b"one record").unwrap();
+        let mut scratch = Vec::new();
+        let lent = backend.read_lent(0, 6, 10, &mut scratch).unwrap();
+        assert_eq!(&*lent, b"one record");
+        // An append to the same segment completes while the lend lives.
+        let device = backend.clone();
+        with_watchdog(move || device.append_vectored(0, &[b"next", b" group"]).unwrap());
+        assert_eq!(backend.len(0).unwrap(), 26);
+        // A truncate inside the lent chunk copies it before cutting ...
+        backend.truncate(0, 9).unwrap();
+        assert_eq!(read_whole(&backend, 0), b"seghdrone");
+        assert_eq!(&*lent, b"one record");
+        // ... and a delete leaves the lent bytes where they were.
+        backend.delete(0).unwrap();
+        assert_eq!(&*lent, b"one record");
+        drop(lent);
+        assert!(scratch.is_empty(), "a range inside one append is lent, not copied");
+    }
+
+    #[test]
+    fn a_lend_across_appends_is_a_copy_into_scratch() {
+        let backend = MemBackend::new();
+        backend.create(0).unwrap();
+        backend.append(0, b"seghdr").unwrap();
+        backend.append(0, b"one record").unwrap();
+        let mut scratch = b"stale".to_vec();
+        assert_eq!(&*backend.read_lent(0, 4, 5, &mut scratch).unwrap(), b"drone");
+        assert_eq!(scratch, b"drone");
+        assert!(backend.read_lent(0, 12, 5, &mut scratch).is_err(), "read past end must fail");
+        assert!(backend.read_lent(1, 0, 1, &mut scratch).is_err(), "missing segment must fail");
+    }
+
+    #[test]
+    fn file_backend_lists_only_the_files_it_names() {
+        let dir = std::env::temp_dir().join(format!("otae-store-list-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = Arc::new(FileBackend::new(&dir).unwrap());
+        let cfg = StoreConfig { compact_trigger: None, ..StoreConfig::default() };
+        let (store, _) = SegmentStore::open(backend.clone(), cfg, Arc::new(NoStoreFaults)).unwrap();
+        store.put(7, b"the one record").unwrap();
+        drop(store);
+        assert_eq!(backend.list().unwrap(), [0]);
+
+        // Names that parse to a segment id without being that id's file:
+        // a short spelling, a signed one, and the canonical name of
+        // segment 5 in a prefix directory that is not its own.
+        let wrong_prefix = (0..=0xFFu8)
+            .map(|p| dir.join(format!("{p:02x}")))
+            .find(|d| Some(d.as_path()) != backend.path_of(5).parent())
+            .unwrap();
+        let strays = [
+            dir.join("00").join("seg-0.seg"),
+            backend.path_of(1).with_file_name("seg-+1.seg"),
+            wrong_prefix.join("seg-00000005.seg"),
+        ];
+        for stray in &strays {
+            std::fs::create_dir_all(stray.parent().unwrap()).unwrap();
+            std::fs::write(stray, b"junk").unwrap();
+        }
+        assert_eq!(backend.list().unwrap(), [0], "strays are not segments");
+
+        let (store, report) =
+            SegmentStore::open(backend.clone(), cfg, Arc::new(NoStoreFaults)).unwrap();
+        assert_eq!((report.segments, report.records), (1, 1));
+        assert_eq!(store.get(7).unwrap().as_deref(), Some(&b"the one record"[..]));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

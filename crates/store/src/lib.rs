@@ -59,7 +59,7 @@ pub mod record;
 pub mod store;
 pub(crate) mod write_buffer;
 
-pub use backend::{Backend, FileBackend, MemBackend, SegmentId};
+pub use backend::{Backend, FileBackend, Lent, MemBackend, SegmentId};
 pub use fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
 pub use index::{Location, SegmentInfo, StoreIndex};
 pub use record::{

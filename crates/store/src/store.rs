@@ -368,8 +368,9 @@ impl BufferPool {
 }
 
 thread_local! {
-    /// Per-thread record-decode scratch for the read path: `get_into`
-    /// reuses it across calls so reads stop allocating.
+    /// Per-thread scratch for the read path's fallback: a backend that
+    /// cannot lend a record where it lies copies it here, reused across
+    /// calls so reads stop allocating.
     static READ_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -551,9 +552,12 @@ impl SegmentStore {
 
     /// Read a key's current payload into `out` (cleared first), returning
     /// whether the key was present. The allocation-free twin of
-    /// [`SegmentStore::get`]: record bytes land in a thread-local scratch
-    /// buffer and the payload is copied straight into the caller's buffer,
-    /// so a steady-state read loop performs zero allocations.
+    /// [`SegmentStore::get`]: the record is verified where the backend
+    /// lends it ([`Backend::read_lent`]) and its payload copied once,
+    /// straight into the caller's buffer. Only a backend that cannot lend
+    /// (a file) copies the record first, into a thread-local scratch
+    /// buffer; either way a steady-state read loop performs zero
+    /// allocations.
     pub fn get_into(&self, key: u64, out: &mut Vec<u8>) -> Result<bool, StoreError> {
         out.clear();
         let _io = self.shared.io.read();
@@ -568,8 +572,9 @@ impl SegmentStore {
             // against in-flight reads while segments are rewritten
             // underneath them.
             // otae-lint: allow(no-blocking-under-lock)
-            self.backend.read_into(loc.segment, loc.offset, loc.len as usize, &mut scratch)?;
-            out.extend_from_slice(verified_put(&scratch, key).map_err(StoreError::Corrupt)?);
+            let record =
+                self.backend.read_lent(loc.segment, loc.offset, loc.len as usize, &mut scratch)?;
+            out.extend_from_slice(verified_put(&record, key).map_err(StoreError::Corrupt)?);
             Ok(true)
         })
     }
@@ -687,11 +692,11 @@ struct SegmentScan {
 }
 
 /// Scan one segment record by record: per record its header
-/// ([`read_header`]), then the whole record through the full
-/// [`decode_record`]. `tolerate_tail` is true only for the newest segment:
-/// the first record that fails there is the torn tail a crash legitimately
-/// leaves behind and is truncated away; anywhere else it is corruption and
-/// fails the scan.
+/// ([`read_header`]), then the whole record, lent where it lies
+/// ([`Backend::read_lent`]), through the full [`decode_record`].
+/// `tolerate_tail` is true only for the newest segment: the first record
+/// that fails there is the torn tail a crash legitimately leaves behind and
+/// is truncated away; anywhere else it is corruption and fails the scan.
 fn scan_one(
     backend: &dyn Backend,
     seg: SegmentId,
@@ -709,9 +714,10 @@ fn scan_one(
         scan.read_bytes += buf.len() as u64;
         let verified = match header {
             Ok(header) => {
-                backend.read_into(seg, offset, header.encoded_len() as usize, &mut buf)?;
-                scan.read_bytes += buf.len() as u64;
-                decode_record(&buf).map(|(record, len)| (record.key, record.kind, len))
+                let bytes =
+                    backend.read_lent(seg, offset, header.encoded_len() as usize, &mut buf)?;
+                scan.read_bytes += bytes.len() as u64;
+                decode_record(&bytes).map(|(record, len)| (record.key, record.kind, len))
             }
             Err(err) => Err(err),
         };
@@ -1120,8 +1126,9 @@ impl Writer {
     ///
     /// A pass reads what it rewrites, not what it deletes. Pass 1 walks
     /// the victim's record headers ([`walk_headers`]); pass 2 fetches each
-    /// put the index still points at — one `read_into` of that record into
-    /// the writer's scratch buffer — and runs it through the full
+    /// put the index still points at — one [`Backend::read_lent`] of that
+    /// record, copied into the writer's scratch buffer only by a backend
+    /// that cannot lend it — and runs it through the full
     /// [`decode_record`] ([`verified_put`]) before it is staged as read —
     /// the record format holds no location, so the verified bytes are what
     /// re-encoding the payload would produce, and the payload is
@@ -1139,8 +1146,8 @@ impl Writer {
         report
     }
 
-    /// [`Writer::compact_once`] with the read buffer lent out, so records
-    /// can be staged (`&mut self`) straight from it.
+    /// [`Writer::compact_once`] with the read buffer lent out, so a record
+    /// lent from it can be staged (`&mut self`) straight from the lend.
     fn compact_through(&mut self, scratch: &mut Vec<u8>) -> Result<CompactReport, StoreError> {
         let victim = self.shared.index.lock().0.deadest_segment();
         let Some((victim, _)) = victim else {
@@ -1175,15 +1182,16 @@ impl Writer {
                 RecordKind::Put => {
                     let is_current = self.shared.index.lock().0.get(key) == Some(from);
                     if is_current {
-                        self.backend.read_into(victim, offset, len as usize, scratch)?;
+                        let record =
+                            self.backend.read_lent(victim, offset, len as usize, scratch)?;
                         report.read_bytes += len;
-                        verified_put(scratch, key).map_err(|found| {
+                        verified_put(&record, key).map_err(|found| {
                             StoreError::Corrupt(format!(
                                 "compaction victim {victim}, offset {offset}: {found}"
                             ))
                         })?;
                         self.make_room()?;
-                        self.group.stage_framed_put(key, scratch, StagedKind::GcPut { from });
+                        self.group.stage_framed_put(key, &record, StagedKind::GcPut { from });
                         report.rewritten_bytes += len;
                         report.rewritten_records += 1;
                     }
@@ -1228,6 +1236,7 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::with_watchdog;
     use crate::backend::MemBackend;
     use crate::fault::{CrashAt, NoStoreFaults, StoreFaultPlan};
     use crate::record::encode_record;
@@ -1815,25 +1824,6 @@ mod tests {
     /// Bytes the store's record-buffer pool holds.
     fn pooled_bytes(store: &SegmentStore) -> usize {
         store.intake().unwrap().with_side(|pool, _| pool.bytes)
-    }
-
-    /// Run `f` on a thread of its own and fail — instead of hanging the
-    /// test binary — if it has not finished within a minute.
-    fn with_watchdog(f: impl FnOnce() + Send + 'static) {
-        let (done_tx, done_rx) = bounded::<()>(1);
-        let worker = std::thread::spawn(move || {
-            f();
-            let _ = done_tx.send(());
-        });
-        match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
-            Ok(()) => worker.join().expect("test thread"),
-            Err(_) if worker.is_finished() => {
-                if let Err(panic) = worker.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-            Err(_) => panic!("no progress in 60 s (a caller or the writer never woke)"),
-        }
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! answer `read_into` for *every* `(offset, len)` up to two bytes past its
 //! end: the model's bytes when the range fits — across append boundaries
 //! included — and an error when it runs past the end, never a short read.
+//! `read_lent` is swept the same way: a `MemBackend` lends a range inside
+//! one append where it lies and copies one that crosses appends into the
+//! scratch buffer, and both must read as the model.
 
 use otae_store::{Backend, FileBackend, MemBackend, SegmentId};
 use std::collections::BTreeMap;
@@ -59,6 +62,25 @@ fn sweep(backend: &dyn Backend, seg: SegmentId, want: &[u8], why: &str) {
                 assert_eq!(buf, &want[offset..offset + len], "{why}: read {offset}+{len}");
             } else {
                 assert!(got.is_err(), "{why}: read {offset}+{len} past end {}", want.len());
+            }
+        }
+    }
+}
+
+/// [`sweep`] through `read_lent`, with one scratch buffer carrying whatever
+/// the previous fallback copy left in it.
+fn sweep_lent(backend: &dyn Backend, seg: SegmentId, want: &[u8], why: &str) {
+    let mut scratch = vec![0xEE; 7];
+    for offset in 0..=want.len() + 2 {
+        for len in usize::from(offset > want.len())..=want.len() + 2 - offset {
+            match backend.read_lent(seg, offset as u64, len, &mut scratch) {
+                Ok(lent) => {
+                    assert!(offset + len <= want.len(), "{why}: lent {offset}+{len} past end");
+                    assert_eq!(&*lent, &want[offset..offset + len], "{why}: lent {offset}+{len}");
+                }
+                Err(e) => {
+                    assert!(offset + len > want.len(), "{why}: lent {offset}+{len}: {e}");
+                }
             }
         }
     }
@@ -136,10 +158,14 @@ fn run(backend: &dyn Backend, seed: u64, steps: usize) {
             assert_eq!(backend.len(id).expect("len"), bytes.len() as u64, "{why}: len of {id}");
         }
         match model.segments.get(&seg) {
-            Some((bytes, _)) => sweep(backend, seg, bytes, &why),
+            Some((bytes, _)) => {
+                sweep(backend, seg, bytes, &why);
+                sweep_lent(backend, seg, bytes, &why);
+            }
             None => {
                 assert!(backend.len(seg).is_err(), "{why}: len of a missing segment");
                 assert!(backend.read_into(seg, 0, 0, &mut buf).is_err(), "{why}: missing read");
+                assert!(backend.read_lent(seg, 0, 0, &mut buf).is_err(), "{why}: missing lend");
             }
         }
     }
