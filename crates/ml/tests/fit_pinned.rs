@@ -3,7 +3,9 @@
 //! are folded into FNV-1a digests and compared against recorded values.
 //! One column has far more than 256 distinct values, so the quantile
 //! packing of the 256-bin histogram engine is on the path; a change to
-//! binning, split search, bootstrap or boosting moves a digest.
+//! binning, split search, bootstrap or boosting moves a digest. A second,
+//! 40 000-row dataset pins a tree whose nodes hold tens of thousands of
+//! rows, where the histogram pass of large nodes runs.
 
 use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest};
 use rand::{Rng, SeedableRng};
@@ -74,4 +76,44 @@ fn forest_fit_is_pinned() {
     let mut forest = RandomForest::new(8, 23);
     forest.fit(&d);
     assert_eq!(score_digest(&forest, &d), 3_510_560_368_276_902_481);
+}
+
+/// 40 000 rows over nine features, so the root and its first children hold
+/// far more than 8 192 rows each (the small dataset above never builds a
+/// node histogram that large). Columns 0, 3 and 6 are continuous and
+/// overflow the 256-bin budget; the other six are narrow grids.
+fn large_dataset() -> Dataset {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1a_26e5);
+    let mut d = Dataset::new(9);
+    for _ in 0..40_000 {
+        let x0: f32 = rng.gen::<f32>() * 1000.0;
+        let x1 = rng.gen_range(0..4) as f32;
+        let x2 = rng.gen_range(0..24) as f32;
+        let x3: f32 = rng.gen::<f32>().powi(3) * 5e6;
+        let x4 = rng.gen_range(0..2) as f32;
+        let x5 = rng.gen_range(0..60) as f32 * 0.5;
+        let x6: f32 = rng.gen();
+        let x7 = rng.gen_range(0..7) as f32;
+        let x8 = rng.gen_range(0..200) as f32;
+        let label = (x0 > 400.0) ^ (x2 > 17.0)
+            || (x3 < 2e5 && x1 < 2.0)
+            || (x8 > 150.0 && rng.gen::<f32>() < 0.6);
+        d.push(&[x0, x1, x2, x3, x4, x5, x6, x7, x8], label);
+    }
+    d
+}
+
+#[test]
+fn large_node_tree_fit_is_pinned() {
+    let d = large_dataset();
+    for f in [0usize, 3, 6] {
+        let mut values: Vec<u32> = (0..d.len()).map(|i| d.row(i)[f].to_bits()).collect();
+        values.sort_unstable();
+        values.dedup();
+        assert!(values.len() > 256, "feature {f}: {} distinct values", values.len());
+    }
+    let mut tree = DecisionTree::with_cost(2.0);
+    tree.fit(&d);
+    assert_eq!(tree.n_splits(), 30);
+    assert_eq!(score_digest(&tree, &d), 9_607_532_085_987_601_387);
 }
