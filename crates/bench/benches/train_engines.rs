@@ -2,9 +2,11 @@
 //! (`DecisionTree::fit_exact`) vs the production histogram fit
 //! (`DecisionTree::fit`) on the acceptance dataset (50 k rows × 8 features)
 //! and a smaller size. The histogram fit must come out ≥ 3× faster at 50 k.
+//! The ensembles have only the histogram path: a 10-tree forest and a
+//! 10-round AdaBoost at 50 k, each binning once for all its members.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use otae_ml::{Classifier, Dataset, DecisionTree};
+use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -47,6 +49,14 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_function(format!("binned_{n}x8"), |b| {
             b.iter(|| fit_with(false, black_box(&data)))
         });
+        if n == 50_000 {
+            group.bench_function(format!("forest10_binned_{n}x8"), |b| {
+                b.iter(|| RandomForest::new(10, 7).fit(black_box(&data)))
+            });
+            group.bench_function(format!("adaboost10_binned_{n}x8"), |b| {
+                b.iter(|| AdaBoost::new(10).fit(black_box(&data)))
+            });
+        }
     }
     group.finish();
 }

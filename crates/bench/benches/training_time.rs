@@ -1,10 +1,20 @@
 //! Daily-training cost (§4.4.3: "the entire training procedure takes only a
 //! few minutes" on a day of 144 k sampled records; our CART on the same
 //! volume should be far below that).
+//!
+//! Two shapes: uniform-random columns, and the largest daily window of a
+//! generated trace the size of the `serve_proposal` benchmark workload's,
+//! which is what the retrainer actually fits (four narrow columns, the
+//! wide ones of low cardinality).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use otae_core::daily::{train_tree, Sample};
-use otae_core::N_FEATURES;
+use otae_core::daily::{train_tree, CostPolicy, Sample};
+use otae_core::{
+    resolve_criteria, FeatureExtractor, MinuteSampler, PolicyKind, ReaccessIndex, TrainingConfig,
+    N_FEATURES,
+};
+use otae_trace::diurnal::DAY;
+use otae_trace::{generate, TraceConfig};
 
 fn day_of_samples(n: usize) -> Vec<Sample> {
     let mut state = 7u64;
@@ -24,6 +34,38 @@ fn day_of_samples(n: usize) -> Vec<Sample> {
         .collect()
 }
 
+/// The largest of the windows the retrainer fits on a seed-1, 200 k-object
+/// trace at the paper's 10 GB operating point (capacity 10/448 of the
+/// unique bytes): 24 h of per-minute samples ending at each daily
+/// boundary, labelled with the criteria solver's `M`. Returns the window
+/// and the cost `v` the retrainer would fit it with.
+fn largest_trace_window() -> (Vec<Sample>, f32) {
+    let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
+    let index = ReaccessIndex::build(&trace);
+    let capacity = (trace.unique_bytes() as f64 * 10.0 / 448.0) as u64;
+    let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, None);
+    let v = CostPolicy::Auto.resolve(capacity, trace.unique_bytes());
+    let features = FeatureExtractor::extract_all(&trace);
+    let cfg = TrainingConfig::default();
+    let mut sampler = MinuteSampler::new(cfg.records_per_minute);
+    let mut boundary = DAY + u64::from(cfg.retrain_hour) * 3600;
+    let mut largest: Vec<Sample> = Vec::new();
+    for (i, req) in trace.requests.iter().enumerate() {
+        if req.ts >= boundary {
+            let window = sampler.window(boundary - DAY, boundary);
+            if window.len() > largest.len() {
+                largest = window.to_vec();
+            }
+            sampler.discard_before(boundary - DAY);
+            while req.ts >= boundary {
+                boundary += DAY;
+            }
+        }
+        sampler.offer(req.ts, features[i], index.is_one_time(i, m));
+    }
+    (largest, v)
+}
+
 fn bench_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("daily_training");
     group.sample_size(10);
@@ -33,6 +75,10 @@ fn bench_training(c: &mut Criterion) {
             b.iter(|| train_tree(black_box(&samples), 2.0, 30))
         });
     }
+    let (window, v) = largest_trace_window();
+    group.bench_function(format!("cart_trace_window_{}_records", window.len()), |b| {
+        b.iter(|| train_tree(black_box(&window), v, 30))
+    });
     group.finish();
 }
 
