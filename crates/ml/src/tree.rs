@@ -13,9 +13,11 @@
 //! column once into ≤ [`MAX_BINS`] bins ([`BinnedDataset`]) and accumulates
 //! per-bin weight histograms — O(n_node × features) per node with no
 //! sorting, deriving the larger sibling's histograms by subtracting the
-//! smaller child's from the parent's. [`DecisionTree::fit_exact`], which
-//! re-sorts every feature column at every node, is kept as the reference the
-//! equivalence tests compare against.
+//! smaller child's from the parent's. A fit runs on its caller's thread and
+//! spawns none: parallelism belongs to the callers that fit many trees at
+//! once (a forest's per-tree threads, a sweep's grid points).
+//! [`DecisionTree::fit_exact`], which re-sorts every feature column at every
+//! node, is kept as the reference the equivalence tests compare against.
 
 use crate::binning::{BinnedDataset, MAX_BINS};
 use crate::{Classifier, Dataset};
@@ -425,20 +427,6 @@ struct BinnedCandidate {
     found: SplitFound,
 }
 
-/// Nodes at or above this many samples build their histograms with one
-/// scoped thread per feature.
-const PARALLEL_HIST_ROWS: usize = 8192;
-
-/// Whether fanning histogram accumulation out across threads can help at
-/// all. On a single-hardware-thread host the scoped spawns are pure
-/// overhead (the result is identical either way), and a daily fit pays
-/// them once per large frontier node.
-fn parallel_hist_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED
-        .get_or_init(|| std::thread::available_parallelism().map(|p| p.get() > 1).unwrap_or(false))
-}
-
 /// Flattened histogram layout: `offsets[f]..offsets[f + 1]` are feature
 /// `f`'s bins.
 fn bin_offsets(data: &BinnedDataset) -> Vec<usize> {
@@ -454,10 +442,15 @@ fn bin_offsets(data: &BinnedDataset) -> Vec<usize> {
 
 /// Accumulate the per-feature bin histograms of one node (the rows listed
 /// in `rows`, duplicates counted per occurrence). Returns the flattened
-/// histogram and the node's weight totals. Large nodes fan the independent
-/// per-feature accumulations out across scoped threads; each feature is
-/// summed in row order by exactly one thread, so the result is identical to
-/// the sequential pass.
+/// histogram and the node's weight totals.
+///
+/// One pass on the calling thread, whatever the node's size: one
+/// `eff`/label gather per row and one contiguous read of the row's
+/// row-major codes. A fit never spawns: one scoped thread per feature for
+/// large nodes was slower even on an idle 2-thread host (each thread
+/// re-gathered `eff` and the label of every row) and competed for the
+/// cores the serve worker and a forest's per-tree threads already use.
+/// Every bin is summed in the order `rows` lists its rows.
 fn build_hist(
     data: &BinnedDataset,
     offsets: &[usize],
@@ -466,32 +459,12 @@ fn build_hist(
 ) -> (Vec<HBin>, HBin) {
     let n_features = data.n_features();
     let mut hist = vec![HBin::default(); offsets[n_features]];
-    if rows.len() >= PARALLEL_HIST_ROWS && n_features > 1 && parallel_hist_enabled() {
-        let mut slices: Vec<&mut [HBin]> = Vec::with_capacity(n_features);
-        let mut rest = hist.as_mut_slice();
-        for f in 0..n_features {
-            let (head, tail) = rest.split_at_mut(offsets[f + 1] - offsets[f]);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for (f, slice) in slices.into_iter().enumerate() {
-                scope.spawn(move || accumulate_feature(data, f, slice, rows, eff));
-            }
-        });
-    } else {
-        // Fused single-threaded pass: one `eff`/label gather per row and one
-        // contiguous read of all the row's codes, instead of one pass over
-        // `rows` per feature. Per feature and bin the additions happen in
-        // the same row order as the per-feature pass, so the sums are
-        // bit-identical.
-        for &i in rows {
-            let i = i as usize;
-            let w = eff[i] as f64;
-            let pos = data.label(i);
-            for (f, &c) in data.row_codes(i).iter().enumerate() {
-                hist[offsets[f] + c as usize].add(w, pos);
-            }
+    for &i in rows {
+        let i = i as usize;
+        let w = eff[i] as f64;
+        let pos = data.label(i);
+        for (f, &c) in data.row_codes(i).iter().enumerate() {
+            hist[offsets[f] + c as usize].add(w, pos);
         }
     }
     let mut tot = HBin::default();
@@ -501,20 +474,6 @@ fn build_hist(
         tot.n += b.n;
     }
     (hist, tot)
-}
-
-fn accumulate_feature(
-    data: &BinnedDataset,
-    f: usize,
-    bins: &mut [HBin],
-    rows: &[u32],
-    eff: &[f32],
-) {
-    let codes = data.feature_codes(f);
-    for &i in rows {
-        let i = i as usize;
-        bins[codes[i] as usize].add(eff[i] as f64, data.label(i));
-    }
 }
 
 impl DecisionTree {
