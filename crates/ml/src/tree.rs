@@ -192,77 +192,74 @@ impl DecisionTree {
     }
 
     /// Deserialise a tree previously produced by [`DecisionTree::to_bytes`].
-    /// Structural problems are reported, never panicked on.
+    /// The bytes are treated as hostile: anything but exactly one valid
+    /// encoding — a short or over-long buffer, a node its header does not
+    /// account for, a pointer that could loop — is reported, never panicked
+    /// on.
     pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
-        let take = |data: &[u8], at: usize, n: usize| -> Result<Vec<u8>, String> {
-            data.get(at..at + n).map(|s| s.to_vec()).ok_or_else(|| "truncated".to_string())
+        let Some((header, body)) = data.split_first_chunk::<16>() else {
+            return Err("truncated".into());
         };
-        if take(data, 0, 4)? != b"OTRE" {
+        if header[..4] != *b"OTRE" {
             return Err("bad magic".into());
         }
-        let version = u16::from_le_bytes(take(data, 4, 2)?.try_into().expect("2 bytes"));
+        let version = u16::from_le_bytes([header[4], header[5]]);
         if version != 1 {
             return Err(format!("unsupported version {version}"));
         }
-        let n_nodes = u32::from_le_bytes(take(data, 6, 4)?.try_into().expect("4 bytes")) as usize;
-        let n_splits = u32::from_le_bytes(take(data, 10, 4)?.try_into().expect("4 bytes")) as usize;
-        let n_features =
-            u16::from_le_bytes(take(data, 14, 2)?.try_into().expect("2 bytes")) as usize;
-        // Nodes are a fixed 13 bytes after the 16-byte header: a node count
-        // the remaining bytes cannot pay for is a truncation, caught before
-        // it sizes an allocation (one header bit-flip claims 2^30 nodes).
-        if n_nodes > (data.len() - 16) / 13 {
+        let n_nodes = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
+        let n_splits =
+            u32::from_le_bytes([header[10], header[11], header[12], header[13]]) as usize;
+        let n_features = u16::from_le_bytes([header[14], header[15]]) as usize;
+        // Nodes are a fixed 13 bytes after the header: a node count the
+        // body cannot pay for is a truncation, caught before it sizes an
+        // allocation (one header bit-flip claims 2^30 nodes), and bytes past
+        // the last node are refused as the trace codec refuses them.
+        if n_nodes > body.len() / 13 {
             return Err("truncated".into());
         }
+        if body.len() != n_nodes * 13 {
+            return Err(format!("{} trailing bytes", body.len() - n_nodes * 13));
+        }
+        if n_nodes == 0 {
+            return Err("empty tree".into());
+        }
         let mut nodes = Vec::with_capacity(n_nodes);
-        let mut at = 16;
-        for _ in 0..n_nodes {
-            let tag = take(data, at, 1)?[0];
-            match tag {
+        for (i, rec) in body.chunks_exact(13).enumerate() {
+            let value = f32::from_le_bytes([rec[1], rec[2], rec[3], rec[4]]);
+            match rec[0] {
                 0 => {
-                    let score =
-                        f32::from_le_bytes(take(data, at + 1, 4)?.try_into().expect("4 bytes"));
-                    take(data, at + 5, 8)?; // consume the fixed-width padding
-                    if !(0.0..=1.0).contains(&score) {
-                        return Err(format!("leaf score {score} out of range"));
+                    if !(0.0..=1.0).contains(&value) {
+                        return Err(format!("leaf score {value} out of range"));
                     }
-                    nodes.push(Node::Leaf { score });
+                    nodes.push(Node::Leaf { score: value });
                 }
                 1 => {
-                    let threshold =
-                        f32::from_le_bytes(take(data, at + 1, 4)?.try_into().expect("4 bytes"));
-                    let feature =
-                        u16::from_le_bytes(take(data, at + 5, 2)?.try_into().expect("2 bytes"));
-                    let l = take(data, at + 7, 3)?;
-                    let r = take(data, at + 10, 3)?;
-                    let left = u32::from_le_bytes([l[0], l[1], l[2], 0]);
-                    let right = u32::from_le_bytes([r[0], r[1], r[2], 0]);
+                    let feature = u16::from_le_bytes([rec[5], rec[6]]);
+                    let left = u32::from_le_bytes([rec[7], rec[8], rec[9], 0]);
+                    let right = u32::from_le_bytes([rec[10], rec[11], rec[12], 0]);
                     if left as usize >= n_nodes || right as usize >= n_nodes {
                         return Err("child index out of range".into());
                     }
-                    if n_features > 0 && feature as usize >= n_features {
+                    // Children point at later indices than their parent (the
+                    // builder guarantees it), so no pointer can form a cycle.
+                    if left as usize <= i || right as usize <= i {
+                        return Err("non-topological child pointer".into());
+                    }
+                    if feature as usize >= n_features {
                         return Err("feature index out of range".into());
                     }
-                    if !threshold.is_finite() {
+                    if !value.is_finite() {
                         return Err("non-finite threshold".into());
                     }
-                    nodes.push(Node::Split { feature, threshold, left, right });
+                    nodes.push(Node::Split { feature, threshold: value, left, right });
                 }
                 other => return Err(format!("unknown node tag {other}")),
             }
-            at += 13;
         }
-        if nodes.is_empty() {
-            return Err("empty tree".into());
-        }
-        // Reject cycles/forward-only violations: children must point at
-        // later indices than their parent (our builder guarantees this).
-        for (i, node) in nodes.iter().enumerate() {
-            if let Node::Split { left, right, .. } = node {
-                if *left as usize <= i || *right as usize <= i {
-                    return Err("non-topological child pointer".into());
-                }
-            }
+        let splits = nodes.iter().filter(|n| matches!(n, Node::Split { .. })).count();
+        if splits != n_splits {
+            return Err(format!("header claims {n_splits} splits, the nodes hold {splits}"));
         }
         Ok(Self { params: TreeParams::default(), nodes, n_splits, n_features })
     }
@@ -1081,6 +1078,47 @@ mod serialize_tests {
         assert!(DecisionTree::from_bytes(&bad).is_err());
         for cut in [0usize, 5, 13, bytes.len() - 1] {
             assert!(DecisionTree::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    /// Every proper prefix and every extension of a valid encoding is
+    /// refused — including an extension by a whole well-formed leaf record.
+    #[test]
+    fn rejects_every_truncation_and_every_extension() {
+        let (tree, _) = fitted_tree();
+        let bytes = tree.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(DecisionTree::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let leaf = DecisionTree::new(TreeParams::default()).to_bytes()[16..].to_vec();
+        assert_eq!(leaf.len(), 13);
+        for extra in 1..=2 * leaf.len() {
+            let mut long = bytes.clone();
+            long.extend(leaf.iter().cycle().take(extra));
+            assert!(DecisionTree::from_bytes(&long).is_err(), "{extra} trailing bytes");
+        }
+    }
+
+    #[test]
+    fn rejects_split_nodes_under_a_zero_width_header() {
+        let (tree, _) = fitted_tree();
+        assert!(tree.n_splits() > 0);
+        let mut bytes = tree.to_bytes();
+        bytes[14..16].copy_from_slice(&0u16.to_le_bytes());
+        assert!(DecisionTree::from_bytes(&bytes).is_err());
+        // A lone leaf has no feature to range-check: width 0 is its own.
+        let leaf = DecisionTree::new(TreeParams::default()).to_bytes();
+        assert_eq!(DecisionTree::from_bytes(&leaf).expect("unfitted tree").n_features(), 0);
+    }
+
+    #[test]
+    fn rejects_a_split_count_the_nodes_disagree_with() {
+        let (tree, _) = fitted_tree();
+        let n = tree.n_splits() as u32;
+        for claimed in [0, n - 1, n + 1, u32::MAX] {
+            let mut bytes = tree.to_bytes();
+            bytes[10..14].copy_from_slice(&claimed.to_le_bytes());
+            assert!(DecisionTree::from_bytes(&bytes).is_err(), "header claims {claimed} of {n}");
         }
     }
 
