@@ -19,8 +19,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache (the golden fingerprints, the sketch model, the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
-cargo test --release -p otae-core -p otae-store -p otae-device -p otae-cache -q
+echo "==> cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache (the golden fingerprints, the pinned fits, the sketch model, the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
+cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache -q
 
 echo "==> results/ is current (otae-bench all in a temp dir; every CSV it writes must match results/, wall-clock columns aside)"
 # Table::write_csv writes under the working directory, so the run lands in
@@ -47,9 +47,12 @@ if [[ "${OTAE_POLICY_SMOKE:-0}" == "1" ]]; then
   OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=3000 cargo run --release -q -p otae-bench -- policy_sweep
 fi
 
+echo "==> training bench smoke (daily_training, one pass: random columns and a generated trace's largest daily window)"
+cargo bench -q -p otae-bench --bench training_time -- --test > /dev/null
+
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
   echo "==> store smoke (segment-store criterion bench, one pass)"
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-echo "OK: fmt, otae-lint, clippy, rustdoc, tests and benchmark smoke all clean"
+echo "OK: fmt, otae-lint, clippy, rustdoc, tests, benchmark smoke and training bench smoke all clean"
