@@ -1069,6 +1069,8 @@ mod serialize_tests {
         assert_eq!(back.score(&[0.0]), 0.0);
     }
 
+    /// Every proper prefix and every extension of a valid encoding is
+    /// refused, an extension by whole well-formed leaf records included.
     #[test]
     fn rejects_bad_magic_and_truncation() {
         let (tree, _) = fitted_tree();
@@ -1076,22 +1078,10 @@ mod serialize_tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(DecisionTree::from_bytes(&bad).is_err());
-        for cut in [0usize, 5, 13, bytes.len() - 1] {
-            assert!(DecisionTree::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    /// Every proper prefix and every extension of a valid encoding is
-    /// refused — including an extension by a whole well-formed leaf record.
-    #[test]
-    fn rejects_every_truncation_and_every_extension() {
-        let (tree, _) = fitted_tree();
-        let bytes = tree.to_bytes();
         for cut in 0..bytes.len() {
             assert!(DecisionTree::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let leaf = DecisionTree::new(TreeParams::default()).to_bytes()[16..].to_vec();
-        assert_eq!(leaf.len(), 13);
         for extra in 1..=2 * leaf.len() {
             let mut long = bytes.clone();
             long.extend(leaf.iter().cycle().take(extra));
