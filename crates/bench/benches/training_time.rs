@@ -48,21 +48,17 @@ fn largest_trace_window() -> (Vec<Sample>, f32) {
     let features = FeatureExtractor::extract_all(&trace);
     let cfg = TrainingConfig::default();
     let mut sampler = MinuteSampler::new(cfg.records_per_minute);
-    let mut boundary = DAY + u64::from(cfg.retrain_hour) * 3600;
-    let mut largest: Vec<Sample> = Vec::new();
     for (i, req) in trace.requests.iter().enumerate() {
-        if req.ts >= boundary {
-            let window = sampler.window(boundary - DAY, boundary);
-            if window.len() > largest.len() {
-                largest = window.to_vec();
-            }
-            sampler.discard_before(boundary - DAY);
-            while req.ts >= boundary {
-                boundary += DAY;
-            }
-        }
         sampler.offer(req.ts, features[i], index.is_one_time(i, m));
     }
+    let first = DAY + u64::from(cfg.retrain_hour) * 3600;
+    let last = trace.requests.last().map_or(0, |r| r.ts);
+    let largest = (first..=last)
+        .step_by(DAY as usize)
+        .map(|hi| sampler.window(hi - DAY, hi))
+        .max_by_key(|w| w.len())
+        .unwrap_or_default()
+        .to_vec();
     (largest, v)
 }
 
