@@ -103,7 +103,7 @@ fn bench_kernel(c: &mut Criterion) {
 fn bench_miss_filters(c: &mut Criterion) {
     let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
     let index = ReaccessIndex::build(&trace);
-    let capacity = (trace.unique_bytes() as f64 * 10.0 / 448.0) as u64;
+    let capacity = (index.unique_bytes() as f64 * 10.0 / 448.0) as u64;
     let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, None);
     let max_splits = TrainingConfig::default().max_splits;
     let mut group = c.benchmark_group("miss_filter");

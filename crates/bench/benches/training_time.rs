@@ -42,9 +42,9 @@ fn day_of_samples(n: usize) -> Vec<Sample> {
 fn largest_trace_window() -> (Vec<Sample>, f32) {
     let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
     let index = ReaccessIndex::build(&trace);
-    let capacity = (trace.unique_bytes() as f64 * 10.0 / 448.0) as u64;
+    let capacity = (index.unique_bytes() as f64 * 10.0 / 448.0) as u64;
     let (_, m) = resolve_criteria(&trace, &index, PolicyKind::Lru, capacity, None);
-    let v = CostPolicy::Auto.resolve(capacity, trace.unique_bytes());
+    let v = CostPolicy::Auto.resolve(capacity, index.unique_bytes());
     let features = FeatureExtractor::extract_all(&trace);
     let cfg = TrainingConfig::default();
     let mut sampler = MinuteSampler::new(cfg.records_per_minute);

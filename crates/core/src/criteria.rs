@@ -9,7 +9,8 @@
 //! `p` and `h` themselves depend on `M` (`p↑ → M↑ → p↓`), so the paper
 //! iterates from `p = 0` until the value settles — "empirically, we set the
 //! iterations to be 3". We implement exactly that fixed-point iteration,
-//! measuring `p(M)` and `h(M)` on the trace through [`ReaccessIndex`].
+//! measuring `p(M)` on the trace through [`ReaccessIndex`] — one count of
+//! `dist > M` per round — and taking `h(M) = 1 − p(M)`.
 
 use crate::pipeline::PolicyKind;
 use crate::reaccess::ReaccessIndex;
@@ -65,7 +66,9 @@ pub fn solve_criteria(
     for _ in 0..iterations {
         let m_u = m.min(u64::MAX as f64) as u64;
         p = index.one_time_fraction(m_u);
-        h = index.hit_fraction(m_u).min(0.99);
+        // Accesses whose object returns within `M`: the hit-rate estimate of
+        // a cache retaining roughly the last `M` accesses.
+        h = (1.0 - p).min(0.99);
         m = c_over_s / ((1.0 - h).max(0.01) * (1.0 - p).max(0.01));
     }
     CriteriaSolution { m: m.min(u64::MAX as f64) as u64, p, h }
@@ -74,9 +77,14 @@ pub fn solve_criteria(
 /// The criteria a cache of `capacity` bytes under `policy` runs with, and
 /// the threshold `M` in force. Every driver resolves through here, so the
 /// §5.2 LIRS scaling cannot be forgotten: the fixed point is solved on the
-/// trace's mean object size in [`CRITERIA_ITERATIONS`] rounds, scaled by
-/// the policy's stack share, and `M` is `m_override` when set (the returned
-/// solution keeps the solved value).
+/// mean object size the index counted ([`ReaccessIndex::avg_object_size`])
+/// in [`CRITERIA_ITERATIONS`] rounds, scaled by the policy's stack share,
+/// and `M` is `m_override` when set (the returned solution keeps the solved
+/// value). Nothing here walks the trace; it is checked against the index.
+///
+/// # Panics
+///
+/// When `index` was built for a trace of another length.
 pub fn resolve_criteria(
     trace: &Trace,
     index: &ReaccessIndex,
@@ -84,7 +92,8 @@ pub fn resolve_criteria(
     capacity: u64,
     m_override: Option<u64>,
 ) -> (CriteriaSolution, u64) {
-    let avg_size = trace.avg_object_size().max(1.0);
+    assert_eq!(index.len(), trace.len(), "index must match the trace");
+    let avg_size = index.avg_object_size().max(1.0);
     let mut criteria = solve_criteria(index, capacity, avg_size, CRITERIA_ITERATIONS);
     if policy == PolicyKind::Lirs {
         criteria = criteria.for_lirs(policy.stack_ratio());

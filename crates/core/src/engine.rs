@@ -303,7 +303,7 @@ impl Server {
         let (criteria, m) = resolve_criteria(trace, index, policy, capacity, None);
         let filter =
             MissFilter::for_run(mode, filter_objects, m, training.max_splits, SERVER_COIN_P);
-        let v = training.cost.resolve(capacity, trace.unique_bytes());
+        let v = training.cost.resolve(capacity, index.unique_bytes());
         Server {
             kernel: Kernel::new(policy.build(capacity, trace)),
             criteria,

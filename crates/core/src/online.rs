@@ -282,7 +282,7 @@ pub fn run_online_with(
 ) -> OnlineResult {
     assert_eq!(index.len(), trace.len());
     let (criteria, m) = resolve_criteria(trace, index, cfg.policy, cfg.capacity, cfg.m_override);
-    let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
+    let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
 
     let mut kernel = Kernel::new(cfg.policy.build(cfg.capacity, trace));
     let mut accounting = Accounting::new(cfg.latency, cfg.hdd, true);

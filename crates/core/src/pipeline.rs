@@ -463,7 +463,7 @@ fn learned_inputs<'a>(
         }
         None => Cow::Owned(FeatureExtractor::extract_all(trace)),
     };
-    let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
+    let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
     let schedule = match plan.schedule {
         Some(s) => {
             assert_eq!(s.m, m, "model schedule was built for a different M");

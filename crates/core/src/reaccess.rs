@@ -6,12 +6,14 @@
 //! again". This module precomputes, for every request position, the distance
 //! (in requests) to the next access of the same object.
 
-use otae_trace::Trace;
+use otae_trace::{ObjectTally, Trace};
 
 /// Distance marker for "never accessed again within the trace".
 pub const NEVER: u64 = u64::MAX;
 
-/// Per-request forward reaccess information over one trace.
+/// Per-request forward reaccess information over one trace, plus the
+/// distinct requested objects the criteria's `S` and the cost policy's
+/// working set are taken from.
 #[derive(Debug, Clone)]
 pub struct ReaccessIndex {
     /// `dist[i]` = number of requests until the object of request `i` is
@@ -19,28 +21,36 @@ pub struct ReaccessIndex {
     dist: Vec<u64>,
     /// `first[i]` = true when request `i` is the first access of its object.
     first: Vec<bool>,
+    /// Distinct requested objects and their bytes.
+    requested: ObjectTally,
 }
 
 impl ReaccessIndex {
-    /// Build the index with a single backward pass.
+    /// Build the index with a backward and a forward pass over the requests
+    /// and one sweep of `trace.meta`.
     ///
     /// Object ids are dense indices into `trace.meta`, so the next-position
     /// map is a flat `Vec<u64>` ([`NEVER`] = unseen) and the first-access
     /// set a bit vector — both O(1) with no hashing, turning the build into
-    /// two cache-friendly linear sweeps.
+    /// two cache-friendly linear sweeps. The first-access bits then give the
+    /// distinct objects' count and bytes in one sequential pass of `meta`
+    /// ([`Trace::tally_marked`]), never one `meta` lookup per first sighting
+    /// in request order.
+    ///
+    /// # Panics
+    ///
+    /// When a request names an object beyond `trace.meta`, as
+    /// [`Trace::unique_bytes`] does: such a trace has no size to count.
     pub fn build(trace: &Trace) -> Self {
         let n = trace.len();
-        let n_objects = trace
-            .requests
-            .iter()
-            .map(|r| r.object.0 as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(trace.meta.len());
+        let n_objects = trace.meta.len();
         let mut dist = vec![NEVER; n];
         let mut next_pos = vec![NEVER; n_objects];
         for (i, req) in trace.requests.iter().enumerate().rev() {
-            let slot = &mut next_pos[req.object.0 as usize];
+            let id = req.object.0 as usize;
+            let Some(slot) = next_pos.get_mut(id) else {
+                panic!("request {i} names object {id} beyond the trace's {n_objects} objects");
+            };
             if *slot != NEVER {
                 dist[i] = *slot - i as u64;
             }
@@ -56,7 +66,8 @@ impl ReaccessIndex {
                 first[i] = true;
             }
         }
-        Self { dist, first }
+        let requested = trace.tally_marked(&seen);
+        Self { dist, first, requested }
     }
 
     /// Number of indexed requests.
@@ -94,11 +105,16 @@ impl ReaccessIndex {
         ones as f64 / self.dist.len() as f64
     }
 
-    /// Fraction of accesses whose object returns within `m` requests — the
-    /// criteria's hit-rate estimate `h` for a cache retaining roughly the
-    /// last `m` accesses.
-    pub fn hit_fraction(&self, m: u64) -> f64 {
-        1.0 - self.one_time_fraction(m)
+    /// Sum of sizes over the distinct requested objects; equal to
+    /// [`Trace::unique_bytes`] of the indexed trace.
+    pub fn unique_bytes(&self) -> u64 {
+        self.requested.bytes
+    }
+
+    /// Mean size of the distinct requested objects (0 for none); equal to
+    /// [`Trace::avg_object_size`] of the indexed trace, bit for bit.
+    pub fn avg_object_size(&self) -> f64 {
+        self.requested.mean_size()
     }
 }
 
@@ -163,14 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn fractions_sum_to_one() {
+    fn one_time_fraction_falls_with_m() {
         let idx = ReaccessIndex::build(&trace_of(&[0, 1, 0, 2, 0, 1, 3, 3]));
-        for m in [0u64, 1, 2, 5, 100] {
-            let p = idx.one_time_fraction(m);
-            let h = idx.hit_fraction(m);
-            assert!((p + h - 1.0).abs() < 1e-12);
-        }
-        // p is non-increasing in m.
         let ps: Vec<f64> = [0u64, 1, 2, 4, 8].iter().map(|&m| idx.one_time_fraction(m)).collect();
         for w in ps.windows(2) {
             assert!(w[1] <= w[0]);
@@ -182,6 +192,15 @@ mod tests {
         let idx = ReaccessIndex::build(&trace_of(&[]));
         assert!(idx.is_empty());
         assert_eq!(idx.one_time_fraction(10), 0.0);
+        assert_eq!((idx.unique_bytes(), idx.avg_object_size()), (0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the trace's 2 objects")]
+    fn request_beyond_meta_is_refused() {
+        let mut trace = trace_of(&[0, 1, 0]);
+        trace.requests[1].object = ObjectId(2);
+        ReaccessIndex::build(&trace);
     }
 
     /// The dense-array build must reproduce the straightforward hash-map

@@ -104,7 +104,7 @@ pub fn sweep(
         .iter()
         .any(|p| p.mode == Mode::Proposal)
         .then(|| FeatureExtractor::extract_all(trace));
-    let unique_bytes = trace.unique_bytes();
+    let unique_bytes = index.unique_bytes();
     // `(M, v)` fully determines training: labels come from `M`, tree costs
     // from `v`; both resolve exactly as a run resolves them.
     let key_of = |p: &SweepPoint| -> (u64, u32) {

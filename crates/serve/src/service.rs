@@ -220,7 +220,7 @@ pub fn serve_trace_with_index(
     assert_eq!(index.len(), trace.len(), "index must match the trace");
 
     let (criteria, m) = resolve_criteria(trace, index, cfg.policy, cfg.capacity, cfg.m_override);
-    let v = cfg.training.cost.resolve(cfg.capacity, trace.unique_bytes());
+    let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
 
     let gate = AdmissionGate::new();
     let prepared = prepare(trace, index, cfg, &gate, m, v);
@@ -998,7 +998,7 @@ mod tests {
     ) -> (ClientReport, RetrainerReport, Option<Arc<GateModel>>) {
         let index = ReaccessIndex::build(t);
         let (_, m) = resolve_criteria(t, &index, cfg.policy, cfg.capacity, cfg.m_override);
-        let v = cfg.training.cost.resolve(cfg.capacity, t.unique_bytes());
+        let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
         let gate = AdmissionGate::new();
         let prepared = prepare(t, &index, cfg, &gate, m, v);
         let (router, rxs) = Router::bounded(1, 1, prepared.requests.len());

@@ -49,4 +49,6 @@ pub use generator::{generate, TraceConfig};
 pub use popularity::{analyze as analyze_popularity, PopularityProfile};
 pub use sample::sample_objects;
 pub use stats::TraceStats;
-pub use types::{ObjectId, Owner, OwnerId, PhotoMeta, PhotoType, Request, Terminal, Trace};
+pub use types::{
+    ObjectId, ObjectTally, Owner, OwnerId, PhotoMeta, PhotoType, Request, Terminal, Trace,
+};

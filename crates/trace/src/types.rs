@@ -175,42 +175,80 @@ impl Trace {
     }
 
     /// Sum of sizes over *unique* objects that appear in the request stream.
+    ///
+    /// # Panics
+    ///
+    /// When a request names an object beyond [`Trace::meta`].
     pub fn unique_bytes(&self) -> u64 {
-        let mut seen = vec![false; self.meta.len()];
-        let mut sum = 0u64;
-        for r in &self.requests {
-            let i = r.object.0 as usize;
-            if !seen[i] {
-                seen[i] = true;
-                sum += self.meta[i].size as u64;
-            }
-        }
-        sum
+        self.requested_objects().bytes
     }
 
-    /// Mean object size (bytes) over unique accessed objects.
+    /// Mean object size (bytes) over unique accessed objects; 0 when no
+    /// object is requested.
+    ///
+    /// # Panics
+    ///
+    /// When a request names an object beyond [`Trace::meta`].
     pub fn avg_object_size(&self) -> f64 {
-        let mut seen = vec![false; self.meta.len()];
-        let (mut sum, mut n) = (0u64, 0u64);
-        for r in &self.requests {
-            let i = r.object.0 as usize;
-            if !seen[i] {
-                seen[i] = true;
-                sum += self.meta[i].size as u64;
-                n += 1;
+        self.requested_objects().mean_size()
+    }
+
+    /// The distinct requested objects: one bit per request, then
+    /// [`Trace::tally_marked`].
+    fn requested_objects(&self) -> ObjectTally {
+        let mut seen = vec![0u64; self.meta.len().div_ceil(64)];
+        for (i, r) in self.requests.iter().enumerate() {
+            let id = r.object.0 as usize;
+            assert!(id < self.meta.len(), "request {i} names object {id} beyond the trace's meta");
+            seen[id / 64] |= 1 << (id % 64);
+        }
+        self.tally_marked(&seen)
+    }
+
+    /// Count and total size of the objects marked in `seen` (bit `id % 64`
+    /// of word `id / 64`), summed in one sequential sweep of [`Trace::meta`]
+    /// over the set bits.
+    ///
+    /// # Panics
+    ///
+    /// When a bit beyond `meta` is set.
+    pub fn tally_marked(&self, seen: &[u64]) -> ObjectTally {
+        let mut tally = ObjectTally::default();
+        for (w, &word) in seen.iter().enumerate() {
+            let mut bits = word;
+            tally.count += u64::from(bits.count_ones());
+            while bits != 0 {
+                tally.bytes += u64::from(self.meta[w * 64 + bits.trailing_zeros() as usize].size);
+                bits &= bits - 1;
             }
         }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
+        tally
     }
 
     /// Asserts the invariant that requests are time-ordered. Used by tests
     /// and by the codec after reading external data.
     pub fn is_time_ordered(&self) -> bool {
         self.requests.windows(2).all(|w| w[0].ts <= w[1].ts)
+    }
+}
+
+/// A set of distinct objects: how many, and their total size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ObjectTally {
+    /// Distinct objects.
+    pub count: u64,
+    /// Sum of their sizes in bytes.
+    pub bytes: u64,
+}
+
+impl ObjectTally {
+    /// Mean object size in bytes; 0 for no objects.
+    pub fn mean_size(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.bytes as f64 / self.count as f64
+        }
     }
 }
 

@@ -50,9 +50,12 @@ fi
 echo "==> training bench smoke (daily_training, one pass: random columns and a generated trace's largest daily window)"
 cargo bench -q -p otae-bench --bench training_time -- --test > /dev/null
 
+echo "==> trace bench smoke (trace_generation and criteria_inputs, one pass: the reaccess index and the criteria of a 200 k-object trace)"
+cargo bench -q -p otae-bench --bench trace_gen -- --test > /dev/null
+
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
   echo "==> store smoke (segment-store criterion bench, one pass)"
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-echo "OK: fmt, otae-lint, clippy, rustdoc, tests, benchmark smoke and training bench smoke all clean"
+echo "OK: fmt, otae-lint, clippy, rustdoc, tests, benchmark smoke, training and trace bench smokes all clean"
