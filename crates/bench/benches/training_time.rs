@@ -5,7 +5,9 @@
 //! Two shapes: uniform-random columns, and the largest daily window of a
 //! generated trace the size of the `serve_proposal` benchmark workload's,
 //! which is what the retrainer actually fits (four narrow columns, the
-//! wide ones of low cardinality).
+//! wide ones of low cardinality). The `binning_*` cases time only the
+//! quantization every fit starts with (`BinnedDataset::build` at
+//! `MAX_BINS`) on the 14 400-row random day and on that window.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use otae_core::daily::{train_tree, CostPolicy, Sample};
@@ -13,6 +15,7 @@ use otae_core::{
     resolve_criteria, FeatureExtractor, MinuteSampler, PolicyKind, ReaccessIndex, TrainingConfig,
     N_FEATURES,
 };
+use otae_ml::{BinnedDataset, Dataset, MAX_BINS};
 use otae_trace::diurnal::DAY;
 use otae_trace::{generate, TraceConfig};
 
@@ -62,6 +65,15 @@ fn largest_trace_window() -> (Vec<Sample>, f32) {
     (largest, v)
 }
 
+/// The dataset `train_tree` builds from `samples`.
+fn dataset_of(samples: &[Sample]) -> Dataset {
+    let mut data = Dataset::new(N_FEATURES);
+    for s in samples {
+        data.push(&s.features, s.one_time);
+    }
+    data
+}
+
 fn bench_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("daily_training");
     group.sample_size(10);
@@ -74,6 +86,14 @@ fn bench_training(c: &mut Criterion) {
     let (window, v) = largest_trace_window();
     group.bench_function(format!("cart_trace_window_{}_records", window.len()), |b| {
         b.iter(|| train_tree(black_box(&window), v, 30))
+    });
+    let day = dataset_of(&day_of_samples(14_400));
+    group.bench_function("binning_14400_records", |b| {
+        b.iter(|| BinnedDataset::build(black_box(&day), MAX_BINS))
+    });
+    let window = dataset_of(&window);
+    group.bench_function(format!("binning_trace_window_{}_records", window.len()), |b| {
+        b.iter(|| BinnedDataset::build(black_box(&window), MAX_BINS))
     });
     group.finish();
 }

@@ -132,6 +132,12 @@ pub struct ServeReport {
     /// serving, and is excluded — though any CPU the retrainer stole
     /// *during* the replay is still fully visible here. Excludes prepare.
     pub wall: Duration,
+    /// The background retrainer's post-replay tail: wall time from the
+    /// last worker joining (where [`Self::wall`] stops) to the retrainer
+    /// joining, i.e. the fits and sample digestion still running after the
+    /// final request was served. Zero without a background retrainer.
+    /// Timing-dependent, so not part of the fingerprint.
+    pub retrain_tail: Duration,
     /// Requests processed per wall-clock second of the replay phase.
     pub throughput_rps: f64,
     /// Worker threads that ran (at most `min(cfg.workers, cfg.shards)`).
@@ -273,7 +279,7 @@ pub fn serve_trace_with_index(
     // loses its stride, a dead worker only its shards' share (its queue's
     // handles hang up on unwind rather than deadlock), a dead retrainer only
     // freezes the model — the service always reaches its snapshot.
-    let wall = std::thread::scope(|s| {
+    let (wall, retrain_tail) = std::thread::scope(|s| {
         let retrainer = sample_rx.map(|rx| {
             let (prepared, gate, training) = (&prepared, &gate, cfg.training.clone());
             s.spawn(move || run_retrainer(rx, prepared, gate, training, v, plan))
@@ -332,13 +338,12 @@ pub fn serve_trace_with_index(
         // Every request is processed once the workers join; stamp the
         // replay wall here, before waiting out the retrainer's backlog.
         let wall = clock.wall_elapsed();
-        if let Some(r) = retrainer {
-            match r.join() {
-                Ok(report) => retrain_report = report,
-                Err(_) => retrainer_failure = true,
-            }
+        let Some(r) = retrainer else { return (wall, Duration::ZERO) };
+        match r.join() {
+            Ok(report) => retrain_report = report,
+            Err(_) => retrainer_failure = true,
         }
-        wall
+        (wall, clock.wall_elapsed().saturating_sub(wall))
     });
 
     let replayed: u64 = client_reports.iter().map(|r| r.submitted).sum();
@@ -385,6 +390,7 @@ pub fn serve_trace_with_index(
         criteria,
         replayed,
         wall,
+        retrain_tail,
         throughput_rps: replayed as f64 / wall.as_secs_f64().max(1e-9),
         workers: cfg.shards.div_ceil(chunk),
         model_swaps: gate.swaps(),
@@ -528,6 +534,25 @@ mod tests {
         // Install lag is timing-dependent; only its shape is fixed.
         assert!(r.install_backlog_max <= r.install_backlog_total);
         assert!(r.install_backlog_total <= r.install_backlog_max * r.model_swaps);
+    }
+
+    #[test]
+    fn retrain_tail_is_zero_without_a_background_retrainer() {
+        let t = trace();
+        let original = ServeConfig::new(PolicyKind::Lru, Mode::Original, cap(&t));
+        let inline = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, cap(&t));
+        assert_eq!(inline.trainer, TrainerMode::Inline);
+        for cfg in [original, inline] {
+            let r = serve_trace(&t, &cfg, &LoadConfig::default());
+            assert_eq!(r.retrain_tail, Duration::ZERO, "{:?}", cfg.mode);
+        }
+        let mut background = ServeConfig::new(PolicyKind::Lru, Mode::Proposal, cap(&t));
+        background.trainer = TrainerMode::Background;
+        let call = Instant::now();
+        let r = serve_trace(&t, &background, &LoadConfig::default());
+        let call = call.elapsed();
+        assert!(r.retrain_tail <= call, "tail {:?} > call {call:?}", r.retrain_tail);
+        assert!(r.wall + r.retrain_tail <= call);
     }
 
     #[test]

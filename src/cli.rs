@@ -439,6 +439,9 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
     // What the prepare pass held for the replay: request records, feature
     // rows (Proposal) and model schedule entries.
     let _ = writeln!(out, "prepared bytes    {}", r.prepared_bytes);
+    // Background trainer only: how long its fits ran on after the last
+    // request was served.
+    let _ = writeln!(out, "retrain tail      {:.3} s", r.retrain_tail.as_secs_f64());
     // Requests accepted under the old model while a fit ran (background
     // trainer only): how far installs lagged the replay, largest and summed.
     let _ = writeln!(
