@@ -47,7 +47,7 @@ if [[ "${OTAE_POLICY_SMOKE:-0}" == "1" ]]; then
   OTAE_BENCH_SMOKE=1 OTAE_OBJECTS=3000 cargo run --release -q -p otae-bench -- policy_sweep
 fi
 
-echo "==> training bench smoke (daily_training, one pass: random columns and a generated trace's largest daily window)"
+echo "==> training bench smoke (daily_training, one pass: tree fits and binning alone, on random columns and a generated trace's largest daily window)"
 cargo bench -q -p otae-bench --bench training_time -- --test > /dev/null
 
 echo "==> trace bench smoke (trace_generation and criteria_inputs, one pass: the reaccess index and the criteria of a 200 k-object trace)"
