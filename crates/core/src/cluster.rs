@@ -19,6 +19,7 @@ use crate::engine::{Outcome, Server};
 use crate::features::{FeatureExtractor, N_FEATURES};
 use crate::pipeline::{Mode, PolicyKind};
 use crate::reaccess::ReaccessIndex;
+use crate::zoo::splitmix64;
 use otae_cache::CacheStats;
 use otae_trace::{ObjectId, Trace};
 
@@ -28,13 +29,6 @@ pub struct HashRing {
     /// Sorted (hash, node) points.
     points: Vec<(u64, u16)>,
     vnodes: u16,
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 impl HashRing {
@@ -51,14 +45,14 @@ impl HashRing {
 
     fn insert_points(&mut self, node: u16) {
         for v in 0..self.vnodes {
-            let h = splitmix(((node as u64) << 32) | v as u64);
+            let h = splitmix64(((node as u64) << 32) | v as u64);
             self.points.push((h, node));
         }
     }
 
     /// Node owning `obj`.
     pub fn node_of(&self, obj: ObjectId) -> u16 {
-        let h = splitmix(obj.0 as u64 ^ 0xA5A5_5A5A_DEAD_BEEF);
+        let h = splitmix64(obj.0 as u64 ^ 0xA5A5_5A5A_DEAD_BEEF);
         let idx = self.points.partition_point(|&(p, _)| p < h);
         self.points[idx % self.points.len()].1
     }

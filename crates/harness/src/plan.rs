@@ -80,7 +80,9 @@ impl std::fmt::Display for FaultSchedule {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step — the harness's only entropy, fully determined by the
+/// seed.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

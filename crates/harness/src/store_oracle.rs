@@ -17,7 +17,7 @@
 //!    storeless run for every admission mode, and the store's measured
 //!    counters must reconcile exactly with the cache's decision counters.
 
-use crate::plan::FaultSchedule;
+use crate::plan::{splitmix64, FaultSchedule};
 use crate::run::{case_trace, HarnessFailure};
 use otae_core::pipeline::{Mode, PolicyKind};
 use otae_core::ReaccessIndex;
@@ -41,23 +41,13 @@ enum StoreOp {
     Remove { key: u64 },
 }
 
-/// SplitMix64 step — the harness's only entropy, fully determined by the
-/// seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A seeded mixed workload over a small key space (so removes hit live
 /// keys and compaction has dead bytes to chase).
 fn workload(seed: u64, ops: usize) -> Vec<StoreOp> {
     let mut state = seed ^ 0x5EED0F5106;
     (0..ops)
         .map(|_| {
-            let r = splitmix(&mut state);
+            let r = splitmix64(&mut state);
             let key = r % 64;
             if r % 5 == 4 {
                 StoreOp::Remove { key }

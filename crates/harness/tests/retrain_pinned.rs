@@ -6,7 +6,6 @@
 //! training was still fitted before it was thrown away. Asking the plan
 //! before fitting must change neither.
 
-use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
 use otae_core::{resolve_criteria, ReaccessIndex};
 use otae_harness::{case_trace, FaultSchedule, ScriptedPlan};
@@ -14,6 +13,7 @@ use otae_serve::{
     prepare, run_retrainer, AdmissionGate, FaultPlan, RetrainFault, RetrainerReport, SampleFault,
     SampleRef, ServeConfig, SwapFault, TrainerMode, SAMPLE_FLUSH,
 };
+use otae_store::intake;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a step over `bytes`.
@@ -81,9 +81,9 @@ fn retrain_under(schedule: &FaultSchedule) -> (RetrainerReport, u64) {
             SampleFault::Deliver => Some(SampleRef { idx: r.idx, corrupt: false }),
         })
         .collect();
-    let (tx, rx) = unbounded();
+    let (tx, rx) = intake::bounded(samples.len().div_ceil(SAMPLE_FLUSH), ());
     for batch in samples.chunks(SAMPLE_FLUSH) {
-        tx.send(batch.to_vec()).expect("receiver alive");
+        tx.push(batch.to_vec()).expect("consumer alive");
     }
     drop(tx);
     let report = run_retrainer(rx, &prepared, &gate, cfg.training.clone(), v, &plan);

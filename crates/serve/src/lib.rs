@@ -132,7 +132,7 @@ mod thread_safety_assertions {
 
     const _: () = {
         // Requests cross the client ⇒ worker queue by reference; samples
-        // cross the retrainer channel as positions, by value; clients,
+        // cross the retrainer sample queue as positions, by value; clients,
         // workers and the retrainer all borrow the prepared trace.
         assert_send::<&'static PreparedRequest>();
         assert_send::<SampleRef>();

@@ -7,16 +7,23 @@ use crate::fault::{FaultPlan, SampleFault};
 use crate::request::PreparedRequest;
 use crate::retrainer::{SampleRef, TrainBatch};
 use crate::shard::shard_of;
-use crossbeam::channel::Sender;
 use otae_store::intake::{self, Consumer, Producer};
 use std::time::Duration;
 
-/// Samples buffered per client before a flush onto the retrainer channel.
-/// One channel send (a mutex acquisition plus a condvar wake of the
-/// retrainer thread) per `SAMPLE_FLUSH` submitted requests instead of per
-/// request; at the measured serve throughput that wake is the dominant
-/// per-request cost of background training, not the sample itself.
+/// Samples buffered per client before a flush onto the retrainer's sample
+/// queue. One push (a lock acquisition, plus a wake when the retrainer is
+/// parked) per `SAMPLE_FLUSH` submitted requests instead of per request; at
+/// the measured serve throughput that wake is the dominant per-request cost
+/// of background training, not the sample itself.
 pub const SAMPLE_FLUSH: usize = 64;
+
+/// Bound of the retrainer's sample queue when `clients` replay `requests`
+/// requests: every batch they can flush — a full one per [`SAMPLE_FLUSH`]
+/// forwarded samples plus one partial tail per client — so a client never
+/// waits on a fit.
+pub(crate) fn sample_queue_bound(requests: usize, clients: usize) -> usize {
+    requests.div_ceil(SAMPLE_FLUSH) + clients
+}
 
 /// Load-generator settings.
 #[derive(Debug, Clone)]
@@ -98,11 +105,12 @@ pub(crate) struct ClientReport {
 /// log tailer tails live traffic. Drops and corruptions are tallied here.
 /// Forwarding is buffered: surviving samples accumulate client-side and
 /// flush as one [`TrainBatch`] every [`SAMPLE_FLUSH`] requests (and at
-/// replay end), so per-client message order is preserved while the channel
+/// replay end), so per-client message order is preserved while the queue
 /// — and the retrainer wake-up behind it — is paid once per flush. The
-/// retrainer hanging up (its receiver dropped, its thread dead) only stops
-/// the forwarding — replay itself continues, which is exactly the graceful
-/// degradation the harness asserts.
+/// queue holds every batch the replay can flush ([`sample_queue_bound`]), so
+/// a flush never blocks. The retrainer hanging up (its consumer dropped,
+/// its thread dead) only stops the forwarding — replay itself continues,
+/// which is exactly the graceful degradation the harness asserts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_client<'a>(
     client: usize,
@@ -111,7 +119,7 @@ pub(crate) fn replay_client<'a>(
     load: &LoadConfig,
     clock: &ClockHandle,
     requests: &Router<'a>,
-    samples: Option<&Sender<TrainBatch>>,
+    samples: Option<&Producer<TrainBatch>>,
     plan: &dyn FaultPlan,
 ) -> ClientReport {
     let per_client_qps =
@@ -140,7 +148,7 @@ pub(crate) fn replay_client<'a>(
                 }
             }
             if sample_buf.len() >= SAMPLE_FLUSH {
-                let _ = samples.send(std::mem::replace(
+                let _ = samples.push(std::mem::replace(
                     &mut sample_buf,
                     TrainBatch::with_capacity(SAMPLE_FLUSH),
                 ));
@@ -152,7 +160,7 @@ pub(crate) fn replay_client<'a>(
         report.submitted += 1;
     }
     if let (Some(samples), false) = (samples, sample_buf.is_empty()) {
-        let _ = samples.send(sample_buf);
+        let _ = samples.push(sample_buf);
     }
     report
 }
@@ -164,8 +172,8 @@ mod tests {
     use crate::fault::NoFaults;
     use crate::request::{ModelSource, PreparedTrace};
     use crate::service::shards_per_worker;
-    use crossbeam::channel::unbounded;
     use otae_core::N_FEATURES;
+    use otae_store::intake::IntakeStats;
     use std::time::Instant;
 
     fn prepared(n: u32) -> Vec<PreparedRequest> {
@@ -179,8 +187,13 @@ mod tests {
         (router, rxs.pop().expect("one queue"))
     }
 
+    /// A sample queue as the service sizes it for one client replaying `reqs`.
+    fn sample_queue(reqs: &[PreparedRequest]) -> (Producer<TrainBatch>, Consumer<TrainBatch>) {
+        intake::bounded(sample_queue_bound(reqs.len(), 1), ())
+    }
+
     /// Everything queued, in order (call after the last producer dropped).
-    fn drain<'a>(rx: &Consumer<&'a PreparedRequest>) -> Vec<&'a PreparedRequest> {
+    fn drain<T>(rx: &Consumer<T>) -> Vec<T> {
         let (mut all, mut batch) = (Vec::new(), Vec::new());
         while rx.pop_batch(&mut batch, 64) {
             all.append(&mut batch);
@@ -277,7 +290,7 @@ mod tests {
     fn sample_forwarding_mirrors_submissions() {
         let reqs = prepared(20);
         let (tx, rx) = queue(&reqs);
-        let (stx, srx) = unbounded();
+        let (stx, srx) = sample_queue(&reqs);
         let clock = ServiceClock::Wall.start();
         let report =
             replay_client(0, 1, &reqs, &LoadConfig::default(), &clock, &tx, Some(&stx), &NoFaults);
@@ -285,7 +298,7 @@ mod tests {
         drop(stx);
         assert_eq!(report.submitted, 20);
         assert_eq!(drain(&rx).len(), 20);
-        assert_eq!(srx.iter().flatten().count(), 20);
+        assert_eq!(drain(&srx).iter().flatten().count(), 20);
     }
 
     /// Flush batching is a transport detail: full flushes carry exactly
@@ -296,7 +309,7 @@ mod tests {
         let n = 2 * SAMPLE_FLUSH + 17;
         let reqs = prepared(n as u32);
         let (tx, rx) = queue(&reqs);
-        let (stx, srx) = unbounded();
+        let (stx, srx) = sample_queue(&reqs);
         let clock = ServiceClock::Wall.start();
         let report =
             replay_client(0, 1, &reqs, &LoadConfig::default(), &clock, &tx, Some(&stx), &NoFaults);
@@ -304,13 +317,59 @@ mod tests {
         drop(stx);
         assert_eq!(report.submitted, n as u64);
         assert_eq!(drain(&rx).len(), n);
-        let batches: Vec<TrainBatch> = srx.iter().collect();
+        let batches = drain(&srx);
         assert_eq!(batches.len(), 3, "two full flushes plus the tail");
         assert_eq!(batches[0].len(), SAMPLE_FLUSH);
         assert_eq!(batches[1].len(), SAMPLE_FLUSH);
         assert_eq!(batches[2].len(), 17);
         let idx: Vec<u32> = batches.iter().flatten().map(|m| m.idx).collect();
         assert_eq!(idx, (0..n as u32).collect::<Vec<_>>(), "order survives batching");
+    }
+
+    /// `clients` clients replaying `n` requests one after another, with
+    /// samples, into a sample queue of `bound` batches that nothing drains:
+    /// the requests submitted and the sample queue's counters.
+    fn replay_undrained(n: u32, clients: usize, bound: usize) -> (u64, IntakeStats) {
+        let reqs = prepared(n);
+        let (tx, _rx) = queue(&reqs);
+        let (stx, srx) = intake::bounded(bound, ());
+        let clock = ServiceClock::Wall.start();
+        let load = LoadConfig { clients, ..LoadConfig::default() };
+        let mut submitted = 0;
+        for c in 0..clients {
+            let r = replay_client(c, clients, &reqs, &load, &clock, &tx, Some(&stx), &NoFaults);
+            submitted += r.submitted;
+        }
+        (submitted, srx.stats())
+    }
+
+    /// The sample queue's bound holds every batch a replay flushes: one to
+    /// three clients, run one after another into a queue sized as the
+    /// service sizes it, never park a push, and the queue never holds more
+    /// than the bound. The replay runs on a detached thread, so a push that
+    /// parks fails the deadline instead of hanging the test.
+    #[test]
+    fn the_sample_queue_holds_every_flush_of_a_replay() {
+        for clients in 1..=3usize {
+            for n in [0u32, 1, 63, 64, 65, 1000] {
+                let bound = sample_queue_bound(n as usize, clients);
+                let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
+                std::thread::spawn(move || done_tx.send(replay_undrained(n, clients, bound)));
+                let (submitted, stats) = done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{clients} clients, {n} requests: a push parked"));
+                assert_eq!(submitted, u64::from(n));
+                // Client `c`'s stride is requests c, c + clients, …
+                let flushes: u64 = (0..clients as u32)
+                    .map(|c| u64::from(n.saturating_sub(c).div_ceil(clients as u32)))
+                    .map(|stride| stride.div_ceil(SAMPLE_FLUSH as u64))
+                    .sum();
+                let at = format!("{clients} clients, {n} requests, bound {bound}");
+                assert_eq!(stats.producer_parks, 0, "{at}");
+                assert_eq!((stats.pushes, stats.high_water), (flushes, flushes), "{at}");
+                assert!(stats.high_water <= bound as u64, "{at}");
+            }
+        }
     }
 
     /// The satellite invariant: a hung-up retrainer (its receiver gone) must
@@ -320,7 +379,7 @@ mod tests {
     fn hung_up_retrainer_does_not_stop_replay() {
         let reqs = prepared(50);
         let (tx, rx) = queue(&reqs);
-        let (stx, srx) = unbounded();
+        let (stx, srx) = sample_queue(&reqs);
         drop(srx); // retrainer is gone before the replay starts
         let clock = ServiceClock::Wall.start();
         let report =
@@ -331,7 +390,7 @@ mod tests {
     }
 
     /// Scripted sample faults: drops and corruptions are tallied, only
-    /// surviving samples reach the retrainer channel, and the corrupted ones
+    /// surviving samples reach the retrainer queue, and the corrupted ones
     /// reach the sampler as finite garbage with flipped labels.
     #[test]
     fn sample_faults_are_applied_and_tallied() {
@@ -348,7 +407,7 @@ mod tests {
         }
         let reqs = prepared(30);
         let (tx, rx) = queue(&reqs);
-        let (stx, srx) = unbounded();
+        let (stx, srx) = sample_queue(&reqs);
         let clock = ServiceClock::Wall.start();
         let report = replay_client(
             0,
@@ -366,8 +425,8 @@ mod tests {
         assert_eq!(report.dropped_samples, 10);
         assert_eq!(report.corrupted_samples, 10);
         assert_eq!(drain(&rx).len(), 30);
-        let delivered: Vec<SampleRef> = srx.iter().flatten().collect();
-        assert_eq!(delivered.len(), 20, "dropped samples never reach the channel");
+        let delivered: Vec<SampleRef> = drain(&srx).into_iter().flatten().collect();
+        assert_eq!(delivered.len(), 20, "dropped samples never reach the queue");
         assert!(delivered.iter().all(|m| m.idx % 3 != 0));
         let corrupted: Vec<u32> = delivered.iter().filter(|m| m.corrupt).map(|m| m.idx).collect();
         assert_eq!(corrupted, (0..10).map(|i| 3 * i + 1).collect::<Vec<_>>());

@@ -2,7 +2,7 @@
 //!
 //! Client threads forward one [`SampleRef`] per submitted request — its
 //! trace position and whether the fault plan corrupted it — batched into
-//! [`TrainBatch`] flushes so the sample channel (and the condvar wake
+//! [`TrainBatch`] flushes so the sample queue (and the condvar wake
 //! behind it) is touched once per ~[`SAMPLE_FLUSH`] requests rather than
 //! per request. The retrainer borrows the prepared trace for the run, reads
 //! each sample's timestamp, feature row and label back from it, feeds them
@@ -18,9 +18,9 @@ use crate::fault::{FaultPlan, RetrainFault, SwapFault};
 use crate::gate::AdmissionGate;
 use crate::loadgen::SAMPLE_FLUSH;
 use crate::request::PreparedTrace;
-use crossbeam::channel::Receiver;
 use otae_core::{DailyTrainer, TrainingConfig, N_FEATURES};
 use otae_ml::DecisionTree;
+use otae_store::intake::Consumer;
 
 /// One observed request, as forwarded to the retrainer: a position in the
 /// prepared trace the retrainer reads the sample from.
@@ -49,10 +49,10 @@ impl SampleRef {
 }
 
 /// A client-side flush of forwarded samples: what actually travels on the
-/// sample channel. Batching is a transport detail — the retrainer consumes
+/// sample queue. Batching is a transport detail — the retrainer consumes
 /// the flattened message stream, so per-message accounting (`seen` counts,
 /// stall deadlines, minute-sampler offers) is identical to an unbatched
-/// channel carrying the same messages in the same per-client order.
+/// queue carrying the same messages in the same per-client order.
 pub type TrainBatch = Vec<SampleRef>;
 
 /// What the retrainer thread did over one run.
@@ -79,10 +79,10 @@ pub struct RetrainerReport {
     /// stalled models superseded by a fresher training before landing.
     pub dropped_installs: u32,
     /// Install lag: the largest number of forwarded requests still queued
-    /// on the sample channel at the moment a model was installed — requests
+    /// on the sample queue at the moment a model was installed — requests
     /// the service had already accepted under the previous (or cold,
     /// admit-all) model while this one was being fitted. Read as the
-    /// channel's length × [`SAMPLE_FLUSH`], so it is exact to within one
+    /// batches queued × [`SAMPLE_FLUSH`], so it is exact to within one
     /// flush per client. Depends on how fast the replay runs against the
     /// fit, never on the decisions themselves.
     pub install_backlog_max: u64,
@@ -90,9 +90,9 @@ pub struct RetrainerReport {
     pub install_backlog_total: u64,
 }
 
-/// Drain `rx` until every sender hangs up, sampling the records of
-/// `prepared` it names and retraining at each daily boundary
-/// ([`DailyTrainer::observe_if`]).
+/// Drain `rx` one batch at a time until every producer hangs up, sampling
+/// the records of `prepared` it names and retraining at each daily
+/// boundary ([`DailyTrainer::observe_if`]).
 ///
 /// With several client threads the forwarded stream is only approximately
 /// time-ordered (each client submits its own stride in order); the sampler
@@ -101,7 +101,7 @@ pub struct RetrainerReport {
 /// small interleaving skew neither inflates a minute's budget nor unsorts
 /// the fit window — which matches how a production log tailer would behave.
 pub fn run_retrainer(
-    rx: Receiver<TrainBatch>,
+    rx: Consumer<TrainBatch>,
     prepared: &PreparedTrace,
     gate: &AdmissionGate,
     training: TrainingConfig,
@@ -115,10 +115,17 @@ pub fn run_retrainer(
     let mut attempt = 0u32;
     let mut swap_attempt = 0u64;
     let mut seen = 0u64;
+    // One batch per pop, so the install lag reads the batches still queued
+    // behind the one in hand; an empty, hung-up queue leaves `popped` empty.
+    let mut popped = Vec::with_capacity(1);
+    let batches = std::iter::from_fn(|| {
+        rx.pop_batch(&mut popped, 1);
+        popped.pop()
+    });
     // Batches are flattened here: `seen` counts messages, not flushes, so a
     // `RetrainFault::Stall { messages }` deadline means the same thing at
     // every flush size.
-    for sample in rx.iter().flatten() {
+    for sample in batches.flatten() {
         let (ts, features, one_time) = sample.read(prepared);
         seen += 1;
         if let Some((model, due)) = pending.take() {
@@ -170,7 +177,7 @@ fn install(
     model: DecisionTree,
     gate: &AdmissionGate,
     plan: &dyn FaultPlan,
-    rx: &Receiver<TrainBatch>,
+    rx: &Consumer<TrainBatch>,
     swap_attempt: &mut u64,
     report: &mut RetrainerReport,
 ) {
@@ -180,7 +187,7 @@ fn install(
         SwapFault::Install => {
             gate.install(model);
             report.installs += 1;
-            let backlog = (rx.len() * SAMPLE_FLUSH) as u64;
+            let backlog = (rx.queued() * SAMPLE_FLUSH) as u64;
             report.install_backlog_max = report.install_backlog_max.max(backlog);
             report.install_backlog_total += backlog;
         }
@@ -192,15 +199,15 @@ fn install(
 mod tests {
     use super::*;
     use crate::fault::NoFaults;
+    use crate::loadgen::sample_queue_bound;
     use crate::request::{ModelSource, PreparedRequest};
-    use crossbeam::channel::unbounded;
     use otae_trace::diurnal::DAY;
     use otae_trace::ObjectId;
 
     /// `days` days of separable samples (x > 0.5 means one-time), 600 a day,
-    /// as a prepared trace, and a hung-up channel forwarding every one of
+    /// as a prepared trace, and a hung-up queue forwarding every one of
     /// them in uneven batches so the tests exercise the batched transport.
-    fn feed_days(days: u64) -> (Receiver<TrainBatch>, PreparedTrace) {
+    fn feed_days(days: u64) -> (Consumer<TrainBatch>, PreparedTrace) {
         let (requests, features) = (0..days)
             .flat_map(|day| (0..600u64).map(move |i| (day * DAY + i * 120, i % 100)))
             .zip(0u32..)
@@ -217,10 +224,11 @@ mod tests {
             trainings: 0,
             dropped_installs: 0,
         };
-        let (tx, rx) = unbounded();
+        let (tx, rx) =
+            otae_store::intake::bounded(sample_queue_bound(prepared.requests.len(), 1), ());
         for batch in prepared.requests.chunks(97) {
             let batch = batch.iter().map(|r| SampleRef { idx: r.idx, corrupt: false }).collect();
-            tx.send(batch).expect("receiver alive");
+            tx.push(batch).expect("consumer alive");
         }
         (rx, prepared)
     }

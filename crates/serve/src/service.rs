@@ -5,16 +5,15 @@
 use crate::clock::ServiceClock;
 use crate::fault::{FaultPlan, FaultReport, InjectedFault, NoFaults};
 use crate::gate::AdmissionGate;
-use crate::loadgen::{replay_client, ClientReport, LoadConfig, Router};
+use crate::loadgen::{replay_client, sample_queue_bound, ClientReport, LoadConfig, Router};
 use crate::request::{prepare, PreparedRequest, Verdicts};
 use crate::retrainer::{run_retrainer, RetrainerReport};
 use crate::shard::{shard_of, ShardState, Snapshot};
 use crate::store_layer::{ShardStore, StoreMode};
-use crossbeam::channel::unbounded;
 use otae_core::pipeline::{Mode, PolicyKind};
 use otae_core::{resolve_criteria, CriteriaSolution, ReaccessIndex, TrainingConfig};
 use otae_device::{HddProfile, LatencyModel};
-use otae_store::intake::{Consumer, IntakeStats};
+use otae_store::intake::{self, Consumer, IntakeStats};
 use otae_trace::Trace;
 use std::sync::Arc;
 use std::time::Duration;
@@ -250,14 +249,15 @@ pub fn serve_trace_with_index(
 
     // The retrainer thread only exists for the learned policy: every filter
     // policy (and Original/Ideal) runs the whole replay without a trainer,
-    // a sampler channel, or a single gate install.
+    // a sample queue, or a single gate install.
     let background = cfg.mode.is_learned() && cfg.trainer == TrainerMode::Background;
     // Requests cross the queues by reference, and samples the sample
-    // channel by position: `prepared` is declared before the thread scope
+    // queue by position: `prepared` is declared before the thread scope
     // below, so it outlives every client, worker and the retrainer.
     let (router, req_rxs) = Router::bounded(cfg.shards, chunk, cfg.queue_depth);
     let (sample_tx, sample_rx) = if background {
-        let (tx, rx) = unbounded();
+        let bound = sample_queue_bound(prepared.requests.len(), load.clients);
+        let (tx, rx) = intake::bounded(bound, ());
         (Some(tx), Some(rx))
     } else {
         (None, None)
@@ -1027,7 +1027,7 @@ mod tests {
         let gate = AdmissionGate::new();
         let prepared = prepare(t, &index, cfg, &gate, m, v);
         let (router, rxs) = Router::bounded(1, 1, prepared.requests.len());
-        let (stx, srx) = unbounded();
+        let (stx, srx) = intake::bounded(sample_queue_bound(prepared.requests.len(), 1), ());
         let clock = ServiceClock::Wall.start();
         let plan = cfg.faults.as_ref();
         let load = LoadConfig::default();

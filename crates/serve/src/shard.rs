@@ -24,17 +24,23 @@ use otae_ml::ConfusionMatrix;
 use otae_store::intake::IntakeStats;
 use otae_trace::{ObjectId, Trace};
 
+/// The SplitMix64 finalizer: a cheap bijective mix of `z`. It spreads the
+/// sequential ids synthetic traces use over the shards, and seeds each
+/// object's store payload.
+#[inline]
+pub(crate) fn splitmix64_finalizer(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Shard an object maps to among `n_shards` (stable for the service's
 /// lifetime).
 #[inline]
 pub(crate) fn shard_of(object: ObjectId, n_shards: usize) -> usize {
-    // SplitMix64 finalizer: cheap, and decorrelates the sequential ids
-    // synthetic traces use. The hash is reduced to `0..n_shards` by a
-    // multiply-shift (the high word of `hash × n`), not a division.
-    let mut z = object.0 as u64;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    // The hash is reduced to `0..n_shards` by a multiply-shift (the high
+    // word of `hash × n`), not a division.
+    let z = splitmix64_finalizer(u64::from(object.0));
     ((u128::from(z) * n_shards as u128) >> 64) as usize
 }
 

@@ -13,6 +13,7 @@
 //! decision stream is bit-identical with the store on or off, which the
 //! harness's differential oracle asserts.
 
+use crate::shard::splitmix64_finalizer;
 use otae_device::WearLedger;
 use otae_store::intake::IntakeStats;
 use otae_store::{
@@ -149,15 +150,6 @@ impl StoreSnapshot {
     }
 }
 
-/// The 8-byte word a payload repeats: the SplitMix64 finalizer of the key.
-fn payload_word(key: u64) -> [u8; 8] {
-    let mut z = key;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    z.to_le_bytes()
-}
-
 /// Deterministic payload for object `key`: the SplitMix64 finalizer of the
 /// key, repeated as little-endian words to `len` bytes. Cheap to generate,
 /// unique per object, and reproducible anywhere (the recovery oracle
@@ -167,7 +159,7 @@ fn payload_word(key: u64) -> [u8; 8] {
 /// `fill_payload_slice`: a reused `Vec` would first be zero-filled up to
 /// `len`, a second pass over bytes about to be overwritten.
 pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
-    let word = payload_word(key);
+    let word = splitmix64_finalizer(key).to_le_bytes();
     buf.clear();
     buf.reserve(len);
     buf.extend_from_slice(&word[..len.min(8)]);
@@ -184,7 +176,7 @@ pub fn fill_payload(key: u64, len: usize, buf: &mut Vec<u8>) {
 /// `dst` with the payload of `key` at length `dst.len()`. What the shard
 /// hands `SegmentStore::put_with`.
 pub(crate) fn fill_payload_slice(key: u64, dst: &mut [u8]) {
-    let word = payload_word(key);
+    let word = splitmix64_finalizer(key).to_le_bytes();
     let mut filled = dst.len().min(8);
     dst[..filled].copy_from_slice(&word[..filled]);
     // The same doubling, in place.

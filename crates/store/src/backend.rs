@@ -501,12 +501,12 @@ impl Backend for FileBackend {
 pub(crate) mod tests {
     use super::*;
     use crate::{NoStoreFaults, SegmentStore, StoreConfig};
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
 
     /// Run `f` on a thread of its own and fail — instead of hanging the
     /// test binary — if it has not finished within a minute.
     pub(crate) fn with_watchdog(f: impl FnOnce() + Send + 'static) {
-        let (done_tx, done_rx) = bounded::<()>(1);
+        let (done_tx, done_rx) = sync_channel::<()>(1);
         let worker = std::thread::spawn(move || {
             f();
             let _ = done_tx.send(());

@@ -1,9 +1,9 @@
 //! The bounded intake in front of one consumer thread: a multi-producer
 //! single-consumer FIFO whose consumer takes a whole batch under one lock
-//! and whose wake-ups are paid only when someone sleeps. Both hand-offs on
-//! the request path use it: `otae-serve`'s clients ⇒ worker request queues,
-//! and the [`SegmentStore`](crate::SegmentStore)'s callers ⇒ writer command
-//! intake.
+//! and whose wake-ups are paid only when someone sleeps. Every queue in the
+//! workspace is one: `otae-serve`'s clients ⇒ worker request queues and
+//! clients ⇒ retrainer sample queue, and the
+//! [`SegmentStore`](crate::SegmentStore)'s callers ⇒ writer command intake.
 //!
 //! A channel takes its mutex and calls `Condvar::notify_one` — a futex
 //! syscall whether or not anyone waits — once per send and again per
@@ -390,6 +390,11 @@ impl<T, S> Consumer<T, S> {
         }
     }
 
+    /// Items queued and not yet popped.
+    pub fn queued(&self) -> usize {
+        self.shared.state.lock().len()
+    }
+
     /// Run `f` on the side state, under the queue's lock.
     pub fn with_side<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.shared.state.lock().side)
@@ -496,11 +501,11 @@ mod tests {
     /// store's `flush`) disconnects its waiting caller at once.
     #[test]
     fn dropping_the_consumer_drops_queued_items_while_a_producer_lives() {
-        use crossbeam::channel::TryRecvError;
+        use std::sync::mpsc::{sync_channel, TryRecvError};
         let (tx, rx) = bounded(4, ());
         let replies: Vec<_> = (0..3)
             .map(|_| {
-                let (reply_tx, reply_rx) = crossbeam::channel::bounded::<()>(1);
+                let (reply_tx, reply_rx) = sync_channel::<()>(1);
                 tx.push(reply_tx).unwrap();
                 reply_rx
             })

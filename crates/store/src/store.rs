@@ -50,11 +50,11 @@ use crate::record::{
     HEADER_LEN, MAX_PAYLOAD,
 };
 use crate::write_buffer::{GroupBuffer, StagedKind};
-use crossbeam::channel::{bounded, Sender};
 use otae_device::WearLedger;
 use otae_fxhash::FxHashMap;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -311,8 +311,8 @@ enum Cmd {
     Remove {
         key: u64,
     },
-    Flush(Sender<()>),
-    Compact(Sender<Result<CompactReport, StoreError>>),
+    Flush(SyncSender<()>),
+    Compact(SyncSender<Result<CompactReport, StoreError>>),
 }
 
 /// Spent record buffers awaiting reuse: the side state of the store's
@@ -530,7 +530,7 @@ impl SegmentStore {
     /// Block until every operation enqueued before this call has been
     /// applied (or the writer crashed).
     pub fn flush(&self) -> Result<(), StoreError> {
-        let (done_tx, done_rx) = bounded::<()>(1);
+        let (done_tx, done_rx) = sync_channel::<()>(1);
         self.enqueue(Cmd::Flush(done_tx))?;
         done_rx.recv().map_err(|_| StoreError::Crashed)
     }
@@ -538,7 +538,7 @@ impl SegmentStore {
     /// Run one compaction pass on the writer thread (after draining the
     /// commands staged ahead of it) and return its report.
     pub fn compact(&self) -> Result<CompactReport, StoreError> {
-        let (done_tx, done_rx) = bounded::<Result<CompactReport, StoreError>>(1);
+        let (done_tx, done_rx) = sync_channel::<Result<CompactReport, StoreError>>(1);
         self.enqueue(Cmd::Compact(done_tx))?;
         done_rx.recv().map_err(|_| StoreError::Crashed)?
     }
@@ -1504,7 +1504,7 @@ mod tests {
 
     #[test]
     fn flush_enqueued_around_a_crash_errors_instead_of_hanging() {
-        // Regression: a `Cmd::Flush` buffered in the channel when the
+        // Regression: a `Cmd::Flush` buffered in the intake when the
         // writer crashes must have its reply sender dropped by the crash
         // drain — otherwise the caller's recv() waits forever on a reply
         // that can never come.

@@ -6,11 +6,16 @@
 
 use crate::types::{ObjectId, Owner, OwnerId, PhotoMeta, PhotoType, Request, Terminal, Trace};
 use crate::TS_LIMIT;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"OTAE";
 const VERSION: u16 = 1;
+/// Encoded sizes: the header (4 magic + 2 version + 4 owners + 4 meta +
+/// 8 requests) and one owner, object and request record.
+const HEADER_LEN: usize = 22;
+const OWNER_LEN: usize = 8;
+const OBJECT_LEN: usize = 17;
+const REQUEST_LEN: usize = 13;
 
 /// Errors raised by the codecs.
 #[derive(Debug)]
@@ -62,97 +67,109 @@ fn bounded_upload_ts(upload_ts: i64, what: impl std::fmt::Display) -> Result<i64
 }
 
 /// Serialise a trace to the binary format.
-pub fn to_bytes(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        16 + trace.meta.len() * 21 + trace.owners.len() * 8 + trace.requests.len() * 13,
+pub fn to_bytes(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
+        HEADER_LEN
+            + trace.owners.len() * OWNER_LEN
+            + trace.meta.len() * OBJECT_LEN
+            + trace.requests.len() * REQUEST_LEN,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(trace.owners.len() as u32);
-    buf.put_u32_le(trace.meta.len() as u32);
-    buf.put_u64_le(trace.requests.len() as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(trace.owners.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(trace.meta.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(trace.requests.len() as u64).to_le_bytes());
     for o in &trace.owners {
-        buf.put_f32_le(o.activity);
-        buf.put_u32_le(o.active_friends);
+        buf.extend_from_slice(&o.activity.to_le_bytes());
+        buf.extend_from_slice(&o.active_friends.to_le_bytes());
     }
     for m in &trace.meta {
-        buf.put_u32_le(m.owner.0);
-        buf.put_u8(m.ptype as u8);
-        buf.put_u32_le(m.size);
-        buf.put_i64_le(m.upload_ts);
+        buf.extend_from_slice(&m.owner.0.to_le_bytes());
+        buf.push(m.ptype as u8);
+        buf.extend_from_slice(&m.size.to_le_bytes());
+        buf.extend_from_slice(&m.upload_ts.to_le_bytes());
     }
     for r in &trace.requests {
-        buf.put_u64_le(r.ts);
-        buf.put_u32_le(r.object.0);
-        buf.put_u8(r.terminal as u8);
+        buf.extend_from_slice(&r.ts.to_le_bytes());
+        buf.extend_from_slice(&r.object.0.to_le_bytes());
+        buf.push(r.terminal as u8);
     }
-    buf.freeze()
+    buf
+}
+
+/// The next `N` bytes of `data`, which advances past them.
+fn take<const N: usize>(data: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = data.split_first_chunk::<N>().ok_or_else(|| malformed("truncated"))?;
+    *data = rest;
+    Ok(*head)
 }
 
 /// Deserialise a trace from the binary format. A request timestamp at or
 /// beyond [`TS_LIMIT`], or an upload timestamp whose magnitude is, is
 /// malformed.
 pub fn from_bytes(mut data: &[u8]) -> Result<Trace, CodecError> {
-    // Full header: 4 magic + 2 version + 4 owners + 4 meta + 8 requests.
-    if data.remaining() < 22 {
+    if data.len() < HEADER_LEN {
         return Err(malformed("truncated header"));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<4>(&mut data)? != MAGIC {
         return Err(malformed("bad magic"));
     }
-    let version = data.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut data)?);
     if version != VERSION {
         return Err(malformed(format!("unsupported version {version}")));
     }
-    let n_owners = data.get_u32_le() as usize;
-    let n_meta = data.get_u32_le() as usize;
-    let n_req_raw = data.get_u64_le();
+    let n_owners = u32::from_le_bytes(take(&mut data)?) as usize;
+    let n_meta = u32::from_le_bytes(take(&mut data)?) as usize;
+    let n_req_raw = u64::from_le_bytes(take(&mut data)?);
     // Widen before multiplying: a bit-flipped count field must produce a
     // typed error, not an arithmetic overflow panic (or a silent wrap that
     // lets an absurd count through to allocation).
-    let need = n_owners as u128 * 8 + n_meta as u128 * 17 + n_req_raw as u128 * 13;
-    if (data.remaining() as u128) < need {
+    let need = n_owners as u128 * OWNER_LEN as u128
+        + n_meta as u128 * OBJECT_LEN as u128
+        + n_req_raw as u128 * REQUEST_LEN as u128;
+    if (data.len() as u128) < need {
         return Err(malformed("truncated body"));
     }
     let n_req = n_req_raw as usize;
     let mut owners = Vec::with_capacity(n_owners);
     for _ in 0..n_owners {
-        owners.push(Owner { activity: data.get_f32_le(), active_friends: data.get_u32_le() });
+        let activity = f32::from_le_bytes(take(&mut data)?);
+        owners.push(Owner { activity, active_friends: u32::from_le_bytes(take(&mut data)?) });
     }
     let mut meta = Vec::with_capacity(n_meta);
     for i in 0..n_meta {
-        let owner = OwnerId(data.get_u32_le());
+        let owner = OwnerId(u32::from_le_bytes(take(&mut data)?));
         if owner.0 as usize >= n_owners {
             return Err(malformed("owner index out of range"));
         }
-        let ptype_raw = data.get_u8();
+        let [ptype_raw] = take(&mut data)?;
         if ptype_raw > 11 {
             return Err(malformed("photo type out of range"));
         }
+        let size = u32::from_le_bytes(take(&mut data)?);
+        let upload_ts = i64::from_le_bytes(take(&mut data)?);
         meta.push(PhotoMeta {
             owner,
             ptype: PhotoType::from_index(ptype_raw),
-            size: data.get_u32_le(),
-            upload_ts: bounded_upload_ts(data.get_i64_le(), format_args!("object {i}"))?,
+            size,
+            upload_ts: bounded_upload_ts(upload_ts, format_args!("object {i}"))?,
         });
     }
     let mut requests = Vec::with_capacity(n_req);
     for i in 0..n_req {
-        let ts = bounded_ts(data.get_u64_le(), format_args!("request {i}"))?;
-        let object = ObjectId(data.get_u32_le());
+        let ts = bounded_ts(u64::from_le_bytes(take(&mut data)?), format_args!("request {i}"))?;
+        let object = ObjectId(u32::from_le_bytes(take(&mut data)?));
         if object.0 as usize >= n_meta {
             return Err(malformed("object index out of range"));
         }
-        let term = match data.get_u8() {
-            0 => Terminal::Pc,
-            1 => Terminal::Mobile,
-            other => return Err(malformed(format!("bad terminal {other}"))),
+        let term = match take(&mut data)? {
+            [0] => Terminal::Pc,
+            [1] => Terminal::Mobile,
+            [other] => return Err(malformed(format!("bad terminal {other}"))),
         };
         requests.push(Request { ts, object, terminal: term });
     }
-    if data.remaining() > 0 {
+    if !data.is_empty() {
         return Err(malformed(format!("{} trailing bytes after the request stream", data.len())));
     }
     let trace = Trace { requests, meta, owners };
@@ -322,6 +339,18 @@ mod tests {
         assert_eq!(t, back);
     }
 
+    /// The encoder reserves exactly what it writes: the header plus one
+    /// fixed-size record per owner, object and request.
+    #[test]
+    fn encoded_length_is_the_header_plus_the_records() {
+        for t in [tiny(), Trace::default()] {
+            let bytes = to_bytes(&t);
+            let want = 22 + 8 * t.owners.len() + 17 * t.meta.len() + 13 * t.requests.len();
+            assert_eq!(bytes.len(), want);
+            assert_eq!(bytes.capacity(), want, "reserved more than it wrote");
+        }
+    }
+
     #[test]
     fn empty_trace_round_trip() {
         let t = Trace::default();
@@ -330,7 +359,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = to_bytes(&tiny()).to_vec();
+        let mut bytes = to_bytes(&tiny());
         bytes[0] = b'X';
         assert!(matches!(from_bytes(&bytes), Err(CodecError::Malformed(_))));
     }
@@ -339,7 +368,7 @@ mod tests {
     fn rejects_truncation() {
         let bytes = to_bytes(&tiny());
         // 18..22 are the regression range: a valid magic/version with the
-        // request-count field cut off used to panic inside `get_u64_le`.
+        // request-count field cut off used to panic reading that field.
         for cut in [0, 3, 10, 18, 19, 20, 21, 22, bytes.len() / 2, bytes.len() - 1] {
             assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
@@ -347,7 +376,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut bytes = to_bytes(&tiny()).to_vec();
+        let mut bytes = to_bytes(&tiny());
         bytes.push(0);
         let err = from_bytes(&bytes).expect_err("trailing byte must be rejected");
         assert!(err.to_string().contains("trailing"), "{err}");
@@ -357,7 +386,7 @@ mod tests {
     fn huge_declared_counts_error_without_allocating() {
         // A header whose request count is astronomically large must fail the
         // (widened) size check, not overflow or attempt the allocation.
-        let mut bytes = to_bytes(&Trace::default()).to_vec();
+        let mut bytes = to_bytes(&Trace::default());
         bytes[14..22].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(from_bytes(&bytes), Err(CodecError::Malformed(_))));
         bytes[14..22].copy_from_slice(&(u64::MAX / 13).to_le_bytes());
@@ -388,7 +417,7 @@ mod tests {
             assert!(err.to_string().contains(&format!("line 2: timestamp {last_ts}")), "{err}");
             // The same requests in binary: encode one inside the bound, then
             // patch its timestamp (the last request's 13 bytes end the stream).
-            let mut bytes = to_bytes(&read_text(two_requests(0).as_bytes()).unwrap()).to_vec();
+            let mut bytes = to_bytes(&read_text(two_requests(0).as_bytes()).unwrap());
             let at = bytes.len() - 13;
             bytes[at..at + 8].copy_from_slice(&last_ts.to_le_bytes());
             let err = from_bytes(&bytes).expect_err("binary decoder refuses");
@@ -410,7 +439,7 @@ mod tests {
             );
             // The same trace in binary: object 0's upload_ts sits 9 bytes into
             // its 17-byte record, after the 22-byte header and one owner.
-            let mut bytes = to_bytes(&read_text(text(0).as_bytes()).unwrap()).to_vec();
+            let mut bytes = to_bytes(&read_text(text(0).as_bytes()).unwrap());
             bytes[22 + 8 + 9..22 + 8 + 17].copy_from_slice(&upload_ts.to_le_bytes());
             let err = from_bytes(&bytes).expect_err("binary decoder refuses");
             assert!(

@@ -1,13 +1,11 @@
 //! Core data model: objects (photos), owners, requests, and the trace itself.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a photo object. Indexes into [`Trace::meta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u32);
 
 /// Identifier of a photo owner (a QQ user). Indexes into [`Trace::owners`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OwnerId(pub u32);
 
 /// The twelve photo types of §3.2.1: six resolutions (`a`,`b`,`c`,`m`,`l`,`o`)
@@ -15,7 +13,7 @@ pub struct OwnerId(pub u32);
 ///
 /// The discriminant is the discretised value (1–12) that §3.2.3 feeds the
 /// classifier, minus one (so it is a valid array index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PhotoType {
     /// Resolution `a` (smallest thumbnail), png.
@@ -90,7 +88,7 @@ impl PhotoType {
 }
 
 /// Terminal kind issuing a request (§3.2.1: PC = 0, mobile = 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Terminal {
     /// Personal computer (discretised to 0, §3.2.3).
@@ -100,7 +98,7 @@ pub enum Terminal {
 }
 
 /// Static per-photo metadata, known at upload time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhotoMeta {
     /// Owner of the photo.
     pub owner: OwnerId,
@@ -116,7 +114,7 @@ pub struct PhotoMeta {
 /// Per-owner ground-truth social state used by the generator. The *observable*
 /// social features (active friends, average views) are derived from this plus
 /// online counting; see `otae-core`'s feature extractor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Owner {
     /// Latent social activity in `[0, 1]`; drives both the number of active
     /// friends and how often this owner's photos are viewed.
@@ -127,7 +125,7 @@ pub struct Owner {
 }
 
 /// One access in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Timestamp in seconds since trace start.
     pub ts: u64,
@@ -138,7 +136,7 @@ pub struct Request {
 }
 
 /// A complete trace: a time-ordered request stream plus object/owner metadata.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Requests sorted by non-decreasing `ts`.
     pub requests: Vec<Request>,
