@@ -1,8 +1,9 @@
 //! Synthetic-workload generation throughput, and what a serve call derives
-//! from a trace before it replays: the reaccess index and the criteria.
+//! from a trace before it replays: the reaccess index, the criteria and the
+//! feature column.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use otae_core::{resolve_criteria, PolicyKind, ReaccessIndex};
+use otae_core::{resolve_criteria, FeatureExtractor, PolicyKind, ReaccessIndex};
 use otae_trace::{generate, sample_objects, TraceConfig};
 
 fn bench_generation(c: &mut Criterion) {
@@ -23,8 +24,9 @@ fn bench_generation(c: &mut Criterion) {
 
 /// The per-trace inputs of a serve call on a seed-1, 200 k-object trace (the
 /// benchmark workloads' size) at the paper's 10/448 operating point: the
-/// index build, the criteria resolved from it, and the trace's own
-/// distinct-object pass that callers without an index make.
+/// index build, the criteria resolved from it, the trace's own
+/// distinct-object pass that callers without an index make, and the feature
+/// extraction the first Proposal call on an index makes.
 fn bench_criteria_inputs(c: &mut Criterion) {
     let trace = generate(&TraceConfig { n_objects: 200_000, seed: 1, ..Default::default() });
     let index = ReaccessIndex::build(&trace);
@@ -38,6 +40,9 @@ fn bench_criteria_inputs(c: &mut Criterion) {
         b.iter(|| resolve_criteria(&trace, black_box(&index), PolicyKind::Lru, capacity, None))
     });
     group.bench_function("trace_unique_bytes", |b| b.iter(|| black_box(&trace).unique_bytes()));
+    group.bench_function("feature_column", |b| {
+        b.iter(|| FeatureExtractor::extract_all(black_box(&trace)))
+    });
     group.finish();
 }
 

@@ -278,8 +278,8 @@ pub struct ModelSchedule<M = DecisionTree> {
 
 impl ModelSchedule {
     /// Record the install sequence by running the daily trainer over a
-    /// precomputed feature stream (see
-    /// [`FeatureExtractor::extract_all`](crate::FeatureExtractor::extract_all)).
+    /// precomputed feature stream (the index's column,
+    /// [`ReaccessIndex::features`]).
     pub fn build(
         trace: &Trace,
         index: &ReaccessIndex,

@@ -105,8 +105,10 @@ impl FeatureExtractor {
     /// Extract the feature row for every request in the trace, in order.
     ///
     /// Feature extraction depends only on the request stream — never on
-    /// admission or eviction decisions — so the stream can be computed once
-    /// and shared across runs (the sweep does this across its whole grid).
+    /// admission or eviction decisions — so the column is computed once per
+    /// trace: [`ReaccessIndex::features`](crate::ReaccessIndex::features)
+    /// calls this on its first use and shares the result with every later
+    /// run over the index (a sweep's whole grid, every serve call).
     pub fn extract_all(trace: &Trace) -> Vec<[f32; N_FEATURES]> {
         let mut fx = FeatureExtractor::new(trace);
         trace

@@ -10,7 +10,7 @@ use crate::criteria::{resolve_criteria, CriteriaSolution};
 use crate::daily::{ModelSchedule, TrainingConfig};
 pub use crate::engine::CacheEvent;
 use crate::engine::{Accounting, Admission, Kernel, Outcome};
-use crate::features::{FeatureExtractor, N_FEATURES};
+use crate::features::N_FEATURES;
 use crate::reaccess::ReaccessIndex;
 use crate::zoo::MissFilter;
 use otae_cache::{ArcCache, Belady, Cache, CacheStats, Fifo, Gdsf, Lfu, Lirs, Lru, S3Lru, TwoQ};
@@ -303,12 +303,11 @@ fn confusion_delta(cur: &ConfusionMatrix, prev: &ConfusionMatrix) -> ConfusionMa
 }
 
 /// Precomputed inputs a run may share with other runs over the same trace:
-/// the feature stream and/or a model schedule. Both default to `None`
-/// (the run builds its own); both are ignored outside Proposal mode.
+/// a model schedule, `None` by default (the run fits its own); ignored
+/// outside Proposal mode. The feature column needs no plan: every run over
+/// one index reads the index's ([`ReaccessIndex::features`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPlan<'a> {
-    /// Per-request feature rows ([`FeatureExtractor::extract_all`]).
-    pub features: Option<&'a [[f32; N_FEATURES]]>,
     /// Prerecorded model installs; must have been built with the `(m, v)`
     /// this run resolves to.
     pub schedule: Option<&'a ModelSchedule>,
@@ -446,23 +445,18 @@ fn run_inner(
     }
 }
 
-/// The learned mode's feature column and model schedule: the plan's, or
-/// built here. The verdict itself is computed by [`run_inner`] inside the
-/// kernel's admit closure — on a miss, never for a hit (§4.4).
+/// The learned mode's inputs: the index's feature column, and the model
+/// schedule, the plan's or built here. The verdict itself is computed by
+/// [`run_inner`] inside the kernel's admit closure — on a miss, never for a
+/// hit (§4.4).
 fn learned_inputs<'a>(
     trace: &Trace,
-    index: &ReaccessIndex,
+    index: &'a ReaccessIndex,
     cfg: &RunConfig,
     plan: &RunPlan<'a>,
     m: u64,
-) -> (Cow<'a, [[f32; N_FEATURES]]>, Cow<'a, ModelSchedule>) {
-    let features = match plan.features {
-        Some(f) => {
-            assert_eq!(f.len(), trace.len(), "feature stream must match the trace");
-            Cow::Borrowed(f)
-        }
-        None => Cow::Owned(FeatureExtractor::extract_all(trace)),
-    };
+) -> (&'a [[f32; N_FEATURES]], Cow<'a, ModelSchedule>) {
+    let features = index.features(trace);
     let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
     let schedule = match plan.schedule {
         Some(s) => {
@@ -470,7 +464,7 @@ fn learned_inputs<'a>(
             assert_eq!(s.v.to_bits(), v.to_bits(), "model schedule was built for a different v");
             Cow::Borrowed(s)
         }
-        None => Cow::Owned(ModelSchedule::build(trace, index, &features, m, v, &cfg.training)),
+        None => Cow::Owned(ModelSchedule::build(trace, index, features, m, v, &cfg.training)),
     };
     (features, schedule)
 }
@@ -615,23 +609,14 @@ mod tests {
         let cfg = RunConfig::new(PolicyKind::Lru, Mode::Proposal, cap_for(&t, 0.02));
         let inline = run_with_index(&t, &index, &cfg);
 
-        let features = FeatureExtractor::extract_all(&t);
+        let features = index.features(&t);
         let v = cfg.training.cost.resolve(cfg.capacity, t.unique_bytes());
         let schedule =
-            ModelSchedule::build(&t, &index, &features, inline.criteria.m, v, &cfg.training);
+            ModelSchedule::build(&t, &index, features, inline.criteria.m, v, &cfg.training);
         assert!(!schedule.installs.is_empty(), "9-day trace must install models");
 
-        // Features alone, then features + prerecorded schedule: both must be
-        // bit-identical to the inline run.
-        let feats_only =
-            run_with_plan(&t, &index, &cfg, &RunPlan { features: Some(&features), schedule: None });
-        assert_eq!(feats_only.fingerprint(), inline.fingerprint());
-        let planned = run_with_plan(
-            &t,
-            &index,
-            &cfg,
-            &RunPlan { features: Some(&features), schedule: Some(&schedule) },
-        );
+        // A prerecorded schedule must be bit-identical to the inline run.
+        let planned = run_with_plan(&t, &index, &cfg, &RunPlan { schedule: Some(&schedule) });
         assert_eq!(planned.fingerprint(), inline.fingerprint());
         assert_eq!(planned.per_day_hit_rate, inline.per_day_hit_rate);
         let (a, b) = (planned.classifier.unwrap(), inline.classifier.unwrap());

@@ -4,17 +4,22 @@
 //! distance**: "the number of successive accesses between the time when
 //! [a photo] is brought into the cache and the time when it is accessed
 //! again". This module precomputes, for every request position, the distance
-//! (in requests) to the next access of the same object.
+//! (in requests) to the next access of the same object. The index also
+//! carries the trace's feature column (§3.2), extracted on first use and
+//! shared by every run over the index.
 
+use crate::{FeatureExtractor, N_FEATURES};
 use otae_trace::{ObjectTally, Trace};
+use std::sync::{Arc, OnceLock};
 
 /// Distance marker for "never accessed again within the trace".
 pub const NEVER: u64 = u64::MAX;
 
 /// Per-request forward reaccess information over one trace, plus the
 /// distinct requested objects the criteria's `S` and the cost policy's
-/// working set are taken from.
-#[derive(Debug, Clone)]
+/// working set are taken from, and the trace's feature column once a
+/// learned run has asked for it.
+#[derive(Clone)]
 pub struct ReaccessIndex {
     /// `dist[i]` = number of requests until the object of request `i` is
     /// accessed again (1 = very next request), or [`NEVER`].
@@ -23,6 +28,17 @@ pub struct ReaccessIndex {
     first: Vec<bool>,
     /// Distinct requested objects and their bytes.
     requested: ObjectTally,
+    /// Feature row of every request ([`Self::features`]); empty until the
+    /// first learned run, so an index that never serves one never pays for
+    /// the extraction.
+    features: OnceLock<Arc<Vec<[f32; N_FEATURES]>>>,
+}
+
+impl std::fmt::Debug for ReaccessIndex {
+    /// Counts only: the columns hold a value per request.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ReaccessIndex {{ requests: {}, {:?} }}", self.len(), self.requested)
+    }
 }
 
 impl ReaccessIndex {
@@ -67,7 +83,20 @@ impl ReaccessIndex {
             }
         }
         let requested = trace.tally_marked(&seen);
-        Self { dist, first, requested }
+        Self { dist, first, requested, features: OnceLock::new() }
+    }
+
+    /// The feature row of every request of `trace`, the trace this index
+    /// was built from. The first call extracts the column
+    /// ([`FeatureExtractor::extract_all`]); every later one, from any
+    /// thread, shares it without a copy.
+    ///
+    /// # Panics
+    ///
+    /// When `trace` holds a different number of requests than the index.
+    pub fn features(&self, trace: &Trace) -> &Arc<Vec<[f32; N_FEATURES]>> {
+        assert_eq!(trace.len(), self.len(), "the feature column must match the indexed trace");
+        self.features.get_or_init(|| Arc::new(FeatureExtractor::extract_all(trace)))
     }
 
     /// Number of indexed requests.
@@ -201,6 +230,72 @@ mod tests {
         let mut trace = trace_of(&[0, 1, 0]);
         trace.requests[1].object = ObjectId(2);
         ReaccessIndex::build(&trace);
+    }
+
+    fn generated() -> Trace {
+        otae_trace::generate(&otae_trace::TraceConfig {
+            n_objects: 2_000,
+            seed: 5,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn feature_column_is_extract_all_bit_for_bit() {
+        let trace = generated();
+        let idx = ReaccessIndex::build(&trace);
+        let bits = |rows: &[[f32; N_FEATURES]]| -> Vec<u32> {
+            rows.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        let want = FeatureExtractor::extract_all(&trace);
+        assert_eq!(idx.features(&trace).len(), trace.len());
+        assert_eq!(bits(idx.features(&trace)), bits(&want));
+    }
+
+    #[test]
+    fn concurrent_first_use_extracts_one_column() {
+        let trace = generated();
+        let idx = ReaccessIndex::build(&trace);
+        let (idx, trace) = (&idx, &trace);
+        // Every thread waits at its gate until all are spawned, then all
+        // race for the first use.
+        let (starts, gates): (Vec<_>, Vec<_>) =
+            (0..4).map(|_| std::sync::mpsc::sync_channel::<()>(1)).unzip();
+        let columns: Vec<Arc<Vec<[f32; N_FEATURES]>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = gates
+                .into_iter()
+                .map(|gate| {
+                    scope.spawn(move || {
+                        gate.recv().expect("the test opens every gate");
+                        Arc::clone(idx.features(trace))
+                    })
+                })
+                .collect();
+            for start in &starts {
+                start.send(()).expect("every thread waits at its gate");
+            }
+            handles.into_iter().map(|h| h.join().expect("extraction panicked")).collect()
+        });
+        assert!(columns.iter().all(|c| Arc::ptr_eq(c, &columns[0])));
+        assert!(Arc::ptr_eq(idx.features(trace), &columns[0]), "later calls share it too");
+    }
+
+    #[test]
+    #[should_panic(expected = "must match the indexed trace")]
+    fn feature_column_of_another_trace_is_refused() {
+        let idx = ReaccessIndex::build(&trace_of(&[0, 1, 0]));
+        idx.features(&trace_of(&[0, 1]));
+    }
+
+    /// Debug output counts the columns instead of printing them.
+    #[test]
+    fn debug_prints_counts_not_columns() {
+        let trace = generated();
+        let idx = ReaccessIndex::build(&trace);
+        idx.features(&trace);
+        let shown = format!("{idx:?}");
+        assert!(shown.len() < 160, "{} bytes: {shown}", shown.len());
+        assert!(shown.contains(&format!("requests: {}", trace.len())), "{shown}");
     }
 
     /// The dense-array build must reproduce the straightforward hash-map

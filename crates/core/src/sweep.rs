@@ -6,14 +6,13 @@
 //! regardless of scheduling.
 //!
 //! Proposal points additionally share the expensive capacity-independent
-//! work: the feature stream is extracted once for the whole grid, and the
-//! classifier is trained once per distinct `(M, v)` pair — points differing
-//! only in capacity replay the same [`ModelSchedule`] instead of re-fitting
-//! identical trees.
+//! work: the feature column is the index's, extracted once for every run
+//! over it, and the classifier is trained once per distinct `(M, v)` pair —
+//! points differing only in capacity replay the same [`ModelSchedule`]
+//! instead of re-fitting identical trees.
 
 use crate::criteria::resolve_criteria;
 use crate::daily::ModelSchedule;
-use crate::features::FeatureExtractor;
 use crate::pipeline::{run_with_plan, Mode, PolicyKind, RunConfig, RunPlan, RunResult};
 use crate::reaccess::ReaccessIndex;
 use otae_trace::Trace;
@@ -99,11 +98,6 @@ pub fn sweep(
     }
     .min(points.len().max(1));
 
-    // Capacity-independent shared inputs for Proposal points.
-    let features = points
-        .iter()
-        .any(|p| p.mode == Mode::Proposal)
-        .then(|| FeatureExtractor::extract_all(trace));
     let unique_bytes = index.unique_bytes();
     // `(M, v)` fully determines training: labels come from `M`, tree costs
     // from `v`; both resolve exactly as a run resolves them.
@@ -127,18 +121,15 @@ pub fn sweep(
         .collect();
     let schedules: Vec<ModelSchedule> = indexed_parallel(keys.len(), threads, |i| {
         let (m, v_bits) = keys[i];
-        let feats = features.as_ref().expect("proposal points imply a feature stream");
-        ModelSchedule::build(trace, index, feats, m, f32::from_bits(v_bits), &base.training)
+        let features = index.features(trace);
+        ModelSchedule::build(trace, index, features, m, f32::from_bits(v_bits), &base.training)
     });
 
     indexed_parallel(points.len(), threads, |i| {
         let p = points[i];
         let cfg =
             RunConfig { policy: p.policy, mode: p.mode, capacity: p.capacity, ..base.clone() };
-        let plan = RunPlan {
-            features: point_key[i].and(features.as_deref()),
-            schedule: point_key[i].map(|k| &schedules[k]),
-        };
+        let plan = RunPlan { schedule: point_key[i].map(|k| &schedules[k]) };
         run_with_plan(trace, index, &cfg, &plan)
     })
 }

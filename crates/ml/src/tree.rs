@@ -24,6 +24,7 @@ use crate::{Classifier, Dataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Tree hyper-parameters.
 #[derive(Debug, Clone)]
@@ -412,13 +413,13 @@ struct SplitFound {
     gain: f64,
 }
 
-/// A frontier node of the binned best-first builder: its sample rows, its
-/// full per-feature histogram (flattened), its weight totals, and the best
-/// split found for it.
+/// A frontier node of the binned best-first builder: its sample rows (a
+/// range of the fit's row arena), its full per-feature histogram
+/// (flattened), its weight totals, and the best split found for it.
 struct BinnedCandidate {
     node: u32,
     depth: usize,
-    rows: Vec<u32>,
+    rows: Range<usize>,
     hist: Vec<HBin>,
     tot: HBin,
     found: SplitFound,
@@ -507,13 +508,15 @@ impl DecisionTree {
             })
             .collect();
         let offsets = bin_offsets(data);
-        let all: Vec<u32> = match rows {
+        // The row arena: every frontier node owns a range of it, and a split
+        // partitions its node's range in place.
+        let mut order: Vec<u32> = match rows {
             Some(r) => r.to_vec(),
             None => (0..data.len() as u32).collect(),
         };
-        let (root_hist, root_tot) = build_hist(data, &offsets, &all, &eff);
+        let (root_hist, root_tot) = build_hist(data, &offsets, &order, &eff);
         self.nodes.push(Node::Leaf { score: leaf_score_of(root_tot) });
-        if all.is_empty() {
+        if order.is_empty() {
             return;
         }
 
@@ -522,12 +525,13 @@ impl DecisionTree {
             frontier.push(BinnedCandidate {
                 node: 0,
                 depth: 0,
-                rows: all,
+                rows: 0..order.len(),
                 hist: root_hist,
                 tot: root_tot,
                 found,
             });
         }
+        let mut right_scratch: Vec<u32> = Vec::new();
 
         while self.n_splits < self.params.max_splits && !frontier.is_empty() {
             let best_i = frontier
@@ -538,38 +542,41 @@ impl DecisionTree {
                 .expect("frontier non-empty");
             let cand = frontier.swap_remove(best_i);
 
+            // A stable partition of the node's range: left rows compact in
+            // place, right rows wait in the scratch and follow them, so each
+            // child lists its rows in its parent's order.
             let codes = data.feature_codes(cand.found.feature as usize);
-            let (mut left_rows, mut right_rows) = (Vec::new(), Vec::new());
-            for &i in &cand.rows {
+            let Range { start: lo, end: hi } = cand.rows;
+            right_scratch.clear();
+            let mut mid = lo;
+            for k in lo..hi {
+                let i = order[k];
                 if codes[i as usize] <= cand.found.split_bin {
-                    left_rows.push(i);
+                    order[mid] = i;
+                    mid += 1;
                 } else {
-                    right_rows.push(i);
+                    right_scratch.push(i);
                 }
             }
-            debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
+            order[mid..hi].copy_from_slice(&right_scratch);
+            debug_assert!(lo < mid && mid < hi);
 
             // Histogram subtraction: accumulate only the smaller child;
             // the larger sibling is parent − smaller.
-            let left_is_small = left_rows.len() <= right_rows.len();
-            let small_rows = if left_is_small { &left_rows } else { &right_rows };
-            let (small_hist, small_tot) = build_hist(data, &offsets, small_rows, &eff);
-            let mut large_hist = cand.hist;
-            let mut large_tot = cand.tot;
-            for (l, s) in large_hist.iter_mut().zip(&small_hist) {
+            let left_is_small = mid - lo <= hi - mid;
+            let small_rows = if left_is_small { &order[lo..mid] } else { &order[mid..hi] };
+            let small = build_hist(data, &offsets, small_rows, &eff);
+            let mut large = (cand.hist, cand.tot);
+            for (l, s) in large.0.iter_mut().zip(&small.0) {
                 l.subtract(s);
             }
-            large_tot.subtract(&small_tot);
-            let (left_hist, left_tot, right_hist, right_tot) = if left_is_small {
-                (small_hist, small_tot, large_hist, large_tot)
-            } else {
-                (large_hist, large_tot, small_hist, small_tot)
-            };
+            large.1.subtract(&small.1);
+            let [left, right] = if left_is_small { [small, large] } else { [large, small] };
 
             let left_node = self.nodes.len() as u32;
-            self.nodes.push(Node::Leaf { score: leaf_score_of(left_tot) });
+            self.nodes.push(Node::Leaf { score: leaf_score_of(left.1) });
             let right_node = self.nodes.len() as u32;
-            self.nodes.push(Node::Leaf { score: leaf_score_of(right_tot) });
+            self.nodes.push(Node::Leaf { score: leaf_score_of(right.1) });
             self.nodes[cand.node as usize] = Node::Split {
                 feature: cand.found.feature,
                 threshold: cand.found.threshold,
@@ -579,10 +586,9 @@ impl DecisionTree {
             self.n_splits += 1;
 
             if cand.depth + 1 < self.params.max_depth {
-                for (node, rows, hist, tot) in [
-                    (left_node, left_rows, left_hist, left_tot),
-                    (right_node, right_rows, right_hist, right_tot),
-                ] {
+                for (node, rows, (hist, tot)) in
+                    [(left_node, lo..mid, left), (right_node, mid..hi, right)]
+                {
                     if let Some(found) = self.best_split_hist(data, &offsets, &hist, tot, &mut rng)
                     {
                         frontier.push(BinnedCandidate {

@@ -174,6 +174,7 @@ mod tests {
     use crate::service::shards_per_worker;
     use otae_core::N_FEATURES;
     use otae_store::intake::IntakeStats;
+    use std::sync::Arc;
     use std::time::Instant;
 
     fn prepared(n: u32) -> Vec<PreparedRequest> {
@@ -433,7 +434,7 @@ mod tests {
         // What the retrainer then offers its sampler.
         let trace = PreparedTrace {
             requests: reqs.clone(),
-            features: (0..30).map(|i| [i as f32; N_FEATURES]).collect(),
+            features: Arc::new((0..30).map(|i| [i as f32; N_FEATURES]).collect()),
             models: ModelSource::Gate,
             trainings: 0,
             dropped_installs: 0,

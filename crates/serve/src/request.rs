@@ -1,17 +1,19 @@
 //! The prepare pass: what a replay needs that the trace does not hold.
 //!
-//! Feature extraction is inherently sequential (each request's features
-//! depend on the whole stream before it, §3.2), so a single *prepare* pass
-//! walks the trace in order before the replay starts. It materialises only
-//! what the trace does not already hold, so that client, worker and
-//! retrainer threads can read it in any interleaving without touching
-//! shared extractor state:
+//! A single *prepare* pass walks the trace in order before the replay
+//! starts. It gathers only what the trace does not already hold, so that
+//! client, worker and retrainer threads can read it in any interleaving
+//! without touching shared extractor state:
 //!
 //! - one 24-byte `Copy` [`PreparedRequest`] per request — the trace's own
 //!   position, object, size and timestamp plus the offline label — which
 //!   the queues carry by reference;
-//! - the feature column, [`PreparedTrace::features`], filled for Proposal
-//!   only and read by a worker on a miss, when the model is consulted;
+//! - the feature column, [`PreparedTrace::features`], for Proposal only and
+//!   read by a worker on a miss, when the model is consulted. Extraction is
+//!   inherently sequential (each request's features depend on the whole
+//!   stream before it, §3.2) but a function of the trace alone, so it is
+//!   the index's column ([`ReaccessIndex::features`]): the first Proposal
+//!   call on an index extracts it, and every later call shares it;
 //! - the run's [`ModelSource`]: none, the shared gate, or — for the inline
 //!   trainer — the [`ModelSchedule`] of models its daily fits installed,
 //!   one `(first idx, model)` entry per install that reached the gate.
@@ -24,7 +26,7 @@ use crate::fault::SwapFault;
 use crate::gate::{AdmissionGate, GateModel};
 use crate::service::{ServeConfig, TrainerMode};
 use otae_core::pipeline::Mode;
-use otae_core::{FeatureExtractor, ModelSchedule, ReaccessIndex, N_FEATURES};
+use otae_core::{ModelSchedule, ReaccessIndex, N_FEATURES};
 use otae_trace::{ObjectId, Trace};
 use std::mem::size_of;
 use std::sync::Arc;
@@ -70,9 +72,9 @@ pub struct PreparedRequest {
 pub struct PreparedTrace {
     /// Requests in trace order.
     pub requests: Vec<PreparedRequest>,
-    /// Feature row of each request, indexed by [`PreparedRequest::idx`]
-    /// (Proposal only; empty for every other mode).
-    pub features: Vec<[f32; N_FEATURES]>,
+    /// Feature row of each request, indexed by [`PreparedRequest::idx`]:
+    /// the index's column under Proposal, empty for every other mode.
+    pub features: Arc<Vec<[f32; N_FEATURES]>>,
     /// The run's model source.
     pub models: ModelSource,
     /// Daily trainings completed during prepare (inline trainer only).
@@ -83,8 +85,9 @@ pub struct PreparedTrace {
 }
 
 impl PreparedTrace {
-    /// Bytes the pass materialised: the request records, the feature rows
-    /// and the schedule's entries (the models they point at are the gate's).
+    /// Bytes the replay reads beside the trace: the request records, the
+    /// feature rows (the index's, shared) and the schedule's entries (the
+    /// models they point at are the gate's).
     pub fn bytes(&self) -> u64 {
         let schedule = match &self.models {
             ModelSource::Stamped(s) => s.installs.len() * size_of::<(u64, Arc<GateModel>)>(),
@@ -96,10 +99,11 @@ impl PreparedTrace {
 }
 
 /// Walk the trace once, recording each request and its label; under
-/// Proposal also extract its features and, for the inline trainer, build
-/// the run's model schedule over them, installing each fit into `gate`
-/// unless the fault plan drops it. `m` and `v` are the resolved criteria
-/// threshold and cost-matrix value.
+/// Proposal also take the index's feature column (extracting it if no
+/// earlier call has) and, for the inline trainer, build the run's model
+/// schedule over it, installing each fit into `gate` unless the fault plan
+/// drops it. `m` and `v` are the resolved criteria threshold and
+/// cost-matrix value.
 ///
 /// # Panics
 ///
@@ -132,7 +136,7 @@ pub fn prepare(
         .collect();
     let mut prepared = PreparedTrace {
         requests,
-        features: Vec::new(),
+        features: Arc::default(),
         models: ModelSource::None,
         trainings: 0,
         dropped_installs: 0,
@@ -141,7 +145,7 @@ pub fn prepare(
         return prepared;
     }
 
-    prepared.features = FeatureExtractor::extract_all(trace);
+    prepared.features = Arc::clone(index.features(trace));
     if cfg.trainer == TrainerMode::Background {
         prepared.models = ModelSource::Gate;
         return prepared;

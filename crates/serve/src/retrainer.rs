@@ -203,6 +203,7 @@ mod tests {
     use crate::request::{ModelSource, PreparedRequest};
     use otae_trace::diurnal::DAY;
     use otae_trace::ObjectId;
+    use std::sync::Arc;
 
     /// `days` days of separable samples (x > 0.5 means one-time), 600 a day,
     /// as a prepared trace, and a hung-up queue forwarding every one of
@@ -219,7 +220,7 @@ mod tests {
             .unzip();
         let prepared = PreparedTrace {
             requests,
-            features,
+            features: Arc::new(features),
             models: ModelSource::Gate,
             trainings: 0,
             dropped_installs: 0,

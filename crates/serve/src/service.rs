@@ -165,9 +165,9 @@ pub struct ServeReport {
     /// shards; `None` when serving storeless. Timing-dependent, so kept
     /// out of the fingerprint and of [`Snapshot::store`].
     pub store_intake: Option<IntakeStats>,
-    /// Bytes the prepare pass materialised before the replay started
+    /// Bytes the replay read beside the trace
     /// ([`PreparedTrace::bytes`](crate::PreparedTrace::bytes)): the request
-    /// records, the feature column and the model schedule.
+    /// records, the feature column (the index's) and the model schedule.
     pub prepared_bytes: u64,
     /// Mean modeled service latency (µs).
     pub mean_latency_us: f64,
@@ -201,7 +201,8 @@ impl ServeReport {
 
 /// Replay a trace through the sharded service, building the reaccess index
 /// internally. For repeated runs share the index via
-/// [`serve_trace_with_index`].
+/// [`serve_trace_with_index`]: it also holds the feature column, so only
+/// the first Proposal run over it extracts the features.
 pub fn serve_trace(trace: &Trace, cfg: &ServeConfig, load: &LoadConfig) -> ServeReport {
     let index = ReaccessIndex::build(trace);
     serve_trace_with_index(trace, &index, cfg, load)
@@ -936,6 +937,7 @@ mod tests {
             })
             .unzip();
         let models = ModelSource::Gate;
+        let features = Arc::new(features);
         PreparedTrace { requests, features, models, trainings: 0, dropped_installs: 0 }
     }
 

@@ -27,7 +27,10 @@ echo "==> results/ is current (otae-bench all in a temp dir; every CSV it writes
 # $tmp/results. The experiments run at their defaults: no OTAE_OBJECTS, no
 # smoke mode.
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+# Building the benchmark (the smoke below) may rewrite its frozen
+# Cargo.lock; the committed one is put back on exit, pass or fail.
+cp benchmark/Cargo.lock "$tmp/benchmark-Cargo.lock"
+trap 'cp "$tmp/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
 root="$PWD"
 (cd "$tmp" && env -u OTAE_OBJECTS -u OTAE_BENCH_SMOKE cargo run --manifest-path "$root/Cargo.toml" --release -q -p otae-bench -- all > /dev/null)
 cargo run --release -q -p otae-bench -- diff "$tmp/results" results
@@ -50,7 +53,7 @@ fi
 echo "==> training bench smoke (daily_training, one pass: tree fits and binning alone, on random columns and a generated trace's largest daily window)"
 cargo bench -q -p otae-bench --bench training_time -- --test > /dev/null
 
-echo "==> trace bench smoke (trace_generation and criteria_inputs, one pass: the reaccess index and the criteria of a 200 k-object trace)"
+echo "==> trace bench smoke (trace_generation and criteria_inputs, one pass: the reaccess index, the criteria and the feature column of a 200 k-object trace)"
 cargo bench -q -p otae-bench --bench trace_gen -- --test > /dev/null
 
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
