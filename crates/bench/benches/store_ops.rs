@@ -1,12 +1,13 @@
 //! Segment-store operation latency: append batches at queue depths
 //! {1, 16, 64}, indexed reads against a populated store, a full
 //! compaction pass over a churned device, the recovery scan of a reopened
-//! device, and the record checksum per kernel — Criterion's statistical
+//! device, the record checksum per kernel, and the bounded intake alone as
+//! the serve client → worker handoff uses it — Criterion's statistical
 //! view next to `benchmark/`'s `store.*` per-layer metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use otae_store::{
-    crc32_with, Backend, Crc32Kernel, MemBackend, NoStoreFaults, SegmentStore, StoreConfig,
+    crc32_with, intake, Backend, Crc32Kernel, MemBackend, NoStoreFaults, SegmentStore, StoreConfig,
 };
 use std::sync::Arc;
 
@@ -180,5 +181,57 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_append, bench_read, bench_compact, bench_recover, bench_crc32);
+/// Items one handoff iteration moves.
+const HANDOFF_ITEMS: u64 = 1_000_000;
+
+/// One producer thread hands [`HANDOFF_ITEMS`] items to one consumer
+/// through an intake of the serve defaults — depth 1024, pops of up to 64
+/// — pushing one item per lock (`block` 1) or `block` per lock, as a serve
+/// client does. Returns the consumer's checksum.
+fn handoff(block: usize) -> u64 {
+    let (tx, rx) = intake::bounded::<u64, _>(1024, ());
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            if block == 1 {
+                (0..HANDOFF_ITEMS).for_each(|i| tx.push(i).expect("consumer alive"));
+                return;
+            }
+            let mut staged = Vec::with_capacity(block);
+            for i in 0..HANDOFF_ITEMS {
+                staged.push(i);
+                if staged.len() == block {
+                    tx.push_block(staged.drain(..));
+                }
+            }
+            tx.push_block(staged.drain(..));
+        });
+        let (mut sum, mut batch) = (0u64, Vec::with_capacity(64));
+        while rx.pop_batch(&mut batch, 64) {
+            sum = batch.iter().fold(sum, |acc, &i| acc.wrapping_add(i));
+        }
+        sum
+    })
+}
+
+/// The client → worker handoff without the service around it: per-item
+/// `push` against 64-item `push_block`, 1 M items a pass.
+fn bench_handoff(c: &mut Criterion) {
+    let mut group = c.benchmark_group("intake_handoff_1m");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(HANDOFF_ITEMS));
+    for (name, block) in [("push", 1usize), ("push_block_64", 64)] {
+        group.bench_function(name, |b| b.iter(|| black_box(handoff(block))));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_append,
+    bench_read,
+    bench_compact,
+    bench_recover,
+    bench_crc32,
+    bench_handoff
+);
 criterion_main!(benches);

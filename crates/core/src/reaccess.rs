@@ -15,6 +15,10 @@ use std::sync::{Arc, OnceLock};
 /// Distance marker for "never accessed again within the trace".
 pub const NEVER: u64 = u64::MAX;
 
+/// [`NEVER`] as the index stores it: positions and distances fit `u32`
+/// (the build asserts it), which halves the per-request column.
+const STORED_NEVER: u32 = u32::MAX;
+
 /// Per-request forward reaccess information over one trace, plus the
 /// distinct requested objects the criteria's `S` and the cost policy's
 /// working set are taken from, and the trace's feature column once a
@@ -22,10 +26,8 @@ pub const NEVER: u64 = u64::MAX;
 #[derive(Clone)]
 pub struct ReaccessIndex {
     /// `dist[i]` = number of requests until the object of request `i` is
-    /// accessed again (1 = very next request), or [`NEVER`].
-    dist: Vec<u64>,
-    /// `first[i]` = true when request `i` is the first access of its object.
-    first: Vec<bool>,
+    /// accessed again (1 = very next request), or [`STORED_NEVER`].
+    dist: Vec<u32>,
     /// Distinct requested objects and their bytes.
     requested: ObjectTally,
     /// Feature row of every request ([`Self::features`]); empty until the
@@ -46,44 +48,45 @@ impl ReaccessIndex {
     /// and one sweep of `trace.meta`.
     ///
     /// Object ids are dense indices into `trace.meta`, so the next-position
-    /// map is a flat `Vec<u64>` ([`NEVER`] = unseen) and the first-access
-    /// set a bit vector — both O(1) with no hashing, turning the build into
-    /// two cache-friendly linear sweeps. The first-access bits then give the
-    /// distinct objects' count and bytes in one sequential pass of `meta`
-    /// ([`Trace::tally_marked`]), never one `meta` lookup per first sighting
-    /// in request order.
+    /// map is a flat `Vec<u32>` (`u32::MAX` = unseen) and the set of
+    /// requested objects a bit vector — both O(1) with no hashing, turning
+    /// the build into one cache-friendly backward sweep. The bits then give
+    /// the distinct objects' count and bytes in one sequential pass of
+    /// `meta` ([`Trace::tally_marked`]), never one `meta` lookup per first
+    /// sighting in request order.
     ///
     /// # Panics
     ///
     /// When a request names an object beyond `trace.meta`, as
-    /// [`Trace::unique_bytes`] does: such a trace has no size to count.
+    /// [`Trace::unique_bytes`] does: such a trace has no size to count. And
+    /// on a trace of `u32::MAX` requests or more, whose positions the index
+    /// cannot hold.
     pub fn build(trace: &Trace) -> Self {
         let n = trace.len();
+        assert!(
+            u32::try_from(n).is_ok_and(|n| n < STORED_NEVER),
+            "a trace of {n} requests does not fit the u32 reaccess index"
+        );
         let n_objects = trace.meta.len();
-        let mut dist = vec![NEVER; n];
-        let mut next_pos = vec![NEVER; n_objects];
+        let mut dist = vec![STORED_NEVER; n];
+        let mut next_pos = vec![STORED_NEVER; n_objects];
+        let mut seen = vec![0u64; n_objects.div_ceil(64)];
         for (i, req) in trace.requests.iter().enumerate().rev() {
             let id = req.object.0 as usize;
             let Some(slot) = next_pos.get_mut(id) else {
                 panic!("request {i} names object {id} beyond the trace's {n_objects} objects");
             };
-            if *slot != NEVER {
-                dist[i] = *slot - i as u64;
+            // In range: `i < n < u32::MAX`.
+            let pos = i as u32;
+            if *slot != STORED_NEVER {
+                dist[i] = *slot - pos;
+            } else {
+                seen[id / 64] |= 1u64 << (id % 64);
             }
-            *slot = i as u64;
-        }
-        let mut first = vec![false; n];
-        let mut seen = vec![0u64; n_objects.div_ceil(64)];
-        for (i, req) in trace.requests.iter().enumerate() {
-            let id = req.object.0 as usize;
-            let (word, bit) = (id / 64, 1u64 << (id % 64));
-            if seen[word] & bit == 0 {
-                seen[word] |= bit;
-                first[i] = true;
-            }
+            *slot = pos;
         }
         let requested = trace.tally_marked(&seen);
-        Self { dist, first, requested, features: OnceLock::new() }
+        Self { dist, requested, features: OnceLock::new() }
     }
 
     /// The feature row of every request of `trace`, the trace this index
@@ -111,18 +114,13 @@ impl ReaccessIndex {
 
     /// Forward distance of request `i` ([`NEVER`] if not reaccessed).
     pub fn distance(&self, i: usize) -> u64 {
-        self.dist[i]
-    }
-
-    /// Whether request `i` is the first access of its object.
-    pub fn is_first_access(&self, i: usize) -> bool {
-        self.first[i]
+        widen(self.dist[i])
     }
 
     /// The paper's label: request `i` is a **one-time access** w.r.t.
     /// threshold `m` when its object will not return within `m` requests.
     pub fn is_one_time(&self, i: usize, m: u64) -> bool {
-        self.dist[i] > m
+        self.distance(i) > m
     }
 
     /// Fraction of requests that are one-time w.r.t. `m` (the criteria's `p`).
@@ -130,7 +128,7 @@ impl ReaccessIndex {
         if self.dist.is_empty() {
             return 0.0;
         }
-        let ones = self.dist.iter().filter(|&&d| d > m).count();
+        let ones = self.dist.iter().filter(|&&d| widen(d) > m).count();
         ones as f64 / self.dist.len() as f64
     }
 
@@ -144,6 +142,15 @@ impl ReaccessIndex {
     /// [`Trace::avg_object_size`] of the indexed trace, bit for bit.
     pub fn avg_object_size(&self) -> f64 {
         self.requested.mean_size()
+    }
+}
+
+/// A stored distance as [`ReaccessIndex::distance`] returns it.
+fn widen(d: u32) -> u64 {
+    if d == STORED_NEVER {
+        NEVER
+    } else {
+        u64::from(d)
     }
 }
 
@@ -185,15 +192,6 @@ mod tests {
         assert_eq!(idx.distance(2), 2);
         assert_eq!(idx.distance(3), NEVER);
         assert_eq!(idx.distance(4), NEVER);
-    }
-
-    #[test]
-    fn first_access_flags() {
-        let idx = ReaccessIndex::build(&trace_of(&[0, 1, 0, 2, 0]));
-        assert_eq!(
-            (0..5).map(|i| idx.is_first_access(i)).collect::<Vec<_>>(),
-            vec![true, true, false, true, false]
-        );
     }
 
     #[test]
@@ -325,11 +323,9 @@ mod tests {
             }
             next_pos.insert(k, i as u64);
         }
-        let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-        for (i, &k) in keys.iter().enumerate() {
-            let ref_first = seen.insert(k, ()).is_none();
-            assert_eq!(idx.distance(i), ref_dist[i], "distance at {i}");
-            assert_eq!(idx.is_first_access(i), ref_first, "first flag at {i}");
+        for (i, &want) in ref_dist.iter().enumerate() {
+            assert_eq!(idx.distance(i), want, "distance at {i}");
         }
+        assert_eq!(idx.unique_bytes(), trace.unique_bytes(), "distinct objects counted once");
     }
 }

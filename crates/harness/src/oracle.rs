@@ -161,14 +161,18 @@ pub fn differential_training(seed: u64, n_objects: usize) -> Result<(), HarnessF
 
 /// The hot-path exactness oracle: the service at every corner of the
 /// request queue's shape (`queue_depth` ∈ {1, 2, 3, 1024} × `max_batch` ∈
-/// {1, 64} — a queue that blocks on every push up to one that never fills,
-/// with depth 3 the odd bound where the producer wake point `⌊cap/2⌋`
-/// rounds down, stolen one request or one batch at a time) must produce
-/// the fingerprint of the per-request reference (`max_batch = 1` at the
-/// default `queue_depth`: one queue lock per request) bit for bit, for
-/// every admission mode — including under an injected swap-fault
-/// schedule that deterministically drops every other model install on the
-/// exact 1×1 inline topology.
+/// {1, 7, 64} — a queue that blocks on every push up to one that never
+/// fills, with depth 3 the odd bound where the producer wake point
+/// `⌊cap/2⌋` rounds down, handed over and stolen one request, a block of 7
+/// — which divides no stream and overfills the shallow queues, so partial
+/// tail blocks and blocks larger than the queue both run — or 64 at a
+/// time) must produce the fingerprint of the per-request reference
+/// (`max_batch = 1` at the default `queue_depth`: one queue lock per
+/// request) bit for bit, for every admission mode — including under an
+/// injected swap-fault schedule that deterministically drops every other
+/// model install on the exact 1×1 inline topology. A 2-shard × 2-worker
+/// rung, where the client stages a block per worker's queue, is held to
+/// its own `max_batch = 1` reference the same way.
 pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessFailure> {
     use otae_serve::{FaultPlan, SwapFault};
     use std::sync::Arc;
@@ -223,20 +227,37 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
             reference.max_batch = 1;
             let mut arms = Vec::new();
             for queue_depth in [1usize, 2, 3, 1024] {
-                for max_batch in [1usize, 64] {
+                for max_batch in [1usize, 7, 64] {
                     let mut shaped = base.clone();
                     shaped.queue_depth = queue_depth;
                     shaped.max_batch = max_batch;
                     arms.push((format!("queue_depth={queue_depth} max_batch={max_batch}"), shaped));
                 }
             }
+            // Two queues, each fed its own staged blocks.
+            let mut sharded_reference = base.clone();
+            (sharded_reference.shards, sharded_reference.workers) = (2, 2);
+            sharded_reference.max_batch = 1;
+            let mut sharded_arms = Vec::new();
+            for queue_depth in [3usize, 1024] {
+                for max_batch in [7usize, 64] {
+                    let mut shaped = sharded_reference.clone();
+                    shaped.queue_depth = queue_depth;
+                    shaped.max_batch = max_batch;
+                    let arm = format!("2x2 queue_depth={queue_depth} max_batch={max_batch}");
+                    sharded_arms.push((arm, shaped));
+                }
+            }
             if faulted {
                 let plan: Arc<dyn FaultPlan> = Arc::new(DropOddSwaps);
                 reference.faults = Arc::clone(&plan);
-                for (_, cfg) in &mut arms {
+                sharded_reference.faults = Arc::clone(&plan);
+                for (_, cfg) in arms.iter_mut().chain(&mut sharded_arms) {
                     cfg.faults = Arc::clone(&plan);
                 }
             }
+            let sharded =
+                serve_trace_with_index(&trace, &index, &sharded_reference, &LoadConfig::default());
             let a = serve_trace_with_index(&trace, &index, &reference, &LoadConfig::default());
             if faulted && (a.faults.dropped_installs == 0 || a.model_swaps == 0) {
                 // The schedule must actually bite.
@@ -249,7 +270,8 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
                     ),
                 ));
             }
-            for (arm, cfg) in &arms {
+            let checks = arms.iter().map(|arm| (arm, &a));
+            for ((arm, cfg), a) in checks.chain(sharded_arms.iter().map(|arm| (arm, &sharded))) {
                 let b = serve_trace_with_index(&trace, &index, cfg, &LoadConfig::default());
                 if faulted
                     && (b.faults.dropped_installs != a.faults.dropped_installs

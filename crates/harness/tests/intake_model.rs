@@ -24,8 +24,14 @@
 //! - backpressure rises only on a push that parks and falls only when the
 //!   consumer finds the queue empty.
 //!
-//! A planted variant that ignores the pop step's "wake producers" must be
-//! reported as a lost wake-up: the liveness check is not vacuous.
+//! The first producer may instead push its items as one block, as
+//! `Producer::push_block` does: push steps on every item under one lock
+//! hold, the wake it owes the consumer paid under the lock before it parks
+//! and after the lock once the block is queued.
+//!
+//! Planted variants that ignore the pop step's "wake producers", or let a
+//! block park before paying the consumer's wake, must be reported as lost
+//! wake-ups: the liveness check is not vacuous.
 
 use otae_store::intake::{Pop, Push, QueueState};
 use std::collections::HashSet;
@@ -64,6 +70,8 @@ struct Producer {
     next: u8,
     /// Items it will push (cut short when a push is refused).
     total: u8,
+    /// It pushes all of them as one block.
+    block: bool,
     /// It may still wake spuriously.
     spurious: bool,
 }
@@ -96,10 +104,21 @@ enum Event {
     Other,
 }
 
-/// The model, and whether it carries the planted bug.
+/// The model: the bound, whether the first producer pushes a block, and
+/// the bug it carries, if any.
 struct Model {
     cap: usize,
-    ignore_pop_wake: bool,
+    block: bool,
+    plant: Plant,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Plant {
+    None,
+    /// A pop that should wake the producers does not.
+    IgnorePopWake,
+    /// A block parks without paying the wake it owes the consumer.
+    BlockParksOwingWake,
 }
 
 #[derive(Default)]
@@ -114,8 +133,14 @@ impl Model {
         for _ in 1..split.len() {
             q.add_producer();
         }
-        let producers = (split.iter())
-            .map(|&total| Producer { phase: Phase::Idle, next: 0, total, spurious: true })
+        let producers = (split.iter().enumerate())
+            .map(|(p, &total)| Producer {
+                phase: Phase::Idle,
+                next: 0,
+                total,
+                block: self.block && p == 0,
+                spurious: true,
+            })
             .collect();
         let consumer = Consumer {
             phase: Phase::Idle,
@@ -223,8 +248,12 @@ impl Model {
         }
     }
 
-    /// Producer `p` takes the lock and runs the push step on its next item.
+    /// Producer `p` takes the lock and runs the push step on its next item
+    /// — or, pushing a block, on each of its remaining items in turn.
     fn push(&self, w: &World, p: usize) -> (World, Event) {
+        if w.producers[p].block {
+            return self.push_block(w, p);
+        }
         let mut n = w.clone();
         let me = &mut n.producers[p];
         match n.q.push((p as u8, me.next)) {
@@ -244,6 +273,42 @@ impl Model {
                 (n, Event::Other)
             }
         }
+    }
+
+    /// Producer `p` takes the lock and runs the push step on each of its
+    /// remaining items until one parks, is refused, or the last is queued.
+    /// Before it parks it notifies a consumer it owes a wake — under the
+    /// lock, so the consumer is woken in the same step — and after its last
+    /// item it owes that wake once the lock is released.
+    fn push_block(&self, w: &World, p: usize) -> (World, Event) {
+        let mut n = w.clone();
+        let me = &mut n.producers[p];
+        let mut wake_consumer = false;
+        loop {
+            match n.q.push((p as u8, me.next)) {
+                Push::Queued(wake) => {
+                    wake_consumer |= wake;
+                    me.next += 1;
+                    if me.next == me.total {
+                        break;
+                    }
+                }
+                Push::Park(_) => {
+                    let pays = wake_consumer && self.plant != Plant::BlockParksOwingWake;
+                    if pays && n.consumer.phase == Phase::Parked {
+                        n.consumer.phase = Phase::Stepping;
+                    }
+                    me.phase = Phase::Parked;
+                    return (n, Event::PushParked);
+                }
+                Push::Refused(_) => {
+                    me.total = me.next;
+                    break;
+                }
+            }
+        }
+        me.phase = if wake_consumer { Phase::Notifying { done: false } } else { Phase::Idle };
+        (n, Event::Other)
     }
 
     fn consumer_moves(&self, w: &World, out: &mut Vec<(World, Event)>) {
@@ -302,7 +367,7 @@ impl Model {
         }
         match step {
             Pop::Popped(wake_producers) => {
-                let notify = wake_producers && !self.ignore_pop_wake;
+                let notify = wake_producers && self.plant != Plant::IgnorePopWake;
                 c.phase = if notify { Phase::Notifying { done: false } } else { Phase::Idle };
                 (n, Event::Other)
             }
@@ -334,28 +399,45 @@ fn check_transition(before: &World, after: &World, event: Event) -> Option<Strin
     }
 }
 
-#[test]
-fn every_interleaving_keeps_the_bound_the_order_and_every_wake_up() {
+/// Every split at every bound; returns the states explored.
+fn explore_all(block: bool) -> usize {
     let mut total = 0;
     for cap in CAPS {
-        let model = Model { cap, ignore_pop_wake: false };
+        let model = Model { cap, block, plant: Plant::None };
         for split in SPLITS {
             let run = model.explore(split);
-            println!("cap {cap}, items per producer {split:?}: {} states", run.states);
+            println!(
+                "cap {cap}, items per producer {split:?}, block {block}: {} states",
+                run.states
+            );
             assert!(run.violations.is_empty(), "cap {cap} {split:?}: {}", run.violations[0]);
             total += run.states;
         }
     }
-    println!("intake model: {total} states explored");
+    total
+}
+
+#[test]
+fn every_interleaving_keeps_the_bound_the_order_and_every_wake_up() {
+    println!("intake model: {} states explored", explore_all(false));
+}
+
+/// The first producer pushes its items as one block; with one producer
+/// that is the serve client's four-item block onto a queue of one to three.
+#[test]
+fn every_interleaving_with_a_block_push_keeps_every_wake_up() {
+    println!("intake model, one block producer: {} states explored", explore_all(true));
 }
 
 #[test]
 fn a_planted_lost_wake_up_is_reported() {
-    for cap in CAPS {
-        let model = Model { cap, ignore_pop_wake: true };
-        let run = model.explore(&[4]);
-        let lost = run.violations.iter().filter(|v| v.starts_with("lost wake-up")).count();
-        assert!(lost > 0, "cap {cap}: a pop that never wakes its producers went unnoticed");
-        assert_eq!(lost, run.violations.len(), "cap {cap}: only liveness breaks");
+    for (plant, block) in [(Plant::IgnorePopWake, false), (Plant::BlockParksOwingWake, true)] {
+        for cap in CAPS {
+            let model = Model { cap, block, plant };
+            let run = model.explore(&[4]);
+            let lost = run.violations.iter().filter(|v| v.starts_with("lost wake-up")).count();
+            assert!(lost > 0, "cap {cap} block {block}: a planted lost wake-up went unnoticed");
+            assert_eq!(lost, run.violations.len(), "cap {cap}: only liveness breaks");
+        }
     }
 }

@@ -24,7 +24,9 @@
 //!                            │ paced @ QPS              label back; daily
 //!                            │ route: hash(object)      train)
 //!                            │   ⇒ shard ⇒ owner
-//!                            │ push: blocks at
+//!                            │ stage ≤ max_batch per queue
+//!                            │ push_block: one lock a block,
+//!                            │ parks only while full at
 //!            ┌───────────────┴─ queue_depth ─┐
 //!            ▼                               ▼
 //!      intake queue 0         …        intake queue K-1
@@ -44,13 +46,20 @@
 //! Each queue ([`otae_store::intake`], the same bounded intake the segment
 //! store's writer drains) bounds the requests waiting between the clients
 //! and one worker at `queue_depth`; a batch the worker has stolen no longer
-//! counts. Each side signals the other only when it is parked — a `push`
-//! wakes a worker sleeping on an empty queue, and the `pop_batch` that
-//! leaves a full queue at half its bound wakes every client blocked on it,
-//! so a client that outruns its worker parks once per half-queue of
-//! requests, not once per batch — and a busy queue pays no wake-up syscall
-//! at all. Each queue counts its pushes, batches, parks and wakes
-//! ([`IntakeStats`]); [`ServeReport::handoff`] merges them.
+//! counts. A client stages its requests per destination queue and hands
+//! each queue a block of up to `max_batch` — the count a worker steals per
+//! pop, so `max_batch = 1` is the per-request handoff — under one lock
+//! ([`Producer::push_block`](otae_store::intake::Producer::push_block)); it
+//! pushes every staged block before a pacing sleep, at the duration cap and
+//! at the end, so no request waits on the ones behind it. Each side signals
+//! the other only when it is parked — a block wakes a worker sleeping on an
+//! empty queue once (before the client parks on a full queue, else after
+//! the block), and the `pop_batch` that leaves a full queue at half its
+//! bound wakes every client blocked on it, so a client that outruns its
+//! worker parks at most once per half-queue of requests, not once per
+//! block — and a busy queue pays no wake-up syscall at all. Each queue
+//! counts its pushes, the producer locks that made them, batches, parks and
+//! wakes ([`IntakeStats`]); [`ServeReport::handoff`] merges them.
 //! It carries `&PreparedRequest` borrowed from the prepared trace, which
 //! outlives the thread scope every client, worker and the retrainer runs
 //! in, so a request is never copied on the way to a shard. The record is

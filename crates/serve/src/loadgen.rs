@@ -52,31 +52,36 @@ pub(crate) struct Router<'a> {
     queues: Vec<Producer<&'a PreparedRequest>>,
     /// `owner[s]` indexes `queues`: the worker shard `s` belongs to.
     owner: Vec<usize>,
+    /// Requests a client stages per queue before it pushes them as one
+    /// block: the most a worker steals per pop (`max_batch`).
+    block: usize,
 }
 
 impl<'a> Router<'a> {
     /// One queue of `queue_depth` per run of `chunk` shards, and the router
     /// over them: worker `w` — the consumer at index `w` — owns the shards
     /// starting at `w * chunk`, the split `chunks_mut(chunk)` hands the
-    /// workers themselves.
+    /// workers themselves. Clients push blocks of up to `block` (minimum 1)
+    /// requests.
     pub(crate) fn bounded(
         n_shards: usize,
         chunk: usize,
         queue_depth: usize,
+        block: usize,
     ) -> (Self, Vec<Consumer<&'a PreparedRequest>>) {
         let (queues, consumers) =
             (0..n_shards.div_ceil(chunk)).map(|_| intake::bounded(queue_depth, ())).unzip();
-        (Self { queues, owner: (0..n_shards).map(|s| s / chunk).collect() }, consumers)
+        let owner = (0..n_shards).map(|s| s / chunk).collect();
+        (Self { queues, owner, block: block.max(1) }, consumers)
     }
 
-    /// Queue `req` with the worker that owns its shard, blocking while that
-    /// queue is full. With a single queue nothing is hashed. Fails once the
-    /// owning worker is gone.
+    /// The queue of the worker that owns `req`'s shard. With a single queue
+    /// nothing is hashed.
     #[inline]
-    pub(crate) fn push(&self, req: &'a PreparedRequest) -> Result<(), &'a PreparedRequest> {
-        match self.queues.as_slice() {
-            [only] => only.push(req),
-            queues => queues[self.owner[shard_of(req.object, self.owner.len())]].push(req),
+    fn queue_of(&self, req: &PreparedRequest) -> usize {
+        match self.queues.len() {
+            1 => 0,
+            _ => self.owner[shard_of(req.object, self.owner.len())],
         }
     }
 }
@@ -84,12 +89,100 @@ impl<'a> Router<'a> {
 /// What one client thread did.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ClientReport {
-    /// Requests submitted into the queue.
+    /// Requests a worker's queue accepted.
     pub submitted: u64,
     /// Training samples dropped by the fault plan.
     pub dropped_samples: u64,
     /// Training samples forwarded corrupted by the fault plan.
     pub corrupted_samples: u64,
+}
+
+/// One client's requests on their way to the workers: a block staged per
+/// queue, and — on a background run — the samples of the requests the
+/// queues accepted, buffered for the retrainer.
+struct Outbox<'a, 'r> {
+    router: &'r Router<'a>,
+    /// `staged[q]`: requests for queue `q`, in the client's order.
+    staged: Vec<Vec<&'a PreparedRequest>>,
+    samples: Option<(&'r Producer<TrainBatch>, TrainBatch)>,
+    plan: &'r dyn FaultPlan,
+    report: ClientReport,
+}
+
+impl<'a, 'r> Outbox<'a, 'r> {
+    fn new(
+        router: &'r Router<'a>,
+        samples: Option<&'r Producer<TrainBatch>>,
+        plan: &'r dyn FaultPlan,
+    ) -> Self {
+        Self {
+            router,
+            staged: router.queues.iter().map(|_| Vec::with_capacity(router.block)).collect(),
+            samples: samples.map(|tx| (tx, TrainBatch::with_capacity(SAMPLE_FLUSH))),
+            plan,
+            report: ClientReport::default(),
+        }
+    }
+
+    /// Stage `req` for the worker that owns its shard, pushing that
+    /// queue's block once it holds `block` requests. Returns `false` once
+    /// the worker is gone.
+    fn stage(&mut self, req: &'a PreparedRequest) -> bool {
+        let q = self.router.queue_of(req);
+        self.staged[q].push(req);
+        self.staged[q].len() < self.router.block || self.flush(q)
+    }
+
+    /// Push queue `q`'s staged block (blocking while the queue is full) and
+    /// forward the samples of the requests it accepted. Returns `false` if
+    /// the worker hung up before accepting all of them.
+    fn flush(&mut self, q: usize) -> bool {
+        let Self { router, staged, samples, plan, report } = self;
+        let block = &mut staged[q];
+        let accepted = router.queues[q].push_block(block.iter().copied());
+        report.submitted += accepted as u64;
+        if let Some((tx, buf)) = samples {
+            for req in &block[..accepted] {
+                match plan.sample_fault(u64::from(req.idx)) {
+                    SampleFault::Deliver => buf.push(SampleRef { idx: req.idx, corrupt: false }),
+                    SampleFault::Drop => report.dropped_samples += 1,
+                    SampleFault::Corrupt => {
+                        report.corrupted_samples += 1;
+                        buf.push(SampleRef { idx: req.idx, corrupt: true });
+                    }
+                }
+                if buf.len() >= SAMPLE_FLUSH {
+                    let _ =
+                        tx.push(std::mem::replace(buf, TrainBatch::with_capacity(SAMPLE_FLUSH)));
+                }
+            }
+        }
+        let whole = accepted == block.len();
+        block.clear();
+        whole
+    }
+
+    /// Push every staged block. Returns `false` if a worker hung up.
+    fn flush_all(&mut self) -> bool {
+        let mut whole = true;
+        for q in 0..self.staged.len() {
+            if !self.staged[q].is_empty() {
+                whole &= self.flush(q);
+            }
+        }
+        whole
+    }
+
+    /// Push what is still staged, then the samples' partial tail.
+    fn finish(mut self) -> ClientReport {
+        self.flush_all();
+        if let Some((tx, buf)) = self.samples.take() {
+            if !buf.is_empty() {
+                let _ = tx.push(buf);
+            }
+        }
+        self.report
+    }
 }
 
 /// Replay `client`'s stride of the prepared trace (requests `client`,
@@ -98,19 +191,29 @@ pub(crate) struct ClientReport {
 /// trace outlives every client and worker thread of the run, so nothing is
 /// copied per request.
 ///
-/// When `samples` is set (background-trainer Proposal runs), each submitted
+/// The client stages requests per destination queue and pushes each
+/// queue's block under one lock once it holds the router's `block`
+/// requests — and every staged block before a pacing sleep, at the
+/// duration cap and at the end, so a paced or capped replay never holds a
+/// request back. Each queue still receives the client's requests in trace
+/// order. A queue that hangs up (its worker dead) ends the replay: the
+/// other queues' blocks are still pushed, and `submitted` counts only what
+/// a queue accepted.
+///
+/// When `samples` is set (background-trainer Proposal runs), each accepted
 /// request is also forwarded to the retrainer — by position, with the fault
 /// plan's verdict; the retrainer reads the sample itself from the prepared
 /// trace — tying training progress to replay progress the way a production
 /// log tailer tails live traffic. Drops and corruptions are tallied here.
-/// Forwarding is buffered: surviving samples accumulate client-side and
-/// flush as one [`TrainBatch`] every [`SAMPLE_FLUSH`] requests (and at
-/// replay end), so per-client message order is preserved while the queue
-/// — and the retrainer wake-up behind it — is paid once per flush. The
-/// queue holds every batch the replay can flush ([`sample_queue_bound`]), so
-/// a flush never blocks. The retrainer hanging up (its consumer dropped,
-/// its thread dead) only stops the forwarding — replay itself continues,
-/// which is exactly the graceful degradation the harness asserts.
+/// Forwarding is buffered: surviving samples accumulate client-side, in the
+/// order their blocks were accepted (trace order with one queue), and
+/// flush as one [`TrainBatch`] every [`SAMPLE_FLUSH`] samples (and at
+/// replay end), so the queue — and the retrainer wake-up behind it — is
+/// paid once per flush. The queue holds every batch the replay can flush
+/// ([`sample_queue_bound`]), so a flush never blocks. The retrainer hanging
+/// up (its consumer dropped, its thread dead) only stops the forwarding —
+/// replay itself continues, which is exactly the graceful degradation the
+/// harness asserts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_client<'a>(
     client: usize,
@@ -124,10 +227,8 @@ pub(crate) fn replay_client<'a>(
 ) -> ClientReport {
     let per_client_qps =
         if load.target_qps > 0.0 { load.target_qps / n_clients as f64 } else { 0.0 };
-    let mut report = ClientReport::default();
-    let mut sample_buf =
-        TrainBatch::with_capacity(if samples.is_some() { SAMPLE_FLUSH } else { 0 });
-    for req in prepared.iter().skip(client).step_by(n_clients) {
+    let mut outbox = Outbox::new(requests, samples, plan);
+    for (sent, req) in prepared.iter().skip(client).step_by(n_clients).enumerate() {
         if let Some(deadline) = load.duration {
             if clock.elapsed() >= deadline {
                 break;
@@ -136,33 +237,17 @@ pub(crate) fn replay_client<'a>(
         if per_client_qps > 0.0 {
             // Open-loop pacing against the schedule, never sleeping past a
             // missed slot (so a stalled queue doesn't compound lag).
-            clock.sleep_until(Duration::from_secs_f64(report.submitted as f64 / per_client_qps));
-        }
-        if let Some(samples) = samples {
-            match plan.sample_fault(u64::from(req.idx)) {
-                SampleFault::Deliver => sample_buf.push(SampleRef { idx: req.idx, corrupt: false }),
-                SampleFault::Drop => report.dropped_samples += 1,
-                SampleFault::Corrupt => {
-                    report.corrupted_samples += 1;
-                    sample_buf.push(SampleRef { idx: req.idx, corrupt: true });
-                }
+            let slot = Duration::from_secs_f64(sent as f64 / per_client_qps);
+            if clock.elapsed() < slot && !outbox.flush_all() {
+                break;
             }
-            if sample_buf.len() >= SAMPLE_FLUSH {
-                let _ = samples.push(std::mem::replace(
-                    &mut sample_buf,
-                    TrainBatch::with_capacity(SAMPLE_FLUSH),
-                ));
-            }
+            clock.sleep_until(slot);
         }
-        if requests.push(req).is_err() {
+        if !outbox.stage(req) {
             break; // the owning worker is gone; nothing left to do
         }
-        report.submitted += 1;
     }
-    if let (Some(samples), false) = (samples, sample_buf.is_empty()) {
-        let _ = samples.push(sample_buf);
-    }
-    report
+    outbox.finish()
 }
 
 #[cfg(test)]
@@ -184,7 +269,7 @@ mod tests {
     /// One worker's queue, deep enough to hold all of `reqs`, so a test
     /// can run the client to completion before draining on the same thread.
     fn queue(reqs: &[PreparedRequest]) -> (Router<'_>, Consumer<&PreparedRequest>) {
-        let (router, mut rxs) = Router::bounded(1, 1, reqs.len());
+        let (router, mut rxs) = Router::bounded(1, 1, reqs.len(), 64);
         (router, rxs.pop().expect("one queue"))
     }
 
@@ -205,15 +290,19 @@ mod tests {
     /// Three clients' strides cover the trace exactly once, and every
     /// request lands in the queue of the worker that owns its shard — one
     /// queue per run of `chunk` shards, never more queues than shards — with
-    /// each client's requests in trace order inside each queue.
+    /// each client's requests in trace order inside each queue, whatever
+    /// block the clients stage per queue; a queue takes one lock per block.
     #[test]
     fn strides_partition_the_trace() {
         let reqs = prepared(1000);
         let load = LoadConfig::default();
         let clock = ServiceClock::Wall.start();
-        for (shards, workers) in [(1usize, 1usize), (4, 4), (5, 3), (2, 4), (8, 2)] {
+        let topologies = [(1usize, 1usize), (4, 4), (5, 3), (2, 4), (8, 2)];
+        for ((shards, workers), block) in
+            topologies.into_iter().flat_map(|t| [1usize, 7, 64].map(|block| (t, block)))
+        {
             let chunk = shards_per_worker(shards, workers);
-            let (router, rxs) = Router::bounded(shards, chunk, reqs.len());
+            let (router, rxs) = Router::bounded(shards, chunk, reqs.len(), block);
             assert!(rxs.len() <= workers.min(shards));
             let mut total = 0;
             for c in 0..3 {
@@ -235,6 +324,12 @@ mod tests {
                     last[client] = Some(r.idx);
                 }
                 seen.extend(queued.iter().map(|r| r.idx));
+                let stats = rx.stats();
+                assert_eq!(stats.pushes, queued.len() as u64);
+                let locks = stats.push_locks;
+                assert!(stats.pushes.div_ceil(block as u64) <= locks, "block {block}: {stats:?}");
+                // Each client pushes whole blocks and one partial tail.
+                assert!(locks <= stats.pushes / block as u64 + 3, "block {block}: {stats:?}");
             }
             seen.sort_unstable();
             assert_eq!(seen, (0..1000).collect::<Vec<_>>(), "{shards}x{workers}");
@@ -270,6 +365,9 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(10), "virtual pacing must not sleep");
         // Virtual time advanced along the pacing schedule.
         assert!(clock.elapsed() >= Duration::from_secs(99));
+        // Every slot lies ahead of the virtual clock, so the client pushes
+        // what it staged before each sleep: one request per lock.
+        assert_eq!(rx.stats().push_locks, 1000, "a paced client holds nothing back");
         drop(tx);
         assert_eq!(drain(&rx).len(), 1000);
     }
@@ -370,6 +468,40 @@ mod tests {
                 assert_eq!((stats.pushes, stats.high_water), (flushes, flushes), "{at}");
                 assert!(stats.high_water <= bound as u64, "{at}");
             }
+        }
+    }
+
+    /// A worker that hangs up mid-block ends the replay: `submitted` counts
+    /// exactly the requests its queue accepted, and only those forward a
+    /// sample. A worker gone before the replay starts accepts nothing.
+    #[test]
+    fn a_hung_up_worker_stops_the_replay_at_what_it_accepted() {
+        let reqs = prepared(1000);
+        for popped in [0usize, 10] {
+            let (router, mut rxs) = Router::bounded(1, 1, 4, 64);
+            let rx = rxs.pop().expect("one queue");
+            let (stx, srx) = sample_queue(&reqs);
+            let clock = ServiceClock::Wall.start();
+            let load = LoadConfig::default();
+            let report = std::thread::scope(|s| {
+                // The worker takes `popped` requests, then drops its consumer.
+                let worker = s.spawn(move || {
+                    let (mut got, mut batch) = (0, Vec::new());
+                    while got < popped && rx.pop_batch(&mut batch, 3) {
+                        got += batch.len();
+                    }
+                });
+                if popped == 0 {
+                    worker.join().expect("worker");
+                }
+                replay_client(0, 1, &reqs, &load, &clock, &router, Some(&stx), &NoFaults)
+            });
+            assert!(report.submitted < 1000, "{popped}: the replay must stop");
+            assert!(report.submitted >= popped as u64, "{popped}: {report:?}");
+            drop(stx);
+            let forwarded = drain(&srx).iter().flatten().count() as u64;
+            assert_eq!(forwarded, report.submitted, "{popped}: samples of accepted requests");
+            assert_eq!(router.queues[0].stats().pushes, report.submitted, "{popped}");
         }
     }
 

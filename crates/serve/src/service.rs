@@ -69,8 +69,10 @@ pub struct ServeConfig {
     /// Override the computed one-time-access threshold `M`.
     pub m_override: Option<u64>,
     /// Most requests a worker steals from its queue under one queue lock
-    /// (minimum 1), then drives through its shards in pop order; `1` takes
-    /// the lock once per request. Decisions do not depend on it.
+    /// (minimum 1), then drives through its shards in pop order — and the
+    /// block a client stages per queue and pushes under one lock; `1` takes
+    /// the lock once per request on both sides. Decisions do not depend on
+    /// it.
     pub max_batch: usize,
     /// Time source for pacing and duration caps (wall by default; virtual
     /// for deterministic harness runs).
@@ -157,8 +159,9 @@ pub struct ServeReport {
     /// The install backlog summed over every install of the run.
     pub install_backlog_total: u64,
     /// The client → worker queues' counters, merged over every worker's
-    /// queue: pushes, batches, parks and wakes on both sides, the highest
-    /// high water. Timing-dependent, so not part of the fingerprint.
+    /// queue: pushes and the client locks that made them, batches, parks
+    /// and wakes on both sides, the highest high water. Timing-dependent,
+    /// so not part of the fingerprint.
     pub handoff: IntakeStats,
     /// The same counters for the shard stores' command intakes (callers are
     /// the producers, each store's writer the consumer), merged over
@@ -255,7 +258,7 @@ pub fn serve_trace_with_index(
     // Requests cross the queues by reference, and samples the sample
     // queue by position: `prepared` is declared before the thread scope
     // below, so it outlives every client, worker and the retrainer.
-    let (router, req_rxs) = Router::bounded(cfg.shards, chunk, cfg.queue_depth);
+    let (router, req_rxs) = Router::bounded(cfg.shards, chunk, cfg.queue_depth, cfg.max_batch);
     let (sample_tx, sample_rx) = if background {
         let bound = sample_queue_bound(prepared.requests.len(), load.clients);
         let (tx, rx) = intake::bounded(bound, ());
@@ -765,7 +768,7 @@ mod tests {
     ) -> Vec<IntakeStats> {
         let n_shards = shards.len();
         let chunk = shards_per_worker(n_shards, workers);
-        let (router, rxs) = Router::bounded(n_shards, chunk, queue_depth);
+        let (router, rxs) = Router::bounded(n_shards, chunk, queue_depth, 64);
         let load = LoadConfig { clients, target_qps: 0.0, duration: None };
         let clock = ServiceClock::Wall.start();
         let plan: &dyn FaultPlan = &NoFaults;
@@ -810,10 +813,10 @@ mod tests {
         plan: &dyn FaultPlan,
         max_batch: usize,
     ) -> u64 {
-        let (router, rxs) = Router::bounded(shards.len(), shards.len(), reqs.len());
-        for r in reqs {
-            router.push(r).expect("consumer alive");
-        }
+        let (router, rxs) = Router::bounded(shards.len(), shards.len(), reqs.len(), max_batch);
+        let (load, clock) = (LoadConfig::default(), ServiceClock::Wall.start());
+        let sent = replay_client(0, 1, reqs, &load, &clock, &router, None, plan).submitted;
+        assert_eq!(sent as usize, reqs.len(), "consumer alive");
         drop(router);
         run_worker(&rxs[0], shards, 0, shards.len(), verdicts, plan, max_batch).0
     }
@@ -1028,7 +1031,7 @@ mod tests {
         let v = cfg.training.cost.resolve(cfg.capacity, index.unique_bytes());
         let gate = AdmissionGate::new();
         let prepared = prepare(t, &index, cfg, &gate, m, v);
-        let (router, rxs) = Router::bounded(1, 1, prepared.requests.len());
+        let (router, rxs) = Router::bounded(1, 1, prepared.requests.len(), cfg.max_batch);
         let (stx, srx) = intake::bounded(sample_queue_bound(prepared.requests.len(), 1), ());
         let clock = ServiceClock::Wall.start();
         let plan = cfg.faults.as_ref();

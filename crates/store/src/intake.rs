@@ -9,7 +9,8 @@
 //! syscall whether or not anyone waits — once per send and again per
 //! receive; on the serve path that cost five times the kernel it fed, and on
 //! the store's append path it dominated a record. Here the lock is taken
-//! once per [`Producer::push`] and once per [`Consumer::pop_batch`] (up to
+//! once per [`Producer::push`], once per [`Producer::push_block`] (a whole
+//! block of items, in order) and once per [`Consumer::pop_batch`] (up to
 //! `max` items), and the guarded state knows who is parked on each condvar,
 //! so a push signals `not_empty` only when the consumer is parked and a pop
 //! signals `not_full` only when a producer is — and then only once the
@@ -23,6 +24,13 @@
 //!
 //! **Bound.** At most `cap` items are queued; `push` blocks while the queue
 //! is full. Items a consumer has popped into its batch no longer count.
+//!
+//! **Blocks.** [`Producer::push_block`] runs the push step once per item
+//! under one acquisition, parking only on a full queue. A wake it owes the
+//! consumer is paid before it parks — the consumer must be awake to make
+//! the room it waits for — and otherwise once, after the block. A block
+//! larger than the bound is queued in pieces as the consumer drains them,
+//! still in order and under the same half-queue wake rule.
 //!
 //! **Wake accounting.** A thread marks itself parked (producers count, the
 //! consumer sets a flag) under the lock just before it waits; the thread
@@ -52,8 +60,9 @@
 //! record-buffer pool there), so reading it together with the backpressure
 //! flag costs one acquisition and no lock class of its own.
 //!
-//! **Counters.** [`IntakeStats`] counts pushes, batches, parks and wakes on
-//! both sides and the high water, as plain fields under the lock each
+//! **Counters.** [`IntakeStats`] counts pushes, the producer acquisitions
+//! that made them, batches, parks and wakes on both sides and the high
+//! water, as plain fields under the lock each
 //! operation already holds; [`Consumer::stats`] and [`Producer::stats`]
 //! read them.
 //!
@@ -147,6 +156,11 @@ pub enum Pop {
 pub struct IntakeStats {
     /// Items pushed.
     pub pushes: u64,
+    /// Producer lock acquisitions that offered items: one per
+    /// [`Producer::push`] and one per [`Producer::push_block`], however many
+    /// items it queued (re-acquisitions after a park aside). `pushes` over
+    /// this is the mean block a producer handed over.
+    pub push_locks: u64,
     /// Batches popped (each of at least one item).
     pub batches: u64,
     /// Times a producer waited on a full queue.
@@ -167,6 +181,7 @@ impl IntakeStats {
     pub fn merge(&mut self, other: &IntakeStats) {
         let IntakeStats {
             pushes,
+            push_locks,
             batches,
             producer_parks,
             consumer_parks,
@@ -175,6 +190,7 @@ impl IntakeStats {
             high_water,
         } = *other;
         self.pushes += pushes;
+        self.push_locks += push_locks;
         self.batches += batches;
         self.producer_parks += producer_parks;
         self.consumer_parks += consumer_parks;
@@ -317,6 +333,7 @@ impl<T, S> Producer<T, S> {
     /// the item back — once the consumer is gone.
     pub fn push(&self, mut item: T) -> Result<(), T> {
         let mut st = self.shared.state.lock();
+        st.stats.0.push_locks += 1;
         loop {
             // The waiting arm comes first: otae-lint reads guard liveness
             // in token order, and the `drop(st)` below ends it.
@@ -338,6 +355,52 @@ impl<T, S> Producer<T, S> {
                 }
             }
         }
+    }
+
+    /// Queue every item of `block`, in order, under one lock acquisition,
+    /// blocking only while the queue is full (see "Blocks" in the module
+    /// docs). Returns how many were queued: all of them, or the prefix
+    /// queued before the consumer hung up — the rest are dropped once the
+    /// lock is released. An empty block takes no lock. `block`'s iterator
+    /// runs under the queue's lock: hand it items, not work.
+    pub fn push_block(&self, block: impl IntoIterator<Item = T>) -> usize {
+        let mut items = block.into_iter();
+        let Some(mut item) = items.next() else { return 0 };
+        let (mut queued, mut wake_consumer, mut refused) = (0, false, None);
+        let mut st = self.shared.state.lock();
+        st.stats.0.push_locks += 1;
+        loop {
+            // See `push` for the arm order and the wait.
+            match st.push(item) {
+                Push::Park(back) => {
+                    item = back;
+                    if std::mem::take(&mut wake_consumer) {
+                        self.shared.not_empty.notify_one();
+                    }
+                    // otae-lint: allow(no-blocking-under-lock)
+                    self.shared.not_full.wait(&mut st);
+                }
+                Push::Refused(back) => {
+                    refused = Some(back);
+                    break;
+                }
+                Push::Queued(wake) => {
+                    wake_consumer |= wake;
+                    queued += 1;
+                    match items.next() {
+                        Some(more) => item = more,
+                        None => break,
+                    }
+                }
+            }
+        }
+        drop(st);
+        if wake_consumer {
+            self.shared.not_empty.notify_one();
+        }
+        // What the consumer's hang-up refused, dropped outside the lock.
+        drop((refused, items));
+        queued
     }
 
     /// Run `f` on the side state and the backpressure flag, under the

@@ -1,7 +1,9 @@
 //! Black-box tests of the bounded intake (`otae_store::intake`) that feeds
 //! each serve worker and the store's writer: conservation, per-producer
 //! order and the bound under real contention, the producer wake-up rule's
-//! cost bound, and hang-up when a thread on either side dies.
+//! cost bound, hang-up when a thread on either side dies, and block pushes:
+//! order past the bound, the accepted prefix on a hang-up, and their
+//! counters.
 
 use otae_store::intake::bounded;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
@@ -185,4 +187,99 @@ fn panicking_consumer_still_hangs_up() {
         let refused = (0..).find(|&i| tx.push(i).is_err()).expect("push must fail eventually");
         assert!((1..=2).contains(&refused), "one item popped, at most one queued: {refused}");
     });
+}
+
+/// A 64-item block pushed onto a queue of one or three, whose consumer is
+/// already parked on it: the push wakes the consumer before it parks on the
+/// full queue itself, so every item arrives, in order, without a deadlock —
+/// whether the consumer steals one item or everything at a time.
+#[test]
+fn a_block_larger_than_the_queue_arrives_in_order() {
+    with_watchdog("64-item block x parked consumer", || {
+        for cap in [1usize, 3] {
+            for max in [1usize, 64] {
+                let (tx, rx) = bounded::<u64, _>(cap, ());
+                let got = std::thread::scope(|s| {
+                    let consumer = s.spawn(|| {
+                        let (mut got, mut batch) = (Vec::new(), Vec::new());
+                        while rx.pop_batch(&mut batch, max) {
+                            got.append(&mut batch);
+                        }
+                        got
+                    });
+                    while tx.stats().consumer_parks == 0 {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(tx.push_block(0..64), 64, "cap {cap} max {max}");
+                    drop(tx);
+                    consumer.join().expect("consumer")
+                });
+                assert_eq!(got, (0..64).collect::<Vec<_>>(), "cap {cap} max {max}");
+                let stats = rx.stats();
+                assert_eq!((stats.pushes, stats.push_locks), (64, 1), "cap {cap}: {stats:?}");
+                assert!(stats.high_water <= cap as u64, "cap {cap}: {stats:?}");
+                assert!(stats.consumer_wakes >= 1, "cap {cap}: the parked consumer was woken");
+            }
+        }
+    });
+}
+
+/// A consumer that hangs up in the middle of a block: `push_block` returns
+/// the prefix the queue accepted before the hang-up — exactly what its
+/// counters saw pushed — and the rest is refused, as is every later block.
+#[test]
+fn a_consumer_hang_up_mid_block_returns_the_accepted_prefix() {
+    with_watchdog("hang-up mid-block", || {
+        let (tx, rx) = bounded::<u64, _>(4, ());
+        let (accepted, popped) = std::thread::scope(|s| {
+            let consumer = s.spawn(move || {
+                let (mut got, mut batch) = (Vec::new(), Vec::new());
+                while got.len() < 10 && rx.pop_batch(&mut batch, 3) {
+                    got.append(&mut batch);
+                }
+                got
+            });
+            let accepted = tx.push_block(0..64);
+            (accepted, consumer.join().expect("consumer"))
+        });
+        assert!((10..64).contains(&accepted), "{accepted}");
+        assert_eq!(popped, (0..popped.len() as u64).collect::<Vec<_>>(), "a prefix, in order");
+        assert!(popped.len() <= accepted);
+        let stats = tx.stats();
+        assert_eq!(stats.pushes, accepted as u64, "{stats:?}");
+        assert_eq!(tx.push_block(64..70), 0, "nobody left to accept a block");
+        assert_eq!(tx.push(70), Err(70));
+        assert_eq!(tx.push_block(std::iter::empty()), 0);
+        assert_eq!(tx.stats().push_locks, 3, "the empty block took no lock");
+    });
+}
+
+/// A block push counts its items exactly as per-item pushes of the same
+/// items do — pushes, batches and high water at every bound that holds
+/// them — and differs only in the producer lock acquisitions it paid.
+#[test]
+fn block_pushes_count_items_like_per_item_pushes() {
+    for cap in [64usize, 1024] {
+        for max in MAX_BATCHES {
+            let stats_after = |block: bool| {
+                let (tx, rx) = bounded::<u64, _>(cap, ());
+                if block {
+                    assert_eq!(tx.push_block(0..64), 64);
+                } else {
+                    (0..64).for_each(|i| tx.push(i).expect("consumer alive"));
+                }
+                drop(tx);
+                let mut batch = Vec::new();
+                while rx.pop_batch(&mut batch, max) {}
+                rx.stats()
+            };
+            let (items, block) = (stats_after(false), stats_after(true));
+            assert_eq!((items.push_locks, block.push_locks), (64, 1), "cap {cap} max {max}");
+            let (mut items, mut block) = (items, block);
+            (items.push_locks, block.push_locks) = (0, 0);
+            assert_eq!(items, block, "cap {cap} max {max}");
+            assert_eq!((block.pushes, block.high_water), (64, 64));
+            assert_eq!(block.batches, 64u64.div_ceil(max as u64));
+        }
+    }
 }

@@ -19,8 +19,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache (the golden fingerprints, the pinned fits, the sketch model, the CRC kernel and the full latency-bucket sweep, as the benchmark compiles them)"
-cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache -q
+echo "==> cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache -p otae-serve (the golden fingerprints, the pinned fits, the sketch model, the CRC kernel, the full latency-bucket sweep and the serve handoff's park and wake paths, as the benchmark compiles them)"
+cargo test --release -p otae-core -p otae-ml -p otae-store -p otae-device -p otae-cache -p otae-serve -q
 
 echo "==> results/ is current (otae-bench all in a temp dir; every CSV it writes must match results/, wall-clock columns aside)"
 # Table::write_csv writes under the working directory, so the run lands in
@@ -57,7 +57,7 @@ echo "==> trace bench smoke (trace_generation and criteria_inputs, one pass: the
 cargo bench -q -p otae-bench --bench trace_gen -- --test > /dev/null
 
 if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
-  echo "==> store smoke (segment-store criterion bench, one pass)"
+  echo "==> store smoke (segment-store criterion bench, one pass, with intake_handoff_1m: per-item push against 64-item push_block through one intake)"
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 

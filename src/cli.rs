@@ -450,8 +450,8 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
         r.install_backlog_max, r.install_backlog_total
     );
     // The client -> worker handoff, over every worker's queue: how often a
-    // side slept, how many requests a worker stole per lock, how full a
-    // queue got.
+    // side slept, how many requests a worker stole and a client handed over
+    // per lock, how full a queue got.
     let h = r.handoff;
     let per_1k = |parks: u64| parks as f64 * 1000.0 / h.pushes.max(1) as f64;
     let _ = writeln!(out, "client parks      {:.2} per 1k requests", per_1k(h.producer_parks));
@@ -460,6 +460,11 @@ fn cmd_serve_bench(args: &Args) -> Result<String, CliError> {
         out,
         "mean batch        {:.1} requests",
         h.pushes as f64 / h.batches.max(1) as f64
+    );
+    let _ = writeln!(
+        out,
+        "mean push block   {:.1} requests",
+        h.pushes as f64 / h.push_locks.max(1) as f64
     );
     let _ = writeln!(out, "queue high water  {}", h.high_water);
     if let Some(store) = r.snapshot.store.as_ref() {
@@ -822,7 +827,8 @@ mod tests {
     }
 
     /// The handoff lines: client and worker parks per 1 k requests, the
-    /// mean batch a worker stole and the highest a queue got.
+    /// mean batch a worker stole, the mean block a client pushed and the
+    /// highest a queue got.
     #[test]
     fn serve_bench_reports_the_handoff() {
         let bin = temp_path("serve-handoff.bin");
@@ -852,6 +858,8 @@ mod tests {
             assert!(line.ends_with(" per 1k requests"), "{line}");
         }
         assert!((1.0..=64.0).contains(&value("mean batch")), "1..=64 a lock:\n{out}");
+        // One client, one queue: whole 64-request blocks but the tail.
+        assert!((32.0..=64.0).contains(&value("mean push block")), "a block a lock:\n{out}");
         assert!((1.0..=1024.0).contains(&value("queue high water")), "default depth:\n{out}");
     }
 
