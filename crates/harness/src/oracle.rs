@@ -259,16 +259,18 @@ pub fn differential_hot_path(seed: u64, n_objects: usize) -> Result<(), HarnessF
             let sharded =
                 serve_trace_with_index(&trace, &index, &sharded_reference, &LoadConfig::default());
             let a = serve_trace_with_index(&trace, &index, &reference, &LoadConfig::default());
-            if faulted && (a.faults.dropped_installs == 0 || a.model_swaps == 0) {
-                // The schedule must actually bite.
-                return Err(fail(
-                    seed,
-                    format!(
-                        "hot-path[swap-fault]: schedule did not bite \
-                         (dropped {}, swaps {})",
-                        a.faults.dropped_installs, a.model_swaps
-                    ),
-                ));
+            for (topology, r) in [("1x1", &a), ("2x2", &sharded)] {
+                if faulted && (r.faults.dropped_installs == 0 || r.model_swaps == 0) {
+                    // The schedule must actually bite, on each reference.
+                    return Err(fail(
+                        seed,
+                        format!(
+                            "hot-path[swap-fault]: schedule did not bite at {topology} \
+                             (dropped {}, swaps {})",
+                            r.faults.dropped_installs, r.model_swaps
+                        ),
+                    ));
+                }
             }
             let checks = arms.iter().map(|arm| (arm, &a));
             for ((arm, cfg), a) in checks.chain(sharded_arms.iter().map(|arm| (arm, &sharded))) {

@@ -24,10 +24,11 @@
 //! - backpressure rises only on a push that parks and falls only when the
 //!   consumer finds the queue empty.
 //!
-//! The first producer may instead push its items as one block, as
-//! `Producer::push_block` does: push steps on every item under one lock
-//! hold, the wake it owes the consumer paid under the lock before it parks
-//! and after the lock once the block is queued.
+//! A producer runs the loop both `Producer::push` (a block of one item)
+//! and `Producer::push_block` share; the first producer may push its items
+//! as one block: push steps on every item under one lock hold, the wake it
+//! owes the consumer paid under the lock before it parks and after the lock
+//! once the block is queued.
 //!
 //! Planted variants that ignore the pop step's "wake producers", or let a
 //! block park before paying the consumer's wake, must be reported as lost
@@ -249,47 +250,23 @@ impl Model {
     }
 
     /// Producer `p` takes the lock and runs the push step on its next item
-    /// — or, pushing a block, on each of its remaining items in turn.
+    /// — or, pushing a block, on each of its remaining items in turn — until
+    /// one parks, is refused, or the last is queued: the one loop behind
+    /// `Producer::push` (a block of one) and `Producer::push_block`. Before
+    /// it parks it notifies a consumer it owes a wake — under the lock, so
+    /// the consumer is woken in the same step — and after its last item it
+    /// owes that wake once the lock is released.
     fn push(&self, w: &World, p: usize) -> (World, Event) {
-        if w.producers[p].block {
-            return self.push_block(w, p);
-        }
         let mut n = w.clone();
         let me = &mut n.producers[p];
-        match n.q.push((p as u8, me.next)) {
-            Push::Queued(wake_consumer) => {
-                me.next += 1;
-                me.phase =
-                    if wake_consumer { Phase::Notifying { done: false } } else { Phase::Idle };
-                (n, Event::Other)
-            }
-            Push::Park(_) => {
-                me.phase = Phase::Parked;
-                (n, Event::PushParked)
-            }
-            Push::Refused(_) => {
-                me.total = me.next;
-                me.phase = Phase::Idle;
-                (n, Event::Other)
-            }
-        }
-    }
-
-    /// Producer `p` takes the lock and runs the push step on each of its
-    /// remaining items until one parks, is refused, or the last is queued.
-    /// Before it parks it notifies a consumer it owes a wake — under the
-    /// lock, so the consumer is woken in the same step — and after its last
-    /// item it owes that wake once the lock is released.
-    fn push_block(&self, w: &World, p: usize) -> (World, Event) {
-        let mut n = w.clone();
-        let me = &mut n.producers[p];
+        let end = if me.block { me.total } else { me.next + 1 };
         let mut wake_consumer = false;
         loop {
             match n.q.push((p as u8, me.next)) {
                 Push::Queued(wake) => {
                     wake_consumer |= wake;
                     me.next += 1;
-                    if me.next == me.total {
+                    if me.next == end {
                         break;
                     }
                 }

@@ -49,9 +49,12 @@
 //! counts. A client stages its requests per destination queue and hands
 //! each queue a block of up to `max_batch` — the count a worker steals per
 //! pop, so `max_batch = 1` is the per-request handoff — under one lock
-//! ([`Producer::push_block`](otae_store::intake::Producer::push_block)); it
-//! pushes every staged block before a pacing sleep, at the duration cap and
-//! at the end, so no request waits on the ones behind it. Each side signals
+//! ([`Producer::push_block`](otae_store::intake::Producer::push_block)). It
+//! sweeps — pushes every staged block — each `max_batch` × queues staged
+//! requests, before a pacing sleep and at the end, so a request waits behind
+//! at most that many others however rarely its queue is routed to; a
+//! background client forwards the samples of what a sweep pushed in its
+//! trace order. Each side signals
 //! the other only when it is parked — a block wakes a worker sleeping on an
 //! empty queue once (before the client parks on a full queue, else after
 //! the block), and the `pop_batch` that leaves a full queue at half its

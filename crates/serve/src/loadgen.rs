@@ -99,14 +99,29 @@ pub(crate) struct ClientReport {
 
 /// One client's requests on their way to the workers: a block staged per
 /// queue, and — on a background run — the samples of the requests the
-/// queues accepted, buffered for the retrainer.
+/// queues accepted, buffered for the retrainer in the client's order.
 struct Outbox<'a, 'r> {
     router: &'r Router<'a>,
     /// `staged[q]`: requests for queue `q`, in the client's order.
     staged: Vec<Vec<&'a PreparedRequest>>,
-    samples: Option<(&'r Producer<TrainBatch>, TrainBatch)>,
+    /// Requests staged since the last sweep, over every queue.
+    since_sweep: usize,
+    samples: Option<Samples<'a, 'r>>,
     plan: &'r dyn FaultPlan,
     report: ClientReport,
+}
+
+/// A background client's sample forwarding: samples wait for the sweep that
+/// pushes the last of their requests, then go out in the order they were
+/// staged.
+struct Samples<'a, 'r> {
+    tx: &'r Producer<TrainBatch>,
+    buf: TrainBatch,
+    /// The requests staged since the last sweep, in the client's order.
+    pending: Vec<&'a PreparedRequest>,
+    /// `accepted[q]`: how many of them queue `q` accepted — a prefix of
+    /// its share, since a queue accepts its blocks whole until it hangs up.
+    accepted: Vec<usize>,
 }
 
 impl<'a, 'r> Outbox<'a, 'r> {
@@ -115,68 +130,90 @@ impl<'a, 'r> Outbox<'a, 'r> {
         samples: Option<&'r Producer<TrainBatch>>,
         plan: &'r dyn FaultPlan,
     ) -> Self {
+        let queues = router.queues.len();
         Self {
             router,
-            staged: router.queues.iter().map(|_| Vec::with_capacity(router.block)).collect(),
-            samples: samples.map(|tx| (tx, TrainBatch::with_capacity(SAMPLE_FLUSH))),
+            staged: (0..queues).map(|_| Vec::with_capacity(router.block)).collect(),
+            since_sweep: 0,
+            samples: samples.map(|tx| Samples {
+                tx,
+                buf: TrainBatch::with_capacity(SAMPLE_FLUSH),
+                pending: Vec::with_capacity(router.block * queues),
+                accepted: vec![0; queues],
+            }),
             plan,
             report: ClientReport::default(),
         }
     }
 
     /// Stage `req` for the worker that owns its shard, pushing that
-    /// queue's block once it holds `block` requests. Returns `false` once
-    /// the worker is gone.
+    /// queue's block once it holds `block` requests, and sweeping once
+    /// `block` × queues requests were staged since the last sweep. Returns
+    /// `false` once a worker is gone.
     fn stage(&mut self, req: &'a PreparedRequest) -> bool {
         let q = self.router.queue_of(req);
         self.staged[q].push(req);
-        self.staged[q].len() < self.router.block || self.flush(q)
+        if let Some(samples) = &mut self.samples {
+            samples.pending.push(req);
+        }
+        self.since_sweep += 1;
+        let whole = self.staged[q].len() < self.router.block || self.push(q);
+        whole && (self.since_sweep < self.router.block * self.staged.len() || self.sweep())
     }
 
-    /// Push queue `q`'s staged block (blocking while the queue is full) and
-    /// forward the samples of the requests it accepted. Returns `false` if
-    /// the worker hung up before accepting all of them.
-    fn flush(&mut self, q: usize) -> bool {
-        let Self { router, staged, samples, plan, report } = self;
-        let block = &mut staged[q];
-        let accepted = router.queues[q].push_block(block.iter().copied());
-        report.submitted += accepted as u64;
-        if let Some((tx, buf)) = samples {
-            for req in &block[..accepted] {
-                match plan.sample_fault(u64::from(req.idx)) {
-                    SampleFault::Deliver => buf.push(SampleRef { idx: req.idx, corrupt: false }),
-                    SampleFault::Drop => report.dropped_samples += 1,
-                    SampleFault::Corrupt => {
-                        report.corrupted_samples += 1;
-                        buf.push(SampleRef { idx: req.idx, corrupt: true });
-                    }
-                }
-                if buf.len() >= SAMPLE_FLUSH {
-                    let _ =
-                        tx.push(std::mem::replace(buf, TrainBatch::with_capacity(SAMPLE_FLUSH)));
-                }
-            }
+    /// Push queue `q`'s staged block, blocking while the queue is full.
+    /// Returns `false` if the worker hung up before accepting all of it.
+    fn push(&mut self, q: usize) -> bool {
+        let block = &mut self.staged[q];
+        let accepted = self.router.queues[q].push_block(block.iter().copied());
+        self.report.submitted += accepted as u64;
+        if let Some(samples) = &mut self.samples {
+            samples.accepted[q] += accepted;
         }
         let whole = accepted == block.len();
         block.clear();
         whole
     }
 
-    /// Push every staged block. Returns `false` if a worker hung up.
-    fn flush_all(&mut self) -> bool {
+    /// Push every staged block, then forward the samples of the requests
+    /// accepted since the last sweep, in the order they were staged.
+    /// Returns `false` if a worker hung up.
+    fn sweep(&mut self) -> bool {
         let mut whole = true;
         for q in 0..self.staged.len() {
             if !self.staged[q].is_empty() {
-                whole &= self.flush(q);
+                whole &= self.push(q);
+            }
+        }
+        self.since_sweep = 0;
+        let Some(Samples { tx, buf, pending, accepted }) = &mut self.samples else {
+            return whole;
+        };
+        for req in pending.drain(..) {
+            let q = self.router.queue_of(req);
+            if accepted[q] == 0 {
+                continue; // refused by a worker that hung up
+            }
+            accepted[q] -= 1;
+            match self.plan.sample_fault(u64::from(req.idx)) {
+                SampleFault::Deliver => buf.push(SampleRef { idx: req.idx, corrupt: false }),
+                SampleFault::Drop => self.report.dropped_samples += 1,
+                SampleFault::Corrupt => {
+                    self.report.corrupted_samples += 1;
+                    buf.push(SampleRef { idx: req.idx, corrupt: true });
+                }
+            }
+            if buf.len() >= SAMPLE_FLUSH {
+                let _ = tx.push(std::mem::replace(buf, TrainBatch::with_capacity(SAMPLE_FLUSH)));
             }
         }
         whole
     }
 
-    /// Push what is still staged, then the samples' partial tail.
+    /// Sweep what is still staged, then push the samples' partial tail.
     fn finish(mut self) -> ClientReport {
-        self.flush_all();
-        if let Some((tx, buf)) = self.samples.take() {
+        self.sweep();
+        if let Some(Samples { tx, buf, .. }) = self.samples.take() {
             if !buf.is_empty() {
                 let _ = tx.push(buf);
             }
@@ -193,10 +230,12 @@ impl<'a, 'r> Outbox<'a, 'r> {
 ///
 /// The client stages requests per destination queue and pushes each
 /// queue's block under one lock once it holds the router's `block`
-/// requests — and every staged block before a pacing sleep, at the
-/// duration cap and at the end, so a paced or capped replay never holds a
-/// request back. Each queue still receives the client's requests in trace
-/// order. A queue that hangs up (its worker dead) ends the replay: the
+/// requests. It sweeps — pushes every staged block — once `block` × queues
+/// requests were staged since the last sweep, so a request bound for a
+/// rarely routed queue waits behind at most that many others; and it sweeps
+/// before a pacing sleep and at the end, so a paced or capped replay never
+/// holds a request back. Each queue still receives the client's requests in
+/// trace order. A queue that hangs up (its worker dead) ends the replay: the
 /// other queues' blocks are still pushed, and `submitted` counts only what
 /// a queue accepted.
 ///
@@ -205,11 +244,12 @@ impl<'a, 'r> Outbox<'a, 'r> {
 /// plan's verdict; the retrainer reads the sample itself from the prepared
 /// trace — tying training progress to replay progress the way a production
 /// log tailer tails live traffic. Drops and corruptions are tallied here.
-/// Forwarding is buffered: surviving samples accumulate client-side, in the
-/// order their blocks were accepted (trace order with one queue), and
-/// flush as one [`TrainBatch`] every [`SAMPLE_FLUSH`] samples (and at
-/// replay end), so the queue — and the retrainer wake-up behind it — is
-/// paid once per flush. The queue holds every batch the replay can flush
+/// Forwarding is buffered: a request's sample is forwarded at the sweep that
+/// pushes the last staged block (so it trails its request by at most
+/// `block` × queues staged requests), surviving samples accumulate
+/// client-side in the client's trace order, and they flush as one
+/// [`TrainBatch`] every [`SAMPLE_FLUSH`] samples (and at replay end), so the
+/// queue — and the retrainer wake-up behind it — is paid once per flush. The queue holds every batch the replay can flush
 /// ([`sample_queue_bound`]), so a flush never blocks. The retrainer hanging
 /// up (its consumer dropped, its thread dead) only stops the forwarding —
 /// replay itself continues, which is exactly the graceful degradation the
@@ -238,7 +278,7 @@ pub(crate) fn replay_client<'a>(
             // Open-loop pacing against the schedule, never sleeping past a
             // missed slot (so a stalled queue doesn't compound lag).
             let slot = Duration::from_secs_f64(sent as f64 / per_client_qps);
-            if clock.elapsed() < slot && !outbox.flush_all() {
+            if clock.elapsed() < slot && !outbox.sweep() {
                 break;
             }
             clock.sleep_until(slot);
@@ -259,6 +299,7 @@ mod tests {
     use crate::service::shards_per_worker;
     use otae_core::N_FEATURES;
     use otae_store::intake::IntakeStats;
+    use otae_trace::ObjectId;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -328,8 +369,10 @@ mod tests {
                 assert_eq!(stats.pushes, queued.len() as u64);
                 let locks = stats.push_locks;
                 assert!(stats.pushes.div_ceil(block as u64) <= locks, "block {block}: {stats:?}");
-                // Each client pushes whole blocks and one partial tail.
-                assert!(locks <= stats.pushes / block as u64 + 3, "block {block}: {stats:?}");
+                // Whole blocks, plus at most one partial block per sweep: a
+                // client sweeps every `block` × queues requests and at the end.
+                let sweeps = 1000 / (block * rxs.len()) as u64 + 3;
+                assert!(locks <= stats.pushes / block as u64 + sweeps, "block {block}: {stats:?}");
             }
             seen.sort_unstable();
             assert_eq!(seen, (0..1000).collect::<Vec<_>>(), "{shards}x{workers}");
@@ -423,6 +466,42 @@ mod tests {
         assert_eq!(batches[2].len(), 17);
         let idx: Vec<u32> = batches.iter().flatten().map(|m| m.idx).collect();
         assert_eq!(idx, (0..n as u32).collect::<Vec<_>>(), "order survives batching");
+    }
+
+    /// A queue the client rarely routes to is swept, not left to fill: no
+    /// request stays staged behind more than `block` × queues others, and
+    /// the samples — forwarded once their requests are pushed — trail by no
+    /// more and arrive in the client's order, whatever queue took them.
+    #[test]
+    fn staged_requests_and_samples_wait_at_most_a_sweep() {
+        let (block, n) = (4usize, 1000u32);
+        // Objects from shard 1 of 2 one request in ten, shard 0 otherwise.
+        let mut objects = (0..).map(ObjectId);
+        let mut next_in = |shard| objects.find(|&o| shard_of(o, 2) == shard).expect("an object").0;
+        let reqs: Vec<_> = (0..n)
+            .map(|i| crate::shard::tests::prepared(i, next_in(usize::from(i % 10 == 9)), 1, true))
+            .collect();
+        let (router, rxs) = Router::bounded(2, 1, reqs.len(), block);
+        let (stx, srx) = sample_queue(&reqs);
+        let mut outbox = Outbox::new(&router, Some(&stx), &NoFaults);
+        let lag = block * rxs.len();
+        for (pos, req) in reqs.iter().enumerate() {
+            assert!(outbox.stage(req));
+            for staged in &outbox.staged {
+                let oldest = staged.first().map_or(pos, |r| r.idx as usize);
+                assert!(pos - oldest < lag, "request {oldest} still staged at {pos}");
+            }
+            let pending = outbox.samples.as_ref().expect("samples").pending.len();
+            assert!(pending < lag, "{pending} samples held at {pos}");
+        }
+        let report = outbox.finish();
+        drop((router, stx));
+        assert_eq!(report.submitted, u64::from(n));
+        let rare = rxs[1].stats();
+        assert_eq!(rare.pushes, u64::from(n / 10));
+        assert!(rare.push_locks > rare.pushes / block as u64, "swept, not only filled: {rare:?}");
+        let idx: Vec<u32> = drain(&srx).iter().flatten().map(|m| m.idx).collect();
+        assert_eq!(idx, (0..n).collect::<Vec<_>>(), "samples in the client's order");
     }
 
     /// `clients` clients replaying `n` requests one after another, with

@@ -95,7 +95,9 @@ pub struct RetrainerReport {
 /// boundary ([`DailyTrainer::observe_if`]).
 ///
 /// With several client threads the forwarded stream is only approximately
-/// time-ordered (each client submits its own stride in order); the sampler
+/// time-ordered: each client forwards its own stride's samples in trace
+/// order, each at most `max_batch` × worker queues of its requests after
+/// the request itself (the client's sweep, see `replay_client`); the sampler
 /// keeps its own clock monotone
 /// ([`MinuteSampler::offer`](otae_core::MinuteSampler::offer)), so the
 /// small interleaving skew neither inflates a minute's budget nor unsorts

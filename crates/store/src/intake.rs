@@ -331,29 +331,10 @@ pub fn bounded<T, S>(cap: usize, side: S) -> (Producer<T, S>, Consumer<T, S>) {
 impl<T, S> Producer<T, S> {
     /// Queue one item, blocking while the queue is full. Fails — handing
     /// the item back — once the consumer is gone.
-    pub fn push(&self, mut item: T) -> Result<(), T> {
-        let mut st = self.shared.state.lock();
-        st.stats.0.push_locks += 1;
-        loop {
-            // The waiting arm comes first: otae-lint reads guard liveness
-            // in token order, and the `drop(st)` below ends it.
-            match st.push(item) {
-                Push::Park(back) => {
-                    item = back;
-                    // A condvar wait releases the guard for its whole
-                    // sleep; the textual rule cannot see that.
-                    // otae-lint: allow(no-blocking-under-lock)
-                    self.shared.not_full.wait(&mut st);
-                }
-                Push::Refused(back) => return Err(back),
-                Push::Queued(wake_consumer) => {
-                    drop(st);
-                    if wake_consumer {
-                        self.shared.not_empty.notify_one();
-                    }
-                    return Ok(());
-                }
-            }
+    pub fn push(&self, item: T) -> Result<(), T> {
+        match self.push_each(&mut std::iter::once(item)) {
+            (_, Some(back)) => Err(back),
+            (_, None) => Ok(()),
         }
     }
 
@@ -365,18 +346,35 @@ impl<T, S> Producer<T, S> {
     /// runs under the queue's lock: hand it items, not work.
     pub fn push_block(&self, block: impl IntoIterator<Item = T>) -> usize {
         let mut items = block.into_iter();
-        let Some(mut item) = items.next() else { return 0 };
+        let (queued, refused) = self.push_each(&mut items);
+        // What the consumer's hang-up refused, dropped outside the lock.
+        drop((refused, items));
+        queued
+    }
+
+    /// The one push loop behind [`Producer::push`] and
+    /// [`Producer::push_block`]: queue `items` in order under one lock
+    /// acquisition until they run out or the consumer hangs up. Returns how
+    /// many were queued and the item the hang-up refused; the rest stay in
+    /// `items`. Takes no lock when `items` is empty.
+    fn push_each(&self, items: &mut impl Iterator<Item = T>) -> (usize, Option<T>) {
+        let Some(mut item) = items.next() else { return (0, None) };
         let (mut queued, mut wake_consumer, mut refused) = (0, false, None);
         let mut st = self.shared.state.lock();
         st.stats.0.push_locks += 1;
         loop {
-            // See `push` for the arm order and the wait.
+            // The waiting arm comes first: otae-lint reads guard liveness
+            // in token order, and the `drop(st)` below ends it.
             match st.push(item) {
                 Push::Park(back) => {
                     item = back;
+                    // The consumer must be awake to make the room this
+                    // waits for: pay a wake owed to it first.
                     if std::mem::take(&mut wake_consumer) {
                         self.shared.not_empty.notify_one();
                     }
+                    // A condvar wait releases the guard for its whole
+                    // sleep; the textual rule cannot see that.
                     // otae-lint: allow(no-blocking-under-lock)
                     self.shared.not_full.wait(&mut st);
                 }
@@ -398,9 +396,7 @@ impl<T, S> Producer<T, S> {
         if wake_consumer {
             self.shared.not_empty.notify_one();
         }
-        // What the consumer's hang-up refused, dropped outside the lock.
-        drop((refused, items));
-        queued
+        (queued, refused)
     }
 
     /// Run `f` on the side state and the backpressure flag, under the
