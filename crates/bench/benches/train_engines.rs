@@ -6,7 +6,7 @@
 //! 10-round AdaBoost at 50 k, each binning once for all its members.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest};
+use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest, TreeParams};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -29,7 +29,7 @@ fn synthetic_dataset(n: usize, seed: u64) -> Dataset {
 /// Fit a cost-sensitive tree with the exact reference splitter or the
 /// production histogram path; returns the split count.
 fn fit_with(exact: bool, data: &Dataset) -> usize {
-    let mut tree = DecisionTree::with_cost(2.0);
+    let mut tree = DecisionTree::new(TreeParams { cost_fp: 2.0, ..TreeParams::default() });
     if exact {
         tree.fit_exact(data);
     } else {

@@ -63,11 +63,6 @@ impl<K: Key> ArcCache<K> {
         }
     }
 
-    /// Current adaptive target for T1 bytes (exposed for tests/diagnostics).
-    pub fn target_p(&self) -> u64 {
-        self.p
-    }
-
     fn resident_bytes(&self) -> u64 {
         self.t1_bytes + self.t2_bytes
     }
@@ -280,9 +275,9 @@ mod tests {
         c.insert(3u64, 10, 3, &mut ev);
         c.insert(4u64, 10, 4, &mut ev); // REPLACE evicts T1 LRU (2) into B1
         assert_eq!(c.map[&2].loc, Loc::B1);
-        let p_before = c.target_p();
+        let p_before = c.p;
         c.insert(2u64, 10, 5, &mut ev);
-        assert!(c.target_p() > p_before, "B1 ghost hit must grow p");
+        assert!(c.p > p_before, "B1 ghost hit must grow p");
         assert_eq!(c.map[&2].loc, Loc::T2, "ghost hit re-admits into T2");
         check_capacity_invariant(&c);
     }
@@ -315,9 +310,9 @@ mod tests {
         c.insert(5u64, 10, 5, &mut ev);
         // Find whether 1 became a B2 ghost; if so re-access shrinks p.
         if c.map.get(&1).map(|s| s.loc) == Some(Loc::B2) {
-            let p_before = c.target_p();
+            let p_before = c.p;
             c.insert(1u64, 10, 6, &mut ev);
-            assert!(c.target_p() <= p_before);
+            assert!(c.p <= p_before);
         }
         check_capacity_invariant(&c);
     }
@@ -368,7 +363,7 @@ mod tests {
         let accesses: Vec<(u64, u64)> =
             (0..2000).map(|i| ((i * 7) % 31, 5 + (i % 3) * 5)).collect();
         drive(&mut c, &accesses);
-        assert!(c.target_p() <= c.capacity());
+        assert!(c.p <= c.capacity());
         check_capacity_invariant(&c);
     }
 }

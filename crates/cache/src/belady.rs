@@ -52,18 +52,6 @@ impl<K: Key> Belady<K> {
         }
     }
 
-    /// Build directly from a precomputed next-occurrence array (shared across
-    /// capacities when sweeping).
-    pub fn from_next_occurrence(capacity: u64, next_occurrence: Vec<u64>) -> Self {
-        Self {
-            capacity,
-            used: 0,
-            next_occurrence,
-            order: BTreeSet::new(),
-            map: FxHashMap::default(),
-        }
-    }
-
     fn next_of(&self, now: u64) -> u64 {
         self.next_occurrence.get(now as usize).copied().unwrap_or(NEVER)
     }
@@ -121,7 +109,7 @@ impl<K: Key> Cache<K> for Belady<K> {
 mod tests {
     use super::*;
     use crate::test_util::{check_capacity_invariant, drive};
-    use crate::{run_always_admit, Lru};
+    use crate::{CacheStats, Lru};
 
     fn hits<C: Cache<u64>>(c: &mut C, seq: &[(u64, u64)]) -> usize {
         drive(c, seq).iter().filter(|&&h| h).count()
@@ -187,19 +175,16 @@ mod tests {
         let keys = [1u64, 2, 1, 3, 1];
         let seq: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 10)).collect();
         let mut b = Belady::new(20, &keys);
-        let stats = run_always_admit(&mut b, &seq);
+        let mut stats = CacheStats::default();
+        for (hit, &(_, size)) in drive(&mut b, &seq).into_iter().zip(&seq) {
+            if hit {
+                stats.record_hit(size);
+            } else {
+                stats.record_admitted_miss(size);
+            }
+        }
         assert_eq!(stats.accesses, 5);
         assert_eq!(stats.hits, 2); // both re-accesses of 1 hit
         assert_eq!(stats.files_written, 3);
-    }
-
-    #[test]
-    fn from_next_occurrence_matches_new() {
-        let keys = [5u64, 6, 5, 7, 6, 5];
-        let seq: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 1)).collect();
-        let mut a = Belady::new(2, &keys);
-        let next = a.next_occurrence.clone();
-        let mut b = Belady::from_next_occurrence(2, next);
-        assert_eq!(drive(&mut a, &seq), drive(&mut b, &seq));
     }
 }

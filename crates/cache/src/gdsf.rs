@@ -52,11 +52,6 @@ impl<K: Key> Gdsf<K> {
         }
     }
 
-    /// Current inflation value `L` (diagnostics).
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
     fn priority(&self, freq: u64, size: u64) -> f64 {
         // cost = 1 (uniform miss penalty); size in KiB keeps values tame.
         self.inflation + freq as f64 / (size.max(1) as f64 / 1024.0)
@@ -168,7 +163,7 @@ mod tests {
             !c.contains(&1),
             "inflation must eventually age out an object that stopped being accessed"
         );
-        assert!(c.inflation() > 0.0);
+        assert!(c.inflation > 0.0);
         check_capacity_invariant(&c);
     }
 

@@ -36,7 +36,6 @@ mod lirs;
 pub mod list;
 mod lru;
 mod s3lru;
-pub mod sim;
 pub mod stats;
 mod twoq;
 
@@ -48,7 +47,6 @@ pub use lfu::Lfu;
 pub use lirs::Lirs;
 pub use lru::Lru;
 pub use s3lru::S3Lru;
-pub use sim::run_always_admit;
 pub use stats::CacheStats;
 pub use twoq::TwoQ;
 

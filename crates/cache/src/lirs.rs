@@ -7,7 +7,8 @@
 //! keep a ghost entry in `S` so a quick re-reference can promote them to LIR.
 //!
 //! The paper's one-time-access criteria for LIRS uses the stack share
-//! `R_s = C_s / C` (§5.2); [`Lirs::lir_fraction`] exposes it.
+//! `R_s = C_s / C` (§5.2): here the LIR byte budget over the capacity,
+//! 0.99 for [`Lirs::new`].
 
 use crate::list::{DList, NodeId};
 use crate::{Cache, Evicted, Key};
@@ -69,15 +70,6 @@ impl<K: Key> Lirs<K> {
             map: FxHashMap::default(),
             ghost_fifo: VecDeque::new(),
             ghosts: 0,
-        }
-    }
-
-    /// Stack share `R_s = C_s / C` used by the paper's `M_LIRS` criteria.
-    pub fn lir_fraction(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.lir_cap as f64 / self.capacity as f64
         }
     }
 
@@ -386,9 +378,9 @@ mod tests {
     #[test]
     fn lir_fraction_reflects_configuration() {
         let c: Lirs<u64> = Lirs::with_hir_fraction(1000, 0.25);
-        assert!((c.lir_fraction() - 0.75).abs() < 1e-9);
+        assert_eq!(c.lir_cap, 750);
         let d: Lirs<u64> = Lirs::new(1000);
-        assert!((d.lir_fraction() - 0.99).abs() < 0.01);
+        assert_eq!(d.lir_cap, 990);
     }
 
     #[test]

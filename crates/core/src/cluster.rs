@@ -28,26 +28,19 @@ use otae_trace::{ObjectId, Trace};
 pub struct HashRing {
     /// Sorted (hash, node) points.
     points: Vec<(u64, u16)>,
-    vnodes: u16,
 }
 
 impl HashRing {
     /// Ring over nodes `0..n_nodes` with `vnodes` virtual points each.
     pub fn new(n_nodes: u16, vnodes: u16) -> Self {
         assert!(n_nodes > 0 && vnodes > 0);
-        let mut ring = Self { points: Vec::new(), vnodes };
-        for node in 0..n_nodes {
-            ring.insert_points(node);
-        }
-        ring.points.sort_unstable();
-        ring
-    }
-
-    fn insert_points(&mut self, node: u16) {
-        for v in 0..self.vnodes {
-            let h = splitmix64(((node as u64) << 32) | v as u64);
-            self.points.push((h, node));
-        }
+        let mut points: Vec<(u64, u16)> = (0..n_nodes)
+            .flat_map(|node| {
+                (0..vnodes).map(move |v| (splitmix64(((node as u64) << 32) | v as u64), node))
+            })
+            .collect();
+        points.sort_unstable();
+        Self { points }
     }
 
     /// Node owning `obj`.
@@ -61,12 +54,6 @@ impl HashRing {
     pub fn remove_node(&mut self, node: u16) {
         self.points.retain(|&(_, n)| n != node);
         assert!(!self.points.is_empty(), "cannot remove the last node");
-    }
-
-    /// Add a node back (or a new one).
-    pub fn add_node(&mut self, node: u16) {
-        self.insert_points(node);
-        self.points.sort_unstable();
     }
 
     /// Distinct nodes currently on the ring.

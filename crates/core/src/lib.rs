@@ -68,7 +68,7 @@ pub use daily::{DailyTrainer, MinuteSampler, ModelSchedule, TrainedModel, Traini
 pub use engine::{Accounting, Admission, CacheEvent, Kernel, Learned, Outcome};
 pub use features::{FeatureExtractor, FEATURE_NAMES, N_FEATURES};
 pub use history::HistoryTable;
-pub use online::{run_online, run_online_with, OnlineModelKind};
+pub use online::{run_online_with, OnlineModelKind};
 pub use pipeline::{run, Mode, PolicyKind, RunConfig, RunFingerprint, RunPlan, RunResult};
 pub use reaccess::ReaccessIndex;
 pub use sweep::{sweep, SweepPoint};

@@ -17,7 +17,7 @@
 //!   online feature standardisation and class-weighted SGD, updated from
 //!   the matured labels only.
 //!
-//! [`run_online`] drives a full simulation with this admission stack and is
+//! [`run_online_with`] drives a full simulation with this admission stack and is
 //! compared against the paper's daily-batch training in the
 //! `ablation_online` experiment.
 
@@ -105,11 +105,6 @@ impl DelayedLabelQueue {
     /// Drain labels that matured since the last call.
     pub fn drain(&mut self) -> Vec<MaturedLabel> {
         std::mem::take(&mut self.matured)
-    }
-
-    /// Decisions still waiting for their label.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -207,11 +202,6 @@ impl OnlineLogistic {
         self.bias -= self.lr * err;
         self.observations += 1;
     }
-
-    /// Warm-up threshold: predictions are unreliable before this many labels.
-    pub fn is_warm(&self) -> bool {
-        self.observations >= 500
-    }
 }
 
 impl otae_ml::OnlineClassifier for OnlineLogistic {
@@ -266,14 +256,9 @@ impl OnlineModelKind {
     }
 }
 
-/// Run a simulation where admission is driven by [`OnlineLogistic`] fed
-/// exclusively from [`DelayedLabelQueue`] — no oracle labels anywhere on the
-/// decision path.
-pub fn run_online(trace: &Trace, index: &ReaccessIndex, cfg: &RunConfig) -> OnlineResult {
-    run_online_with(trace, index, cfg, OnlineModelKind::Logistic)
-}
-
-/// [`run_online`] with an explicit incremental learner.
+/// Run a simulation where admission is driven by the incremental learner
+/// `kind` fed exclusively from [`DelayedLabelQueue`] — no oracle labels
+/// anywhere on the decision path.
 pub fn run_online_with(
     trace: &Trace,
     index: &ReaccessIndex,
@@ -377,7 +362,7 @@ mod tests {
         let labels = q.drain();
         assert_eq!(labels.len(), 1);
         assert!(!labels[0].one_time, "returned within M: not one-time");
-        assert_eq!(q.pending_len(), 0);
+        assert_eq!(q.pending.len(), 0);
     }
 
     #[test]
@@ -425,7 +410,7 @@ mod tests {
             let x = ((state >> 33) % 1000) as f32 / 1000.0;
             model.observe(&MaturedLabel { features: row(x), one_time: x > 0.5 });
         }
-        assert!(model.is_warm());
+        assert!(model.observations >= 500);
         assert!(model.predict(&row(0.9)));
         assert!(!model.predict(&row(0.1)));
         assert!(model.score(&row(0.9)) > model.score(&row(0.6)));
@@ -459,8 +444,8 @@ mod tests {
         let trace = generate(&TraceConfig { n_objects: 8_000, seed: 99, ..Default::default() });
         let index = ReaccessIndex::build(&trace);
         let cap = (trace.unique_bytes() as f64 * 0.02) as u64;
-        let online =
-            run_online(&trace, &index, &RunConfig::new(PolicyKind::Lru, Mode::Proposal, cap));
+        let cfg = RunConfig::new(PolicyKind::Lru, Mode::Proposal, cap);
+        let online = run_online_with(&trace, &index, &cfg, OnlineModelKind::Logistic);
         let orig =
             run_with_index(&trace, &index, &RunConfig::new(PolicyKind::Lru, Mode::Original, cap));
         assert!(online.labels_consumed > 1_000, "delayed labels must flow");
@@ -484,8 +469,8 @@ mod tests {
         let index = ReaccessIndex::build(&trace);
         let cap = (trace.unique_bytes() as f64 * 0.02) as u64;
         let cfg = RunConfig::new(PolicyKind::Lru, Mode::Proposal, cap);
-        let a = run_online(&trace, &index, &cfg);
-        let b = run_online(&trace, &index, &cfg);
+        let a = run_online_with(&trace, &index, &cfg, OnlineModelKind::Logistic);
+        let b = run_online_with(&trace, &index, &cfg, OnlineModelKind::Logistic);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.labels_consumed, b.labels_consumed);
     }

@@ -187,13 +187,6 @@ impl TinyLfuAdmission {
         }
     }
 
-    /// The aged frequency the admission decision reads: the sketch estimate
-    /// plus one if the doorkeeper holds the key (the doorkeeper absorbs
-    /// each key's first post-reset sighting).
-    pub fn frequency(&self, obj: ObjectId) -> u64 {
-        self.sketch.estimate(obj) as u64 + u64::from(self.doorkeeper.contains(obj))
-    }
-
     /// Decide a miss: admit iff the object's aged frequency says it has
     /// been seen before, then record this sighting (doorkeeper first,
     /// sketch once the doorkeeper already knows the key). One doorkeeper
@@ -541,7 +534,7 @@ mod tests {
             t.decide(ObjectId(k));
             k += 1;
         }
-        assert!(t.frequency(ObjectId(1)) >= 1, "halved frequency must survive");
+        assert!(t.sketch.estimate(ObjectId(1)) >= 1, "halved frequency must survive");
         assert!(t.decide(ObjectId(1)), "hot object admitted right after the reset");
     }
 

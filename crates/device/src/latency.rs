@@ -47,33 +47,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// Hit cost (Eq. 4) for the reference object size.
-    pub fn hit_cost_us(&self) -> f64 {
-        self.t_query_us + self.t_ssd_read_us
-    }
-
-    /// Miss penalty without classification (Eq. 5).
-    pub fn miss_penalty_original_us(&self) -> f64 {
-        self.t_query_us + self.t_hdd_read_us
-    }
-
-    /// Miss penalty with classification (Eq. 6).
-    pub fn miss_penalty_proposed_us(&self) -> f64 {
-        self.t_query_us + self.t_classify_us + self.t_hdd_read_us
-    }
-
-    /// Average access latency (Eq. 3) at file hit rate `h`;
-    /// `classified` selects Eq. 6 over Eq. 5 for the miss penalty.
-    pub fn avg_latency_us(&self, hit_rate: f64, classified: bool) -> f64 {
-        assert!((0.0..=1.0).contains(&hit_rate), "hit rate {hit_rate} out of range");
-        let miss = if classified {
-            self.miss_penalty_proposed_us()
-        } else {
-            self.miss_penalty_original_us()
-        };
-        hit_rate * self.hit_cost_us() + (1.0 - hit_rate) * miss
-    }
-
     /// Fixed part of a device read: its reference read time less the
     /// reference object's transfer, never negative.
     fn fixed_us(&self, t_read_us: f64, bandwidth: f64) -> f64 {
@@ -307,27 +280,36 @@ mod tests {
         assert_eq!(m.t_hdd_read_us, 3000.0);
     }
 
+    /// Eq. 3 at `h = hits / 100` through the per-request model: the mean
+    /// latency of `hits` hits and `100 - hits` misses of the reference size.
+    fn mean_of_100(m: &LatencyModel, hits: u32, classified: bool) -> f64 {
+        let run = m.per_run(classified);
+        (0..100).map(|i| run.request_us(i < hits, m.reference_size)).sum::<f64>() / 100.0
+    }
+
     #[test]
     fn equations_compose() {
         let m = LatencyModel::default();
-        assert_eq!(m.hit_cost_us(), 101.0);
-        assert_eq!(m.miss_penalty_original_us(), 3001.0);
-        assert_eq!(m.miss_penalty_proposed_us(), 3001.4);
+        // Eqs. 4-6 at the reference size: hit cost, miss penalty unclassified
+        // and classified.
+        assert!((mean_of_100(&m, 100, false) - 101.0).abs() < 1e-9);
+        assert!((mean_of_100(&m, 0, false) - 3001.0).abs() < 1e-9);
+        assert!((mean_of_100(&m, 0, true) - 3001.4).abs() < 1e-9);
         // Eq. 3 at h = 0.5.
-        let t = m.avg_latency_us(0.5, false);
-        assert!((t - 0.5 * 101.0 - 0.5 * 3001.0).abs() < 1e-9);
+        let t = mean_of_100(&m, 50, false);
+        assert!((t - 0.5 * 101.0 - 0.5 * 3001.0).abs() < 1e-9, "{t}");
     }
 
     #[test]
     fn higher_hit_rate_reduces_latency() {
         let m = LatencyModel::default();
-        assert!(m.avg_latency_us(0.8, true) < m.avg_latency_us(0.5, true));
+        assert!(mean_of_100(&m, 80, true) < mean_of_100(&m, 50, true));
     }
 
     #[test]
     fn classification_overhead_is_tiny_but_positive() {
         let m = LatencyModel::default();
-        let delta = m.avg_latency_us(0.5, true) - m.avg_latency_us(0.5, false);
+        let delta = mean_of_100(&m, 50, true) - mean_of_100(&m, 50, false);
         assert!(delta > 0.0 && delta < 1.0, "overhead {delta} µs");
     }
 
@@ -335,7 +317,7 @@ mod tests {
     fn classified_system_wins_with_modest_hit_rate_gain() {
         // The paper's claim: a few points of hit rate dwarf t_classify.
         let m = LatencyModel::default();
-        assert!(m.avg_latency_us(0.55, true) < m.avg_latency_us(0.50, false));
+        assert!(mean_of_100(&m, 55, true) < mean_of_100(&m, 50, false));
     }
 
     #[test]
@@ -446,12 +428,6 @@ mod tests {
             assert_bucket_is_ln(plain.request_us(false, size));
             assert_bucket_is_ln(classified.request_us(false, size));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_hit_rate_panics() {
-        LatencyModel::default().avg_latency_us(1.5, false);
     }
 
     #[test]

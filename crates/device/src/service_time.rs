@@ -98,13 +98,6 @@ impl ServiceTimeModel {
         self.misses
     }
 
-    /// Mean head utilisation of the busiest window, as a fraction of the
-    /// window's wall time (can exceed 1.0: the backend is over-subscribed).
-    pub fn peak_utilisation(&self) -> f64 {
-        let window_us = self.profile.window_secs.max(1) * 1_000_000;
-        self.peak_window_us() as f64 / window_us as f64
-    }
-
     /// Fold another shard's accumulator into this one. Window counts add
     /// element-wise, so the merged peak is exactly the peak of the combined
     /// request stream (trace time is global across shards).
@@ -173,8 +166,6 @@ mod tests {
         assert_eq!(m.misses(), 6);
         assert_eq!(m.total_us(), 320 + 250 + 453);
         assert_eq!(m.peak_window_us(), 453, "window 3 is the busiest");
-        let util = m.peak_utilisation();
-        assert!((util - 453.0 / 60_000_000.0).abs() < 1e-12, "utilisation {util}");
     }
 
     #[test]

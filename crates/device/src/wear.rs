@@ -92,12 +92,6 @@ impl Default for SsdWearModel {
 }
 
 impl SsdWearModel {
-    /// Total host bytes the device can absorb before wearing out
-    /// (TBW = capacity × PE cycles / WA).
-    pub fn total_write_budget(&self) -> f64 {
-        self.capacity as f64 * self.pe_cycles as f64 / self.write_amplification
-    }
-
     /// The write-amplification factor to judge `ledger` under: the
     /// ledger's own measured factor when it carries a GC stream, else this
     /// model's assumed factor (the ledger's storage layer did not model
@@ -119,21 +113,6 @@ impl SsdWearModel {
         physical / (self.capacity as f64 * self.pe_cycles as f64)
     }
 
-    /// Projected lifetime in days at a sustained write rate (bytes/day).
-    /// Returns `f64::INFINITY` when nothing is written.
-    pub fn lifetime_days(&self, bytes_per_day: f64) -> f64 {
-        if bytes_per_day <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.total_write_budget() / bytes_per_day
-    }
-
-    /// Write density in full-device-writes per day, the §1 lifetime metric
-    /// ("the number of writes per unit time and space").
-    pub fn drive_writes_per_day(&self, bytes_per_day: f64) -> f64 {
-        bytes_per_day / self.capacity as f64
-    }
-
     /// Lifetime extension factor when writes shrink from `before` to `after`
     /// bytes per day.
     pub fn lifetime_extension(&self, before_bytes_per_day: f64, after_bytes_per_day: f64) -> f64 {
@@ -150,12 +129,6 @@ mod tests {
 
     fn small() -> SsdWearModel {
         SsdWearModel { capacity: 1000, pe_cycles: 100, write_amplification: 2.0 }
-    }
-
-    #[test]
-    fn write_budget() {
-        // 1000 B × 100 cycles / WA 2 = 50_000 host bytes.
-        assert_eq!(small().total_write_budget(), 50_000.0);
     }
 
     fn host_only(bytes: u64) -> WearLedger {
@@ -196,20 +169,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.host_bytes(), 200);
         assert_eq!(b.gc_bytes(), 100);
-    }
-
-    #[test]
-    fn lifetime_days_inverse_to_rate() {
-        let m = small();
-        assert_eq!(m.lifetime_days(500.0), 100.0);
-        assert_eq!(m.lifetime_days(1000.0), 50.0);
-        assert_eq!(m.lifetime_days(0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn dwpd_metric() {
-        let m = small();
-        assert_eq!(m.drive_writes_per_day(2000.0), 2.0);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl AdaBoost {
     pub fn new(rounds: usize) -> Self {
         Self { rounds, weak_splits: 3, stages: Vec::new(), alpha_sum: 0.0 }
     }
-
-    /// Number of fitted stages (may stop early on a perfect learner).
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 impl Classifier for AdaBoost {
@@ -151,7 +146,7 @@ mod tests {
         }
         let mut boost = AdaBoost::new(50);
         boost.fit(&d);
-        assert!(boost.n_stages() < 50, "separable data must stop early");
+        assert!(boost.stages.len() < 50, "separable data must stop early");
         let correct = (0..d.len()).filter(|&i| boost.predict(d.row(i)) == d.label(i)).count();
         assert_eq!(correct, d.len());
     }
@@ -172,6 +167,6 @@ mod tests {
         let mut boost = AdaBoost::new(5);
         boost.fit(&Dataset::new(2));
         assert_eq!(boost.score(&[0.0, 0.0]), 0.0);
-        assert_eq!(boost.n_stages(), 0);
+        assert_eq!(boost.stages.len(), 0);
     }
 }

@@ -37,11 +37,6 @@ impl Dataset {
         self
     }
 
-    /// Feature names.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
-
     /// Append a sample with weight 1.
     pub fn push(&mut self, row: &[f32], label: bool) {
         self.push_weighted(row, label, 1.0);
@@ -96,17 +91,6 @@ impl Dataset {
             return 0.0;
         }
         self.y.iter().filter(|&&b| b).count() as f64 / self.len() as f64
-    }
-
-    /// Apply class weights: positives get `w_pos`, negatives `w_neg`.
-    /// This is how Table 4's cost matrix enters training: the costlier
-    /// error (false positive, cost `v`) is discouraged by weighting the
-    /// *negative* class by `v`.
-    pub fn with_class_weights(mut self, w_pos: f32, w_neg: f32) -> Self {
-        for (w, &y) in self.w.iter_mut().zip(&self.y) {
-            *w = if y { w_pos } else { w_neg };
-        }
-        self
     }
 
     /// New dataset containing the given sample indices (duplicates allowed,
@@ -191,15 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn class_weights_apply_cost_matrix() {
-        let d = toy().with_class_weights(1.0, 2.0);
-        for i in 0..d.len() {
-            let expected = if d.label(i) { 1.0 } else { 2.0 };
-            assert_eq!(d.weight(i), expected);
-        }
-    }
-
-    #[test]
     fn subset_supports_bootstrap() {
         let d = toy();
         let s = d.subset(&[0, 0, 1]);
@@ -250,6 +225,6 @@ mod tests {
     fn feature_names_follow_selection() {
         let d = Dataset::new(3).with_feature_names(&["a", "b", "c"]);
         let s = d.select_features(&[2, 0]);
-        assert_eq!(s.feature_names(), &["c".to_string(), "a".to_string()]);
+        assert_eq!(s.feature_names, ["c", "a"]);
     }
 }

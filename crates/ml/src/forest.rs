@@ -29,11 +29,6 @@ impl RandomForest {
         Self { n_trees, max_splits: 30, seed, threads: 0, trees: Vec::new() }
     }
 
-    /// Fitted tree count.
-    pub fn n_fitted(&self) -> usize {
-        self.trees.len()
-    }
-
     fn fit_one(&self, binned: &BinnedDataset, tree_idx: usize) -> DecisionTree {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(tree_idx as u64));
         let n = binned.len();
@@ -122,7 +117,7 @@ mod tests {
                 as f64
                 / test.len() as f64;
         assert!(acc > 0.88, "forest accuracy {acc}");
-        assert_eq!(rf.n_fitted(), 20);
+        assert_eq!(rf.trees.len(), 20);
     }
 
     #[test]
@@ -155,7 +150,7 @@ mod tests {
         let mut rf = RandomForest::new(4, 0);
         rf.fit(&Dataset::new(3));
         assert_eq!(rf.score(&[0.0, 0.0, 0.0]), 0.0);
-        assert_eq!(rf.n_fitted(), 0);
+        assert_eq!(rf.trees.len(), 0);
     }
 
     #[test]

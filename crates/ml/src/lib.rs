@@ -43,7 +43,7 @@ pub use forest::RandomForest;
 pub use hoeffding::{HoeffdingTree, OnlineClassifier};
 pub use knn::Knn;
 pub use logreg::LogisticRegression;
-pub use metrics::{optimal_threshold, roc_auc, ConfusionMatrix};
+pub use metrics::{roc_auc, ConfusionMatrix};
 pub use mlp::Mlp;
 pub use naive_bayes::NaiveBayes;
 pub use preprocess::Standardizer;

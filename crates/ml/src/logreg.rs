@@ -126,7 +126,13 @@ mod tests {
 
     #[test]
     fn class_weights_shift_the_boundary() {
-        let train = linear_dataset(1000, 4).with_class_weights(1.0, 5.0);
+        // Negatives weighted 5: Table 4's cost matrix as sample weights.
+        let plain = linear_dataset(1000, 4);
+        let mut train = Dataset::new(2);
+        for i in 0..plain.len() {
+            let y = plain.label(i);
+            train.push_weighted(plain.row(i), y, if y { 1.0 } else { 5.0 });
+        }
         let mut lr = LogisticRegression::new();
         lr.fit(&train);
         // Heavily weighted negatives push the boundary toward positives:

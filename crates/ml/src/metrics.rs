@@ -79,11 +79,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// False positive rate = FP / (FP + TN).
-    pub fn false_positive_rate(&self) -> f64 {
-        Self::ratio(self.fp, self.fp + self.tn)
-    }
-
     /// Merge another matrix into this one. The full destructure means a new
     /// cell cannot be added without this merge accounting for it.
     pub fn merge(&mut self, other: &ConfusionMatrix) {
@@ -128,85 +123,6 @@ pub fn roc_auc(scores: &[f32], labels: &[bool]) -> f64 {
     u / (n_pos as f64 * n_neg as f64)
 }
 
-/// ROC curve points `(fpr, tpr)` sorted by descending threshold, including
-/// the (0,0) and (1,1) endpoints.
-pub fn roc_curve(scores: &[f32], labels: &[bool]) -> Vec<(f64, f64)> {
-    assert_eq!(scores.len(), labels.len());
-    let n_pos = labels.iter().filter(|&&l| l).count() as f64;
-    let n_neg = labels.len() as f64 - n_pos;
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("scores must not be NaN"));
-    let mut out = vec![(0.0, 0.0)];
-    let (mut tp, mut fp) = (0.0f64, 0.0f64);
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j < order.len() && scores[order[j]] == scores[order[i]] {
-            if labels[order[j]] {
-                tp += 1.0;
-            } else {
-                fp += 1.0;
-            }
-            j += 1;
-        }
-        out.push((
-            if n_neg > 0.0 { fp / n_neg } else { 0.0 },
-            if n_pos > 0.0 { tp / n_pos } else { 0.0 },
-        ));
-        i = j;
-    }
-    out
-}
-
-/// Decision threshold minimising expected misclassification cost
-/// `cost_fp·FP + cost_fn·FN` on a validation set — the *post-hoc*
-/// alternative to the paper's in-training cost matrix (Table 4): train
-/// unweighted, then move the operating point. Returns `(threshold,
-/// expected cost at that threshold)`.
-pub fn optimal_threshold(
-    scores: &[f32],
-    labels: &[bool],
-    cost_fp: f64,
-    cost_fn: f64,
-) -> (f32, f64) {
-    assert_eq!(scores.len(), labels.len());
-    assert!(cost_fp >= 0.0 && cost_fn >= 0.0);
-    if scores.is_empty() {
-        return (0.5, 0.0);
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("scores must not be NaN"));
-    let n_pos = labels.iter().filter(|&&l| l).count() as f64;
-    // Sweep the threshold upward through score values. Below the threshold
-    // everything is predicted negative. Start with threshold below all
-    // scores: FP = all negatives, FN = 0.
-    let n_neg = labels.len() as f64 - n_pos;
-    let mut fp = n_neg;
-    let mut fn_ = 0.0f64;
-    let mut best_cost = cost_fp * fp + cost_fn * fn_;
-    let mut best_thr = scores[order[0]] - 1e-6;
-    let mut i = 0;
-    while i < order.len() {
-        // Move every sample with this score below the threshold.
-        let v = scores[order[i]];
-        while i < order.len() && scores[order[i]] == v {
-            if labels[order[i]] {
-                fn_ += 1.0;
-            } else {
-                fp -= 1.0;
-            }
-            i += 1;
-        }
-        let cost = cost_fp * fp + cost_fn * fn_;
-        if cost < best_cost {
-            best_cost = cost;
-            // Threshold just above v so samples at v are negative.
-            best_thr = v + 1e-6;
-        }
-    }
-    (best_thr, best_cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +137,6 @@ mod tests {
         assert!((m.recall() - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.accuracy() - 3.0 / 5.0).abs() < 1e-12);
         assert!((m.f1() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((m.false_positive_rate() - 0.5).abs() < 1e-12);
         assert_eq!(m.total(), 5);
     }
 
@@ -282,77 +197,6 @@ mod tests {
     fn degenerate_single_class_auc() {
         assert_eq!(roc_auc(&[0.1, 0.9], &[true, true]), 0.5);
         assert_eq!(roc_auc(&[0.1, 0.9], &[false, false]), 0.5);
-    }
-
-    #[test]
-    fn roc_curve_endpoints_and_monotonicity() {
-        let scores = [0.9f32, 0.1, 0.8, 0.4, 0.6];
-        let labels = [true, false, true, false, true];
-        let curve = roc_curve(&scores, &labels);
-        assert_eq!(curve.first(), Some(&(0.0, 0.0)));
-        assert_eq!(curve.last(), Some(&(1.0, 1.0)));
-        for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
-    fn optimal_threshold_separable_case() {
-        // Positives score high, negatives low: any threshold in (0.4, 0.6)
-        // gives zero cost.
-        let scores = [0.9f32, 0.8, 0.6, 0.4, 0.2, 0.1];
-        let labels = [true, true, true, false, false, false];
-        let (thr, cost) = optimal_threshold(&scores, &labels, 1.0, 1.0);
-        assert_eq!(cost, 0.0);
-        assert!(thr > 0.4 && thr <= 0.6 + 1e-5, "thr {thr}");
-    }
-
-    #[test]
-    fn high_fp_cost_raises_the_threshold() {
-        // Overlapping scores: expensive FPs push the operating point up.
-        let scores = [0.9f32, 0.7, 0.6, 0.55, 0.5, 0.45, 0.3, 0.1];
-        let labels = [true, false, true, false, true, false, false, false];
-        let (thr_balanced, _) = optimal_threshold(&scores, &labels, 1.0, 1.0);
-        let (thr_costly, _) = optimal_threshold(&scores, &labels, 10.0, 1.0);
-        assert!(thr_costly >= thr_balanced, "{thr_costly} >= {thr_balanced}");
-    }
-
-    #[test]
-    fn zero_fn_cost_eliminates_false_positives() {
-        let scores = [0.9f32, 0.1];
-        let labels = [true, false];
-        let (thr, cost) = optimal_threshold(&scores, &labels, 1.0, 0.0);
-        assert_eq!(cost, 0.0);
-        // With free FNs the chosen operating point must produce no FPs.
-        assert!(thr > 0.1, "threshold {thr} must exclude the negative");
-    }
-
-    #[test]
-    fn empty_input_defaults() {
-        assert_eq!(optimal_threshold(&[], &[], 1.0, 1.0), (0.5, 0.0));
-    }
-
-    #[test]
-    fn threshold_cost_matches_brute_force() {
-        let scores = [0.2f32, 0.8, 0.5, 0.5, 0.9, 0.3, 0.6];
-        let labels = [false, true, true, false, true, false, false];
-        let (_, cost) = optimal_threshold(&scores, &labels, 2.0, 1.0);
-        // Brute force over candidate thresholds.
-        let mut best = f64::INFINITY;
-        for t in [0.0f32, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95] {
-            let (mut fp, mut fn_) = (0.0, 0.0);
-            for (s, l) in scores.iter().zip(&labels) {
-                let pred = *s >= t;
-                if pred && !*l {
-                    fp += 1.0;
-                }
-                if !pred && *l {
-                    fn_ += 1.0;
-                }
-            }
-            best = best.min(2.0 * fp + fn_);
-        }
-        assert_eq!(cost, best);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl DecisionTree {
         Self { params, nodes: vec![Node::Leaf { score: 0.0 }], n_splits: 0, n_features: 0 }
     }
 
-    /// Unfitted tree with the paper's defaults and cost `v`.
-    pub fn with_cost(v: f32) -> Self {
-        Self::new(TreeParams { cost_fp: v, ..TreeParams::default() })
-    }
-
     /// Number of internal splits in the fitted tree.
     pub fn n_splits(&self) -> usize {
         self.n_splits
@@ -877,7 +872,7 @@ mod tests {
             d.push(&[x], label);
         }
         let count_pos = |v: f32| {
-            let mut tree = DecisionTree::with_cost(v);
+            let mut tree = DecisionTree::new(TreeParams { cost_fp: v, ..TreeParams::default() });
             tree.fit(&d);
             predict_all(&tree, &d).iter().filter(|&&p| p).count()
         };
@@ -994,7 +989,7 @@ mod tests {
         // Table 4 cost matrices: v multiplies negative-sample weights.
         for v in [2.0f32, 3.0] {
             let train = low_cardinality_dataset(1200, 9);
-            let mut exact = DecisionTree::with_cost(v);
+            let mut exact = DecisionTree::new(TreeParams { cost_fp: v, ..TreeParams::default() });
             let mut binned = exact.clone();
             exact.fit_exact(&train);
             binned.fit(&train);

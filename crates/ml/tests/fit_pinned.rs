@@ -7,7 +7,7 @@
 //! 40 000-row dataset pins a tree whose nodes hold tens of thousands of
 //! rows, where the histogram pass of large nodes runs.
 
-use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest};
+use otae_ml::{AdaBoost, Classifier, Dataset, DecisionTree, RandomForest, TreeParams};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -57,7 +57,7 @@ fn continuous_column_exceeds_the_bin_budget() {
 #[test]
 fn tree_fit_is_pinned() {
     let d = dataset();
-    let mut tree = DecisionTree::with_cost(2.0);
+    let mut tree = DecisionTree::new(TreeParams { cost_fp: 2.0, ..TreeParams::default() });
     tree.fit(&d);
     assert_eq!(score_digest(&tree, &d), 12_025_177_331_308_182_532);
 }
@@ -112,7 +112,7 @@ fn large_node_tree_fit_is_pinned() {
         values.dedup();
         assert!(values.len() > 256, "feature {f}: {} distinct values", values.len());
     }
-    let mut tree = DecisionTree::with_cost(2.0);
+    let mut tree = DecisionTree::new(TreeParams { cost_fp: 2.0, ..TreeParams::default() });
     tree.fit(&d);
     assert_eq!(tree.n_splits(), 30);
     assert_eq!(score_digest(&tree, &d), 9_607_532_085_987_601_387);

@@ -26,12 +26,6 @@ impl VirtualClock {
         Arc::new(Self::default())
     }
 
-    /// Clock starting at an arbitrary (e.g. seed-derived) offset, for
-    /// harness runs that model joining a stream mid-flight.
-    pub fn starting_at(offset: Duration) -> Arc<Self> {
-        Arc::new(Self { nanos: AtomicU64::new(offset.as_nanos() as u64) })
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Duration {
         Duration::from_nanos(self.nanos.load(Ordering::Acquire))
@@ -117,7 +111,9 @@ mod tests {
 
     #[test]
     fn virtual_time_is_monotone_and_jump_based() {
-        let clock = VirtualClock::starting_at(Duration::from_secs(1));
+        let clock = VirtualClock::new();
+        assert_eq!(clock.now(), Duration::ZERO);
+        clock.advance_to(Duration::from_secs(1));
         assert_eq!(clock.now(), Duration::from_secs(1));
         clock.advance_to(Duration::from_secs(5));
         assert_eq!(clock.now(), Duration::from_secs(5));

@@ -1,4 +1,4 @@
-//! Model-epoch-keyed memoization of admission predictions.
+//! Memoization of one model's admission predictions.
 //!
 //! Not used by the service: bit-exact feature rows never repeat on real
 //! traffic (age, recency and owner averages are continuous), so the memo
@@ -7,9 +7,8 @@
 //!
 //! The classifier's verdict for a request is a pure function of (installed
 //! model, feature row): a small FIFO map remembers the last verdict per
-//! object, keyed by the model epoch it was computed under and guarded by a
-//! bit-exact feature comparison. An epoch bump invalidates the whole cache
-//! wholesale — a cached decision must never survive a model swap.
+//! object, guarded by a bit-exact feature comparison. A cached decision
+//! must never survive a model swap, so each model gets a cache of its own.
 
 use otae_core::N_FEATURES;
 use otae_fxhash::FxHashMap;
@@ -35,7 +34,7 @@ struct Entry {
     predicted_one_time: bool,
 }
 
-/// Bounded FIFO memo of (object → model verdict), valid for one model epoch.
+/// Bounded FIFO memo of (object → model verdict), valid for one model.
 ///
 /// Mirrors the history table's eviction discipline: insertion order is
 /// tracked in a queue and the oldest entries fall out first. A lookup hits
@@ -45,10 +44,8 @@ struct Entry {
 #[derive(Debug)]
 pub struct DecisionCache {
     capacity: usize,
-    epoch: u64,
     map: FxHashMap<ObjectId, Entry>,
     fifo: VecDeque<ObjectId>,
-    invalidations: u64,
 }
 
 impl DecisionCache {
@@ -57,37 +54,21 @@ impl DecisionCache {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            epoch: 0,
             map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             fifo: VecDeque::with_capacity(capacity),
-            invalidations: 0,
         }
     }
 
-    /// Point the cache at model `epoch`, clearing every memoized verdict if
-    /// the epoch changed (the wholesale invalidation on hot-swap).
-    pub fn ensure_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            if !self.map.is_empty() {
-                self.map.clear();
-                self.fifo.clear();
-                self.invalidations += 1;
-            }
-            self.epoch = epoch;
-        }
-    }
-
-    /// Memoized verdict for `obj` under the current epoch, if the stored
-    /// feature bits match `bits` exactly.
+    /// Memoized verdict for `obj`, if the stored feature bits match `bits`
+    /// exactly.
     pub fn lookup(&self, obj: ObjectId, bits: &FeatureBits) -> Option<bool> {
         let entry = self.map.get(&obj)?;
         (entry.bits == *bits).then_some(entry.predicted_one_time)
     }
 
-    /// Memoize `predicted_one_time` for `obj` under the current epoch,
-    /// evicting the oldest entries FIFO when full. Re-inserting an existing
-    /// object refreshes its entry without re-queueing it (same discipline as
-    /// the history table).
+    /// Memoize `predicted_one_time` for `obj`, evicting the oldest entries
+    /// FIFO when full. Re-inserting an existing object refreshes its entry
+    /// without re-queueing it (same discipline as the history table).
     pub fn insert(&mut self, obj: ObjectId, bits: FeatureBits, predicted_one_time: bool) {
         let entry = Entry { bits, predicted_one_time };
         if self.map.insert(obj, entry).is_some() {
@@ -113,17 +94,6 @@ impl DecisionCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Epoch the current contents are valid for.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Wholesale invalidations performed so far (epoch changes that dropped
-    /// a non-empty cache).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
-    }
 }
 
 #[cfg(test)]
@@ -146,24 +116,6 @@ mod tests {
         // Same object, different features: the memo must not answer.
         let other = feature_bits(&row(0.1));
         assert_eq!(c.lookup(ObjectId(1), &other), None);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_wholesale() {
-        let mut c = DecisionCache::new(4);
-        let bits = feature_bits(&row(0.5));
-        c.ensure_epoch(1);
-        c.insert(ObjectId(1), bits, true);
-        c.insert(ObjectId(2), bits, false);
-        c.ensure_epoch(2);
-        assert!(c.is_empty(), "swap must drop every memoized verdict");
-        assert_eq!(c.lookup(ObjectId(1), &bits), None);
-        assert_eq!(c.invalidations(), 1);
-        // Same epoch again: no further invalidation.
-        c.insert(ObjectId(1), bits, true);
-        c.ensure_epoch(2);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.invalidations(), 1);
     }
 
     #[test]

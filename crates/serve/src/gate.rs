@@ -113,11 +113,6 @@ impl AdmissionGate {
     pub fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
     }
-
-    /// True once a model has been installed.
-    pub fn is_warm(&self) -> bool {
-        self.swaps() > 0
-    }
 }
 
 #[cfg(test)]
@@ -140,9 +135,8 @@ mod tests {
     fn starts_cold_and_warms_on_install() {
         let gate = AdmissionGate::new();
         assert!(gate.current().is_none());
-        assert!(!gate.is_warm());
+        assert_eq!(gate.swaps(), 0);
         gate.install(tree(0.5));
-        assert!(gate.is_warm());
         assert_eq!(gate.swaps(), 1);
         let m = gate.current().expect("installed");
         assert!(m.predict(&[0.9]));

@@ -253,7 +253,7 @@ mod tests {
         let p = prepare(&t, &index, &cfg, &gate, 100, 2.0);
         assert_eq!(p.requests.len(), t.len());
         assert_eq!(p.trainings, 0);
-        assert!(!gate.is_warm());
+        assert!(gate.current().is_none());
         assert!(matches!(p.models, ModelSource::None));
         // idx is the trace position, and the rest is the trace's own.
         for (i, (r, req)) in p.requests.iter().zip(&t.requests).enumerate() {

@@ -263,7 +263,7 @@ mod tests {
         let gate = AdmissionGate::new();
         let report = run_retrainer(rx, &days, &gate, TrainingConfig::default(), 2.0, &NoFaults);
         assert_eq!(report, RetrainerReport::default());
-        assert!(!gate.is_warm());
+        assert!(gate.current().is_none());
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(report.trainings, 1, "the boundary was consumed…");
         assert_eq!(report.failed, 1, "…by a job that fitted nothing");
         assert_eq!(report.installs, 0);
-        assert!(!gate.is_warm(), "no model must reach the gate");
+        assert!(gate.current().is_none(), "no model must reach the gate");
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         assert_eq!(report.trainings, 1);
         assert_eq!(report.deferred, 1);
         assert_eq!(report.installs, 1, "the stalled install must still land");
-        assert!(gate.is_warm());
+        assert!(gate.current().is_some());
     }
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
         assert_eq!(report.trainings, 1);
         assert_eq!(report.dropped_installs, 1);
         assert_eq!(report.installs, 0);
-        assert!(!gate.is_warm(), "the dropped model never reached the gate");
+        assert!(gate.current().is_none(), "the dropped model never reached the gate");
     }
 
     /// Every fitted model is accounted for exactly once under a mixed fault

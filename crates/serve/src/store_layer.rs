@@ -37,13 +37,6 @@ pub enum StoreMode {
     Disk(PathBuf),
 }
 
-impl StoreMode {
-    /// Whether a store is attached at all.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, StoreMode::None)
-    }
-}
-
 /// One shard's store handle plus its error tally. Lives inside the shard
 /// and is driven by the shard's owning worker, so store traffic is ordered
 /// exactly like the shard's decision stream.
@@ -267,8 +260,6 @@ mod tests {
     fn none_mode_builds_no_stores() {
         let stores = ShardStore::build(&StoreMode::None, StoreConfig::default(), 4).expect("none");
         assert!(stores.is_empty());
-        assert!(!StoreMode::None.is_enabled());
-        assert!(StoreMode::Memory.is_enabled());
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl StoreIndex {
         self.segments.values().map(|s| s.live_bytes).sum()
     }
 
-    /// Total appended bytes across all tracked segments.
-    pub fn total_bytes(&self) -> u64 {
-        self.segments.values().map(|s| s.total_bytes).sum()
-    }
-
     /// Location of a key's current record.
     pub fn get(&self, key: u64) -> Option<Location> {
         self.entries.get(&key).copied()
@@ -173,11 +168,6 @@ impl StoreIndex {
         self.puts_on_disk.get(&key).copied().unwrap_or(0)
     }
 
-    /// Accounting for one segment.
-    pub fn segment_info(&self, seg: SegmentId) -> Option<SegmentInfo> {
-        self.segments.get(&seg).copied()
-    }
-
     /// Number of tracked segments.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
@@ -238,8 +228,8 @@ mod tests {
         assert_eq!(ix.live_bytes(), 150);
         // Overwrite key 1 in segment 1: segment 0's copy goes dead.
         ix.apply_put(1, loc(1, 0, 80));
-        assert_eq!(ix.segment_info(0).unwrap().live_bytes, 50);
-        assert_eq!(ix.segment_info(1).unwrap().live_bytes, 80);
+        assert_eq!(ix.segments[&0].live_bytes, 50);
+        assert_eq!(ix.segments[&1].live_bytes, 80);
         assert_eq!(ix.len(), 2);
         assert_eq!(ix.puts_on_disk(1), 2);
     }
@@ -250,7 +240,7 @@ mod tests {
         ix.apply_put(7, loc(0, 0, 100));
         ix.apply_tombstone(7, 0, 21);
         assert_eq!(ix.len(), 0);
-        let info = ix.segment_info(0).unwrap();
+        let info = ix.segments[&0];
         assert_eq!(info.total_bytes, 121);
         assert_eq!(info.live_bytes, 0);
         assert_eq!(ix.puts_on_disk(7), 1, "the dead put still exists on disk");
@@ -308,7 +298,7 @@ mod tests {
         assert_eq!(ix.get(1).unwrap().segment, 2);
         // The losing copy is still on disk: counted, but dead.
         assert_eq!(ix.puts_on_disk(1), 3);
-        let dest = ix.segment_info(3).unwrap();
+        let dest = ix.segments[&3];
         assert_eq!((dest.total_bytes, dest.records, dest.live_bytes), (100, 1, 0));
     }
 
@@ -327,7 +317,7 @@ mod tests {
         puts_in_victim.insert(1u64, 1u32);
         ix.forget_segment(0, &puts_in_victim);
         assert_eq!(ix.puts_on_disk(1), 1, "the rewritten copy is still on disk");
-        let dest = ix.segment_info(1).unwrap();
+        let dest = ix.segments[&1];
         assert_eq!((dest.total_bytes, dest.records, dest.live_bytes), (100, 1, 100));
         assert_eq!(ix.get(1), Some(to));
     }
@@ -338,7 +328,7 @@ mod tests {
         ix.apply_put(7, loc(0, 0, 100));
         ix.apply_gc_tombstone(1, 21);
         assert_eq!(ix.get(7), Some(loc(0, 0, 100)), "a restated removal shadows nothing newer");
-        let info = ix.segment_info(1).unwrap();
+        let info = ix.segments[&1];
         assert_eq!((info.total_bytes, info.records, info.live_bytes), (21, 1, 0));
     }
 }

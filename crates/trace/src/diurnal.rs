@@ -101,16 +101,6 @@ impl DiurnalWarp {
     }
 }
 
-/// Hour of day (0–23) of a timestamp in seconds since trace start.
-pub fn hour_of_day(ts: u64) -> u8 {
-    ((ts % DAY) / 3600) as u8
-}
-
-/// Day index (0-based) of a timestamp.
-pub fn day_of(ts: u64) -> u64 {
-    ts / DAY
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,19 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn hour_and_day_helpers() {
-        assert_eq!(hour_of_day(0), 0);
-        assert_eq!(hour_of_day(3 * 3600 + 59), 3);
-        assert_eq!(hour_of_day(DAY + 5 * 3600), 5);
-        assert_eq!(day_of(DAY * 3 + 10), 3);
-    }
-
-    #[test]
     fn warp_across_days_preserves_day_index() {
         let w = DiurnalWarp::new();
         for d in 0..5u64 {
             let t = w.warp((d * DAY) as f64 + 1000.0);
-            assert_eq!(day_of(t as u64), d);
+            assert_eq!(t as u64 / DAY, d);
         }
     }
 }

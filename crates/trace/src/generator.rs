@@ -421,7 +421,7 @@ mod tests {
         }
         let (mut lo_one, mut lo_all, mut hi_one, mut hi_all) = (0.0, 0.0, 0.0, 0.0);
         for (id, c) in &counts {
-            let act = t.owner_of(*id).activity;
+            let act = t.owners[t.photo(*id).owner.0 as usize].activity;
             if act < 0.25 {
                 lo_all += 1.0;
                 if *c == 1 {
@@ -523,7 +523,7 @@ mod drift_tests {
         let mut one = vec![0.0f64; days];
         let mut all = vec![0.0f64; days];
         for (id, (day, c)) in &counts {
-            if trace.owner_of(*id).activity < 0.3 {
+            if trace.owners[trace.photo(*id).owner.0 as usize].activity < 0.3 {
                 let d = (*day as usize).min(days - 1);
                 all[d] += 1.0;
                 if *c == 1 {

@@ -8,7 +8,7 @@
 //! and reaccess-distance structure, which is what the one-time-access
 //! analysis depends on.
 
-use crate::types::{ObjectId, Request, Trace};
+use crate::types::{Request, Trace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -36,18 +36,11 @@ pub fn sample_objects(trace: &Trace, rate: f64, seed: u64) -> Trace {
     Trace { requests, meta: trace.meta.clone(), owners: trace.owners.clone() }
 }
 
-/// Number of distinct objects appearing in a request slice.
-pub fn distinct_objects(requests: &[Request]) -> usize {
-    let mut ids: Vec<ObjectId> = requests.iter().map(|r| r.object).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, TraceConfig};
+    use crate::types::ObjectId;
     use otae_fxhash::FxHashMap;
 
     fn base() -> Trace {
@@ -75,8 +68,8 @@ mod tests {
     fn sample_rate_respected() {
         let t = base();
         let s = sample_objects(&t, 0.1, 7);
-        let n_full = distinct_objects(&t.requests) as f64;
-        let n_sub = distinct_objects(&s.requests) as f64;
+        let n_full = t.characterize().objects as f64;
+        let n_sub = s.characterize().objects as f64;
         let rate = n_sub / n_full;
         assert!((rate - 0.1).abs() < 0.02, "rate {rate}");
     }

@@ -152,11 +152,6 @@ impl Trace {
         &self.meta[id.0 as usize]
     }
 
-    /// Owner record of an object.
-    pub fn owner_of(&self, id: ObjectId) -> &Owner {
-        &self.owners[self.photo(id).owner.0 as usize]
-    }
-
     /// Number of requests.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -165,11 +160,6 @@ impl Trace {
     /// True when the trace holds no requests.
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
-    }
-
-    /// Total bytes across all requests (each access counts its object size).
-    pub fn total_accessed_bytes(&self) -> u64 {
-        self.requests.iter().map(|r| self.photo(r.object).size as u64).sum()
     }
 
     /// Sum of sizes over *unique* objects that appear in the request stream.
@@ -298,7 +288,6 @@ mod tests {
             ],
             owners: vec![Owner { activity: 0.5, active_friends: 3 }],
         };
-        assert_eq!(trace.total_accessed_bytes(), 250);
         assert_eq!(trace.unique_bytes(), 150);
         assert!((trace.avg_object_size() - 75.0).abs() < 1e-9);
         assert!(trace.is_time_ordered());

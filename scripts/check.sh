@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Building the benchmark (below, and its smoke) may rewrite its frozen
+# Cargo.lock; the committed one is put back on exit, pass or fail.
+tmp="$(mktemp -d)"
+cp benchmark/Cargo.lock "$tmp/benchmark-Cargo.lock"
+trap 'cp "$tmp/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -12,6 +18,10 @@ cargo run -q -p otae-lint
 
 echo "==> cargo clippy --workspace (deny warnings; sole owner of the unbounded-channel and SipHash constructor bans in clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> benchmark build (the frozen benchmark names public API: a deletion it still needs fails here, not after the test run)"
+# Same target and profile as benchmark/run.sh, so the smoke below reuses it.
+cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo doc --workspace --no-deps (deny warnings: a renamed or deleted item cannot leave a doc link dangling)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -26,11 +36,6 @@ echo "==> results/ is current (otae-bench all in a temp dir; every CSV it writes
 # Table::write_csv writes under the working directory, so the run lands in
 # $tmp/results. The experiments run at their defaults: no OTAE_OBJECTS, no
 # smoke mode.
-tmp="$(mktemp -d)"
-# Building the benchmark (the smoke below) may rewrite its frozen
-# Cargo.lock; the committed one is put back on exit, pass or fail.
-cp benchmark/Cargo.lock "$tmp/benchmark-Cargo.lock"
-trap 'cp "$tmp/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
 root="$PWD"
 (cd "$tmp" && env -u OTAE_OBJECTS -u OTAE_BENCH_SMOKE cargo run --manifest-path "$root/Cargo.toml" --release -q -p otae-bench -- all > /dev/null)
 cargo run --release -q -p otae-bench -- diff "$tmp/results" results
@@ -61,4 +66,4 @@ if [[ "${OTAE_STORE_SMOKE:-0}" == "1" ]]; then
   OTAE_BENCH_SMOKE=1 cargo bench -q -p otae-bench --bench store_ops -- --test
 fi
 
-echo "OK: fmt, otae-lint, clippy, rustdoc, tests, benchmark smoke, training and trace bench smokes all clean"
+echo "OK: fmt, otae-lint, clippy, benchmark build, rustdoc, tests, benchmark smoke, training and trace bench smokes all clean"

@@ -90,7 +90,9 @@ fn latency_is_bounded_by_hit_and_miss_costs() {
         // With size scaling the exact constants vary, but the mean must lie
         // well inside [SSD hit cost, HDD miss penalty].
         assert!(r.mean_latency_us > model.t_query_us);
-        assert!(r.mean_latency_us < 2.0 * model.miss_penalty_proposed_us());
+        // Eq. 6: t_query + t_classify + t_hddr.
+        let miss_penalty = model.t_query_us + model.t_classify_us + model.t_hdd_read_us;
+        assert!(r.mean_latency_us < 2.0 * miss_penalty);
     }
 }
 
